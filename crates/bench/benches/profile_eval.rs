@@ -28,11 +28,7 @@
 //! The `dual_solver_paper20` and `warm_vs_cold_paper20` groups measure
 //! the PR-2 solver rework directly: raw cold vs warm-started
 //! `solve_relaxed` on the joint paper-scale instance, and the evaluator
-//! walk with `RelaxedOptions::warm_start` on/off. The
-//! `accel_vs_subgradient` group (PR 3) pits the two `DualMethod`s
-//! against each other on the same joint instance: the accelerated rows
-//! stop early on a certified 1e-4 gap where the subgradient rows burn
-//! the full 600-iteration budget.
+//! walk with `RelaxedOptions::warm_start` on/off.
 //!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
 //! profile-local dynamic partition against the static candidate-union
@@ -305,42 +301,6 @@ fn bench_dual_solver(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two dual methods head to head on the paper-scale joint instance
-/// (cold solves, same instance as `dual_solver_paper20`): the
-/// `accelerated` row certifies the strict 1e-4 gap and stops early, the
-/// `subgradient` row exhausts its 600-iteration budget at ~1e-2 — the
-/// ROADMAP item (h) comparison, gated by `scripts/bench-gate.sh`.
-fn bench_accel_vs_subgradient(c: &mut Criterion) {
-    use qdn_core::route_selection::profile_of;
-    use qdn_solve::relaxed::{solve_relaxed, DualMethod, RelaxedOptions};
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
-    let snap = CapacitySnapshot::full(&net);
-    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-    let mut pairs_rng = StdRng::seed_from_u64(11);
-    let owned = make_candidates(&net, 10, &mut pairs_rng);
-    let cands = to_cands(&owned);
-    let base: Vec<usize> = vec![0; cands.len()];
-    let inst = ctx.build_instance(&profile_of(&cands, &base)).unwrap();
-
-    let mut group = c.benchmark_group("accel_vs_subgradient");
-    group.sample_size(15);
-    for (label, method) in [
-        ("subgradient", DualMethod::Subgradient),
-        ("accelerated", DualMethod::Accelerated),
-    ] {
-        let opts = RelaxedOptions {
-            method,
-            ..RelaxedOptions::default()
-        };
-        group.bench_function(format!("cold_solve_{label}/10_pairs"), |b| {
-            b.iter(|| black_box(solve_relaxed(&inst, &opts).unwrap()));
-        });
-    }
-    group.finish();
-}
-
 /// Warm-vs-cold through the evaluator: a fresh evaluator evaluates the
 /// base profile (cold joint solve) and then a single-pair move (fresh
 /// tuple for the moved component). With `warm_start` the second solve is
@@ -498,7 +458,7 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
                 b.iter(|| {
                     let i = walk_rng.random_range(0..indices.len());
                     indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                    black_box(eval.evaluate_objective_move(&indices, i))
+                    black_box(eval.evaluate_objective(&indices))
                 });
             });
         }
@@ -694,6 +654,20 @@ fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
     (b.build(), pairs)
 }
 
+/// The allocation method of the three churn groups: the dual solver
+/// with an unreachable zero `gap_tolerance`, so every memo miss runs
+/// the full 3000-iteration budget at a constant, non-trivial cost and
+/// the row difference is a clean count of the re-solves each
+/// invalidation policy triggers (the per-slot Gibbs/bookkeeping cost is
+/// identical in both rows).
+fn churn_method() -> AllocationMethod {
+    AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
+        max_iterations: 3000,
+        gap_tolerance: 0.0,
+        ..qdn_solve::RelaxedOptions::default()
+    })
+}
+
 /// The PR-6 headline (`churn_recovery`): the session decision loop under
 /// sustained topology churn on a multi-region topology (16 disjoint
 /// corridors, pinned pairs, fixed V and queue price so the shared
@@ -712,10 +686,9 @@ fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
 ///   region, so every corridor re-solves its whole route space each
 ///   slot.
 ///
-/// Both rows use the subgradient dual method: its fixed iteration
-/// budget gives every memo miss the same non-trivial price, so the row
-/// difference is a clean count of the re-solves each invalidation
-/// policy triggers rather than an artifact of adaptive early stopping.
+/// Both rows allocate with [`churn_method`], which prices every memo
+/// miss the same, so the row difference counts re-solves rather than
+/// adaptive early stopping.
 /// Decisions are bit-identical between the rows (the
 /// `churn_matches_cold_rebuild` proptest pins session-vs-cold, and
 /// global flush only discards *more*) — the row ratio is pure post-cut
@@ -723,7 +696,6 @@ fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
 fn bench_churn_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
 
     let (net, pairs) = corridor_field(16);
     // A short Gibbs budget: the per-iteration memo-hit evaluations are
@@ -734,15 +706,7 @@ fn bench_churn_recovery(c: &mut Criterion) {
         iterations: 8,
         ..GibbsConfig::paper_default()
     });
-    // Subgradient with a deep iteration budget prices every memo miss
-    // at a constant, non-trivial cost, so the row difference is a clean
-    // count of the re-solves each invalidation policy triggers (the
-    // per-slot Gibbs/bookkeeping cost is identical in both rows).
-    let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
-        max_iterations: 3000,
-        ..RelaxedOptions::default()
-    });
+    let method = churn_method();
     let installed_q: Vec<u32> = net
         .graph()
         .node_ids()
@@ -820,18 +784,13 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
     use qdn_graph::NodeId;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
 
     let (net, pairs) = corridor_field(16);
     let selector = RouteSelector::Gibbs(GibbsConfig {
         iterations: 8,
         ..GibbsConfig::paper_default()
     });
-    let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
-        max_iterations: 3000,
-        ..RelaxedOptions::default()
-    });
+    let method = churn_method();
     let installed_q: Vec<u32> = net
         .graph()
         .node_ids()
@@ -901,18 +860,13 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
 fn bench_regional_outage_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
 
     let (net, pairs) = corridor_field(16);
     let selector = RouteSelector::Gibbs(GibbsConfig {
         iterations: 8,
         ..GibbsConfig::paper_default()
     });
-    let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
-        max_iterations: 3000,
-        ..RelaxedOptions::default()
-    });
+    let method = churn_method();
     let installed_q: Vec<u32> = net
         .graph()
         .node_ids()
@@ -1200,7 +1154,6 @@ fn bench(c: &mut Criterion) {
     bench_node_churn_recovery(c);
     bench_regional_outage_recovery(c);
     bench_dual_solver(c);
-    bench_accel_vs_subgradient(c);
     bench_warm_vs_cold_eval(c);
 
     bench_gibbs_end_to_end(c);

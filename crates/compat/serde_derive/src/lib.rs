@@ -6,8 +6,10 @@
 //! named-field structs, unit structs, and enums with unit, tuple, and
 //! struct variants, all without generic parameters. The `#[serde(skip)]`
 //! field attribute is honored (skipped on serialize, `Default`-filled on
-//! deserialize). Unsupported shapes produce a compile error naming the
-//! offending item.
+//! deserialize), and so is the `#[serde(deny_unknown_fields)]` container
+//! attribute on named-field structs (an object key that names no field
+//! is an ``unknown field `…` `` error instead of being ignored).
+//! Unsupported shapes produce a compile error naming the offending item.
 //!
 //! The generated representation matches serde's externally-tagged
 //! default:
@@ -45,6 +47,7 @@ enum Item {
         name: String,
         generics: Vec<String>,
         fields: Vec<Field>,
+        deny_unknown_fields: bool,
     },
     TupleStruct {
         name: String,
@@ -83,10 +86,17 @@ fn compile_error(msg: &str) -> TokenStream {
 
 // ---------------------------------------------------------------- parsing
 
+/// The `#[serde(...)]` flags found on one item or field.
+#[derive(Default)]
+struct SerdeAttrs {
+    skip: bool,
+    deny_unknown_fields: bool,
+}
+
 /// Consumes leading outer attributes (`#[...]`) from `tokens[i..]`,
-/// returning whether any of them was `#[serde(skip)]`.
-fn eat_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
-    let mut skip = false;
+/// returning the `#[serde(...)]` flags among them.
+fn eat_attrs(tokens: &[TokenTree], i: &mut usize) -> SerdeAttrs {
+    let mut attrs = SerdeAttrs::default();
     while *i + 1 < tokens.len() {
         let TokenTree::Punct(p) = &tokens[*i] else {
             break;
@@ -105,15 +115,19 @@ fn eat_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
             if id.to_string() == "serde" {
                 if let Some(TokenTree::Group(args)) = inner.get(1) {
                     let text = args.stream().to_string();
-                    if text.split(',').any(|part| part.trim() == "skip") {
-                        skip = true;
+                    for part in text.split(',') {
+                        match part.trim() {
+                            "skip" => attrs.skip = true,
+                            "deny_unknown_fields" => attrs.deny_unknown_fields = true,
+                            _ => {}
+                        }
                     }
                 }
             }
         }
         *i += 2;
     }
-    skip
+    attrs
 }
 
 /// Consumes an optional `pub` / `pub(...)` visibility.
@@ -133,7 +147,7 @@ fn eat_visibility(tokens: &[TokenTree], i: &mut usize) {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    eat_attrs(&tokens, &mut i);
+    let container = eat_attrs(&tokens, &mut i);
     eat_visibility(&tokens, &mut i);
 
     let kind = match tokens.get(i) {
@@ -190,6 +204,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 name,
                 generics,
                 fields: parse_fields(g.stream())?,
+                deny_unknown_fields: container.deny_unknown_fields,
             })
         }
         ("struct", Some(TokenTree::Punct(p))) if p.as_char() == ';' => {
@@ -225,7 +240,7 @@ fn parse_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let skip = eat_attrs(&tokens, &mut i);
+        let skip = eat_attrs(&tokens, &mut i).skip;
         if i >= tokens.len() {
             break;
         }
@@ -357,6 +372,27 @@ fn deserialize_fields(ty_path: &str, fields: &[Field], source: &str) -> String {
     out
 }
 
+/// Emits the `deny_unknown_fields` check over the object entries bound
+/// to `__pairs`: the first key that names no (non-skipped) field is an
+/// error listing the expected ones, in serde's wording.
+fn deny_unknown_check(fields: &[Field]) -> String {
+    let known: Vec<&str> = fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| f.name.as_str())
+        .collect();
+    let expected: Vec<String> = known.iter().map(|n| format!("`{n}`")).collect();
+    format!(
+        "for (__key, _) in __pairs {{ \
+             if !{known:?}.contains(&__key.as_str()) {{ \
+                 return Err(::serde::Error::msg(format!( \
+                     \"unknown field `{{}}`, expected one of {}\", __key))); \
+             }} \
+         }}",
+        expected.join(", ")
+    )
+}
+
 /// Renders `impl<G: Bound, ...>` / `Name<G, ...>` header pieces.
 fn generic_header(generics: &[String], bound: &str) -> (String, String) {
     if generics.is_empty() {
@@ -375,6 +411,7 @@ fn gen_serialize(item: &Item) -> String {
             name,
             generics,
             fields,
+            ..
         } => {
             let (impl_params, ty_args) = generic_header(generics, "::serde::Serialize");
             format!(
@@ -457,14 +494,21 @@ fn gen_deserialize(item: &Item) -> String {
             name,
             generics,
             fields,
+            deny_unknown_fields,
         } => {
             let (impl_params, ty_args) = generic_header(generics, "::serde::Deserialize");
+            let unknown_check = if *deny_unknown_fields {
+                deny_unknown_check(fields)
+            } else {
+                String::new()
+            };
             format!(
                 "impl{impl_params} ::serde::Deserialize for {name}{ty_args} {{ \
                      fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ \
-                         if __v.as_object().is_none() {{ \
+                         let Some(__pairs) = __v.as_object() else {{ \
                              return Err(::serde::Error::msg(concat!(\"expected object for \", {name:?}))); \
-                         }} \
+                         }}; \
+                         {unknown_check} \
                          Ok({}) \
                      }} \
                  }}",

@@ -110,24 +110,8 @@
 //! The property tests `incremental_matches_full_rebuild` and
 //! `dynamic_matches_static_partition` in `crates/core/tests/proptests.rs`
 //! enforce these equivalences on random topologies, profiles, and move
-//! sequences for every allocation method and both dual methods; the
-//! warm-start path is covered by `warm_start_agrees_within_tolerance`.
-//!
-//! # Move hooks
-//!
-//! [`ProfileEvaluator::evaluate_objective_move`] and
-//! [`ProfileEvaluator::evaluate_move`] are the selector-facing way to
-//! declare which pair a proposal moved. The hint is *advisory and
-//! currently unused beyond a bounds check*: a rejected Gibbs proposal
-//! means the next call differs from the evaluator's last-seen profile
-//! in *two* pairs (the revert plus the new proposal), so a declared
-//! move can never be trusted blindly — the evaluator instead verifies
-//! every static component's route tuple itself, which costs one slice
-//! compare per component and makes the hint redundant for correctness
-//! and for the stats (both entry points behave identically). The hooks
-//! exist so the selectors express single-pair-move intent at the call
-//! site and so a future incremental partition maintainer has its entry
-//! points in place without another selector-surface change.
+//! sequences for every allocation method; the warm-start path is
+//! covered by `warm_start_agrees_within_tolerance`.
 //!
 //! # Persistent selection sessions
 //!
@@ -160,18 +144,17 @@
 //! With both opt-ins off, a session-built evaluator is bit-identical to
 //! a fresh one every slot (`session_matches_fresh_per_slot` proptest).
 //!
-//! # Parallelism (`parallel` feature)
+//! # Parallelism
 //!
-//! With the `parallel` cargo feature, unsolved work items of one
-//! evaluation — dynamic groups, or whole components where the partition
-//! does not refine — are solved on `std::thread::scope` threads (rayon
-//! is not available in this build environment; scoped threads provide
-//! the same fork-join shape). Results are inserted into the memos after
-//! the join, so the outcome is bit-identical to the serial path; when an
-//! item reports infeasibility the remaining workers stop early (matching
-//! the serial path's short-circuit). Multi-chain Gibbs restarts
-//! parallelize the same way — see
-//! [`crate::route_selection::gibbs::sample_restarts`].
+//! Unsolved work items of one evaluation — dynamic groups, or whole
+//! components where the partition does not refine — are solved as tasks
+//! on the shared work-stealing pool ([`threadpool::current`]; a width-1
+//! pool runs them inline). Results are gathered in item order and
+//! inserted into the memos after the join, so the outcome is
+//! bit-identical at every pool width; when an item reports
+//! infeasibility the remaining tasks stop early (matching the memo
+//! loop's short-circuit). Multi-chain Gibbs restarts use the same pool —
+//! see [`crate::route_selection::gibbs::sample_restarts`].
 
 use std::collections::HashMap;
 
@@ -225,20 +208,6 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Dynamic route-keyed partitioning, no cross-slot profile seeding —
-    /// the default, spelled out so callers building the struct by hand
-    /// can say what they mean instead of `..Default::default()`.
-    pub fn dynamic() -> Self {
-        EvalOptions::default()
-    }
-
-    /// The static-envelope-only engine (pre-PR-4 behavior); alias of
-    /// [`EvalOptions::static_partition`] matching the
-    /// [`EvalOptions::dynamic`] naming.
-    pub fn static_() -> Self {
-        Self::static_partition()
-    }
-
     /// The static-envelope-only engine (pre-PR-4 behavior).
     pub fn static_partition() -> Self {
         EvalOptions {
@@ -1107,8 +1076,9 @@ impl SelectorSession {
     }
 }
 
-/// Version tag of [`SessionSnapshot`]; bump on layout changes.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+/// Version tag of [`SessionSnapshot`]; bump on layout changes
+/// (including those of the embedded [`AllocationMethod`]).
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
 /// Serializable image of a [`SelectorSession`] (see
 /// [`SelectorSession::snapshot`]). Entry order is canonical (sorted by
@@ -1605,17 +1575,6 @@ impl<'a> ProfileEvaluator<'a> {
         Some(self.accumulate_objective(indices, None))
     }
 
-    /// [`ProfileEvaluator::evaluate_objective`] with a declared
-    /// single-pair move: the caller changed pair `moved` relative to its
-    /// previous profile. The hint is advisory and currently unused
-    /// beyond a bounds check — see the module docs ("Move hooks") for
-    /// why it cannot be trusted (rejected-proposal reverts) and what
-    /// the entry point is for.
-    pub fn evaluate_objective_move(&mut self, indices: &[usize], moved: usize) -> Option<f64> {
-        debug_assert!(moved < self.pairs.len());
-        self.evaluate_objective(indices)
-    }
-
     /// Fully evaluates the profile `indices`, returning per-route
     /// allocations plus the objective. Returns `None` when infeasible.
     ///
@@ -1637,13 +1596,6 @@ impl<'a> ProfileEvaluator<'a> {
             allocations,
             objective,
         })
-    }
-
-    /// [`ProfileEvaluator::evaluate`] with a declared single-pair move
-    /// (see [`ProfileEvaluator::evaluate_objective_move`]).
-    pub fn evaluate_move(&mut self, indices: &[usize], moved: usize) -> Option<ProfileEvaluation> {
-        debug_assert!(moved < self.pairs.len());
-        self.evaluate(indices)
     }
 
     /// Objective of pair `i` served alone with candidate `route_idx`
@@ -1789,16 +1741,12 @@ impl<'a> ProfileEvaluator<'a> {
                 .extend(comp_pairs.iter().map(|&i| indices[i] as u32));
         }
 
-        // Components the parallel pre-pass solved this call (ascending);
+        // Components the pooled pre-pass solved this call (ascending);
         // they must not count as memo hits below.
-        #[cfg(feature = "parallel")]
         let (fresh, parallel_infeasible) = self.solve_missing_parallel(indices);
-        #[cfg(feature = "parallel")]
         if parallel_infeasible {
             return None;
         }
-        #[cfg(not(feature = "parallel"))]
-        let fresh: Vec<usize> = Vec::new();
 
         for comp in 0..self.comp_pairs.len() {
             let key = &self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]];
@@ -2048,7 +1996,6 @@ impl<'a> ProfileEvaluator<'a> {
     /// network-sized. An infeasibility observed by any task stops the
     /// remaining solves early (ROADMAP item g): skipped items are simply
     /// not memoized, matching the serial path's short-circuit.
-    #[cfg(feature = "parallel")]
     fn solve_missing_parallel(&mut self, indices: &[usize]) -> (Vec<usize>, bool) {
         use std::cell::RefCell;
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -2569,14 +2516,7 @@ mod tests {
             let owned = owned_candidates(&net, &pairs);
             let cands = to_cands(&owned);
             for method in [
-                AllocationMethod::RelaxAndRound(RelaxedOptions {
-                    method: qdn_solve::DualMethod::Accelerated,
-                    ..RelaxedOptions::default()
-                }),
-                AllocationMethod::RelaxAndRound(RelaxedOptions {
-                    method: qdn_solve::DualMethod::Subgradient,
-                    ..RelaxedOptions::default()
-                }),
+                AllocationMethod::RelaxAndRound(RelaxedOptions::default()),
                 AllocationMethod::Greedy,
                 AllocationMethod::Minimal,
             ] {
@@ -2650,7 +2590,7 @@ mod tests {
         assert!(eval.stats().memo_hits >= 2);
         assert_eq!(eval.stats().pairs_resolved_last_move, 0);
         // Moving only pair 1 must not re-solve pair 0's component.
-        eval.evaluate_objective_move(&[0, 1], 1);
+        eval.evaluate_objective(&[0, 1]);
         assert_eq!(eval.stats().components_solved, solved_once + 1);
         assert_eq!(eval.stats().pairs_resolved_last_move, 1);
     }
@@ -2707,7 +2647,7 @@ mod tests {
         // Move C to corridor B: {A,C},{B} → {A},{B,C} — one split (C
         // leaves A's group), one merge (C joins B's), and every group
         // key is new, so all three pairs re-solve.
-        eval.evaluate_objective_move(&[0, 0, via_b], 2).unwrap();
+        eval.evaluate_objective(&[0, 0, via_b]).unwrap();
         let s = eval.stats();
         assert_eq!(s.dynamic_components, 2);
         assert_eq!((s.component_merges, s.component_splits), (1, 1));
@@ -2716,7 +2656,7 @@ mod tests {
 
         // Move back: the tuple was seen → level-1 hit, no partition
         // churn, nothing re-solved.
-        eval.evaluate_objective_move(&[0, 0, via_a], 2).unwrap();
+        eval.evaluate_objective(&[0, 0, via_a]).unwrap();
         let s = eval.stats();
         assert_eq!((s.component_merges, s.component_splits), (1, 1));
         assert_eq!(s.components_solved, 4);
@@ -3062,59 +3002,50 @@ mod tests {
         ];
         let owned = owned_candidates(&net, &pairs);
         let cands = to_cands(&owned);
-        for dual_method in [
-            qdn_solve::DualMethod::Accelerated,
-            qdn_solve::DualMethod::Subgradient,
-        ] {
-            let warm_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-                warm_start: true,
-                method: dual_method,
-                ..RelaxedOptions::default()
-            });
-            let cold_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-                method: dual_method,
-                ..RelaxedOptions::default()
-            });
-            let mut warm_eval =
-                ProfileEvaluator::new(&ctx, &cands, &warm_method, EvalOptions::default());
-            let mut cold_eval =
-                ProfileEvaluator::new(&ctx, &cands, &cold_method, EvalOptions::default());
-            assert!(warm_eval.warm_start_enabled());
+        let warm_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
+            warm_start: true,
+            ..RelaxedOptions::default()
+        });
+        let cold_method = AllocationMethod::RelaxAndRound(RelaxedOptions::default());
+        let mut warm_eval =
+            ProfileEvaluator::new(&ctx, &cands, &warm_method, EvalOptions::default());
+        let mut cold_eval =
+            ProfileEvaluator::new(&ctx, &cands, &cold_method, EvalOptions::default());
+        assert!(warm_eval.warm_start_enabled());
 
-            // First evaluation is cold everywhere (no stored λ yet).
-            let w0 = warm_eval.evaluate_objective(&[0, 0]).unwrap();
-            let c0 = cold_eval.evaluate_objective(&[0, 0]).unwrap();
-            assert_eq!(w0.to_bits(), c0.to_bits(), "no λ stored: must match cold");
-            assert_eq!(warm_eval.stats().warm_started, 0);
+        // First evaluation is cold everywhere (no stored λ yet).
+        let w0 = warm_eval.evaluate_objective(&[0, 0]).unwrap();
+        let c0 = cold_eval.evaluate_objective(&[0, 0]).unwrap();
+        assert_eq!(w0.to_bits(), c0.to_bits(), "no λ stored: must match cold");
+        assert_eq!(warm_eval.stats().warm_started, 0);
 
-            // Fresh tuples now warm-start from the neighboring profile's λ
-            // and agree with the cold path within the solver tolerance.
-            let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
-            let mut checked = 0;
-            for r0 in 0..radix[0] {
-                for r1 in 0..radix[1] {
-                    let warm = warm_eval.evaluate_objective(&[r0, r1]);
-                    let cold = cold_eval.evaluate_objective(&[r0, r1]);
-                    match (warm, cold) {
-                        (None, None) => {}
-                        (Some(w), Some(c)) => {
-                            let tol = 0.05 * (1.0 + c.abs());
-                            assert!(
-                                (w - c).abs() <= tol,
-                                "[{r0},{r1}]: warm {w} vs cold {c} (tol {tol})"
-                            );
-                            checked += 1;
-                        }
-                        (w, c) => panic!("feasibility diverged at [{r0},{r1}]: {w:?} vs {c:?}"),
+        // Fresh tuples now warm-start from the neighboring profile's λ
+        // and agree with the cold path within the solver tolerance.
+        let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
+        let mut checked = 0;
+        for r0 in 0..radix[0] {
+            for r1 in 0..radix[1] {
+                let warm = warm_eval.evaluate_objective(&[r0, r1]);
+                let cold = cold_eval.evaluate_objective(&[r0, r1]);
+                match (warm, cold) {
+                    (None, None) => {}
+                    (Some(w), Some(c)) => {
+                        let tol = 0.05 * (1.0 + c.abs());
+                        assert!(
+                            (w - c).abs() <= tol,
+                            "[{r0},{r1}]: warm {w} vs cold {c} (tol {tol})"
+                        );
+                        checked += 1;
                     }
+                    (w, c) => panic!("feasibility diverged at [{r0},{r1}]: {w:?} vs {c:?}"),
                 }
             }
-            assert!(checked >= 2, "route space too small to exercise warm path");
-            assert!(
-                warm_eval.stats().warm_started > 0,
-                "warm starts never engaged ({dual_method:?}): {:?}",
-                warm_eval.stats()
-            );
         }
+        assert!(checked >= 2, "route space too small to exercise warm path");
+        assert!(
+            warm_eval.stats().warm_started > 0,
+            "warm starts never engaged: {:?}",
+            warm_eval.stats()
+        );
     }
 }

@@ -26,8 +26,7 @@
 //! take turns through the joint evaluation.
 //!
 //! [`sample_restarts`] runs several independent chains (different seeds)
-//! and keeps the best profile; with the `parallel` cargo feature the
-//! chains run on `std::thread::scope` threads.
+//! on the shared work-stealing pool and keeps the best profile.
 
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -57,8 +56,7 @@ pub struct GibbsConfig {
     /// Independent chains to run (1 = a single chain). With more than
     /// one, [`run`] derives one seed per chain from the caller's RNG and
     /// keeps the best profile across chains via [`sample_restarts`]
-    /// (chains run on the shared work-stealing pool under the
-    /// `parallel` cargo feature).
+    /// (chains run on the shared work-stealing pool).
     pub restarts: usize,
     /// Iteration budget used instead of `iterations` when the chain was
     /// initialised from a *warm seed profile* (the previous slot's
@@ -184,44 +182,17 @@ pub fn run_in(
         return selection;
     }
     let chain_seeds: Vec<u64> = (0..config.restarts).map(|_| rng.random()).collect();
-    #[cfg(feature = "parallel")]
-    {
-        // Chains run on the shared pool with per-chain evaluators (the
-        // session buffers cannot be shared mutably across threads), so
-        // the session contributes only the starting profile here.
-        sample_restarts_seeded(
-            ctx,
-            candidates,
-            method,
-            config,
-            &chain_seeds,
-            seed.as_deref(),
-        )
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        // Serial chains share the session evaluator: every profile any
-        // chain (or a previous slot with an identical context) visited
-        // is a memo hit for the others.
-        use rand::SeedableRng;
-        let mut evaluator =
-            ProfileEvaluator::new_in(session, ctx, candidates, method, config.evaluator);
-        let selection = chain_seeds
-            .iter()
-            .filter_map(|&chain_seed| {
-                let mut chain_rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
-                sample_seeded(
-                    &mut evaluator,
-                    candidates,
-                    config,
-                    &mut chain_rng,
-                    seed.as_deref(),
-                )
-            })
-            .reduce(best_selection);
-        evaluator.retire(session);
-        selection
-    }
+    // Chains run on the shared pool with per-chain evaluators (the
+    // session buffers cannot be shared mutably across threads), so the
+    // session contributes only the starting profile here.
+    sample_restarts_seeded(
+        ctx,
+        candidates,
+        method,
+        config,
+        &chain_seeds,
+        seed.as_deref(),
+    )
 }
 
 /// Keeps the better of two chain outcomes (ties keep the earlier one).
@@ -372,9 +343,7 @@ pub fn sample_seeded(
                 let old = indices[i];
                 let proposal = propose_different(rng, old, candidates[i].routes.len());
                 indices[i] = proposal;
-                // Declared single-pair move: lets the evaluator's
-                // dynamic partition attribute the work to this proposal.
-                match evaluator.evaluate_objective_move(&indices, i) {
+                match evaluator.evaluate_objective(&indices) {
                     Some(objective) => {
                         if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
                             f_cur = objective;
@@ -405,12 +374,12 @@ pub fn sample_seeded(
 }
 
 /// Runs one independent chain per seed and returns the best selection
-/// (ties keep the earliest seed). With the `parallel` cargo feature the
-/// chains run on the shared work-stealing pool
-/// ([`threadpool::current`]); results are **bit-identical** to the
-/// serial order at every pool width, because each chain is deterministic
-/// in its seed and chain outcomes are gathered in chain-index order
-/// before the fixed left-to-right [`best_selection`] reduction.
+/// (ties keep the earliest seed). The chains run on the shared
+/// work-stealing pool ([`threadpool::current`]); results are
+/// **bit-identical** to [`sample_restarts_serial`] at every pool width,
+/// because each chain is deterministic in its seed and chain outcomes
+/// are gathered in chain-index order before the fixed left-to-right
+/// [`best_selection`] reduction.
 ///
 /// Returns `None` when every chain fails to find a feasible profile.
 pub fn sample_restarts(
@@ -433,32 +402,25 @@ pub fn sample_restarts_seeded(
     seeds: &[u64],
     profile_seed: Option<&[usize]>,
 ) -> Option<Selection> {
-    #[cfg(feature = "parallel")]
-    {
-        use rand::SeedableRng;
-        // One pool task per chain, each with a fresh per-chain evaluator
-        // (memo sharing needs `&mut`; fresh memos change hit rates, not
-        // results — a memo is an exact cache). `map_indexed` returns the
-        // chain outcomes in chain-index order regardless of execution
-        // interleaving, so the reduction below sees the serial order.
-        let chains: Vec<Option<Selection>> = threadpool::current().map_indexed(seeds.len(), |i| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seeds[i]);
-            let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
-            sample_seeded(&mut evaluator, candidates, config, &mut rng, profile_seed)
-        });
-        chains.into_iter().flatten().reduce(best_selection)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        sample_restarts_serial(ctx, candidates, method, config, seeds, profile_seed)
-    }
+    use rand::SeedableRng;
+    // One pool task per chain, each with a fresh per-chain evaluator
+    // (memo sharing needs `&mut`; fresh memos change hit rates, not
+    // results — a memo is an exact cache). `map_indexed` returns the
+    // chain outcomes in chain-index order regardless of execution
+    // interleaving, so the reduction below sees the serial order.
+    let chains: Vec<Option<Selection>> = threadpool::current().map_indexed(seeds.len(), |i| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seeds[i]);
+        let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
+        sample_seeded(&mut evaluator, candidates, config, &mut rng, profile_seed)
+    });
+    chains.into_iter().flatten().reduce(best_selection)
 }
 
 /// The serial multi-chain path: chains run in seed order sharing one
 /// evaluator (every profile any chain has visited is a memo hit for the
-/// others). This is the reference trajectory the parallel path must
-/// reproduce bit-for-bit; it stays compiled under the `parallel` feature
-/// so the equivalence proptest can call it directly.
+/// others). This is the reference trajectory the pooled path must
+/// reproduce bit-for-bit; the equivalence proptest and the
+/// `parallel_gibbs_restarts/serial` bench row call it directly.
 #[doc(hidden)]
 pub fn sample_restarts_serial(
     ctx: &PerSlotContext<'_>,

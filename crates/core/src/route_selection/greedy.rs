@@ -114,9 +114,7 @@ fn local_search_with(
                     continue;
                 }
                 indices[i] = alt;
-                // Declared coordinate move (see the evaluator's move
-                // hooks): only pair `i` differs from the last proposal.
-                if let Some(objective) = evaluator.evaluate_objective_move(&indices, i) {
+                if let Some(objective) = evaluator.evaluate_objective(&indices) {
                     if objective > best_f {
                         best_f = objective;
                         best_idx = alt;

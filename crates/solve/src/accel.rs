@@ -1,4 +1,5 @@
-//! Accelerated (Nesterov/FISTA) dual iteration — ROADMAP item (h).
+//! Accelerated (Nesterov/FISTA) dual iteration — the relaxed solver's
+//! one dual loop.
 //!
 //! # Why acceleration applies here
 //!
@@ -46,14 +47,12 @@
 //! The momentum point `y` may leave the nonnegative orthant; `D(y)` is
 //! still well defined (a negative price just pins `x* = ub`), and only
 //! the *projected* iterates — which are dual feasible — contribute to
-//! the certified `dual_bound`. Primal recovery mirrors the subgradient
-//! loop: the repaired current argmax and the repaired running average
-//! are both candidate incumbents each iteration, and as `λ_k → λ*` the
-//! unique argmax converges to the primal optimum, driving the certified
-//! gap to zero (the subgradient iterate, by contrast, circles the
-//! optimum forever at `O(1/k)`).
+//! the certified `dual_bound`. Primal recovery: the repaired current
+//! argmax and the repaired running average are both candidate
+//! incumbents each iteration, and as `λ_k → λ*` the unique argmax
+//! converges to the primal optimum, driving the certified gap to zero.
 //!
-//! The loop shares the CSR evaluation passes with the subgradient method
+//! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
 //! ([`crate::relaxed::dual_value_at`], [`crate::relaxed::residual_pass`],
 //! [`crate::relaxed::consider_primal`]): one price-gather + fused
 //! argmax/dual pass per gradient or function evaluation, a fixed set of
@@ -181,7 +180,7 @@ pub(crate) fn accelerated_iterate(
             );
         }
 
-        // Certified-gap stop (same formula as the subgradient loop).
+        // Certified-gap stop (`RelaxedSolution::relative_gap`).
         if best_dual.is_finite() && best_primal.is_finite() {
             let gap = best_dual - best_primal;
             let scale = 1.0 + best_dual.abs().max(best_primal.abs());
@@ -221,15 +220,8 @@ pub(crate) fn accelerated_iterate(
 #[cfg(test)]
 mod tests {
     use crate::instance::{PackingConstraint, Variable};
-    use crate::relaxed::{solve_relaxed, DualMethod, RelaxedOptions};
+    use crate::relaxed::{solve_relaxed, RelaxedOptions};
     use crate::AllocationInstance;
-
-    fn accel_opts() -> RelaxedOptions {
-        RelaxedOptions {
-            method: DualMethod::Accelerated,
-            ..RelaxedOptions::default()
-        }
-    }
 
     fn inst(ps: &[f64], cons: &[(u32, &[usize])], v: f64, price: f64) -> AllocationInstance {
         AllocationInstance::new(
@@ -246,7 +238,7 @@ mod tests {
     #[test]
     fn converges_fast_on_binding_instance() {
         let i = inst(&[0.55, 0.55], &[(4, &[0, 1])], 2500.0, 1.0);
-        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert!(s.converged, "gap {}", s.relative_gap());
         assert!(s.iterations < 600);
         assert!(i.is_feasible_real(&s.x, 1e-6));
@@ -261,7 +253,7 @@ mod tests {
             400.0,
             5.0,
         );
-        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         let (_, brute) = crate::brute::brute_force_best(&i, 6);
         // Brute force is integer-restricted, so it lower-bounds the
         // relaxed optimum; the dual bound must still dominate it.
@@ -276,7 +268,7 @@ mod tests {
     #[test]
     fn unconstrained_component_converges_immediately() {
         let i = inst(&[0.5], &[], 1000.0, 3.0);
-        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert!(s.converged);
         assert_eq!(s.iterations, 1);
     }
@@ -286,7 +278,7 @@ mod tests {
         // κ = 0 and loose capacity: prices start at 0, the argmax pins to
         // ub everywhere, and the solver must still certify a gap.
         let i = inst(&[0.6, 0.6], &[(40, &[0, 1])], 50.0, 0.0);
-        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert!(i.is_feasible_real(&s.x, 1e-6));
         assert!(s.converged, "gap {}", s.relative_gap());
     }
@@ -299,8 +291,8 @@ mod tests {
             1500.0,
             12.0,
         );
-        let a = solve_relaxed(&i, &accel_opts()).unwrap();
-        let b = solve_relaxed(&i, &accel_opts()).unwrap();
+        let a = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
+        let b = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -19,9 +19,7 @@
 //! * [`relaxed`] — the paper's Algorithm 2: continuous relaxation
 //!   (`x ≥ 1`), which is convex (Prop. 1), solved by Lagrangian dual
 //!   decomposition with *closed-form* scalar maximizers ([`scalar`]);
-//!   the dual iteration is either projected subgradient or the
-//!   accelerated FISTA method in [`accel`] (the default — see
-//!   [`relaxed::DualMethod`]),
+//!   the dual iteration is the accelerated FISTA method in [`accel`],
 //! * [`rounding`] — "down-round and allocate surplus", preserving
 //!   feasibility and the Eq. 8 relation, giving the Δ-optimality of
 //!   Prop. 2,
@@ -66,7 +64,7 @@ pub mod scalar;
 pub use assemble::RouteAssembler;
 pub use components::{ComponentPartition, Dsu};
 pub use instance::{ln_success, AllocationInstance, PackingConstraint, Variable};
-pub use relaxed::{solve_relaxed, solve_relaxed_warm, DualMethod, RelaxedOptions, RelaxedSolution};
+pub use relaxed::{solve_relaxed, solve_relaxed_warm, RelaxedOptions, RelaxedSolution};
 
 /// Errors raised by the solvers.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,32 +1,23 @@
-//! Lagrangian dual solvers for the continuous relaxation of P2.
+//! Lagrangian dual solver for the continuous relaxation of P2.
 //!
 //! The relaxed problem (paper Algorithm 2, step 3) is separable concave
 //! with linear packing constraints, so its Lagrangian dual decomposes into
-//! per-variable closed-form maximizations ([`crate::scalar`]). Two dual
-//! iterations are available, selected by [`RelaxedOptions::method`]:
+//! per-variable closed-form maximizations ([`crate::scalar`]). The dual is
+//! solved by adaptively restarted FISTA: it is C¹ with Lipschitz gradient
+//! because the strictly concave log-success utility makes the
+//! per-variable argmax unique (see [`crate::accel`] for the math). The
+//! `O(1/k²)` rate — linear near the optimum with adaptive restarts —
+//! makes the strict default `gap_tolerance = 1e-4` certifiable at paper
+//! scale, so cold solves stop early instead of burning the full budget.
 //!
-//! * [`DualMethod::Subgradient`] — projected subgradient with Polyak
-//!   steps (the PR-2 solver). Robust, but its duality gap decays like
-//!   `O(1/k)`, so the strict default `gap_tolerance = 1e-4` is
-//!   unreachable at paper scale within realistic budgets — every cold
-//!   solve exhausts `max_iterations` and reports `converged: false`.
-//! * [`DualMethod::Accelerated`] (the default) — adaptively restarted
-//!   FISTA on the dual, which is C¹ with Lipschitz gradient because the
-//!   strictly concave log-success utility makes the per-variable argmax
-//!   unique (see [`crate::accel`] for the math). The `O(1/k²)` rate —
-//!   linear near the optimum with adaptive restarts — makes the strict
-//!   tolerance actually certifiable, so cold solves stop early instead
-//!   of burning the full budget.
-//!
-//! Either way the primal answer is recovered from the running-average /
-//! current iterates with a feasibility repair that exactly preserves the
-//! `x ≥ 1` lower bound (so the Eq. 8 rounding relation stays valid
-//! downstream), and `converged` means the *certified* relative duality
-//! gap fell below the acceptance threshold.
+//! The primal answer is recovered from the iterates with a feasibility
+//! repair that exactly preserves the `x ≥ 1` lower bound (so the Eq. 8
+//! rounding relation stays valid downstream), and `converged` means the
+//! *certified* relative duality gap fell below `gap_tolerance`.
 //!
 //! # Inner-loop layout (PR 2)
 //!
-//! Both iterations run entirely over the instance's flat CSR incidence
+//! The iteration runs entirely over the instance's flat CSR incidence
 //! arrays ([`AllocationInstance`] stores variable→constraint and
 //! constraint→member membership as contiguous index+offset slices): one
 //! branch-free gather pass computes every variable's price, a fused pass
@@ -36,20 +27,19 @@
 //! condition as `−ln(1+ρ)` — no `exp`/`ln` pair per variable per
 //! iteration), and the repair/objective passes reuse per-solve buffers.
 //! A solve allocates a fixed number of vectors up front and nothing
-//! inside the loop. The shared passes live here ([`VarCache`],
-//! [`dual_value_at`], [`residual_pass`], [`consider_primal`]) and are
-//! used by both method loops.
+//! inside the loop. The passes live here ([`VarCache`],
+//! [`dual_value_at`], [`residual_pass`], [`consider_primal`]); the loop
+//! itself is `accel::accelerated_iterate`.
 //!
 //! # Warm starts
 //!
 //! [`solve_relaxed_warm`] seeds the dual iteration from a caller-provided
 //! λ (typically the memoized prices of a *neighboring* route profile —
 //! see `qdn-core::profile_eval`). A warm run is accepted once its
-//! relative gap falls below the method's acceptance threshold — the
-//! strict `gap_tolerance` for [`DualMethod::Accelerated`],
-//! `max(gap_tolerance, warm_accept_gap)` for the subgradient method
-//! (whose `O(1/k)` tail cannot reach the strict tolerance) — and is
-//! capped at [`RelaxedOptions::warm_iteration_fraction`] of the budget: a
+//! relative gap falls below the same strict `gap_tolerance` a cold run
+//! certifies (a warm seed changes where the iteration *starts*, never
+//! what it certifies), and is capped at
+//! [`RelaxedOptions::warm_iteration_fraction`] of the budget: a
 //! warm seed either pays off quickly or not at all, so burning the full
 //! budget on a failing warm attempt (and then again on the cold fallback)
 //! would pay twice for one solve. When the capped warm attempt does not
@@ -57,14 +47,14 @@
 //! attempt's incumbents** (best primal point, best dual bound), so the
 //! fallback's answer is never worse than what the warm attempt already
 //! had — a bad warm start can cost time, never quality. Every returned
-//! solution is feasible with a duality gap no worse than the acceptance
-//! threshold it converged under, and [`RelaxedSolution::converged`]
-//! reports whether it did. The final prices come back in
+//! solution is feasible, and [`RelaxedSolution::converged`] reports
+//! whether its duality gap was certified. The final prices come back in
 //! [`RelaxedSolution::lambda`] for the caller to store.
 
 use serde::{Deserialize, Serialize};
 use wide::f64x4;
 
+use crate::accel::accelerated_iterate;
 use crate::instance::{ln_success, AllocationInstance};
 use crate::SolveError;
 
@@ -94,43 +84,21 @@ pub(crate) fn gather_sum(idx: &[u32], x: &[f64]) -> f64 {
     sum
 }
 
-/// Which dual iteration solves the relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DualMethod {
-    /// Projected subgradient with Polyak steps. `O(1/k)` gap tail: keeps
-    /// the historical PR-2 *cold-solve* trajectory bit-for-bit (warm
-    /// starts now cap the warm budget and carry incumbents into the
-    /// fallback, so failed-warm trajectories improve on PR-2 rather
-    /// than reproduce it), but cannot certify
-    /// tight tolerances at paper scale — cold solves typically exhaust
-    /// the budget with `converged: false`.
-    Subgradient,
-    /// Adaptively restarted FISTA on the smooth dual ([`crate::accel`]).
-    /// `O(1/k²)` worst case, linear near the optimum in practice; the
-    /// default, because it makes the strict `gap_tolerance` reachable
-    /// and lets cold solves stop early on a certified gap.
-    Accelerated,
-}
-
 /// Options for [`solve_relaxed`].
+///
+/// Unknown JSON keys are rejected, so a stale config that still carries
+/// a removed field fails loudly instead of silently running with
+/// different semantics — see MIGRATION.md.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RelaxedOptions {
     /// Maximum dual iterations (per attempt; a failed warm attempt plus
     /// its cold fallback together spend at most
     /// `(1 + warm_iteration_fraction) × max_iterations`).
     pub max_iterations: usize,
-    /// Initial subgradient step size (the [`DualMethod::Subgradient`]
-    /// fallback step when the Polyak estimate degenerates; unused by
-    /// [`DualMethod::Accelerated`], which adapts its step by
-    /// backtracking).
-    pub initial_step: f64,
-    /// Stop early when the relative duality gap falls below this value.
+    /// Stop once the certified relative duality gap falls below this
+    /// value (warm and cold attempts alike).
     pub gap_tolerance: f64,
-    /// The dual iteration to run. **Loud compat break (PR 3):** this
-    /// field is required in JSON configs — see MIGRATION.md for the
-    /// one-line edit (`"method": "Accelerated"` restores the default;
-    /// `"Subgradient"` restores the PR-2 cold iteration bit-for-bit).
-    pub method: DualMethod,
     /// Let callers that cache dual prices (the profile evaluator's
     /// per-component λ store) seed repeat solves via
     /// [`solve_relaxed_warm`]. The solver itself ignores this flag — it
@@ -139,24 +107,6 @@ pub struct RelaxedOptions {
     /// gap, so paths that must stay bit-identical to the full-rebuild
     /// reference keep it disabled.
     pub warm_start: bool,
-    /// Secondary acceptance gap for *warm-started*
-    /// [`DualMethod::Subgradient`] runs only. Subgradient iterations
-    /// shed the duality gap like `O(1/k)`, so on coupled instances the
-    /// strict `gap_tolerance` is often unreachable within the budget
-    /// and a cold run simply spends all its iterations grinding the
-    /// tail (e.g. ~0.9% relative gap after 600 iterations at paper
-    /// scale). A good warm seed lands at that same quality in a handful
-    /// of iterations; requiring it to then reach the unreachable strict
-    /// tolerance would waste the entire budget *and* trigger the cold
-    /// fallback. A warm subgradient run is therefore accepted once its
-    /// relative gap falls below `max(gap_tolerance, warm_accept_gap)`.
-    /// Cold runs — and [`DualMethod::Accelerated`] runs, warm or cold,
-    /// which certify the strict tolerance cheaply — ignore this field
-    /// entirely, so the accelerated path's certificate is never
-    /// weakened by a warm seed. The default 1e-2 matches the gap a full
-    /// cold subgradient budget actually achieves on paper-scale
-    /// components.
-    pub warm_accept_gap: f64,
     /// Fraction of `max_iterations` a warm attempt may spend before the
     /// cold fallback takes over (clamped to `[0, 1]`; at least one warm
     /// iteration runs whenever a warm seed is given). Capping the warm
@@ -168,27 +118,16 @@ pub struct RelaxedOptions {
     pub warm_iteration_fraction: f64,
 }
 
-impl RelaxedOptions {
-    /// The certified configuration: accelerated dual iteration, strict
-    /// `1e-4` gap tolerance, **no** warm starts — every solve certifies
-    /// its own duality gap from a cold start, so results are
-    /// bit-identical to the full-rebuild reference. This is exactly
-    /// [`RelaxedOptions::default`] under an honest name; use it when
-    /// the choice is deliberate rather than incidental.
-    pub fn certified() -> Self {
-        Self::default()
-    }
-}
-
 impl Default for RelaxedOptions {
+    /// The certified configuration: strict `1e-4` gap tolerance and
+    /// **no** warm starts — every solve certifies its own duality gap
+    /// from a cold start, so results are bit-identical to the
+    /// full-rebuild reference.
     fn default() -> Self {
         RelaxedOptions {
             max_iterations: 600,
-            initial_step: 1.0,
             gap_tolerance: 1e-4,
-            method: DualMethod::Accelerated,
             warm_start: false,
-            warm_accept_gap: 1e-2,
             warm_iteration_fraction: 0.25,
         }
     }
@@ -373,14 +312,8 @@ fn warm_iteration_budget(options: &RelaxedOptions) -> usize {
 /// Solves one coupling component, trying the warm start first (when
 /// given and non-trivial) under a capped iteration budget, and falling
 /// back to the cold λ = 0 iteration — seeded with the warm attempt's
-/// incumbents — when the warm run does not converge.
-///
-/// The relaxed `warm_accept_gap` applies to [`DualMethod::Subgradient`]
-/// only: it exists because the subgradient tail makes the strict
-/// tolerance unreachable, a limitation the accelerated method does not
-/// have — warm accelerated runs certify the same `gap_tolerance` as
-/// cold ones (a warm seed changes where the iteration *starts*, never
-/// what it certifies).
+/// incumbents — when the warm run does not converge. Both attempts
+/// certify the same `gap_tolerance`.
 fn solve_single(
     instance: &AllocationInstance,
     options: &RelaxedOptions,
@@ -388,12 +321,13 @@ fn solve_single(
 ) -> RelaxedSolution {
     let warm_attempt = match warm {
         Some(w) if w.iter().any(|&l| l > 0.0) => {
-            let accept = match options.method {
-                DualMethod::Subgradient => options.gap_tolerance.max(options.warm_accept_gap),
-                DualMethod::Accelerated => options.gap_tolerance,
-            };
-            let budget = warm_iteration_budget(options);
-            let sol = iterate(instance, options, Some(w), accept, budget, None);
+            let sol = accelerated_iterate(
+                instance,
+                Some(w),
+                options.gap_tolerance,
+                warm_iteration_budget(options),
+                None,
+            );
             if sol.converged {
                 return sol;
             }
@@ -401,9 +335,8 @@ fn solve_single(
         }
         _ => None,
     };
-    let mut cold = iterate(
+    let mut cold = accelerated_iterate(
         instance,
-        options,
         None,
         options.gap_tolerance,
         options.max_iterations,
@@ -413,30 +346,6 @@ fn solve_single(
         cold.iterations += warm_sol.iterations;
     }
     cold
-}
-
-/// Dispatches one dual iteration run to the configured method, from a
-/// given starting λ (`None` = all zeros), stopping once the relative gap
-/// falls below `accept_gap` or `max_iters` is exhausted. `incumbent`
-/// seeds the best-primal/best-dual trackers (the warm-fallback
-/// carry-over); its bounds are valid for the same instance by
-/// construction.
-fn iterate(
-    instance: &AllocationInstance,
-    options: &RelaxedOptions,
-    lambda0: Option<&[f64]>,
-    accept_gap: f64,
-    max_iters: usize,
-    incumbent: Option<&RelaxedSolution>,
-) -> RelaxedSolution {
-    match options.method {
-        DualMethod::Subgradient => {
-            subgradient_iterate(instance, options, lambda0, accept_gap, max_iters, incumbent)
-        }
-        DualMethod::Accelerated => {
-            crate::accel::accelerated_iterate(instance, lambda0, accept_gap, max_iters, incumbent)
-        }
-    }
 }
 
 /// Per-variable constants cached once per solve. `ln_p1`/`ln_p_ub` use
@@ -472,7 +381,7 @@ impl VarCache {
     }
 }
 
-/// The fused dual evaluation shared by both method loops: fills `price`
+/// The fused dual evaluation of the dual loop: fills `price`
 /// (pass 1, a flat gather over the variable→constraint CSR slice) and
 /// the per-variable argmax `x` (pass 2, closed form via
 /// [`crate::scalar::stationary_point`]), returning the dual value
@@ -543,9 +452,9 @@ pub(crate) fn dual_value_at(
     dual + caps_term
 }
 
-/// Constraint residual pass shared by both method loops:
-/// `g_c = Σ_{j∈c} x_j − cap_c` (the dual's negated gradient /
-/// subgradient direction); returns `‖g‖²`.
+/// Constraint residual pass of the dual loop:
+/// `g_c = Σ_{j∈c} x_j − cap_c` (the dual's negated gradient); returns
+/// `‖g‖²`.
 pub(crate) fn residual_pass(instance: &AllocationInstance, x: &[f64], g: &mut [f64]) -> f64 {
     let con_off = &instance.con_off;
     let con_idx = &instance.con_idx;
@@ -600,98 +509,6 @@ pub(crate) fn seeded_incumbent(
             (inc.dual_bound, inc.primal_value, inc.x.clone())
         }
         None => (f64::INFINITY, f64::NEG_INFINITY, vec![1.0f64; n]),
-    }
-}
-
-/// The projected-subgradient iteration ([`DualMethod::Subgradient`]).
-/// See the module docs for the loop layout.
-fn subgradient_iterate(
-    instance: &AllocationInstance,
-    options: &RelaxedOptions,
-    lambda0: Option<&[f64]>,
-    accept_gap: f64,
-    max_iters: usize,
-    incumbent: Option<&RelaxedSolution>,
-) -> RelaxedSolution {
-    let n = instance.num_vars();
-    let m = instance.num_constraints();
-    let cache = VarCache::new(instance);
-
-    let mut lambda = match lambda0 {
-        Some(w) => w.iter().map(|&l| l.max(0.0)).collect::<Vec<_>>(),
-        None => vec![0.0f64; m],
-    };
-    let mut price = vec![0.0f64; n];
-    let mut x = vec![1.0f64; n];
-    let mut x_avg = vec![0.0f64; n];
-    let mut repaired = vec![0.0f64; n];
-    let mut theta_c = vec![1.0f64; m];
-    let mut g = vec![0.0f64; m];
-    let (mut best_dual, mut best_primal, mut best_x) = seeded_incumbent(incumbent, n);
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for k in 1..=max_iters {
-        iterations = k;
-
-        // Fused price gather + closed-form x update + dual accumulation.
-        let dual = dual_value_at(instance, &cache, &lambda, &mut price, &mut x);
-        best_dual = best_dual.min(dual);
-
-        // Ergodic average for primal recovery.
-        let w = 1.0 / k as f64;
-        for j in 0..n {
-            x_avg[j] += (x[j] - x_avg[j]) * w;
-        }
-
-        // Candidate primal points: repaired current iterate and repaired
-        // running average, evaluated in place.
-        for candidate in [&x, &x_avg] {
-            consider_primal(
-                instance,
-                &cache,
-                candidate,
-                &mut theta_c,
-                &mut repaired,
-                &mut best_primal,
-                &mut best_x,
-            );
-        }
-
-        // Convergence check.
-        if best_dual.is_finite() && best_primal.is_finite() {
-            let gap = best_dual - best_primal;
-            let scale = 1.0 + best_dual.abs().max(best_primal.abs());
-            if gap / scale < accept_gap {
-                converged = true;
-                break;
-            }
-        }
-
-        // Projected subgradient step on λ. Use the Polyak step
-        // (dual − best primal) / ‖g‖², which adapts to the problem's scale;
-        // fall back to a diminishing step when the gap estimate degenerates.
-        let g_norm2 = residual_pass(instance, &x, &mut g);
-        if g_norm2 > 0.0 {
-            let polyak = (dual - best_primal).max(0.0) / g_norm2;
-            let step = if polyak.is_finite() && polyak > 0.0 {
-                polyak
-            } else {
-                options.initial_step / (k as f64).sqrt()
-            };
-            for c in 0..m {
-                lambda[c] = (lambda[c] + step * g[c]).max(0.0);
-            }
-        }
-    }
-
-    RelaxedSolution {
-        x: best_x,
-        primal_value: best_primal,
-        dual_bound: best_dual,
-        iterations,
-        lambda,
-        converged,
     }
 }
 
@@ -798,19 +615,6 @@ mod tests {
         .unwrap()
     }
 
-    fn both_methods() -> [RelaxedOptions; 2] {
-        [
-            RelaxedOptions {
-                method: DualMethod::Subgradient,
-                ..RelaxedOptions::default()
-            },
-            RelaxedOptions {
-                method: DualMethod::Accelerated,
-                ..RelaxedOptions::default()
-            },
-        ]
-    }
-
     #[test]
     fn empty_instance() {
         let i = inst(&[], &[], 1.0, 0.0);
@@ -824,95 +628,61 @@ mod tests {
     fn unconstrained_matches_closed_form() {
         // One variable, no constraints: solution is the scalar argmax.
         let i = inst(&[0.55], &[], 2500.0, 25.0);
-        for opts in both_methods() {
-            let s = solve_relaxed(&i, &opts).unwrap();
-            let expected =
-                crate::scalar::argmax_edge_utility(0.55, 2500.0, 25.0, 1.0, (1 << 20) as f64);
-            assert!((s.x[0] - expected).abs() < 1e-6, "{} vs {expected}", s.x[0]);
-        }
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
+        let expected =
+            crate::scalar::argmax_edge_utility(0.55, 2500.0, 25.0, 1.0, (1 << 20) as f64);
+        assert!((s.x[0] - expected).abs() < 1e-6, "{} vs {expected}", s.x[0]);
     }
 
     #[test]
     fn respects_binding_capacity() {
         // Two identical variables share capacity 4 with zero price: each
         // should get ~2 (symmetric optimum uses all capacity).
-        for opts in both_methods() {
-            let i = inst(&[0.55, 0.55], &[(4, &[0, 1])], 2500.0, 1.0);
-            let s = solve_relaxed(&i, &opts).unwrap();
-            assert!(i.is_feasible_real(&s.x, 1e-6));
-            let total: f64 = s.x.iter().sum();
-            assert!(total <= 4.0 + 1e-6);
-            assert!(total > 3.8, "should nearly exhaust capacity, got {total}");
-            assert!((s.x[0] - s.x[1]).abs() < 0.05, "symmetric: {:?}", s.x);
-        }
+        let i = inst(&[0.55, 0.55], &[(4, &[0, 1])], 2500.0, 1.0);
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
+        assert!(i.is_feasible_real(&s.x, 1e-6));
+        let total: f64 = s.x.iter().sum();
+        assert!(total <= 4.0 + 1e-6);
+        assert!(total > 3.8, "should nearly exhaust capacity, got {total}");
+        assert!((s.x[0] - s.x[1]).abs() < 0.05, "symmetric: {:?}", s.x);
     }
 
     #[test]
     fn duality_gap_small_on_random_instances() {
         use rand::{RngExt, SeedableRng};
-        for opts in both_methods() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            for trial in 0..20 {
-                let nv = rng.random_range(2..6usize);
-                let ps: Vec<f64> = (0..nv).map(|_| rng.random_range(0.2..0.9)).collect();
-                let mut cons: Vec<(u32, Vec<usize>)> = Vec::new();
-                // A few random constraints covering random subsets.
-                for _ in 0..rng.random_range(1..4usize) {
-                    let mut members: Vec<usize> =
-                        (0..nv).filter(|_| rng.random_bool(0.6)).collect();
-                    if members.is_empty() {
-                        members.push(0);
-                    }
-                    let cap = rng.random_range(members.len() as u32..=members.len() as u32 + 8);
-                    cons.push((cap, members));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for trial in 0..20 {
+            let nv = rng.random_range(2..6usize);
+            let ps: Vec<f64> = (0..nv).map(|_| rng.random_range(0.2..0.9)).collect();
+            let mut cons: Vec<(u32, Vec<usize>)> = Vec::new();
+            // A few random constraints covering random subsets.
+            for _ in 0..rng.random_range(1..4usize) {
+                let mut members: Vec<usize> = (0..nv).filter(|_| rng.random_bool(0.6)).collect();
+                if members.is_empty() {
+                    members.push(0);
                 }
-                let v = rng.random_range(10.0..3000.0);
-                let price = rng.random_range(0.0..50.0);
-                let i = AllocationInstance::new(
-                    ps.iter().map(|&p| Variable::new(p)).collect(),
-                    cons.iter()
-                        .map(|(cap, mem)| PackingConstraint::new(*cap, mem.clone()))
-                        .collect(),
-                    v,
-                    price,
-                )
-                .unwrap();
-                let s = solve_relaxed(&i, &opts).unwrap();
-                assert!(i.is_feasible_real(&s.x, 1e-6), "trial {trial}");
-                let scale = 1.0 + s.dual_bound.abs().max(s.primal_value.abs());
-                assert!(
-                    s.gap() / scale < 0.02,
-                    "trial {trial} ({:?}): relative gap too large ({} / {})",
-                    opts.method,
-                    s.gap(),
-                    scale
-                );
+                let cap = rng.random_range(members.len() as u32..=members.len() as u32 + 8);
+                cons.push((cap, members));
             }
-        }
-    }
-
-    #[test]
-    fn beats_fine_grid_on_two_var_instance() {
-        // Exhaustive 2-D grid comparison on a tight instance.
-        let i = inst(&[0.4, 0.7], &[(5, &[0, 1]), (3, &[0])], 800.0, 10.0);
-        let mut grid_best = f64::NEG_INFINITY;
-        let steps = 400;
-        for a in 0..=steps {
-            let xa = 1.0 + (3.0 - 1.0) * a as f64 / steps as f64;
-            for b in 0..=steps {
-                let xb = 1.0 + (4.0 - 1.0) * b as f64 / steps as f64;
-                if xa + xb <= 5.0 {
-                    grid_best = grid_best.max(i.objective(&[xa, xb]));
-                }
-            }
-        }
-        for opts in both_methods() {
-            let s = solve_relaxed(&i, &opts).unwrap();
+            let v = rng.random_range(10.0..3000.0);
+            let price = rng.random_range(0.0..50.0);
+            let i = AllocationInstance::new(
+                ps.iter().map(|&p| Variable::new(p)).collect(),
+                cons.iter()
+                    .map(|(cap, mem)| PackingConstraint::new(*cap, mem.clone()))
+                    .collect(),
+                v,
+                price,
+            )
+            .unwrap();
+            let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
+            assert!(i.is_feasible_real(&s.x, 1e-6), "trial {trial}");
+            let scale = 1.0 + s.dual_bound.abs().max(s.primal_value.abs());
             assert!(
-                s.primal_value >= grid_best - 0.05 * (1.0 + grid_best.abs()),
-                "solver {} ({:?}) vs grid {grid_best}",
-                s.primal_value,
-                opts.method
+                s.gap() / scale < 0.02,
+                "trial {trial}: relative gap too large ({} / {})",
+                s.gap(),
+                scale
             );
         }
     }
@@ -939,23 +709,20 @@ mod tests {
 
     #[test]
     fn high_price_drives_to_lower_bound() {
-        for opts in both_methods() {
-            let i = inst(&[0.55, 0.55], &[(10, &[0, 1])], 1.0, 1e6);
-            let s = solve_relaxed(&i, &opts).unwrap();
-            assert!((s.x[0] - 1.0).abs() < 1e-9);
-            assert!((s.x[1] - 1.0).abs() < 1e-9);
-        }
+        let i = inst(&[0.55, 0.55], &[(10, &[0, 1])], 1.0, 1e6);
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
+        assert!((s.x[0] - 1.0).abs() < 1e-9);
+        assert!((s.x[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_warm_start_is_bitwise_cold() {
         let i = inst(&[0.4, 0.7], &[(5, &[0, 1]), (3, &[0])], 800.0, 10.0);
-        for opts in both_methods() {
-            let cold = solve_relaxed(&i, &opts).unwrap();
-            let zeros = vec![0.0; i.num_constraints()];
-            let warm = solve_relaxed_warm(&i, &opts, Some(&zeros)).unwrap();
-            assert_eq!(cold, warm);
-        }
+        let opts = RelaxedOptions::default();
+        let cold = solve_relaxed(&i, &opts).unwrap();
+        let zeros = vec![0.0; i.num_constraints()];
+        let warm = solve_relaxed_warm(&i, &opts, Some(&zeros)).unwrap();
+        assert_eq!(cold, warm);
     }
 
     #[test]
@@ -966,28 +733,26 @@ mod tests {
             800.0,
             10.0,
         );
-        for opts in both_methods() {
-            let cold = solve_relaxed(&i, &opts).unwrap();
-            let warm = solve_relaxed_warm(&i, &opts, Some(&cold.lambda)).unwrap();
-            assert!(i.is_feasible_real(&warm.x, 1e-6));
-            assert!(warm.converged);
-            assert!(
-                warm.iterations <= cold.iterations,
-                "warm {} vs cold {} iterations ({:?})",
-                warm.iterations,
-                cold.iterations,
-                opts.method
-            );
-            // Both primal values are within the duality gap of the common
-            // optimum, so they agree within the larger gap (plus slack).
-            let tol = cold.gap().abs().max(warm.gap().abs()) + 1e-9;
-            assert!(
-                (warm.primal_value - cold.primal_value).abs() <= tol,
-                "warm {} vs cold {} (tol {tol})",
-                warm.primal_value,
-                cold.primal_value
-            );
-        }
+        let opts = RelaxedOptions::default();
+        let cold = solve_relaxed(&i, &opts).unwrap();
+        let warm = solve_relaxed_warm(&i, &opts, Some(&cold.lambda)).unwrap();
+        assert!(i.is_feasible_real(&warm.x, 1e-6));
+        assert!(warm.converged);
+        assert!(
+            warm.iterations <= cold.iterations,
+            "warm {} vs cold {} iterations",
+            warm.iterations,
+            cold.iterations
+        );
+        // Both primal values are within the duality gap of the common
+        // optimum, so they agree within the larger gap (plus slack).
+        let tol = cold.gap().abs().max(warm.gap().abs()) + 1e-9;
+        assert!(
+            (warm.primal_value - cold.primal_value).abs() <= tol,
+            "warm {} vs cold {} (tol {tol})",
+            warm.primal_value,
+            cold.primal_value
+        );
     }
 
     #[test]
@@ -1031,50 +796,45 @@ mod tests {
             2500.0,
             10.0,
         );
-        for method in [DualMethod::Subgradient, DualMethod::Accelerated] {
-            // An unreachable tolerance with a tiny budget guarantees the
-            // warm attempt fails; an adversarial seed makes it start far
-            // from the optimum.
-            let opts = RelaxedOptions {
-                max_iterations: 8,
-                gap_tolerance: 0.0,
-                warm_accept_gap: 0.0,
-                method,
-                warm_iteration_fraction: 0.25,
-                ..RelaxedOptions::default()
-            };
-            let bad_seed = vec![1e3; i.num_constraints()];
+        // An unreachable tolerance with a tiny budget guarantees the
+        // warm attempt fails; an adversarial seed makes it start far
+        // from the optimum.
+        let opts = RelaxedOptions {
+            max_iterations: 8,
+            gap_tolerance: 0.0,
+            warm_iteration_fraction: 0.25,
+            ..RelaxedOptions::default()
+        };
+        let bad_seed = vec![1e3; i.num_constraints()];
 
-            // The warm attempt alone, reproduced via the internal entry
-            // point with the same capped budget `solve_single` uses.
-            let budget = warm_iteration_budget(&opts);
-            assert_eq!(budget, 2);
-            let warm_attempt = iterate(&i, &opts, Some(&bad_seed), 0.0, budget, None);
-            assert!(!warm_attempt.converged);
+        // The warm attempt alone, reproduced via the internal entry
+        // point with the same capped budget `solve_single` uses.
+        let budget = warm_iteration_budget(&opts);
+        assert_eq!(budget, 2);
+        let warm_attempt = accelerated_iterate(&i, Some(&bad_seed), 0.0, budget, None);
+        assert!(!warm_attempt.converged);
 
-            let fallback = solve_relaxed_warm(&i, &opts, Some(&bad_seed)).unwrap();
-            assert!(
-                fallback.primal_value >= warm_attempt.primal_value,
-                "{method:?}: fallback {} worse than warm attempt {}",
-                fallback.primal_value,
-                warm_attempt.primal_value
-            );
-            assert!(
-                fallback.dual_bound <= warm_attempt.dual_bound,
-                "{method:?}: fallback bound {} looser than warm attempt {}",
-                fallback.dual_bound,
-                warm_attempt.dual_bound
-            );
-            // Total budget: capped warm attempt + full cold run, not 2×.
-            assert_eq!(fallback.iterations, budget + opts.max_iterations);
-        }
+        let fallback = solve_relaxed_warm(&i, &opts, Some(&bad_seed)).unwrap();
+        assert!(
+            fallback.primal_value >= warm_attempt.primal_value,
+            "fallback {} worse than warm attempt {}",
+            fallback.primal_value,
+            warm_attempt.primal_value
+        );
+        assert!(
+            fallback.dual_bound <= warm_attempt.dual_bound,
+            "fallback bound {} looser than warm attempt {}",
+            fallback.dual_bound,
+            warm_attempt.dual_bound
+        );
+        // Total budget: capped warm attempt + full cold run, not 2×.
+        assert_eq!(fallback.iterations, budget + opts.max_iterations);
     }
 
     #[test]
-    fn accelerated_certifies_strict_gap_where_subgradient_cannot() {
-        // A coupled instance where the subgradient tail stalls: the
-        // accelerated method must certify the strict 1e-4 gap within the
-        // budget.
+    fn certifies_strict_gap_on_coupled_instance() {
+        // A coupled instance: the strict 1e-4 gap must be certified well
+        // within the budget.
         let i = inst(
             &[0.3, 0.8, 0.5, 0.6, 0.45],
             &[
@@ -1086,44 +846,64 @@ mod tests {
             2500.0,
             10.0,
         );
-        let accel = solve_relaxed(
-            &i,
-            &RelaxedOptions {
-                method: DualMethod::Accelerated,
-                ..RelaxedOptions::default()
-            },
-        )
-        .unwrap();
+        let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert!(
-            accel.converged,
+            s.converged,
             "gap {} after {}",
-            accel.relative_gap(),
-            accel.iterations
+            s.relative_gap(),
+            s.iterations
         );
-        assert!(accel.iterations < 600, "took {}", accel.iterations);
-        assert!(accel.relative_gap() <= 1e-4 + 1e-12);
+        assert!(s.iterations < 600, "took {}", s.iterations);
+        assert!(s.relative_gap() <= 1e-4 + 1e-12);
     }
 
     #[test]
     fn options_serde_round_trip_and_loud_compat_break() {
         let opts = RelaxedOptions {
-            method: DualMethod::Subgradient,
             warm_iteration_fraction: 0.5,
             ..RelaxedOptions::default()
         };
         let json = serde_json::to_string(&opts).unwrap();
-        assert!(json.contains("\"method\":\"Subgradient\""), "{json}");
-        assert!(json.contains("\"warm_iteration_fraction\":0.5"), "{json}");
+        assert_eq!(
+            json,
+            r#"{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false,"warm_iteration_fraction":0.5}"#
+        );
         let back: RelaxedOptions = serde_json::from_str(&json).unwrap();
         assert_eq!(opts, back);
 
         // Pre-PR-3 configs must fail loudly, naming the missing field.
-        let pre_pr3 = r#"{"max_iterations":600,"initial_step":1.0,"gap_tolerance":0.0001,
-            "warm_start":false,"warm_accept_gap":0.01}"#;
+        let pre_pr3 = r#"{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false}"#;
         let err = serde_json::from_str::<RelaxedOptions>(pre_pr3)
             .unwrap_err()
             .to_string();
-        assert!(err.contains("method") || err.contains("missing"), "{err}");
+        assert!(
+            err.contains("missing field `warm_iteration_fraction`"),
+            "{err}"
+        );
+    }
+
+    /// Removed fields are rejected by name rather than silently
+    /// ignored, so a stale config cannot run with semantics it did not
+    /// ask for.
+    #[test]
+    fn removed_fields_fail_with_unknown_field_error() {
+        for (removed, value) in [
+            ("method", r#""Accelerated""#),
+            ("initial_step", "1.0"),
+            ("warm_accept_gap", "0.01"),
+        ] {
+            let json = format!(
+                r#"{{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false,
+                    "warm_iteration_fraction":0.25,"{removed}":{value}}}"#
+            );
+            let err = serde_json::from_str::<RelaxedOptions>(&json)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("unknown field `{removed}`")),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1139,18 +919,17 @@ mod tests {
         );
         let left = inst(&[0.4, 0.7], &[(5, &[0, 1])], 900.0, 7.0);
         let right = inst(&[0.55, 0.62], &[(6, &[0, 1]), (3, &[0])], 900.0, 7.0);
-        for opts in both_methods() {
-            let s = solve_relaxed(&joint, &opts).unwrap();
-            let sl = solve_relaxed(&left, &opts).unwrap();
-            let sr = solve_relaxed(&right, &opts).unwrap();
-            assert_eq!(s.x[0].to_bits(), sl.x[0].to_bits());
-            assert_eq!(s.x[1].to_bits(), sl.x[1].to_bits());
-            assert_eq!(s.x[2].to_bits(), sr.x[0].to_bits());
-            assert_eq!(s.x[3].to_bits(), sr.x[1].to_bits());
-            assert_eq!(
-                s.primal_value.to_bits(),
-                (sl.primal_value + sr.primal_value).to_bits()
-            );
-        }
+        let opts = RelaxedOptions::default();
+        let s = solve_relaxed(&joint, &opts).unwrap();
+        let sl = solve_relaxed(&left, &opts).unwrap();
+        let sr = solve_relaxed(&right, &opts).unwrap();
+        assert_eq!(s.x[0].to_bits(), sl.x[0].to_bits());
+        assert_eq!(s.x[1].to_bits(), sl.x[1].to_bits());
+        assert_eq!(s.x[2].to_bits(), sr.x[0].to_bits());
+        assert_eq!(s.x[3].to_bits(), sr.x[1].to_bits());
+        assert_eq!(
+            s.primal_value.to_bits(),
+            (sl.primal_value + sr.primal_value).to_bits()
+        );
     }
 }

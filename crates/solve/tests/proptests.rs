@@ -3,23 +3,9 @@
 use proptest::prelude::*;
 use qdn_solve::brute::brute_force_best;
 use qdn_solve::greedy::greedy_allocate;
-use qdn_solve::relaxed::{
-    repair_feasibility, solve_relaxed, solve_relaxed_warm, DualMethod, RelaxedOptions,
-};
+use qdn_solve::relaxed::{repair_feasibility, solve_relaxed, solve_relaxed_warm, RelaxedOptions};
 use qdn_solve::rounding::{round_down_and_fill, satisfies_rounding_relation};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
-
-/// Strategy: options for either dual method (default everything else).
-fn arb_method() -> impl Strategy<Value = RelaxedOptions> {
-    bool::ANY.prop_map(|accelerated| RelaxedOptions {
-        method: if accelerated {
-            DualMethod::Accelerated
-        } else {
-            DualMethod::Subgradient
-        },
-        ..RelaxedOptions::default()
-    })
-}
 
 /// Strategy: a feasible random instance with 1..5 variables and 1..4
 /// overlapping packing constraints.
@@ -52,6 +38,78 @@ fn arb_instance() -> impl Strategy<Value = AllocationInstance> {
             .expect("constructed feasible at all-ones")
         })
     })
+}
+
+/// Strategy: a 1–2-variable instance in which every variable has its own
+/// capacity constraint (so its feasible range is bounded and a grid can
+/// cover it), optionally coupled by one shared constraint.
+fn arb_tiny_instance() -> impl Strategy<Value = AllocationInstance> {
+    (1usize..=2).prop_flat_map(|nv| {
+        let vars = proptest::collection::vec(0.05f64..0.95, nv);
+        let own = proptest::collection::vec(0u32..8, nv);
+        let shared = proptest::collection::vec(0u32..8, 0..=1);
+        let v_weight = 1.0f64..5000.0;
+        let price = 0.0f64..100.0;
+        (vars, own, shared, v_weight, price).prop_map(move |(ps, own, shared, v, price)| {
+            let mut constraints: Vec<PackingConstraint> = own
+                .iter()
+                .enumerate()
+                .map(|(j, &extra)| PackingConstraint::new(1 + extra, vec![j]))
+                .collect();
+            for extra in shared {
+                constraints.push(PackingConstraint::new(nv as u32 + extra, (0..nv).collect()));
+            }
+            AllocationInstance::new(
+                ps.into_iter().map(Variable::new).collect(),
+                constraints,
+                v,
+                price,
+            )
+            .expect("constructed feasible at all-ones")
+        })
+    })
+}
+
+/// Largest feasible value of variable `j` when every other variable sits
+/// at `x[k]`.
+fn max_feasible(inst: &AllocationInstance, x: &[f64], j: usize) -> f64 {
+    let mut hi = f64::from(inst.upper_bound(j));
+    for c in 0..inst.num_constraints() {
+        let members = inst.members(c);
+        if members.contains(&(j as u32)) {
+            let others: f64 = members
+                .iter()
+                .filter(|&&k| k as usize != j)
+                .map(|&k| x[k as usize])
+                .sum();
+            hi = hi.min(f64::from(inst.capacity(c)) - others);
+        }
+    }
+    hi
+}
+
+/// The best objective over an exhaustive grid of feasible points:
+/// `steps + 1` evenly spaced values of the first variable, and for each
+/// of them `steps + 1` values of the second spanning its feasible range
+/// (both endpoints included, so the binding boundary is sampled too).
+fn fine_grid_optimum(inst: &AllocationInstance, steps: usize) -> f64 {
+    let lerp = |hi: f64, k: usize| 1.0 + (hi - 1.0) * k as f64 / steps as f64;
+    let n = inst.num_vars();
+    let hi0 = max_feasible(inst, &[1.0, 1.0][..n], 0);
+    let mut best = f64::NEG_INFINITY;
+    for a in 0..=steps {
+        let mut x = vec![lerp(hi0, a); n];
+        if n == 1 {
+            best = best.max(inst.objective(&x));
+            continue;
+        }
+        let hi1 = max_feasible(inst, &x, 1);
+        for b in 0..=steps {
+            x[1] = lerp(hi1, b);
+            best = best.max(inst.objective(&x));
+        }
+    }
+    best
 }
 
 proptest! {
@@ -116,42 +174,46 @@ proptest! {
     }
 
     /// `converged == true` is a *certificate*: the reported relative
-    /// duality gap is at most the acceptance gap the run used (the
-    /// strict `gap_tolerance` for cold solves), for both dual methods.
+    /// duality gap is at most `gap_tolerance`.
     #[test]
-    fn converged_implies_certified_gap(inst in arb_instance(), opts in arb_method()) {
+    fn converged_implies_certified_gap(inst in arb_instance()) {
+        let opts = RelaxedOptions::default();
         let s = solve_relaxed(&inst, &opts).unwrap();
         if s.converged {
             prop_assert!(
                 s.relative_gap() <= opts.gap_tolerance + 1e-12,
-                "{:?} claims convergence at relative gap {} > tolerance {}",
-                opts.method, s.relative_gap(), opts.gap_tolerance
+                "claims convergence at relative gap {} > tolerance {}",
+                s.relative_gap(), opts.gap_tolerance
             );
         }
         // Either way the bounds must bracket: primal ≤ dual (+ fp slack).
         prop_assert!(s.primal_value <= s.dual_bound + 1e-6 * (1.0 + s.dual_bound.abs()));
     }
 
-    /// The two dual methods solve the same relaxation: their primal
-    /// values both lie within their certified duality gaps of the common
-    /// optimum, so they disagree by at most the sum of the gaps.
+    /// An independent check on the solver: on 1–2-variable instances the
+    /// certified bounds must bracket an exhaustive fine-grid optimum.
+    /// Every grid point is feasible, so `dual_bound` is at least the grid
+    /// optimum; and the solver's primal point lies within its certified
+    /// gap of it (up to the grid's resolution).
     #[test]
-    fn accel_matches_subgradient_objective(inst in arb_instance()) {
-        let sub = solve_relaxed(&inst, &RelaxedOptions {
-            method: DualMethod::Subgradient,
-            ..RelaxedOptions::default()
-        }).unwrap();
-        let acc = solve_relaxed(&inst, &RelaxedOptions {
-            method: DualMethod::Accelerated,
-            ..RelaxedOptions::default()
-        }).unwrap();
-        prop_assert!(inst.is_feasible_real(&acc.x, 1e-6));
-        let tol = sub.gap().abs() + acc.gap().abs()
-            + 1e-9 * (1.0 + sub.primal_value.abs());
+    fn beats_fine_grid_on_two_var_instance(inst in arb_tiny_instance()) {
+        let opts = RelaxedOptions::default();
+        let s = solve_relaxed(&inst, &opts).unwrap();
+        let grid = fine_grid_optimum(&inst, 400);
+        let fp = 1e-9 * (1.0 + grid.abs());
+        let resolution = 1e-3 * (1.0 + grid.abs());
         prop_assert!(
-            (sub.primal_value - acc.primal_value).abs() <= tol,
-            "subgradient {} vs accelerated {} (tol {tol}, gaps {} / {})",
-            sub.primal_value, acc.primal_value, sub.gap(), acc.gap()
+            s.converged && s.relative_gap() <= opts.gap_tolerance,
+            "gap {} after {}", s.relative_gap(), s.iterations
+        );
+        prop_assert!(inst.is_feasible_real(&s.x, 1e-9));
+        prop_assert!(
+            s.dual_bound >= grid - fp,
+            "dual bound {} below grid optimum {grid}", s.dual_bound
+        );
+        prop_assert!(
+            s.primal_value >= grid - s.gap() - fp && s.primal_value <= grid + resolution,
+            "primal {} not within gap {} of grid optimum {grid}", s.primal_value, s.gap()
         );
     }
 
@@ -165,8 +227,8 @@ proptest! {
         inst in arb_instance(),
         perturb in 0.5f64..2.0,
         offset in 0.0f64..5.0,
-        opts in arb_method(),
     ) {
+        let opts = RelaxedOptions::default();
         let cold = solve_relaxed(&inst, &opts).unwrap();
         let seed: Vec<f64> = cold.lambda.iter().map(|&l| l * perturb + offset).collect();
         let warm = solve_relaxed_warm(&inst, &opts, Some(&seed)).unwrap();

@@ -14,7 +14,8 @@
 #   * profile_eval_paper20/incremental_move/*       (memoized re-eval)
 #   * profile_eval_paper20/incremental_cold_eval/*  (cold component solves)
 #   * profile_eval_wax50/incremental_*              (50-node/25-pair scale)
-#   * accel_vs_subgradient/*                        (dual-method cold solves)
+#   * dual_solver_paper20/cold_solve/*              (accelerated dual cold
+#                                                    solve, paper scale)
 #   * dynamic_vs_static_partition/*                 (route-keyed partition)
 #   * session_vs_fresh/*                            (200-slot OSCAR e2e,
 #                                                    cold vs session)
@@ -147,7 +148,7 @@ while read -r name base_med; do
             parallel_gibbs_restarts/* | \
             parallel_trial_fanout/* | \
             csr_pass_ns_per_row/* | \
-            accel_vs_subgradient/*) ;;
+            dual_solver_paper20/cold_solve/*) ;;
         *) continue ;;
     esac
     fresh_med="$(extract "$OUT" | awk -v n="$name" '$1 == n {print $2}')"

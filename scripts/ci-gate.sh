@@ -6,7 +6,8 @@
 # accumulate lint debt):
 #
 #     ./scripts/ci-gate.sh                  # lint + fmt only (fast)
-#     ./scripts/ci-gate.sh --full           # also build + tier-1 tests
+#     ./scripts/ci-gate.sh --full           # also build + tier-1 and
+#                                           # workspace tests
 #     ./scripts/ci-gate.sh --full --bench   # also the bench regression
 #                                           # gate (scripts/bench-gate.sh)
 #
@@ -56,16 +57,18 @@ echo "==> qdn-lint --report target/lint-report.json"
 cargo run -q -p qdn_lint --bin qdn-lint -- --report target/lint-report.json
 
 if [[ "$full" -eq 1 ]]; then
-    echo "==> cargo build --release"
-    cargo build --release
+    # --workspace: the serve smoke below runs qdn_serve's binaries, which
+    # a root-package build does not produce.
+    echo "==> cargo build --release --workspace"
+    cargo build --release --workspace
     echo "==> cargo test -q"
     cargo test -q
 
-    # The parallel execution engine: tier-1 core tests again with the
-    # shared pool on, including the bit-identity proptest
-    # (parallel_matches_serial_bit_identical at widths 1/2/4).
-    echo "==> cargo test -q -p qdn_core --features parallel"
-    cargo test -q -p qdn_core --features parallel
+    # Every crate's suite, not just the root package's: serve daemon,
+    # solve, core (including parallel_matches_serial_bit_identical at
+    # pool widths 1/2/4), sim, net, lint and the vendored shims.
+    echo "==> cargo test -q --workspace"
+    cargo test -q --workspace
 
     # Serve smoke: boot the controller daemon on a Unix socket, replay
     # 64 slots through the load generator, require a clean shutdown and

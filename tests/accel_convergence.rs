@@ -1,10 +1,8 @@
-//! Acceptance test for the accelerated dual method (ROADMAP item h): on
-//! paper-scale instances — the joint coupling component 10 random SD
-//! pairs form on the 20-node Waxman topology — cold
-//! `DualMethod::Accelerated` solves must certify the strict
-//! `gap_tolerance = 1e-4` *without* exhausting the iteration budget,
-//! where the subgradient iteration historically burned all 600
-//! iterations and returned `converged: false`.
+//! Acceptance test for the accelerated dual solver: on paper-scale
+//! instances — the joint coupling component 10 random SD pairs form on
+//! the 20-node Waxman topology — cold solves must certify the strict
+//! `gap_tolerance = 1e-4` *without* exhausting the 600-iteration
+//! budget.
 
 use qdn::core::problem::PerSlotContext;
 use qdn::core::route_selection::{profile_of, Candidates};
@@ -12,7 +10,7 @@ use qdn::graph::Path;
 use qdn::net::routes::{CandidateRoutes, RouteLimits};
 use qdn::net::workload::random_sd_pair;
 use qdn::net::{CapacitySnapshot, NetworkConfig, QdnNetwork, SdPair};
-use qdn::solve::relaxed::{solve_relaxed, DualMethod, RelaxedOptions};
+use qdn::solve::relaxed::{solve_relaxed, RelaxedOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,14 +55,7 @@ fn accelerated_certifies_strict_gap_at_paper_scale() {
             .collect();
         let inst = ctx.build_instance(&profile_of(&cands, &indices)).unwrap();
 
-        let accel = solve_relaxed(
-            &inst,
-            &RelaxedOptions {
-                method: DualMethod::Accelerated,
-                ..RelaxedOptions::default()
-            },
-        )
-        .unwrap();
+        let accel = solve_relaxed(&inst, &RelaxedOptions::default()).unwrap();
         assert!(
             accel.converged,
             "profile {profile_idx}: relative gap {} after {} iterations",
@@ -78,29 +69,5 @@ fn accelerated_certifies_strict_gap_at_paper_scale() {
         );
         assert!(accel.relative_gap() <= 1e-4 + 1e-12);
         assert!(inst.is_feasible_real(&accel.x, 1e-6));
-
-        // The two methods agree within their certified gaps.
-        let sub = solve_relaxed(
-            &inst,
-            &RelaxedOptions {
-                method: DualMethod::Subgradient,
-                ..RelaxedOptions::default()
-            },
-        )
-        .unwrap();
-        let tol = accel.gap().abs() + sub.gap().abs() + 1e-9 * (1.0 + sub.primal_value.abs());
-        assert!(
-            (accel.primal_value - sub.primal_value).abs() <= tol,
-            "profile {profile_idx}: accelerated {} vs subgradient {} (tol {tol})",
-            accel.primal_value,
-            sub.primal_value
-        );
-        // And the accelerated bound is at least as tight.
-        assert!(
-            accel.relative_gap() <= sub.relative_gap() + 1e-12,
-            "profile {profile_idx}: accelerated gap {} looser than subgradient {}",
-            accel.relative_gap(),
-            sub.relative_gap()
-        );
     }
 }
