@@ -25,19 +25,17 @@
 //! routes chain every pair into one component, which is why the sparse
 //! regime needs a topology with isolated regions.)
 //!
-//! The `dual_solver_paper20` and `warm_vs_cold_paper20` groups measure
-//! the PR-2 solver rework directly: raw cold vs warm-started
-//! `solve_relaxed` on the joint paper-scale instance, and the evaluator
-//! walk with `RelaxedOptions::warm_start` on/off.
+//! The `dual_solver_paper20` group measures the raw cold `solve_relaxed`
+//! on the joint paper-scale instance.
 //!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
-//! profile-local dynamic partition against the static candidate-union
-//! engine on cold single-pair moves — see [`bench_dynamic_vs_static`]
-//! for the two scenarios and what each one demonstrates. The
+//! profile-local dynamic partition on cold single-pair moves — see
+//! [`bench_dynamic_vs_static`] for the two scenarios. The
 //! `profile_eval_wax50` group runs the standard access patterns at
 //! `Scale::Large` (50-node Waxman, 25 pairs). The `churn_recovery`
-//! group (PR 6) measures region-scoped vs global session invalidation
-//! under sustained link churn — see [`bench_churn_recovery`].
+//! group measures region-scoped session invalidation against a
+//! session reset every slot under sustained link churn — see
+//! [`bench_churn_recovery`].
 //!
 //! Run with `CRITERION_JSON=BENCH_profile_eval.json` to append one JSON
 //! line per benchmark (relative paths resolve against the workspace
@@ -47,7 +45,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_core::allocation::AllocationMethod;
 use qdn_core::problem::PerSlotContext;
-use qdn_core::profile_eval::{EvalOptions, PartitionMode, ProfileEvaluator};
+use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
 use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig};
 use qdn_graph::Path;
 use qdn_net::routes::{CandidateRoutes, RouteLimits};
@@ -237,22 +235,14 @@ fn full_rebuild_gibbs(
     Some(best)
 }
 
-/// Raw dual-solver benches on the paper-scale joint instance (the one
-/// big coupling component 10 random pairs form on the 20-node Waxman
-/// graph):
-///
-/// * `cold_solve` — `solve_relaxed` from λ = 0 on the prebuilt instance:
-///   the pure solver cost of a fresh joint solve, no assembly, no
-///   rounding;
-/// * `warm_solve_neighbor` — `solve_relaxed_warm` seeded with the final
-///   λ of a *neighboring* profile (one pair moved to another route),
-///   mapped across instances by constraint identity: the warm-start
-///   regime the profile evaluator's per-component λ store produces;
-/// * `warm_solve_self` — seeded with the instance's own final λ: the
-///   best-case floor (restart on an already-solved tuple).
+/// Raw dual-solver bench on the paper-scale joint instance (the one big
+/// coupling component 10 random pairs form on the 20-node Waxman graph):
+/// `cold_solve` — `solve_relaxed` from λ = 0 on the prebuilt instance,
+/// the pure solver cost of a fresh joint solve, no assembly, no
+/// rounding.
 fn bench_dual_solver(c: &mut Criterion) {
     use qdn_core::route_selection::profile_of;
-    use qdn_solve::relaxed::{solve_relaxed, solve_relaxed_warm, RelaxedOptions};
+    use qdn_solve::relaxed::{solve_relaxed, RelaxedOptions};
 
     let mut rng = StdRng::seed_from_u64(3);
     let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
@@ -264,81 +254,13 @@ fn bench_dual_solver(c: &mut Criterion) {
     let opts = RelaxedOptions::default();
 
     let base: Vec<usize> = vec![0; cands.len()];
-    let mut moved = base.clone();
-    moved[0] = 1.min(cands[0].routes.len() - 1);
     let inst_base = ctx.build_instance(&profile_of(&cands, &base)).unwrap();
-    let inst_moved = ctx.build_instance(&profile_of(&cands, &moved)).unwrap();
-
-    // Seed the base solve with the moved instance's λ, mapped by
-    // constraint position. Both instances lay constraints out in
-    // first-touch order, so the shared prefix (identical until the moved
-    // pair's first touched node) lines up; the tail is approximate —
-    // which is the point: a *plausible neighbor* seed, not an exact one.
-    // (The evaluator proper maps by node/edge identity instead.)
-    let sol_moved = solve_relaxed(&inst_moved, &opts).unwrap();
-    let mut neighbor_seed = vec![0.0; inst_base.num_constraints()];
-    for (dst, &src) in neighbor_seed.iter_mut().zip(sol_moved.lambda.iter()).take(
-        inst_base
-            .num_constraints()
-            .min(inst_moved.num_constraints()),
-    ) {
-        *dst = src;
-    }
-    let sol_base = solve_relaxed(&inst_base, &opts).unwrap();
-    let self_seed = sol_base.lambda.clone();
 
     let mut group = c.benchmark_group("dual_solver_paper20");
     group.sample_size(15);
     group.bench_function("cold_solve/10_pairs", |b| {
         b.iter(|| black_box(solve_relaxed(&inst_base, &opts).unwrap()));
     });
-    group.bench_function("warm_solve_neighbor/10_pairs", |b| {
-        b.iter(|| black_box(solve_relaxed_warm(&inst_base, &opts, Some(&neighbor_seed)).unwrap()));
-    });
-    group.bench_function("warm_solve_self/10_pairs", |b| {
-        b.iter(|| black_box(solve_relaxed_warm(&inst_base, &opts, Some(&self_seed)).unwrap()));
-    });
-    group.finish();
-}
-
-/// Warm-vs-cold through the evaluator: a fresh evaluator evaluates the
-/// base profile (cold joint solve) and then a single-pair move (fresh
-/// tuple for the moved component). With `warm_start` the second solve is
-/// seeded from the first one's λ; the cold row is the same walk with the
-/// flag off, so the row difference isolates the warm-start benefit on
-/// the realistic "Gibbs proposes a neighbor" pattern.
-fn bench_warm_vs_cold_eval(c: &mut Criterion) {
-    use qdn_solve::relaxed::RelaxedOptions;
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
-    let snap = CapacitySnapshot::full(&net);
-    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-    let mut pairs_rng = StdRng::seed_from_u64(11);
-    let owned = make_candidates(&net, 10, &mut pairs_rng);
-    let cands = to_cands(&owned);
-
-    let base: Vec<usize> = vec![0; cands.len()];
-    let mut moved = base.clone();
-    moved[0] = 1.min(cands[0].routes.len() - 1);
-
-    let cold_method = AllocationMethod::default();
-    let warm_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        warm_start: true,
-        ..RelaxedOptions::default()
-    });
-
-    let mut group = c.benchmark_group("warm_vs_cold_paper20");
-    group.sample_size(15);
-    for (label, method) in [("cold", &cold_method), ("warm", &warm_method)] {
-        group.bench_function(format!("{label}_move_pair/10_pairs"), |b| {
-            b.iter(|| {
-                let mut eval = ProfileEvaluator::new(&ctx, &cands, method, EvalOptions::default());
-                black_box(eval.evaluate_objective(&base));
-                black_box(eval.evaluate_objective(&moved))
-            });
-        });
-    }
     group.finish();
 }
 
@@ -386,29 +308,23 @@ fn corridor_ring(k: usize) -> (QdnNetwork, Vec<SdPair>) {
 }
 
 /// The PR-4 headline: single-pair-move *cold* evaluation (level-1 memo
-/// miss) under the static candidate-union partition vs the dynamic
-/// route-keyed refinement, on two paper-scale (10-pair) workloads:
+/// miss) under the dynamic route-keyed partition, on two paper-scale
+/// (10-pair) workloads:
 ///
 /// * `…/10_pairs` — 10 random pairs on the paper's 20-node Waxman
-///   graph. Measured reality: at this density the *selected* routes of
-///   a profile chain into one connected group for ~97% of moves, so
-///   the dynamic partition can only match the static engine (bit-exact
-///   components are pinned by the joint solve) — the row documents
-///   parity/no-regression in the fully-coupled regime.
+///   graph. At this density the *selected* routes of a profile chain
+///   into one connected group for ~97% of moves — the fully-coupled
+///   regime.
 /// * `…/10_pairs_ring` — 10 pairs on the [`corridor_ring`], where the
 ///   candidate closure is one 10-pair static component but concrete
 ///   profiles couple locally (groups of 1–4). This is the regime the
 ///   route-keyed refinement targets (QuARC-style profile locality):
-///   the static engine re-solves all 10 pairs per move, the dynamic
-///   engine re-solves only the groups the move touched — most moves
-///   are served entirely from the level-2 group memo. The
-///   `dynamic` vs `static` row ratio here is the gated ≥3× acceptance
-///   evidence.
+///   a move re-solves only the groups it touched, and most moves are
+///   served entirely from the level-2 group memo.
 ///
 /// Each iteration moves one random pair to a random route, so (in both
 /// scenarios' route spaces) virtually every evaluation is a fresh
-/// component tuple. Both modes are bit-identical in results
-/// (`dynamic_matches_static_partition` proptest).
+/// component tuple.
 fn bench_dynamic_vs_static(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let waxman = NetworkConfig::paper_default().build(&mut rng).unwrap();
@@ -435,33 +351,23 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
         let snap = CapacitySnapshot::full(net);
         let ctx = PerSlotContext::oscar(net, &snap, 2500.0, 10.0);
         let method = AllocationMethod::default();
-        for (label, options) in [
-            (
-                "static",
-                EvalOptions {
-                    partition: PartitionMode::Static,
-                    warm_profile_seed: false,
-                },
-            ),
-            ("dynamic", EvalOptions::default()),
-        ] {
-            if scenario == "10_pairs_ring" {
-                // The motivating shape: candidate union = one component.
-                let probe = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                assert_eq!(probe.component_count(), 1, "ring must chain statically");
-            }
-            group.bench_function(format!("cold_move_{label}/{scenario}"), |b| {
-                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                let mut indices: Vec<usize> = vec![0; cands.len()];
-                eval.evaluate_objective(&indices);
-                let mut walk_rng = StdRng::seed_from_u64(29);
-                b.iter(|| {
-                    let i = walk_rng.random_range(0..indices.len());
-                    indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                    black_box(eval.evaluate_objective(&indices))
-                });
-            });
+        let options = EvalOptions::default();
+        if scenario == "10_pairs_ring" {
+            // The motivating shape: candidate union = one component.
+            let probe = ProfileEvaluator::new(&ctx, &cands, &method, options);
+            assert_eq!(probe.component_count(), 1, "ring must chain statically");
         }
+        group.bench_function(format!("cold_move_dynamic/{scenario}"), |b| {
+            let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
+            let mut indices: Vec<usize> = vec![0; cands.len()];
+            eval.evaluate_objective(&indices);
+            let mut walk_rng = StdRng::seed_from_u64(29);
+            b.iter(|| {
+                let i = walk_rng.random_range(0..indices.len());
+                indices[i] = walk_rng.random_range(0..cands[i].routes.len());
+                black_box(eval.evaluate_objective(&indices))
+            });
+        });
     }
     group.finish();
 }
@@ -474,45 +380,38 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
 /// * `oscar200_cold/*` — a fresh `SelectorSession` every slot: today's
 ///   (pre-session) path, where each slot rebuilds the evaluator arena
 ///   and memos and every component solve starts from λ = 0;
-/// * `oscar200_session/*` — one session spans the run with the full
-///   cross-slot machinery on (`warm_profile_seed` + dual `warm_start`):
-///   chains start from the previous slot's selection, and every
-///   sub-instance solve seeds from the session λ stores (exact-tuple
-///   memo first, dense constraint-identity store otherwise).
+/// * `oscar200_session/*` — one session spans the run with
+///   `warm_profile_seed` on: chains start from the previous slot's
+///   selection and run the shorter `warm_iterations` budget, and region
+///   memos carry over while a region's sub-context is unchanged.
 ///
 /// Each regime runs on the paper's `U[1,5]` uniform workload and on the
 /// temporally-correlated `PersistentWorkload` (5 sticky pairs, 80%
 /// per-slot survival) — the scenario cross-slot seeding targets:
-/// consecutive slots share most pairs, so the chain revisits the same
-/// component tuples slot after slot and the exact-tuple λ memo turns
-/// their accelerated solves into one-or-two-iteration restarts. Both
-/// regimes face identical request sample paths (same env seed).
+/// consecutive slots share most pairs, so a seeded chain starts near a
+/// good profile and needs fewer proposals. Both regimes face identical
+/// request sample paths (same env seed).
 fn bench_session_vs_fresh(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::lyapunov::VirtualQueue;
     use qdn_net::workload::{PersistentWorkload, UniformWorkload, Workload};
-    use qdn_solve::RelaxedOptions;
 
     let mut rng = StdRng::seed_from_u64(3);
     let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
 
     let cold_selector = GibbsConfig::paper_default();
-    let cold_alloc = AllocationMethod::default();
     let session_selector = GibbsConfig {
         evaluator: EvalOptions::warm_seeded(),
         ..GibbsConfig::paper_default()
     };
-    let session_alloc = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        warm_start: true,
-        ..RelaxedOptions::default()
-    });
+    let alloc = AllocationMethod::default();
 
     let mut group = c.benchmark_group("session_vs_fresh");
     group.sample_size(10);
     for (wl_label, persistent) in [("uniform", false), ("persistent", true)] {
-        for (mode, gibbs_cfg, alloc, keep_session) in [
-            ("cold", &cold_selector, &cold_alloc, false),
-            ("session", &session_selector, &session_alloc, true),
+        for (mode, gibbs_cfg, keep_session) in [
+            ("cold", &cold_selector, false),
+            ("session", &session_selector, true),
         ] {
             let selector = qdn_core::route_selection::RouteSelector::Gibbs(*gibbs_cfg);
             group.bench_function(format!("oscar200_{mode}/{wl_label}"), |b| {
@@ -544,7 +443,7 @@ fn bench_session_vs_fresh(c: &mut Criterion) {
                                 requests: &requests,
                                 ctx: &ctx,
                                 selector: &selector,
-                                allocation: alloc,
+                                allocation: &alloc,
                                 fidelity_target: None,
                                 rng: &mut policy_rng,
                             },
@@ -664,7 +563,6 @@ fn churn_method() -> AllocationMethod {
     AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
         max_iterations: 3000,
         gap_tolerance: 0.0,
-        ..qdn_solve::RelaxedOptions::default()
     })
 }
 
@@ -681,17 +579,18 @@ fn churn_method() -> AllocationMethod {
 /// * `region_scoped/*` — region-scoped invalidation (the default): the
 ///   fourteen untouched corridors answer Gibbs proposals from memos retained
 ///   across slots, only the cut and repaired regions re-solve;
-/// * `global_flush/*` — the pre-PR-6 semantics via
-///   `SelectorSession::set_global_invalidation`: any churn flushes every
-///   region, so every corridor re-solves its whole route space each
-///   slot.
+/// * `global_flush/*` — the older flush-everything rule, kept here as
+///   a bench-only baseline: the session is reset before every slot.
+///   Every slot of this bench changes some region, so under the old
+///   rule every slot flushed every region and every corridor re-solved
+///   its whole route space; the reset does the same work.
 ///
 /// Both rows allocate with [`churn_method`], which prices every memo
 /// miss the same, so the row difference counts re-solves rather than
 /// adaptive early stopping.
 /// Decisions are bit-identical between the rows (the
-/// `churn_matches_cold_rebuild` proptest pins session-vs-cold, and
-/// global flush only discards *more*) — the row ratio is pure post-cut
+/// `churn_matches_cold_rebuild` proptest pins session-vs-cold, and the
+/// reset only discards *more*) — the row ratio is pure post-cut
 /// decision latency, the gated ≥1.5× acceptance evidence.
 fn bench_churn_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
@@ -720,17 +619,19 @@ fn bench_churn_recovery(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("churn_recovery");
     group.sample_size(10);
-    for (label, global) in [("region_scoped", false), ("global_flush", true)] {
+    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
         group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
             b.iter(|| {
                 let mut state = EngineState::new(RouteLimits {
                     max_routes: 4,
                     max_hops: 4,
                 });
-                state.session_mut().set_global_invalidation(global);
                 let mut policy_rng = StdRng::seed_from_u64(23);
                 let mut total = 0u64;
                 for t in 0..32usize {
+                    if flush_all {
+                        state.session_mut().reset();
+                    }
                     // Corridor t mod 16 loses half the channels of
                     // its x—a⁰ link (edge 16c) for the slot; last
                     // slot's victim recovers. A partial degradation
@@ -773,11 +674,13 @@ fn bench_churn_recovery(c: &mut Criterion) {
 /// only in session invalidation policy (repair work is identical):
 ///
 /// * `region_scoped/*` — only the cut and recovered corridors flush;
-/// * `global_flush/*` — the ablation re-solves all sixteen.
+/// * `global_flush/*` — a session reset every slot re-solves all
+///   sixteen (the flush-everything baseline, as in
+///   [`bench_churn_recovery`]).
 ///
 /// Decisions are bit-identical between the rows (the
-/// `node_churn_matches_edge_set_churn` proptest pins region-scoped vs
-/// global under node cuts), so the gated row ratio is pure recovery
+/// `node_churn_matches_edge_set_churn` proptest pins session vs cold
+/// rebuild under node cuts), so the gated row ratio is pure recovery
 /// latency — the PR 9 acceptance evidence that region-scoped
 /// invalidation is strictly faster under node churn.
 fn bench_node_churn_recovery(c: &mut Criterion) {
@@ -804,17 +707,19 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("node_churn_recovery");
     group.sample_size(10);
-    for (label, global) in [("region_scoped", false), ("global_flush", true)] {
+    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
         group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
             b.iter(|| {
                 let mut state = EngineState::new(RouteLimits {
                     max_routes: 4,
                     max_hops: 4,
                 });
-                state.session_mut().set_global_invalidation(global);
                 let mut policy_rng = StdRng::seed_from_u64(29);
                 let mut total = 0u64;
                 for t in 0..32usize {
+                    if flush_all {
+                        state.session_mut().reset();
+                    }
                     // Corridor t mod 16 loses its first chain's middle
                     // node (14 nodes per corridor; x, y, then chains —
                     // offset 3 is chain 0's b⁰). All incident links die
@@ -855,8 +760,8 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
 /// other fifteen keep serving. The batch repair consolidates the 16
 /// simultaneous link deaths into one affected-pair proof, and the
 /// session invalidates the dark and recovered regions; `global_flush`
-/// additionally re-solves the fourteen corridors the outage never
-/// touched. Decisions are bit-identical between rows.
+/// resets the session every slot, so it additionally re-solves the
+/// fourteen corridors the outage never touched. Decisions are bit-identical between rows.
 fn bench_regional_outage_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
@@ -880,17 +785,19 @@ fn bench_regional_outage_recovery(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("regional_outage_recovery");
     group.sample_size(10);
-    for (label, global) in [("region_scoped", false), ("global_flush", true)] {
+    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
         group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
             b.iter(|| {
                 let mut state = EngineState::new(RouteLimits {
                     max_routes: 4,
                     max_hops: 4,
                 });
-                state.session_mut().set_global_invalidation(global);
                 let mut policy_rng = StdRng::seed_from_u64(31);
                 let mut total = 0u64;
                 for t in 0..32usize {
+                    if flush_all {
+                        state.session_mut().reset();
+                    }
                     // Corridor t mod 16 is entirely dark this slot: 14
                     // nodes and 16 edges per corridor, laid out
                     // contiguously by the builder.
@@ -1154,7 +1061,6 @@ fn bench(c: &mut Criterion) {
     bench_node_churn_recovery(c);
     bench_regional_outage_recovery(c);
     bench_dual_solver(c);
-    bench_warm_vs_cold_eval(c);
 
     bench_gibbs_end_to_end(c);
 

@@ -21,9 +21,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AllocationMethod {
     /// Algorithm 2: continuous relaxation + down-round + surplus fill.
-    /// The relaxation's dual iteration is selected by
-    /// [`RelaxedOptions::method`] (accelerated FISTA by default — it
-    /// certifies the strict gap tolerance and stops early; see
+    /// The relaxation is solved from λ = 0 by accelerated FISTA, which
+    /// certifies the strict gap tolerance and stops early (see
     /// `qdn_solve::accel`).
     RelaxAndRound(RelaxedOptions),
     /// Greedy marginal-gain increments from the all-ones point.

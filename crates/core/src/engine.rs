@@ -98,7 +98,7 @@ impl std::fmt::Debug for SlotDecisionRequest<'_> {
 /// The slot-spanning half of the decision pipeline, owned by a policy
 /// (or daemon shard) for the lifetime of a run: the candidate route
 /// cache with its incremental churn repair, the [`SelectorSession`]
-/// carrying memos / λ stores / the previous selected profile, and the
+/// carrying memos and the previous selected profile, and the
 /// fidelity-filter cache.
 #[derive(Debug)]
 pub struct EngineState {
@@ -138,14 +138,14 @@ impl EngineState {
         &self.session
     }
 
-    /// Mutable session access, e.g. for
-    /// [`SelectorSession::set_global_invalidation`].
+    /// Mutable session access, e.g. to [`SelectorSession::reset`] it
+    /// without dropping the candidate cache.
     pub fn session_mut(&mut self) -> &mut SelectorSession {
         &mut self.session
     }
 
     /// Clears all cross-slot state for a fresh trial: the session's
-    /// parked memos / λ stores / previous profile, the candidate cache
+    /// parked memos and previous profile, the candidate cache
     /// (churn-repaired candidates are only weight-equivalent, not
     /// tie-identical, to a cold recompute — replay determinism needs a
     /// fresh cache), and the fidelity-filter cache.

@@ -170,7 +170,7 @@ impl RoutingPolicy for OscarPolicy {
     fn reset(&mut self) {
         self.queue.reset();
         self.spent = 0;
-        // Cross-slot decision state (λ stores, memo epochs, previous
+        // Cross-slot decision state (memo epochs, previous
         // profile, candidate cache) must not leak between trials; see
         // [`EngineState::reset`] for why the route cache is dropped too.
         self.state.reset();
@@ -301,15 +301,11 @@ mod tests {
         use crate::route_selection::GibbsConfig;
 
         // A config where cross-slot state actually accumulates: profile
-        // seeding on, dual warm starts on.
+        // seeding on.
         let cfg = OscarConfig {
             selector: RouteSelector::Gibbs(GibbsConfig {
                 evaluator: EvalOptions::warm_seeded(),
                 ..GibbsConfig::paper_default()
-            }),
-            allocation: AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                warm_start: true,
-                ..qdn_solve::RelaxedOptions::default()
             }),
             ..OscarConfig::paper_default()
         };
@@ -329,15 +325,15 @@ mod tests {
             .map(|slot| policy.decide(&net, slot, &mut rng_a))
             .collect();
         assert!(policy.session().remembered_pairs() > 0, "profile memory");
-        assert!(policy.session().lambda_entries() > 0, "λ memory");
+        assert!(policy.session().region_count() > 0, "memo memory");
 
         // Reset must clear every cross-slot store ...
         policy.reset();
         assert_eq!(policy.session().remembered_pairs(), 0);
-        assert_eq!(policy.session().lambda_entries(), 0);
+        assert_eq!(policy.session().region_count(), 0);
 
         // ... so a replay after reset is indistinguishable from a fresh
-        // policy: no λ or profile leakage between trials.
+        // policy: no memo or profile leakage between trials.
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(99);
         let second_run: Vec<_> = slots
             .iter()

@@ -58,8 +58,6 @@ pub struct ChurnDiagnostics {
     pub memo_entries_retained: u64,
     /// Memo entries invalidated by region flushes.
     pub memo_entries_flushed: u64,
-    /// Exact-tuple λ seeds stored (λ survives churn by design).
-    pub lambda_entries: u64,
 }
 
 impl ChurnDiagnostics {
@@ -82,7 +80,6 @@ impl ChurnDiagnostics {
             regions_fresh: inval.regions_fresh,
             memo_entries_retained: inval.memo_entries_retained,
             memo_entries_flushed: inval.memo_entries_flushed,
-            lambda_entries: inval.lambda_entries,
         }
     }
 }

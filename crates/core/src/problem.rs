@@ -110,7 +110,6 @@ impl<'a> PerSlotContext<'a> {
             self.slot_budget.map(|b| b.min(u32::MAX as u64) as u32),
             self.v_weight,
             self.unit_price,
-            None,
         )
     }
 
@@ -207,9 +206,6 @@ impl<'a> PerSlotContext<'a> {
 /// what makes their results bit-identical: a coupling component's
 /// sub-instance is structurally the joint instance restricted to it, in
 /// the same relative order.
-///
-/// `keys_out`, when given, receives each constraint's stable identity
-/// (node / edge / budget) for the evaluator's dual warm-start store.
 pub(crate) fn assemble_instance(
     asm: &mut RouteAssembler,
     snapshot: &CapacitySnapshot,
@@ -217,7 +213,6 @@ pub(crate) fn assemble_instance(
     budget: Option<u32>,
     v_weight: f64,
     unit_price: f64,
-    keys_out: Option<&mut Vec<u32>>,
 ) -> Result<AllocationInstance, SolveError> {
     asm.begin();
     for (edge, u, v, p) in edges {
@@ -231,7 +226,7 @@ pub(crate) fn assemble_instance(
             snapshot.channels(edge),
         );
     }
-    asm.finish_with_keys(budget, v_weight, unit_price, keys_out)
+    asm.finish(budget, v_weight, unit_price)
 }
 
 #[cfg(test)]

@@ -16,17 +16,6 @@
 //!   and solve nothing.
 //! * **Two-level coupling partition** — see below.
 //! * **Evaluation memos** — one per partition level; see below.
-//! * **Dual warm starts** (opt-in) — when the allocation method is
-//!   `RelaxAndRound` with [`RelaxedOptions::warm_start`] set, each
-//!   static component keeps the dual prices λ of its most recent fresh
-//!   solves, dense over constraint identity (node / edge / budget). A
-//!   fresh route tuple re-solves starting from the neighboring profile's
-//!   prices; [`qdn_solve::solve_relaxed_warm`] falls back to the cold
-//!   λ = 0 iteration — capped warm budget, incumbents carried over —
-//!   whenever the warm run does not converge, so warm results satisfy
-//!   the same feasibility and duality-gap guarantees as cold ones (they
-//!   may differ from the cold answer *within* the solver tolerance,
-//!   which is why the flag is off by default).
 //!
 //! # The two-level partition
 //!
@@ -37,10 +26,9 @@
 //! coarsest partition that is valid for *every* profile, so everything
 //! below it can never leak coupling across static components.
 //!
-//! **Dynamic refinement** ([`PartitionMode::Dynamic`], the default).
-//! Within each static component, the *currently selected* routes of a
-//! profile usually touch far fewer shared nodes than the candidate
-//! union: at paper scale (20-node Waxman, 10 pairs) the static closure
+//! **Dynamic refinement.** Within each static component, the *currently
+//! selected* routes of a profile usually touch far fewer shared nodes
+//! than the candidate union: at paper scale (20-node Waxman, 10 pairs) the static closure
 //! collapses into one 10-pair component, while a concrete profile
 //! typically splits into several 2–4-pair groups. The evaluator
 //! therefore re-partitions each static component by the node sharing of
@@ -56,7 +44,7 @@
 //! [`EvalStats::component_splits`] count exactly those transitions
 //! (relative to the last profile whose partition was computed).
 //!
-//! # The two memo levels and λ re-keying
+//! # The two memo levels
 //!
 //! * **Level 1 (static tuple memo)** — per static component, the
 //!   *assembled* allocation is cached under the tuple of that
@@ -74,20 +62,10 @@
 //!   entry by gathering the level-2 allocations back into component
 //!   variable order ([`qdn_solve::assemble::scatter_segments`]).
 //!
-//! The λ warm-start store needs no per-group key at all: it is dense
-//! over *constraint identity* (node / edge / budget — see
-//! [`RouteAssembler`]), which already sub-keys any dynamic group of the
-//! component. Group solves gather their warm seed through their own
-//! constraint keys and absorb their final prices back into the same
-//! store, so merges and splits re-key the λ data implicitly and for
-//! free.
-//!
 //! # Bit-identical results
 //!
-//! With warm starts disabled (the default), the evaluator returns
-//! *exactly* the objective and allocations of the full-rebuild path —
-//! under **either** partition mode — bit for bit. Three invariants make
-//! this hold:
+//! The evaluator returns *exactly* the objective and allocations of the
+//! full-rebuild path, bit for bit. Three invariants make this hold:
 //!
 //! 1. [`PerSlotContext::build_instance`] and the evaluator stream through
 //!    the same [`RouteAssembler`] layout (variables in profile order,
@@ -107,11 +85,10 @@
 //!    uses, rather than by summing cached per-component objectives (which
 //!    would associate the additions differently).
 //!
-//! The property tests `incremental_matches_full_rebuild` and
-//! `dynamic_matches_static_partition` in `crates/core/tests/proptests.rs`
-//! enforce these equivalences on random topologies, profiles, and move
-//! sequences for every allocation method; the warm-start path is
-//! covered by `warm_start_agrees_within_tolerance`.
+//! The property test `incremental_matches_full_rebuild` in
+//! `crates/core/tests/proptests.rs` enforces this equivalence on random
+//! topologies, profiles, and move sequences for every allocation
+//! method.
 //!
 //! # Persistent selection sessions
 //!
@@ -134,15 +111,12 @@
 //!   changed get their epoch bumped — a link failure flushes the region
 //!   it hits, not the whole network — so reuse is exactly as legal as
 //!   re-running the same sub-problem;
-//! * **λ seeds across any context drift** (opt-in via
-//!   `RelaxedOptions::warm_start`) — seeds are advisory and every warm
-//!   solve still certifies the cold path's guarantees;
 //! * **the previous selected profile** (opt-in via
 //!   [`EvalOptions::warm_profile_seed`]) — seeds the next slot's chain
 //!   start, changing the search trajectory but never a profile's value.
 //!
-//! With both opt-ins off, a session-built evaluator is bit-identical to
-//! a fresh one every slot (`session_matches_fresh_per_slot` proptest).
+//! With the opt-in off, a session-built evaluator is bit-identical to a
+//! fresh one every slot (`session_matches_fresh_per_slot` proptest).
 //!
 //! # Parallelism
 //!
@@ -162,41 +136,22 @@ use qdn_graph::{EdgeId, NodeId, Path};
 use qdn_net::SdPair;
 use qdn_physics::swap::SwapModel;
 use qdn_solve::assemble::scatter_segments;
-use qdn_solve::relaxed::RelaxedOptions;
-use qdn_solve::rounding::round_down_and_fill;
-use qdn_solve::{ln_success, solve_relaxed_warm, AllocationInstance, RouteAssembler};
+use qdn_solve::{ln_success, AllocationInstance, RouteAssembler};
 use serde::{Deserialize, Serialize};
 
 use crate::allocation::AllocationMethod;
 use crate::problem::{assemble_instance, PerSlotContext, ProfileEvaluation};
 use crate::route_selection::Candidates;
 
-/// Which coupling partition drives memoization and sub-instance solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PartitionMode {
-    /// The candidate-union closure only: one sub-instance per static
-    /// component (the pre-PR-4 engine). Kept as the reference
-    /// implementation and for workloads whose selected routes almost
-    /// always coincide with the candidate closure.
-    Static,
-    /// Refine each static component by the *currently selected* routes
-    /// (the default): single-pair moves re-solve only the dynamic
-    /// groups the move actually touches. Bit-identical to `Static`.
-    Dynamic,
-}
-
 /// Selector-facing evaluator options, carried by every route-selection
 /// config that drives a [`ProfileEvaluator`].
 ///
-/// **Loud compat breaks:** `partition` (PR 4) and `warm_profile_seed`
-/// (PR 5) are required fields — old JSON configs fail with an explicit
-/// missing-field error. See MIGRATION.md for the one-line edits.
+/// `warm_profile_seed` is a required field, and unknown keys (such as
+/// the removed `partition`) are rejected, so stale JSON configs fail
+/// loudly. See MIGRATION.md for the one-line edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct EvalOptions {
-    /// The coupling partition to evaluate under. Results are
-    /// bit-identical either way; the mode only changes how much work a
-    /// fresh (non-memoized) evaluation performs.
-    pub partition: PartitionMode,
     /// Seed the selector's starting profile from the previous slot's
     /// selected routes when a [`SelectorSession`] carries them (pairs
     /// present in consecutive slots start on last slot's route; new
@@ -208,29 +163,19 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// The static-envelope-only engine (pre-PR-4 behavior).
-    pub fn static_partition() -> Self {
-        EvalOptions {
-            partition: PartitionMode::Static,
-            warm_profile_seed: false,
-        }
-    }
-
     /// The default options with cross-slot profile seeding enabled.
     pub fn warm_seeded() -> Self {
         EvalOptions {
             warm_profile_seed: true,
-            ..EvalOptions::default()
         }
     }
 }
 
 impl Default for EvalOptions {
-    /// Dynamic partitioning, no cross-slot profile seeding — the
-    /// fresh-per-slot-identical configuration.
+    /// No cross-slot profile seeding — the fresh-per-slot-identical
+    /// configuration.
     fn default() -> Self {
         EvalOptions {
-            partition: PartitionMode::Dynamic,
             warm_profile_seed: false,
         }
     }
@@ -292,10 +237,6 @@ struct Scratch {
     joint_key: Vec<u32>,
     /// Per-component read cursors for the gather pass.
     cursors: Vec<usize>,
-    /// Constraint keys of the instance being built (warm-start path).
-    con_keys: Vec<u32>,
-    /// Warm λ gathered from a component's store (warm-start path).
-    warm: Vec<f64>,
     /// Dynamic sub-partition scratch.
     part: PartitionScratch,
     /// Per-member variable offsets within one component (gather pass).
@@ -312,8 +253,6 @@ impl Scratch {
             asm: RouteAssembler::sized(nodes, edges),
             joint_key: Vec::new(),
             cursors: vec![0; components],
-            con_keys: Vec::new(),
-            warm: Vec::new(),
             part: PartitionScratch {
                 owner: vec![0; nodes],
                 owner_mark: vec![0; nodes],
@@ -361,12 +300,6 @@ struct MemoEntry {
     epoch: u64,
     alloc: Option<Box<[u32]>>,
 }
-
-/// Session-level exact-tuple λ store: member identity (interleaved
-/// `(source, destination, route index)` per member, ascending by member)
-/// → the final dual prices of that sub-instance's most recent solve, in
-/// the instance's deterministic constraint order.
-type LambdaMemo = HashMap<Box<[u32]>, Box<[f64]>>;
 
 /// The run-wide share of one slot's evaluation context: everything not
 /// attributable to a single static region. The objective weights and
@@ -491,9 +424,6 @@ struct SessionParts {
     scratch: Option<Scratch>,
     memos: Vec<Memo>,
     dyn_memos: Vec<Memo>,
-    lambda_exact: LambdaMemo,
-    lambda_dense: Vec<f64>,
-    lambda_dense_valid: bool,
     report: InvalidationReport,
 }
 
@@ -506,9 +436,6 @@ impl SessionParts {
             scratch: None,
             memos: Vec::new(),
             dyn_memos: Vec::new(),
-            lambda_exact: LambdaMemo::new(),
-            lambda_dense: Vec::new(),
-            lambda_dense_valid: false,
             report: InvalidationReport {
                 regions: components as u32,
                 regions_fresh: components as u32,
@@ -541,7 +468,7 @@ pub struct InvalidationReport {
     /// Static regions in the slot.
     pub regions: u32,
     /// Regions whose parked memos were flushed (fingerprint or shared
-    /// context changed — under global invalidation, any change anywhere).
+    /// context changed).
     pub regions_flushed: u32,
     /// Regions with no parked state (first sighting, or TTL-pruned).
     pub regions_fresh: u32,
@@ -550,8 +477,6 @@ pub struct InvalidationReport {
     pub memo_entries_retained: u64,
     /// Memo entries invalidated by the flushes above.
     pub memo_entries_flushed: u64,
-    /// Exact-tuple λ seeds currently stored (λ survives any churn).
-    pub lambda_entries: u64,
 }
 
 impl InvalidationReport {
@@ -566,13 +491,6 @@ impl InvalidationReport {
 /// that keeps a long-lived session's memory proportional to one slot's
 /// working set rather than to the whole run.
 const MEMO_PRUNE_LEN: usize = 8192;
-
-/// The exact-tuple λ store is cleared once it exceeds this many
-/// entries: unlike the memos it is *never* invalidated by context
-/// drift, so an unboundedly long run over a rich pair universe would
-/// otherwise grow it without limit. Losing it only costs warm-start
-/// quality on the next revisit of each tuple.
-const LAMBDA_PRUNE_LEN: usize = 65_536;
 
 /// Parked regions unused for this many lends are dropped: a region that
 /// has not appeared for a while (its pairs left the request mix, or a
@@ -598,13 +516,6 @@ const REGION_CAP: usize = 512;
 ///   long as the slot fingerprint (prices, capacities, pairs, candidate
 ///   routes, method, options) is unchanged, and one integer bump
 ///   invalidates all of them when it is not;
-/// * the λ warm-start stores (active only when the allocation method is
-///   `RelaxAndRound` with `warm_start`): a dense per-constraint-identity
-///   vector — valid across slots because constraint identity is
-///   topological (node / edge / budget) and the optimal duals drift
-///   smoothly with the price `q_t` — plus an exact-tuple memo keyed by
-///   member `(pair, route)` identity, which re-seeds a re-visited
-///   sub-instance with its *own* most recent prices;
 /// * the previous slot's selected route per [`SdPair`], which seeds the
 ///   next slot's Gibbs chain / greedy start for pairs present in
 ///   consecutive slots when [`EvalOptions::warm_profile_seed`] is set.
@@ -612,10 +523,10 @@ const REGION_CAP: usize = 512;
 /// # Lifetime and invalidation invariants
 ///
 /// * A session assumes one fixed topology between [`SelectorSession::reset`]
-///   calls: candidate route indices and constraint identities are only
-///   comparable across slots on the same network. Policies reset their
-///   session whenever [`crate::policy::RoutingPolicy::reset`] runs, so
-///   fresh trials share nothing. (Candidate *repair* under link churn is
+///   calls: candidate route indices are only comparable across slots on
+///   the same network. Policies reset their session whenever
+///   [`crate::policy::RoutingPolicy::reset`] runs, so fresh trials share
+///   nothing. (Candidate *repair* under link churn is
 ///   fine — a region whose candidates changed flushes itself via its
 ///   fingerprint; only node/edge *renumbering* requires a reset.)
 /// * Memo entries are **region-scoped**: each static region parks its
@@ -625,22 +536,16 @@ const REGION_CAP: usize = 512;
 ///   when the shared context (price, `V`, budget, method, options)
 ///   drifts. A link failure in one region leaves every other region's
 ///   memos live: no cold restart for the unaffected parts of the
-///   network. [`SelectorSession::set_global_invalidation`] restores the
-///   old flush-everything rule for ablation.
-/// * λ entries are never invalidated by context drift — a dual seed is
-///   advisory, and every warm solve still certifies the same
-///   feasibility and duality-gap guarantees as a cold one (capped warm
-///   budget, cold fallback) — they are only cleared by `reset`.
+///   network.
 /// * The remembered previous-slot profile is validated by route
 ///   *identity* (edge list), not by index: a repair that reshuffles a
 ///   pair's candidate list relocates the remembered route, and a route
 ///   that no longer exists is simply forgotten — a stale index can
 ///   never leak into a seed.
-/// * With `warm_profile_seed` off and `warm_start` off, a session-built
-///   evaluator is **bit-identical** to a fresh
-///   [`ProfileEvaluator::new`] per slot (enforced by the
-///   `session_matches_fresh_per_slot` and `churn_matches_cold_rebuild`
-///   proptests).
+/// * With `warm_profile_seed` off, a session-built evaluator is
+///   **bit-identical** to a fresh [`ProfileEvaluator::new`] per slot
+///   (enforced by the `session_matches_fresh_per_slot` and
+///   `churn_matches_cold_rebuild` proptests).
 #[derive(Debug, Default)]
 pub struct SelectorSession {
     /// Monotone epoch source: flushed or fresh regions draw their next
@@ -652,16 +557,10 @@ pub struct SelectorSession {
     /// multiset.
     regions: HashMap<Box<[SdPair]>, RegionState>,
     scratch: Option<Scratch>,
-    lambda_exact: LambdaMemo,
-    lambda_dense: Vec<f64>,
-    lambda_dense_valid: bool,
     /// Previous slot's selected route per pair, by identity.
     prev_selected: HashMap<SdPair, PrevRoute>,
     /// Lend counter (drives region TTL pruning).
     lends: u64,
-    /// Ablation switch: `true` re-enables the pre-region behavior where
-    /// *any* context change flushes *every* region.
-    global_invalidation: bool,
     last_invalidation: InvalidationReport,
 }
 
@@ -698,32 +597,15 @@ impl SelectorSession {
     }
 
     /// Clears all cross-slot state for a fresh trial: parked region
-    /// memos, λ stores, and the previous selected profile. Recycled
-    /// buffer capacity is kept — it carries no semantic state.
+    /// memos and the previous selected profile. Recycled buffer capacity
+    /// is kept — it carries no semantic state.
     pub fn reset(&mut self) {
         self.shared = None;
         self.regions.clear();
-        self.lambda_exact.clear();
-        self.lambda_dense.iter_mut().for_each(|l| *l = 0.0);
-        self.lambda_dense_valid = false;
         self.prev_selected.clear();
         self.last_invalidation = InvalidationReport::default();
         // `epoch_counter` and `lends` keep counting: epochs stay
         // monotone for the life of the session.
-    }
-
-    /// Switches between region-scoped invalidation (default, `false`)
-    /// and the global flush-everything rule (`true`): under global
-    /// invalidation any fingerprint change — shared or in any region —
-    /// flushes every region's memos, reproducing the pre-region
-    /// behavior for ablation and benchmarking.
-    pub fn set_global_invalidation(&mut self, on: bool) {
-        self.global_invalidation = on;
-    }
-
-    /// Whether the global flush-everything ablation rule is active.
-    pub fn global_invalidation(&self) -> bool {
-        self.global_invalidation
     }
 
     /// The invalidation ledger of the most recent slot (what the last
@@ -746,11 +628,6 @@ impl SelectorSession {
     /// Number of pairs with a remembered previous-slot route.
     pub fn remembered_pairs(&self) -> usize {
         self.prev_selected.len()
-    }
-
-    /// Number of exact-tuple λ seeds currently stored.
-    pub fn lambda_entries(&self) -> usize {
-        self.lambda_exact.len()
     }
 
     /// The warm starting profile for `candidates`, or `None` unless a
@@ -822,42 +699,20 @@ impl SelectorSession {
         self.lends += 1;
         let shared_mismatch = self.shared.as_ref() != Some(&shared);
         self.shared = Some(shared);
-        if self.lambda_exact.len() > LAMBDA_PRUNE_LEN {
-            self.lambda_exact.clear();
-        }
 
         let n = keys.len();
-        let mut states: Vec<Option<RegionState>> =
-            keys.iter().map(|k| self.regions.remove(k)).collect();
-        let mut flush = vec![shared_mismatch; n];
-        let mut any_changed = shared_mismatch;
-        for (i, st) in states.iter().enumerate() {
-            match st {
-                Some(s) if s.fingerprint == fps[i] => {}
-                Some(_) => {
-                    flush[i] = true;
-                    any_changed = true;
-                }
-                None => any_changed = true,
-            }
-        }
-        if self.global_invalidation && any_changed {
-            flush.iter_mut().for_each(|f| *f = true);
-        }
-
         let mut report = InvalidationReport {
             regions: n as u32,
-            lambda_entries: self.lambda_exact.len() as u64,
             ..InvalidationReport::default()
         };
         let mut epochs = Vec::with_capacity(n);
         let mut memos = Vec::with_capacity(n);
         let mut dyn_memos = Vec::with_capacity(n);
-        for (i, st) in states.iter_mut().enumerate() {
-            match st.take() {
+        for (key, fp) in keys.iter().zip(fps) {
+            match self.regions.remove(key) {
                 Some(mut s) => {
                     let entries = (s.memo.len() + s.dyn_memo.len()) as u64;
-                    if flush[i] {
+                    if shared_mismatch || s.fingerprint != *fp {
                         s.epoch = self.next_epoch();
                         report.regions_flushed += 1;
                         report.memo_entries_flushed += entries;
@@ -890,9 +745,6 @@ impl SelectorSession {
             scratch: self.scratch.take(),
             memos,
             dyn_memos,
-            lambda_exact: std::mem::take(&mut self.lambda_exact),
-            lambda_dense: std::mem::take(&mut self.lambda_dense),
-            lambda_dense_valid: self.lambda_dense_valid,
             report,
         }
     }
@@ -903,12 +755,12 @@ impl SelectorSession {
     /// iteration order.
     ///
     /// The snapshot is *complete*: region memos (both levels, with their
-    /// epochs), the λ stores, the previous selected profile, the shared
-    /// fingerprint, and the epoch/lend counters all round-trip. Anything
-    /// less — say, only the λ stores — would let a restored session
-    /// diverge from the uninterrupted run on the first memo hit the
-    /// original would have had. The recycled scratch arena is *not*
-    /// captured (it carries no semantic state and is rebuilt lazily).
+    /// epochs), the previous selected profile, the shared fingerprint,
+    /// and the epoch/lend counters all round-trip. Anything less — say,
+    /// without the memos — would let a restored session diverge from the
+    /// uninterrupted run on the first memo hit the original would have
+    /// had. The recycled scratch arena is *not* captured (it carries no
+    /// semantic state and is rebuilt lazily).
     pub fn snapshot(&self) -> SessionSnapshot {
         fn memo_entries(memo: &Memo) -> Vec<MemoEntrySnapshot> {
             let mut out: Vec<MemoEntrySnapshot> = memo
@@ -940,16 +792,6 @@ impl SelectorSession {
             })
             .collect();
         regions.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        let mut lambda_exact: Vec<LambdaEntrySnapshot> = self
-            .lambda_exact
-            // qdn-lint: allow(unordered-iter, reason="snapshot building; entries are sorted by key immediately after collection")
-            .iter()
-            .map(|(k, l)| LambdaEntrySnapshot {
-                key: k.to_vec(),
-                lambda: l.to_vec(),
-            })
-            .collect();
-        lambda_exact.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         let mut prev_selected: Vec<PrevSelectedSnapshot> = self
             .prev_selected
             // qdn-lint: allow(unordered-iter, reason="snapshot building; entries are sorted by pair immediately after collection")
@@ -965,7 +807,6 @@ impl SelectorSession {
             version: SESSION_SNAPSHOT_VERSION,
             epoch_counter: self.epoch_counter,
             lends: self.lends,
-            global_invalidation: self.global_invalidation,
             shared: self.shared.as_ref().map(|s| SharedSnapshot {
                 v_bits: s.v_bits,
                 price_bits: s.price_bits,
@@ -976,9 +817,6 @@ impl SelectorSession {
                 edges: s.edges,
             }),
             regions,
-            lambda_exact,
-            lambda_dense: self.lambda_dense.clone(),
-            lambda_dense_valid: self.lambda_dense_valid,
             prev_selected,
             last_invalidation: self.last_invalidation,
         }
@@ -1044,18 +882,6 @@ impl SelectorSession {
                 })
                 .collect(),
             scratch: None,
-            lambda_exact: snapshot
-                .lambda_exact
-                .iter()
-                .map(|e| {
-                    (
-                        e.key.clone().into_boxed_slice(),
-                        e.lambda.clone().into_boxed_slice(),
-                    )
-                })
-                .collect(),
-            lambda_dense: snapshot.lambda_dense.clone(),
-            lambda_dense_valid: snapshot.lambda_dense_valid,
             prev_selected: snapshot
                 .prev_selected
                 .iter()
@@ -1070,7 +896,6 @@ impl SelectorSession {
                 })
                 .collect(),
             lends: snapshot.lends,
-            global_invalidation: snapshot.global_invalidation,
             last_invalidation: snapshot.last_invalidation,
         })
     }
@@ -1078,7 +903,7 @@ impl SelectorSession {
 
 /// Version tag of [`SessionSnapshot`]; bump on layout changes
 /// (including those of the embedded [`AllocationMethod`]).
-pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
 
 /// Serializable image of a [`SelectorSession`] (see
 /// [`SelectorSession::snapshot`]). Entry order is canonical (sorted by
@@ -1089,12 +914,8 @@ pub struct SessionSnapshot {
     pub version: u32,
     epoch_counter: u64,
     lends: u64,
-    global_invalidation: bool,
     shared: Option<SharedSnapshot>,
     regions: Vec<RegionSnapshot>,
-    lambda_exact: Vec<LambdaEntrySnapshot>,
-    lambda_dense: Vec<f64>,
-    lambda_dense_valid: bool,
     prev_selected: Vec<PrevSelectedSnapshot>,
     last_invalidation: InvalidationReport,
 }
@@ -1135,50 +956,12 @@ struct MemoEntrySnapshot {
     alloc: Option<Vec<u32>>,
 }
 
-/// One exact-tuple λ seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LambdaEntrySnapshot {
-    key: Vec<u32>,
-    lambda: Vec<f64>,
-}
-
 /// One remembered previous-slot route.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PrevSelectedSnapshot {
     pair: SdPair,
     index: u32,
     edges: Vec<EdgeId>,
-}
-
-/// One static component's stored dual prices, dense over constraint keys
-/// (node / edge / budget identity — see [`RouteAssembler`]). Constraint
-/// identity sub-keys every dynamic group of the component, so group
-/// solves share this store without any per-group bookkeeping.
-#[derive(Debug, Clone)]
-struct ComponentDual {
-    lambda: Vec<f64>,
-    valid: bool,
-}
-
-impl ComponentDual {
-    fn absorb(&mut self, keys: &[u32], lambda: &[f64]) {
-        debug_assert_eq!(keys.len(), lambda.len());
-        for (&key, &l) in keys.iter().zip(lambda) {
-            self.lambda[key as usize] = l;
-        }
-        self.valid = true;
-    }
-}
-
-/// The outcome of one fresh sub-instance solve (a whole static component
-/// or a single dynamic group).
-struct ComponentSolve {
-    /// The allocation (`None` = infeasible route combination).
-    alloc: Option<Box<[u32]>>,
-    /// `(constraint keys, final λ)` when a warm-capable solve ran.
-    dual: Option<(Vec<u32>, Vec<f64>)>,
-    /// Whether the dual iteration was actually seeded from stored λ.
-    warm_started: bool,
 }
 
 /// Counters describing how much work the evaluator actually did.
@@ -1191,12 +974,10 @@ pub struct EvalStats {
     /// Sub-instances built and solved. Under the dynamic partition each
     /// freshly solved dynamic group counts individually.
     pub components_solved: u64,
-    /// Solves seeded from a stored neighboring-profile λ.
-    pub warm_started: u64,
     /// Gauge: dynamic components across the whole profile, as of the
     /// last partition refresh. Static components whose sub-partition has
-    /// not been computed yet (including all of them under
-    /// [`PartitionMode::Static`]) count as one each.
+    /// not been computed yet (or never is: singletons and budgeted
+    /// slots) count as one each.
     pub dynamic_components: u64,
     /// Dynamic groups that merged: each recomputed sub-partition adds,
     /// per new group, the number of distinct previous groups it spans
@@ -1270,18 +1051,6 @@ pub struct ProfileEvaluator<'a> {
     group_key: Vec<u32>,
     /// Pair ids of the dynamic group being solved.
     group_members: Vec<usize>,
-    /// Exact-tuple λ key under construction.
-    tuple_key: Vec<u32>,
-    /// Per-static-component dual warm-start store (empty unless the
-    /// method is `RelaxAndRound` with `warm_start` enabled).
-    duals: Vec<ComponentDual>,
-    /// Session-spanning λ stores (see [`SelectorSession`]): exact-tuple
-    /// seeds and the dense per-constraint-identity vector. Written only
-    /// when warm starts are enabled; passed back on retire regardless.
-    lambda_exact: LambdaMemo,
-    lambda_dense: Vec<f64>,
-    lambda_dense_valid: bool,
-    warm_opts: Option<RelaxedOptions>,
     /// `pair_memo[i][r]`: cached single-pair objective (outer `None` =
     /// not yet computed; inner `None` = infeasible).
     pair_memo: Vec<Vec<Option<Option<f64>>>>,
@@ -1292,9 +1061,8 @@ impl<'a> ProfileEvaluator<'a> {
     /// Builds the evaluator for one slot: resolves candidate routes
     /// against the network, partitions pairs into static coupling
     /// components, and sizes the scratch buffers. The dynamic
-    /// sub-partitions (when `options.partition` is
-    /// [`PartitionMode::Dynamic`]) are computed lazily, per component,
-    /// on the first evaluation that needs them.
+    /// sub-partitions are computed lazily, per component, on the first
+    /// evaluation that needs them.
     pub fn new(
         ctx: &PerSlotContext<'a>,
         candidates: &[Candidates<'_>],
@@ -1305,7 +1073,7 @@ impl<'a> ProfileEvaluator<'a> {
     }
 
     /// [`ProfileEvaluator::new`] backed by a [`SelectorSession`]: the
-    /// arena, scratch buffers, memo maps, and λ stores are borrowed from
+    /// arena, scratch buffers, and memo maps are borrowed from
     /// the session instead of freshly allocated. Memos are region-scoped
     /// — each static component pulls its parked memo maps by identity,
     /// and only the regions whose own sub-context (members, candidate
@@ -1325,16 +1093,13 @@ impl<'a> ProfileEvaluator<'a> {
         Self::build(ctx, candidates, method, options, Some(session))
     }
 
-    /// Returns the recycled buffers, memos, and λ stores to `session`
+    /// Returns the recycled buffers and memos to `session`
     /// for the next slot. Each static component's memos are parked
     /// under its region key with the epoch they were stamped with, so
     /// the next slot that poses the same sub-problem — even after
     /// unrelated churn elsewhere — reads them back verbatim.
     pub fn retire(self, session: &mut SelectorSession) {
         session.scratch = Some(self.scratch);
-        session.lambda_exact = self.lambda_exact;
-        session.lambda_dense = self.lambda_dense;
-        session.lambda_dense_valid = self.lambda_dense_valid;
         let last_used = session.lends;
         for ((((key, fingerprint), epoch), memo), dyn_memo) in self
             .region_keys
@@ -1439,9 +1204,6 @@ impl<'a> ProfileEvaluator<'a> {
             scratch,
             mut memos,
             mut dyn_memos,
-            lambda_exact,
-            mut lambda_dense,
-            mut lambda_dense_valid,
             report,
         } = parts;
         let scratch = Scratch::recycled(scratch, nodes, edges, comp_pairs.len());
@@ -1454,33 +1216,6 @@ impl<'a> ProfileEvaluator<'a> {
                 }
             }
         }
-        let warm_opts = match method {
-            AllocationMethod::RelaxAndRound(o) if o.warm_start => Some(*o),
-            _ => None,
-        };
-        let key_space = nodes + edges + 1;
-        if lambda_dense.len() != key_space {
-            // First use, or a topology change: the stored identities no
-            // longer line up — start the dense store over.
-            lambda_dense.clear();
-            lambda_dense.resize(key_space, 0.0);
-            lambda_dense_valid = false;
-        }
-        let duals = if warm_opts.is_some() {
-            // Each component starts from the session's dense λ (the
-            // previous slots' prices over the same topological
-            // constraint identities) when one is carried — λ drifts
-            // smoothly with `q_t`, so it is a high-quality first seed.
-            vec![
-                ComponentDual {
-                    lambda: lambda_dense.clone(),
-                    valid: lambda_dense_valid,
-                };
-                comp_pairs.len()
-            ]
-        } else {
-            Vec::new()
-        };
         let pair_memo = routes.iter().map(|c| vec![None; c.len()]).collect();
         let stats = EvalStats {
             // Unrefined components count as one dynamic group each.
@@ -1515,12 +1250,6 @@ impl<'a> ProfileEvaluator<'a> {
             dyn_memos,
             group_key: Vec::new(),
             group_members: Vec::new(),
-            tuple_key: Vec::new(),
-            duals,
-            lambda_exact,
-            lambda_dense,
-            lambda_dense_valid,
-            warm_opts,
             pair_memo,
             stats,
         }
@@ -1545,12 +1274,6 @@ impl<'a> ProfileEvaluator<'a> {
     /// generalization of the Gibbs `parallel_isolated` notion).
     pub fn pair_is_isolated(&self, i: usize) -> bool {
         self.comp_pairs[self.comp_of_pair[i]].len() == 1
-    }
-
-    /// Whether fresh `RelaxAndRound` solves are being warm-started from
-    /// stored dual prices.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_opts.is_some()
     }
 
     /// Work counters accumulated since construction.
@@ -1612,7 +1335,6 @@ impl<'a> ProfileEvaluator<'a> {
             &self.ctx,
             self.budget,
             std::iter::once(route),
-            false,
         );
         let objective = instance.ok().and_then(|inst| {
             let flat = self.method.allocate(&inst);
@@ -1638,9 +1360,7 @@ impl<'a> ProfileEvaluator<'a> {
     /// refresh machinery entirely instead of recomputing a
     /// known-trivial partition on every cold move.
     fn use_dynamic(&self, comp: usize) -> bool {
-        self.options.partition == PartitionMode::Dynamic
-            && self.budget.is_none()
-            && self.comp_pairs[comp].len() > 1
+        self.budget.is_none() && self.comp_pairs[comp].len() > 1
     }
 
     /// Recomputes component `comp`'s dynamic sub-partition for the route
@@ -1777,47 +1497,12 @@ impl<'a> ProfileEvaluator<'a> {
         Some(())
     }
 
-    /// Records a warm-capable solve's outcome in the λ stores: the
-    /// component's dense store, the session-spanning dense store, and
-    /// the exact-tuple memo under the key currently staged in
-    /// `tuple_key` (the caller stages it iff warm starts are enabled,
-    /// which is also the only case where `solve.dual` is `Some`).
-    fn absorb_lambda(&mut self, comp: usize, solve: &ComponentSolve) {
-        if solve.warm_started {
-            self.stats.warm_started += 1;
-        }
-        let Some((keys, lambda)) = &solve.dual else {
-            return;
-        };
-        self.duals[comp].absorb(keys, lambda);
-        for (&key, &l) in keys.iter().zip(lambda.iter()) {
-            self.lambda_dense[key as usize] = l;
-        }
-        self.lambda_dense_valid = true;
-        self.lambda_exact
-            .insert(self.tuple_key.as_slice().into(), lambda.as_slice().into());
-    }
-
     /// Solves static component `comp` as one sub-instance and memoizes
     /// the result at level 1. Returns feasibility.
     fn solve_whole(&mut self, comp: usize, indices: &[usize]) -> bool {
         self.stats.components_solved += 1;
         self.stats.pairs_resolved_last_move += self.comp_pairs[comp].len() as u64;
-        let exact = if self.warm_opts.is_some() {
-            stage_tuple_key(
-                &self.pairs,
-                &self.comp_pairs[comp],
-                indices,
-                &mut self.tuple_key,
-            );
-            self.lambda_exact
-                .get(self.tuple_key.as_slice())
-                .map(|l| &l[..])
-        } else {
-            None
-        };
-        let warm = self.warm_opts.as_ref().map(|o| (o, &self.duals[comp]));
-        let solve = solve_component(
+        let alloc = solve_component(
             &mut self.scratch,
             &self.ctx,
             self.budget,
@@ -1825,11 +1510,8 @@ impl<'a> ProfileEvaluator<'a> {
             &self.routes,
             &self.comp_pairs[comp],
             indices,
-            warm,
-            exact,
         );
-        self.absorb_lambda(comp, &solve);
-        let feasible = solve.alloc.is_some();
+        let feasible = alloc.is_some();
         let key = self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]]
             .to_vec()
             .into_boxed_slice();
@@ -1837,7 +1519,7 @@ impl<'a> ProfileEvaluator<'a> {
             key,
             MemoEntry {
                 epoch: self.epochs[comp],
-                alloc: solve.alloc,
+                alloc,
             },
         );
         feasible
@@ -1872,21 +1554,7 @@ impl<'a> ProfileEvaluator<'a> {
             }
             self.stats.components_solved += 1;
             self.stats.pairs_resolved_last_move += self.group_members.len() as u64;
-            let exact = if self.warm_opts.is_some() {
-                stage_tuple_key(
-                    &self.pairs,
-                    &self.group_members,
-                    indices,
-                    &mut self.tuple_key,
-                );
-                self.lambda_exact
-                    .get(self.tuple_key.as_slice())
-                    .map(|l| &l[..])
-            } else {
-                None
-            };
-            let warm = self.warm_opts.as_ref().map(|o| (o, &self.duals[comp]));
-            let solve = solve_component(
+            let alloc = solve_component(
                 &mut self.scratch,
                 &self.ctx,
                 self.budget,
@@ -1894,16 +1562,13 @@ impl<'a> ProfileEvaluator<'a> {
                 &self.routes,
                 &self.group_members,
                 indices,
-                warm,
-                exact,
             );
-            self.absorb_lambda(comp, &solve);
-            let ok = solve.alloc.is_some();
+            let ok = alloc.is_some();
             self.dyn_memos[comp].insert(
                 self.group_key.as_slice().into(),
                 MemoEntry {
                     epoch: self.epochs[comp],
-                    alloc: solve.alloc,
+                    alloc,
                 },
             );
             if !ok {
@@ -1988,9 +1653,7 @@ impl<'a> ProfileEvaluator<'a> {
     /// the component ids it fully memoized at level 1 (ascending) plus
     /// whether any item turned out infeasible. Bit-identical to the
     /// serial path at every pool width: each item's solve is independent
-    /// and results are gathered and merged in item order — the same
-    /// order the serial loop solves and absorbs them, so λ absorption
-    /// sees identical state either way. Each worker thread keeps one
+    /// and results are gathered and merged in item order. Each worker thread keeps one
     /// recycled solver scratch across items *and across calls*
     /// (thread-local), so the steady state allocates nothing
     /// network-sized. An infeasibility observed by any task stops the
@@ -2048,16 +1711,12 @@ impl<'a> ProfileEvaluator<'a> {
         let ctx = self.ctx;
         let budget = self.budget;
         let method = self.method;
-        let warm_opts = self.warm_opts;
         let routes = &self.routes;
-        let pairs = &self.pairs;
         let comp_pairs = &self.comp_pairs;
         let comp_key_off = &self.comp_key_off;
         let dyn_group_of = &self.dyn_group_of;
-        let duals = &self.duals;
-        let lambda_exact = &self.lambda_exact;
         let infeasible = AtomicBool::new(false);
-        type ItemSolve = (usize, u32, usize, Vec<u32>, ComponentSolve);
+        type ItemSolve = (usize, u32, usize, Option<Box<[u32]>>);
         // One pool task per item, gathered in item order by
         // `map_indexed`; a task that observes the infeasibility flag
         // returns `None` (its item stays unmemoized).
@@ -2083,15 +1742,7 @@ impl<'a> ProfileEvaluator<'a> {
                             members.push(pair);
                         }
                     }
-                    let mut tuple_key = Vec::new();
-                    let exact = if warm_opts.is_some() {
-                        stage_tuple_key(pairs, members, indices, &mut tuple_key);
-                        lambda_exact.get(tuple_key.as_slice()).map(|l| &l[..])
-                    } else {
-                        None
-                    };
-                    let warm = warm_opts.as_ref().map(|o| (o, &duals[comp]));
-                    let solve = solve_component(
+                    let alloc = solve_component(
                         &mut scratch,
                         &ctx,
                         budget,
@@ -2099,29 +1750,25 @@ impl<'a> ProfileEvaluator<'a> {
                         routes,
                         members,
                         indices,
-                        warm,
-                        exact,
                     );
-                    if solve.alloc.is_none() {
+                    if alloc.is_none() {
                         infeasible.store(true, Ordering::Relaxed);
                     }
                     let n_pairs = members.len();
                     *slot = Some(scratch);
-                    Some((comp, g, n_pairs, tuple_key, solve))
+                    Some((comp, g, n_pairs, alloc))
                 })
             });
         let any_infeasible = infeasible.into_inner();
         let mut fresh = Vec::new();
-        for (comp, g, n_pairs, tuple_key, solve) in results.into_iter().flatten() {
+        for (comp, g, n_pairs, alloc) in results.into_iter().flatten() {
             self.stats.components_solved += 1;
             self.stats.pairs_resolved_last_move += n_pairs as u64;
-            self.tuple_key = tuple_key;
-            self.absorb_lambda(comp, &solve);
             let off = self.comp_key_off[comp];
             let end = self.comp_key_off[comp + 1];
             let entry = MemoEntry {
                 epoch: self.epochs[comp],
-                alloc: solve.alloc,
+                alloc,
             };
             if g == WHOLE {
                 let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
@@ -2245,17 +1892,14 @@ fn resolve_route(ctx: &PerSlotContext<'_>, route: &Path) -> RouteData {
 /// [`assemble_instance`] layout routine — the same code path
 /// [`PerSlotContext::build_instance`] uses, so a component's (or dynamic
 /// group's) sub-instance is structurally the joint instance restricted
-/// to it. With `want_keys`, the constraint keys land in
-/// `Scratch::con_keys`.
+/// to it.
 fn build_instance_for<'r>(
     scratch: &mut Scratch,
     ctx: &PerSlotContext<'_>,
     budget: Option<u32>,
     routes: impl Iterator<Item = &'r RouteData>,
-    want_keys: bool,
 ) -> Result<AllocationInstance, qdn_solve::SolveError> {
     let edges = routes.flat_map(|route| route.edges.iter().map(|ev| (ev.edge, ev.u, ev.v, ev.p)));
-    let keys_out = want_keys.then_some(&mut scratch.con_keys);
     assemble_instance(
         &mut scratch.asm,
         ctx.snapshot,
@@ -2263,34 +1907,13 @@ fn build_instance_for<'r>(
         budget,
         ctx.v_weight,
         ctx.unit_price,
-        keys_out,
     )
-}
-
-/// Stages the exact-tuple λ key of a sub-instance into `out`: per
-/// member (ascending), its pair endpoints and selected route index —
-/// the identity under which [`SelectorSession`] remembers final dual
-/// prices across slots.
-fn stage_tuple_key(pairs: &[SdPair], members: &[usize], indices: &[usize], out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(members.len() * 3);
-    for &i in members {
-        out.push(pairs[i].source().index() as u32);
-        out.push(pairs[i].destination().index() as u32);
-        out.push(indices[i] as u32);
-    }
 }
 
 /// Builds and solves one sub-instance (a whole static component or a
 /// single dynamic group, `members` = its pair ids ascending), recycling
-/// the instance storage afterwards. `alloc == None` means the route
-/// combination is infeasible. With `warm`, a `RelaxAndRound` solve is
-/// seeded from the component's stored λ (when valid) and the final
-/// prices are returned for the caller to absorb into the store; an
-/// `exact` seed — this very sub-instance's most recent final λ, from
-/// the session's tuple memo — takes precedence over the gathered
-/// component store when its length matches the instance.
-#[allow(clippy::too_many_arguments)]
+/// the instance storage afterwards. `None` means the route combination
+/// is infeasible.
 fn solve_component(
     scratch: &mut Scratch,
     ctx: &PerSlotContext<'_>,
@@ -2299,62 +1922,12 @@ fn solve_component(
     routes: &[Vec<RouteData>],
     members: &[usize],
     indices: &[usize],
-    warm: Option<(&RelaxedOptions, &ComponentDual)>,
-    exact: Option<&[f64]>,
-) -> ComponentSolve {
+) -> Option<Box<[u32]>> {
     let route_iter = members.iter().map(|&i| &routes[i][indices[i]]);
-    if let Some((options, dual)) = warm {
-        let Ok(instance) = build_instance_for(scratch, ctx, budget, route_iter, true) else {
-            return ComponentSolve {
-                alloc: None,
-                dual: None,
-                warm_started: false,
-            };
-        };
-        // The same member set and routes assemble the same constraint
-        // order, so a stored exact seed lines up position-for-position;
-        // the length check only guards against a topology change racing
-        // a stale store (which `SelectorSession::reset` rules out).
-        let exact = exact.filter(|l| l.len() == scratch.con_keys.len());
-        if exact.is_none() && dual.valid {
-            let Scratch { warm, con_keys, .. } = &mut *scratch;
-            warm.clear();
-            warm.extend(con_keys.iter().map(|&k| dual.lambda[k as usize]));
-        }
-        let warm_lambda = match exact {
-            Some(l) => Some(l),
-            None => dual.valid.then_some(scratch.warm.as_slice()),
-        };
-        // Count only seeds the solver actually engages: an all-zero
-        // gathered λ makes `solve_relaxed_warm` run the plain cold path.
-        let warm_started = warm_lambda.is_some_and(|w| w.iter().any(|&l| l > 0.0));
-        let solution =
-            solve_relaxed_warm(&instance, options, warm_lambda).expect("validated instance solves");
-        let alloc = round_down_and_fill(&instance, &solution.x)
-            .ok()
-            .map(Vec::into_boxed_slice);
-        let keys = scratch.con_keys.clone();
-        scratch.asm.recycle(instance);
-        ComponentSolve {
-            alloc,
-            dual: Some((keys, solution.lambda)),
-            warm_started,
-        }
-    } else {
-        let alloc = match build_instance_for(scratch, ctx, budget, route_iter, false) {
-            Ok(instance) => {
-                let flat = method.allocate(&instance);
-                scratch.asm.recycle(instance);
-                flat.map(Vec::into_boxed_slice)
-            }
-            Err(_) => None,
-        };
-        ComponentSolve {
-            alloc,
-            dual: None,
-            warm_started: false,
-        }
-    }
+    let instance = build_instance_for(scratch, ctx, budget, route_iter).ok()?;
+    let flat = method.allocate(&instance);
+    scratch.asm.recycle(instance);
+    flat.map(Vec::into_boxed_slice)
 }
 
 #[cfg(test)]
@@ -2365,6 +1938,7 @@ mod tests {
     use qdn_net::routes::{CandidateRoutes, RouteLimits};
     use qdn_net::{CapacitySnapshot, QdnNetwork};
     use qdn_physics::link::LinkModel;
+    use qdn_solve::relaxed::RelaxedOptions;
 
     /// Two disjoint diamonds plus one extra pair inside the first.
     fn two_diamonds() -> QdnNetwork {
@@ -2448,8 +2022,7 @@ mod tests {
         assert_eq!(eval.component_count(), 2);
         assert!(eval.pair_is_isolated(0));
         assert!(eval.pair_is_isolated(1));
-        assert!(!eval.warm_start_enabled());
-        assert_eq!(eval.options().partition, PartitionMode::Dynamic);
+        assert_eq!(eval.options(), EvalOptions::default());
     }
 
     #[test]
@@ -2520,45 +2093,39 @@ mod tests {
                 AllocationMethod::Greedy,
                 AllocationMethod::Minimal,
             ] {
-                for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                    let options = EvalOptions {
-                        partition,
-                        warm_profile_seed: false,
-                    };
-                    let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                    // Every profile in the (small) product space.
-                    let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
-                    let mut indices = vec![0usize; cands.len()];
-                    'product_space: loop {
-                        let profile = profile_of(&cands, &indices);
-                        let reference = ctx.evaluate(&profile, &method);
-                        let incremental = eval.evaluate(&indices);
-                        match (&reference, &incremental) {
-                            (None, None) => {}
-                            (Some(r), Some(x)) => {
-                                assert_eq!(r.objective.to_bits(), x.objective.to_bits());
-                                assert_eq!(r.allocations, x.allocations);
-                            }
-                            _ => panic!("feasibility mismatch at {indices:?} ({partition:?})"),
+                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
+                // Every profile in the (small) product space.
+                let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
+                let mut indices = vec![0usize; cands.len()];
+                'product_space: loop {
+                    let profile = profile_of(&cands, &indices);
+                    let reference = ctx.evaluate(&profile, &method);
+                    let incremental = eval.evaluate(&indices);
+                    match (&reference, &incremental) {
+                        (None, None) => {}
+                        (Some(r), Some(x)) => {
+                            assert_eq!(r.objective.to_bits(), x.objective.to_bits());
+                            assert_eq!(r.allocations, x.allocations);
                         }
-                        assert_eq!(
-                            ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                            eval.evaluate_objective(&indices).map(f64::to_bits)
-                        );
-                        let mut pos = 0;
-                        loop {
-                            if pos == indices.len() {
-                                // Odometer wrapped: this combination is
-                                // exhausted; move on to the next one.
-                                break 'product_space;
-                            }
-                            indices[pos] += 1;
-                            if indices[pos] < radix[pos] {
-                                break;
-                            }
-                            indices[pos] = 0;
-                            pos += 1;
+                        _ => panic!("feasibility mismatch at {indices:?}"),
+                    }
+                    assert_eq!(
+                        ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
+                        eval.evaluate_objective(&indices).map(f64::to_bits)
+                    );
+                    let mut pos = 0;
+                    loop {
+                        if pos == indices.len() {
+                            // Odometer wrapped: this combination is
+                            // exhausted; move on to the next one.
+                            break 'product_space;
                         }
+                        indices[pos] += 1;
+                        if indices[pos] < radix[pos] {
+                            break;
+                        }
+                        indices[pos] = 0;
+                        pos += 1;
                     }
                 }
             }
@@ -2662,25 +2229,16 @@ mod tests {
         assert_eq!(s.components_solved, 4);
         assert_eq!(s.pairs_resolved_last_move, 0);
 
-        // The dynamic path is bit-identical to the static engine on the
+        // The dynamic path is bit-identical to the full rebuild on the
         // same walk.
-        let mut static_eval = ProfileEvaluator::new(
-            &ctx,
-            &cands,
-            &AllocationMethod::default(),
-            EvalOptions::static_partition(),
-        );
+        let method = AllocationMethod::default();
         for indices in [[0, 0, via_a], [0, 0, via_b]] {
             assert_eq!(
-                static_eval.evaluate_objective(&indices).map(f64::to_bits),
+                ctx.evaluate_objective(&profile_of(&cands, &indices), &method)
+                    .map(f64::to_bits),
                 eval.evaluate_objective(&indices).map(f64::to_bits),
             );
         }
-        // The static engine never refines: its gauge stays at the
-        // component count and its churn counters at zero.
-        let s = static_eval.stats();
-        assert_eq!(s.dynamic_components, 1);
-        assert_eq!((s.component_merges, s.component_splits), (0, 0));
     }
 
     #[test]
@@ -2894,40 +2452,6 @@ mod tests {
     }
 
     #[test]
-    fn global_invalidation_ablation_flushes_everything() {
-        let net = two_diamonds();
-        let full = CapacitySnapshot::full(&net);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let options = EvalOptions::default();
-
-        let mut session = SelectorSession::new();
-        session.set_global_invalidation(true);
-        assert!(session.global_invalidation());
-        let ctx = PerSlotContext::oscar(&net, &full, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx, &cands, &method, options);
-        eval.evaluate_objective(&[0, 0]).unwrap();
-        eval.retire(&mut session);
-
-        let mut channels = vec![5u32; 8];
-        channels[4] = 4;
-        let cut = CapacitySnapshot::clamped(&net, vec![10; 8], channels);
-        let ctx2 = PerSlotContext::oscar(&net, &cut, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx2, &cands, &method, options);
-        let report = session.last_invalidation();
-        assert_eq!(report.regions_flushed, 2, "global mode flushes all");
-        eval.evaluate_objective(&[0, 0]).unwrap();
-        assert_eq!(eval.stats().components_solved, 2, "no region survives");
-        assert_eq!(eval.stats().memo_hits, 0);
-        eval.retire(&mut session);
-    }
-
-    #[test]
     fn stale_route_seed_relocates_or_forgets() {
         // Satellite regression: a carried-over profile must be matched
         // by route identity, not index, once churn repair reshuffles or
@@ -2975,77 +2499,78 @@ mod tests {
 
     #[test]
     fn eval_options_serde_round_trip() {
-        for options in [
-            EvalOptions::default(),
-            EvalOptions::static_partition(),
-            EvalOptions::warm_seeded(),
-        ] {
+        for options in [EvalOptions::default(), EvalOptions::warm_seeded()] {
             let json = serde_json::to_string(&options).unwrap();
-            assert!(json.contains("\"partition\""), "{json}");
-            assert!(json.contains("\"warm_profile_seed\""), "{json}");
+            assert_eq!(
+                json,
+                format!(r#"{{"warm_profile_seed":{}}}"#, options.warm_profile_seed)
+            );
             let back: EvalOptions = serde_json::from_str(&json).unwrap();
             assert_eq!(options, back);
         }
-        // Loud compat breaks: both fields are required.
-        assert!(serde_json::from_str::<EvalOptions>("{}").is_err());
-        assert!(serde_json::from_str::<EvalOptions>(r#"{"partition":"Dynamic"}"#).is_err());
+        // Loud compat break: the field is required.
+        let err = serde_json::from_str::<EvalOptions>("{}")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("missing field `warm_profile_seed`"), "{err}");
     }
 
+    /// Removed fields are rejected by name rather than silently
+    /// ignored, so a stale config cannot run with semantics it did not
+    /// ask for.
     #[test]
-    fn warm_start_reuses_neighbor_lambda_and_agrees() {
+    fn removed_fields_fail_with_unknown_field_error() {
+        let json = r#"{"partition":"Dynamic","warm_profile_seed":false}"#;
+        let err = serde_json::from_str::<EvalOptions>(json)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown field `partition`"), "{err}");
+    }
+
+    /// A version-2 snapshot (which carried λ stores, the
+    /// global-invalidation flag, and `partition` inside the embedded
+    /// evaluator options) is refused, never half-installed.
+    #[test]
+    fn restore_refuses_v2_snapshot() {
+        fn as_v2(v3: &SessionSnapshot) -> String {
+            serde_json::to_string(v3)
+                .unwrap()
+                .replace(r#""version":3,"#, r#""version":2,"#)
+                .replace(r#""shared":"#, r#""global_invalidation":false,"shared":"#)
+                .replace(
+                    r#""prev_selected":"#,
+                    r#""lambda_exact":[],"lambda_dense":[],"lambda_dense_valid":false,"prev_selected":"#,
+                )
+                .replace(r#""options":{"#, r#""options":{"partition":"Dynamic","#)
+        }
+
+        // An empty session: the v2 layout decodes, and the version
+        // check refuses it.
+        let empty = SelectorSession::new().snapshot();
+        assert_eq!(empty.version, SESSION_SNAPSHOT_VERSION);
+        let v2: SessionSnapshot = serde_json::from_str(&as_v2(&empty)).unwrap();
+        assert_eq!(v2.version, 2);
+        let err = SelectorSession::restore(&v2).unwrap_err();
+        assert_eq!(err, "session snapshot version 2 (expected 3)");
+
+        // A used session embeds its evaluator options, whose removed
+        // `partition` key already fails the decode by name.
         let net = two_diamonds();
         let snap = CapacitySnapshot::full(&net);
         let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(1), NodeId(2)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
+        let owned = owned_candidates(&net, &[SdPair::new(NodeId(0), NodeId(3)).unwrap()]);
         let cands = to_cands(&owned);
-        let warm_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-            warm_start: true,
-            ..RelaxedOptions::default()
-        });
-        let cold_method = AllocationMethod::RelaxAndRound(RelaxedOptions::default());
-        let mut warm_eval =
-            ProfileEvaluator::new(&ctx, &cands, &warm_method, EvalOptions::default());
-        let mut cold_eval =
-            ProfileEvaluator::new(&ctx, &cands, &cold_method, EvalOptions::default());
-        assert!(warm_eval.warm_start_enabled());
-
-        // First evaluation is cold everywhere (no stored λ yet).
-        let w0 = warm_eval.evaluate_objective(&[0, 0]).unwrap();
-        let c0 = cold_eval.evaluate_objective(&[0, 0]).unwrap();
-        assert_eq!(w0.to_bits(), c0.to_bits(), "no λ stored: must match cold");
-        assert_eq!(warm_eval.stats().warm_started, 0);
-
-        // Fresh tuples now warm-start from the neighboring profile's λ
-        // and agree with the cold path within the solver tolerance.
-        let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
-        let mut checked = 0;
-        for r0 in 0..radix[0] {
-            for r1 in 0..radix[1] {
-                let warm = warm_eval.evaluate_objective(&[r0, r1]);
-                let cold = cold_eval.evaluate_objective(&[r0, r1]);
-                match (warm, cold) {
-                    (None, None) => {}
-                    (Some(w), Some(c)) => {
-                        let tol = 0.05 * (1.0 + c.abs());
-                        assert!(
-                            (w - c).abs() <= tol,
-                            "[{r0},{r1}]: warm {w} vs cold {c} (tol {tol})"
-                        );
-                        checked += 1;
-                    }
-                    (w, c) => panic!("feasibility diverged at [{r0},{r1}]: {w:?} vs {c:?}"),
-                }
-            }
-        }
-        assert!(checked >= 2, "route space too small to exercise warm path");
-        assert!(
-            warm_eval.stats().warm_started > 0,
-            "warm starts never engaged: {:?}",
-            warm_eval.stats()
-        );
+        let method = AllocationMethod::default();
+        let mut session = SelectorSession::new();
+        let mut eval =
+            ProfileEvaluator::new_in(&mut session, &ctx, &cands, &method, EvalOptions::default());
+        eval.evaluate_objective(&[0]).unwrap();
+        eval.retire(&mut session);
+        let used = session.snapshot();
+        assert!(SelectorSession::restore(&used).is_ok());
+        let err = serde_json::from_str::<SessionSnapshot>(&as_v2(&used))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown field `partition`"), "{err}");
     }
 }

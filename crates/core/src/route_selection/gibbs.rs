@@ -156,7 +156,7 @@ pub fn run(
 }
 
 /// [`run`] backed by a [`SelectorSession`]: the evaluator recycles the
-/// session's arena/memos/λ stores, and — when
+/// session's arena and memos, and — when
 /// [`EvalOptions::warm_profile_seed`] is set and the session remembers a
 /// previous slot's selection — every chain starts from that profile
 /// instead of a random draw (new pairs start on their shortest
@@ -839,7 +839,7 @@ mod tests {
             max_init_attempts: 3,
             restarts: 4,
             warm_iterations: 12,
-            evaluator: EvalOptions::static_partition(),
+            evaluator: EvalOptions::warm_seeded(),
         };
         let json = serde_json::to_string(&cfg).unwrap();
         assert!(json.contains("\"restarts\":4"), "{json}");

@@ -239,13 +239,15 @@ proptest! {
     /// bit-identical to the full-rebuild `PerSlotContext::evaluate` path:
     /// same feasibility verdicts, same objectives (compared via
     /// `to_bits`), same allocations — across random topologies, random
-    /// pair sets, every allocation method, and a random walk of
-    /// single-pair moves (the Gibbs/greedy access pattern, which
-    /// exercises the per-component memo on both hits and misses).
+    /// 2–4-pair sets, every allocation method, and a random walk that
+    /// mixes single-pair moves (the Gibbs/greedy access pattern, which
+    /// exercises both memo levels on hits and misses and churns the
+    /// dynamic groups through merges and splits) with an arbitrary
+    /// profile jump every third step.
     #[test]
     fn incremental_matches_full_rebuild(
         net in arb_ring_network(),
-        n_pairs in 1usize..4,
+        n_pairs in 2usize..5,
         v in 10.0f64..3000.0,
         price in 0.0f64..40.0,
         seed in 0u64..1000,
@@ -276,8 +278,6 @@ proptest! {
             AllocationMethod::Greedy,
             AllocationMethod::Minimal,
         ] {
-            // The default (dynamic-partition) evaluator; static-vs-
-            // dynamic equivalence is `dynamic_matches_static_partition`.
             let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
             let mut indices: Vec<usize> = cands
                 .iter()
@@ -318,238 +318,82 @@ proptest! {
                     ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
                     eval.evaluate_objective(&indices).map(f64::to_bits)
                 );
-                let i = rng.random_range(0..indices.len());
-                indices[i] = rng.random_range(0..cands[i].routes.len());
+                if step % 3 == 2 {
+                    for (idx, c) in indices.iter_mut().zip(&cands) {
+                        *idx = rng.random_range(0..c.routes.len());
+                    }
+                } else {
+                    let i = rng.random_range(0..indices.len());
+                    indices[i] = rng.random_range(0..cands[i].routes.len());
+                }
             }
+            // The dynamic refinement never coarsens the static envelope.
+            prop_assert!(eval.stats().dynamic_components >= eval.component_count() as u64);
         }
     }
 
     /// A run that threads one `SelectorSession` through every slot is
     /// bit-identical to building everything fresh per slot, as long as
-    /// warm seeding is off (`warm_profile_seed: false` and
-    /// `warm_start: false`) — across both partitions, Gibbs and
-    /// greedy-local selectors, drifting prices,
-    /// changing request sets, and alternating OSCAR/budgeted contexts.
+    /// warm seeding is off (`warm_profile_seed: false`) — across Gibbs
+    /// and greedy-local selectors, drifting prices, changing request
+    /// sets, and alternating OSCAR/budgeted contexts.
     #[test]
     fn session_matches_fresh_per_slot(
         net in arb_ring_network(),
         seed in 0u64..1000,
         v in 100.0f64..2000.0,
     ) {
-        use qdn_core::profile_eval::{EvalOptions, PartitionMode, SelectorSession};
+        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
         use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
 
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-            let evaluator = EvalOptions { partition, warm_profile_seed: false };
-            for selector in [
-                RouteSelector::Gibbs(GibbsConfig {
-                    iterations: 10,
-                    evaluator,
-                    ..GibbsConfig::paper_default()
-                }),
-                RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
-            ] {
-                let mut session = SelectorSession::new();
-                let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-                // Identical policy RNG streams for the two paths.
-                let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-                let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-                let mut price = 1.0 + (seed % 7) as f64;
-                for slot in 0..4u64 {
-                    let n_pairs = 1 + (slot as usize + seed as usize) % 2;
-                    let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-                        .map(|_| {
-                            let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
-                            (pair, cr.routes(&net, pair).to_vec())
-                        })
-                        .filter(|(_, routes)| !routes.is_empty())
-                        .collect();
-                    let cands: Vec<Candidates> = owned
-                        .iter()
-                        .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                        .collect();
-                    let snap = CapacitySnapshot::full(&net);
-                    // Alternate the budget-coupled myopic context in.
-                    let ctx = if slot % 2 == 0 {
-                        PerSlotContext::oscar(&net, &snap, v, price)
-                    } else {
-                        PerSlotContext::myopic(&net, &snap, 40 + slot)
-                    };
-                    let with_session =
-                        selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-                    let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-                    prop_assert_eq!(
-                        &with_session, &fresh,
-                        "slot {} diverged ({:?}, {})",
-                        slot, partition, selector.label()
-                    );
-                    price += 3.0 + (slot as f64) * 2.0; // drifting q_t
-                }
-            }
-        }
-    }
-
-    /// With warm starts enabled (`RelaxedOptions::warm_start` — session
-    /// λ seeding engages across slots), the session path is no longer
-    /// bit-identical, but on an *exact* selector (exhaustive
-    /// enumeration) it must select profiles whose objectives agree with
-    /// the fresh path within the solver's certified tolerance, slot
-    /// after slot. This is the "within the certified gap" arm of the
-    /// session determinism contract.
-    #[test]
-    fn warm_session_objective_within_certified_gap(
-        net in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
-        use qdn_core::route_selection::{Candidates, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-            warm_start: true,
-            ..qdn_solve::RelaxedOptions::default()
-        });
-        let selector = RouteSelector::Exhaustive {
-            max_combinations: 4096,
-            fallback: qdn_core::route_selection::GibbsConfig::paper_default(),
-            evaluator: EvalOptions::warm_seeded(),
-        };
-        let mut session = SelectorSession::new();
-        let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
-        let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
-        let mut price = 1.0;
-        for slot in 0..5u64 {
-            let owned: Vec<(SdPair, Vec<Path>)> = (0..2)
-                .map(|_| {
-                    let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
-                    (pair, cr.routes(&net, pair).to_vec())
-                })
-                .filter(|(_, routes)| !routes.is_empty())
-                .collect();
-            let cands: Vec<Candidates> = owned
-                .iter()
-                .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                .collect();
-            let snap = CapacitySnapshot::full(&net);
-            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-            let warm = selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-            let cold = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-            match (&warm, &cold) {
-                (None, None) => {}
-                (Some(w), Some(c)) => {
-                    let (w, c) = (w.evaluation.objective, c.evaluation.objective);
-                    // Same tolerance discipline as the evaluator's
-                    // neighbor-λ agreement test: warm answers may move
-                    // within the solver tolerance, never past it.
-                    let tol = 0.05 * (1.0 + c.abs());
-                    prop_assert!(
-                        (w - c).abs() <= tol,
-                        "slot {}: warm {} vs cold {} (tol {})", slot, w, c, tol
-                    );
-                }
-                _ => prop_assert!(false, "feasibility diverged at slot {}", slot),
-            }
-            price += 5.0;
-        }
-    }
-
-    /// The dynamic route-keyed partition is bit-identical to the static
-    /// candidate-union partition (and hence, transitively through
-    /// `incremental_matches_full_rebuild`, to the full-rebuild path):
-    /// same feasibility verdicts, same objectives (via `to_bits`), same
-    /// allocations — across random topologies and pair sets, the
-    /// relax-and-round and greedy allocators, and a random walk that
-    /// mixes single-pair moves (the selectors' access pattern, which
-    /// churns the dynamic groups through merges and splits) with
-    /// arbitrary profile jumps.
-    #[test]
-    fn dynamic_matches_static_partition(
-        net in arb_ring_network(),
-        n_pairs in 2usize..5,
-        v in 10.0f64..3000.0,
-        price in 0.0f64..40.0,
-        seed in 0u64..1000,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::Candidates;
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-        use rand::RngExt;
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-            .map(|_| {
-                let pair = qdn_net::workload::random_sd_pair(&mut rng, &net);
-                (pair, cr.routes(&net, pair).to_vec())
-            })
-            .collect();
-        prop_assume!(owned.iter().all(|(_, routes)| !routes.is_empty()));
-        let cands: Vec<Candidates> = owned
-            .iter()
-            .map(|(pair, routes)| Candidates { pair: *pair, routes })
-            .collect();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-
-        for method in [
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default()),
-            AllocationMethod::Greedy,
+        let evaluator = EvalOptions::default();
+        for selector in [
+            RouteSelector::Gibbs(GibbsConfig {
+                iterations: 10,
+                evaluator,
+                ..GibbsConfig::paper_default()
+            }),
+            RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
         ] {
-            let mut dynamic =
-                ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
-            let mut fixed =
-                ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::static_partition());
-            let mut indices: Vec<usize> = cands
-                .iter()
-                .map(|c| rng.random_range(0..c.routes.len()))
-                .collect();
-            for step in 0..18 {
-                // Alternate single-pair moves with arbitrary jumps.
-                if step % 3 == 2 {
-                    for idx in indices.iter_mut().zip(&cands) {
-                        *idx.0 = rng.random_range(0..idx.1.routes.len());
-                    }
+            let mut session = SelectorSession::new();
+            let mut env = rand::rngs::StdRng::seed_from_u64(seed);
+            // Identical policy RNG streams for the two paths.
+            let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
+            let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
+            let mut price = 1.0 + (seed % 7) as f64;
+            for slot in 0..4u64 {
+                let n_pairs = 1 + (slot as usize + seed as usize) % 2;
+                let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
+                    .map(|_| {
+                        let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
+                        (pair, cr.routes(&net, pair).to_vec())
+                    })
+                    .filter(|(_, routes)| !routes.is_empty())
+                    .collect();
+                let cands: Vec<Candidates> = owned
+                    .iter()
+                    .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                    .collect();
+                let snap = CapacitySnapshot::full(&net);
+                // Alternate the budget-coupled myopic context in.
+                let ctx = if slot % 2 == 0 {
+                    PerSlotContext::oscar(&net, &snap, v, price)
                 } else {
-                    let i = rng.random_range(0..indices.len());
-                    indices[i] = rng.random_range(0..cands[i].routes.len());
-                }
-                let (dyn_ev, static_ev) = (dynamic.evaluate(&indices), fixed.evaluate(&indices));
-                match (&static_ev, &dyn_ev) {
-                    (None, None) => {}
-                    (Some(s), Some(d)) => {
-                        prop_assert_eq!(
-                            s.objective.to_bits(),
-                            d.objective.to_bits(),
-                            "objective diverged at step {} ({}): {} vs {}",
-                            step,
-                            method.label(),
-                            s.objective,
-                            d.objective
-                        );
-                        prop_assert_eq!(&s.allocations, &d.allocations);
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "feasibility diverged at step {} ({})",
-                        step,
-                        method.label()
-                    ),
-                }
+                    PerSlotContext::myopic(&net, &snap, 40 + slot)
+                };
+                let with_session =
+                    selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
+                let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
                 prop_assert_eq!(
-                    fixed.evaluate_objective(&indices).map(f64::to_bits),
-                    dynamic.evaluate_objective(&indices).map(f64::to_bits)
+                    &with_session, &fresh,
+                    "slot {} diverged ({})",
+                    slot, selector.label()
                 );
+                price += 3.0 + (slot as f64) * 2.0; // drifting q_t
             }
-            // The dynamic refinement never coarsens the static envelope.
-            prop_assert!(
-                dynamic.stats().dynamic_components >= fixed.stats().dynamic_components
-            );
         }
     }
 
@@ -557,8 +401,8 @@ proptest! {
     /// slots through the engine facade, snapshotting mid-run through
     /// the JSON wire form, restoring into a fresh `EngineState`, and
     /// continuing both the original and the restored state with twin
-    /// RNGs yields bit-identical decisions — across both partitions.
-    /// The restored state must also re-snapshot to
+    /// RNGs yields bit-identical decisions. The restored state must also
+    /// re-snapshot to
     /// the exact same bytes (canonical ordering), which is what lets
     /// the serve daemon restart warm without drifting.
     #[test]
@@ -567,7 +411,7 @@ proptest! {
         seed in 0u64..1000,
         v in 100.0f64..2000.0,
     ) {
-        use qdn_core::profile_eval::{EvalOptions, PartitionMode};
+        use qdn_core::profile_eval::EvalOptions;
         use qdn_core::route_selection::{GibbsConfig, RouteSelector};
         use qdn_core::{decide, EngineSnapshot, EngineState, SlotDecisionRequest};
         use qdn_net::routes::RouteLimits;
@@ -584,67 +428,64 @@ proptest! {
             .collect();
         let snap = CapacitySnapshot::full(&net);
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-            let evaluator = EvalOptions { partition, warm_profile_seed: false };
-            let selector = RouteSelector::Gibbs(GibbsConfig {
-                iterations: 8,
-                evaluator,
-                ..GibbsConfig::paper_default()
+        let evaluator = EvalOptions::default();
+        let selector = RouteSelector::Gibbs(GibbsConfig {
+            iterations: 8,
+            evaluator,
+            ..GibbsConfig::paper_default()
+        });
+        let mut state = EngineState::new(RouteLimits::paper_default());
+        let mut price = 1.0 + (seed % 5) as f64;
+        for (slot, reqs) in trace.iter().enumerate().take(3) {
+            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+            let _ = decide(&mut state, SlotDecisionRequest {
+                network: &net,
+                requests: reqs,
+                ctx: &ctx,
+                selector: &selector,
+                allocation: &method,
+                fidelity_target: None,
+                rng: &mut rng,
             });
-            let mut state = EngineState::new(RouteLimits::paper_default());
-            let mut price = 1.0 + (seed % 5) as f64;
-            for (slot, reqs) in trace.iter().enumerate().take(3) {
-                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                let _ = decide(&mut state, SlotDecisionRequest {
-                    network: &net,
-                    requests: reqs,
-                    ctx: &ctx,
-                    selector: &selector,
-                    allocation: &method,
-                    fidelity_target: None,
-                    rng: &mut rng,
-                });
-                price += 3.0 + slot as f64;
-            }
-            let wire = serde_json::to_string(&state.snapshot()).unwrap();
-            let decoded: EngineSnapshot = serde_json::from_str(&wire).unwrap();
-            let mut restored = EngineState::restore(&decoded).unwrap();
+            price += 3.0 + slot as f64;
+        }
+        let wire = serde_json::to_string(&state.snapshot()).unwrap();
+        let decoded: EngineSnapshot = serde_json::from_str(&wire).unwrap();
+        let mut restored = EngineState::restore(&decoded).unwrap();
+        prop_assert_eq!(
+            serde_json::to_string(&restored.snapshot()).unwrap(),
+            wire,
+            "re-snapshot not byte-identical"
+        );
+        for (slot, reqs) in trace.iter().enumerate().skip(3) {
+            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+            let cont = decide(&mut state, SlotDecisionRequest {
+                network: &net,
+                requests: reqs,
+                ctx: &ctx,
+                selector: &selector,
+                allocation: &method,
+                fidelity_target: None,
+                rng: &mut rng_a,
+            });
+            let rest = decide(&mut restored, SlotDecisionRequest {
+                network: &net,
+                requests: reqs,
+                ctx: &ctx,
+                selector: &selector,
+                allocation: &method,
+                fidelity_target: None,
+                rng: &mut rng_b,
+            });
             prop_assert_eq!(
-                serde_json::to_string(&restored.snapshot()).unwrap(),
-                wire,
-                "re-snapshot not byte-identical ({:?})",
-                partition
+                &cont, &rest,
+                "slot {} diverged after restore",
+                slot
             );
-            for (slot, reqs) in trace.iter().enumerate().skip(3) {
-                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                let cont = decide(&mut state, SlotDecisionRequest {
-                    network: &net,
-                    requests: reqs,
-                    ctx: &ctx,
-                    selector: &selector,
-                    allocation: &method,
-                    fidelity_target: None,
-                    rng: &mut rng_a,
-                });
-                let rest = decide(&mut restored, SlotDecisionRequest {
-                    network: &net,
-                    requests: reqs,
-                    ctx: &ctx,
-                    selector: &selector,
-                    allocation: &method,
-                    fidelity_target: None,
-                    rng: &mut rng_b,
-                });
-                prop_assert_eq!(
-                    &cont, &rest,
-                    "slot {} diverged after restore ({:?})",
-                    slot, partition
-                );
-                price += 3.0 + slot as f64;
-            }
+            price += 3.0 + slot as f64;
         }
     }
 
@@ -652,8 +493,8 @@ proptest! {
     /// rebuild: threading one `SelectorSession` (and one incrementally
     /// repaired `CandidateRoutes` cache) through a trace of link cuts
     /// and repairs is bit-identical to building the evaluator fresh
-    /// every slot over the same candidates — across both partitions.
-    /// Region-scoped invalidation may retain memos
+    /// every slot over the same candidates. Region-scoped invalidation
+    /// may retain memos
     /// across a cut; this pins down that it never retains a stale one.
     #[test]
     fn churn_matches_cold_rebuild(
@@ -661,7 +502,7 @@ proptest! {
         seed in 0u64..1000,
         v in 100.0f64..2000.0,
     ) {
-        use qdn_core::profile_eval::{EvalOptions, PartitionMode, SelectorSession};
+        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
         use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
 
@@ -673,62 +514,60 @@ proptest! {
             .collect();
         let m = net.edge_count();
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-            let evaluator = EvalOptions { partition, warm_profile_seed: false };
-            let selector = RouteSelector::Gibbs(GibbsConfig {
-                iterations: 8,
-                evaluator,
-                ..GibbsConfig::paper_default()
-            });
-            let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut session = SelectorSession::new();
-            let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-            let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-            let mut down = vec![false; m];
-            let mut price = 1.0 + (seed % 5) as f64;
-            for slot in 0..6u64 {
-                // Toggle one link per slot: first sighting cuts it,
-                // the next toggle repairs it — a fail/repair trace.
-                let e = ((seed as usize).wrapping_add(slot as usize * 7)) % m;
-                down[e] = !down[e];
-                let channels: Vec<u32> = net
-                    .graph()
-                    .edge_ids()
-                    .map(|e| if down[e.index()] { 0 } else { net.channel_capacity(e) })
-                    .collect();
-                let qubits: Vec<u32> = net
-                    .graph()
-                    .node_ids()
-                    .map(|v| net.qubit_capacity(v))
-                    .collect();
-                let snap = CapacitySnapshot::clamped(&net, qubits, channels);
-                cr.sync_dead_edges(&net, &snap);
-                let owned: Vec<(SdPair, Vec<Path>)> = pairs
-                    .iter()
-                    .map(|&p| (p, cr.routes(&net, p).to_vec()))
-                    .filter(|(_, routes)| !routes.is_empty())
-                    .collect();
-                if owned.is_empty() {
-                    // Both paths see the same disconnection; the
-                    // session simply idles this slot.
-                    price += 2.0;
-                    continue;
-                }
-                let cands: Vec<Candidates> = owned
-                    .iter()
-                    .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                    .collect();
-                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                let with_session =
-                    selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-                let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-                prop_assert_eq!(
-                    &with_session, &fresh,
-                    "slot {} diverged ({:?})",
-                    slot, partition
-                );
-                price += 3.0 + (slot as f64);
+        let evaluator = EvalOptions::default();
+        let selector = RouteSelector::Gibbs(GibbsConfig {
+            iterations: 8,
+            evaluator,
+            ..GibbsConfig::paper_default()
+        });
+        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+        let mut session = SelectorSession::new();
+        let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
+        let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
+        let mut down = vec![false; m];
+        let mut price = 1.0 + (seed % 5) as f64;
+        for slot in 0..6u64 {
+            // Toggle one link per slot: first sighting cuts it,
+            // the next toggle repairs it — a fail/repair trace.
+            let e = ((seed as usize).wrapping_add(slot as usize * 7)) % m;
+            down[e] = !down[e];
+            let channels: Vec<u32> = net
+                .graph()
+                .edge_ids()
+                .map(|e| if down[e.index()] { 0 } else { net.channel_capacity(e) })
+                .collect();
+            let qubits: Vec<u32> = net
+                .graph()
+                .node_ids()
+                .map(|v| net.qubit_capacity(v))
+                .collect();
+            let snap = CapacitySnapshot::clamped(&net, qubits, channels);
+            cr.sync_dead_edges(&net, &snap);
+            let owned: Vec<(SdPair, Vec<Path>)> = pairs
+                .iter()
+                .map(|&p| (p, cr.routes(&net, p).to_vec()))
+                .filter(|(_, routes)| !routes.is_empty())
+                .collect();
+            if owned.is_empty() {
+                // Both paths see the same disconnection; the
+                // session simply idles this slot.
+                price += 2.0;
+                continue;
             }
+            let cands: Vec<Candidates> = owned
+                .iter()
+                .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                .collect();
+            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+            let with_session =
+                selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
+            let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
+            prop_assert_eq!(
+                &with_session, &fresh,
+                "slot {} diverged",
+                slot
+            );
+            price += 3.0 + (slot as f64);
         }
     }
 
@@ -736,9 +575,8 @@ proptest! {
     /// node-cut snapshot additionally zeroes the dark node's qubits,
     /// but no surviving candidate can cross a node whose links are all
     /// dead, so that capacity never enters an allocation instance and
-    /// the slot decisions are bit-identical. The same node-cut trace is
-    /// also replayed under the global flush-everything ablation
-    /// (`set_global_invalidation`), pinning that region-scoped
+    /// the slot decisions are bit-identical. Both are also compared with
+    /// a cold rebuild every slot, pinning that region-scoped
     /// invalidation never retains a stale memo across a node cut.
     #[test]
     fn node_churn_matches_edge_set_churn(
@@ -746,7 +584,7 @@ proptest! {
         seed in 0u64..1000,
         v in 100.0f64..2000.0,
     ) {
-        use qdn_core::profile_eval::{EvalOptions, PartitionMode, SelectorSession};
+        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
         use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
 
@@ -756,124 +594,116 @@ proptest! {
             .collect();
         let n = net.node_count();
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-            let evaluator = EvalOptions { partition, warm_profile_seed: false };
-            let selector = RouteSelector::Gibbs(GibbsConfig {
-                iterations: 8,
-                evaluator,
-                ..GibbsConfig::paper_default()
-            });
-            // Three sessions over one churn trace: node cuts under
-            // region-scoped invalidation, the same cuts expressed as
-            // pure edge-set cuts, and node cuts under global flush.
-            let mut cr_node = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut cr_edge = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut cr_glob = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut s_node = SelectorSession::new();
-            let mut s_edge = SelectorSession::new();
-            let mut s_glob = SelectorSession::new();
-            s_glob.set_global_invalidation(true);
-            let mut rng_node = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-            let mut rng_edge = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-            let mut rng_glob = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-            let mut down = vec![false; n];
-            let mut price = 1.0 + (seed % 5) as f64;
-            let mut decided = 0u32;
-            let mut cut: Vec<usize> = Vec::new();
-            for slot in 0..6u64 {
-                // Cut a region on even slots (all incident links die
-                // together), restore it on the next slot — the
-                // surviving ring keeps routing while every slot still
-                // crosses a transition. Every other cut darkens two
-                // ring-adjacent nodes at once (a correlated regional
-                // outage), the rest a single node.
-                if slot % 2 == 0 {
-                    let base = ((seed as usize).wrapping_add(slot as usize * 3)) % n;
-                    cut = if slot % 4 == 2 {
-                        vec![base, (base + 1) % n]
-                    } else {
-                        vec![base]
-                    };
-                    for &v in &cut {
-                        down[v] = true;
-                    }
+        let evaluator = EvalOptions::default();
+        let selector = RouteSelector::Gibbs(GibbsConfig {
+            iterations: 8,
+            evaluator,
+            ..GibbsConfig::paper_default()
+        });
+        // Two sessions over one churn trace — node cuts, and the same
+        // cuts expressed as pure edge-set cuts — plus a cold rebuild of
+        // the node-cut slot.
+        let mut cr_node = CandidateRoutes::new(RouteLimits::paper_default());
+        let mut cr_edge = CandidateRoutes::new(RouteLimits::paper_default());
+        let mut s_node = SelectorSession::new();
+        let mut s_edge = SelectorSession::new();
+        let mut rng_node = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
+        let mut rng_edge = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
+        let mut rng_cold = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
+        let mut down = vec![false; n];
+        let mut price = 1.0 + (seed % 5) as f64;
+        let mut decided = 0u32;
+        let mut cut: Vec<usize> = Vec::new();
+        for slot in 0..6u64 {
+            // Cut a region on even slots (all incident links die
+            // together), restore it on the next slot — the
+            // surviving ring keeps routing while every slot still
+            // crosses a transition. Every other cut darkens two
+            // ring-adjacent nodes at once (a correlated regional
+            // outage), the rest a single node.
+            if slot % 2 == 0 {
+                let base = ((seed as usize).wrapping_add(slot as usize * 3)) % n;
+                cut = if slot % 4 == 2 {
+                    vec![base, (base + 1) % n]
                 } else {
-                    for &v in &cut {
-                        down[v] = false;
-                    }
-                    cut.clear();
+                    vec![base]
+                };
+                for &v in &cut {
+                    down[v] = true;
                 }
-                let channels: Vec<u32> = net
-                    .graph()
-                    .edges()
-                    .map(|(e, u, w)| {
-                        if down[u.index()] || down[w.index()] {
-                            0
-                        } else {
-                            net.channel_capacity(e)
-                        }
-                    })
-                    .collect();
-                let full_qubits: Vec<u32> = net
-                    .graph()
-                    .node_ids()
-                    .map(|u| net.qubit_capacity(u))
-                    .collect();
-                let dark_qubits: Vec<u32> = net
-                    .graph()
-                    .node_ids()
-                    .map(|u| if down[u.index()] { 0 } else { net.qubit_capacity(u) })
-                    .collect();
-                let snap_node = CapacitySnapshot::clamped(&net, dark_qubits, channels.clone());
-                let snap_edge = CapacitySnapshot::clamped(&net, full_qubits, channels);
-                cr_node.sync_dead_edges(&net, &snap_node);
-                cr_edge.sync_dead_edges(&net, &snap_edge);
-                cr_glob.sync_dead_edges(&net, &snap_node);
-                let owned: Vec<(SdPair, Vec<Path>)> = pairs
-                    .iter()
-                    .map(|&p| (p, cr_node.routes(&net, p).to_vec()))
-                    .filter(|(_, routes)| !routes.is_empty())
-                    .collect();
-                // All three caches saw the same dead-edge set, so the
-                // candidates must agree before any selection runs.
-                for (pair, routes) in &owned {
-                    prop_assert_eq!(routes, cr_edge.routes(&net, *pair));
-                    prop_assert_eq!(routes, cr_glob.routes(&net, *pair));
+            } else {
+                for &v in &cut {
+                    down[v] = false;
                 }
-                if owned.is_empty() {
-                    price += 2.0;
-                    continue;
-                }
-                let cands: Vec<Candidates> = owned
-                    .iter()
-                    .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                    .collect();
-                let ctx_node = PerSlotContext::oscar(&net, &snap_node, v, price);
-                let ctx_edge = PerSlotContext::oscar(&net, &snap_edge, v, price);
-                let d_node =
-                    selector.select_in(&mut s_node, &ctx_node, &cands, &method, &mut rng_node);
-                let d_edge =
-                    selector.select_in(&mut s_edge, &ctx_edge, &cands, &method, &mut rng_edge);
-                let d_glob =
-                    selector.select_in(&mut s_glob, &ctx_node, &cands, &method, &mut rng_glob);
-                decided += 1;
-                prop_assert_eq!(
-                    &d_node, &d_edge,
-                    "node cut vs incident-edge cut diverged at slot {} ({:?})",
-                    slot, partition
-                );
-                prop_assert_eq!(
-                    &d_node, &d_glob,
-                    "region-scoped vs global flush diverged at slot {} ({:?})",
-                    slot, partition
-                );
-                price += 3.0 + slot as f64;
+                cut.clear();
             }
-            // On a ring, cutting one node leaves a path graph, so the
-            // trace must actually decide slots — the equivalence above
-            // is vacuous otherwise.
-            prop_assert!(decided > 0, "every slot idled ({:?})", partition);
+            let channels: Vec<u32> = net
+                .graph()
+                .edges()
+                .map(|(e, u, w)| {
+                    if down[u.index()] || down[w.index()] {
+                        0
+                    } else {
+                        net.channel_capacity(e)
+                    }
+                })
+                .collect();
+            let full_qubits: Vec<u32> = net
+                .graph()
+                .node_ids()
+                .map(|u| net.qubit_capacity(u))
+                .collect();
+            let dark_qubits: Vec<u32> = net
+                .graph()
+                .node_ids()
+                .map(|u| if down[u.index()] { 0 } else { net.qubit_capacity(u) })
+                .collect();
+            let snap_node = CapacitySnapshot::clamped(&net, dark_qubits, channels.clone());
+            let snap_edge = CapacitySnapshot::clamped(&net, full_qubits, channels);
+            cr_node.sync_dead_edges(&net, &snap_node);
+            cr_edge.sync_dead_edges(&net, &snap_edge);
+            let owned: Vec<(SdPair, Vec<Path>)> = pairs
+                .iter()
+                .map(|&p| (p, cr_node.routes(&net, p).to_vec()))
+                .filter(|(_, routes)| !routes.is_empty())
+                .collect();
+            // Both caches saw the same dead-edge set, so the
+            // candidates must agree before any selection runs.
+            for (pair, routes) in &owned {
+                prop_assert_eq!(routes, cr_edge.routes(&net, *pair));
+            }
+            if owned.is_empty() {
+                price += 2.0;
+                continue;
+            }
+            let cands: Vec<Candidates> = owned
+                .iter()
+                .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                .collect();
+            let ctx_node = PerSlotContext::oscar(&net, &snap_node, v, price);
+            let ctx_edge = PerSlotContext::oscar(&net, &snap_edge, v, price);
+            let d_node =
+                selector.select_in(&mut s_node, &ctx_node, &cands, &method, &mut rng_node);
+            let d_edge =
+                selector.select_in(&mut s_edge, &ctx_edge, &cands, &method, &mut rng_edge);
+            let d_cold = selector.select(&ctx_node, &cands, &method, &mut rng_cold);
+            decided += 1;
+            prop_assert_eq!(
+                &d_node, &d_edge,
+                "node cut vs incident-edge cut diverged at slot {}",
+                slot
+            );
+            prop_assert_eq!(
+                &d_node, &d_cold,
+                "session vs cold rebuild diverged at slot {}",
+                slot
+            );
+            price += 3.0 + slot as f64;
         }
+        // On a ring, cutting one node leaves a path graph, so the
+        // trace must actually decide slots — the equivalence above
+        // is vacuous otherwise.
+        prop_assert!(decided > 0, "every slot idled");
     }
 }
 
@@ -883,7 +713,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pool widths 1, 2, and 4 × both partition modes, for both the
+    /// Pool widths 1, 2, and 4, for both the
     /// multi-chain Gibbs sampler (per-chain
     /// seeded RNG streams, chain-index-order reduction, compared
     /// against the always-serial shared-evaluator reference) and the
@@ -898,7 +728,7 @@ proptest! {
         price in 0.0f64..20.0,
         seed in 0u64..1000,
     ) {
-        use qdn_core::profile_eval::{EvalOptions, PartitionMode, ProfileEvaluator};
+        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
         use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
         use rand::RngExt;
@@ -921,106 +751,104 @@ proptest! {
         let chain_seeds: Vec<u64> = (0..4).map(|_| rng.random()).collect();
 
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-            let evaluator = EvalOptions { partition, warm_profile_seed: false };
+        let evaluator = EvalOptions::default();
 
-            // Gibbs restarts: the serial shared-evaluator reference
-            // trajectory, then the pool at each width.
-            let config = GibbsConfig {
-                iterations: 6,
-                restarts: chain_seeds.len(),
-                evaluator,
-                ..GibbsConfig::paper_default()
-            };
-            let reference = gibbs::sample_restarts_serial(
-                &ctx, &cands, &method, &config, &chain_seeds, None,
-            );
-            let mut greedy_reference = None;
-            for width in [1usize, 2, 4] {
-                let pool = threadpool::ThreadPool::new(width);
-                let got = pool.install(|| {
-                    gibbs::sample_restarts(&ctx, &cands, &method, &config, &chain_seeds)
-                });
-                match (&reference, &got) {
-                    (None, None) => {}
-                    (Some(r), Some(g)) => {
-                        prop_assert_eq!(
-                            r.evaluation.objective.to_bits(),
-                            g.evaluation.objective.to_bits(),
-                            "gibbs objective diverged at width {} ({:?})",
-                            width, partition
-                        );
-                        prop_assert_eq!(&r.indices, &g.indices);
-                        prop_assert_eq!(&r.evaluation.allocations, &g.evaluation.allocations);
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "gibbs feasibility diverged at width {} ({:?})",
-                        width, partition
-                    ),
-                }
-
-                // Greedy-local selector: same selection at every
-                // width (twin RNG streams), and the evaluator's
-                // pooled pre-pass stays bit-identical to the serial
-                // full-rebuild evaluation of the chosen profile.
-                let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
-                let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
-                let greedy = pool.install(|| {
-                    selector.select(&ctx, &cands, &method, &mut sel_rng)
-                });
-                if let Some(g) = &greedy {
-                    let profile: Vec<(SdPair, &Path)> = cands
-                        .iter()
-                        .zip(&g.indices)
-                        .map(|(c, &i)| (c.pair, &c.routes[i]))
-                        .collect();
-                    let rebuilt = ctx
-                        .evaluate(&profile, &method)
-                        .expect("selected profile is feasible");
+        // Gibbs restarts: the serial shared-evaluator reference
+        // trajectory, then the pool at each width.
+        let config = GibbsConfig {
+            iterations: 6,
+            restarts: chain_seeds.len(),
+            evaluator,
+            ..GibbsConfig::paper_default()
+        };
+        let reference = gibbs::sample_restarts_serial(
+            &ctx, &cands, &method, &config, &chain_seeds, None,
+        );
+        let mut greedy_reference = None;
+        for width in [1usize, 2, 4] {
+            let pool = threadpool::ThreadPool::new(width);
+            let got = pool.install(|| {
+                gibbs::sample_restarts(&ctx, &cands, &method, &config, &chain_seeds)
+            });
+            match (&reference, &got) {
+                (None, None) => {}
+                (Some(r), Some(g)) => {
                     prop_assert_eq!(
-                        rebuilt.objective.to_bits(),
+                        r.evaluation.objective.to_bits(),
                         g.evaluation.objective.to_bits(),
-                        "greedy evaluation diverged from full rebuild at width {}",
+                        "gibbs objective diverged at width {} ",
                         width
                     );
+                    prop_assert_eq!(&r.indices, &g.indices);
+                    prop_assert_eq!(&r.evaluation.allocations, &g.evaluation.allocations);
                 }
-                let first = greedy_reference.get_or_insert_with(|| greedy.clone());
-                prop_assert_eq!(
-                    &*first, &greedy,
-                    "greedy selection diverged at width {} ({:?})",
-                    width, partition
-                );
-
-                // The evaluator pre-pass directly: a short random
-                // walk, every profile compared bit-for-bit against
-                // the serial full rebuild.
-                let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
-                pool.install(|| -> proptest::TestCaseResult {
-                    let mut eval =
-                        ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
-                    let mut indices: Vec<usize> = cands
-                        .iter()
-                        .map(|c| walk_rng.random_range(0..c.routes.len()))
-                        .collect();
-                    for _ in 0..6 {
-                        let profile: Vec<(SdPair, &Path)> = cands
-                            .iter()
-                            .zip(&indices)
-                            .map(|(c, &i)| (c.pair, &c.routes[i]))
-                            .collect();
-                        prop_assert_eq!(
-                            ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                            eval.evaluate_objective(&indices).map(f64::to_bits),
-                            "pre-pass diverged at width {} ({:?})",
-                            width, partition
-                        );
-                        let i = walk_rng.random_range(0..indices.len());
-                        indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                    }
-                    Ok(())
-                })?;
+                _ => prop_assert!(
+                    false,
+                    "gibbs feasibility diverged at width {} ",
+                    width
+                ),
             }
+
+            // Greedy-local selector: same selection at every
+            // width (twin RNG streams), and the evaluator's
+            // pooled pre-pass stays bit-identical to the serial
+            // full-rebuild evaluation of the chosen profile.
+            let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
+            let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
+            let greedy = pool.install(|| {
+                selector.select(&ctx, &cands, &method, &mut sel_rng)
+            });
+            if let Some(g) = &greedy {
+                let profile: Vec<(SdPair, &Path)> = cands
+                    .iter()
+                    .zip(&g.indices)
+                    .map(|(c, &i)| (c.pair, &c.routes[i]))
+                    .collect();
+                let rebuilt = ctx
+                    .evaluate(&profile, &method)
+                    .expect("selected profile is feasible");
+                prop_assert_eq!(
+                    rebuilt.objective.to_bits(),
+                    g.evaluation.objective.to_bits(),
+                    "greedy evaluation diverged from full rebuild at width {}",
+                    width
+                );
+            }
+            let first = greedy_reference.get_or_insert_with(|| greedy.clone());
+            prop_assert_eq!(
+                &*first, &greedy,
+                "greedy selection diverged at width {} ",
+                width
+            );
+
+            // The evaluator pre-pass directly: a short random
+            // walk, every profile compared bit-for-bit against
+            // the serial full rebuild.
+            let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
+            pool.install(|| -> proptest::TestCaseResult {
+                let mut eval =
+                    ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
+                let mut indices: Vec<usize> = cands
+                    .iter()
+                    .map(|c| walk_rng.random_range(0..c.routes.len()))
+                    .collect();
+                for _ in 0..6 {
+                    let profile: Vec<(SdPair, &Path)> = cands
+                        .iter()
+                        .zip(&indices)
+                        .map(|(c, &i)| (c.pair, &c.routes[i]))
+                        .collect();
+                    prop_assert_eq!(
+                        ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
+                        eval.evaluate_objective(&indices).map(f64::to_bits),
+                        "pre-pass diverged at width {} ",
+                        width
+                    );
+                    let i = walk_rng.random_range(0..indices.len());
+                    indices[i] = walk_rng.random_range(0..cands[i].routes.len());
+                }
+                Ok(())
+            })?;
         }
     }
 }

@@ -213,7 +213,7 @@ impl Workload for HotspotWorkload {
 /// This models session-like DQC traffic — an entanglement consumer
 /// typically requests connections over many consecutive slots, not for
 /// one slot in isolation — and is the regime where cross-slot selection
-/// state (λ warm starts, previous-profile seeding via
+/// state (region memos, previous-profile seeding via
 /// `SelectorSession`) pays: consecutive slots share most of their
 /// pairs, so route spaces, coupling components, and near-optimal
 /// profiles carry over. `keep_probability = 0` degenerates to a fresh

@@ -5,7 +5,7 @@
 //! fidelity-filter cache) and a [`VirtualQueue`] over its slice of the
 //! budget, and blocks on a plain mpsc channel for work. SD pairs are
 //! mapped to shards by **canonical source node** ([`shard_of`]), so a
-//! pair's warm region state — memos, λ seeds, previous route — always
+//! pair's warm region state — memos, previous route — always
 //! lands on the thread that already holds it. There is no async
 //! runtime: one blocking thread per shard, rendezvous by channel.
 //!

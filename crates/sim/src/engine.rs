@@ -56,8 +56,8 @@ impl Default for SimConfig {
 /// # Selection-session lifecycle
 ///
 /// Policies own their cross-slot selection state (a
-/// `qdn_core::SelectorSession`: evaluator arena, memo epochs, λ
-/// warm-start stores, the previous slot's selected profile) and carry
+/// `qdn_core::SelectorSession`: evaluator arena, memo epochs, the
+/// previous slot's selected profile) and carry
 /// it across the `decide` calls of one run — that is the whole point of
 /// the session. Trial isolation is the caller's contract: either build
 /// a fresh policy per trial (what [`crate::trial::run_trials`] does) or
@@ -229,7 +229,7 @@ mod tests {
         use qdn_net::workload::PersistentWorkload;
 
         // The temporally-correlated scenario with the full cross-slot
-        // machinery on (profile seeding + λ warm starts): repeated runs
+        // machinery on (profile seeding): repeated runs
         // on the same seeds must agree exactly, and the reset path must
         // restore a replayable policy.
         let warm_cfg = OscarConfig {
@@ -237,12 +237,6 @@ mod tests {
                 evaluator: EvalOptions::warm_seeded(),
                 ..GibbsConfig::paper_default()
             }),
-            allocation: qdn_core::allocation::AllocationMethod::RelaxAndRound(
-                qdn_solve::RelaxedOptions {
-                    warm_start: true,
-                    ..qdn_solve::RelaxedOptions::default()
-                },
-            ),
             ..OscarConfig::paper_default()
         };
         let run_once = || {

@@ -59,9 +59,7 @@
 //! buffers allocated up front, and nothing allocated inside the loop.
 
 use crate::instance::AllocationInstance;
-use crate::relaxed::{
-    consider_primal, dual_value_at, residual_pass, seeded_incumbent, RelaxedSolution, VarCache,
-};
+use crate::relaxed::{consider_primal, dual_value_at, residual_pass, RelaxedSolution, VarCache};
 
 /// Growth factor when the smoothness bound fails (standard FISTA
 /// backtracking).
@@ -74,26 +72,20 @@ const L_DOWN: f64 = 0.9;
 /// point.
 const L_MAX: f64 = 1e18;
 
-/// One accelerated dual run: FISTA from `lambda0` (`None` = cold λ = 0),
-/// stopping when the certified relative gap falls below `accept_gap` or
-/// after `max_iters` iterations. `incumbent` seeds the best-known
-/// primal/dual trackers (the warm-fallback carry-over).
+/// One accelerated dual run: FISTA from λ = 0, stopping when the
+/// certified relative gap falls below `accept_gap` or after `max_iters`
+/// iterations.
 pub(crate) fn accelerated_iterate(
     instance: &AllocationInstance,
-    lambda0: Option<&[f64]>,
     accept_gap: f64,
     max_iters: usize,
-    incumbent: Option<&RelaxedSolution>,
 ) -> RelaxedSolution {
     let n = instance.num_vars();
     let m = instance.num_constraints();
     let cache = VarCache::new(instance);
 
     // λ: last accepted (projected, dual-feasible) iterate.
-    let mut lambda = match lambda0 {
-        Some(w) => w.iter().map(|&l| l.max(0.0)).collect::<Vec<_>>(),
-        None => vec![0.0f64; m],
-    };
+    let mut lambda = vec![0.0f64; m];
     // Candidate iterate and momentum point.
     let mut lambda_new = vec![0.0f64; m];
     let mut y = lambda.clone();
@@ -104,7 +96,9 @@ pub(crate) fn accelerated_iterate(
     let mut repaired = vec![0.0f64; n];
     let mut theta_c = vec![1.0f64; m];
     let mut g = vec![0.0f64; m]; // residual usage − cap = −∇D
-    let (mut best_dual, mut best_primal, mut best_x) = seeded_incumbent(incumbent, n);
+    let mut best_dual = f64::INFINITY;
+    let mut best_primal = f64::NEG_INFINITY;
+    let mut best_x = vec![1.0f64; n];
 
     // The starting point is dual feasible: a valid bound and the restart
     // reference.

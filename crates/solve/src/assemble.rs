@@ -17,15 +17,6 @@
 //! [`crate::relaxed`] — is what makes their results bit-identical: a
 //! coupling component's sub-instance is structurally the joint instance
 //! restricted to it, in the same relative order.
-//!
-//! # Constraint keys
-//!
-//! [`RouteAssembler::finish_with_keys`] additionally reports one stable
-//! *key* per constraint — the node id for qubit constraints, `nodes +
-//! edge id` for channel constraints, `nodes + edges` for the budget row.
-//! Keys identify "the same" constraint across instances built for
-//! *different* route profiles, which is what the profile evaluator's
-//! dual warm-start store is indexed by (see `qdn-core::profile_eval`).
 
 use crate::instance::{AllocationInstance, Variable};
 use crate::SolveError;
@@ -48,9 +39,7 @@ pub struct RouteAssembler {
     /// Per variable: `[node_slot_u, node_slot_v, edge_slot]`.
     var_touch: Vec<[u32; 3]>,
     node_caps: Vec<u32>,
-    node_ids: Vec<u32>,
     edge_caps: Vec<u32>,
-    edge_ids: Vec<u32>,
     /// Per-constraint write cursors for the CSR fill pass.
     cursor: Vec<u32>,
     /// Recycled instances whose buffers the next build reuses.
@@ -71,9 +60,7 @@ impl RouteAssembler {
             vars: Vec::new(),
             var_touch: Vec::new(),
             node_caps: Vec::new(),
-            node_ids: Vec::new(),
             edge_caps: Vec::new(),
-            edge_ids: Vec::new(),
             cursor: Vec::new(),
             arena: Vec::new(),
         }
@@ -90,9 +77,7 @@ impl RouteAssembler {
         self.vars.clear();
         self.var_touch.clear();
         self.node_caps.clear();
-        self.node_ids.clear();
         self.edge_caps.clear();
-        self.edge_ids.clear();
     }
 
     /// Stages one route edge as the next variable: edge `edge` with
@@ -122,7 +107,6 @@ impl RouteAssembler {
                 self.node_mark[node] = self.epoch;
                 self.node_slot[node] = self.node_caps.len() as u32;
                 self.node_caps.push(cap);
-                self.node_ids.push(node as u32);
             }
             *slot = self.node_slot[node];
         }
@@ -130,7 +114,6 @@ impl RouteAssembler {
             self.edge_mark[edge] = self.epoch;
             self.edge_slot[edge] = self.edge_caps.len() as u32;
             self.edge_caps.push(cap_edge);
-            self.edge_ids.push(edge as u32);
         }
         touch[2] = self.edge_slot[edge];
         self.var_touch.push(touch);
@@ -148,19 +131,6 @@ impl RouteAssembler {
         budget: Option<u32>,
         v_weight: f64,
         unit_price: f64,
-    ) -> Result<AllocationInstance, SolveError> {
-        self.finish_with_keys(budget, v_weight, unit_price, None)
-    }
-
-    /// [`RouteAssembler::finish`], also writing each constraint's stable
-    /// key into `keys_out` (see the module docs). Key space size is
-    /// `nodes + edges + 1`.
-    pub fn finish_with_keys(
-        &mut self,
-        budget: Option<u32>,
-        v_weight: f64,
-        unit_price: f64,
-        keys_out: Option<&mut Vec<u32>>,
     ) -> Result<AllocationInstance, SolveError> {
         let n = self.vars.len();
         let n_node = self.node_caps.len();
@@ -220,23 +190,7 @@ impl RouteAssembler {
             }
         }
 
-        if let Some(keys) = keys_out {
-            keys.clear();
-            keys.extend_from_slice(&self.node_ids);
-            keys.extend(self.edge_ids.iter().map(|&e| self.nodes as u32 + e));
-            if budget.is_some() {
-                keys.push(self.budget_key());
-            }
-        }
-
         husk.finalize()
-    }
-
-    /// The constraint key of the budget row (`nodes + edges`); the key
-    /// space for [`RouteAssembler::finish_with_keys`] is
-    /// `0..=budget_key()`.
-    pub fn budget_key(&self) -> u32 {
-        (self.nodes + self.edges) as u32
     }
 
     /// Returns a solved instance's storage to the arena for reuse by the
@@ -326,21 +280,6 @@ mod tests {
         asm.recycle(first);
         let second = assemble(&mut asm, Some(9));
         assert_eq!(second, expected);
-    }
-
-    #[test]
-    fn keys_identify_nodes_edges_and_budget() {
-        let mut asm = RouteAssembler::sized(4, 2);
-        asm.begin();
-        asm.push_edge(1, 1, 3, 0.5, 10, 10, 6);
-        asm.push_edge(0, 0, 1, 0.5, 10, 10, 6);
-        let mut keys = Vec::new();
-        let inst = asm
-            .finish_with_keys(Some(9), 100.0, 2.0, Some(&mut keys))
-            .unwrap();
-        // First-touch node order: 1, 3, 0; edges 1, 0; then budget.
-        assert_eq!(keys, vec![1, 3, 0, 4 + 1, 4, asm.budget_key()]);
-        assert_eq!(keys.len(), inst.num_constraints());
     }
 
     #[test]

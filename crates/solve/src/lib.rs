@@ -64,7 +64,7 @@ pub mod scalar;
 pub use assemble::RouteAssembler;
 pub use components::{ComponentPartition, Dsu};
 pub use instance::{ln_success, AllocationInstance, PackingConstraint, Variable};
-pub use relaxed::{solve_relaxed, solve_relaxed_warm, RelaxedOptions, RelaxedSolution};
+pub use relaxed::{solve_relaxed, RelaxedOptions, RelaxedSolution};
 
 /// Errors raised by the solvers.
 #[derive(Debug, Clone, PartialEq)]

@@ -30,26 +30,6 @@
 //! inside the loop. The passes live here ([`VarCache`],
 //! [`dual_value_at`], [`residual_pass`], [`consider_primal`]); the loop
 //! itself is `accel::accelerated_iterate`.
-//!
-//! # Warm starts
-//!
-//! [`solve_relaxed_warm`] seeds the dual iteration from a caller-provided
-//! λ (typically the memoized prices of a *neighboring* route profile —
-//! see `qdn-core::profile_eval`). A warm run is accepted once its
-//! relative gap falls below the same strict `gap_tolerance` a cold run
-//! certifies (a warm seed changes where the iteration *starts*, never
-//! what it certifies), and is capped at
-//! [`RelaxedOptions::warm_iteration_fraction`] of the budget: a
-//! warm seed either pays off quickly or not at all, so burning the full
-//! budget on a failing warm attempt (and then again on the cold fallback)
-//! would pay twice for one solve. When the capped warm attempt does not
-//! converge, the solve re-runs cold from λ = 0 **carrying the warm
-//! attempt's incumbents** (best primal point, best dual bound), so the
-//! fallback's answer is never worse than what the warm attempt already
-//! had — a bad warm start can cost time, never quality. Every returned
-//! solution is feasible, and [`RelaxedSolution::converged`] reports
-//! whether its duality gap was certified. The final prices come back in
-//! [`RelaxedSolution::lambda`] for the caller to store.
 
 use serde::{Deserialize, Serialize};
 use wide::f64x4;
@@ -92,43 +72,21 @@ pub(crate) fn gather_sum(idx: &[u32], x: &[f64]) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct RelaxedOptions {
-    /// Maximum dual iterations (per attempt; a failed warm attempt plus
-    /// its cold fallback together spend at most
-    /// `(1 + warm_iteration_fraction) × max_iterations`).
+    /// Maximum dual iterations per coupling component.
     pub max_iterations: usize,
     /// Stop once the certified relative duality gap falls below this
-    /// value (warm and cold attempts alike).
+    /// value.
     pub gap_tolerance: f64,
-    /// Let callers that cache dual prices (the profile evaluator's
-    /// per-component λ store) seed repeat solves via
-    /// [`solve_relaxed_warm`]. The solver itself ignores this flag — it
-    /// is configuration surface for the evaluation layer. **Off by
-    /// default**: warm-started solves are equal only up to the duality
-    /// gap, so paths that must stay bit-identical to the full-rebuild
-    /// reference keep it disabled.
-    pub warm_start: bool,
-    /// Fraction of `max_iterations` a warm attempt may spend before the
-    /// cold fallback takes over (clamped to `[0, 1]`; at least one warm
-    /// iteration runs whenever a warm seed is given). Capping the warm
-    /// attempt fixes the historical double-pay: a failing warm run used
-    /// to burn the *full* budget and then discard its incumbents before
-    /// re-running cold for another full budget. **Loud compat break
-    /// (PR 3):** required in JSON configs; `0.25` is the default, `1.0`
-    /// restores the old warm budget (the incumbent carry-over stays).
-    pub warm_iteration_fraction: f64,
 }
 
 impl Default for RelaxedOptions {
-    /// The certified configuration: strict `1e-4` gap tolerance and
-    /// **no** warm starts — every solve certifies its own duality gap
-    /// from a cold start, so results are bit-identical to the
-    /// full-rebuild reference.
+    /// The certified configuration: strict `1e-4` gap tolerance within
+    /// 600 iterations. Every solve starts cold from `λ = 0` and
+    /// certifies its own duality gap.
     fn default() -> Self {
         RelaxedOptions {
             max_iterations: 600,
             gap_tolerance: 1e-4,
-            warm_start: false,
-            warm_iteration_fraction: 0.25,
         }
     }
 }
@@ -142,11 +100,9 @@ pub struct RelaxedSolution {
     pub primal_value: f64,
     /// Best dual value observed (upper bound on the relaxed optimum).
     pub dual_bound: f64,
-    /// Iterations performed (a failed warm attempt's iterations count
-    /// toward the total its cold fallback reports).
+    /// Iterations performed (the maximum over coupling components).
     pub iterations: usize,
-    /// Final dual prices, one per constraint (warm-start seed for
-    /// neighboring instances).
+    /// Final dual prices, one per constraint.
     pub lambda: Vec<f64>,
     /// Whether the relative duality gap fell below the acceptance
     /// threshold within the iteration budget.
@@ -198,37 +154,8 @@ pub fn solve_relaxed(
     instance: &AllocationInstance,
     options: &RelaxedOptions,
 ) -> Result<RelaxedSolution, SolveError> {
-    solve_relaxed_warm(instance, options, None)
-}
-
-/// [`solve_relaxed`] with an optional warm-start λ (one entry per
-/// constraint; negative entries are clamped to 0).
-///
-/// With `warm = None` (or an all-zero warm vector) this is exactly the
-/// cold solve. Otherwise the dual iteration starts from the given
-/// prices; if it does not reach the acceptance gap within its (capped)
-/// budget, the solve re-runs cold carrying the warm attempt's incumbent
-/// primal/dual bounds, so the result is never worse than either the
-/// plain cold solve's guarantees or the warm attempt's achieved value
-/// (see the module docs).
-///
-/// # Errors
-///
-/// As [`solve_relaxed`].
-///
-/// # Panics
-///
-/// Debug-asserts `warm.len() == instance.num_constraints()`.
-pub fn solve_relaxed_warm(
-    instance: &AllocationInstance,
-    options: &RelaxedOptions,
-    warm: Option<&[f64]>,
-) -> Result<RelaxedSolution, SolveError> {
     let n = instance.num_vars();
     let m = instance.num_constraints();
-    if let Some(w) = warm {
-        debug_assert_eq!(w.len(), m, "warm-start λ arity mismatch");
-    }
     if n == 0 {
         return Ok(RelaxedSolution {
             x: Vec::new(),
@@ -256,7 +183,6 @@ pub fn solve_relaxed_warm(
         let mut dual_bound = 0.0;
         let mut iterations = 0;
         let mut converged = true;
-        let mut warm_buf: Vec<f64> = Vec::new();
         // Sub-instances cycle through one recycled husk + index scratch
         // (ROADMAP item i): the per-component build reuses the previous
         // component's storage instead of the generic allocating
@@ -271,12 +197,7 @@ pub fn solve_relaxed_warm(
                 &mut local_index,
                 husk.take().unwrap_or_else(AllocationInstance::husk),
             )?;
-            let sub_warm = warm.map(|w| {
-                warm_buf.clear();
-                warm_buf.extend(comp_cons.iter().map(|&ci| w[ci]));
-                &warm_buf[..]
-            });
-            let sol = solve_single(&sub, options, sub_warm);
+            let sol = accelerated_iterate(&sub, options.gap_tolerance, options.max_iterations);
             for (local, &j) in comp_vars.iter().enumerate() {
                 x[j] = sol.x[local];
             }
@@ -299,53 +220,11 @@ pub fn solve_relaxed_warm(
         });
     }
 
-    Ok(solve_single(instance, options, warm))
-}
-
-/// Iterations a warm attempt may spend before falling back cold.
-fn warm_iteration_budget(options: &RelaxedOptions) -> usize {
-    let frac = options.warm_iteration_fraction.clamp(0.0, 1.0);
-    let budget = (options.max_iterations as f64 * frac).ceil() as usize;
-    budget.clamp(1, options.max_iterations.max(1))
-}
-
-/// Solves one coupling component, trying the warm start first (when
-/// given and non-trivial) under a capped iteration budget, and falling
-/// back to the cold λ = 0 iteration — seeded with the warm attempt's
-/// incumbents — when the warm run does not converge. Both attempts
-/// certify the same `gap_tolerance`.
-fn solve_single(
-    instance: &AllocationInstance,
-    options: &RelaxedOptions,
-    warm: Option<&[f64]>,
-) -> RelaxedSolution {
-    let warm_attempt = match warm {
-        Some(w) if w.iter().any(|&l| l > 0.0) => {
-            let sol = accelerated_iterate(
-                instance,
-                Some(w),
-                options.gap_tolerance,
-                warm_iteration_budget(options),
-                None,
-            );
-            if sol.converged {
-                return sol;
-            }
-            Some(sol)
-        }
-        _ => None,
-    };
-    let mut cold = accelerated_iterate(
+    Ok(accelerated_iterate(
         instance,
-        None,
         options.gap_tolerance,
         options.max_iterations,
-        warm_attempt.as_ref(),
-    );
-    if let Some(warm_sol) = warm_attempt {
-        cold.iterations += warm_sol.iterations;
-    }
-    cold
+    ))
 }
 
 /// Per-variable constants cached once per solve. `ln_p1`/`ln_p_ub` use
@@ -495,20 +374,6 @@ pub(crate) fn consider_primal(
     if value > *best_primal {
         *best_primal = value;
         best_x.copy_from_slice(repaired);
-    }
-}
-
-/// Initial incumbent trackers: the warm attempt's, or pristine.
-pub(crate) fn seeded_incumbent(
-    incumbent: Option<&RelaxedSolution>,
-    n: usize,
-) -> (f64, f64, Vec<f64>) {
-    match incumbent {
-        Some(inc) => {
-            debug_assert_eq!(inc.x.len(), n, "incumbent arity mismatch");
-            (inc.dual_bound, inc.primal_value, inc.x.clone())
-        }
-        None => (f64::INFINITY, f64::NEG_INFINITY, vec![1.0f64; n]),
     }
 }
 
@@ -716,119 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_warm_start_is_bitwise_cold() {
-        let i = inst(&[0.4, 0.7], &[(5, &[0, 1]), (3, &[0])], 800.0, 10.0);
-        let opts = RelaxedOptions::default();
-        let cold = solve_relaxed(&i, &opts).unwrap();
-        let zeros = vec![0.0; i.num_constraints()];
-        let warm = solve_relaxed_warm(&i, &opts, Some(&zeros)).unwrap();
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn warm_start_from_own_lambda_converges_fast_and_agrees() {
-        let i = inst(
-            &[0.4, 0.7, 0.55],
-            &[(7, &[0, 1, 2]), (3, &[0]), (4, &[1, 2])],
-            800.0,
-            10.0,
-        );
-        let opts = RelaxedOptions::default();
-        let cold = solve_relaxed(&i, &opts).unwrap();
-        let warm = solve_relaxed_warm(&i, &opts, Some(&cold.lambda)).unwrap();
-        assert!(i.is_feasible_real(&warm.x, 1e-6));
-        assert!(warm.converged);
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} vs cold {} iterations",
-            warm.iterations,
-            cold.iterations
-        );
-        // Both primal values are within the duality gap of the common
-        // optimum, so they agree within the larger gap (plus slack).
-        let tol = cold.gap().abs().max(warm.gap().abs()) + 1e-9;
-        assert!(
-            (warm.primal_value - cold.primal_value).abs() <= tol,
-            "warm {} vs cold {} (tol {tol})",
-            warm.primal_value,
-            cold.primal_value
-        );
-    }
-
-    #[test]
-    fn warm_start_reports_lambda_per_constraint() {
+    fn reports_lambda_per_constraint() {
         let i = inst(&[0.5, 0.5], &[(3, &[0, 1]), (2, &[1])], 500.0, 1.0);
         let s = solve_relaxed(&i, &RelaxedOptions::default()).unwrap();
         assert_eq!(s.lambda.len(), i.num_constraints());
         assert!(s.lambda.iter().all(|&l| l >= 0.0));
-    }
-
-    #[test]
-    fn warm_attempt_budget_is_capped() {
-        let base = RelaxedOptions::default();
-        assert_eq!(warm_iteration_budget(&base), 150); // 600 × 0.25
-        let full = RelaxedOptions {
-            warm_iteration_fraction: 1.0,
-            ..base
-        };
-        assert_eq!(warm_iteration_budget(&full), 600);
-        let clamped = RelaxedOptions {
-            warm_iteration_fraction: 7.5,
-            ..base
-        };
-        assert_eq!(warm_iteration_budget(&clamped), 600);
-        let tiny = RelaxedOptions {
-            warm_iteration_fraction: 0.0,
-            ..base
-        };
-        assert_eq!(warm_iteration_budget(&tiny), 1);
-    }
-
-    /// The warm-start double-pay regression (PR-3 satellite): a warm
-    /// attempt that fails to converge must (a) not burn the full budget
-    /// before the cold fallback and (b) hand its incumbents over, so the
-    /// returned objective is at least the warm attempt's.
-    #[test]
-    fn failed_warm_fallback_carries_incumbents_and_caps_budget() {
-        let i = inst(
-            &[0.3, 0.8, 0.5, 0.6],
-            &[(6, &[0, 1, 2, 3]), (3, &[0, 1]), (4, &[2, 3])],
-            2500.0,
-            10.0,
-        );
-        // An unreachable tolerance with a tiny budget guarantees the
-        // warm attempt fails; an adversarial seed makes it start far
-        // from the optimum.
-        let opts = RelaxedOptions {
-            max_iterations: 8,
-            gap_tolerance: 0.0,
-            warm_iteration_fraction: 0.25,
-            ..RelaxedOptions::default()
-        };
-        let bad_seed = vec![1e3; i.num_constraints()];
-
-        // The warm attempt alone, reproduced via the internal entry
-        // point with the same capped budget `solve_single` uses.
-        let budget = warm_iteration_budget(&opts);
-        assert_eq!(budget, 2);
-        let warm_attempt = accelerated_iterate(&i, Some(&bad_seed), 0.0, budget, None);
-        assert!(!warm_attempt.converged);
-
-        let fallback = solve_relaxed_warm(&i, &opts, Some(&bad_seed)).unwrap();
-        assert!(
-            fallback.primal_value >= warm_attempt.primal_value,
-            "fallback {} worse than warm attempt {}",
-            fallback.primal_value,
-            warm_attempt.primal_value
-        );
-        assert!(
-            fallback.dual_bound <= warm_attempt.dual_bound,
-            "fallback bound {} looser than warm attempt {}",
-            fallback.dual_bound,
-            warm_attempt.dual_bound
-        );
-        // Total budget: capped warm attempt + full cold run, not 2×.
-        assert_eq!(fallback.iterations, budget + opts.max_iterations);
     }
 
     #[test]
@@ -860,26 +617,19 @@ mod tests {
     #[test]
     fn options_serde_round_trip_and_loud_compat_break() {
         let opts = RelaxedOptions {
-            warm_iteration_fraction: 0.5,
+            gap_tolerance: 1e-3,
             ..RelaxedOptions::default()
         };
         let json = serde_json::to_string(&opts).unwrap();
-        assert_eq!(
-            json,
-            r#"{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false,"warm_iteration_fraction":0.5}"#
-        );
+        assert_eq!(json, r#"{"max_iterations":600,"gap_tolerance":0.001}"#);
         let back: RelaxedOptions = serde_json::from_str(&json).unwrap();
         assert_eq!(opts, back);
 
-        // Pre-PR-3 configs must fail loudly, naming the missing field.
-        let pre_pr3 = r#"{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false}"#;
-        let err = serde_json::from_str::<RelaxedOptions>(pre_pr3)
+        // A config missing a field must fail loudly, naming it.
+        let err = serde_json::from_str::<RelaxedOptions>(r#"{"max_iterations":600}"#)
             .unwrap_err()
             .to_string();
-        assert!(
-            err.contains("missing field `warm_iteration_fraction`"),
-            "{err}"
-        );
+        assert!(err.contains("missing field `gap_tolerance`"), "{err}");
     }
 
     /// Removed fields are rejected by name rather than silently
@@ -891,11 +641,11 @@ mod tests {
             ("method", r#""Accelerated""#),
             ("initial_step", "1.0"),
             ("warm_accept_gap", "0.01"),
+            ("warm_start", "false"),
+            ("warm_iteration_fraction", "0.25"),
         ] {
-            let json = format!(
-                r#"{{"max_iterations":600,"gap_tolerance":0.0001,"warm_start":false,
-                    "warm_iteration_fraction":0.25,"{removed}":{value}}}"#
-            );
+            let json =
+                format!(r#"{{"max_iterations":600,"gap_tolerance":0.0001,"{removed}":{value}}}"#);
             let err = serde_json::from_str::<RelaxedOptions>(&json)
                 .unwrap_err()
                 .to_string();

@@ -16,12 +16,14 @@
 #   * profile_eval_wax50/incremental_*              (50-node/25-pair scale)
 #   * dual_solver_paper20/cold_solve/*              (accelerated dual cold
 #                                                    solve, paper scale)
-#   * dynamic_vs_static_partition/*                 (route-keyed partition)
+#   * dynamic_vs_static_partition/cold_move_dynamic/*
+#                                                   (route-keyed partition)
 #   * session_vs_fresh/*                            (200-slot OSCAR e2e,
 #                                                    cold vs session)
 #   * churn_recovery/*                              (post-cut decide latency,
-#                                                    region-scoped vs
-#                                                    global-flush invalidation)
+#                                                    region-scoped
+#                                                    invalidation vs a
+#                                                    session reset per slot)
 #   * node_churn_recovery/*                         (node cuts: PR 9 batch
 #                                                    repair + invalidation)
 #   * regional_outage_recovery/*                    (whole-corridor blackouts)
@@ -139,7 +141,7 @@ while read -r name base_med; do
             profile_eval_paper20/incremental_cold_eval/* | \
             profile_eval_wax50/incremental_move/* | \
             profile_eval_wax50/incremental_cold_eval/* | \
-            dynamic_vs_static_partition/* | \
+            dynamic_vs_static_partition/cold_move_dynamic/* | \
             session_vs_fresh/* | \
             churn_recovery/* | \
             node_churn_recovery/* | \

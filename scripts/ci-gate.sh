@@ -6,8 +6,9 @@
 # accumulate lint debt):
 #
 #     ./scripts/ci-gate.sh                  # lint + fmt only (fast)
-#     ./scripts/ci-gate.sh --full           # also build + tier-1 and
-#                                           # workspace tests
+#     ./scripts/ci-gate.sh --full           # also build + tier-1,
+#                                           # workspace and perfbench
+#                                           # tests
 #     ./scripts/ci-gate.sh --full --bench   # also the bench regression
 #                                           # gate (scripts/bench-gate.sh)
 #
@@ -69,6 +70,13 @@ if [[ "$full" -eq 1 ]]; then
     # pool widths 1/2/4), sim, net, lint and the vendored shims.
     echo "==> cargo test -q --workspace"
     cargo test -q --workspace
+
+    # The end-to-end benchmark harness is a package of its own (empty
+    # `[workspace]`), so the workspace build above does not compile it.
+    # Building and testing it here catches public-API removals that
+    # would break the benchmark.
+    echo "==> cargo test -q --locked --manifest-path perfbench/Cargo.toml"
+    cargo test -q --locked --manifest-path perfbench/Cargo.toml
 
     # Serve smoke: boot the controller daemon on a Unix socket, replay
     # 64 slots through the load generator, require a clean shutdown and

@@ -2,7 +2,7 @@
 //!
 //! The session path with warm seeding enabled trades the Gibbs chain's
 //! full mixing budget for a warm start at the previous slot's selection
-//! (`GibbsConfig::warm_iterations`) plus cross-slot λ seeds. That trade
+//! (`GibbsConfig::warm_iterations`). That trade
 //! is only admissible if it does not buy speed with solution quality:
 //! this test runs the 200-slot OSCAR loop on the temporally-correlated
 //! `PersistentWorkload` (the regime warm seeding targets) and on the
@@ -11,7 +11,6 @@
 //! fresh-per-slot path. (Bit-identity with seeding *off* is enforced
 //! separately by the `session_matches_fresh_per_slot` proptest.)
 
-use qdn_core::allocation::AllocationMethod;
 use qdn_core::oscar::{OscarConfig, OscarPolicy};
 use qdn_core::profile_eval::EvalOptions;
 use qdn_core::route_selection::{GibbsConfig, RouteSelector};
@@ -27,10 +26,6 @@ fn warm_config() -> OscarConfig {
         selector: RouteSelector::Gibbs(GibbsConfig {
             evaluator: EvalOptions::warm_seeded(),
             ..GibbsConfig::paper_default()
-        }),
-        allocation: AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-            warm_start: true,
-            ..qdn_solve::RelaxedOptions::default()
         }),
         ..OscarConfig::paper_default()
     }
