@@ -32,10 +32,9 @@
 //! profile-local dynamic partition on cold single-pair moves — see
 //! [`bench_dynamic_vs_static`] for the two scenarios. The
 //! `profile_eval_wax50` group runs the standard access patterns at
-//! `Scale::Large` (50-node Waxman, 25 pairs). The `churn_recovery`
-//! group measures region-scoped session invalidation against a
-//! session reset every slot under sustained link churn — see
-//! [`bench_churn_recovery`].
+//! `Scale::Large` (50-node Waxman, 25 pairs). The `session_vs_fresh`
+//! group runs 200 OSCAR slots end to end with and without a
+//! slot-spanning session — see [`bench_session_vs_fresh`].
 //!
 //! Run with `CRITERION_JSON=BENCH_profile_eval.json` to append one JSON
 //! line per benchmark (relative paths resolve against the workspace
@@ -377,13 +376,14 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
 /// Algorithm-2 allocation — end to end, under two selection-state
 /// regimes:
 ///
-/// * `oscar200_cold/*` — a fresh `SelectorSession` every slot: today's
-///   (pre-session) path, where each slot rebuilds the evaluator arena
-///   and memos and every component solve starts from λ = 0;
+/// * `oscar200_cold/*` — the session is reset every slot, so no slot
+///   is seeded from the last and every chain runs its full cold
+///   `iterations` budget;
 /// * `oscar200_session/*` — one session spans the run with
 ///   `warm_profile_seed` on: chains start from the previous slot's
-///   selection and run the shorter `warm_iterations` budget, and region
-///   memos carry over while a region's sub-context is unchanged.
+///   selection and run the shorter `warm_iterations` budget, and the
+///   evaluator arena is recycled. Memos never carry over in either
+///   regime: they live for one slot.
 ///
 /// Each regime runs on the paper's `U[1,5]` uniform workload and on the
 /// temporally-correlated `PersistentWorkload` (5 sticky pairs, 80%
@@ -523,310 +523,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     client.shutdown().unwrap();
     server.join().unwrap();
     let _ = std::fs::remove_file(&path);
-}
-
-/// `count` disjoint corridors (four parallel 4-hop chains
-/// x—aᵢ—bᵢ—cᵢ—y, no bridges); one SD pair per corridor, each its own
-/// static region with a 4-tuple route space — small enough that a
-/// retained region's memo saturates within a couple of slots, so under
-/// region-scoped invalidation the untouched corridors answer without
-/// solving at all, while the 4-hop chains keep each flushed re-solve
-/// (9 coupled constraints) from being lost in per-slot noise.
-fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
-    use qdn_net::network::QdnNetworkBuilder;
-    use qdn_physics::link::LinkModel;
-    let mut b = QdnNetworkBuilder::new();
-    let link = LinkModel::new(0.8).unwrap();
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = b.add_node(12);
-        let y = b.add_node(12);
-        for _ in 0..4 {
-            let chain: Vec<_> = (0..3).map(|_| b.add_node(12)).collect();
-            b.add_edge(x, chain[0], 6, link).unwrap();
-            b.add_edge(chain[0], chain[1], 6, link).unwrap();
-            b.add_edge(chain[1], chain[2], 6, link).unwrap();
-            b.add_edge(chain[2], y, 6, link).unwrap();
-        }
-        pairs.push(SdPair::new(x, y).unwrap());
-    }
-    (b.build(), pairs)
-}
-
-/// The allocation method of the three churn groups: the dual solver
-/// with an unreachable zero `gap_tolerance`, so every memo miss runs
-/// the full 3000-iteration budget at a constant, non-trivial cost and
-/// the row difference is a clean count of the re-solves each
-/// invalidation policy triggers (the per-slot Gibbs/bookkeeping cost is
-/// identical in both rows).
-fn churn_method() -> AllocationMethod {
-    AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-        max_iterations: 3000,
-        gap_tolerance: 0.0,
-    })
-}
-
-/// The PR-6 headline (`churn_recovery`): the session decision loop under
-/// sustained topology churn on a multi-region topology (16 disjoint
-/// corridors, pinned pairs, fixed V and queue price so the shared
-/// context never invalidates anything on its own). Every slot one
-/// corridor's `x—a⁰` link degrades to a single channel, round-robin:
-/// each slot is one degradation plus one recovery, changing the
-/// capacity fingerprints of exactly two of the sixteen regions (the
-/// candidate sets are untouched, so no route repair runs and the row
-/// difference is not diluted by common Yen work).
-///
-/// * `region_scoped/*` — region-scoped invalidation (the default): the
-///   fourteen untouched corridors answer Gibbs proposals from memos retained
-///   across slots, only the cut and repaired regions re-solve;
-/// * `global_flush/*` — the older flush-everything rule, kept here as
-///   a bench-only baseline: the session is reset before every slot.
-///   Every slot of this bench changes some region, so under the old
-///   rule every slot flushed every region and every corridor re-solved
-///   its whole route space; the reset does the same work.
-///
-/// Both rows allocate with [`churn_method`], which prices every memo
-/// miss the same, so the row difference counts re-solves rather than
-/// adaptive early stopping.
-/// Decisions are bit-identical between the rows (the
-/// `churn_matches_cold_rebuild` proptest pins session-vs-cold, and the
-/// reset only discards *more*) — the row ratio is pure post-cut
-/// decision latency, the gated ≥1.5× acceptance evidence.
-fn bench_churn_recovery(c: &mut Criterion) {
-    use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
-    use qdn_core::route_selection::RouteSelector;
-
-    let (net, pairs) = corridor_field(16);
-    // A short Gibbs budget: the per-iteration memo-hit evaluations are
-    // identical in both rows (pure common cost), while every flushed
-    // region pays its re-solves regardless of chain length — so a short
-    // chain measures the invalidation policy, not the sampler.
-    let selector = RouteSelector::Gibbs(GibbsConfig {
-        iterations: 8,
-        ..GibbsConfig::paper_default()
-    });
-    let method = churn_method();
-    let installed_q: Vec<u32> = net
-        .graph()
-        .node_ids()
-        .map(|v| net.qubit_capacity(v))
-        .collect();
-    let installed_w: Vec<u32> = net
-        .graph()
-        .edge_ids()
-        .map(|e| net.channel_capacity(e))
-        .collect();
-
-    let mut group = c.benchmark_group("churn_recovery");
-    group.sample_size(10);
-    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
-        group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
-            b.iter(|| {
-                let mut state = EngineState::new(RouteLimits {
-                    max_routes: 4,
-                    max_hops: 4,
-                });
-                let mut policy_rng = StdRng::seed_from_u64(23);
-                let mut total = 0u64;
-                for t in 0..32usize {
-                    if flush_all {
-                        state.session_mut().reset();
-                    }
-                    // Corridor t mod 16 loses half the channels of
-                    // its x—a⁰ link (edge 16c) for the slot; last
-                    // slot's victim recovers. A partial degradation
-                    // (not a cut) keeps the candidate sets intact and
-                    // the allocation loose, so neither row pays route
-                    // repair or a binding-constraint dual grind — the
-                    // rows differ *only* in which regions re-solve.
-                    let mut channels = installed_w.clone();
-                    channels[(t % 16) * 16] = 1;
-                    let snap = CapacitySnapshot::clamped(&net, installed_q.clone(), channels);
-                    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-                    let decision = decide(
-                        &mut state,
-                        SlotDecisionRequest {
-                            network: &net,
-                            requests: &pairs,
-                            ctx: &ctx,
-                            selector: &selector,
-                            allocation: &method,
-                            fidelity_target: None,
-                            rng: &mut policy_rng,
-                        },
-                    );
-                    total += decision.total_cost();
-                }
-                black_box(total)
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The PR-9 node-churn headline (`node_churn_recovery`): the decision
-/// loop under round-robin *node* cuts on the 16-corridor field. Each
-/// slot one corridor's first-chain middle node dies — its qubits and
-/// both incident links go to zero together, killing one of the
-/// corridor's four candidate routes — and the previous victim comes
-/// back, so every slot pays one batched fail repair and one batched
-/// restore repair on top of the invalidation traffic. The rows differ
-/// only in session invalidation policy (repair work is identical):
-///
-/// * `region_scoped/*` — only the cut and recovered corridors flush;
-/// * `global_flush/*` — a session reset every slot re-solves all
-///   sixteen (the flush-everything baseline, as in
-///   [`bench_churn_recovery`]).
-///
-/// Decisions are bit-identical between the rows (the
-/// `node_churn_matches_edge_set_churn` proptest pins session vs cold
-/// rebuild under node cuts), so the gated row ratio is pure recovery
-/// latency — the PR 9 acceptance evidence that region-scoped
-/// invalidation is strictly faster under node churn.
-fn bench_node_churn_recovery(c: &mut Criterion) {
-    use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
-    use qdn_core::route_selection::RouteSelector;
-    use qdn_graph::NodeId;
-
-    let (net, pairs) = corridor_field(16);
-    let selector = RouteSelector::Gibbs(GibbsConfig {
-        iterations: 8,
-        ..GibbsConfig::paper_default()
-    });
-    let method = churn_method();
-    let installed_q: Vec<u32> = net
-        .graph()
-        .node_ids()
-        .map(|v| net.qubit_capacity(v))
-        .collect();
-    let installed_w: Vec<u32> = net
-        .graph()
-        .edge_ids()
-        .map(|e| net.channel_capacity(e))
-        .collect();
-
-    let mut group = c.benchmark_group("node_churn_recovery");
-    group.sample_size(10);
-    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
-        group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
-            b.iter(|| {
-                let mut state = EngineState::new(RouteLimits {
-                    max_routes: 4,
-                    max_hops: 4,
-                });
-                let mut policy_rng = StdRng::seed_from_u64(29);
-                let mut total = 0u64;
-                for t in 0..32usize {
-                    if flush_all {
-                        state.session_mut().reset();
-                    }
-                    // Corridor t mod 16 loses its first chain's middle
-                    // node (14 nodes per corridor; x, y, then chains —
-                    // offset 3 is chain 0's b⁰). All incident links die
-                    // with it; last slot's victim is back up.
-                    let victim = NodeId(((t % 16) * 14 + 3) as u32);
-                    let mut qubits = installed_q.clone();
-                    let mut channels = installed_w.clone();
-                    qubits[victim.index()] = 0;
-                    for (_, e) in net.graph().neighbors(victim) {
-                        channels[e.index()] = 0;
-                    }
-                    let snap = CapacitySnapshot::clamped(&net, qubits, channels);
-                    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-                    let decision = decide(
-                        &mut state,
-                        SlotDecisionRequest {
-                            network: &net,
-                            requests: &pairs,
-                            ctx: &ctx,
-                            selector: &selector,
-                            allocation: &method,
-                            fidelity_target: None,
-                            rng: &mut policy_rng,
-                        },
-                    );
-                    total += decision.total_cost();
-                }
-                black_box(total)
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The PR-9 correlated-outage row (`regional_outage_recovery`): a whole
-/// corridor goes dark each slot (all 14 nodes, all 16 links — the
-/// region's pair is undecidable until it recovers next slot) while the
-/// other fifteen keep serving. The batch repair consolidates the 16
-/// simultaneous link deaths into one affected-pair proof, and the
-/// session invalidates the dark and recovered regions; `global_flush`
-/// resets the session every slot, so it additionally re-solves the
-/// fourteen corridors the outage never touched. Decisions are bit-identical between rows.
-fn bench_regional_outage_recovery(c: &mut Criterion) {
-    use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
-    use qdn_core::route_selection::RouteSelector;
-
-    let (net, pairs) = corridor_field(16);
-    let selector = RouteSelector::Gibbs(GibbsConfig {
-        iterations: 8,
-        ..GibbsConfig::paper_default()
-    });
-    let method = churn_method();
-    let installed_q: Vec<u32> = net
-        .graph()
-        .node_ids()
-        .map(|v| net.qubit_capacity(v))
-        .collect();
-    let installed_w: Vec<u32> = net
-        .graph()
-        .edge_ids()
-        .map(|e| net.channel_capacity(e))
-        .collect();
-
-    let mut group = c.benchmark_group("regional_outage_recovery");
-    group.sample_size(10);
-    for (label, flush_all) in [("region_scoped", false), ("global_flush", true)] {
-        group.bench_function(format!("{label}/16_corridors_32_slots"), |b| {
-            b.iter(|| {
-                let mut state = EngineState::new(RouteLimits {
-                    max_routes: 4,
-                    max_hops: 4,
-                });
-                let mut policy_rng = StdRng::seed_from_u64(31);
-                let mut total = 0u64;
-                for t in 0..32usize {
-                    if flush_all {
-                        state.session_mut().reset();
-                    }
-                    // Corridor t mod 16 is entirely dark this slot: 14
-                    // nodes and 16 edges per corridor, laid out
-                    // contiguously by the builder.
-                    let dark = t % 16;
-                    let mut qubits = installed_q.clone();
-                    let mut channels = installed_w.clone();
-                    qubits[dark * 14..(dark + 1) * 14].fill(0);
-                    channels[dark * 16..(dark + 1) * 16].fill(0);
-                    let snap = CapacitySnapshot::clamped(&net, qubits, channels);
-                    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-                    let decision = decide(
-                        &mut state,
-                        SlotDecisionRequest {
-                            network: &net,
-                            requests: &pairs,
-                            ctx: &ctx,
-                            selector: &selector,
-                            allocation: &method,
-                            fidelity_target: None,
-                            rng: &mut policy_rng,
-                        },
-                    );
-                    total += decision.total_cost();
-                }
-                black_box(total)
-            });
-        });
-    }
-    group.finish();
 }
 
 /// The PR-10 parallel-engine rows (`parallel_gibbs_restarts`): 4-chain
@@ -1057,9 +753,6 @@ fn bench(c: &mut Criterion) {
 
     bench_dynamic_vs_static(c);
     bench_session_vs_fresh(c);
-    bench_churn_recovery(c);
-    bench_node_churn_recovery(c);
-    bench_regional_outage_recovery(c);
     bench_dual_solver(c);
 
     bench_gibbs_end_to_end(c);

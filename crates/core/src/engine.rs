@@ -98,8 +98,9 @@ impl std::fmt::Debug for SlotDecisionRequest<'_> {
 /// The slot-spanning half of the decision pipeline, owned by a policy
 /// (or daemon shard) for the lifetime of a run: the candidate route
 /// cache with its incremental churn repair, the [`SelectorSession`]
-/// carrying memos and the previous selected profile, and the
-/// fidelity-filter cache.
+/// carrying recycled evaluator buffers and the previous selected
+/// profile, and the fidelity-filter cache. Evaluation memos are not
+/// part of it: they live for one slot.
 #[derive(Debug)]
 pub struct EngineState {
     routes: CandidateRoutes,
@@ -145,7 +146,7 @@ impl EngineState {
     }
 
     /// Clears all cross-slot state for a fresh trial: the session's
-    /// parked memos and previous profile, the candidate cache
+    /// previous profile, the candidate cache
     /// (churn-repaired candidates are only weight-equivalent, not
     /// tie-identical, to a cold recompute — replay determinism needs a
     /// fresh cache), and the fidelity-filter cache.
@@ -155,9 +156,9 @@ impl EngineState {
         self.fidelity.clear();
     }
 
-    /// The churn/invalidation ledger of the most recent slot.
+    /// The candidate-repair ledger of the most recent slot.
     pub fn churn_diagnostics(&self) -> ChurnDiagnostics {
-        ChurnDiagnostics::collect(&self.routes, &self.session)
+        ChurnDiagnostics::collect(&self.routes)
     }
 
     /// Precomputes candidate repair for an *announced* outage of

@@ -170,8 +170,8 @@ impl RoutingPolicy for OscarPolicy {
     fn reset(&mut self) {
         self.queue.reset();
         self.spent = 0;
-        // Cross-slot decision state (memo epochs, previous
-        // profile, candidate cache) must not leak between trials; see
+        // Cross-slot decision state (previous profile, candidate
+        // cache) must not leak between trials; see
         // [`EngineState::reset`] for why the route cache is dropped too.
         self.state.reset();
     }
@@ -325,15 +325,13 @@ mod tests {
             .map(|slot| policy.decide(&net, slot, &mut rng_a))
             .collect();
         assert!(policy.session().remembered_pairs() > 0, "profile memory");
-        assert!(policy.session().region_count() > 0, "memo memory");
 
         // Reset must clear every cross-slot store ...
         policy.reset();
         assert_eq!(policy.session().remembered_pairs(), 0);
-        assert_eq!(policy.session().region_count(), 0);
 
         // ... so a replay after reset is indistinguishable from a fresh
-        // policy: no memo or profile leakage between trials.
+        // policy: no profile leakage between trials.
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(99);
         let second_run: Vec<_> = slots
             .iter()

@@ -4,7 +4,6 @@ use qdn_net::routes::CandidateRoutes;
 use qdn_net::QdnNetwork;
 use serde::{Deserialize, Serialize};
 
-use crate::profile_eval::SelectorSession;
 use crate::types::{Decision, SlotState};
 
 /// Observable internals of a policy, recorded by the simulator each slot
@@ -25,10 +24,12 @@ pub struct PolicyDiagnostics {
 }
 
 /// What the last slot's topology churn cost a session policy: how much
-/// candidate repair ran in the route cache, and how much memoized
-/// evaluation state the selection session retained vs flushed. The
-/// recovery-time metrics in `qdn-sim` aggregate these per failure
-/// event.
+/// candidate repair ran in the route cache. The recovery-time metrics in
+/// `qdn-sim` aggregate these per failure event.
+///
+/// Results files from older versions also carry the keys of the
+/// removed cross-slot memo ledger (`regions`, `regions_fresh` and
+/// friends); they still load, and the keys are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChurnDiagnostics {
     /// Links newly failed (capacity dropped to zero) this slot.
@@ -48,26 +49,15 @@ pub struct ChurnDiagnostics {
     /// Repairs installed from prewarmed candidate sets (announced
     /// maintenance windows) instead of a live Yen search.
     pub prewarm_hits: u32,
-    /// Static regions in the last evaluated slot.
-    pub regions: u32,
-    /// Regions whose session memos were flushed.
-    pub regions_flushed: u32,
-    /// Regions with no parked session state (first sighting / TTL).
-    pub regions_fresh: u32,
-    /// Memo entries carried live across the slot boundary.
-    pub memo_entries_retained: u64,
-    /// Memo entries invalidated by region flushes.
-    pub memo_entries_flushed: u64,
 }
 
 impl ChurnDiagnostics {
-    /// Collects the ledger from a policy's route cache and selection
-    /// session after a slot decided through [`crate::engine::decide`]
-    /// (or [`crate::engine::EngineState::churn_diagnostics`], which
-    /// wraps this).
-    pub fn collect(routes: &CandidateRoutes, session: &SelectorSession) -> Self {
+    /// Collects the ledger from a policy's route cache after a slot
+    /// decided through [`crate::engine::decide`] (or
+    /// [`crate::engine::EngineState::churn_diagnostics`], which wraps
+    /// this).
+    pub fn collect(routes: &CandidateRoutes) -> Self {
         let churn = routes.last_churn();
-        let inval = session.last_invalidation();
         ChurnDiagnostics {
             failed_edges: churn.failed.len() as u32,
             restored_edges: churn.restored.len() as u32,
@@ -75,11 +65,6 @@ impl ChurnDiagnostics {
             routes_recomputed: churn.recomputed as u32,
             repair_yen_runs: churn.yen_runs as u32,
             prewarm_hits: churn.prewarm_hits as u32,
-            regions: inval.regions,
-            regions_flushed: inval.regions_flushed,
-            regions_fresh: inval.regions_fresh,
-            memo_entries_retained: inval.memo_entries_retained,
-            memo_entries_flushed: inval.memo_entries_flushed,
         }
     }
 }
@@ -155,5 +140,25 @@ mod tests {
         assert_eq!(d.total_cost(), 0);
         assert_eq!(policy.name(), "noop");
         assert_eq!(policy.diagnostics(), PolicyDiagnostics::default());
+    }
+
+    /// Diagnostics recorded by older versions carry the removed memo
+    /// ledger keys; they load with those keys ignored.
+    #[test]
+    fn old_churn_diagnostics_load_ignoring_memo_keys() {
+        let old = r#"{"failed_edges":1,"restored_edges":0,"affected_pairs":2,
+            "routes_recomputed":2,"repair_yen_runs":2,"prewarm_hits":0,
+            "regions":3,"regions_fresh":0}"#;
+        let d: ChurnDiagnostics = serde_json::from_str(old).unwrap();
+        assert_eq!(
+            d,
+            ChurnDiagnostics {
+                failed_edges: 1,
+                affected_pairs: 2,
+                routes_recomputed: 2,
+                repair_yen_runs: 2,
+                ..ChurnDiagnostics::default()
+            }
+        );
     }
 }

@@ -90,27 +90,21 @@
 //! topologies, profiles, and move sequences for every allocation
 //! method.
 //!
-//! # Persistent selection sessions
+//! # Selection sessions
 //!
-//! A [`ProfileEvaluator`] lives for one slot; a [`SelectorSession`]
-//! lives for a run. OSCAR is an online controller whose consecutive
-//! slots pose *almost* the same problem — overlapping request sets,
-//! smoothly drifting prices `q_t`, similar capacities — so each policy
-//! owns one session and threads it through
-//! [`crate::route_selection::RouteSelector::select_in`]; the evaluator
-//! is then built with [`ProfileEvaluator::new_in`] and handed back with
-//! [`ProfileEvaluator::retire`]. What carries over, and under which
-//! invalidation rule, is specified on [`SelectorSession`] ("Lifetime
-//! and invalidation invariants"); the short version:
+//! A [`ProfileEvaluator`] — with both memo levels and the single-pair
+//! memo — lives for one slot. The paper's drift-plus-penalty step
+//! solves each slot from the current system state alone, and OSCAR's
+//! queue price `q_t` enters every sub-instance and moves almost every
+//! slot, so memos are never carried from one slot to the next. A
+//! [`SelectorSession`] lives for a run: each policy owns one and threads
+//! it through [`crate::route_selection::RouteSelector::select_in`]; the
+//! evaluator is then built with [`ProfileEvaluator::new_in`] and handed
+//! back with [`ProfileEvaluator::retire`]. The session carries exactly
+//! two things (see its docs):
 //!
-//! * **buffers always** (arena, husks, dense scratch, memo-map
-//!   capacity) — pure allocation reuse, no semantic state;
-//! * **memo entries only under an identical region fingerprint** —
-//!   each static region's entries are epoch-stamped, and exactly the
-//!   regions whose own sub-context (or the shared price/method context)
-//!   changed get their epoch bumped — a link failure flushes the region
-//!   it hits, not the whole network — so reuse is exactly as legal as
-//!   re-running the same sub-problem;
+//! * **the recycled buffers** (arena, husks, dense scratch) — pure
+//!   allocation reuse, no semantic state;
 //! * **the previous selected profile** (opt-in via
 //!   [`EvalOptions::warm_profile_seed`]) — seeds the next slot's chain
 //!   start, changing the search trajectory but never a profile's value.
@@ -130,7 +124,7 @@
 //! loop's short-circuit). Multi-chain Gibbs restarts use the same pool —
 //! see [`crate::route_selection::gibbs::sample_restarts`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use qdn_graph::{EdgeId, NodeId, Path};
 use qdn_net::SdPair;
@@ -285,225 +279,15 @@ impl Scratch {
     }
 }
 
-/// A route-index-keyed memo: key → epoch-stamped flat allocation
-/// (`None` = that combination is infeasible). Level 1 keys by a static
-/// component's route tuple; level 2 by a dynamic group's
-/// `(position, route)` pairs. Entries whose epoch is not the
-/// evaluator's current one are invisible (stale from an earlier slot
-/// context) and get overwritten in place on the next solve.
-type Memo = HashMap<Box<[u32]>, MemoEntry>;
+/// A route-index-keyed memo: key → flat allocation (`None` = that
+/// combination is infeasible). Level 1 keys by a static component's
+/// route tuple; level 2 by a dynamic group's `(position, route)` pairs.
+/// Memos live and die with one [`ProfileEvaluator`], so every entry was
+/// solved under the current slot's context.
+type Memo = HashMap<Box<[u32]>, Option<Box<[u32]>>>;
 
-/// One memoized allocation, stamped with the slot-context epoch it was
-/// solved under.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    epoch: u64,
-    alloc: Option<Box<[u32]>>,
-}
-
-/// The run-wide share of one slot's evaluation context: everything not
-/// attributable to a single static region. The objective weights and
-/// the solver enter *every* sub-instance, so any change here makes every
-/// region's memos unreusable — a mismatch flushes all regions at once.
-#[derive(Debug, Clone, PartialEq)]
-struct SharedFingerprint {
-    v_bits: u64,
-    price_bits: u64,
-    budget: Option<u64>,
-    method: AllocationMethod,
-    options: EvalOptions,
-    nodes: usize,
-    edges: usize,
-}
-
-impl SharedFingerprint {
-    fn of(ctx: &PerSlotContext<'_>, method: &AllocationMethod, options: EvalOptions) -> Self {
-        SharedFingerprint {
-            v_bits: ctx.v_weight.to_bits(),
-            price_bits: ctx.unit_price.to_bits(),
-            budget: ctx.slot_budget,
-            method: *method,
-            options,
-            nodes: ctx.network.node_count(),
-            edges: ctx.network.edge_count(),
-        }
-    }
-}
-
-/// Identity of one static region's evaluation sub-context. When the
-/// shared fingerprints of two slots match and a region's fingerprints
-/// match, the region poses the *same* mathematical sub-problem in both —
-/// same members in the same positional order, same candidate routes,
-/// same capacities on every node and edge those candidates touch — so
-/// its memo entries are interchangeable between the slots. Capacities
-/// are recorded only for *touched* resources: a region's sub-instances
-/// restrict to the constraints its candidate routes reach, so a link
-/// failure (or occupancy change) elsewhere in the network cannot change
-/// any of its solves and rightly does not flush it.
-#[derive(Debug, Clone, PartialEq)]
-struct RegionFingerprint {
-    /// The region's pairs in candidate (positional) order — memo keys
-    /// are positional route tuples, so order and multiplicity matter.
-    pairs: Vec<SdPair>,
-    /// FNV-1a over every member's candidate route structure (route
-    /// counts, hop counts, edge ids), so a changed candidate *list* for
-    /// an unchanged pair — a repaired route, a different fidelity
-    /// filter — still invalidates.
-    routes_hash: u64,
-    /// `(node id, capacity)` for every node some candidate touches,
-    /// ascending by node id.
-    qubits: Vec<(u32, u32)>,
-    /// `(edge id, capacity)` for every edge some candidate touches,
-    /// ascending by edge id.
-    channels: Vec<(u32, u32)>,
-}
-
-/// Computes every static component's session identity: its region key
-/// (the pair multiset, sorted — static components have disjoint pair
-/// multisets, so the key is unique within a slot and stable across
-/// slots) and its [`RegionFingerprint`].
-fn region_identities(
-    ctx: &PerSlotContext<'_>,
-    pairs: &[SdPair],
-    routes: &[Vec<RouteData>],
-    comp_pairs: &[Vec<usize>],
-) -> (Vec<Box<[SdPair]>>, Vec<RegionFingerprint>) {
-    let mut keys = Vec::with_capacity(comp_pairs.len());
-    let mut fps = Vec::with_capacity(comp_pairs.len());
-    for members in comp_pairs {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        let mut nodes: Vec<u32> = Vec::new();
-        let mut edges: Vec<u32> = Vec::new();
-        for &i in members {
-            mix(routes[i].len() as u64);
-            for route in &routes[i] {
-                mix(route.hops as u64);
-                for ev in &route.edges {
-                    mix(ev.edge.index() as u64 + 1);
-                    edges.push(ev.edge.index() as u32);
-                    nodes.push(ev.u.index() as u32);
-                    nodes.push(ev.v.index() as u32);
-                }
-            }
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        edges.sort_unstable();
-        edges.dedup();
-        let region_pairs: Vec<SdPair> = members.iter().map(|&i| pairs[i]).collect();
-        let mut key = region_pairs.clone();
-        key.sort_unstable();
-        keys.push(key.into_boxed_slice());
-        fps.push(RegionFingerprint {
-            pairs: region_pairs,
-            routes_hash: h,
-            qubits: nodes
-                .iter()
-                .map(|&v| (v, ctx.snapshot.qubits(NodeId(v))))
-                .collect(),
-            channels: edges
-                .iter()
-                .map(|&e| (e, ctx.snapshot.channels(EdgeId(e))))
-                .collect(),
-        });
-    }
-    (keys, fps)
-}
-
-/// The heap state a [`SelectorSession`] lends to one slot's
-/// [`ProfileEvaluator`] and takes back on
-/// [`ProfileEvaluator::retire`]. Memos and epochs are per static
-/// region, aligned with the evaluator's component ids.
-#[derive(Debug)]
-struct SessionParts {
-    epochs: Vec<u64>,
-    scratch: Option<Scratch>,
-    memos: Vec<Memo>,
-    dyn_memos: Vec<Memo>,
-    report: InvalidationReport,
-}
-
-impl SessionParts {
-    /// Parts for a stand-alone (sessionless) evaluator: everything
-    /// empty, every epoch 1 so no entry can pre-date it.
-    fn fresh(components: usize) -> Self {
-        SessionParts {
-            epochs: vec![1; components],
-            scratch: None,
-            memos: Vec::new(),
-            dyn_memos: Vec::new(),
-            report: InvalidationReport {
-                regions: components as u32,
-                regions_fresh: components as u32,
-                ..InvalidationReport::default()
-            },
-        }
-    }
-}
-
-/// One static region's slot-spanning memo state, parked in the session
-/// between the slots that use it.
-#[derive(Debug)]
-struct RegionState {
-    /// The region's private memo epoch; entries stamped differently are
-    /// stale. Bumped (from the session-wide counter) exactly when the
-    /// region's own fingerprint — or the shared context — changes.
-    epoch: u64,
-    fingerprint: RegionFingerprint,
-    memo: Memo,
-    dyn_memo: Memo,
-    /// The session lend count when this region last appeared in a slot
-    /// (TTL pruning).
-    last_used: u64,
-}
-
-/// How one slot's regions fared against the session's parked state —
-/// the invalidation ledger behind the churn-recovery metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvalidationReport {
-    /// Static regions in the slot.
-    pub regions: u32,
-    /// Regions whose parked memos were flushed (fingerprint or shared
-    /// context changed).
-    pub regions_flushed: u32,
-    /// Regions with no parked state (first sighting, or TTL-pruned).
-    pub regions_fresh: u32,
-    /// Memo entries (both levels) carried in live across the slot
-    /// boundary.
-    pub memo_entries_retained: u64,
-    /// Memo entries invalidated by the flushes above.
-    pub memo_entries_flushed: u64,
-}
-
-impl InvalidationReport {
-    /// Whether every region carried its memos across the slot boundary.
-    pub fn fully_retained(&self) -> bool {
-        self.regions_flushed == 0 && self.regions_fresh == 0
-    }
-}
-
-/// Per-component memo maps whose stale population exceeds this are
-/// cleared (keeping capacity) instead of carried further — the bound
-/// that keeps a long-lived session's memory proportional to one slot's
-/// working set rather than to the whole run.
-const MEMO_PRUNE_LEN: usize = 8192;
-
-/// Parked regions unused for this many lends are dropped: a region that
-/// has not appeared for a while (its pairs left the request mix, or a
-/// topology change re-cut the partition) is unlikely to return with an
-/// identical fingerprint, and its memos are pure memory until it does.
-const REGION_TTL: u64 = 16;
-
-/// Hard cap on parked regions, guarding a workload that cycles through
-/// many distinct partitions faster than the TTL can retire them.
-const REGION_CAP: usize = 512;
-
-/// Persistent route-selection state spanning slots — the slot-lifetime
-/// counterpart of the per-slot [`ProfileEvaluator`].
+/// Route-selection state spanning slots — the slot-lifetime counterpart
+/// of the per-slot [`ProfileEvaluator`].
 ///
 /// A session is owned by a policy (or any other driver that makes one
 /// selection per slot) for the lifetime of a run and threaded through
@@ -512,31 +296,23 @@ const REGION_CAP: usize = 512;
 /// * the recycled [`RouteAssembler`] arena, instance husks, and every
 ///   dense scratch buffer (epoch-stamped node maps, union-find, CSR
 ///   staging) — steady-state slots allocate no evaluator storage;
-/// * the two memo levels, epoch-stamped: entries stay live exactly as
-///   long as the slot fingerprint (prices, capacities, pairs, candidate
-///   routes, method, options) is unchanged, and one integer bump
-///   invalidates all of them when it is not;
 /// * the previous slot's selected route per [`SdPair`], which seeds the
 ///   next slot's Gibbs chain / greedy start for pairs present in
 ///   consecutive slots when [`EvalOptions::warm_profile_seed`] is set.
 ///
-/// # Lifetime and invalidation invariants
+/// Evaluation memos are *not* carried: they belong to one slot's
+/// evaluator. OSCAR's queue price `q_t` enters every sub-instance and
+/// moves almost every slot, so an entry solved in one slot is almost
+/// never valid in the next.
 ///
-/// * A session assumes one fixed topology between [`SelectorSession::reset`]
-///   calls: candidate route indices are only comparable across slots on
-///   the same network. Policies reset their session whenever
+/// # Lifetime invariants
+///
+/// * The scratch arena carries no semantic state: every buffer is
+///   resized to the slot's network and written before it is read, so a
+///   recycled arena and a fresh one give the same bits.
+/// * Policies reset their session whenever
 ///   [`crate::policy::RoutingPolicy::reset`] runs, so fresh trials share
-///   nothing. (Candidate *repair* under link churn is
-///   fine — a region whose candidates changed flushes itself via its
-///   fingerprint; only node/edge *renumbering* requires a reset.)
-/// * Memo entries are **region-scoped**: each static region parks its
-///   memos under its own fingerprint and epoch, and is flushed exactly
-///   when its *own* sub-context changes — its members, their candidate
-///   routes, or a capacity on a node/edge those candidates touch — or
-///   when the shared context (price, `V`, budget, method, options)
-///   drifts. A link failure in one region leaves every other region's
-///   memos live: no cold restart for the unaffected parts of the
-///   network.
+///   nothing.
 /// * The remembered previous-slot profile is validated by route
 ///   *identity* (edge list), not by index: a repair that reshuffles a
 ///   pair's candidate list relocates the remembered route, and a route
@@ -544,24 +320,13 @@ const REGION_CAP: usize = 512;
 ///   never leak into a seed.
 /// * With `warm_profile_seed` off, a session-built evaluator is
 ///   **bit-identical** to a fresh [`ProfileEvaluator::new`] per slot
-///   (enforced by the `session_matches_fresh_per_slot` and
-///   `churn_matches_cold_rebuild` proptests).
+///   (enforced by the `session_matches_fresh_per_slot` proptest, which
+///   also runs link cuts and repairs).
 #[derive(Debug, Default)]
 pub struct SelectorSession {
-    /// Monotone epoch source: flushed or fresh regions draw their next
-    /// epoch from here, so no retired map's stale entries can ever
-    /// resurrect under a recycled epoch.
-    epoch_counter: u64,
-    shared: Option<SharedFingerprint>,
-    /// Parked per-region memo state, keyed by the region's sorted pair
-    /// multiset.
-    regions: HashMap<Box<[SdPair]>, RegionState>,
     scratch: Option<Scratch>,
     /// Previous slot's selected route per pair, by identity.
-    prev_selected: HashMap<SdPair, PrevRoute>,
-    /// Lend counter (drives region TTL pruning).
-    lends: u64,
-    last_invalidation: InvalidationReport,
+    prev_selected: BTreeMap<SdPair, PrevRoute>,
 }
 
 /// A remembered previous-slot selection: the route's index in last
@@ -596,27 +361,10 @@ impl SelectorSession {
         Self::default()
     }
 
-    /// Clears all cross-slot state for a fresh trial: parked region
-    /// memos and the previous selected profile. Recycled buffer capacity
-    /// is kept — it carries no semantic state.
+    /// Clears the previous selected profile for a fresh trial. Recycled
+    /// buffer capacity is kept — it carries no semantic state.
     pub fn reset(&mut self) {
-        self.shared = None;
-        self.regions.clear();
         self.prev_selected.clear();
-        self.last_invalidation = InvalidationReport::default();
-        // `epoch_counter` and `lends` keep counting: epochs stay
-        // monotone for the life of the session.
-    }
-
-    /// The invalidation ledger of the most recent slot (what the last
-    /// [`ProfileEvaluator::new_in`] retained vs flushed).
-    pub fn last_invalidation(&self) -> InvalidationReport {
-        self.last_invalidation
-    }
-
-    /// Number of regions currently parked in the session.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// The route index this session remembers for `pair` from the
@@ -681,144 +429,23 @@ impl SelectorSession {
         }
     }
 
-    fn next_epoch(&mut self) -> u64 {
-        self.epoch_counter += 1;
-        self.epoch_counter
-    }
-
-    /// Lends the recycled buffers out for one slot: pulls each region's
-    /// parked memos out by key, flushes (epoch-bumps) exactly the
-    /// regions whose fingerprint — or the shared context — changed, and
-    /// TTL-prunes parked regions that have not appeared recently.
-    fn lend(
-        &mut self,
-        shared: SharedFingerprint,
-        keys: &[Box<[SdPair]>],
-        fps: &[RegionFingerprint],
-    ) -> SessionParts {
-        self.lends += 1;
-        let shared_mismatch = self.shared.as_ref() != Some(&shared);
-        self.shared = Some(shared);
-
-        let n = keys.len();
-        let mut report = InvalidationReport {
-            regions: n as u32,
-            ..InvalidationReport::default()
-        };
-        let mut epochs = Vec::with_capacity(n);
-        let mut memos = Vec::with_capacity(n);
-        let mut dyn_memos = Vec::with_capacity(n);
-        for (key, fp) in keys.iter().zip(fps) {
-            match self.regions.remove(key) {
-                Some(mut s) => {
-                    let entries = (s.memo.len() + s.dyn_memo.len()) as u64;
-                    if shared_mismatch || s.fingerprint != *fp {
-                        s.epoch = self.next_epoch();
-                        report.regions_flushed += 1;
-                        report.memo_entries_flushed += entries;
-                    } else {
-                        report.memo_entries_retained += entries;
-                    }
-                    epochs.push(s.epoch);
-                    memos.push(s.memo);
-                    dyn_memos.push(s.dyn_memo);
-                }
-                None => {
-                    report.regions_fresh += 1;
-                    epochs.push(self.next_epoch());
-                    memos.push(Memo::new());
-                    dyn_memos.push(Memo::new());
-                }
-            }
-        }
-
-        let lends = self.lends;
-        self.regions
-            // qdn-lint: allow(unordered-iter, reason="TTL prune; the predicate is a pure per-entry function, so visit order cannot affect which entries survive")
-            .retain(|_, s| lends.saturating_sub(s.last_used) <= REGION_TTL);
-        if self.regions.len() > REGION_CAP {
-            self.regions.clear();
-        }
-        self.last_invalidation = report;
-        SessionParts {
-            epochs,
-            scratch: self.scratch.take(),
-            memos,
-            dyn_memos,
-            report,
-        }
-    }
-
-    /// Serializes every piece of cross-slot state into a
-    /// [`SessionSnapshot`] with canonical (sorted) entry order, so equal
-    /// sessions produce byte-identical snapshots regardless of hash-map
-    /// iteration order.
-    ///
-    /// The snapshot is *complete*: region memos (both levels, with their
-    /// epochs), the previous selected profile, the shared fingerprint,
-    /// and the epoch/lend counters all round-trip. Anything less — say,
-    /// without the memos — would let a restored session diverge from the
-    /// uninterrupted run on the first memo hit the original would have
-    /// had. The recycled scratch arena is *not* captured (it carries no
-    /// semantic state and is rebuilt lazily).
+    /// Serializes the session's cross-slot state — the previous
+    /// selected profile, in pair order — into a [`SessionSnapshot`], so
+    /// equal sessions produce byte-identical snapshots. The recycled
+    /// scratch arena is *not* captured (it carries no semantic state and
+    /// is rebuilt lazily).
     pub fn snapshot(&self) -> SessionSnapshot {
-        fn memo_entries(memo: &Memo) -> Vec<MemoEntrySnapshot> {
-            let mut out: Vec<MemoEntrySnapshot> = memo
-                // qdn-lint: allow(unordered-iter, reason="snapshot building; entries are sorted by key immediately after collection")
-                .iter()
-                .map(|(k, e)| MemoEntrySnapshot {
-                    key: k.to_vec(),
-                    epoch: e.epoch,
-                    alloc: e.alloc.as_ref().map(|a| a.to_vec()),
-                })
-                .collect();
-            out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-            out
-        }
-        let mut regions: Vec<RegionSnapshot> = self
-            .regions
-            // qdn-lint: allow(unordered-iter, reason="snapshot building; regions are sorted by key immediately after collection")
-            .iter()
-            .map(|(key, st)| RegionSnapshot {
-                key: key.to_vec(),
-                epoch: st.epoch,
-                last_used: st.last_used,
-                pairs: st.fingerprint.pairs.clone(),
-                routes_hash: st.fingerprint.routes_hash,
-                qubits: st.fingerprint.qubits.clone(),
-                channels: st.fingerprint.channels.clone(),
-                memo: memo_entries(&st.memo),
-                dyn_memo: memo_entries(&st.dyn_memo),
-            })
-            .collect();
-        regions.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        let mut prev_selected: Vec<PrevSelectedSnapshot> = self
-            .prev_selected
-            // qdn-lint: allow(unordered-iter, reason="snapshot building; entries are sorted by pair immediately after collection")
-            .iter()
-            .map(|(&pair, r)| PrevSelectedSnapshot {
-                pair,
-                index: r.index,
-                edges: r.edges.to_vec(),
-            })
-            .collect();
-        prev_selected.sort_unstable_by_key(|p| p.pair);
         SessionSnapshot {
             version: SESSION_SNAPSHOT_VERSION,
-            epoch_counter: self.epoch_counter,
-            lends: self.lends,
-            shared: self.shared.as_ref().map(|s| SharedSnapshot {
-                v_bits: s.v_bits,
-                price_bits: s.price_bits,
-                budget: s.budget,
-                method: s.method,
-                options: s.options,
-                nodes: s.nodes,
-                edges: s.edges,
-            }),
-            regions,
-            prev_selected,
-            last_invalidation: self.last_invalidation,
+            prev_selected: self
+                .prev_selected
+                .iter()
+                .map(|(&pair, r)| PrevSelectedSnapshot {
+                    pair,
+                    index: r.index,
+                    edges: r.edges.to_vec(),
+                })
+                .collect(),
         }
     }
 
@@ -835,52 +462,7 @@ impl SelectorSession {
                 snapshot.version
             ));
         }
-        fn memo_map(entries: &[MemoEntrySnapshot]) -> Memo {
-            entries
-                .iter()
-                .map(|e| {
-                    (
-                        e.key.clone().into_boxed_slice(),
-                        MemoEntry {
-                            epoch: e.epoch,
-                            alloc: e.alloc.as_ref().map(|a| a.clone().into_boxed_slice()),
-                        },
-                    )
-                })
-                .collect()
-        }
         Ok(SelectorSession {
-            epoch_counter: snapshot.epoch_counter,
-            shared: snapshot.shared.as_ref().map(|s| SharedFingerprint {
-                v_bits: s.v_bits,
-                price_bits: s.price_bits,
-                budget: s.budget,
-                method: s.method,
-                options: s.options,
-                nodes: s.nodes,
-                edges: s.edges,
-            }),
-            regions: snapshot
-                .regions
-                .iter()
-                .map(|r| {
-                    (
-                        r.key.clone().into_boxed_slice(),
-                        RegionState {
-                            epoch: r.epoch,
-                            fingerprint: RegionFingerprint {
-                                pairs: r.pairs.clone(),
-                                routes_hash: r.routes_hash,
-                                qubits: r.qubits.clone(),
-                                channels: r.channels.clone(),
-                            },
-                            memo: memo_map(&r.memo),
-                            dyn_memo: memo_map(&r.dyn_memo),
-                            last_used: r.last_used,
-                        },
-                    )
-                })
-                .collect(),
             scratch: None,
             prev_selected: snapshot
                 .prev_selected
@@ -895,65 +477,21 @@ impl SelectorSession {
                     )
                 })
                 .collect(),
-            lends: snapshot.lends,
-            last_invalidation: snapshot.last_invalidation,
         })
     }
 }
 
-/// Version tag of [`SessionSnapshot`]; bump on layout changes
-/// (including those of the embedded [`AllocationMethod`]).
-pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
+/// Version tag of [`SessionSnapshot`]; bump on layout changes.
+pub const SESSION_SNAPSHOT_VERSION: u32 = 4;
 
 /// Serializable image of a [`SelectorSession`] (see
-/// [`SelectorSession::snapshot`]). Entry order is canonical (sorted by
-/// key), so equal sessions snapshot byte-identically.
+/// [`SelectorSession::snapshot`]). Entries are sorted by pair, so equal
+/// sessions snapshot byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// Layout version ([`SESSION_SNAPSHOT_VERSION`]).
     pub version: u32,
-    epoch_counter: u64,
-    lends: u64,
-    shared: Option<SharedSnapshot>,
-    regions: Vec<RegionSnapshot>,
     prev_selected: Vec<PrevSelectedSnapshot>,
-    last_invalidation: InvalidationReport,
-}
-
-/// Mirror of the private [`SharedFingerprint`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SharedSnapshot {
-    v_bits: u64,
-    price_bits: u64,
-    budget: Option<u64>,
-    method: AllocationMethod,
-    options: EvalOptions,
-    nodes: usize,
-    edges: usize,
-}
-
-/// One parked region: its key, fingerprint, and both memo levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RegionSnapshot {
-    /// The region key (sorted pair multiset).
-    key: Vec<SdPair>,
-    epoch: u64,
-    last_used: u64,
-    /// Fingerprint: pairs in candidate (positional) order.
-    pairs: Vec<SdPair>,
-    routes_hash: u64,
-    qubits: Vec<(u32, u32)>,
-    channels: Vec<(u32, u32)>,
-    memo: Vec<MemoEntrySnapshot>,
-    dyn_memo: Vec<MemoEntrySnapshot>,
-}
-
-/// One memoized allocation (route tuple → epoch-stamped result).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct MemoEntrySnapshot {
-    key: Vec<u32>,
-    epoch: u64,
-    alloc: Option<Vec<u32>>,
 }
 
 /// One remembered previous-slot route.
@@ -992,16 +530,6 @@ pub struct EvalStats {
     /// freshly solved by the most recent evaluation; 0 when it was
     /// served entirely from the memos.
     pub pairs_resolved_last_move: u64,
-    /// Gauge: static regions whose session memos were flushed when this
-    /// evaluator was built (0 for sessionless evaluators).
-    pub regions_flushed: u64,
-    /// Gauge: static regions with no parked session state at build.
-    pub regions_fresh: u64,
-    /// Gauge: memo entries carried live across the slot boundary at
-    /// build.
-    pub memo_entries_retained: u64,
-    /// Gauge: memo entries invalidated at build by region flushes.
-    pub memo_entries_flushed: u64,
 }
 
 /// The incremental profile-evaluation engine. See the module docs.
@@ -1034,14 +562,6 @@ pub struct ProfileEvaluator<'a> {
     lossy_swap: bool,
     budget: Option<u32>,
     scratch: Scratch,
-    /// Per-component memo epochs this evaluator reads and writes;
-    /// session-built evaluators inherit each region's current epoch.
-    epochs: Vec<u64>,
-    /// Session identity of each static component (region key = sorted
-    /// pair multiset, plus the slot's region fingerprint) — what
-    /// [`ProfileEvaluator::retire`] parks the memos under.
-    region_keys: Vec<Box<[SdPair]>>,
-    region_fps: Vec<RegionFingerprint>,
     /// Level-1 memos (per static component, keyed by route tuple).
     memos: Vec<Memo>,
     /// Level-2 memos (per static component, keyed by dynamic sub-key).
@@ -1073,16 +593,12 @@ impl<'a> ProfileEvaluator<'a> {
     }
 
     /// [`ProfileEvaluator::new`] backed by a [`SelectorSession`]: the
-    /// arena, scratch buffers, and memo maps are borrowed from
-    /// the session instead of freshly allocated. Memos are region-scoped
-    /// — each static component pulls its parked memo maps by identity,
-    /// and only the regions whose own sub-context (members, candidate
-    /// routes, touched capacities) or the shared context changed are
-    /// flushed (see the session docs for the invalidation invariants).
-    /// Call [`ProfileEvaluator::retire`] when the slot's selection is
-    /// done to hand the state back; dropping the evaluator instead
-    /// merely forfeits the reuse (the session rebuilds fresh buffers
-    /// next slot).
+    /// arena and scratch buffers are borrowed from the session instead
+    /// of freshly allocated; the memos start empty. Call
+    /// [`ProfileEvaluator::retire`] when the slot's selection is done to
+    /// hand the buffers back; dropping the evaluator instead merely
+    /// forfeits the reuse (the session rebuilds fresh buffers next
+    /// slot).
     pub fn new_in(
         session: &mut SelectorSession,
         ctx: &PerSlotContext<'a>,
@@ -1090,37 +606,13 @@ impl<'a> ProfileEvaluator<'a> {
         method: &AllocationMethod,
         options: EvalOptions,
     ) -> Self {
-        Self::build(ctx, candidates, method, options, Some(session))
+        Self::build(ctx, candidates, method, options, session.scratch.take())
     }
 
-    /// Returns the recycled buffers and memos to `session`
-    /// for the next slot. Each static component's memos are parked
-    /// under its region key with the epoch they were stamped with, so
-    /// the next slot that poses the same sub-problem — even after
-    /// unrelated churn elsewhere — reads them back verbatim.
+    /// Returns the recycled buffers to `session` for the next slot. The
+    /// memos are dropped with the evaluator.
     pub fn retire(self, session: &mut SelectorSession) {
         session.scratch = Some(self.scratch);
-        let last_used = session.lends;
-        for ((((key, fingerprint), epoch), memo), dyn_memo) in self
-            .region_keys
-            .into_iter()
-            .zip(self.region_fps)
-            .zip(self.epochs)
-            .zip(self.memos)
-            .zip(self.dyn_memos)
-        {
-            session.epoch_counter = session.epoch_counter.max(epoch);
-            session.regions.insert(
-                key,
-                RegionState {
-                    epoch,
-                    fingerprint,
-                    memo,
-                    dyn_memo,
-                    last_used,
-                },
-            );
-        }
     }
 
     fn build(
@@ -1128,7 +620,7 @@ impl<'a> ProfileEvaluator<'a> {
         candidates: &[Candidates<'_>],
         method: &AllocationMethod,
         options: EvalOptions,
-        session: Option<&mut SelectorSession>,
+        scratch: Option<Scratch>,
     ) -> Self {
         let k = candidates.len();
         let pairs: Vec<SdPair> = candidates.iter().map(|c| c.pair).collect();
@@ -1182,48 +674,18 @@ impl<'a> ProfileEvaluator<'a> {
             comp_key_off.push(comp_key_off.last().unwrap() + pairs.len());
         }
 
-        // The static partition is known, so each component's session
-        // identity (region key + fingerprint) can be computed and the
-        // matching parked memos pulled from the session region by
-        // region.
-        let (region_keys, region_fps) = region_identities(ctx, &pairs, &routes, &comp_pairs);
-        let parts = match session {
-            Some(s) => s.lend(
-                SharedFingerprint::of(ctx, method, options),
-                &region_keys,
-                &region_fps,
-            ),
-            None => SessionParts::fresh(comp_pairs.len()),
-        };
-
         let q = ctx.network.swap().success();
-        let nodes = ctx.network.node_count();
-        let edges = ctx.network.edge_count();
-        let SessionParts {
-            epochs,
+        let n_comps = comp_pairs.len();
+        let scratch = Scratch::recycled(
             scratch,
-            mut memos,
-            mut dyn_memos,
-            report,
-        } = parts;
-        let scratch = Scratch::recycled(scratch, nodes, edges, comp_pairs.len());
-        for memo in [&mut memos, &mut dyn_memos] {
-            memo.truncate(comp_pairs.len());
-            memo.resize_with(comp_pairs.len(), Memo::new);
-            for m in memo.iter_mut() {
-                if m.len() > MEMO_PRUNE_LEN {
-                    m.clear();
-                }
-            }
-        }
+            ctx.network.node_count(),
+            ctx.network.edge_count(),
+            n_comps,
+        );
         let pair_memo = routes.iter().map(|c| vec![None; c.len()]).collect();
         let stats = EvalStats {
             // Unrefined components count as one dynamic group each.
-            dynamic_components: comp_pairs.len() as u64,
-            regions_flushed: report.regions_flushed as u64,
-            regions_fresh: report.regions_fresh as u64,
-            memo_entries_retained: report.memo_entries_retained,
-            memo_entries_flushed: report.memo_entries_flushed,
+            dynamic_components: n_comps as u64,
             ..EvalStats::default()
         };
         ProfileEvaluator {
@@ -1235,19 +697,16 @@ impl<'a> ProfileEvaluator<'a> {
             comp_of_pair,
             dyn_group_of: vec![0; k],
             dyn_state_key: vec![0; k],
-            dyn_state_valid: vec![false; comp_pairs.len()],
-            dyn_group_count: vec![1; comp_pairs.len()],
+            dyn_state_valid: vec![false; n_comps],
+            dyn_group_count: vec![1; n_comps],
             comp_pairs,
             comp_key_off,
             ln_q: if q < 1.0 { q.ln() } else { 0.0 },
             lossy_swap: q < 1.0,
             budget: ctx.slot_budget.map(|b| b.min(u32::MAX as u64) as u32),
             scratch,
-            epochs,
-            region_keys,
-            region_fps,
-            memos,
-            dyn_memos,
+            memos: std::iter::repeat_with(Memo::new).take(n_comps).collect(),
+            dyn_memos: std::iter::repeat_with(Memo::new).take(n_comps).collect(),
             group_key: Vec::new(),
             group_members: Vec::new(),
             pair_memo,
@@ -1470,14 +929,11 @@ impl<'a> ProfileEvaluator<'a> {
 
         for comp in 0..self.comp_pairs.len() {
             let key = &self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]];
-            if let Some(entry) = self.memos[comp]
-                .get(key)
-                .filter(|e| e.epoch == self.epochs[comp])
-            {
+            if let Some(entry) = self.memos[comp].get(key) {
                 if fresh.binary_search(&comp).is_err() {
                     self.stats.memo_hits += 1;
                 }
-                entry.alloc.as_ref()?;
+                entry.as_ref()?;
                 continue;
             }
             let feasible = if self.use_dynamic(comp) {
@@ -1515,13 +971,7 @@ impl<'a> ProfileEvaluator<'a> {
         let key = self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]]
             .to_vec()
             .into_boxed_slice();
-        self.memos[comp].insert(
-            key,
-            MemoEntry {
-                epoch: self.epochs[comp],
-                alloc,
-            },
-        );
+        self.memos[comp].insert(key, alloc);
         feasible
     }
 
@@ -1542,11 +992,8 @@ impl<'a> ProfileEvaluator<'a> {
                     self.group_members.push(self.comp_pairs[comp][pos]);
                 }
             }
-            if let Some(entry) = self.dyn_memos[comp]
-                .get(self.group_key.as_slice())
-                .filter(|e| e.epoch == self.epochs[comp])
-            {
-                if entry.alloc.is_none() {
+            if let Some(entry) = self.dyn_memos[comp].get(self.group_key.as_slice()) {
+                if entry.is_none() {
                     feasible = false;
                     break;
                 }
@@ -1564,13 +1011,7 @@ impl<'a> ProfileEvaluator<'a> {
                 indices,
             );
             let ok = alloc.is_some();
-            self.dyn_memos[comp].insert(
-                self.group_key.as_slice().into(),
-                MemoEntry {
-                    epoch: self.epochs[comp],
-                    alloc,
-                },
-            );
+            self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
             if !ok {
                 feasible = false;
                 break;
@@ -1578,13 +1019,7 @@ impl<'a> ProfileEvaluator<'a> {
         }
         if !feasible {
             let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
-            self.memos[comp].insert(
-                key,
-                MemoEntry {
-                    epoch: self.epochs[comp],
-                    alloc: None,
-                },
-            );
+            self.memos[comp].insert(key, None);
             return false;
         }
         self.gather_groups(comp);
@@ -1627,24 +1062,15 @@ impl<'a> ProfileEvaluator<'a> {
                     spans.push((pos_off[pos], hops));
                 }
             }
-            let entry = self.dyn_memos[comp]
+            let alloc = self.dyn_memos[comp]
                 .get(self.group_key.as_slice())
-                .expect("group memoized by solve_groups");
-            debug_assert_eq!(entry.epoch, self.epochs[comp]);
-            let alloc = entry
-                .alloc
+                .expect("group memoized by solve_groups")
                 .as_deref()
                 .expect("group feasible by solve_groups");
             scatter_segments(alloc, spans.iter().copied(), gathered);
         }
         let key: Box<[u32]> = joint_key[off..end].into();
-        self.memos[comp].insert(
-            key,
-            MemoEntry {
-                epoch: self.epochs[comp],
-                alloc: Some(gathered.as_slice().into()),
-            },
-        );
+        self.memos[comp].insert(key, Some(gathered.as_slice().into()));
     }
 
     /// Pre-solves all missing work items of `indices` — dynamic groups,
@@ -1676,10 +1102,7 @@ impl<'a> ProfileEvaluator<'a> {
         for comp in 0..self.comp_pairs.len() {
             let off = self.comp_key_off[comp];
             let end = self.comp_key_off[comp + 1];
-            if self.memos[comp]
-                .get(&self.scratch.joint_key[off..end])
-                .is_some_and(|e| e.epoch == self.epochs[comp])
-            {
+            if self.memos[comp].contains_key(&self.scratch.joint_key[off..end]) {
                 continue;
             }
             if self.use_dynamic(comp) {
@@ -1693,10 +1116,7 @@ impl<'a> ProfileEvaluator<'a> {
                                 self.group_key.push(self.scratch.joint_key[off + pos]);
                             }
                         }
-                        if self.dyn_memos[comp]
-                            .get(self.group_key.as_slice())
-                            .is_none_or(|e| e.epoch != self.epochs[comp])
-                        {
+                        if !self.dyn_memos[comp].contains_key(self.group_key.as_slice()) {
                             items.push((comp, g));
                         }
                     }
@@ -1766,13 +1186,9 @@ impl<'a> ProfileEvaluator<'a> {
             self.stats.pairs_resolved_last_move += n_pairs as u64;
             let off = self.comp_key_off[comp];
             let end = self.comp_key_off[comp + 1];
-            let entry = MemoEntry {
-                epoch: self.epochs[comp],
-                alloc,
-            };
             if g == WHOLE {
                 let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
-                self.memos[comp].insert(key, entry);
+                self.memos[comp].insert(key, alloc);
                 fresh.push(comp);
             } else {
                 self.group_key.clear();
@@ -1782,7 +1198,7 @@ impl<'a> ProfileEvaluator<'a> {
                         self.group_key.push(self.scratch.joint_key[off + pos]);
                     }
                 }
-                self.dyn_memos[comp].insert(self.group_key.as_slice().into(), entry);
+                self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
                 // The serial loop's level-1 miss path gathers the groups
                 // (all level-2 hits by then) into the level-1 entry.
             }
@@ -1813,12 +1229,9 @@ impl<'a> ProfileEvaluator<'a> {
             .map(|comp| {
                 let key =
                     &self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]];
-                let entry = self.memos[comp]
+                self.memos[comp]
                     .get(key)
-                    .expect("component memoized by ensure_components");
-                debug_assert_eq!(entry.epoch, self.epochs[comp]);
-                entry
-                    .alloc
+                    .expect("component memoized by ensure_components")
                     .as_deref()
                     .expect("component feasible by ensure_components")
             })
@@ -2331,127 +1744,6 @@ mod tests {
     }
 
     #[test]
-    fn region_scoped_flush_spares_untouched_regions() {
-        // Two disjoint diamonds → two static regions. A capacity change
-        // inside the second diamond must flush only its region: the
-        // first diamond's memos survive the slot boundary and answer
-        // without re-solving.
-        let net = two_diamonds();
-        let full = CapacitySnapshot::full(&net);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let options = EvalOptions::default();
-
-        let mut session = SelectorSession::new();
-        let ctx = PerSlotContext::oscar(&net, &full, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx, &cands, &method, options);
-        let before = eval.evaluate_objective(&[0, 0]).unwrap();
-        assert_eq!(eval.stats().components_solved, 2);
-        eval.retire(&mut session);
-        assert_eq!(session.region_count(), 2);
-
-        // Slot 2: edge 4 (the 4–5 link) loses a channel — only the
-        // second diamond's candidates touch it.
-        let mut channels = vec![5u32; 8];
-        channels[4] = 4;
-        let cut = CapacitySnapshot::clamped(&net, vec![10; 8], channels);
-        let ctx2 = PerSlotContext::oscar(&net, &cut, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx2, &cands, &method, options);
-        let report = session.last_invalidation();
-        assert_eq!(report.regions, 2);
-        assert_eq!(report.regions_flushed, 1, "{report:?}");
-        assert_eq!(report.regions_fresh, 0, "{report:?}");
-        assert!(report.memo_entries_retained >= 1, "{report:?}");
-        assert!(report.memo_entries_flushed >= 1, "{report:?}");
-        let after = eval.evaluate_objective(&[0, 0]).unwrap();
-        let s = eval.stats();
-        assert_eq!(s.memo_hits, 1, "diamond 1 answered from retained memo");
-        assert_eq!(s.components_solved, 1, "only diamond 2 re-solved");
-        // Retained-memo answers are bit-identical to a fresh evaluator
-        // under the same slot context.
-        let fresh = ProfileEvaluator::new(&ctx2, &cands, &method, options)
-            .evaluate_objective(&[0, 0])
-            .unwrap();
-        assert_eq!(after.to_bits(), fresh.to_bits());
-        let _ = before;
-        eval.retire(&mut session);
-
-        // Slot 3: identical context — everything retained, all hits.
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx2, &cands, &method, options);
-        assert!(session.last_invalidation().fully_retained());
-        eval.evaluate_objective(&[0, 0]).unwrap();
-        assert_eq!(eval.stats().components_solved, 0);
-        assert_eq!(eval.stats().memo_hits, 2);
-        eval.retire(&mut session);
-    }
-
-    #[test]
-    fn multi_region_cut_flushes_only_touched_regions() {
-        // A correlated outage hits several regions in one slot: with
-        // four disjoint diamonds (four static regions), cutting
-        // capacity in two of them must flush exactly those two — the
-        // session must not degrade to a global flush just because more
-        // than one region changed (PR 9).
-        let mut b = QdnNetworkBuilder::new();
-        let n: Vec<_> = (0..16).map(|_| b.add_node(10)).collect();
-        let good = LinkModel::new(0.85).unwrap();
-        let bad = LinkModel::new(0.25).unwrap();
-        for d in 0..4 {
-            let o = 4 * d;
-            b.add_edge(n[o], n[o + 1], 5, good).unwrap();
-            b.add_edge(n[o + 1], n[o + 3], 5, good).unwrap();
-            b.add_edge(n[o], n[o + 2], 5, bad).unwrap();
-            b.add_edge(n[o + 2], n[o + 3], 5, bad).unwrap();
-        }
-        let net = b.build();
-        let pairs: Vec<SdPair> = (0..4)
-            .map(|d| SdPair::new(NodeId(4 * d), NodeId(4 * d + 3)).unwrap())
-            .collect();
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let options = EvalOptions::default();
-
-        let mut session = SelectorSession::new();
-        let full = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &full, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx, &cands, &method, options);
-        eval.evaluate_objective(&[0, 0, 0, 0]).unwrap();
-        assert_eq!(eval.stats().components_solved, 4);
-        eval.retire(&mut session);
-        assert_eq!(session.region_count(), 4);
-
-        // Slot 2: diamonds 1 and 2 each lose a channel on their good
-        // arm — two regions invalidated together, two untouched.
-        let mut channels = vec![5u32; 16];
-        channels[4] = 4; // diamond 1's 4–5 link
-        channels[8] = 4; // diamond 2's 8–9 link
-        let cut = CapacitySnapshot::clamped(&net, vec![10; 16], channels);
-        let ctx2 = PerSlotContext::oscar(&net, &cut, 800.0, 1.0);
-        let mut eval = ProfileEvaluator::new_in(&mut session, &ctx2, &cands, &method, options);
-        let report = session.last_invalidation();
-        assert_eq!(report.regions, 4);
-        assert_eq!(report.regions_flushed, 2, "{report:?}");
-        assert_eq!(report.regions_fresh, 0, "{report:?}");
-        assert!(report.memo_entries_retained >= 2, "{report:?}");
-        let after = eval.evaluate_objective(&[0, 0, 0, 0]).unwrap();
-        let s = eval.stats();
-        assert_eq!(s.memo_hits, 2, "diamonds 0 and 3 answer from memos");
-        assert_eq!(s.components_solved, 2, "only the cut diamonds re-solve");
-        // Retained memos are bit-identical to a fresh evaluator.
-        let fresh = ProfileEvaluator::new(&ctx2, &cands, &method, options)
-            .evaluate_objective(&[0, 0, 0, 0])
-            .unwrap();
-        assert_eq!(after.to_bits(), fresh.to_bits());
-        eval.retire(&mut session);
-    }
-
-    #[test]
     fn stale_route_seed_relocates_or_forgets() {
         // Satellite regression: a carried-over profile must be matched
         // by route identity, not index, once churn repair reshuffles or
@@ -2527,50 +1819,38 @@ mod tests {
         assert!(err.contains("unknown field `partition`"), "{err}");
     }
 
-    /// A version-2 snapshot (which carried λ stores, the
-    /// global-invalidation flag, and `partition` inside the embedded
-    /// evaluator options) is refused, never half-installed.
+    /// A version-3 snapshot (which carried the shared context and the
+    /// parked region memos) decodes — the extra keys are ignored — and
+    /// is refused by the version check, never half-installed.
     #[test]
-    fn restore_refuses_v2_snapshot() {
-        fn as_v2(v3: &SessionSnapshot) -> String {
-            serde_json::to_string(v3)
-                .unwrap()
-                .replace(r#""version":3,"#, r#""version":2,"#)
-                .replace(r#""shared":"#, r#""global_invalidation":false,"shared":"#)
-                .replace(
-                    r#""prev_selected":"#,
-                    r#""lambda_exact":[],"lambda_dense":[],"lambda_dense_valid":false,"prev_selected":"#,
-                )
-                .replace(r#""options":{"#, r#""options":{"partition":"Dynamic","#)
-        }
+    fn restore_refuses_v3_snapshot() {
+        let v3 = r#"{"version":3,
+            "shared":{"v_bits":4649966476091686912,"price_bits":4607182418800017408,
+                "budget":null,"method":"Greedy","options":{"warm_profile_seed":false},
+                "nodes":8,"edges":8},
+            "regions":[{"key":[{"source":0,"destination":3}],"epoch":7,"last_used":3,
+                "pairs":[{"source":0,"destination":3}],
+                "routes_hash":1,"qubits":[[0,10]],"channels":[[0,5]],
+                "memo":[{"key":[0],"epoch":7,"alloc":[2,2]}],"dyn_memo":[]}],
+            "prev_selected":[]}"#;
+        let decoded: SessionSnapshot = serde_json::from_str(v3).unwrap();
+        assert_eq!(decoded.version, 3);
+        let err = SelectorSession::restore(&decoded).unwrap_err();
+        assert_eq!(err, "session snapshot version 3 (expected 4)");
 
-        // An empty session: the v2 layout decodes, and the version
-        // check refuses it.
-        let empty = SelectorSession::new().snapshot();
-        assert_eq!(empty.version, SESSION_SNAPSHOT_VERSION);
-        let v2: SessionSnapshot = serde_json::from_str(&as_v2(&empty)).unwrap();
-        assert_eq!(v2.version, 2);
-        let err = SelectorSession::restore(&v2).unwrap_err();
-        assert_eq!(err, "session snapshot version 2 (expected 3)");
-
-        // A used session embeds its evaluator options, whose removed
-        // `partition` key already fails the decode by name.
+        // The current layout is exactly the version and the previous
+        // profile, and round-trips.
         let net = two_diamonds();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
         let owned = owned_candidates(&net, &[SdPair::new(NodeId(0), NodeId(3)).unwrap()]);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
         let mut session = SelectorSession::new();
-        let mut eval =
-            ProfileEvaluator::new_in(&mut session, &ctx, &cands, &method, EvalOptions::default());
-        eval.evaluate_objective(&[0]).unwrap();
-        eval.retire(&mut session);
-        let used = session.snapshot();
-        assert!(SelectorSession::restore(&used).is_ok());
-        let err = serde_json::from_str::<SessionSnapshot>(&as_v2(&used))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown field `partition`"), "{err}");
+        session.record_selection(&to_cands(&owned), &[1]);
+        let snap = session.snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(
+            json.starts_with(r#"{"version":4,"prev_selected":[{"#),
+            "{json}"
+        );
+        let restored = SelectorSession::restore(&serde_json::from_str(&json).unwrap()).unwrap();
+        assert_eq!(restored.snapshot(), snap);
     }
 }

@@ -33,7 +33,7 @@ pub fn search(
 /// [`search`] over a caller-provided evaluator — the session-threaded
 /// entry point ([`crate::route_selection::RouteSelector::select_in`]
 /// builds the evaluator from its [`crate::profile_eval::SelectorSession`]
-/// so the arena and memos persist across slots).
+/// so the arena persists across slots).
 pub fn search_with(
     evaluator: &mut ProfileEvaluator<'_>,
     candidates: &[Candidates<'_>],

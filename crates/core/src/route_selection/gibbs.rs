@@ -156,7 +156,7 @@ pub fn run(
 }
 
 /// [`run`] backed by a [`SelectorSession`]: the evaluator recycles the
-/// session's arena and memos, and — when
+/// session's arena, and — when
 /// [`EvalOptions::warm_profile_seed`] is set and the session remembers a
 /// previous slot's selection — every chain starts from that profile
 /// instead of a random draw (new pairs start on their shortest

@@ -130,12 +130,12 @@ impl RouteSelector {
 
     /// [`RouteSelector::select`] threaded through a slot-spanning
     /// [`SelectorSession`]: the profile evaluator recycles the session's
-    /// arena and memos, and the session records this slot's selected
+    /// arena, and the session records this slot's selected
     /// routes as the next slot's seed. With `warm_profile_seed` off,
     /// results are
     /// bit-identical to a fresh [`RouteSelector::select`] per slot (the
     /// `session_matches_fresh_per_slot` proptest enforces it); see
-    /// [`crate::profile_eval`]'s "Persistent selection sessions" docs
+    /// [`crate::profile_eval`]'s "Selection sessions" docs
     /// for the invariants.
     pub fn select_in(
         &self,

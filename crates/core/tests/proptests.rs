@@ -332,11 +332,16 @@ proptest! {
         }
     }
 
-    /// A run that threads one `SelectorSession` through every slot is
-    /// bit-identical to building everything fresh per slot, as long as
-    /// warm seeding is off (`warm_profile_seed: false`) — across Gibbs
-    /// and greedy-local selectors, drifting prices, changing request
-    /// sets, and alternating OSCAR/budgeted contexts.
+    /// A session differs from fresh only through the seed: a run that
+    /// threads one `SelectorSession` (and one incrementally repaired
+    /// `CandidateRoutes` cache) through every slot is bit-identical to
+    /// building the evaluator fresh per slot over the same candidates,
+    /// as long as warm seeding is off (`warm_profile_seed: false`). One
+    /// trace mixes drifting prices `q_t`, budgeted myopic slots,
+    /// changing request sets, and a link cut and its repair, for the
+    /// Gibbs and greedy-local selectors. The pinned pairs sit out one
+    /// slot in four, during which the price moves and then holds: state
+    /// kept from before the absence must not answer for the new price.
     #[test]
     fn session_matches_fresh_per_slot(
         net in arb_ring_network(),
@@ -347,43 +352,69 @@ proptest! {
         use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
 
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
         let evaluator = EvalOptions::default();
+        let cut_edge = seed as usize % net.edge_count();
         for selector in [
             RouteSelector::Gibbs(GibbsConfig {
-                iterations: 10,
+                iterations: 8,
                 evaluator,
                 ..GibbsConfig::paper_default()
             }),
             RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
         ] {
-            let mut session = SelectorSession::new();
             let mut env = rand::rngs::StdRng::seed_from_u64(seed);
+            let pinned: Vec<SdPair> = (0..2)
+                .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
+                .collect();
+            let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+            let mut session = SelectorSession::new();
             // Identical policy RNG streams for the two paths.
             let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
             let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
             let mut price = 1.0 + (seed % 7) as f64;
-            for slot in 0..4u64 {
-                let n_pairs = 1 + (slot as usize + seed as usize) % 2;
-                let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-                    .map(|_| {
-                        let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
-                        (pair, cr.routes(&net, pair).to_vec())
-                    })
-                    .filter(|(_, routes)| !routes.is_empty())
+            for slot in 0..8u64 {
+                let phase = slot % 4;
+                // One link is cut at slot 3 and repaired at slot 7.
+                let cut = (3..7).contains(&slot);
+                let channels: Vec<u32> = net
+                    .graph()
+                    .edge_ids()
+                    .map(|e| if cut && e.index() == cut_edge { 0 } else { net.channel_capacity(e) })
                     .collect();
+                let qubits: Vec<u32> = net
+                    .graph()
+                    .node_ids()
+                    .map(|v| net.qubit_capacity(v))
+                    .collect();
+                let snap = CapacitySnapshot::clamped(&net, qubits, channels);
+                cr.sync_dead_edges(&net, &snap);
+                // The pinned pairs sit out phase 1; a fresh pair joins
+                // every slot but the budgeted one.
+                let mut requests = if phase == 1 { Vec::new() } else { pinned.clone() };
+                if phase != 3 {
+                    requests.push(qdn_net::workload::random_sd_pair(&mut env, &net));
+                }
+                // q_t moves into phases 1 and 3, and holds into phase 2.
+                if phase == 1 || phase == 3 {
+                    price += 3.0 + slot as f64;
+                }
+                let ctx = if phase == 3 {
+                    PerSlotContext::myopic(&net, &snap, 40 + slot)
+                } else {
+                    PerSlotContext::oscar(&net, &snap, v, price)
+                };
+                // A ring with one link cut is a path, so every pair
+                // keeps at least one candidate route.
+                let owned: Vec<(SdPair, Vec<Path>)> = requests
+                    .iter()
+                    .map(|&p| (p, cr.routes(&net, p).to_vec()))
+                    .collect();
+                prop_assert!(owned.iter().all(|(_, routes)| !routes.is_empty()));
                 let cands: Vec<Candidates> = owned
                     .iter()
                     .map(|(pair, routes)| Candidates { pair: *pair, routes })
                     .collect();
-                let snap = CapacitySnapshot::full(&net);
-                // Alternate the budget-coupled myopic context in.
-                let ctx = if slot % 2 == 0 {
-                    PerSlotContext::oscar(&net, &snap, v, price)
-                } else {
-                    PerSlotContext::myopic(&net, &snap, 40 + slot)
-                };
                 let with_session =
                     selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
                 let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
@@ -392,7 +423,6 @@ proptest! {
                     "slot {} diverged ({})",
                     slot, selector.label()
                 );
-                price += 3.0 + (slot as f64) * 2.0; // drifting q_t
             }
         }
     }
@@ -489,95 +519,12 @@ proptest! {
         }
     }
 
-    /// Topology churn never desynchronizes a session from a cold
-    /// rebuild: threading one `SelectorSession` (and one incrementally
-    /// repaired `CandidateRoutes` cache) through a trace of link cuts
-    /// and repairs is bit-identical to building the evaluator fresh
-    /// every slot over the same candidates. Region-scoped invalidation
-    /// may retain memos
-    /// across a cut; this pins down that it never retains a stale one.
-    #[test]
-    fn churn_matches_cold_rebuild(
-        net in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
-        use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-
-        let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-        // Pinned pairs: the same demands live through the churn trace,
-        // so carried-over profiles and memos actually get exercised.
-        let pairs: Vec<SdPair> = (0..2)
-            .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
-            .collect();
-        let m = net.edge_count();
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        let evaluator = EvalOptions::default();
-        let selector = RouteSelector::Gibbs(GibbsConfig {
-            iterations: 8,
-            evaluator,
-            ..GibbsConfig::paper_default()
-        });
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let mut session = SelectorSession::new();
-        let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-        let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-        let mut down = vec![false; m];
-        let mut price = 1.0 + (seed % 5) as f64;
-        for slot in 0..6u64 {
-            // Toggle one link per slot: first sighting cuts it,
-            // the next toggle repairs it — a fail/repair trace.
-            let e = ((seed as usize).wrapping_add(slot as usize * 7)) % m;
-            down[e] = !down[e];
-            let channels: Vec<u32> = net
-                .graph()
-                .edge_ids()
-                .map(|e| if down[e.index()] { 0 } else { net.channel_capacity(e) })
-                .collect();
-            let qubits: Vec<u32> = net
-                .graph()
-                .node_ids()
-                .map(|v| net.qubit_capacity(v))
-                .collect();
-            let snap = CapacitySnapshot::clamped(&net, qubits, channels);
-            cr.sync_dead_edges(&net, &snap);
-            let owned: Vec<(SdPair, Vec<Path>)> = pairs
-                .iter()
-                .map(|&p| (p, cr.routes(&net, p).to_vec()))
-                .filter(|(_, routes)| !routes.is_empty())
-                .collect();
-            if owned.is_empty() {
-                // Both paths see the same disconnection; the
-                // session simply idles this slot.
-                price += 2.0;
-                continue;
-            }
-            let cands: Vec<Candidates> = owned
-                .iter()
-                .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                .collect();
-            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-            let with_session =
-                selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-            let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-            prop_assert_eq!(
-                &with_session, &fresh,
-                "slot {} diverged",
-                slot
-            );
-            price += 3.0 + (slot as f64);
-        }
-    }
-
     /// Cutting a node is exactly cutting its incident edge set: the
     /// node-cut snapshot additionally zeroes the dark node's qubits,
     /// but no surviving candidate can cross a node whose links are all
     /// dead, so that capacity never enters an allocation instance and
     /// the slot decisions are bit-identical. Both are also compared with
-    /// a cold rebuild every slot, pinning that region-scoped
-    /// invalidation never retains a stale memo across a node cut.
+    /// a cold rebuild every slot.
     #[test]
     fn node_churn_matches_edge_set_churn(
         net in arb_ring_network(),

@@ -120,7 +120,7 @@ pub struct OnlineRouter {
     selector: RouteSelector,
     /// Slot-spanning decision state reused across arrivals (the
     /// event-driven analogue of a policy-owned engine state): the
-    /// candidate cache, evaluator arena, and memos persist for the
+    /// candidate cache and evaluator arena persist for the
     /// run instead of being rebuilt per admission decision.
     state: EngineState,
     queue: f64,

@@ -18,8 +18,8 @@ pub struct ServeConfig {
     /// Master seed: topology draw and all per-slot RNG derivation.
     pub seed: u64,
     /// Number of session shards (worker threads). SD pairs are mapped
-    /// to shards by canonical source node, so a pair's warm region
-    /// state always lives on the same shard.
+    /// to shards by canonical source node, so a pair's warm state
+    /// always lives on the same shard.
     pub shards: u32,
     /// Topology + capacity draw.
     pub network: NetworkConfig,

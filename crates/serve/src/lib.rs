@@ -10,7 +10,7 @@
 //!   OSCAR parameters, shard count;
 //! * [`shard`] — shard-per-core warm sessions: one blocking thread per
 //!   shard, each owning an `EngineState` and its slice of the budget,
-//!   keyed by canonical source node so region state never migrates;
+//!   keyed by canonical source node so a pair's warm state never migrates;
 //! * [`daemon`] — the transport-free [`daemon::Daemon`] core plus the
 //!   blocking Unix/TCP socket server;
 //! * [`client`] — a blocking client for tests, tools, and the load
@@ -25,8 +25,9 @@
 //! ## Warm restarts
 //!
 //! `Snapshot` returns every byte of decision-relevant state (candidate
-//! caches with their churn-repaired route sets, session memos, λ
-//! stores, previous profiles, virtual queues, the slot counter);
+//! caches with their churn-repaired route sets, previous profiles,
+//! virtual queues, the slot counter — evaluation memos live for one
+//! slot and are never part of it);
 //! `Restore` installs it and fast-forwards the dynamics process by
 //! replay. A daemon restarted this way produces decisions bit-identical
 //! to the uninterrupted run — pinned by the

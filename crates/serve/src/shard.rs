@@ -5,7 +5,7 @@
 //! fidelity-filter cache) and a [`VirtualQueue`] over its slice of the
 //! budget, and blocks on a plain mpsc channel for work. SD pairs are
 //! mapped to shards by **canonical source node** ([`shard_of`]), so a
-//! pair's warm region state — memos, previous route — always
+//! pair's warm state — its candidate routes and previous route — always
 //! lands on the thread that already holds it. There is no async
 //! runtime: one blocking thread per shard, rendezvous by channel.
 //!
@@ -31,7 +31,7 @@ use crate::proto::ShardSnapshot;
 
 /// The shard a pair's warm state lives on: canonical source node id
 /// modulo the shard count. Orientation-stable (a pair and its reverse
-/// share a shard), so region reuse survives direction flips.
+/// share a shard), so a pair's warm state survives direction flips.
 pub fn shard_of(pair: SdPair, shards: u32) -> usize {
     (pair.canonical().source().0 % shards.max(1)) as usize
 }

@@ -56,10 +56,9 @@ impl Default for SimConfig {
 /// # Selection-session lifecycle
 ///
 /// Policies own their cross-slot selection state (a
-/// `qdn_core::SelectorSession`: evaluator arena, memo epochs, the
-/// previous slot's selected profile) and carry
-/// it across the `decide` calls of one run — that is the whole point of
-/// the session. Trial isolation is the caller's contract: either build
+/// `qdn_core::SelectorSession`: the recycled evaluator arena and the
+/// previous slot's selected profile) and carry it across the `decide`
+/// calls of one run — that is the whole point of the session. Trial isolation is the caller's contract: either build
 /// a fresh policy per trial (what [`crate::trial::run_trials`] does) or
 /// call [`RoutingPolicy::reset`] between runs, which clears the session
 /// along with queues and spend.

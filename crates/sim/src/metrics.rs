@@ -58,10 +58,6 @@ pub struct RecoveryRecord {
     /// around `pre_cut_utility` (0 = the cut slot itself never left it);
     /// `None` if the run ended first.
     pub recovery_slots: Option<u64>,
-    /// Evaluation memos the session carried across the cut boundary.
-    pub memo_entries_retained: u64,
-    /// Evaluation memos the cut invalidated.
-    pub memo_entries_flushed: u64,
 }
 
 /// The full record of one simulation run for one policy.
@@ -235,8 +231,6 @@ impl RunMetrics {
                 affected_pairs: churn.affected_pairs,
                 pre_cut_utility: pre,
                 recovery_slots,
-                memo_entries_retained: churn.memo_entries_retained,
-                memo_entries_flushed: churn.memo_entries_flushed,
             });
         }
         out
@@ -334,8 +328,6 @@ mod tests {
             churn: Some(ChurnDiagnostics {
                 failed_edges: failed,
                 affected_pairs: failed,
-                memo_entries_retained: 3,
-                memo_entries_flushed: 2,
                 ..ChurnDiagnostics::default()
             }),
             ..record(t, utility, 0, vec![])
@@ -427,8 +419,6 @@ mod tests {
         assert!((r.pre_cut_utility + 2.0).abs() < 1e-12);
         // Band floor is -2.1; regained at t=5, two slots after the cut.
         assert_eq!(r.recovery_slots, Some(2));
-        assert_eq!(r.memo_entries_retained, 3);
-        assert_eq!(r.memo_entries_flushed, 2);
         assert_eq!(m.mean_recovery_slots(3, 0.05), Some(2.0));
     }
 

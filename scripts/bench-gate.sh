@@ -20,13 +20,6 @@
 #                                                   (route-keyed partition)
 #   * session_vs_fresh/*                            (200-slot OSCAR e2e,
 #                                                    cold vs session)
-#   * churn_recovery/*                              (post-cut decide latency,
-#                                                    region-scoped
-#                                                    invalidation vs a
-#                                                    session reset per slot)
-#   * node_churn_recovery/*                         (node cuts: PR 9 batch
-#                                                    repair + invalidation)
-#   * regional_outage_recovery/*                    (whole-corridor blackouts)
 #   * serve_throughput/*                            (controller daemon over a
 #                                                    Unix socket: 256-slot
 #                                                    load-gen replay, wire
@@ -39,7 +32,9 @@
 #                                                    solver passes)
 #
 # A row FAILS when `fresh_median_of_medians > baseline_median *
-# BENCH_GATE_FACTOR`. Getting *faster* never fails — refresh the
+# BENCH_GATE_FACTOR`. The gate also FAILS when a gated pattern matches
+# no baseline row, so deleting a bench group cannot leave a dead
+# pattern behind. Getting *faster* never fails — refresh the
 # baseline when it happens: run this script (it writes the combined
 # median-of-N snapshot to $BENCH_GATE_JSON) and copy it over:
 #
@@ -133,26 +128,51 @@ else
     echo "==> bench-gate: combined median-of-$RUNS snapshot at $OUT"
 fi
 
+# The gated row families (glob patterns over bench names).
+GATED=(
+    'profile_eval_paper20/incremental_move/*'
+    'profile_eval_paper20/incremental_cold_eval/*'
+    'profile_eval_wax50/incremental_move/*'
+    'profile_eval_wax50/incremental_cold_eval/*'
+    'dynamic_vs_static_partition/cold_move_dynamic/*'
+    'session_vs_fresh/*'
+    'serve_throughput/*'
+    'parallel_gibbs_restarts/*'
+    'parallel_trial_fanout/*'
+    'csr_pass_ns_per_row/*'
+    'dual_solver_paper20/cold_solve/*'
+)
+
+# Whether bench name $1 matches any gated pattern (unquoted right-hand
+# side: glob matching).
+gated() {
+    local pattern
+    for pattern in "${GATED[@]}"; do
+        # shellcheck disable=SC2053
+        [[ "$1" == $pattern ]] && return 0
+    done
+    return 1
+}
+
 fail=0
 checked=0
+baseline_rows="$(extract "$BASELINE")"
+for pattern in "${GATED[@]}"; do
+    matched=0
+    while read -r name _; do
+        # shellcheck disable=SC2053
+        if [[ "$name" == $pattern ]]; then
+            matched=1
+            break
+        fi
+    done <<<"$baseline_rows"
+    if [[ "$matched" -eq 0 ]]; then
+        echo "bench-gate: FAIL gated pattern '$pattern' matches no row in $BASELINE"
+        fail=1
+    fi
+done
 while read -r name base_med; do
-    case "$name" in
-        profile_eval_paper20/incremental_move/* | \
-            profile_eval_paper20/incremental_cold_eval/* | \
-            profile_eval_wax50/incremental_move/* | \
-            profile_eval_wax50/incremental_cold_eval/* | \
-            dynamic_vs_static_partition/cold_move_dynamic/* | \
-            session_vs_fresh/* | \
-            churn_recovery/* | \
-            node_churn_recovery/* | \
-            regional_outage_recovery/* | \
-            serve_throughput/* | \
-            parallel_gibbs_restarts/* | \
-            parallel_trial_fanout/* | \
-            csr_pass_ns_per_row/* | \
-            dual_solver_paper20/cold_solve/*) ;;
-        *) continue ;;
-    esac
+    gated "$name" || continue
     fresh_med="$(extract "$OUT" | awk -v n="$name" '$1 == n {print $2}')"
     if [[ -z "$fresh_med" ]]; then
         echo "bench-gate: FAIL $name missing from fresh run"
@@ -166,7 +186,7 @@ while read -r name base_med; do
     ratio="${verdict##* }"
     echo "bench-gate: ${status}  ${name}  ${ratio}x of baseline (fresh ${fresh_med} ns vs base ${base_med} ns, limit ${FACTOR}x)"
     [[ "$status" == "OK" ]] || fail=1
-done < <(extract "$BASELINE")
+done <<<"$baseline_rows"
 
 if [[ "$checked" -eq 0 ]]; then
     echo "bench-gate: FAIL no gated rows found in $BASELINE"
@@ -174,7 +194,7 @@ if [[ "$checked" -eq 0 ]]; then
 fi
 
 if [[ "$fail" -ne 0 ]]; then
-    echo "bench-gate: REGRESSION (>${FACTOR}x on a gated row)"
+    echo "bench-gate: FAILED (see the FAIL lines above; regression limit ${FACTOR}x)"
     exit 1
 fi
 echo "bench-gate: OK (${checked} rows within ${FACTOR}x)"
