@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 
-use qdn_graph::{EdgeId, Path};
+use qdn_graph::Path;
 use qdn_net::routes::{CandidateRoutes, RouteLimits, RoutesSnapshot};
 use qdn_net::{QdnNetwork, SdPair};
 use serde::{Deserialize, Serialize};
@@ -97,9 +97,9 @@ impl std::fmt::Debug for SlotDecisionRequest<'_> {
 
 /// The slot-spanning half of the decision pipeline, owned by a policy
 /// (or daemon shard) for the lifetime of a run: the candidate route
-/// cache with its incremental churn repair, the [`SelectorSession`]
-/// carrying recycled evaluator buffers and the previous selected
-/// profile, and the fidelity-filter cache. Evaluation memos are not
+/// cache (lists recomputed lazily under the dead-edge set), the
+/// [`SelectorSession`] carrying recycled evaluator buffers and the
+/// previous selected profile, and the fidelity-filter cache. Evaluation memos are not
 /// part of it: they live for one slot.
 #[derive(Debug)]
 pub struct EngineState {
@@ -146,40 +146,28 @@ impl EngineState {
     }
 
     /// Clears all cross-slot state for a fresh trial: the session's
-    /// previous profile, the candidate cache
-    /// (churn-repaired candidates are only weight-equivalent, not
-    /// tie-identical, to a cold recompute — replay determinism needs a
-    /// fresh cache), and the fidelity-filter cache.
+    /// previous profile, the candidate cache with its dead-edge set, and
+    /// the fidelity-filter cache.
     pub fn reset(&mut self) {
         self.session.reset();
         self.routes.clear();
         self.fidelity.clear();
     }
 
-    /// The candidate-repair ledger of the most recent slot.
+    /// The candidate-route ledger of the most recent slot.
     pub fn churn_diagnostics(&self) -> ChurnDiagnostics {
         ChurnDiagnostics::collect(&self.routes)
     }
 
-    /// Precomputes candidate repair for an *announced* outage of
-    /// `edges` (e.g. an advised maintenance window), so the repair at
-    /// cut time installs cached sets instead of running Yen. Purely an
-    /// optimization: decisions are bit-identical with or without the
-    /// prewarm, so snapshots do not carry it. Returns the number of
-    /// tracked pairs prewarmed.
-    pub fn prewarm_dead_edges(&mut self, network: &QdnNetwork, edges: &[EdgeId]) -> usize {
-        self.routes.prewarm_dead_edges(network, edges)
-    }
-
     /// Serializes the full cross-slot state into an [`EngineSnapshot`].
     ///
-    /// The snapshot captures the candidate route cache (with the
-    /// churn-repaired route sets themselves — repair is only
-    /// weight-equivalent to a cold recompute, so restore must not
-    /// recompute) and the complete selection session. The fidelity
-    /// cache is *not* captured: it is a pure function of the network
-    /// and the candidate sets and is rebuilt deterministically on the
-    /// first slot after restore.
+    /// The snapshot captures the candidate route cache as its dead-edge
+    /// set and the pairs whose lists are current (the lists are a pure
+    /// function of pair and dead set, so they are recomputed after a
+    /// restore) and the complete selection session. The fidelity cache is *not*
+    /// captured: it is a pure function of the network and the candidate
+    /// sets and is rebuilt deterministically on the first slot after
+    /// restore.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             version: ENGINE_SNAPSHOT_VERSION,
@@ -189,9 +177,11 @@ impl EngineState {
     }
 
     /// Rebuilds engine state from a snapshot taken by
-    /// [`EngineState::snapshot`]. Decisions made by the restored state
-    /// are bit-identical to the uninterrupted run's (pinned by the
-    /// `restored_session_matches_uninterrupted` proptest).
+    /// [`EngineState::snapshot`]. Candidate lists are recomputed on first
+    /// use under the snapshot's dead set, so decisions made by the
+    /// restored state are bit-identical to the uninterrupted run's
+    /// (pinned by the `restored_session_matches_uninterrupted`
+    /// proptest).
     pub fn restore(snapshot: &EngineSnapshot) -> Result<Self, String> {
         if snapshot.version != ENGINE_SNAPSHOT_VERSION {
             return Err(format!(
@@ -236,13 +226,14 @@ pub struct EngineSnapshot {
 ///
 /// A route's end-to-end Werner fidelity depends only on its links'
 /// models — not on the slot's capacities — so which candidates survive a
-/// fixed target is constant until churn repair changes a pair's
+/// fixed target is constant until a recompute changes a pair's
 /// candidate list. The old pipeline nevertheless cloned every surviving
 /// [`Path`] of every requested pair every slot (a `Cow::Owned` per
 /// pair). This cache computes the surviving *indices* against the cached
 /// candidate slice once per pair, materializes a compact route list only
-/// when the filter actually removes something, and reuses both until the
-/// pair's candidates are repaired — steady-state slots clone nothing.
+/// when the filter actually removes something, and reuses both until a
+/// recompute changes the pair's candidates — steady-state slots clone
+/// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct FidelityCache {
     /// Bit pattern of the target the entries were computed for.
@@ -264,8 +255,9 @@ impl FidelityCache {
         self.entries.clear();
     }
 
-    /// Drops entries whose pair's candidate list was repaired this slot
-    /// (both orientations share the canonical candidate computation).
+    /// Drops entries whose pair's candidate list a recompute changed
+    /// this slot (both orientations share the canonical candidate
+    /// computation).
     fn invalidate_pairs(&mut self, changed: &[SdPair]) {
         for pair in changed {
             self.entries.remove(pair);
@@ -338,23 +330,23 @@ pub(crate) fn decide_parts(
     } = req;
     // Reconcile the candidate cache with this slot's link state first:
     // an edge at zero channels is failed for the slot (every route needs
-    // at least one channel per edge), so routes through it are dropped
-    // and only the affected pairs repaired — incrementally, via the KSP
-    // maintainer; a restored edge re-admits routes the same way. Pairs
-    // left with no candidates fall through to `unserved` below.
-    let changed = routes_cache
-        .sync_dead_edges(network, ctx.snapshot)
-        .changed_pairs
-        .clone();
-    fidelity.invalidate_pairs(&changed);
-    // Warm the cache with one `&mut` call per pair (and refresh the
-    // fidelity entries against the warmed slices), then take shared
-    // borrows: the selector is handed cached slices directly — the
-    // full candidate list, or the cached filtered list when a fidelity
-    // target removes candidates. Nothing is cloned per slot.
+    // at least one channel per edge), so a change to the dead set makes
+    // every cached list stale. Warming the requested pairs recomputes
+    // the stale ones — cold Yen under the new dead set — and leaves the
+    // rest alone. Pairs left with no candidates fall through to
+    // `unserved` below.
+    routes_cache.sync_dead_edges(network, ctx.snapshot);
     for &pair in requests {
         routes_cache.routes(network, pair);
-        if let Some(target) = fidelity_target {
+    }
+    // Refresh the fidelity entries against the warmed slices, dropping
+    // those of pairs whose list a recompute just changed; then take
+    // shared borrows: the selector is handed cached slices directly —
+    // the full candidate list, or the cached filtered list when a
+    // fidelity target removes candidates. Nothing is cloned per slot.
+    fidelity.invalidate_pairs(&routes_cache.last_churn().changed_pairs);
+    if let Some(target) = fidelity_target {
+        for &pair in requests {
             let cached = routes_cache
                 .cached(pair)
                 .expect("routes() populated this pair");
@@ -565,8 +557,8 @@ mod tests {
             },
         );
         // Fail an edge used by some served route, then decide again:
-        // the repaired pair's entry must be recomputed against the
-        // repaired candidates (no stale indices).
+        // the pair's entry must be recomputed against its recomputed
+        // candidates (no stale indices).
         let Some(first) = d0.assignments().first() else {
             return;
         };

@@ -23,32 +23,26 @@ pub struct PolicyDiagnostics {
     pub churn: Option<ChurnDiagnostics>,
 }
 
-/// What the last slot's topology churn cost a session policy: how much
-/// candidate repair ran in the route cache. The recovery-time metrics in
-/// `qdn-sim` aggregate these per failure event.
+/// What the last slot's topology churn cost a session policy: how many
+/// candidate lists the route cache recomputed. The recovery-time metrics
+/// in `qdn-sim` aggregate these per failure event.
 ///
 /// Results files from older versions also carry the keys of the
 /// removed cross-slot memo ledger (`regions`, `regions_fresh` and
-/// friends); they still load, and the keys are ignored.
+/// friends) and of the removed repair ledger (`routes_recomputed`,
+/// `prewarm_hits`); they still load, and the keys are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChurnDiagnostics {
     /// Links newly failed (capacity dropped to zero) this slot.
     pub failed_edges: u32,
     /// Links newly restored this slot.
     pub restored_edges: u32,
-    /// Tracked pairs whose candidate set changed under this slot's
-    /// repair.
+    /// Requested pairs whose recomputed candidate list differs from
+    /// the list the cache held under an earlier dead-edge set.
     pub affected_pairs: u32,
-    /// Pairs whose candidates were re-derived by the incremental KSP
-    /// maintainer (the rest were proven unaffected and skipped).
-    pub routes_recomputed: u32,
-    /// Yen searches the batch repair actually ran — at most one per
-    /// affected pair per direction, however many edges died together
-    /// (PR 9; a per-edge repair loop pays one per pair × edge).
+    /// Yen searches this slot ran: one per requested pair with no list
+    /// for the current dead-edge set.
     pub repair_yen_runs: u32,
-    /// Repairs installed from prewarmed candidate sets (announced
-    /// maintenance windows) instead of a live Yen search.
-    pub prewarm_hits: u32,
 }
 
 impl ChurnDiagnostics {
@@ -62,9 +56,7 @@ impl ChurnDiagnostics {
             failed_edges: churn.failed.len() as u32,
             restored_edges: churn.restored.len() as u32,
             affected_pairs: churn.changed_pairs.len() as u32,
-            routes_recomputed: churn.recomputed as u32,
             repair_yen_runs: churn.yen_runs as u32,
-            prewarm_hits: churn.prewarm_hits as u32,
         }
     }
 }
@@ -143,7 +135,7 @@ mod tests {
     }
 
     /// Diagnostics recorded by older versions carry the removed memo
-    /// ledger keys; they load with those keys ignored.
+    /// and repair ledger keys; they load with those keys ignored.
     #[test]
     fn old_churn_diagnostics_load_ignoring_memo_keys() {
         let old = r#"{"failed_edges":1,"restored_edges":0,"affected_pairs":2,
@@ -155,7 +147,6 @@ mod tests {
             ChurnDiagnostics {
                 failed_edges: 1,
                 affected_pairs: 2,
-                routes_recomputed: 2,
                 repair_yen_runs: 2,
                 ..ChurnDiagnostics::default()
             }

@@ -314,7 +314,7 @@ type Memo = HashMap<Box<[u32]>, Option<Box<[u32]>>>;
 ///   [`crate::policy::RoutingPolicy::reset`] runs, so fresh trials share
 ///   nothing.
 /// * The remembered previous-slot profile is validated by route
-///   *identity* (edge list), not by index: a repair that reshuffles a
+///   *identity* (edge list), not by index: a recompute that reshuffles a
 ///   pair's candidate list relocates the remembered route, and a route
 ///   that no longer exists is simply forgotten — a stale index can
 ///   never leak into a seed.
@@ -331,7 +331,7 @@ pub struct SelectorSession {
 
 /// A remembered previous-slot selection: the route's index in last
 /// slot's candidate list plus its identity (edge sequence), so the next
-/// slot can detect that churn repair removed or relocated the route.
+/// slot can detect that a churn recompute removed or relocated the route.
 #[derive(Debug, Clone)]
 struct PrevRoute {
     index: u32,
@@ -342,7 +342,7 @@ impl PrevRoute {
     /// Finds this route in `routes`: the stored index when it still
     /// holds the identical route (the steady-state fast path), else a
     /// linear scan by edge-list identity, else `None` (the route was
-    /// dropped by candidate repair).
+    /// dropped by a candidate recompute).
     fn locate(&self, routes: &[Path]) -> Option<usize> {
         let idx = self.index as usize;
         if routes
@@ -385,7 +385,7 @@ impl SelectorSession {
     /// budget on seeded slots (see `GibbsConfig::warm_iterations`), so
     /// low-coverage slots must run the full cold search instead.
     /// Remembered pairs start on last slot's route, located by edge-list
-    /// identity (so a candidate list reshuffled by churn repair still
+    /// identity (so a candidate list reshuffled by a churn recompute still
     /// seeds the same physical route, and a removed route falls back
     /// instead of aliasing whatever now sits at its old index); the
     /// remaining pairs fall back to their shortest candidate (index 0).
@@ -1746,7 +1746,7 @@ mod tests {
     #[test]
     fn stale_route_seed_relocates_or_forgets() {
         // Satellite regression: a carried-over profile must be matched
-        // by route identity, not index, once churn repair reshuffles or
+        // by route identity, not index, once a churn recompute reshuffles or
         // removes candidates.
         let net = two_diamonds();
         let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();

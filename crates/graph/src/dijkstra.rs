@@ -202,32 +202,11 @@ pub fn distances_from<F>(graph: &Graph, src: NodeId, weight: &F) -> Vec<f64>
 where
     F: Fn(EdgeId) -> f64,
 {
-    distances_from_filtered(graph, src, weight, &SearchFilter::new())
-}
-
-/// Single-source distances ignoring anything banned by `filter`.
-///
-/// Banned nodes (including a banned `src`) and nodes only reachable
-/// through banned edges get `f64::INFINITY`. Used by the incremental
-/// candidate maintainer ([`crate::maintain`]) to bound the best possible
-/// path through a restored edge without re-running Yen.
-pub fn distances_from_filtered<F>(
-    graph: &Graph,
-    src: NodeId,
-    weight: &F,
-    filter: &SearchFilter,
-) -> Vec<f64>
-where
-    F: Fn(EdgeId) -> f64,
-{
     if graph.check_node(src).is_err() {
         return Vec::new();
     }
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    if filter.node_banned(src) {
-        return dist;
-    }
     let mut settled = vec![false; n];
     let mut heap = BinaryHeap::new();
     dist[src.index()] = 0.0;
@@ -241,7 +220,7 @@ where
         }
         settled[node.index()] = true;
         for (next, edge) in graph.neighbors(node) {
-            if settled[next.index()] || filter.node_banned(next) || filter.edge_banned(edge) {
+            if settled[next.index()] {
                 continue;
             }
             let nd = d + weight(edge);
@@ -373,29 +352,6 @@ mod tests {
         let b = g.add_node();
         let dist = distances_from(&g, a, &hop_weight);
         assert!(dist[b.index()].is_infinite());
-    }
-
-    #[test]
-    fn filtered_distances_respect_bans() {
-        let (g, [a, b, c, d], w) = weighted();
-        let mut f = SearchFilter::new();
-        f.ban_edge(g.edge_between(a, b).unwrap());
-        let dist = distances_from_filtered(&g, a, &w, &f);
-        assert_eq!(dist[a.index()], 0.0);
-        assert_eq!(dist[b.index()], 3.5); // a-c-d-b instead of a-b
-        assert_eq!(dist[c.index()], 1.5);
-        assert_eq!(dist[d.index()], 2.5);
-
-        let mut f = SearchFilter::new();
-        f.ban_node(b);
-        let dist = distances_from_filtered(&g, a, &w, &f);
-        assert!(dist[b.index()].is_infinite());
-        assert_eq!(dist[d.index()], 2.5);
-
-        let mut f = SearchFilter::new();
-        f.ban_node(a);
-        let dist = distances_from_filtered(&g, a, &w, &f);
-        assert!(dist.iter().all(|d| d.is_infinite()));
     }
 
     #[test]

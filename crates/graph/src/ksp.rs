@@ -54,10 +54,10 @@ where
 /// (the initial shortest path and every spur) additionally respects the
 /// base filter, so no returned path touches a banned node or edge.
 ///
-/// This is the primitive behind incremental candidate maintenance
-/// ([`crate::maintain`]): a set of dead edges is carried as the base
-/// filter instead of mutating the graph, keeping edge/node ids stable
-/// across failures and repairs.
+/// This is the primitive behind candidate route sets under churn: a set
+/// of dead edges is carried as the base filter instead of mutating the
+/// graph, keeping edge/node ids stable across failures and repairs, and
+/// the result is a pure function of (graph, endpoints, `k`, filter).
 pub fn yen_k_shortest_filtered<F>(
     graph: &Graph,
     src: NodeId,

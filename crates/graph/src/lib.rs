@@ -45,7 +45,6 @@ pub mod generators;
 pub mod geometry;
 pub mod graph;
 pub mod ksp;
-pub mod maintain;
 pub mod metrics;
 pub mod paths;
 pub mod waxman;

@@ -111,141 +111,6 @@ proptest! {
         }
     }
 
-    /// A maintainer driven through a random failure/repair sequence ends
-    /// up equivalent to recomputing every candidate set from scratch
-    /// against the final dead-edge set: same number of routes per pair
-    /// and the identical weight sequence (the top-k is unique only up to
-    /// Yen's tie order), with every route valid, distinct, and clear of
-    /// dead edges.
-    #[test]
-    fn incremental_ksp_matches_recompute(
-        g in arb_graph(),
-        k in 1usize..=4,
-        events in proptest::collection::vec((0u32..10_000, proptest::bool::ANY), 0..12),
-    ) {
-        use qdn_graph::maintain::CandidateMaintainer;
-
-        let n = g.node_count();
-        let pairs: Vec<(NodeId, NodeId)> = (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (NodeId(i as u32), NodeId(j as u32))))
-            .collect();
-
-        let mut m = CandidateMaintainer::new(k);
-        for &(a, b) in &pairs {
-            m.track(&g, a, b, &hop_weight);
-        }
-        if g.edge_count() > 0 {
-            for (raw, fail) in events {
-                let e = qdn_graph::EdgeId(raw % g.edge_count() as u32);
-                if fail {
-                    m.fail_edge(&g, e, &hop_weight);
-                } else {
-                    m.restore_edge(&g, e, &hop_weight);
-                }
-            }
-        }
-
-        // Reference: a fresh maintainer over the same final dead set.
-        let mut fresh = CandidateMaintainer::new(k);
-        let dead: Vec<_> = m.dead_edges().collect();
-        for &e in &dead {
-            fresh.fail_edge(&g, e, &hop_weight);
-        }
-        for &(a, b) in &pairs {
-            fresh.track(&g, a, b, &hop_weight);
-        }
-
-        for &(a, b) in &pairs {
-            let inc = m.routes(a, b).unwrap();
-            let full = fresh.routes(a, b).unwrap();
-            prop_assert_eq!(inc.len(), full.len(), "pair {}-{}", a, b);
-            let wi: Vec<f64> = inc.iter().map(|p| p.weight(hop_weight)).collect();
-            let wf: Vec<f64> = full.iter().map(|p| p.weight(hop_weight)).collect();
-            prop_assert_eq!(&wi, &wf, "pair {}-{}", a, b);
-            for w in wi.windows(2) {
-                prop_assert!(w[0] <= w[1]);
-            }
-            for (i, p) in inc.iter().enumerate() {
-                prop_assert_eq!(p.source(), a);
-                prop_assert_eq!(p.destination(), b);
-                prop_assert!(dead.iter().all(|&e| !p.contains_edge(e)));
-                for q in &inc[i + 1..] {
-                    prop_assert_ne!(p, q);
-                }
-            }
-        }
-    }
-
-    /// A maintainer driven through random *batched* failure/repair
-    /// events — edge batches and whole-node cuts/restores — matches a
-    /// cold recompute against the final dead-edge set: same route count
-    /// and weight sequence per pair, every route valid and clear of dead
-    /// edges. This is the batch-path analogue of
-    /// `incremental_ksp_matches_recompute`.
-    #[test]
-    fn batched_repair_matches_cold_recompute(
-        g in arb_graph(),
-        k in 1usize..=4,
-        events in proptest::collection::vec(
-            (0u32..10_000, proptest::bool::ANY, proptest::bool::ANY, 1usize..=4),
-            0..10,
-        ),
-    ) {
-        use qdn_graph::maintain::CandidateMaintainer;
-
-        let n = g.node_count();
-        let pairs: Vec<(NodeId, NodeId)> = (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (NodeId(i as u32), NodeId(j as u32))))
-            .collect();
-
-        let mut m = CandidateMaintainer::new(k);
-        for &(a, b) in &pairs {
-            m.track(&g, a, b, &hop_weight);
-        }
-        if g.edge_count() > 0 {
-            for (raw, fail, node_event, width) in events {
-                if node_event {
-                    let v = NodeId(raw % n as u32);
-                    if fail {
-                        m.fail_node(&g, v, &hop_weight);
-                    } else {
-                        m.restore_node(&g, v, &hop_weight);
-                    }
-                } else {
-                    // A contiguous run of edge ids as one batch (may
-                    // include already-dead / already-alive edges).
-                    let batch: Vec<_> = (0..width)
-                        .map(|i| qdn_graph::EdgeId((raw as usize + i) as u32 % g.edge_count() as u32))
-                        .collect();
-                    if fail {
-                        m.fail_edges(&g, &batch, &hop_weight);
-                    } else {
-                        m.restore_edges(&g, &batch, &hop_weight);
-                    }
-                }
-            }
-        }
-
-        let mut fresh = CandidateMaintainer::new(k);
-        let dead: Vec<_> = m.dead_edges().collect();
-        fresh.fail_edges(&g, &dead, &hop_weight);
-        for &(a, b) in &pairs {
-            fresh.track(&g, a, b, &hop_weight);
-        }
-
-        for &(a, b) in &pairs {
-            let inc = m.routes(a, b).unwrap();
-            let full = fresh.routes(a, b).unwrap();
-            prop_assert_eq!(inc.len(), full.len(), "pair {}-{}", a, b);
-            let wi: Vec<f64> = inc.iter().map(|p| p.weight(hop_weight)).collect();
-            let wf: Vec<f64> = full.iter().map(|p| p.weight(hop_weight)).collect();
-            prop_assert_eq!(&wi, &wf, "pair {}-{}", a, b);
-            for p in inc {
-                prop_assert!(dead.iter().all(|&e| !p.contains_edge(e)));
-            }
-        }
-    }
-
     /// Waxman generation with connectivity always yields one component and
     /// the requested node count; augmentation never duplicates edges.
     #[test]

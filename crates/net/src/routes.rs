@@ -1,17 +1,27 @@
-//! Pre-computed candidate route sets `R(φ)`.
+//! Candidate route sets `R(φ)`.
 //!
 //! The paper assumes "a set of potential routes R(φ) associated with each
 //! SD pair φ … the candidate set can be pre-computed by choosing routes
 //! with shorter lengths/hops to minimize its size" with bounds `R` on
 //! `|R(φ)|` and `L` on route length (§III-C). [`CandidateRoutes`] computes
-//! those sets with Yen's k-shortest-paths by hop count and caches them per
-//! canonical pair (routing is symmetric in an undirected QDN).
+//! those sets with Yen's k-shortest-paths by hop count, per canonical pair
+//! (routing is symmetric in an undirected QDN), on the subgraph that
+//! survives the current dead-edge set.
+//!
+//! A pair's list is a pure function of (pair, dead-edge set): it is the
+//! cold [`yen_k_shortest_filtered`] result under the dead set, computed
+//! when a requested pair has no list for the current dead set and reused
+//! until the dead set changes. Two caches that saw the same dead set
+//! therefore serve identical routes — same nodes, same edges, same order
+//! — whatever their history, and a snapshot needs only the dead set and
+//! the names of the pairs whose lists are current.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use qdn_graph::maintain::CandidateMaintainer;
+use qdn_graph::dijkstra::SearchFilter;
+use qdn_graph::ksp::yen_k_shortest_filtered;
 use qdn_graph::paths::hop_weight;
-use qdn_graph::{EdgeId, NodeId, Path};
+use qdn_graph::{EdgeId, Path};
 use serde::{Deserialize, Serialize};
 
 use crate::network::QdnNetwork;
@@ -47,7 +57,7 @@ impl Default for RouteLimits {
     }
 }
 
-/// A caching provider of candidate route sets.
+/// A lazily filled cache of candidate route sets.
 ///
 /// # Example
 ///
@@ -72,35 +82,44 @@ impl Default for RouteLimits {
 #[derive(Debug, Clone)]
 pub struct CandidateRoutes {
     limits: RouteLimits,
-    /// Canonical per-pair k-shortest sets plus the dead-edge filter;
-    /// repaired incrementally on churn instead of recomputed.
-    maintainer: CandidateMaintainer,
-    /// Serving cache: hop-filtered routes per requested orientation.
+    /// Edges with zero channels at the last sync.
+    dead: BTreeSet<EdgeId>,
+    /// Canonical pairs whose lists are current under `dead`. `None`
+    /// marks a pair restored from a snapshot and not requested since:
+    /// its list is current by definition and is computed on first use.
     /// BTreeMap so snapshot order never depends on hasher state.
-    cache: BTreeMap<SdPair, Vec<Path>>,
+    current: BTreeMap<SdPair, Option<PairRoutes>>,
+    /// Lists computed under an earlier dead set, kept only to tell
+    /// whether a recompute changed the pair's list.
+    stale: BTreeMap<SdPair, Vec<Path>>,
     last_churn: RouteChurn,
 }
 
-/// What one [`CandidateRoutes::sync_dead_edges`] call absorbed.
+/// One canonical pair's hop-filtered candidate list, both orientations.
+#[derive(Debug, Clone)]
+struct PairRoutes {
+    /// Routes from the canonical (smaller-id) source.
+    forward: Vec<Path>,
+    /// `forward` reversed, built when that orientation is first asked
+    /// for.
+    reverse: Option<Vec<Path>>,
+}
+
+/// The candidate-route ledger since the last
+/// [`CandidateRoutes::sync_dead_edges`]: that sync's dead-set change,
+/// plus the recomputes the requests after it triggered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteChurn {
-    /// Edges newly dead (zero channels) this sync, ascending.
+    /// Edges newly dead (zero channels) at the sync, ascending.
     pub failed: Vec<EdgeId>,
-    /// Edges newly revived this sync, ascending.
+    /// Edges newly revived at the sync, ascending.
     pub restored: Vec<EdgeId>,
-    /// Canonical pairs whose candidate routes changed, sorted.
+    /// Canonical pairs whose recomputed list differs from the list the
+    /// cache held for them under an earlier dead set, in recompute
+    /// order. A pair computed for the first time is not listed.
     pub changed_pairs: Vec<SdPair>,
-    /// Pair sets re-run through Yen across all events.
-    pub recomputed: usize,
-    /// Pair sets proven unaffected without a path search.
-    pub skipped: usize,
-    /// Yen searches actually run. The batch repair path bounds this at
-    /// one per affected pair *per direction* (failures and restores are
-    /// separate batches), regardless of how many edges flipped state.
+    /// Yen searches run: one per requested pair without a current list.
     pub yen_runs: usize,
-    /// Repairs served from the prewarm cache instead of a Yen run (see
-    /// [`CandidateRoutes::prewarm_dead_edges`]).
-    pub prewarm_hits: usize,
 }
 
 impl RouteChurn {
@@ -115,8 +134,9 @@ impl CandidateRoutes {
     pub fn new(limits: RouteLimits) -> Self {
         CandidateRoutes {
             limits,
-            maintainer: CandidateMaintainer::new(limits.max_routes),
-            cache: BTreeMap::new(),
+            dead: BTreeSet::new(),
+            current: BTreeMap::new(),
+            stale: BTreeMap::new(),
             last_churn: RouteChurn::default(),
         }
     }
@@ -128,116 +148,102 @@ impl CandidateRoutes {
 
     /// Reconciles the dead-edge set with `snapshot`: an edge with zero
     /// channels is dead (its routes are unusable this slot and excluded
-    /// from candidate sets), any other edge is alive. Candidate sets are
-    /// repaired incrementally — only pairs a state flip can actually
-    /// affect are re-run through Yen (see [`CandidateMaintainer`]).
+    /// from candidate sets), any other edge is alive. A change to the
+    /// dead set makes every cached list stale; no path search runs here
+    /// — [`CandidateRoutes::routes`] recomputes a stale pair when it is
+    /// next requested.
     ///
-    /// Returns what changed; the report is also kept for later
-    /// inspection via [`CandidateRoutes::last_churn`]. With no zero-
-    /// channel edges and no prior failures this is a cheap no-op scan.
+    /// Starts a fresh [`RouteChurn`] ledger, returned here and kept for
+    /// [`CandidateRoutes::last_churn`].
     pub fn sync_dead_edges(
         &mut self,
         network: &QdnNetwork,
         snapshot: &CapacitySnapshot,
     ) -> &RouteChurn {
-        let graph = network.graph();
         let mut churn = RouteChurn::default();
-        // One scan to classify, then one consolidated batch per
-        // direction: a node cut or regional blackout kills many edges in
-        // the same slot, and the batch path repairs each affected pair
-        // once against the final dead set instead of once per edge.
-        for e in graph.edge_ids() {
+        for e in network.graph().edge_ids() {
             let dead_now = snapshot.channels(e) == 0;
-            if dead_now == self.maintainer.is_dead(e) {
+            if dead_now == self.dead.contains(&e) {
                 continue;
             }
             if dead_now {
+                self.dead.insert(e);
                 churn.failed.push(e);
             } else {
+                self.dead.remove(&e);
                 churn.restored.push(e);
             }
         }
-        let mut report = self
-            .maintainer
-            .fail_edges(graph, &churn.failed, &hop_weight);
-        report.merge(
-            self.maintainer
-                .restore_edges(graph, &churn.restored, &hop_weight),
-        );
-        churn.recomputed = report.recomputed.len();
-        churn.skipped = report.skipped;
-        churn.yen_runs = report.yen_runs;
-        churn.prewarm_hits = report.prewarm_hits;
-        for (a, b) in report.changed {
-            churn
-                .changed_pairs
-                .push(SdPair::new(a, b).expect("tracked pairs have distinct endpoints"));
-        }
-        churn.changed_pairs.sort_unstable();
-        churn.changed_pairs.dedup();
-        for pair in &churn.changed_pairs {
-            self.cache.remove(pair);
-            self.cache.remove(&pair.reversed());
+        if !churn.is_noop() {
+            for (pair, routes) in std::mem::take(&mut self.current) {
+                if let Some(routes) = routes {
+                    self.stale.insert(pair, routes.forward);
+                }
+            }
         }
         self.last_churn = churn;
         &self.last_churn
     }
 
-    /// Precomputes post-failure candidate sets for an *announced* outage
-    /// of `edges` (a maintenance window), without touching live routes.
-    /// When [`CandidateRoutes::sync_dead_edges`] later absorbs exactly
-    /// that outage, affected pairs install the precomputed sets instead
-    /// of running Yen; decisions are bit-identical either way. Returns
-    /// the number of pairs prewarmed.
-    pub fn prewarm_dead_edges(&mut self, network: &QdnNetwork, edges: &[EdgeId]) -> usize {
-        self.maintainer
-            .prewarm_fail(network.graph(), edges, &hop_weight)
-    }
-
-    /// The report of the most recent [`CandidateRoutes::sync_dead_edges`].
+    /// The ledger since the most recent
+    /// [`CandidateRoutes::sync_dead_edges`].
     pub fn last_churn(&self) -> &RouteChurn {
         &self.last_churn
     }
 
     /// Edges currently treated as dead, ascending.
     pub fn dead_edges(&self) -> Vec<EdgeId> {
-        self.maintainer.dead_edges().collect()
+        self.dead.iter().copied().collect()
     }
 
-    /// The candidate routes for `pair`, computing and caching them on
-    /// first use.
+    /// The candidate routes for `pair` under the current dead-edge set,
+    /// computing them if the cache holds no current list.
     ///
     /// Routes are returned oriented from `pair.source()` to
     /// `pair.destination()`; the cache key is the canonical pair, so the
     /// reverse orientation shares the computation. The result is sorted by
     /// hop count (Yen's order) and every route has at most
     /// [`RouteLimits::max_hops`] hops. An empty slice means the pair is
-    /// disconnected (cannot happen on connectivity-augmented topologies)
-    /// or all short routes exceed the hop bound.
+    /// disconnected or all short routes exceed the hop bound.
     pub fn routes(&mut self, network: &QdnNetwork, pair: SdPair) -> &[Path] {
         let canonical = pair.canonical();
-        if !self.cache.contains_key(&canonical) {
-            let max_hops = self.limits.max_hops;
-            let computed: Vec<Path> = self
-                .maintainer
-                .track(
+        let lists = self
+            .current
+            .entry(canonical)
+            .or_insert(None)
+            .get_or_insert_with(|| {
+                let mut filter = SearchFilter::new();
+                for &e in &self.dead {
+                    filter.ban_edge(e);
+                }
+                let mut forward = yen_k_shortest_filtered(
                     network.graph(),
                     canonical.source(),
                     canonical.destination(),
+                    self.limits.max_routes,
                     &hop_weight,
-                )
-                .iter()
-                .filter(|p| p.hops() <= max_hops && p.hops() >= 1)
-                .cloned()
-                .collect();
-            self.cache.insert(canonical, computed);
-        }
+                    &filter,
+                );
+                forward.retain(|p| (1..=self.limits.max_hops).contains(&p.hops()));
+                self.last_churn.yen_runs += 1;
+                if self
+                    .stale
+                    .remove(&canonical)
+                    .is_some_and(|old| old != forward)
+                {
+                    self.last_churn.changed_pairs.push(canonical);
+                }
+                PairRoutes {
+                    forward,
+                    reverse: None,
+                }
+            });
         if pair == canonical {
-            &self.cache[&canonical]
+            &lists.forward
         } else {
-            // Reverse orientation requested: materialise it once, too.
-            if !self.cache.contains_key(&pair) {
-                let reversed: Vec<Path> = self.cache[&canonical]
+            let forward = &lists.forward;
+            lists.reverse.get_or_insert_with(|| {
+                forward
                     .iter()
                     .map(|p| {
                         let mut nodes = p.nodes().to_vec();
@@ -247,95 +253,66 @@ impl CandidateRoutes {
                         Path::new(network.graph(), nodes, edges)
                             .expect("reversal of a valid path is valid")
                     })
-                    .collect();
-                self.cache.insert(pair, reversed);
-            }
-            &self.cache[&pair]
+                    .collect()
+            })
         }
     }
 
-    /// The already-cached candidate routes for `pair`, without computing
+    /// The current candidate routes for `pair`, without computing
     /// anything: `None` until a [`CandidateRoutes::routes`] call for this
-    /// pair (in this orientation) populated the cache.
+    /// pair (in this orientation) under the current dead-edge set.
     ///
     /// This is the shared-borrow companion of `routes` for callers that
     /// first warm the cache for a batch of pairs and then need all the
     /// slices alive at once (one `&mut` call per pair cannot overlap).
     pub fn cached(&self, pair: SdPair) -> Option<&[Path]> {
-        self.cache.get(&pair).map(Vec::as_slice)
+        let canonical = pair.canonical();
+        let lists = self.current.get(&canonical)?.as_ref()?;
+        if pair == canonical {
+            Some(&lists.forward)
+        } else {
+            lists.reverse.as_deref()
+        }
     }
 
-    /// Maximum hop count over the candidate routes of the given pairs —
-    /// the effective `L` entering the theory bounds.
-    pub fn max_route_hops(&mut self, network: &QdnNetwork, pairs: &[SdPair]) -> usize {
-        pairs
-            .iter()
-            .flat_map(|&p| {
-                self.routes(network, p)
-                    .iter()
-                    .map(Path::hops)
-                    .collect::<Vec<_>>()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of cached pairs (both orientations counted).
+    /// Number of current lists held (both orientations counted).
     pub fn cached_pairs(&self) -> usize {
-        self.cache.len()
+        self.current
+            .values()
+            .flatten()
+            .map(|lists| 1 + usize::from(lists.reverse.is_some()))
+            .sum()
     }
 
     /// Drops all cached routes and revives all edges (e.g. when switching
-    /// topologies or starting a fresh trial, so replays are bit-identical
-    /// to a first run even after mid-trial churn).
+    /// topologies or starting a fresh trial).
     pub fn clear(&mut self) {
-        self.maintainer.clear();
-        self.cache.clear();
+        self.dead.clear();
+        self.current.clear();
+        self.stale.clear();
         self.last_churn = RouteChurn::default();
     }
 
-    /// Serializes the cache into a [`RoutesSnapshot`] with canonical
-    /// (sorted) entry order, so equal caches produce byte-identical
-    /// snapshots.
-    ///
-    /// The snapshot carries the *routes themselves*, not just the
-    /// tracked pairs: churn repair only yields weight-equivalent (not
-    /// tie-identical) candidate sets, so a warm restart that recomputed
-    /// routes from the topology could diverge from the uninterrupted
-    /// run on Yen tie order. `last_churn` is per-slot diagnostics and is
-    /// not captured.
+    /// Serializes the cache into a [`RoutesSnapshot`]: the dead-edge set
+    /// and the canonical pairs whose lists are current, both ascending,
+    /// so equal caches produce byte-identical snapshots. Routes are not
+    /// carried — they are a pure function of that state. Stale lists
+    /// and `last_churn` are not captured either, so the first recompute
+    /// of a pair after a restore reports no change.
     pub fn snapshot(&self) -> RoutesSnapshot {
-        let mut tracked: Vec<TrackedSetSnapshot> = self
-            .maintainer
-            .tracked()
-            .map(|((a, b), set)| TrackedSetSnapshot {
-                endpoints: (a.0, b.0),
-                routes: set.to_vec(),
-            })
-            .collect();
-        tracked.sort_unstable_by_key(|t| t.endpoints);
-        // BTreeMap iteration is already ascending by pair.
-        let cache: Vec<CachedPairSnapshot> = self
-            .cache
-            .iter()
-            .map(|(&pair, routes)| CachedPairSnapshot {
-                pair,
-                routes: routes.clone(),
-            })
-            .collect();
         RoutesSnapshot {
             version: ROUTES_SNAPSHOT_VERSION,
             limits: self.limits,
-            dead: self.maintainer.dead_edges().collect(),
-            tracked,
-            cache,
+            dead: self.dead_edges(),
+            pairs: self.current.keys().copied().collect(),
         }
     }
 
     /// Rebuilds a cache from a snapshot taken by
-    /// [`CandidateRoutes::snapshot`]. The restored cache serves the
-    /// exact routes the original held (bit-identical decisions); the
-    /// churn ledger starts empty.
+    /// [`CandidateRoutes::snapshot`]. The pairs' lists are recomputed on
+    /// first use under the snapshot's dead set, which yields exactly the
+    /// lists the original held, so decisions are bit-identical.
+    /// Refuses other versions and non-canonical pairs.
     pub fn restore(snapshot: &RoutesSnapshot) -> Result<Self, String> {
         if snapshot.version != ROUTES_SNAPSHOT_VERSION {
             return Err(format!(
@@ -343,29 +320,23 @@ impl CandidateRoutes {
                 snapshot.version
             ));
         }
-        let maintainer = CandidateMaintainer::from_parts(
-            snapshot.limits.max_routes,
-            snapshot.dead.iter().copied(),
-            snapshot.tracked.iter().map(|t| {
-                let (a, b) = t.endpoints;
-                ((NodeId(a), NodeId(b)), t.routes.clone())
-            }),
-        );
+        if let Some(pair) = snapshot.pairs.iter().find(|p| p.canonical() != **p) {
+            return Err(format!("routes snapshot pair {pair:?} is not canonical"));
+        }
         Ok(CandidateRoutes {
             limits: snapshot.limits,
-            maintainer,
-            cache: snapshot
-                .cache
-                .iter()
-                .map(|c| (c.pair, c.routes.clone()))
-                .collect(),
+            dead: snapshot.dead.iter().copied().collect(),
+            current: snapshot.pairs.iter().map(|&p| (p, None)).collect(),
+            stale: BTreeMap::new(),
             last_churn: RouteChurn::default(),
         })
     }
 }
 
 /// Version tag of [`RoutesSnapshot`]; bump on layout changes.
-pub const ROUTES_SNAPSHOT_VERSION: u32 = 1;
+///
+/// v2: the dead set and the current pairs instead of the route lists.
+pub const ROUTES_SNAPSHOT_VERSION: u32 = 2;
 
 /// Serializable image of a [`CandidateRoutes`] (see
 /// [`CandidateRoutes::snapshot`]).
@@ -376,25 +347,8 @@ pub struct RoutesSnapshot {
     limits: RouteLimits,
     /// Dead edges, ascending.
     dead: Vec<EdgeId>,
-    /// The maintainer's canonical per-pair sets, sorted by endpoints.
-    tracked: Vec<TrackedSetSnapshot>,
-    /// The serving cache (per requested orientation), sorted by pair.
-    cache: Vec<CachedPairSnapshot>,
-}
-
-/// One maintained canonical candidate set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct TrackedSetSnapshot {
-    /// Canonical endpoints `(smaller node id, larger node id)`.
-    endpoints: (u32, u32),
-    routes: Vec<Path>,
-}
-
-/// One serving-cache entry (oriented for its requested pair).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CachedPairSnapshot {
-    pair: SdPair,
-    routes: Vec<Path>,
+    /// Canonical pairs whose lists are current under `dead`, ascending.
+    pairs: Vec<SdPair>,
 }
 
 #[cfg(test)]
@@ -416,6 +370,19 @@ mod tests {
         b.add_edge(n[2], n[3], 5, l).unwrap();
         b.add_edge(n[3], n[4], 5, l).unwrap();
         b.build()
+    }
+
+    /// Full capacities with the given edges at zero channels.
+    fn cut(net: &QdnNetwork, dead: &[EdgeId]) -> CapacitySnapshot {
+        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
+        for e in dead {
+            channels[e.index()] = 0;
+        }
+        CapacitySnapshot::clamped(net, vec![10; 5], channels)
+    }
+
+    fn edge(net: &QdnNetwork, a: u32, b: u32) -> EdgeId {
+        net.graph().edge_between(NodeId(a), NodeId(b)).unwrap()
     }
 
     #[test]
@@ -464,21 +431,9 @@ mod tests {
             rev.reverse();
             assert_eq!(pf.nodes(), rev.as_slice());
         }
-        // canonical + reversed cached.
+        // canonical + reversed cached, one Yen search between them.
         assert_eq!(cr.cached_pairs(), 2);
-    }
-
-    #[test]
-    fn max_route_hops_over_pairs() {
-        let net = net();
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let pairs = vec![
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(0), NodeId(4)).unwrap(),
-        ];
-        // 0->4 goes through 3: 3 hops.
-        assert_eq!(cr.max_route_hops(&net, &pairs), 3);
-        assert_eq!(cr.max_route_hops(&net, &[]), 0);
+        assert_eq!(cr.last_churn().yen_runs, 1);
     }
 
     #[test]
@@ -499,27 +454,29 @@ mod tests {
         let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();
         assert_eq!(cr.routes(&net, pair).len(), 2);
 
-        // Kill 0-1: one diamond side dies.
-        let dead = net.graph().edge_between(NodeId(0), NodeId(1)).unwrap();
-        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
-        channels[dead.index()] = 0;
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 5], channels);
-        let churn = cr.sync_dead_edges(&net, &snap).clone();
+        // Kill 0-1: one diamond side dies. The sync itself runs no Yen;
+        // the next request recomputes the stale pair.
+        let dead = edge(&net, 0, 1);
+        let churn = cr.sync_dead_edges(&net, &cut(&net, &[dead])).clone();
         assert_eq!(churn.failed, vec![dead]);
         assert!(churn.restored.is_empty());
-        assert_eq!(churn.changed_pairs, vec![pair]);
+        assert_eq!(churn.yen_runs, 0);
+        assert_eq!(cr.cached(pair), None, "stale lists are not served");
         let routes = cr.routes(&net, pair);
         assert_eq!(routes.len(), 1);
         assert!(routes.iter().all(|p| !p.edges().contains(&dead)));
-        // Reverse orientation sees the repair too.
+        assert_eq!(cr.last_churn().changed_pairs, vec![pair]);
+        assert_eq!(cr.last_churn().yen_runs, 1);
+        // Reverse orientation sees the recompute too.
         assert_eq!(cr.routes(&net, pair.reversed()).len(), 1);
 
         // Repair: the original two sides come back.
-        let full = CapacitySnapshot::full(&net);
-        let churn = cr.sync_dead_edges(&net, &full).clone();
+        let churn = cr
+            .sync_dead_edges(&net, &CapacitySnapshot::full(&net))
+            .clone();
         assert_eq!(churn.restored, vec![dead]);
-        assert_eq!(churn.changed_pairs, vec![pair]);
         assert_eq!(cr.routes(&net, pair).len(), 2);
+        assert_eq!(cr.last_churn().changed_pairs, vec![pair]);
         assert!(cr.dead_edges().is_empty());
     }
 
@@ -532,82 +489,62 @@ mod tests {
         let full = CapacitySnapshot::full(&net);
         let churn = cr.sync_dead_edges(&net, &full);
         assert!(churn.is_noop());
-        assert_eq!(churn.recomputed, 0);
+        assert_eq!(cr.cached(pair), Some(before.as_slice()));
         assert_eq!(cr.routes(&net, pair), before.as_slice());
+        assert_eq!(cr.last_churn().yen_runs, 0);
     }
 
     #[test]
-    fn unrelated_failure_skips_cached_pairs() {
+    fn unrelated_failure_recomputes_but_reports_no_change() {
         let net = net();
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
         let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();
-        let _ = cr.routes(&net, pair);
+        let before = cr.routes(&net, pair).to_vec();
         // Kill the tail edge 3-4, which no 0-3 route uses.
-        let tail = net.graph().edge_between(NodeId(3), NodeId(4)).unwrap();
-        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
-        channels[tail.index()] = 0;
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 5], channels);
-        let churn = cr.sync_dead_edges(&net, &snap);
+        let tail = edge(&net, 3, 4);
+        let churn = cr.sync_dead_edges(&net, &cut(&net, &[tail])).clone();
         assert_eq!(churn.failed, vec![tail]);
-        assert!(churn.changed_pairs.is_empty());
-        assert_eq!(churn.recomputed, 0);
-        assert_eq!(churn.skipped, 1);
+        assert_eq!(cr.routes(&net, pair), before.as_slice());
+        assert_eq!(cr.last_churn().yen_runs, 1);
+        assert!(cr.last_churn().changed_pairs.is_empty());
     }
 
     #[test]
-    fn sync_batches_multi_edge_deaths_into_one_repair() {
-        // Both diamond arms lose an edge in the same slot. The per-edge
-        // loop this replaced re-ran Yen for the 0-3 pair once per dead
-        // edge; the batch path proves affectedness once over the whole
-        // edge set and repairs the pair exactly once.
+    fn unrequested_pairs_run_no_yen() {
         let net = net();
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(cr.routes(&net, pair).len(), 2);
-
-        let e01 = net.graph().edge_between(NodeId(0), NodeId(1)).unwrap();
-        let e02 = net.graph().edge_between(NodeId(0), NodeId(2)).unwrap();
-        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
-        channels[e01.index()] = 0;
-        channels[e02.index()] = 0;
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 5], channels);
-        let churn = cr.sync_dead_edges(&net, &snap).clone();
-        assert_eq!(churn.failed.len(), 2);
-        assert_eq!(churn.recomputed, 1);
-        assert_eq!(churn.yen_runs, 1, "batch path must repair the pair once");
-        assert!(cr.routes(&net, pair).is_empty());
-
-        // Both edges revive in one slot: again a single batched repair.
-        let churn = cr
-            .sync_dead_edges(&net, &CapacitySnapshot::full(&net))
-            .clone();
-        assert_eq!(churn.restored.len(), 2);
-        assert_eq!(churn.yen_runs, 1);
-        assert_eq!(cr.routes(&net, pair).len(), 2);
+        let a = SdPair::new(NodeId(0), NodeId(3)).unwrap();
+        let b = SdPair::new(NodeId(1), NodeId(4)).unwrap();
+        let _ = cr.routes(&net, a);
+        let _ = cr.routes(&net, b);
+        // Both arms of the diamond lose an edge in the same slot, but
+        // only `a` is requested afterwards: one search, not two.
+        let _ = cr.sync_dead_edges(&net, &cut(&net, &[edge(&net, 0, 1), edge(&net, 0, 2)]));
+        assert!(cr.routes(&net, a).is_empty());
+        assert_eq!(cr.last_churn().yen_runs, 1);
+        assert_eq!(cr.cached(b), None);
     }
 
     #[test]
-    fn prewarmed_sync_skips_yen_and_serves_identical_routes() {
+    fn lists_depend_only_on_the_dead_set() {
+        // A cache driven through a cut and its repair serves exactly
+        // what a cold cache serves under the final dead set.
         let net = net();
-        let e01 = net.graph().edge_between(NodeId(0), NodeId(1)).unwrap();
-        let e02 = net.graph().edge_between(NodeId(0), NodeId(2)).unwrap();
-        let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();
-        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
-        channels[e01.index()] = 0;
-        channels[e02.index()] = 0;
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 5], channels);
-
-        let mut cold = CandidateRoutes::new(RouteLimits::paper_default());
-        let _ = cold.routes(&net, pair);
-        let _ = cold.sync_dead_edges(&net, &snap);
-
+        let pairs = [
+            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
+            SdPair::new(NodeId(4), NodeId(1)).unwrap(),
+        ];
         let mut warm = CandidateRoutes::new(RouteLimits::paper_default());
-        let _ = warm.routes(&net, pair);
-        assert_eq!(warm.prewarm_dead_edges(&net, &[e01, e02]), 1);
-        let churn = warm.sync_dead_edges(&net, &snap).clone();
-        assert_eq!(churn.prewarm_hits, 1);
-        assert_eq!(churn.yen_runs, 0);
-        assert_eq!(warm.routes(&net, pair), cold.routes(&net, pair));
+        for dead in [vec![edge(&net, 1, 3)], vec![edge(&net, 0, 2)], vec![]] {
+            let _ = warm.sync_dead_edges(&net, &cut(&net, &dead));
+            for &p in &pairs {
+                let _ = warm.routes(&net, p);
+            }
+        }
+        let mut cold = CandidateRoutes::new(RouteLimits::paper_default());
+        for &p in &pairs {
+            assert_eq!(warm.routes(&net, p), cold.routes(&net, p));
+        }
     }
 
     #[test]
@@ -615,26 +552,27 @@ mod tests {
         let net = net();
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
         let pair = SdPair::new(NodeId(0), NodeId(3)).unwrap();
+        let other = SdPair::new(NodeId(1), NodeId(4)).unwrap();
         let _ = cr.routes(&net, pair);
-        let _ = cr.routes(&net, SdPair::new(NodeId(1), NodeId(4)).unwrap());
+        let _ = cr.routes(&net, other);
 
-        // Kill 0-1 so the cache holds *repaired* (not cold) candidates.
-        let dead = net.graph().edge_between(NodeId(0), NodeId(1)).unwrap();
-        let mut channels: Vec<u32> = net.graph().edge_ids().map(|_| 5).collect();
-        channels[dead.index()] = 0;
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 5], channels);
-        let _ = cr.sync_dead_edges(&net, &snap);
-        let repaired = cr.routes(&net, pair).to_vec();
+        // Kill 0-1; only `pair` is requested afterwards, so `other` is
+        // stale and left out of the snapshot.
+        let dead = edge(&net, 0, 1);
+        let _ = cr.sync_dead_edges(&net, &cut(&net, &[dead]));
+        let current = cr.routes(&net, pair).to_vec();
 
         let image = cr.snapshot();
+        assert_eq!(image.dead, vec![dead]);
+        assert_eq!(image.pairs, vec![pair]);
         let mut restored = CandidateRoutes::restore(&image).unwrap();
-        // The restored cache serves the repaired routes verbatim —
-        // crucially *without* recomputing them (repair is only
-        // weight-equivalent to a cold recompute).
-        assert_eq!(restored.routes(&net, pair), repaired.as_slice());
-        assert_eq!(restored.dead_edges(), cr.dead_edges());
-        // Canonical ordering: re-snapshot is identical.
+        // Canonical ordering: re-snapshot is identical before and after
+        // the lists are recomputed.
         assert_eq!(restored.snapshot(), image);
+        assert_eq!(restored.routes(&net, pair), current.as_slice());
+        assert_eq!(restored.dead_edges(), cr.dead_edges());
+        assert_eq!(restored.snapshot(), image);
+        assert_eq!(restored.routes(&net, other), cr.routes(&net, other));
     }
 
     #[test]
@@ -642,6 +580,32 @@ mod tests {
         let cr = CandidateRoutes::new(RouteLimits::paper_default());
         let mut image = cr.snapshot();
         image.version += 1;
+        assert!(CandidateRoutes::restore(&image).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_v1_snapshot() {
+        // A v1 image carried the routes themselves; it no longer
+        // decodes, and a v1 tag on the current layout is refused.
+        let v1 = r#"{"version":1,"limits":{"max_routes":4,"max_hops":8},"dead":[],
+            "tracked":[{"endpoints":[0,3],"routes":[]}],
+            "cache":[{"pair":{"source":0,"destination":3},"routes":[]}]}"#;
+        assert!(serde_json::from_str::<RoutesSnapshot>(v1).is_err());
+        let mut image = CandidateRoutes::new(RouteLimits::paper_default()).snapshot();
+        image.version = 1;
+        assert_eq!(
+            CandidateRoutes::restore(&image).unwrap_err(),
+            "routes snapshot version 1 (expected 2)"
+        );
+        let json = serde_json::to_string(&image).unwrap();
+        let decoded: RoutesSnapshot = serde_json::from_str(&json).unwrap();
+        assert!(CandidateRoutes::restore(&decoded).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_non_canonical_pairs() {
+        let mut image = CandidateRoutes::new(RouteLimits::paper_default()).snapshot();
+        image.pairs = vec![SdPair::new(NodeId(3), NodeId(0)).unwrap()];
         assert!(CandidateRoutes::restore(&image).is_err());
     }
 

@@ -137,6 +137,140 @@ proptest! {
         prop_assert_eq!(routes.len(), reversed.len());
     }
 
+    /// Candidate lists are a pure function of (pair, dead-edge set).
+    /// A cache driven through random slots — single links dying and
+    /// reviving, whole nodes cut and restored, random request sets —
+    /// serves, after every slot, exactly the cold Yen result under the
+    /// current dead set: the same routes node for node and edge for
+    /// edge, in the same order, for every pair it holds a list for.
+    /// A snapshot taken at a random slot, restored through the JSON
+    /// wire form, re-snapshots identically and serves identical lists
+    /// for the rest of the run.
+    #[test]
+    fn candidate_routes_match_cold_yen_under_dead_set(
+        seed in 0u64..10_000,
+        nodes in 5usize..12,
+        max_routes in 1usize..5,
+        slots in proptest::collection::vec(
+            (0u32..3, 0u32..1000, proptest::collection::vec((0u32..1000, 0u32..1000), 0..5)),
+            1..14,
+        ),
+        snap_at in 0usize..14,
+    ) {
+        use qdn_graph::dijkstra::SearchFilter;
+        use qdn_graph::ksp::yen_k_shortest_filtered;
+        use qdn_graph::paths::hop_weight;
+        use qdn_graph::{NodeId, Path};
+        use qdn_net::routes::RoutesSnapshot;
+        use qdn_net::{CapacitySnapshot, SdPair};
+        use std::collections::BTreeSet;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let net = NetworkConfig::paper_default().with_nodes(nodes).build(&mut rng).unwrap();
+        let graph = net.graph();
+        let (n, m) = (net.node_count() as u32, net.edge_count() as u32);
+        let limits = RouteLimits { max_routes, max_hops: 6 };
+        // Identity of a route list: per route, its nodes and edges.
+        let identity = |routes: &[Path]| -> Vec<(Vec<NodeId>, Vec<qdn_graph::EdgeId>)> {
+            routes.iter().map(|p| (p.nodes().to_vec(), p.edges().to_vec())).collect()
+        };
+        let cold = |pair: SdPair, dead: &[qdn_graph::EdgeId]| {
+            let canonical = pair.canonical();
+            let mut filter = SearchFilter::new();
+            for &e in dead {
+                filter.ban_edge(e);
+            }
+            yen_k_shortest_filtered(
+                graph,
+                canonical.source(),
+                canonical.destination(),
+                limits.max_routes,
+                &hop_weight,
+                &filter,
+            )
+            .into_iter()
+            .filter(|p| (1..=limits.max_hops).contains(&p.hops()))
+            .map(|p| {
+                if pair == canonical {
+                    (p.nodes().to_vec(), p.edges().to_vec())
+                } else {
+                    let mut nodes = p.nodes().to_vec();
+                    let mut edges = p.edges().to_vec();
+                    nodes.reverse();
+                    edges.reverse();
+                    (nodes, edges)
+                }
+            })
+            .collect::<Vec<_>>()
+        };
+
+        let mut cr = CandidateRoutes::new(limits);
+        let mut restored: Option<CandidateRoutes> = None;
+        let mut dead_links: BTreeSet<u32> = BTreeSet::new();
+        let mut dark_nodes: BTreeSet<u32> = BTreeSet::new();
+        let mut seen: BTreeSet<SdPair> = BTreeSet::new();
+        for (slot, (kind, raw, requests)) in slots.iter().enumerate() {
+            // Toggle one link or one node; kind 2 leaves the topology be.
+            let toggle = |set: &mut BTreeSet<u32>, x: u32| {
+                if !set.remove(&x) {
+                    set.insert(x);
+                }
+            };
+            match kind {
+                0 => toggle(&mut dead_links, raw % m),
+                1 => toggle(&mut dark_nodes, raw % n),
+                _ => {}
+            }
+            let channels: Vec<u32> = graph
+                .edges()
+                .map(|(e, u, v)| {
+                    let cut = dead_links.contains(&e.0)
+                        || dark_nodes.contains(&u.0)
+                        || dark_nodes.contains(&v.0);
+                    if cut { 0 } else { net.channel_capacity(e) }
+                })
+                .collect();
+            let qubits: Vec<u32> = graph.node_ids().map(|v| net.qubit_capacity(v)).collect();
+            let snap = CapacitySnapshot::clamped(&net, qubits, channels);
+            cr.sync_dead_edges(&net, &snap);
+            if let Some(r) = restored.as_mut() {
+                r.sync_dead_edges(&net, &snap);
+            }
+            let dead = cr.dead_edges();
+            let pairs: Vec<SdPair> = requests
+                .iter()
+                .filter_map(|&(a, b)| SdPair::new(NodeId(a % n), NodeId(b % n)).ok())
+                .collect();
+            for &pair in &pairs {
+                let served = identity(cr.routes(&net, pair));
+                prop_assert_eq!(&served, &cold(pair, &dead), "slot {} pair {:?}", slot, pair);
+                if let Some(r) = restored.as_mut() {
+                    prop_assert_eq!(
+                        &identity(r.routes(&net, pair)), &served,
+                        "restored cache diverged at slot {} pair {:?}", slot, pair
+                    );
+                }
+                seen.insert(pair);
+                seen.insert(pair.reversed());
+            }
+            // Nothing stale is ever served: every list the cache still
+            // exposes is the cold result under the current dead set.
+            for &pair in &seen {
+                if let Some(routes) = cr.cached(pair) {
+                    prop_assert_eq!(&identity(routes), &cold(pair, &dead), "slot {} pair {:?}", slot, pair);
+                }
+            }
+            if slot == snap_at % slots.len() {
+                let wire = serde_json::to_string(&cr.snapshot()).unwrap();
+                let decoded: RoutesSnapshot = serde_json::from_str(&wire).unwrap();
+                let r = CandidateRoutes::restore(&decoded).unwrap();
+                prop_assert_eq!(serde_json::to_string(&r.snapshot()).unwrap(), wire);
+                prop_assert_eq!(r.dead_edges(), dead);
+                restored = Some(r);
+            }
+        }
+    }
+
     /// Churn snapshots stay within builder bounds: downed links report
     /// zero channels, everything else stays within installed capacity.
     #[test]

@@ -23,7 +23,7 @@
 //!                            unplanned regional outage, same window
 //!   --maintenance START:END:N0,N1,...
 //!                            planned window [START, END) over the
-//!                            listed nodes (prewarmed when still ahead)
+//!                            listed nodes
 //! ```
 //!
 //! Prints the [`qdn_serve::LoadReport`] as JSON on stdout. The local

@@ -123,14 +123,10 @@ impl<S: Read + Write> Client<S> {
         }
     }
 
-    /// Declares an outage window; returns `(advisories on file,
-    /// pairs prewarmed)`.
-    pub fn advise(&mut self, advisory: Advisory) -> Result<(u32, u32), ClientError> {
+    /// Declares an outage window; returns the advisories on file.
+    pub fn advise(&mut self, advisory: Advisory) -> Result<u32, ClientError> {
         match self.call(&Request::Advise { advisory })? {
-            Response::AdviseOk {
-                advisories,
-                prewarmed_pairs,
-            } => Ok((advisories, prewarmed_pairs)),
+            Response::AdviseOk { advisories } => Ok(advisories),
             other => Err(unexpected("AdviseOk", &other)),
         }
     }

@@ -151,16 +151,13 @@ impl Daemon {
         dark
     }
 
-    /// Records an outage window and pre-warms candidate repair for it.
+    /// Records an outage window.
     ///
     /// Validation is loud: an empty or out-of-range node list, or an
     /// empty window, is an error — a silently ignored advisory would
-    /// leave the operator believing the region is covered. Windows
-    /// that have not opened yet (`start > slot`) are pre-warmed on
-    /// every shard so the first dark tick repairs from cache; windows
-    /// already open are only recorded (repair happens live on the next
-    /// tick, and a prewarm keyed to a future dead-set would be stale
-    /// anyway).
+    /// leave the operator believing the region is covered. Candidate
+    /// lists of pairs the window cuts are recomputed when a request
+    /// needs them, as for any other change to the dead-edge set.
     fn advise(&mut self, advisory: Advisory) -> Response {
         let nodes = self.network.node_count() as u32;
         if advisory.nodes.is_empty() {
@@ -181,32 +178,11 @@ impl Daemon {
                 ),
             };
         }
-        let prewarmed = if advisory.start > self.slot {
-            let mut edges: Vec<_> = advisory
-                .nodes
-                .iter()
-                .flat_map(|&n| {
-                    self.network
-                        .graph()
-                        .neighbors(qdn_graph::NodeId(n))
-                        .map(|(_, e)| e)
-                })
-                .collect();
-            edges.sort_unstable();
-            edges.dedup();
-            match self.pool.prewarm(&edges) {
-                Ok(pairs) => pairs,
-                Err(error) => return self.shard_failure(error),
-            }
-        } else {
-            0
-        };
         self.advisories.push(advisory);
         self.advisories
             .sort_unstable_by_key(|a| (a.start, a.end, a.nodes.clone()));
         Response::AdviseOk {
             advisories: self.advisories.len() as u32,
-            prewarmed_pairs: prewarmed as u32,
         }
     }
 
@@ -383,10 +359,7 @@ impl Daemon {
         self.unserved = 0;
         self.spent = snapshot.shards.iter().map(|s| s.spent).sum();
         // Darkness is a pure function of (advisories, slot), so
-        // installing the windows restores the overlay exactly; the
-        // prewarm cache is not snapshotted and not needed (a miss just
-        // pays the live repair the uninterrupted daemon skipped —
-        // decisions are bit-identical either way).
+        // installing the windows restores the overlay exactly.
         self.advisories = snapshot.advisories.clone();
         Ok(self.slot)
     }

@@ -24,8 +24,8 @@
 //!
 //! ## Warm restarts
 //!
-//! `Snapshot` returns every byte of decision-relevant state (candidate
-//! caches with their churn-repaired route sets, previous profiles,
+//! `Snapshot` returns every byte of decision-relevant state (each
+//! candidate cache's dead-edge set and current pairs, previous profiles,
 //! virtual queues, the slot counter — evaluation memos live for one
 //! slot and are never part of it);
 //! `Restore` installs it and fast-forwards the dynamics process by

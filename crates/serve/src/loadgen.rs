@@ -71,8 +71,6 @@ pub struct LoadReport {
     pub degraded: u64,
     /// Advisory windows declared before driving.
     pub advisories: u64,
-    /// Candidate pairs the daemon prewarmed for the declared windows.
-    pub prewarmed_pairs: u64,
     /// Wall-clock seconds spent driving (submit + tick round-trips).
     pub elapsed_s: f64,
     /// Requests decided per wall-clock second.
@@ -94,10 +92,8 @@ pub fn run<S: Read + Write>(
     network: &QdnNetwork,
     config: &LoadConfig,
 ) -> Result<LoadReport, ClientError> {
-    let mut prewarmed_pairs = 0u64;
     for fault in &config.faults {
-        let (_, prewarmed) = client.advise(fault.clone())?;
-        prewarmed_pairs += u64::from(prewarmed);
+        client.advise(fault.clone())?;
     }
     let mut workload = config.workload.build();
     let mut submitted = 0u64;
@@ -150,7 +146,6 @@ pub fn run<S: Read + Write>(
         cost,
         degraded,
         advisories: config.faults.len() as u64,
-        prewarmed_pairs,
         elapsed_s,
         decisions_per_sec: if elapsed_s > 0.0 {
             decided as f64 / elapsed_s

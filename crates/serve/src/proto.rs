@@ -22,7 +22,9 @@ use serde::{Deserialize, Serialize};
 /// in [`ServeSnapshot`].
 ///
 /// v3 (PR 10): solve-pool utilization counters in [`ServeStats`].
-pub const PROTOCOL_VERSION: u32 = 3;
+///
+/// v4: `AdviseOk` drops `prewarmed_pairs`.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Version tag of [`ServeSnapshot`]; bump on layout changes.
 ///
@@ -89,10 +91,7 @@ pub enum Request {
     /// freshly started.
     Reset,
     /// Declare an outage window (maintenance or reactive). The daemon
-    /// darkens the listed nodes for the window's slots and — for
-    /// windows that have not yet opened — pre-warms candidate repair
-    /// for the affected region so the first dark tick pays no Yen
-    /// searches for prewarmed pairs.
+    /// darkens the listed nodes for the window's slots.
     Advise {
         /// The window being declared.
         advisory: Advisory,
@@ -147,14 +146,10 @@ pub enum Response {
     },
     /// Reset done.
     ResetOk,
-    /// Advisory recorded (and pre-warmed where applicable).
+    /// Advisory recorded.
     AdviseOk {
         /// Advisories currently on file (expired windows pruned).
         advisories: u32,
-        /// Candidate pairs pre-warmed across all shards for this
-        /// window (0 when the window is already open — repair then
-        /// happens live on the next tick).
-        prewarmed_pairs: u32,
     },
     /// Graceful degradation: the submitted batch touches a currently
     /// dark region, so the daemon refuses to queue it instead of
@@ -221,10 +216,9 @@ pub struct ServeSnapshot {
     pub slot: u64,
     /// Per-shard warm state, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
-    /// Declared outage advisories still on file (PR 9). Darkness is a
-    /// pure function of `(advisories, slot)`, so carrying the windows
-    /// is all restore needs — the prewarm cache is a pure optimization
-    /// (bit-identical decisions either way) and is *not* snapshotted.
+    /// Declared outage advisories still on file. Darkness is a pure
+    /// function of `(advisories, slot)`, so carrying the windows is all
+    /// restore needs.
     pub advisories: Vec<Advisory>,
 }
 
@@ -285,10 +279,7 @@ mod tests {
             },
             Response::SubmitOk { pending: 3 },
             Response::ResetOk,
-            Response::AdviseOk {
-                advisories: 2,
-                prewarmed_pairs: 5,
-            },
+            Response::AdviseOk { advisories: 2 },
             Response::Degraded {
                 slot: 12,
                 dark_nodes: vec![3, 4],

@@ -23,7 +23,6 @@ use qdn_core::lyapunov::VirtualQueue;
 use qdn_core::problem::PerSlotContext;
 use qdn_core::types::Decision;
 use qdn_core::OscarConfig;
-use qdn_graph::EdgeId;
 use qdn_net::{CapacitySnapshot, QdnNetwork, SdPair};
 use rand::SeedableRng;
 
@@ -67,10 +66,6 @@ enum ShardMsg {
     },
     Reset {
         reply: mpsc::Sender<()>,
-    },
-    Prewarm {
-        edges: Vec<EdgeId>,
-        reply: mpsc::Sender<(usize, usize)>,
     },
     Stop,
 }
@@ -150,10 +145,6 @@ impl ShardWorker {
                     self.queue = Self::fresh_queue(&self.oscar, shards);
                     self.spent = 0;
                     let _ = reply.send(());
-                }
-                ShardMsg::Prewarm { edges, reply } => {
-                    let pairs = self.state.prewarm_dead_edges(&self.network, &edges);
-                    let _ = reply.send((self.index, pairs));
                 }
                 ShardMsg::Stop => break,
             }
@@ -320,33 +311,6 @@ impl ShardPool {
             return Err("a shard thread died mid-restore".into());
         }
         results.into_iter().collect()
-    }
-
-    /// Pre-warms candidate repair on every shard for the assumed death
-    /// of `edges` (an announced maintenance or outage window that has
-    /// not opened yet); returns the total number of pairs prewarmed
-    /// across shards. Purely an optimization: a prewarm hit installs
-    /// the exact routes a live repair would compute, so decisions are
-    /// bit-identical whether or not this ran. Fails if a shard thread
-    /// has died.
-    pub fn prewarm(&self, edges: &[EdgeId]) -> Result<usize, String> {
-        let (reply, inbox) = mpsc::channel();
-        for (index, tx) in self.senders.iter().enumerate() {
-            tx.send(ShardMsg::Prewarm {
-                edges: edges.to_vec(),
-                reply: reply.clone(),
-            })
-            .map_err(|_| format!("shard thread {index} is gone"))?;
-        }
-        drop(reply);
-        let counts: Vec<(usize, usize)> = inbox.iter().collect();
-        if counts.len() != self.len() {
-            return Err(format!(
-                "{} shard thread(s) died mid-prewarm",
-                self.len() - counts.len()
-            ));
-        }
-        Ok(counts.into_iter().map(|(_, pairs)| pairs).sum())
     }
 
     /// Resets every shard to cold state (fresh engine, fresh queue).

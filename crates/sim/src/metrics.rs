@@ -244,9 +244,9 @@ impl RunMetrics {
     }
 
     /// [`RunMetrics::recovery_records`] restricted to one outage class,
-    /// so recovery-time claims can be made per class (a planned window
-    /// with prewarmed repair recovers differently than a surprise
-    /// regional blackout).
+    /// so recovery-time claims can be made per class (a planned
+    /// maintenance window recovers differently than a surprise regional
+    /// blackout).
     pub fn recovery_records_for(
         &self,
         class: OutageClass,
