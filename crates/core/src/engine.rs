@@ -195,18 +195,6 @@ impl EngineState {
             fidelity: FidelityCache::default(),
         })
     }
-
-    /// Splits the state into its halves for callers that hold them
-    /// separately (the deprecated 9-argument shim migration path).
-    pub(crate) fn parts(
-        &mut self,
-    ) -> (
-        &mut CandidateRoutes,
-        &mut SelectorSession,
-        &mut FidelityCache,
-    ) {
-        (&mut self.routes, &mut self.session, &mut self.fidelity)
-    }
 }
 
 /// Version tag of [`EngineSnapshot`]; bump on layout changes.
@@ -235,7 +223,7 @@ pub struct EngineSnapshot {
 /// recompute changes the pair's candidates — steady-state slots clone
 /// nothing.
 #[derive(Debug, Default)]
-pub(crate) struct FidelityCache {
+struct FidelityCache {
     /// Bit pattern of the target the entries were computed for.
     target_bits: Option<u64>,
     entries: HashMap<SdPair, FidelityEntry>,
@@ -302,23 +290,14 @@ impl FidelityCache {
 }
 
 /// Decides one slot: routes and qubit allocations for `req.requests`
-/// under `req.ctx`, using and updating the slot-spanning `state`.
-///
-/// This is the consolidated facade over [`decide_parts`]; see the
-/// module docs for the pipeline.
+/// under `req.ctx`, using and updating the slot-spanning `state`. See
+/// the module docs for the pipeline.
 pub fn decide(state: &mut EngineState, req: SlotDecisionRequest<'_>) -> Decision {
-    let (routes, session, fidelity) = state.parts();
-    decide_parts(routes, session, fidelity, req)
-}
-
-/// The pipeline over explicitly split state halves; [`decide`] is the
-/// one-struct facade over this.
-pub(crate) fn decide_parts(
-    routes_cache: &mut CandidateRoutes,
-    session: &mut SelectorSession,
-    fidelity: &mut FidelityCache,
-    req: SlotDecisionRequest<'_>,
-) -> Decision {
+    let EngineState {
+        routes: routes_cache,
+        session,
+        fidelity,
+    } = state;
     let SlotDecisionRequest {
         network,
         requests,
@@ -431,53 +410,6 @@ mod tests {
     fn requests(net: &QdnNetwork, rng: &mut dyn rand::Rng, t: u64) -> Vec<SdPair> {
         use qdn_net::workload::{UniformWorkload, Workload};
         UniformWorkload::paper_default().requests(t, net, rng)
-    }
-
-    #[test]
-    fn facade_matches_split_parts_pipeline() {
-        let (net, mut rng) = setup();
-        let snap = CapacitySnapshot::full(&net);
-        let selector = RouteSelector::default();
-        let alloc = AllocationMethod::default();
-
-        let mut state = EngineState::new(RouteLimits::paper_default());
-        let mut split_routes = CandidateRoutes::new(RouteLimits::paper_default());
-        let mut split_session = SelectorSession::new();
-        let mut split_fidelity = FidelityCache::default();
-
-        for t in 0..5u64 {
-            let reqs = requests(&net, &mut rng, t);
-            let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-            let mut rng_a = rand::rngs::StdRng::seed_from_u64(1000 + t);
-            let mut rng_b = rand::rngs::StdRng::seed_from_u64(1000 + t);
-            let via_facade = decide(
-                &mut state,
-                SlotDecisionRequest {
-                    network: &net,
-                    requests: &reqs,
-                    ctx: &ctx,
-                    selector: &selector,
-                    allocation: &alloc,
-                    fidelity_target: None,
-                    rng: &mut rng_a,
-                },
-            );
-            let via_parts = decide_parts(
-                &mut split_routes,
-                &mut split_session,
-                &mut split_fidelity,
-                SlotDecisionRequest {
-                    network: &net,
-                    requests: &reqs,
-                    ctx: &ctx,
-                    selector: &selector,
-                    allocation: &alloc,
-                    fidelity_target: None,
-                    rng: &mut rng_b,
-                },
-            );
-            assert_eq!(via_facade, via_parts, "slot {t}");
-        }
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! # Bit-identical results
 //!
 //! The evaluator returns *exactly* the objective and allocations of the
-//! full-rebuild path, bit for bit. Three invariants make this hold:
+//! full-rebuild path, bit for bit. Four invariants make this hold:
 //!
 //! 1. [`PerSlotContext::build_instance`] and the evaluator stream through
 //!    the same [`RouteAssembler`] layout (variables in profile order,
@@ -83,7 +83,25 @@
 //!    allocation in variable order with the same
 //!    [`qdn_solve::ln_success`] terms [`AllocationInstance::objective_int`]
 //!    uses, rather than by summing cached per-component objectives (which
-//!    would associate the additions differently).
+//!    would associate the additions differently);
+//! 4. a group whose capacities cannot bind is not solved at all: its
+//!    allocation is the per-edge slack closed form
+//!    ([`qdn_solve::relaxed::slack_point`], computed once per distinct
+//!    candidate edge per slot), which equals what relax-and-round would
+//!    return. The closed form is on only for
+//!    [`AllocationMethod::RelaxAndRound`] with at least one dual
+//!    iteration, at a positive price `κ = q_t`, with no slot budget. A
+//!    group takes it only if every node and edge it touches passes
+//!    [`qdn_solve::relaxed::slack_fits`]: `Σx* ≤ cap − 1e-9·(1 + cap)`
+//!    and `Σn ≤ cap` over the slack points of its variables. The real
+//!    sum makes the dual loop's first residual `≤ 0`, so `λ` stays 0,
+//!    the feasibility repair leaves the argmax unchanged, and the gap is
+//!    certified at iteration 1 with the per-variable `x*`; the `1e-9`
+//!    margin covers the solver summing members in a different order.
+//!    The integer sum means the surplus fill is never blocked, so each
+//!    variable stops at its own first non-positive marginal gain, which
+//!    is the slack point's `n`. [`EvalStats::closed_form`] counts these
+//!    groups (they also count in [`EvalStats::components_solved`]).
 //!
 //! The property test `incremental_matches_full_rebuild` in
 //! `crates/core/tests/proptests.rs` enforces this equivalence on random
@@ -130,6 +148,7 @@ use qdn_graph::{EdgeId, NodeId, Path};
 use qdn_net::SdPair;
 use qdn_physics::swap::SwapModel;
 use qdn_solve::assemble::scatter_segments;
+use qdn_solve::relaxed::{slack_fits, slack_point, SlackPoint};
 use qdn_solve::{ln_success, AllocationInstance, RouteAssembler};
 use serde::{Deserialize, Serialize};
 
@@ -192,6 +211,10 @@ struct EdgeVar {
     u: NodeId,
     v: NodeId,
     p: f64,
+    /// The edge's relax-and-round result if no constraint binds
+    /// (invariant 4); `None` when the closed form is off for the slot
+    /// or the edge cannot hold it.
+    slack: Option<SlackPoint>,
 }
 
 /// Scratch for the dynamic sub-partition refresh (main thread only).
@@ -212,6 +235,68 @@ struct PartitionScratch {
     old_groups: Vec<u32>,
     /// Distinct-label scratch for the churn counters.
     labels: Vec<u32>,
+}
+
+/// One node's or edge's running sums in [`SlackSums`].
+#[derive(Debug, Clone, Copy, Default)]
+struct SlackSum {
+    epoch: u64,
+    x: f64,
+    n: u64,
+}
+
+impl SlackSum {
+    /// Adds `sp`, restarting from zero on the first add of `epoch`;
+    /// returns whether this was that first add.
+    fn add(&mut self, epoch: u64, sp: SlackPoint) -> bool {
+        let first = self.epoch != epoch;
+        if first {
+            *self = SlackSum {
+                epoch,
+                ..SlackSum::default()
+            };
+        }
+        self.x += sp.x;
+        self.n += u64::from(sp.n);
+        first
+    }
+}
+
+/// The slack-point sums of one group per node and edge it touches, for
+/// the closed-form check (invariant 4): dense by index, epoch-stamped
+/// (never cleared), with the touched indices listed.
+#[derive(Debug)]
+struct SlackSums {
+    epoch: u64,
+    node: Vec<SlackSum>,
+    edge: Vec<SlackSum>,
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+}
+
+impl SlackSums {
+    fn sized(nodes: usize, edges: usize) -> Self {
+        SlackSums {
+            epoch: 0,
+            node: vec![SlackSum::default(); nodes],
+            edge: vec![SlackSum::default(); edges],
+            nodes: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// Adds one variable's slack point to its endpoints' and its edge's
+    /// sums.
+    fn add(&mut self, ev: &EdgeVar, sp: SlackPoint) {
+        for node in [ev.u, ev.v] {
+            if self.node[node.index()].add(self.epoch, sp) {
+                self.nodes.push(node);
+            }
+        }
+        if self.edge[ev.edge.index()].add(self.epoch, sp) {
+            self.edges.push(ev.edge);
+        }
+    }
 }
 
 /// Reusable dense buffers for sub-instance construction.
@@ -239,6 +324,8 @@ struct Scratch {
     spans: Vec<(usize, usize)>,
     /// Assembled component allocation (gather pass).
     gathered: Vec<u32>,
+    /// Closed-form check sums.
+    sums: SlackSums,
 }
 
 impl Scratch {
@@ -259,6 +346,7 @@ impl Scratch {
             pos_off: Vec::new(),
             spans: Vec::new(),
             gathered: Vec::new(),
+            sums: SlackSums::sized(nodes, edges),
             nodes,
             edges,
         }
@@ -512,6 +600,10 @@ pub struct EvalStats {
     /// Sub-instances built and solved. Under the dynamic partition each
     /// freshly solved dynamic group counts individually.
     pub components_solved: u64,
+    /// Of [`EvalStats::components_solved`], those answered by the slack
+    /// closed form (invariant 4 in the module docs): nothing assembled,
+    /// nothing solved.
+    pub closed_form: u64,
     /// Gauge: dynamic components across the whole profile, as of the
     /// last partition refresh. Static components whose sub-partition has
     /// not been computed yet (or never is: singletons and budgeted
@@ -624,9 +716,27 @@ impl<'a> ProfileEvaluator<'a> {
     ) -> Self {
         let k = candidates.len();
         let pairs: Vec<SdPair> = candidates.iter().map(|c| c.pair).collect();
+        // Slack points per distinct candidate edge (invariant 4). The
+        // closed form reproduces a cold relax-and-round solve that runs
+        // at least one dual iteration at a positive price with no budget
+        // row; anywhere else the table stays empty and every group is
+        // solved.
+        let closed_form = ctx.unit_price > 0.0
+            && ctx.slot_budget.is_none()
+            && matches!(method, AllocationMethod::RelaxAndRound(o) if o.max_iterations > 0);
+        let mut slack = if closed_form {
+            vec![None; ctx.network.edge_count()]
+        } else {
+            Vec::new()
+        };
         let routes: Vec<Vec<RouteData>> = candidates
             .iter()
-            .map(|c| c.routes.iter().map(|r| resolve_route(ctx, r)).collect())
+            .map(|c| {
+                c.routes
+                    .iter()
+                    .map(|r| resolve_route(ctx, r, &mut slack))
+                    .collect()
+            })
             .collect();
 
         // Static partition by candidate-route node sharing (edge sharing
@@ -958,7 +1068,7 @@ impl<'a> ProfileEvaluator<'a> {
     fn solve_whole(&mut self, comp: usize, indices: &[usize]) -> bool {
         self.stats.components_solved += 1;
         self.stats.pairs_resolved_last_move += self.comp_pairs[comp].len() as u64;
-        let alloc = solve_component(
+        let (alloc, closed) = solve_component(
             &mut self.scratch,
             &self.ctx,
             self.budget,
@@ -967,6 +1077,7 @@ impl<'a> ProfileEvaluator<'a> {
             &self.comp_pairs[comp],
             indices,
         );
+        self.stats.closed_form += u64::from(closed);
         let feasible = alloc.is_some();
         let key = self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]]
             .to_vec()
@@ -1001,7 +1112,7 @@ impl<'a> ProfileEvaluator<'a> {
             }
             self.stats.components_solved += 1;
             self.stats.pairs_resolved_last_move += self.group_members.len() as u64;
-            let alloc = solve_component(
+            let (alloc, closed) = solve_component(
                 &mut self.scratch,
                 &self.ctx,
                 self.budget,
@@ -1010,6 +1121,7 @@ impl<'a> ProfileEvaluator<'a> {
                 &self.group_members,
                 indices,
             );
+            self.stats.closed_form += u64::from(closed);
             let ok = alloc.is_some();
             self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
             if !ok {
@@ -1136,7 +1248,7 @@ impl<'a> ProfileEvaluator<'a> {
         let comp_key_off = &self.comp_key_off;
         let dyn_group_of = &self.dyn_group_of;
         let infeasible = AtomicBool::new(false);
-        type ItemSolve = (usize, u32, usize, Option<Box<[u32]>>);
+        type ItemSolve = (usize, u32, usize, GroupSolve);
         // One pool task per item, gathered in item order by
         // `map_indexed`; a task that observes the infeasibility flag
         // returns `None` (its item stays unmemoized).
@@ -1162,7 +1274,7 @@ impl<'a> ProfileEvaluator<'a> {
                             members.push(pair);
                         }
                     }
-                    let alloc = solve_component(
+                    let solved = solve_component(
                         &mut scratch,
                         &ctx,
                         budget,
@@ -1171,18 +1283,19 @@ impl<'a> ProfileEvaluator<'a> {
                         members,
                         indices,
                     );
-                    if alloc.is_none() {
+                    if solved.0.is_none() {
                         infeasible.store(true, Ordering::Relaxed);
                     }
                     let n_pairs = members.len();
                     *slot = Some(scratch);
-                    Some((comp, g, n_pairs, alloc))
+                    Some((comp, g, n_pairs, solved))
                 })
             });
         let any_infeasible = infeasible.into_inner();
         let mut fresh = Vec::new();
-        for (comp, g, n_pairs, alloc) in results.into_iter().flatten() {
+        for (comp, g, n_pairs, (alloc, closed)) in results.into_iter().flatten() {
             self.stats.components_solved += 1;
+            self.stats.closed_form += u64::from(closed);
             self.stats.pairs_resolved_last_move += n_pairs as u64;
             let off = self.comp_key_off[comp];
             let end = self.comp_key_off[comp + 1];
@@ -1279,18 +1392,36 @@ fn distinct_excess(groups: &[u32], labels: &[u32], n_groups: u32, seen: &mut Vec
     excess
 }
 
-/// Resolves one candidate [`Path`] into per-edge data.
-fn resolve_route(ctx: &PerSlotContext<'_>, route: &Path) -> RouteData {
+/// Resolves one candidate [`Path`] into per-edge data. `slack` memoizes
+/// each edge's [`slack_point`] by edge index (outer `None` = not yet
+/// computed); an empty table turns the closed form off.
+fn resolve_route(
+    ctx: &PerSlotContext<'_>,
+    route: &Path,
+    slack: &mut [Option<Option<SlackPoint>>],
+) -> RouteData {
     let edges: Vec<EdgeVar> = route
         .edges()
         .iter()
         .map(|&edge| {
             let (u, v) = ctx.network.graph().endpoints(edge);
+            let p = ctx.network.link(edge).channel_success();
+            let slack = slack.get_mut(edge.index()).and_then(|memo| {
+                *memo.get_or_insert_with(|| {
+                    let cap = ctx
+                        .snapshot
+                        .qubits(u)
+                        .min(ctx.snapshot.qubits(v))
+                        .min(ctx.snapshot.channels(edge));
+                    slack_point(p, ctx.v_weight, ctx.unit_price, cap)
+                })
+            });
             EdgeVar {
                 edge,
                 u,
                 v,
-                p: ctx.network.link(edge).channel_success(),
+                p,
+                slack,
             }
         })
         .collect();
@@ -1323,10 +1454,14 @@ fn build_instance_for<'r>(
     )
 }
 
-/// Builds and solves one sub-instance (a whole static component or a
-/// single dynamic group, `members` = its pair ids ascending), recycling
-/// the instance storage afterwards. `None` means the route combination
-/// is infeasible.
+/// One sub-instance's allocation (`None` = the route combination is
+/// infeasible) and whether the slack closed form produced it.
+type GroupSolve = (Option<Box<[u32]>>, bool);
+
+/// Allocates one sub-instance (a whole static component or a single
+/// dynamic group, `members` = its pair ids ascending): by the slack
+/// closed form when it applies, otherwise by building and solving the
+/// instance, recycling its storage afterwards.
 fn solve_component(
     scratch: &mut Scratch,
     ctx: &PerSlotContext<'_>,
@@ -1335,12 +1470,48 @@ fn solve_component(
     routes: &[Vec<RouteData>],
     members: &[usize],
     indices: &[usize],
-) -> Option<Box<[u32]>> {
+) -> GroupSolve {
+    if let Some(flat) = closed_form(&mut scratch.sums, ctx, routes, members, indices) {
+        return (Some(flat), true);
+    }
     let route_iter = members.iter().map(|&i| &routes[i][indices[i]]);
-    let instance = build_instance_for(scratch, ctx, budget, route_iter).ok()?;
+    let Ok(instance) = build_instance_for(scratch, ctx, budget, route_iter) else {
+        return (None, false);
+    };
     let flat = method.allocate(&instance);
     scratch.asm.recycle(instance);
-    flat.map(Vec::into_boxed_slice)
+    (flat.map(Vec::into_boxed_slice), false)
+}
+
+/// The group's allocation by the slack closed form (invariant 4), or
+/// `None` when some variable has no slack point or some node or edge
+/// the group touches fails [`slack_fits`].
+fn closed_form(
+    sums: &mut SlackSums,
+    ctx: &PerSlotContext<'_>,
+    routes: &[Vec<RouteData>],
+    members: &[usize],
+    indices: &[usize],
+) -> Option<Box<[u32]>> {
+    let group = || members.iter().flat_map(|&i| &routes[i][indices[i]].edges);
+    sums.epoch += 1;
+    sums.nodes.clear();
+    sums.edges.clear();
+    for ev in group() {
+        sums.add(ev, ev.slack?);
+    }
+    let fits = sums.nodes.iter().all(|&node| {
+        let sum = sums.node[node.index()];
+        slack_fits(sum.x, sum.n, ctx.snapshot.qubits(node))
+    }) && sums.edges.iter().all(|&edge| {
+        let sum = sums.edge[edge.index()];
+        slack_fits(sum.x, sum.n, ctx.snapshot.channels(edge))
+    });
+    fits.then(|| {
+        group()
+            .map(|ev| ev.slack.expect("checked by the sum pass").n)
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -1488,6 +1659,49 @@ mod tests {
         assert_eq!(eval.stats().component_splits, 0);
     }
 
+    /// Evaluates every profile in the (small) product space with one
+    /// evaluator and asserts each equals the full-rebuild path bit for
+    /// bit; returns the evaluator's counters.
+    fn assert_matches_rebuild(
+        ctx: &PerSlotContext<'_>,
+        cands: &[Candidates<'_>],
+        method: &AllocationMethod,
+    ) -> EvalStats {
+        let mut eval = ProfileEvaluator::new(ctx, cands, method, EvalOptions::default());
+        let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
+        let mut indices = vec![0usize; cands.len()];
+        loop {
+            let profile = profile_of(cands, &indices);
+            let reference = ctx.evaluate(&profile, method);
+            let incremental = eval.evaluate(&indices);
+            match (&reference, &incremental) {
+                (None, None) => {}
+                (Some(r), Some(x)) => {
+                    assert_eq!(r.objective.to_bits(), x.objective.to_bits());
+                    assert_eq!(r.allocations, x.allocations, "at {indices:?}");
+                }
+                _ => panic!("feasibility mismatch at {indices:?}"),
+            }
+            assert_eq!(
+                ctx.evaluate_objective(&profile, method).map(f64::to_bits),
+                eval.evaluate_objective(&indices).map(f64::to_bits)
+            );
+            // Odometer step; wrapping past the last digit ends the walk.
+            let mut pos = 0;
+            loop {
+                if pos == indices.len() {
+                    return eval.stats();
+                }
+                indices[pos] += 1;
+                if indices[pos] < radix[pos] {
+                    break;
+                }
+                indices[pos] = 0;
+                pos += 1;
+            }
+        }
+    }
+
     #[test]
     fn matches_full_rebuild_everywhere() {
         let net = two_diamonds();
@@ -1506,42 +1720,101 @@ mod tests {
                 AllocationMethod::Greedy,
                 AllocationMethod::Minimal,
             ] {
-                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
-                // Every profile in the (small) product space.
-                let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
-                let mut indices = vec![0usize; cands.len()];
-                'product_space: loop {
-                    let profile = profile_of(&cands, &indices);
-                    let reference = ctx.evaluate(&profile, &method);
-                    let incremental = eval.evaluate(&indices);
-                    match (&reference, &incremental) {
-                        (None, None) => {}
-                        (Some(r), Some(x)) => {
-                            assert_eq!(r.objective.to_bits(), x.objective.to_bits());
-                            assert_eq!(r.allocations, x.allocations);
-                        }
-                        _ => panic!("feasibility mismatch at {indices:?}"),
-                    }
-                    assert_eq!(
-                        ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                        eval.evaluate_objective(&indices).map(f64::to_bits)
-                    );
-                    let mut pos = 0;
-                    loop {
-                        if pos == indices.len() {
-                            // Odometer wrapped: this combination is
-                            // exhausted; move on to the next one.
-                            break 'product_space;
-                        }
-                        indices[pos] += 1;
-                        if indices[pos] < radix[pos] {
-                            break;
-                        }
-                        indices[pos] = 0;
-                        pos += 1;
-                    }
-                }
+                assert_matches_rebuild(&ctx, &cands, &method);
             }
+        }
+    }
+
+    fn diamond_pairs() -> [SdPair; 3] {
+        [
+            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
+            SdPair::new(NodeId(1), NodeId(2)).unwrap(),
+            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn slack_groups_take_the_closed_form() {
+        // At price 25 the good links' x* ≈ 2.2 sits well inside every
+        // capacity, so those groups skip assembly; the bad links'
+        // x* ≈ 8 exceeds their 5 channels and is solved.
+        let net = two_diamonds();
+        let snap = CapacitySnapshot::full(&net);
+        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 25.0);
+        let owned = owned_candidates(&net, &diamond_pairs());
+        let cands = to_cands(&owned);
+        let stats = assert_matches_rebuild(&ctx, &cands, &AllocationMethod::default());
+        assert!(stats.closed_form > 0, "{stats:?}");
+        assert!(stats.closed_form < stats.components_solved, "{stats:?}");
+    }
+
+    #[test]
+    fn integer_overflow_falls_back_to_the_solver() {
+        // Two requests for one pair share a single 5-channel edge. Each
+        // variable's x* ≈ 2.49 (the reals fit: 4.97 ≤ 5), but each
+        // rounds up to 3 and 6 > 5: the fill is blocked, so the closed
+        // form would be wrong and the check must send the group to the
+        // solver.
+        let (p, v, price) = (0.1, 1000.0, 352.0);
+        let sp = slack_point(p, v, price, 5).unwrap();
+        assert!(sp.x > 2.4 && sp.x < 2.5 && sp.n == 3, "{sp:?}");
+        let mut b = QdnNetworkBuilder::new();
+        let a = b.add_node(10);
+        let z = b.add_node(10);
+        b.add_edge(a, z, 5, LinkModel::new(p).unwrap()).unwrap();
+        let net = b.build();
+        let snap = CapacitySnapshot::full(&net);
+        let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+        let pair = SdPair::new(a, z).unwrap();
+        let owned = owned_candidates(&net, &[pair, pair]);
+        let cands = to_cands(&owned);
+        let stats = assert_matches_rebuild(&ctx, &cands, &AllocationMethod::default());
+        assert_eq!(stats.components_solved, 1);
+        assert_eq!(stats.closed_form, 0);
+        let mut eval = ProfileEvaluator::new(
+            &ctx,
+            &cands,
+            &AllocationMethod::default(),
+            EvalOptions::default(),
+        );
+        assert_eq!(eval.evaluate(&[0, 0]).unwrap().allocations, [[3], [2]]);
+    }
+
+    #[test]
+    fn closed_form_stays_off_outside_its_preconditions() {
+        let net = two_diamonds();
+        let snap = CapacitySnapshot::full(&net);
+        let owned = owned_candidates(&net, &diamond_pairs());
+        let cands = to_cands(&owned);
+        let rr = AllocationMethod::default();
+        let no_iterations = AllocationMethod::RelaxAndRound(RelaxedOptions {
+            max_iterations: 0,
+            ..RelaxedOptions::default()
+        });
+        // A budget row at a positive price: the closed form does not
+        // check it. At price 100 every link's slack point fits its
+        // capacities (good links n = 2, bad links n = 4), and a budget
+        // of 13 binds on every profile.
+        let budgeted = PerSlotContext {
+            slot_budget: Some(13),
+            ..PerSlotContext::oscar(&net, &snap, 800.0, 100.0)
+        };
+        let priced = PerSlotContext::oscar(&net, &snap, 800.0, 25.0);
+        let myopic = PerSlotContext::myopic(&net, &snap, 20);
+        let cases = [
+            // κ = 0: the λ = 0 argmax is the upper bound, not x*.
+            (PerSlotContext::oscar(&net, &snap, 800.0, 0.0), rr),
+            (myopic, rr),
+            (myopic, AllocationMethod::Greedy),
+            (budgeted, rr),
+            // No dual iteration: the solver returns the all-ones point.
+            (priced, no_iterations),
+            (priced, AllocationMethod::Greedy),
+        ];
+        for (ctx, method) in cases {
+            let stats = assert_matches_rebuild(&ctx, &cands, &method);
+            assert!(stats.components_solved > 0);
+            assert_eq!(stats.closed_form, 0, "{method:?} {:?}", ctx.slot_budget);
         }
     }
 

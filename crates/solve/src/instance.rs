@@ -29,6 +29,19 @@ pub fn ln_success(p: f64, x: f64) -> f64 {
     (-f64::exp_m1(ln_fail)).ln()
 }
 
+/// Marginal objective gain `V·(ln P(n+1) − ln P(n)) − κ` of raising a
+/// variable with channel success `p` from `nj` to `nj + 1` channels.
+///
+/// The single definition of the gain: the greedy fill
+/// ([`AllocationInstance::marginal_gain`]) and the slack closed form
+/// ([`crate::relaxed::slack_point`]) both call it, so their stopping
+/// decisions agree bit for bit.
+#[inline]
+pub fn marginal_gain(p: f64, v_weight: f64, unit_price: f64, nj: u32) -> f64 {
+    let gain = ln_success(p, (nj + 1) as f64) - ln_success(p, nj as f64);
+    v_weight * gain - unit_price
+}
+
 /// One decision variable: the channel allocation of one edge of one
 /// selected route.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -392,9 +405,7 @@ impl AllocationInstance {
     /// Marginal objective gain of incrementing variable `j` from `n[j]`:
     /// `V·(ln P(n+1) − ln P(n)) − κ`.
     pub fn marginal_gain(&self, j: usize, nj: u32) -> f64 {
-        let p = self.vars[j].p;
-        let gain = ln_success(p, (nj + 1) as f64) - ln_success(p, nj as f64);
-        self.v_weight * gain - self.unit_price
+        marginal_gain(self.vars[j].p, self.v_weight, self.unit_price, nj)
     }
 
     /// The all-ones starting point.

@@ -227,6 +227,96 @@ pub fn solve_relaxed(
     ))
 }
 
+/// One variable's relax-and-round result when no constraint binds: the
+/// relaxed value `x` and the rounded integer `n`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlackPoint {
+    /// The dual pass's argmax at `λ = 0`: the stationary point at price
+    /// `κ`, clamped below at 1.
+    pub x: f64,
+    /// `⌊x⌋` (at least 1), raised by one while the marginal gain is
+    /// still positive.
+    pub n: u32,
+}
+
+/// The slack closed form: what [`solve_relaxed`] followed by
+/// [`crate::rounding::round_down_and_fill`] give a variable with channel
+/// success `p` when none of its constraints binds.
+///
+/// * The real part is the dual pass's `λ = 0` argmax,
+///   `ρ = κ/(−V·ln_1p(−p))` through
+///   [`crate::scalar::stationary_point`], clamped below at 1 — the same
+///   expressions `dual_value_at` evaluates, so the bits agree.
+/// * The integer part starts at `⌊x⌋.max(1)` (the down-rounding) and
+///   adds 1 while [`crate::instance::marginal_gain`] is still `> 0` (the
+///   greedy fill with nothing blocking it).
+///
+/// Returns `None` when `p ∉ (0, 1)`, `κ ≤ 0`, the real part is not
+/// finite, or either part passes `cap` — the variable's smallest
+/// capacity, beyond which no constraint can be slack. The `cap` bound
+/// also stops the integer loop at tiny prices.
+///
+/// Whether the point is *the* solver's answer for a whole instance is
+/// the caller's check: every constraint must pass [`slack_fits`].
+///
+/// # Example
+///
+/// ```
+/// use qdn_solve::relaxed::{slack_point, solve_relaxed, RelaxedOptions};
+/// use qdn_solve::rounding::round_down_and_fill;
+/// use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
+///
+/// let sp = slack_point(0.55, 1000.0, 20.0, 40).unwrap();
+/// let inst = AllocationInstance::new(
+///     vec![Variable::new(0.55)],
+///     vec![PackingConstraint::new(40, vec![0])],
+///     1000.0,
+///     20.0,
+/// ).unwrap();
+/// let relaxed = solve_relaxed(&inst, &RelaxedOptions::default()).unwrap();
+/// assert_eq!(relaxed.x[0].to_bits(), sp.x.to_bits());
+/// assert_eq!(round_down_and_fill(&inst, &relaxed.x).unwrap(), vec![sp.n]);
+/// ```
+pub fn slack_point(p: f64, v_weight: f64, kappa: f64, cap: u32) -> Option<SlackPoint> {
+    if !(p > 0.0 && p < 1.0 && kappa > 0.0) {
+        return None;
+    }
+    let ln_beta = f64::ln_1p(-p);
+    let rho = kappa / (-v_weight * ln_beta);
+    let x_star = crate::scalar::stationary_point(rho, ln_beta);
+    let x = if x_star <= 1.0 { 1.0 } else { x_star };
+    // Keeps the cast below in range.
+    if x.is_nan() || x > f64::from(cap) {
+        return None;
+    }
+    let mut n = x.floor().max(1.0) as u32;
+    while crate::instance::marginal_gain(p, v_weight, kappa, n) > 0.0 {
+        if n >= cap {
+            return None;
+        }
+        n += 1;
+    }
+    Some(SlackPoint { x, n })
+}
+
+/// Whether a constraint of capacity `cap` whose members sit at their
+/// [`slack_point`]s stays slack: `Σx ≤ cap − 1e-9·(1 + cap)` and
+/// `Σn ≤ cap`.
+///
+/// When every constraint of an instance passes, the dual loop's first
+/// residual is `≤ 0`, so `λ` stays 0, the repair leaves the point
+/// unchanged, and the gap is certified at iteration 1; the greedy fill
+/// is never blocked, so each variable stops at its own first
+/// non-positive gain. The relaxed solution and its rounding are then
+/// the per-variable slack points, bit for bit. The `1e-9` margin covers
+/// the difference between the caller's summation order and the
+/// solver's 4-wide `gather_sum`.
+#[inline]
+pub fn slack_fits(sum_x: f64, sum_n: u64, cap: u32) -> bool {
+    let cap_f = f64::from(cap);
+    sum_x <= cap_f - 1e-9 * (1.0 + cap_f) && sum_n <= u64::from(cap)
+}
+
 /// Per-variable constants cached once per solve. `ln_p1`/`ln_p_ub` use
 /// the canonical [`ln_success`] formula so boundary iterates carry
 /// bit-identical objective terms to the unfused reference.
@@ -654,6 +744,33 @@ mod tests {
                 "{removed}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn tiny_price_terminates_through_cap_bound() {
+        // κ = 1e-12 puts the stationary point far out: the cap bound
+        // answers `None` instead of walking the integer loop there.
+        for cap in [1, 5, 50] {
+            assert_eq!(slack_point(0.3, 2500.0, 1e-12, cap), None, "cap {cap}");
+        }
+        // Past u32::MAX: the bound also guards the integer cast.
+        assert_eq!(slack_point(1e-9, 2500.0, 1e-12, u32::MAX), None);
+        // With room to spare the loop still stops on its own.
+        let sp = slack_point(0.3, 2500.0, 1e-12, 1 << 20).unwrap();
+        assert!(sp.x > 50.0 && sp.n >= sp.x.floor() as u32 && sp.n <= 1 << 20);
+    }
+
+    #[test]
+    fn slack_point_rejects_degenerate_inputs() {
+        assert_eq!(slack_point(0.5, 100.0, 0.0, 10), None);
+        assert_eq!(slack_point(0.0, 100.0, 1.0, 10), None);
+        assert_eq!(slack_point(1.0, 100.0, 1.0, 10), None);
+        assert_eq!(slack_point(0.5, 0.0, 1.0, 10), None);
+        // A price too high for a second channel pins both parts at 1.
+        assert_eq!(
+            slack_point(0.5, 1.0, 1e6, 10),
+            Some(SlackPoint { x: 1.0, n: 1 })
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use qdn_solve::brute::brute_force_best;
 use qdn_solve::greedy::greedy_allocate;
-use qdn_solve::relaxed::{repair_feasibility, solve_relaxed, RelaxedOptions};
+use qdn_solve::relaxed::{
+    repair_feasibility, slack_fits, slack_point, solve_relaxed, RelaxedOptions, SlackPoint,
+};
 use qdn_solve::rounding::{round_down_and_fill, satisfies_rounding_relation};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
 
@@ -66,6 +68,67 @@ fn arb_tiny_instance() -> impl Strategy<Value = AllocationInstance> {
                 price,
             )
             .expect("constructed feasible at all-ones")
+        })
+    })
+}
+
+/// Per-variable bound for the slack points of [`arb_slack_instance`]:
+/// large enough never to bind at these prices.
+const SLACK_CAP: u32 = 1 << 20;
+
+/// Strategy: a 1–6-variable instance with route-like structure and
+/// capacities placed around the slack boundary. Every variable has an
+/// edge-like constraint (alone, or shared with its successor as two
+/// routes sharing a link would be) and 1–3 node-like constraints cover
+/// random member sets. Each capacity is `⌈Σ x⌉ + d` over its members'
+/// slack points, with `d ∈ [−1, 3]` (never below the member count), so
+/// cases land on both sides of [`slack_fits`].
+fn arb_slack_instance() -> impl Strategy<Value = (AllocationInstance, Vec<SlackPoint>)> {
+    (1usize..=6).prop_flat_map(|nv| {
+        let vars = proptest::collection::vec(0.05f64..0.95, nv);
+        let edges = proptest::collection::vec((proptest::bool::ANY, -1i64..=3), nv);
+        let nodes = proptest::collection::vec(
+            (proptest::collection::btree_set(0..nv, 1..=nv), -1i64..=3),
+            1..=3,
+        );
+        let v_weight = 10.0f64..3000.0;
+        // κ ∈ (0, 40].
+        let kappa = (0.0f64..40.0).prop_map(|k| 40.0 - k);
+        (vars, edges, nodes, v_weight, kappa).prop_map(move |(ps, edges, nodes, v, kappa)| {
+            let points: Vec<SlackPoint> = ps
+                .iter()
+                .map(|&p| slack_point(p, v, kappa, SLACK_CAP).expect("κ > 0, p ∈ (0, 1)"))
+                .collect();
+            let around = |members: Vec<usize>, d: i64| {
+                let sum: f64 = members.iter().map(|&j| points[j].x).sum();
+                let cap = (sum.ceil() as i64 + d).max(members.len() as i64);
+                PackingConstraint::new(cap as u32, members)
+            };
+            let mut constraints: Vec<PackingConstraint> = edges
+                .iter()
+                .enumerate()
+                .map(|(j, &(shared, d))| {
+                    let members = if shared && j + 1 < nv {
+                        vec![j, j + 1]
+                    } else {
+                        vec![j]
+                    };
+                    around(members, d)
+                })
+                .collect();
+            constraints.extend(
+                nodes
+                    .into_iter()
+                    .map(|(members, d)| around(members.into_iter().collect(), d)),
+            );
+            let inst = AllocationInstance::new(
+                ps.into_iter().map(Variable::new).collect(),
+                constraints,
+                v,
+                kappa,
+            )
+            .expect("capacities at least the member count");
+            (inst, points)
         })
     })
 }
@@ -215,5 +278,32 @@ proptest! {
             s.primal_value >= grid - s.gap() - fp && s.primal_value <= grid + resolution,
             "primal {} not within gap {} of grid optimum {grid}", s.primal_value, s.gap()
         );
+    }
+}
+
+proptest! {
+    // About a third of the cases land on the slack side of the check.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On instances where every constraint passes the slack check, the
+    /// relaxed solver and its rounding reproduce the per-variable slack
+    /// points bit for bit, certified at the first dual iteration.
+    #[test]
+    fn slack_closed_form_is_exact((inst, points) in arb_slack_instance()) {
+        let slack = (0..inst.num_constraints()).all(|c| {
+            let members = inst.members(c);
+            let sum_x: f64 = members.iter().map(|&j| points[j as usize].x).sum();
+            let sum_n: u64 = members.iter().map(|&j| u64::from(points[j as usize].n)).sum();
+            slack_fits(sum_x, sum_n, inst.capacity(c))
+        });
+        prop_assume!(slack);
+        let s = solve_relaxed(&inst, &RelaxedOptions::default()).unwrap();
+        let x_bits: Vec<u64> = s.x.iter().map(|x| x.to_bits()).collect();
+        let want_bits: Vec<u64> = points.iter().map(|sp| sp.x.to_bits()).collect();
+        prop_assert_eq!(x_bits, want_bits);
+        prop_assert_eq!(s.iterations, 1);
+        let n = round_down_and_fill(&inst, &s.x).unwrap();
+        let want_n: Vec<u32> = points.iter().map(|sp| sp.n).collect();
+        prop_assert_eq!(n, want_n);
     }
 }

@@ -1,0 +1,106 @@
+//! Decision-fingerprint regression test: a fixed seeded trace replayed
+//! through `engine::decide` must reproduce a golden hash of its
+//! decisions, at every pool width.
+//!
+//! The trace is the churn serving scenario: the paper network, 10
+//! sticky pairs per slot (keep probability 0.8), link churn at 0.5
+//! failures per slot with MTTR 5, 200 slots, OSCAR's paper defaults and
+//! one virtual queue. Each slot's decision is serialized with
+//! `serde_json` and folded into an FNV-1a hash. A change that alters
+//! any decision — a route, an allocation, a served/unserved split, or
+//! the queue trajectory they feed — changes the hash.
+//!
+//! This is the first entry of the seeded regression corpus. A
+//! deliberate behaviour change must update [`GOLDEN`] and say why.
+
+use qdn::core::engine::{decide, EngineState, SlotDecisionRequest};
+use qdn::core::lyapunov::VirtualQueue;
+use qdn::core::oscar::OscarConfig;
+use qdn::core::problem::PerSlotContext;
+use qdn::net::dynamics::DynamicsConfig;
+use qdn::net::workload::WorkloadConfig;
+use qdn::net::NetworkConfig;
+use rand::SeedableRng;
+
+/// FNV-1a hash of the 200 slot decisions at seed [`SEED`].
+const GOLDEN: u64 = 0xdc63_3495_8e14_2e57;
+
+const SEED: u64 = 20_240_118;
+const SLOTS: u64 = 200;
+
+/// Per-slot RNG streams, derived from `(SEED, slot, stream)`.
+const NETWORK_STREAM: u64 = 0;
+const DYNAMICS_STREAM: u64 = 1;
+const REQUEST_STREAM: u64 = 2;
+const POLICY_STREAM: u64 = 3;
+
+fn rng(slot: u64, stream: u64) -> rand::rngs::StdRng {
+    rand::rngs::StdRng::seed_from_u64(
+        SEED ^ slot.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (stream << 56),
+    )
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Replays the trace on the current thread pool and returns the hash.
+fn replay() -> u64 {
+    let oscar = OscarConfig::paper_default();
+    let network = NetworkConfig::paper_default()
+        .build(&mut rng(0, NETWORK_STREAM))
+        .expect("paper network builds");
+    let mut dynamics = DynamicsConfig::Churn {
+        failure_rate: 0.5,
+        mttr: 5.0,
+        seed: SEED,
+        base: Box::new(DynamicsConfig::Static),
+    }
+    .build();
+    let mut workload = WorkloadConfig::Persistent {
+        pairs_per_slot: 10,
+        keep_probability: 0.8,
+    }
+    .build();
+    let mut state = EngineState::new(oscar.route_limits);
+    let mut queue = VirtualQueue::new(oscar.q0, oscar.total_budget, oscar.horizon);
+
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for t in 0..SLOTS {
+        let snapshot = dynamics.snapshot(t, &network, &mut rng(t, DYNAMICS_STREAM));
+        let requests = workload.requests(t, &network, &mut rng(t, REQUEST_STREAM));
+        let ctx = PerSlotContext::oscar(&network, &snapshot, oscar.v, queue.value());
+        let decision = decide(
+            &mut state,
+            SlotDecisionRequest {
+                network: &network,
+                requests: &requests,
+                ctx: &ctx,
+                selector: &oscar.selector,
+                allocation: &oscar.allocation,
+                fidelity_target: oscar.fidelity_target,
+                rng: &mut rng(t, POLICY_STREAM),
+            },
+        );
+        queue.update(decision.total_cost());
+        let json = serde_json::to_string(&decision).expect("decisions serialize");
+        hash = fnv1a(hash, json.as_bytes());
+    }
+    hash
+}
+
+#[test]
+fn churn_trace_matches_golden_at_pool_widths_1_and_2() {
+    for width in [1usize, 2] {
+        let hash = threadpool::ThreadPool::new(width).install(replay);
+        assert_eq!(
+            hash, GOLDEN,
+            "decision fingerprint changed at pool width {width}: got {hash:#018x}"
+        );
+    }
+}
