@@ -3,8 +3,10 @@
 //! attempt-level Monte Carlo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qdn_graph::ksp::yen_k_shortest;
+use qdn_graph::dijkstra::SearchFilter;
+use qdn_graph::ksp::{yen_k_shortest, yen_k_shortest_filtered};
 use qdn_graph::paths::hop_weight;
+use qdn_graph::EdgeId;
 use qdn_net::workload::random_sd_pair;
 use qdn_net::NetworkConfig;
 use qdn_physics::link::LinkModel;
@@ -44,6 +46,29 @@ fn bench(c: &mut Criterion) {
                 pair.destination(),
                 4,
                 &hop_weight,
+            ))
+        });
+    });
+
+    // The churn shape: every search also skips a fixed set of three dead
+    // edges, spread over the edge list. Pairs come from their own stream
+    // so the row sees the same pairs whatever the rows above consumed.
+    let mut dead = SearchFilter::new();
+    let m = net.edge_count() as u32;
+    for e in [0, m / 3, 2 * m / 3] {
+        dead.ban_edge(EdgeId(e));
+    }
+    let mut pair_rng = rand::rngs::StdRng::seed_from_u64(4);
+    group.bench_function("yen_k4_paper_dead3", |b| {
+        b.iter(|| {
+            let pair = random_sd_pair(&mut pair_rng, &net);
+            black_box(yen_k_shortest_filtered(
+                net.graph(),
+                pair.source(),
+                pair.destination(),
+                4,
+                &hop_weight,
+                &dead,
             ))
         });
     });

@@ -4,10 +4,20 @@
 //! established shortest path finding algorithm, such as Dijkstra's
 //! Algorithm", §III-C) and as the inner search of Yen's algorithm in
 //! [`crate::ksp`].
+//!
+//! [`shortest_path_filtered`], [`distances_from`] and every search of
+//! Yen's algorithm run through one Dijkstra body on a reusable
+//! [`Workspace`]: its distance, predecessor and settled arrays, heap and
+//! ban flags are reset in place, so Yen's many spur searches allocate
+//! nothing per search. Bans are dense flags indexed by id, not hash sets.
+//! None of this changes a result: nodes still pop in `(distance, node id)`
+//! order through `total_cmp`, neighbours are still scanned in adjacency
+//! order, a label still improves only on a strictly smaller distance, and
+//! the search still stops when the destination pops — so every path and
+//! distance is the one the allocating version returned.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::Path;
@@ -40,11 +50,28 @@ impl PartialOrd for HeapEntry {
 /// Restrictions applied during a filtered shortest-path search.
 ///
 /// Yen's algorithm removes "spur" edges and root-path nodes; this type
-/// carries those removals without mutating the graph.
+/// carries those removals without mutating the graph. Bans are stored as
+/// one flag per id, grown on demand: an id past the stored length reads as
+/// not banned.
 #[derive(Debug, Clone, Default)]
 pub struct SearchFilter {
-    banned_nodes: HashSet<NodeId>,
-    banned_edges: HashSet<EdgeId>,
+    banned_nodes: Vec<bool>,
+    banned_edges: Vec<bool>,
+}
+
+/// Sets flag `i`, growing `flags` with `false` to reach it.
+fn raise(flags: &mut Vec<bool>, i: usize) {
+    if flags.len() <= i {
+        flags.resize(i + 1, false);
+    }
+    flags[i] = true;
+}
+
+/// `flags` truncated or padded with `false` to exactly `len` entries.
+fn fit(flags: &[bool], len: usize) -> Vec<bool> {
+    let mut out = flags.to_vec();
+    out.resize(len, false);
+    out
 }
 
 impl SearchFilter {
@@ -55,24 +82,186 @@ impl SearchFilter {
 
     /// Bans a node (it will never be visited).
     pub fn ban_node(&mut self, node: NodeId) -> &mut Self {
-        self.banned_nodes.insert(node);
+        raise(&mut self.banned_nodes, node.index());
         self
     }
 
     /// Bans an edge (it will never be traversed).
     pub fn ban_edge(&mut self, edge: EdgeId) -> &mut Self {
-        self.banned_edges.insert(edge);
+        raise(&mut self.banned_edges, edge.index());
         self
     }
 
     /// Returns `true` if `node` is banned.
     pub fn node_banned(&self, node: NodeId) -> bool {
-        self.banned_nodes.contains(&node)
+        self.banned_nodes
+            .get(node.index())
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Returns `true` if `edge` is banned.
     pub fn edge_banned(&self, edge: EdgeId) -> bool {
-        self.banned_edges.contains(&edge)
+        self.banned_edges
+            .get(edge.index())
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// The same bans with exactly one flag per node and edge of `graph`,
+    /// so a search can index them directly. Bans on ids outside `graph`
+    /// are dropped: no search can reach those ids.
+    pub(crate) fn fitted(&self, graph: &Graph) -> SearchFilter {
+        SearchFilter {
+            banned_nodes: fit(&self.banned_nodes, graph.node_count()),
+            banned_edges: fit(&self.banned_edges, graph.edge_count()),
+        }
+    }
+}
+
+/// Reusable state for Dijkstra searches on one graph: every array is
+/// sized to the graph once and reset in place per search.
+#[derive(Debug)]
+pub(crate) struct Workspace {
+    dist: Vec<f64>,
+    prev: Vec<Option<(NodeId, EdgeId)>>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Ban overlay the next search respects, fitted to the graph
+    /// ([`SearchFilter::fitted`]).
+    pub(crate) bans: SearchFilter,
+    /// The last path found, destination first.
+    rev_nodes: Vec<NodeId>,
+    rev_edges: Vec<EdgeId>,
+}
+
+impl Workspace {
+    /// A workspace for `graph` with nothing banned.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let n = graph.node_count();
+        Workspace {
+            dist: vec![f64::INFINITY; n],
+            prev: vec![None; n],
+            settled: vec![false; n],
+            heap: BinaryHeap::new(),
+            bans: SearchFilter::new().fitted(graph),
+            rev_nodes: Vec::new(),
+            rev_edges: Vec::new(),
+        }
+    }
+
+    /// Replaces the overlay with `bans`, which must be fitted to this
+    /// workspace's graph ([`SearchFilter::fitted`]).
+    pub(crate) fn set_bans(&mut self, bans: &SearchFilter) {
+        self.bans.banned_nodes.copy_from_slice(&bans.banned_nodes);
+        self.bans.banned_edges.copy_from_slice(&bans.banned_edges);
+    }
+
+    /// The nodes of the last path found, destination first.
+    pub(crate) fn rev_nodes(&self) -> &[NodeId] {
+        &self.rev_nodes
+    }
+
+    /// The edges of the last path found, destination first.
+    pub(crate) fn rev_edges(&self) -> &[EdgeId] {
+        &self.rev_edges
+    }
+
+    /// The last path found, as a [`Path`] from source to destination.
+    pub(crate) fn path(&self, graph: &Graph) -> Path {
+        Path::from_valid_parts(
+            graph,
+            self.rev_nodes.iter().rev().copied().collect(),
+            self.rev_edges.iter().rev().copied().collect(),
+        )
+    }
+
+    /// Finds the minimum-weight `src`→`dst` path under the overlay and
+    /// leaves it in the reverse buffers. Returns `false`, and leaves the
+    /// buffers unspecified, when either endpoint is out of bounds or
+    /// banned or `dst` is unreachable.
+    pub(crate) fn shortest_path<F>(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        weight: &F,
+    ) -> bool
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        if graph.check_node(src).is_err() || graph.check_node(dst).is_err() {
+            return false;
+        }
+        if self.bans.node_banned(src) || self.bans.node_banned(dst) {
+            return false;
+        }
+        self.rev_nodes.clear();
+        self.rev_edges.clear();
+        self.rev_nodes.push(dst);
+        if src == dst {
+            return true;
+        }
+        self.search(graph, src, Some(dst), weight);
+        if !self.dist[dst.index()].is_finite() {
+            return false;
+        }
+        let mut cur = dst;
+        while cur != src {
+            let (p, e) = self.prev[cur.index()].expect("finite distance implies predecessor");
+            self.rev_nodes.push(p);
+            self.rev_edges.push(e);
+            cur = p;
+        }
+        true
+    }
+
+    /// The crate's one Dijkstra body: settles nodes from `src` under the
+    /// overlay until `dst` pops (or the heap empties when `dst` is
+    /// `None`). `src` must be in bounds.
+    fn search<F>(&mut self, graph: &Graph, src: NodeId, dst: Option<NodeId>, weight: &F)
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill(None);
+        self.settled.fill(false);
+        self.heap.clear();
+
+        self.dist[src.index()] = 0.0;
+        self.heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+
+        while let Some(HeapEntry { dist: d, node }) = self.heap.pop() {
+            if self.settled[node.index()] {
+                continue;
+            }
+            self.settled[node.index()] = true;
+            if Some(node) == dst {
+                break;
+            }
+            for (next, edge) in graph.neighbors(node) {
+                if self.settled[next.index()]
+                    || self.bans.banned_nodes[next.index()]
+                    || self.bans.banned_edges[edge.index()]
+                {
+                    continue;
+                }
+                let w = weight(edge);
+                debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
+                let nd = d + w;
+                if nd < self.dist[next.index()] {
+                    self.dist[next.index()] = nd;
+                    self.prev[next.index()] = Some((node, edge));
+                    self.heap.push(HeapEntry {
+                        dist: nd,
+                        node: next,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -118,70 +307,10 @@ pub fn shortest_path_filtered<F>(
 where
     F: Fn(EdgeId) -> f64,
 {
-    graph.check_node(src).ok()?;
-    graph.check_node(dst).ok()?;
-    if filter.node_banned(src) || filter.node_banned(dst) {
-        return None;
-    }
-    if src == dst {
-        return Path::trivial(graph, src).ok();
-    }
-
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-
-    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        if node == dst {
-            break;
-        }
-        for (next, edge) in graph.neighbors(node) {
-            if settled[next.index()] || filter.node_banned(next) || filter.edge_banned(edge) {
-                continue;
-            }
-            let w = weight(edge);
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let nd = d + w;
-            if nd < dist[next.index()] {
-                dist[next.index()] = nd;
-                prev[next.index()] = Some((node, edge));
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: next,
-                });
-            }
-        }
-    }
-
-    if !dist[dst.index()].is_finite() {
-        return None;
-    }
-
-    // Reconstruct backwards.
-    let mut nodes = vec![dst];
-    let mut edges = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (p, e) = prev[cur.index()].expect("finite distance implies predecessor");
-        nodes.push(p);
-        edges.push(e);
-        cur = p;
-    }
-    nodes.reverse();
-    edges.reverse();
-    Some(Path::new(graph, nodes, edges).expect("Dijkstra builds valid paths"))
+    let mut ws = Workspace::new(graph);
+    ws.bans = filter.fitted(graph);
+    ws.shortest_path(graph, src, dst, weight)
+        .then(|| ws.path(graph))
 }
 
 /// Convenience wrapper: unfiltered shortest path.
@@ -205,35 +334,9 @@ where
     if graph.check_node(src).is_err() {
         return Vec::new();
     }
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        for (next, edge) in graph.neighbors(node) {
-            if settled[next.index()] {
-                continue;
-            }
-            let nd = d + weight(edge);
-            if nd < dist[next.index()] {
-                dist[next.index()] = nd;
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: next,
-                });
-            }
-        }
-    }
-    dist
+    let mut ws = Workspace::new(graph);
+    ws.search(graph, src, None, weight);
+    ws.dist
 }
 
 #[cfg(test)]
@@ -352,6 +455,50 @@ mod tests {
         let b = g.add_node();
         let dist = distances_from(&g, a, &hop_weight);
         assert!(dist[b.index()].is_infinite());
+    }
+
+    #[test]
+    fn filter_ban_past_the_end_leaves_lower_ids_unbanned() {
+        let mut f = SearchFilter::new();
+        f.ban_node(NodeId(40)).ban_edge(EdgeId(40));
+        assert!(f.node_banned(NodeId(40)));
+        assert!(f.edge_banned(EdgeId(40)));
+        for i in 0..40 {
+            assert!(!f.node_banned(NodeId(i)), "node {i}");
+            assert!(!f.edge_banned(EdgeId(i)), "edge {i}");
+        }
+    }
+
+    #[test]
+    fn filter_ids_past_stored_length_read_unbanned() {
+        let mut f = SearchFilter::new();
+        assert!(!f.node_banned(NodeId(0)));
+        assert!(!f.edge_banned(EdgeId(u32::MAX)));
+        f.ban_node(NodeId(3)).ban_edge(EdgeId(1));
+        assert!(!f.node_banned(NodeId(4)));
+        assert!(!f.node_banned(NodeId(u32::MAX)));
+        assert!(!f.edge_banned(EdgeId(2)));
+    }
+
+    #[test]
+    fn filter_clone_keeps_bans() {
+        let mut f = SearchFilter::new();
+        f.ban_node(NodeId(2)).ban_edge(EdgeId(5));
+        let g = f.clone();
+        assert!(g.node_banned(NodeId(2)));
+        assert!(g.edge_banned(EdgeId(5)));
+        assert!(!g.node_banned(NodeId(5)));
+        assert!(!g.edge_banned(EdgeId(2)));
+    }
+
+    #[test]
+    fn filter_double_ban_is_a_no_op() {
+        let mut once = SearchFilter::new();
+        once.ban_node(NodeId(7)).ban_edge(EdgeId(3));
+        let mut twice = once.clone();
+        twice.ban_node(NodeId(7)).ban_edge(EdgeId(3));
+        assert_eq!(twice.banned_nodes, once.banned_nodes);
+        assert_eq!(twice.banned_edges, once.banned_edges);
     }
 
     #[test]

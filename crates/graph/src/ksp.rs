@@ -4,8 +4,19 @@
 //! pair, pre-computed "by choosing routes with shorter lengths/hops"
 //! (§III-C). Yen's algorithm produces exactly that: the `k` simple paths of
 //! smallest total weight, in non-decreasing order.
+//!
+//! All searches of one call share a single [`Workspace`]: the base filter
+//! is fitted to the graph once, each spur's bans are that copy plus the
+//! root's nodes and the shared-root edges, and root + spur is stitched
+//! into two reused buffers, so a `Path` is allocated only for a new
+//! candidate. The result is the one the allocating version returned: each
+//! spur search pops, relaxes and stops exactly as before (see
+//! [`crate::dijkstra`]), spurs are taken in the same order, duplicates are
+//! rejected by the same node-and-edge equality, the candidate pool keeps
+//! its insertion order, and the next path is still the minimum by
+//! (weight, pool index) removed with `swap_remove`.
 
-use crate::dijkstra::{shortest_path_filtered, SearchFilter};
+use crate::dijkstra::{SearchFilter, Workspace};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::Path;
 
@@ -73,52 +84,61 @@ where
     if k == 0 {
         return accepted;
     }
-    let Some(first) = shortest_path_filtered(graph, src, dst, weight, base) else {
+    let base = base.fitted(graph);
+    let mut ws = Workspace::new(graph);
+    ws.set_bans(&base);
+    if !ws.shortest_path(graph, src, dst, weight) {
         return accepted;
-    };
-    accepted.push(first);
+    }
+    accepted.push(ws.path(graph));
 
     // Candidate pool of (total weight, path). Kept sorted lazily; duplicates
     // filtered on insertion.
     let mut candidates: Vec<(f64, Path)> = Vec::new();
+    // Root + spur of the current spur, stitched in place.
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut edges: Vec<EdgeId> = Vec::new();
 
     while accepted.len() < k {
-        let prev = accepted.last().expect("at least one accepted path").clone();
+        let prev = accepted.last().expect("at least one accepted path");
         // Spur from every node of the previous path except the destination.
         for i in 0..prev.hops() {
             let spur_node = prev.nodes()[i];
             let root_nodes = &prev.nodes()[..=i];
             let root_edges = &prev.edges()[..i];
 
-            let mut filter = base.clone();
+            ws.set_bans(&base);
             // Remove edges that would recreate an already-accepted path
             // sharing this root.
             for p in &accepted {
                 if p.hops() > i && p.nodes()[..=i] == *root_nodes {
-                    filter.ban_edge(p.edges()[i]);
+                    ws.bans.ban_edge(p.edges()[i]);
                 }
             }
             // Remove root nodes (except the spur node) to keep paths simple.
             for &n in &root_nodes[..i] {
-                filter.ban_node(n);
+                ws.bans.ban_node(n);
             }
 
-            let Some(spur) = shortest_path_filtered(graph, spur_node, dst, weight, &filter) else {
-                continue;
-            };
-
-            // Stitch root + spur.
-            let mut nodes: Vec<NodeId> = root_nodes[..i].to_vec();
-            nodes.extend_from_slice(spur.nodes());
-            let mut edges: Vec<EdgeId> = root_edges.to_vec();
-            edges.extend_from_slice(spur.edges());
-            let Ok(total) = Path::new(graph, nodes, edges) else {
-                continue;
-            };
-
-            if accepted.contains(&total) || candidates.iter().any(|(_, p)| *p == total) {
+            if !ws.shortest_path(graph, spur_node, dst, weight) {
                 continue;
             }
+
+            // Stitch root + spur. The spur avoids every root node, so the
+            // result is a simple path.
+            nodes.clear();
+            nodes.extend_from_slice(&root_nodes[..i]);
+            nodes.extend(ws.rev_nodes().iter().rev());
+            edges.clear();
+            edges.extend_from_slice(root_edges);
+            edges.extend(ws.rev_edges().iter().rev());
+
+            let stitched =
+                |p: &Path| p.nodes() == nodes.as_slice() && p.edges() == edges.as_slice();
+            if accepted.iter().any(stitched) || candidates.iter().any(|(_, p)| stitched(p)) {
+                continue;
+            }
+            let total = Path::from_valid_parts(graph, nodes.clone(), edges.clone());
             let w = total.weight(weight);
             candidates.push((w, total));
         }

@@ -144,6 +144,18 @@ impl Path {
         Ok(Path { nodes, edges })
     }
 
+    /// Wraps sequences the caller has built as a valid path, skipping
+    /// [`Path::new`]'s checks in release builds (debug builds still run
+    /// them).
+    pub(crate) fn from_valid_parts(graph: &Graph, nodes: Vec<NodeId>, edges: Vec<EdgeId>) -> Self {
+        debug_assert_eq!(
+            Path::new(graph, nodes.clone(), edges.clone()).err(),
+            None,
+            "caller promised a valid path"
+        );
+        Path { nodes, edges }
+    }
+
     /// Builds a path from a node sequence, looking up the connecting edges.
     ///
     /// # Errors
@@ -226,6 +238,15 @@ impl Path {
     /// Returns `true` if this path shares at least one node with `other`.
     pub fn shares_node_with(&self, other: &Path) -> bool {
         self.nodes.iter().any(|n| other.nodes.contains(n))
+    }
+
+    /// The same route walked from destination to source. Reversal keeps
+    /// every invariant, so nothing is revalidated.
+    pub fn reversed(&self) -> Path {
+        Path {
+            nodes: self.nodes.iter().rev().copied().collect(),
+            edges: self.edges.iter().rev().copied().collect(),
+        }
     }
 
     /// Total weight of the path under `weight`.
@@ -436,6 +457,17 @@ mod tests {
         assert!(!top.shares_edge_with(&bottom));
         assert!(top.shares_node_with(&bottom)); // share a and d
         assert!(top.shares_edge_with(&top));
+    }
+
+    #[test]
+    fn reversed_walks_back_and_round_trips() {
+        let (g, [a, b, _c, d]) = diamond();
+        let p = Path::from_nodes(&g, vec![a, b, d]).unwrap();
+        let r = p.reversed();
+        assert_eq!(r, Path::from_nodes(&g, vec![d, b, a]).unwrap());
+        assert_eq!(r.reversed(), p);
+        let t = Path::trivial(&g, a).unwrap();
+        assert_eq!(t.reversed(), t);
     }
 
     #[test]

@@ -1,0 +1,384 @@
+//! Equivalence of the crate's path searches with the allocating
+//! implementations they replaced.
+//!
+//! `reference` holds the `HashSet`-backed `SearchFilter`, Dijkstra and
+//! Yen exactly as they were before the searches moved onto a reusable
+//! workspace with dense ban flags. The property below asserts that every
+//! search returns the same paths — same nodes, same edges, same order —
+//! and the same distances, on random graphs whose small integer weights
+//! make ties common, under random bans that may hit the endpoints or ids
+//! outside the graph.
+
+use proptest::prelude::*;
+use qdn_graph::dijkstra::{distances_from, shortest_path_filtered, SearchFilter};
+use qdn_graph::ksp::yen_k_shortest_filtered;
+use qdn_graph::paths::hop_weight;
+use qdn_graph::{EdgeId, Graph, NodeId};
+
+/// The searches as they were, kept only as the oracle for this test.
+mod reference {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+    use std::collections::HashSet;
+
+    use qdn_graph::{EdgeId, Graph, NodeId, Path};
+
+    /// A heap entry ordered by ascending distance (min-heap via reversed cmp).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct HeapEntry {
+        dist: f64,
+        node: NodeId,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse so the BinaryHeap (a max-heap) pops the smallest distance.
+            other
+                .dist
+                .total_cmp(&self.dist)
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Restrictions applied during a filtered shortest-path search.
+    ///
+    /// Yen's algorithm removes "spur" edges and root-path nodes; this type
+    /// carries those removals without mutating the graph.
+    #[derive(Debug, Clone, Default)]
+    pub struct SearchFilter {
+        banned_nodes: HashSet<NodeId>,
+        banned_edges: HashSet<EdgeId>,
+    }
+
+    impl SearchFilter {
+        /// An empty filter: nothing banned.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Bans a node (it will never be visited).
+        pub fn ban_node(&mut self, node: NodeId) -> &mut Self {
+            self.banned_nodes.insert(node);
+            self
+        }
+
+        /// Bans an edge (it will never be traversed).
+        pub fn ban_edge(&mut self, edge: EdgeId) -> &mut Self {
+            self.banned_edges.insert(edge);
+            self
+        }
+
+        /// Returns `true` if `node` is banned.
+        pub fn node_banned(&self, node: NodeId) -> bool {
+            self.banned_nodes.contains(&node)
+        }
+
+        /// Returns `true` if `edge` is banned.
+        pub fn edge_banned(&self, edge: EdgeId) -> bool {
+            self.banned_edges.contains(&edge)
+        }
+    }
+
+    /// Computes the minimum-weight path from `src` to `dst` under `weight`,
+    /// ignoring anything banned by `filter`.
+    ///
+    /// Returns `None` when `dst` is unreachable (or either endpoint is banned
+    /// or out of bounds). Edge weights must be non-negative; this is the
+    /// caller's responsibility (hop counts and physical lengths always are).
+    pub fn shortest_path_filtered<F>(
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        weight: &F,
+        filter: &SearchFilter,
+    ) -> Option<Path>
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        graph.check_node(src).ok()?;
+        graph.check_node(dst).ok()?;
+        if filter.node_banned(src) || filter.node_banned(dst) {
+            return None;
+        }
+        if src == dst {
+            return Path::trivial(graph, src).ok();
+        }
+
+        let n = graph.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut settled = vec![false; n];
+        let mut heap = BinaryHeap::new();
+
+        dist[src.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+
+        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+            if settled[node.index()] {
+                continue;
+            }
+            settled[node.index()] = true;
+            if node == dst {
+                break;
+            }
+            for (next, edge) in graph.neighbors(node) {
+                if settled[next.index()] || filter.node_banned(next) || filter.edge_banned(edge) {
+                    continue;
+                }
+                let w = weight(edge);
+                debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
+                let nd = d + w;
+                if nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    prev[next.index()] = Some((node, edge));
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        node: next,
+                    });
+                }
+            }
+        }
+
+        if !dist[dst.index()].is_finite() {
+            return None;
+        }
+
+        // Reconstruct backwards.
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (p, e) = prev[cur.index()].expect("finite distance implies predecessor");
+            nodes.push(p);
+            edges.push(e);
+            cur = p;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path::new(graph, nodes, edges).expect("Dijkstra builds valid paths"))
+    }
+
+    /// Single-source distances (in `weight` units) from `src` to every node.
+    ///
+    /// Unreachable nodes get `f64::INFINITY`. Returns an empty vector if `src`
+    /// is out of bounds.
+    pub fn distances_from<F>(graph: &Graph, src: NodeId, weight: &F) -> Vec<f64>
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        if graph.check_node(src).is_err() {
+            return Vec::new();
+        }
+        let n = graph.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut settled = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+            if settled[node.index()] {
+                continue;
+            }
+            settled[node.index()] = true;
+            for (next, edge) in graph.neighbors(node) {
+                if settled[next.index()] {
+                    continue;
+                }
+                let nd = d + weight(edge);
+                if nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        node: next,
+                    });
+                }
+            }
+        }
+        dist
+    }
+
+    pub fn yen_k_shortest_filtered<F>(
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        weight: &F,
+        base: &SearchFilter,
+    ) -> Vec<Path>
+    where
+        F: Fn(EdgeId) -> f64,
+    {
+        let mut accepted: Vec<Path> = Vec::new();
+        if k == 0 {
+            return accepted;
+        }
+        let Some(first) = shortest_path_filtered(graph, src, dst, weight, base) else {
+            return accepted;
+        };
+        accepted.push(first);
+
+        // Candidate pool of (total weight, path). Kept sorted lazily; duplicates
+        // filtered on insertion.
+        let mut candidates: Vec<(f64, Path)> = Vec::new();
+
+        while accepted.len() < k {
+            let prev = accepted.last().expect("at least one accepted path").clone();
+            // Spur from every node of the previous path except the destination.
+            for i in 0..prev.hops() {
+                let spur_node = prev.nodes()[i];
+                let root_nodes = &prev.nodes()[..=i];
+                let root_edges = &prev.edges()[..i];
+
+                let mut filter = base.clone();
+                // Remove edges that would recreate an already-accepted path
+                // sharing this root.
+                for p in &accepted {
+                    if p.hops() > i && p.nodes()[..=i] == *root_nodes {
+                        filter.ban_edge(p.edges()[i]);
+                    }
+                }
+                // Remove root nodes (except the spur node) to keep paths simple.
+                for &n in &root_nodes[..i] {
+                    filter.ban_node(n);
+                }
+
+                let Some(spur) = shortest_path_filtered(graph, spur_node, dst, weight, &filter)
+                else {
+                    continue;
+                };
+
+                // Stitch root + spur.
+                let mut nodes: Vec<NodeId> = root_nodes[..i].to_vec();
+                nodes.extend_from_slice(spur.nodes());
+                let mut edges: Vec<EdgeId> = root_edges.to_vec();
+                edges.extend_from_slice(spur.edges());
+                let Ok(total) = Path::new(graph, nodes, edges) else {
+                    continue;
+                };
+
+                if accepted.contains(&total) || candidates.iter().any(|(_, p)| *p == total) {
+                    continue;
+                }
+                let w = total.weight(weight);
+                candidates.push((w, total));
+            }
+
+            if candidates.is_empty() {
+                break;
+            }
+            // Extract the minimum-weight candidate (stable for ties: first found).
+            let best = candidates
+                .iter()
+                .enumerate()
+                .min_by(|(ia, (wa, _)), (ib, (wb, _))| wa.total_cmp(wb).then(ia.cmp(ib)))
+                .map(|(i, _)| i)
+                .expect("candidates non-empty");
+            let (_, path) = candidates.swap_remove(best);
+            accepted.push(path);
+        }
+
+        accepted
+    }
+}
+
+/// One random instance: a graph, per-edge integer weights, a base filter
+/// (node and edge ids, possibly past the graph) and two endpoints
+/// (possibly equal, possibly out of bounds).
+#[derive(Debug, Clone)]
+struct Case {
+    graph: Graph,
+    weights: Vec<u32>,
+    hop: bool,
+    banned_nodes: Vec<u32>,
+    banned_edges: Vec<u32>,
+    src: NodeId,
+    dst: NodeId,
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    (2usize..=14, 10u32..90).prop_flat_map(|(n, density)| {
+        let pairs: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+            .collect();
+        let m = pairs.len() as u32;
+        (
+            collection::vec(0u32..100, pairs.len()),
+            collection::vec(1u32..4, pairs.len()),
+            bool::ANY,
+            collection::vec(0u32..n as u32 + 2, 0usize..4),
+            collection::vec(0u32..m + 2, 0usize..6),
+            0u32..n as u32 + 1,
+            0u32..n as u32 + 1,
+        )
+            .prop_map(
+                move |(draws, weights, hop, banned_nodes, banned_edges, src, dst)| {
+                    let edges = pairs
+                        .iter()
+                        .zip(&draws)
+                        .filter(|(_, &d)| d < density)
+                        .map(|(&(i, j), _)| (NodeId(i), NodeId(j)));
+                    Case {
+                        graph: Graph::from_edges(n, edges).expect("generated edges are valid"),
+                        weights,
+                        hop,
+                        banned_nodes,
+                        banned_edges,
+                        src: NodeId(src),
+                        dst: NodeId(dst),
+                    }
+                },
+            )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// Yen (k = 0..=6), the filtered shortest path and single-source
+    /// distances all match the reference bit for bit.
+    #[test]
+    fn searches_match_the_reference(case in arb_case()) {
+        let Case { graph, weights, hop, banned_nodes, banned_edges, src, dst } = case;
+        let integer = |e: EdgeId| f64::from(weights[e.index()]);
+        let weight: &dyn Fn(EdgeId) -> f64 = if hop { &hop_weight } else { &integer };
+
+        let mut filter = SearchFilter::new();
+        let mut old_filter = reference::SearchFilter::new();
+        for &v in &banned_nodes {
+            filter.ban_node(NodeId(v));
+            old_filter.ban_node(NodeId(v));
+        }
+        for &e in &banned_edges {
+            filter.ban_edge(EdgeId(e));
+            old_filter.ban_edge(EdgeId(e));
+        }
+
+        for k in 0..=6 {
+            let got = yen_k_shortest_filtered(&graph, src, dst, k, &weight, &filter);
+            let want = reference::yen_k_shortest_filtered(&graph, src, dst, k, &weight, &old_filter);
+            prop_assert_eq!(got, want, "yen k={} {}->{} on {:?}", k, src, dst, graph);
+        }
+        prop_assert_eq!(
+            shortest_path_filtered(&graph, src, dst, &weight, &filter),
+            reference::shortest_path_filtered(&graph, src, dst, &weight, &old_filter)
+        );
+        prop_assert_eq!(
+            distances_from(&graph, src, &weight),
+            reference::distances_from(&graph, src, &weight)
+        );
+    }
+}

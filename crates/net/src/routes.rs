@@ -242,19 +242,9 @@ impl CandidateRoutes {
             &lists.forward
         } else {
             let forward = &lists.forward;
-            lists.reverse.get_or_insert_with(|| {
-                forward
-                    .iter()
-                    .map(|p| {
-                        let mut nodes = p.nodes().to_vec();
-                        nodes.reverse();
-                        let mut edges = p.edges().to_vec();
-                        edges.reverse();
-                        Path::new(network.graph(), nodes, edges)
-                            .expect("reversal of a valid path is valid")
-                    })
-                    .collect()
-            })
+            lists
+                .reverse
+                .get_or_insert_with(|| forward.iter().map(Path::reversed).collect())
         }
     }
 
