@@ -164,6 +164,26 @@ fn bench_gibbs_end_to_end(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(7);
         b.iter(|| black_box(gibbs::sample(&ctx, &cands, &method, &config, &mut rng)));
     });
+    // One `serve-uniform`-shaped slot per iteration, cycling through 32
+    // pre-drawn slots: 2–5 random pairs at a queue price typical of that
+    // workload, a fresh evaluator and one paper-default chain.
+    let slots: Vec<Vec<(SdPair, Vec<Path>)>> = (0..32)
+        .map(|_| {
+            let n_pairs = pairs_rng.random_range(2usize..=5);
+            make_candidates(&net, n_pairs, &mut pairs_rng)
+        })
+        .collect();
+    let slot_cands: Vec<Vec<Candidates<'_>>> = slots.iter().map(|s| to_cands(s)).collect();
+    let slot_ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 60.0);
+    group.bench_function("paper20_uniform_slot", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut slot = 0;
+        b.iter(|| {
+            let cands = &slot_cands[slot % slot_cands.len()];
+            slot += 1;
+            black_box(gibbs::sample(&slot_ctx, cands, &method, &config, &mut rng))
+        });
+    });
     group.bench_function("full_rebuild_replica/10_pairs_48_iters", |b| {
         // The seed's evaluation strategy, reproduced: every proposal
         // evaluated by rebuilding and re-solving the joint instance.
@@ -229,7 +249,7 @@ fn full_rebuild_gibbs(
         if f_cur > best.1 {
             best = (indices.clone(), f_cur);
         }
-        gamma *= config.gamma_decay;
+        gamma = config.decayed_gamma(gamma);
     }
     Some(best)
 }

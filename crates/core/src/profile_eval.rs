@@ -108,6 +108,35 @@
 //! topologies, profiles, and move sequences for every allocation
 //! method.
 //!
+//! # Objective bounds
+//!
+//! [`ProfileEvaluator::objective_bounds`] brackets the objective a
+//! profile would evaluate to without assembling or solving anything, so
+//! Gibbs selection can reject a proposal before paying for its solve
+//! (see "Early rejection" in [`crate::route_selection::gibbs`]). Each
+//! variable's term is `g(x) = V·ln P(x) − κ·x` at an integer `x` in
+//! `[1, cap]`, with `cap` the smallest capacity of the edge and its
+//! endpoints; with `V > 0`, `g` is concave, so:
+//!
+//! * **upper** sums each edge's largest relaxed term, at the clamped
+//!   stationary point
+//!   ([`qdn_solve::scalar::argmax_edge_utility`]): the `λ = 0` dual
+//!   value, which no allocation can beat;
+//! * **lower** sums `min(g(1), g(cap))`, which no feasible allocation can
+//!   fall below.
+//!
+//! Both add the profile's swap term, then a margin of
+//! `1e-9·(1 + |sum|)`. With `κ ≥ 0` every term is `≤ 0`, so the
+//! rounding of any summation order is relative to `|sum|` and the margin
+//! covers the evaluator adding the same terms in another order. Each
+//! edge's `(min, max)` is computed once per slot, on first use, and kept
+//! in the recycled scratch with the per-node and per-edge channel
+//! counters. The bounds are `None` exactly when the evaluation is: some
+//! node, edge or the slot budget cannot hold one channel per route edge,
+//! or some `p ∉ (0, 1)` — the checks of `RouteAssembler::finish` and
+//! `AllocationInstance::finalize`, over the whole profile. The
+//! `objective_bounds_bracket_the_objective` proptest checks both claims.
+//!
 //! # Selection sessions
 //!
 //! A [`ProfileEvaluator`] — with both memo levels and the single-pair
@@ -149,6 +178,7 @@ use qdn_net::SdPair;
 use qdn_physics::swap::SwapModel;
 use qdn_solve::assemble::scatter_segments;
 use qdn_solve::relaxed::{slack_fits, slack_point, SlackPoint};
+use qdn_solve::scalar::{argmax_edge_utility, edge_utility};
 use qdn_solve::{ln_success, AllocationInstance, RouteAssembler};
 use serde::{Deserialize, Serialize};
 
@@ -324,8 +354,13 @@ struct Scratch {
     spans: Vec<(usize, usize)>,
     /// Assembled component allocation (gather pass).
     gathered: Vec<u32>,
-    /// Closed-form check sums.
+    /// Closed-form check sums; [`ProfileEvaluator::objective_bounds`]
+    /// reuses them as per-node and per-edge channel counters.
     sums: SlackSums,
+    /// Per edge index: the `(min, max)` of one variable's objective term
+    /// on that edge this slot (`None` = not yet computed), for
+    /// [`ProfileEvaluator::objective_bounds`]. Reset per evaluator.
+    term_bounds: Vec<Option<(f64, f64)>>,
 }
 
 impl Scratch {
@@ -347,6 +382,7 @@ impl Scratch {
             spans: Vec::new(),
             gathered: Vec::new(),
             sums: SlackSums::sized(nodes, edges),
+            term_bounds: Vec::new(),
             nodes,
             edges,
         }
@@ -786,12 +822,14 @@ impl<'a> ProfileEvaluator<'a> {
 
         let q = ctx.network.swap().success();
         let n_comps = comp_pairs.len();
-        let scratch = Scratch::recycled(
+        let mut scratch = Scratch::recycled(
             scratch,
             ctx.network.node_count(),
             ctx.network.edge_count(),
             n_comps,
         );
+        scratch.term_bounds.clear();
+        scratch.term_bounds.resize(ctx.network.edge_count(), None);
         let pair_memo = routes.iter().map(|c| vec![None; c.len()]).collect();
         let stats = EvalStats {
             // Unrefined components count as one dynamic group each.
@@ -888,6 +926,84 @@ impl<'a> ProfileEvaluator<'a> {
             allocations,
             objective,
         })
+    }
+
+    /// Certified bounds `(lower, upper)` on the objective `f` that
+    /// [`ProfileEvaluator::evaluate_objective`] returns for `indices`,
+    /// from one pass over the profile's route edges: nothing is
+    /// assembled, solved or memoized. See "Objective bounds" in the
+    /// module docs.
+    ///
+    /// Returns `None` exactly when `evaluate_objective` would: some node,
+    /// edge or the slot budget cannot hold one channel per route edge, or
+    /// some edge has `p ∉ (0, 1)`. Also returns `None` outside the
+    /// bounds' preconditions, `V > 0` and `κ ≥ 0`.
+    pub fn objective_bounds(&mut self, indices: &[usize]) -> Option<(f64, f64)> {
+        debug_assert_eq!(indices.len(), self.pairs.len());
+        let ctx = &self.ctx;
+        let (v, kappa) = (ctx.v_weight, ctx.unit_price);
+        if !(v > 0.0 && kappa >= 0.0) {
+            return None;
+        }
+        let Scratch {
+            sums, term_bounds, ..
+        } = &mut self.scratch;
+        sums.epoch += 1;
+        sums.nodes.clear();
+        sums.edges.clear();
+        let (mut lower, mut upper) = (0.0, 0.0);
+        let (mut vars, mut swaps) = (0u64, 0u64);
+        for (route_set, &r) in self.routes.iter().zip(indices) {
+            let route = &route_set[r];
+            for ev in &route.edges {
+                if !(ev.p > 0.0 && ev.p < 1.0) {
+                    return None;
+                }
+                // One channel per route edge on both endpoints and the edge.
+                sums.add(ev, SlackPoint { x: 0.0, n: 1 });
+                let (lo, hi) = match term_bounds[ev.edge.index()] {
+                    Some(b) => b,
+                    None => {
+                        let cap = ctx
+                            .snapshot
+                            .qubits(ev.u)
+                            .min(ctx.snapshot.qubits(ev.v))
+                            .min(ctx.snapshot.channels(ev.edge));
+                        if cap == 0 {
+                            return None;
+                        }
+                        let b = term_range(ev.p, v, kappa, cap);
+                        term_bounds[ev.edge.index()] = Some(b);
+                        b
+                    }
+                };
+                lower += lo;
+                upper += hi;
+            }
+            vars += route.hops as u64;
+            swaps += route.swaps;
+        }
+        let fits = self.budget.is_none_or(|b| vars <= u64::from(b))
+            && sums
+                .nodes
+                .iter()
+                .all(|&n| sums.node[n.index()].n <= u64::from(ctx.snapshot.qubits(n)))
+            && sums
+                .edges
+                .iter()
+                .all(|&e| sums.edge[e.index()].n <= u64::from(ctx.snapshot.channels(e)));
+        if !fits {
+            return None;
+        }
+        if self.lossy_swap {
+            let swap_term = v * (swaps as f64 * self.ln_q);
+            lower += swap_term;
+            upper += swap_term;
+        }
+        Some((
+            lower - 1e-9 * (1.0 + lower.abs()),
+            upper + 1e-9 * (1.0 + upper.abs()),
+        ))
     }
 
     /// Objective of pair `i` served alone with candidate `route_idx`
@@ -1430,6 +1546,20 @@ fn resolve_route(
         swaps: SwapModel::swaps_for_hops(route.hops()) as u64,
         edges,
     }
+}
+
+/// The `(min, max)` of one variable's objective term
+/// `g(x) = V·ln P(x) − κ·x` over `x ∈ [1, cap]`: `g` is concave, so its
+/// minimum is at an end point and its maximum at the clamped stationary
+/// point (the variable's `λ = 0` dual term). Needs `p ∈ (0, 1)`, `V > 0`
+/// and `cap ≥ 1`.
+fn term_range(p: f64, v: f64, kappa: f64, cap: u32) -> (f64, f64) {
+    let cap = f64::from(cap);
+    let g = |x| edge_utility(p, v, kappa, x);
+    (
+        g(1.0).min(g(cap)),
+        g(argmax_edge_utility(p, v, kappa, 1.0, cap)),
+    )
 }
 
 /// Builds the [`AllocationInstance`] for the given routes via the shared

@@ -27,6 +27,44 @@
 //!
 //! [`sample_restarts`] runs several independent chains (different seeds)
 //! on the shared work-stealing pool and keeps the best profile.
+//!
+//! # Early rejection
+//!
+//! Most proposals are rejected, and evaluating one can mean a dual
+//! solve. The coupled single-pair update therefore screens each proposal
+//! first with [`ProfileEvaluator::objective_bounds`], which brackets the
+//! exact objective `f` as `lower ≤ f ≤ upper` in one pass over the
+//! profile's route edges, solving nothing (early rejection in the sense
+//! of Solonen et al., 2012). The chain's decisions and RNG stream stay
+//! bit-identical to evaluating every proposal and then calling
+//! `random_bool(P(accept))`:
+//!
+//! * **Draw order.** `random_bool(p)` draws one uniform `u` exactly when
+//!   `0 < p < 1` and accepts iff `u < p`; at `p ≤ 0` or `p ≥ 1` it draws
+//!   nothing. [`acceptance_probability`] is monotone in `f_new`, so
+//!   `P(lower) > 0` and `P(upper) < 1 − 1e-12` certify `0 < P(f) < 1`:
+//!   the reference would draw exactly one uniform. The screen draws it
+//!   up front with `rng.random::<f64>()`, the same single word.
+//! * **Rejection.** If `u ≥ P(upper) + 1e-12`, then `u ≥ P(f)` and the
+//!   reference rejects too, so the proposal is rejected unevaluated.
+//!   Otherwise it is evaluated and accepted iff `u < P(f)`. The `1e-12`
+//!   margin covers the few ulps by which the rounded sigmoid can break
+//!   monotonicity.
+//! * **Everything else** takes the reference path unchanged: no bounds
+//!   (an infeasible profile, `V ≤ 0` or `κ < 0`), a probability that is
+//!   not certified inside `(0, 1)` (including every γ = 0 step), the
+//!   `parallel_isolated` local updates, and the initialisation.
+//!   Infeasible profiles are never screened, because `objective_bounds`
+//!   returns `None` exactly when the evaluation would: a screened
+//!   proposal always has an objective, and an infeasible one consumes no
+//!   uniform on either path.
+//! * **Memos.** The evaluator's memos are exact caches, so a skipped
+//!   evaluation changes which entries exist but no value any later
+//!   evaluation returns.
+//!
+//! The `early_rejection_matches_reference_chain` proptest checks all of
+//! this against the plain evaluate-then-`random_bool` chain kept in the
+//! test file.
 
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -91,6 +129,20 @@ impl GibbsConfig {
     /// bypass the clamp — it only guards against gradual multiplicative
     /// underflow.
     pub const GAMMA_FLOOR: f64 = 1e-9;
+
+    /// One γ-decay step, clamped at [`GibbsConfig::GAMMA_FLOOR`]. The
+    /// floor never overrides a *deliberate* route to the greedy γ = 0
+    /// branch: a configured starting temperature at or below the floor
+    /// (including γ = 0) and the degenerate `gamma_decay = 0` (hot start,
+    /// then instant greedy) both keep their exact semantics — the clamp
+    /// only guards against gradual multiplicative underflow over long
+    /// chains.
+    pub fn decayed_gamma(&self, gamma: f64) -> f64 {
+        if self.gamma_decay <= 0.0 {
+            return gamma * self.gamma_decay;
+        }
+        (gamma * self.gamma_decay).max(Self::GAMMA_FLOOR.min(self.gamma))
+    }
 
     /// The paper's configuration: γ = 500, single-pair updates, one
     /// chain. Warm-seeded slots (opt-in via
@@ -341,17 +393,10 @@ pub fn sample_seeded(
         if let Some(i) = chosen {
             if candidates[i].routes.len() >= 2 {
                 let old = indices[i];
-                let proposal = propose_different(rng, old, candidates[i].routes.len());
-                indices[i] = proposal;
-                match evaluator.evaluate_objective(&indices) {
-                    Some(objective) => {
-                        if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
-                            f_cur = objective;
-                        } else {
-                            indices[i] = old;
-                        }
-                    }
-                    None => indices[i] = old, // infeasible proposal: reject
+                indices[i] = propose_different(rng, old, candidates[i].routes.len());
+                match accept_proposal(evaluator, &indices, f_cur, gamma, rng) {
+                    Some(objective) => f_cur = objective,
+                    None => indices[i] = old,
                 }
             }
         }
@@ -361,7 +406,7 @@ pub fn sample_seeded(
             best_f = f_cur;
             best_indices = indices.clone();
         }
-        gamma = decayed_gamma(gamma, config);
+        gamma = config.decayed_gamma(gamma);
     }
 
     let evaluation = evaluator
@@ -441,17 +486,40 @@ pub fn sample_restarts_serial(
         .reduce(best_selection)
 }
 
-/// One γ-decay step, clamped at [`GibbsConfig::GAMMA_FLOOR`]. The floor
-/// never overrides a *deliberate* route to the greedy γ = 0 branch: a
-/// configured starting temperature at or below the floor (including
-/// γ = 0) and the degenerate `gamma_decay = 0` (hot start, then instant
-/// greedy) both keep their exact semantics — the clamp only guards
-/// against gradual multiplicative underflow over long chains.
-fn decayed_gamma(gamma: f64, config: &GibbsConfig) -> f64 {
-    if config.gamma_decay <= 0.0 {
-        return gamma * config.gamma_decay;
+/// Margin on acceptance probabilities for the early-rejection screen: it
+/// covers the rounding of [`acceptance_probability`], which is monotone
+/// in `f_new` only up to a few ulps.
+const SCREEN_MARGIN: f64 = 1e-12;
+
+/// Eq. 15's accept/reject step for the proposal `indices` against the
+/// current objective `f_cur`: `Some(f_new)` when the chain moves,
+/// `None` when it stays (rejected or infeasible). Bit-identical to
+/// evaluating and then calling `random_bool` — same decision, same RNG
+/// words — but skips the evaluation when the objective bounds already
+/// reject. See "Early rejection" in the module docs.
+fn accept_proposal(
+    evaluator: &mut ProfileEvaluator<'_>,
+    indices: &[usize],
+    f_cur: f64,
+    gamma: f64,
+    rng: &mut dyn rand::Rng,
+) -> Option<f64> {
+    if let Some((lower, upper)) = evaluator.objective_bounds(indices) {
+        let p_upper = acceptance_probability(upper, f_cur, gamma);
+        if acceptance_probability(lower, f_cur, gamma) > 0.0 && p_upper < 1.0 - SCREEN_MARGIN {
+            // `random_bool` would draw exactly this one uniform.
+            let u: f64 = rng.random();
+            if u >= p_upper + SCREEN_MARGIN {
+                return None;
+            }
+            // Bounds exist only for feasible profiles, so this evaluates.
+            let objective = evaluator.evaluate_objective(indices)?;
+            return (u < acceptance_probability(objective, f_cur, gamma)).then_some(objective);
+        }
     }
-    (gamma * config.gamma_decay).max(GibbsConfig::GAMMA_FLOOR.min(config.gamma))
+    let objective = evaluator.evaluate_objective(indices)?;
+    rng.random_bool(acceptance_probability(objective, f_cur, gamma))
+        .then_some(objective)
 }
 
 /// Uniformly proposes a route index different from `current`.
@@ -532,7 +600,7 @@ mod tests {
         };
         let mut gamma = config.gamma;
         for _ in 0..100_000 {
-            gamma = decayed_gamma(gamma, &config);
+            gamma = config.decayed_gamma(gamma);
             assert!(gamma >= GibbsConfig::GAMMA_FLOOR, "underflowed: {gamma:e}");
             assert!(gamma.is_normal());
         }
@@ -549,7 +617,7 @@ mod tests {
             gamma_decay: 0.5,
             ..GibbsConfig::paper_default()
         };
-        assert_eq!(decayed_gamma(0.0, &greedy), 0.0);
+        assert_eq!(greedy.decayed_gamma(0.0), 0.0);
         let tiny = GibbsConfig {
             gamma: 1e-12,
             gamma_decay: 0.5,
@@ -557,7 +625,7 @@ mod tests {
         };
         let mut g = tiny.gamma;
         for _ in 0..200 {
-            g = decayed_gamma(g, &tiny);
+            g = tiny.decayed_gamma(g);
         }
         assert_eq!(g, 1e-12);
 
@@ -568,8 +636,8 @@ mod tests {
             gamma_decay: 0.0,
             ..GibbsConfig::paper_default()
         };
-        assert_eq!(decayed_gamma(500.0, &instant_greedy), 0.0);
-        assert_eq!(decayed_gamma(0.0, &instant_greedy), 0.0);
+        assert_eq!(instant_greedy.decayed_gamma(500.0), 0.0);
+        assert_eq!(instant_greedy.decayed_gamma(0.0), 0.0);
     }
 
     #[test]

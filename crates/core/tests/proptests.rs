@@ -799,3 +799,402 @@ proptest! {
         }
     }
 }
+
+/// One instance for the early-rejection tests: a ring with one chord
+/// (so pairs have up to four candidate routes), a random capacity
+/// snapshot in which nodes and links may have nothing left (so some
+/// profiles cannot hold one channel per route edge), possibly lossy
+/// swapping, 2–4 random pairs, a Lyapunov weight `V ∈ [1, 10⁴]`, a
+/// positive queue price and a myopic slot budget.
+#[derive(Debug, Clone)]
+struct ScreenInstance {
+    net: QdnNetwork,
+    snap: CapacitySnapshot,
+    pairs: Vec<SdPair>,
+    v: f64,
+    price: f64,
+    budget: u64,
+    seed: u64,
+}
+
+impl ScreenInstance {
+    /// The three contexts every instance is checked under: OSCAR at
+    /// `κ = 0`, OSCAR at `κ > 0`, and the myopic budgeted context.
+    fn contexts(&self) -> [PerSlotContext<'_>; 3] {
+        [
+            PerSlotContext::oscar(&self.net, &self.snap, self.v, 0.0),
+            PerSlotContext::oscar(&self.net, &self.snap, self.v, self.price),
+            PerSlotContext::myopic(&self.net, &self.snap, self.budget),
+        ]
+    }
+
+    /// Each pair with its candidate routes on the installed network.
+    fn candidates(&self) -> Vec<(SdPair, Vec<Path>)> {
+        use qdn_net::routes::{CandidateRoutes, RouteLimits};
+        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+        self.pairs
+            .iter()
+            .map(|&p| (p, cr.routes(&self.net, p).to_vec()))
+            .collect()
+    }
+}
+
+fn arb_screen_instance() -> impl Strategy<Value = ScreenInstance> {
+    use proptest::collection::vec;
+    let shape = (5usize..9).prop_flat_map(|n| {
+        (
+            vec(0.2f64..0.9, n + 1),
+            vec(0u32..16, n),
+            vec(0u32..10, n + 1),
+            prop::bool::ANY,
+        )
+            .prop_map(move |(probs, qubits, channels, lossy)| {
+                let mut b = QdnNetworkBuilder::new();
+                for _ in 0..n {
+                    b.add_node(9);
+                }
+                let chord = [(NodeId(0), NodeId(n as u32 / 2))];
+                for (e, (u, v)) in ring(n)
+                    .edges()
+                    .map(|(_, u, v)| (u, v))
+                    .chain(chord)
+                    .enumerate()
+                {
+                    b.add_edge(u, v, 5, LinkModel::new(probs[e]).unwrap())
+                        .unwrap();
+                }
+                if lossy {
+                    b.set_swap(qdn_physics::swap::SwapModel::new(0.9).unwrap());
+                }
+                let net = b.build();
+                let snap = CapacitySnapshot::clamped(&net, qubits, channels);
+                (net, snap)
+            })
+    });
+    (
+        shape,
+        2usize..5,
+        0.0f64..4.0,
+        0.01f64..40.0,
+        2u64..30,
+        0u64..1000,
+    )
+        .prop_map(|((net, snap), n_pairs, v_exp, price, budget, seed)| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pairs = (0..n_pairs)
+                .map(|_| qdn_net::workload::random_sd_pair(&mut rng, &net))
+                .collect();
+            ScreenInstance {
+                net,
+                snap,
+                pairs,
+                v: 10f64.powf(v_exp),
+                price,
+                budget,
+                seed,
+            }
+        })
+}
+
+/// The Gibbs chain as it was before early rejection, kept verbatim as
+/// the reference: every proposal is evaluated, then accepted through
+/// `random_bool`.
+mod reference_gibbs {
+    use qdn_core::profile_eval::ProfileEvaluator;
+    use qdn_core::route_selection::gibbs::acceptance_probability;
+    use qdn_core::route_selection::{Candidates, GibbsConfig, Selection};
+    use rand::RngExt;
+
+    pub fn sample_seeded(
+        evaluator: &mut ProfileEvaluator<'_>,
+        candidates: &[Candidates<'_>],
+        config: &GibbsConfig,
+        rng: &mut dyn rand::Rng,
+        seed: Option<&[usize]>,
+    ) -> Option<Selection> {
+        let k = candidates.len();
+        let mut current: Option<(Vec<usize>, f64)> = None;
+        let mut seeded = false;
+        if let Some(seed) = seed {
+            if let Some(objective) = evaluator.evaluate_objective(seed) {
+                current = Some((seed.to_vec(), objective));
+                seeded = true;
+            }
+        }
+        if current.is_none() {
+            for _ in 0..config.max_init_attempts.max(1) {
+                let indices: Vec<usize> = candidates
+                    .iter()
+                    .map(|c| rng.random_range(0..c.routes.len()))
+                    .collect();
+                if let Some(objective) = evaluator.evaluate_objective(&indices) {
+                    current = Some((indices, objective));
+                    break;
+                }
+            }
+        }
+        if current.is_none() {
+            let shortest = vec![0usize; k];
+            if let Some(objective) = evaluator.evaluate_objective(&shortest) {
+                current = Some((shortest, objective));
+            }
+        }
+        let (mut indices, mut f_cur) = current?;
+        let mut best_indices = indices.clone();
+        let mut best_f = f_cur;
+        let isolated = if config.parallel_isolated {
+            isolated_pairs(candidates)
+        } else {
+            vec![false; k]
+        };
+        let coupled: Vec<usize> = (0..k).filter(|&i| !isolated[i]).collect();
+        let mut gamma = config.gamma;
+        let budget = if seeded {
+            config.warm_iterations
+        } else {
+            config.iterations
+        };
+        for _ in 0..budget {
+            if config.parallel_isolated {
+                for i in 0..k {
+                    if !isolated[i] || candidates[i].routes.len() < 2 {
+                        continue;
+                    }
+                    let proposal = propose_different(rng, indices[i], candidates[i].routes.len());
+                    let (Some(f_old_local), Some(f_new_local)) = (
+                        evaluator.evaluate_pair_objective(i, indices[i]),
+                        evaluator.evaluate_pair_objective(i, proposal),
+                    ) else {
+                        continue;
+                    };
+                    if rng.random_bool(acceptance_probability(f_new_local, f_old_local, gamma)) {
+                        f_cur += f_new_local - f_old_local;
+                        indices[i] = proposal;
+                    }
+                }
+            }
+            let chosen = if config.parallel_isolated {
+                if coupled.is_empty() {
+                    None
+                } else {
+                    Some(coupled[rng.random_range(0..coupled.len())])
+                }
+            } else {
+                Some(rng.random_range(0..k))
+            };
+            if let Some(i) = chosen {
+                if candidates[i].routes.len() >= 2 {
+                    let old = indices[i];
+                    let proposal = propose_different(rng, old, candidates[i].routes.len());
+                    indices[i] = proposal;
+                    match evaluator.evaluate_objective(&indices) {
+                        Some(objective) => {
+                            if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
+                                f_cur = objective;
+                            } else {
+                                indices[i] = old;
+                            }
+                        }
+                        None => indices[i] = old,
+                    }
+                }
+            }
+            if f_cur > best_f {
+                best_f = f_cur;
+                best_indices = indices.clone();
+            }
+            gamma = config.decayed_gamma(gamma);
+        }
+        let evaluation = evaluator.evaluate(&best_indices)?;
+        Some(Selection {
+            indices: best_indices,
+            evaluation,
+        })
+    }
+
+    fn propose_different(rng: &mut dyn rand::Rng, current: usize, len: usize) -> usize {
+        let mut idx = rng.random_range(0..len - 1);
+        if idx >= current {
+            idx += 1;
+        }
+        idx
+    }
+
+    fn isolated_pairs(candidates: &[Candidates<'_>]) -> Vec<bool> {
+        use std::collections::BTreeSet;
+        let unions: Vec<BTreeSet<qdn_graph::NodeId>> = candidates
+            .iter()
+            .map(|c| {
+                c.routes
+                    .iter()
+                    .flat_map(|r| r.nodes().iter().copied())
+                    .collect()
+            })
+            .collect();
+        (0..candidates.len())
+            .map(|i| {
+                unions
+                    .iter()
+                    .enumerate()
+                    .all(|(j, other)| j == i || unions[i].is_disjoint(other))
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `objective_bounds` is a certificate: it returns `None` exactly
+    /// when `evaluate_objective` does, and otherwise brackets the exact
+    /// objective, `lower ≤ f ≤ upper`, for every allocation method and
+    /// context on random walks over profiles (dead nodes and links, the
+    /// myopic budget row, lossy swapping).
+    #[test]
+    fn objective_bounds_bracket_the_objective(inst in arb_screen_instance()) {
+        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
+        use qdn_core::route_selection::Candidates;
+        use rand::RngExt;
+
+        let owned = inst.candidates();
+        prop_assume!(owned.iter().all(|(_, routes)| !routes.is_empty()));
+        let cands: Vec<Candidates> = owned
+            .iter()
+            .map(|(pair, routes)| Candidates { pair: *pair, routes })
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(inst.seed);
+        for ctx in inst.contexts() {
+            for method in [
+                AllocationMethod::relax_and_round(),
+                AllocationMethod::Greedy,
+                AllocationMethod::Minimal,
+            ] {
+                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
+                for step in 0..12 {
+                    let indices: Vec<usize> = cands
+                        .iter()
+                        .map(|c| rng.random_range(0..c.routes.len()))
+                        .collect();
+                    let bounds = eval.objective_bounds(&indices);
+                    let exact = eval.evaluate_objective(&indices);
+                    prop_assert_eq!(
+                        bounds.is_some(),
+                        exact.is_some(),
+                        "feasibility verdicts differ at step {} ({})",
+                        step,
+                        method.label()
+                    );
+                    if let (Some((lower, upper)), Some(f)) = (bounds, exact) {
+                        prop_assert!(
+                            lower <= f && f <= upper,
+                            "{} ∉ [{}, {}] at step {} ({})",
+                            f, lower, upper, step, method.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Early rejection changes no decision: `gibbs::sample_with` with
+    /// its bound screen matches the plain evaluate-then-`random_bool`
+    /// chain in [`reference_gibbs`] — the same selected indices, the
+    /// same objective bits, and the same next RNG word — for every
+    /// context, allocation method, temperature schedule and warm seed.
+    /// The screen must also actually skip evaluations across the case's
+    /// corpus, so the match is not vacuous.
+    #[test]
+    fn early_rejection_matches_reference_chain(
+        corpus in proptest::collection::vec(arb_screen_instance(), 3),
+    ) {
+        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
+        use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig};
+        use rand::{Rng, RngExt};
+
+        let (mut screened_evals, mut reference_evals) = (0u64, 0u64);
+        for inst in &corpus {
+            let owned = inst.candidates();
+            if owned.iter().any(|(_, routes)| routes.is_empty()) {
+                continue;
+            }
+            let cands: Vec<Candidates> = owned
+                .iter()
+                .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                .collect();
+            let mut draw = rand::rngs::StdRng::seed_from_u64(inst.seed);
+            for ctx in inst.contexts() {
+                for method in [
+                    AllocationMethod::relax_and_round(),
+                    AllocationMethod::Greedy,
+                    AllocationMethod::Minimal,
+                ] {
+                    for gamma in [0.0, 1e-9, 500.0, 1e6] {
+                        for gamma_decay in [1.0, 0.9] {
+                            let config = GibbsConfig {
+                                iterations: 24,
+                                gamma,
+                                gamma_decay,
+                                parallel_isolated: draw.random_bool(0.25),
+                                warm_iterations: 12,
+                                ..GibbsConfig::paper_default()
+                            };
+                            let warm: Option<Vec<usize>> = draw.random_bool(0.5).then(|| {
+                                cands
+                                    .iter()
+                                    .map(|c| draw.random_range(0..c.routes.len()))
+                                    .collect()
+                            });
+                            let chain_seed: u64 = draw.random();
+                            let options = EvalOptions::default();
+
+                            let mut reference_eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
+                            let mut reference_rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
+                            let expected = reference_gibbs::sample_seeded(
+                                &mut reference_eval,
+                                &cands,
+                                &config,
+                                &mut reference_rng,
+                                warm.as_deref(),
+                            );
+                            let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
+                            let mut rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
+                            let got = gibbs::sample_seeded(
+                                &mut eval,
+                                &cands,
+                                &config,
+                                &mut rng,
+                                warm.as_deref(),
+                            );
+                            let label = format!("{} γ={gamma} decay={gamma_decay}", method.label());
+                            prop_assert_eq!(
+                                expected.as_ref().map(|s| (&s.indices, s.evaluation.objective.to_bits())),
+                                got.as_ref().map(|s| (&s.indices, s.evaluation.objective.to_bits())),
+                                "selection diverged ({})",
+                                label
+                            );
+                            prop_assert_eq!(
+                                reference_rng.next_u64(),
+                                rng.next_u64(),
+                                "RNG position diverged ({})",
+                                label
+                            );
+                            prop_assert!(eval.stats().evaluations <= reference_eval.stats().evaluations);
+                            screened_evals += eval.stats().evaluations;
+                            reference_evals += reference_eval.stats().evaluations;
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(
+            screened_evals < reference_evals,
+            "the screen skipped nothing: {} vs {} evaluations",
+            screened_evals,
+            reference_evals
+        );
+    }
+}

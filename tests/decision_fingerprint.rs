@@ -1,17 +1,23 @@
-//! Decision-fingerprint regression test: a fixed seeded trace replayed
-//! through `engine::decide` must reproduce a golden hash of its
+//! Decision-fingerprint regression tests: fixed seeded traces replayed
+//! through `engine::decide` must reproduce a golden hash of their
 //! decisions, at every pool width.
 //!
-//! The trace is the churn serving scenario: the paper network, 10
-//! sticky pairs per slot (keep probability 0.8), link churn at 0.5
-//! failures per slot with MTTR 5, 200 slots, OSCAR's paper defaults and
-//! one virtual queue. Each slot's decision is serialized with
-//! `serde_json` and folded into an FNV-1a hash. A change that alters
-//! any decision — a route, an allocation, a served/unserved split, or
-//! the queue trajectory they feed — changes the hash.
+//! Both traces run the paper network for 200 slots with OSCAR's paper
+//! defaults and one virtual queue:
 //!
-//! This is the first entry of the seeded regression corpus. A
-//! deliberate behaviour change must update [`GOLDEN`] and say why.
+//! * **churn** — 10 sticky pairs per slot (keep probability 0.8), link
+//!   churn at 0.5 failures per slot with MTTR 5;
+//! * **uniform** — the paper's `U[1, 5]` random pairs per slot on static
+//!   capacities. Cold pairs every slot make it the trace that leans
+//!   hardest on Gibbs proposals and their acceptance draws.
+//!
+//! Each slot's decision is serialized with `serde_json` and folded into
+//! an FNV-1a hash. A change that alters any decision — a route, an
+//! allocation, a served/unserved split, or the queue trajectory they
+//! feed — changes the hash.
+//!
+//! These are the seeded regression corpus. A deliberate behaviour change
+//! must update the goldens and say why.
 
 use qdn::core::engine::{decide, EngineState, SlotDecisionRequest};
 use qdn::core::lyapunov::VirtualQueue;
@@ -22,8 +28,11 @@ use qdn::net::workload::WorkloadConfig;
 use qdn::net::NetworkConfig;
 use rand::SeedableRng;
 
-/// FNV-1a hash of the 200 slot decisions at seed [`SEED`].
-const GOLDEN: u64 = 0xdc63_3495_8e14_2e57;
+/// FNV-1a hash of the churn trace's 200 slot decisions at seed [`SEED`].
+const CHURN_GOLDEN: u64 = 0xdc63_3495_8e14_2e57;
+
+/// FNV-1a hash of the uniform trace's 200 slot decisions at seed [`SEED`].
+const UNIFORM_GOLDEN: u64 = 0x5191_6a6a_1d3f_ca00;
 
 const SEED: u64 = 20_240_118;
 const SLOTS: u64 = 200;
@@ -49,24 +58,14 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Replays the trace on the current thread pool and returns the hash.
-fn replay() -> u64 {
+/// Replays a trace on the current thread pool and returns the hash.
+fn replay(dynamics: DynamicsConfig, workload: WorkloadConfig) -> u64 {
     let oscar = OscarConfig::paper_default();
     let network = NetworkConfig::paper_default()
         .build(&mut rng(0, NETWORK_STREAM))
         .expect("paper network builds");
-    let mut dynamics = DynamicsConfig::Churn {
-        failure_rate: 0.5,
-        mttr: 5.0,
-        seed: SEED,
-        base: Box::new(DynamicsConfig::Static),
-    }
-    .build();
-    let mut workload = WorkloadConfig::Persistent {
-        pairs_per_slot: 10,
-        keep_probability: 0.8,
-    }
-    .build();
+    let mut dynamics = dynamics.build();
+    let mut workload = workload.build();
     let mut state = EngineState::new(oscar.route_limits);
     let mut queue = VirtualQueue::new(oscar.q0, oscar.total_budget, oscar.horizon);
 
@@ -94,13 +93,38 @@ fn replay() -> u64 {
     hash
 }
 
-#[test]
-fn churn_trace_matches_golden_at_pool_widths_1_and_2() {
+/// Asserts that `trace` hashes to `golden` at pool widths 1 and 2.
+fn assert_golden(golden: u64, trace: impl Fn() -> u64) {
     for width in [1usize, 2] {
-        let hash = threadpool::ThreadPool::new(width).install(replay);
+        let hash = threadpool::ThreadPool::new(width).install(&trace);
         assert_eq!(
-            hash, GOLDEN,
+            hash, golden,
             "decision fingerprint changed at pool width {width}: got {hash:#018x}"
         );
     }
+}
+
+#[test]
+fn churn_trace_matches_golden_at_pool_widths_1_and_2() {
+    assert_golden(CHURN_GOLDEN, || {
+        replay(
+            DynamicsConfig::Churn {
+                failure_rate: 0.5,
+                mttr: 5.0,
+                seed: SEED,
+                base: Box::new(DynamicsConfig::Static),
+            },
+            WorkloadConfig::Persistent {
+                pairs_per_slot: 10,
+                keep_probability: 0.8,
+            },
+        )
+    });
+}
+
+#[test]
+fn uniform_trace_matches_golden_at_pool_widths_1_and_2() {
+    assert_golden(UNIFORM_GOLDEN, || {
+        replay(DynamicsConfig::Static, WorkloadConfig::paper_default())
+    });
 }
