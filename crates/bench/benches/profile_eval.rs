@@ -545,50 +545,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The PR-10 parallel-engine rows (`parallel_gibbs_restarts`): 4-chain
-/// Gibbs restarts on the paper-scale 10-pair workload, serial reference
-/// (`sample_restarts_serial`: shared evaluator, chains in seed order)
-/// vs the work-stealing pool at width 4 (`pool4`: one task per chain,
-/// fresh per-chain evaluators, chain-index-order reduction). Results
-/// are bit-identical between the rows
-/// (`parallel_matches_serial_bit_identical` proptest); the rows gate
-/// the *cost* of each path. On a single-CPU runner `pool4` cannot beat
-/// `serial` — the row guards against scheduling-overhead regressions,
-/// not for speedup.
-fn bench_parallel_gibbs_restarts(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
-    let snap = CapacitySnapshot::full(&net);
-    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-    let method = AllocationMethod::default();
-    let mut pairs_rng = StdRng::seed_from_u64(11);
-    let owned = make_candidates(&net, 10, &mut pairs_rng);
-    let cands = to_cands(&owned);
-    let config = GibbsConfig::paper_default();
-    let seeds: Vec<u64> = (1..=4u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let pool = threadpool::global_with(4);
-
-    let mut group = c.benchmark_group("parallel_gibbs_restarts");
-    group.sample_size(10);
-    group.bench_function("serial/10_pairs_4_chains", |b| {
-        b.iter(|| {
-            black_box(gibbs::sample_restarts_serial(
-                &ctx, &cands, &method, &config, &seeds, None,
-            ))
-        });
-    });
-    group.bench_function("pool4/10_pairs_4_chains", |b| {
-        b.iter(|| {
-            black_box(
-                pool.install(|| gibbs::sample_restarts(&ctx, &cands, &method, &config, &seeds)),
-            )
-        });
-    });
-    group.finish();
-}
-
 /// The PR-10 trial fan-out rows (`parallel_trial_fanout`): 4 OSCAR
 /// trials over a 10-slot horizon through `qdn_sim::run_trials`, pool
 /// width 1 (`serial`) vs 4 (`pool4`). Byte-identical results either way
@@ -777,7 +733,6 @@ fn bench(c: &mut Criterion) {
 
     bench_gibbs_end_to_end(c);
 
-    bench_parallel_gibbs_restarts(c);
     bench_parallel_trial_fanout(c);
     bench_csr_passes(c);
 

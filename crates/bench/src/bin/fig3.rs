@@ -1,7 +1,7 @@
 //! Regenerates Fig. 3: time-evolving average utility, EC success rate,
 //! and cumulative qubit usage for OSCAR vs MF vs MA.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig3 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig3 [--quick]`
 
 use qdn_bench::figures::fig3;
 use qdn_bench::report::{fig3_csv, fig3_summary};

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 4: the distribution of per-request EC success
 //! probabilities (fairness comparison).
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig4 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig4 [--quick]`
 
 use qdn_bench::figures::fig4;
 use qdn_bench::report::{fig4_csv, fig4_summary};

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 5: EC success rate and qubit usage vs the total
 //! budget `C`.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig5 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig5 [--quick]`
 
 use qdn_bench::figures::{fig5, fig5_shape_holds};
 use qdn_bench::report::{sweep_csv, sweep_table};

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 6: EC success rate and qubit usage vs network size
 //! (degree-calibrated Waxman topologies).
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig6 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig6 [--quick]`
 
 use qdn_bench::figures::{fig6, fig6_shape_holds};
 use qdn_bench::report::{sweep_csv, sweep_table};

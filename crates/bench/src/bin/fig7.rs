@@ -1,7 +1,7 @@
 //! Regenerates Fig. 7: OSCAR's utility/usage trade-off vs the Lyapunov
 //! weight `V`.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig7 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig7 [--quick]`
 
 use qdn_bench::figures::{fig7, fig7_shape_holds};
 use qdn_bench::report::{sweep_csv, sweep_table};

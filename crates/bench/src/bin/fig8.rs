@@ -1,7 +1,7 @@
 //! Regenerates Fig. 8: OSCAR's utility/usage vs the initial virtual
 //! queue `q0`.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig8 [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig8 [--quick]`
 
 use qdn_bench::figures::{fig8, fig8_shape_holds};
 use qdn_bench::report::{sweep_csv, sweep_table};

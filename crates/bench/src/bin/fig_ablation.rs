@@ -1,7 +1,8 @@
-//! Runs the three DESIGN.md ablations: route-selection strategy, Gibbs
-//! temperature γ, and allocation method.
+//! Runs the three ablations: route-selection strategy, Gibbs temperature
+//! γ, and allocation method. `crates/bench/README.md` says why each
+//! exists and keeps their ledger.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig_ablation [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig_ablation [--quick]`
 
 use qdn_bench::figures::{ablation_allocation, ablation_gamma, ablation_route_selection};
 use qdn_bench::report::{sweep_csv, sweep_table};

@@ -1,8 +1,8 @@
 //! Runs the event-driven experiments: attempt-level model validation,
 //! the online-arrival rate sweep, and the budget-violation comparison.
-//! See DESIGN.md §3 for what each demonstrates.
+//! See `crates/bench/README.md` for what each demonstrates.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig_des [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig_des [--quick]`
 
 use qdn_bench::des::{
     budget_violation, budget_violation_shape_holds, des_memory_shape_holds, des_memory_sweep,

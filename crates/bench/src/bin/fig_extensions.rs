@@ -1,8 +1,9 @@
-//! Runs the three extension experiments (beyond the paper's evaluation):
-//! imperfect swapping, time-varying resource occupancy, and multi-EC
-//! request load. See DESIGN.md §3 for why each exists.
+//! Runs the five extension experiments (beyond the paper's evaluation):
+//! imperfect swapping, time-varying resource occupancy, multi-EC
+//! request load, topology families and fidelity targets. See
+//! `crates/bench/README.md` for why each exists.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin fig_extensions [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin fig_extensions [--quick]`
 
 use qdn_bench::figures::{
     extension_dynamics, extension_dynamics_shape_holds, extension_fidelity,

@@ -1,7 +1,7 @@
 //! Runs every figure and ablation in sequence — the one-shot
 //! reproduction of the paper's whole evaluation section.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin run_all [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin run_all [--quick]`
 
 use qdn_bench::des::{
     budget_violation, budget_violation_shape_holds, des_validation, des_validation_shape_holds,

@@ -3,7 +3,7 @@
 //! overshoot, and Theorem 2's optimality gap vs the measured distance to
 //! the hindsight oracle.
 //!
-//! Usage: `cargo run -p qdn-bench --release --bin theory_check [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin theory_check [--quick]`
 
 use qdn_bench::figures::oscar_config;
 use qdn_bench::Scale;

@@ -503,20 +503,13 @@ pub fn fig8_shape_holds(points: &[SweepPoint]) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §3)
+// Ablations (crates/bench/README.md says why each exists)
 // ---------------------------------------------------------------------------
 
 /// Route-selection ablation: OSCAR with different selectors.
 pub fn ablation_route_selection(scale: Scale) -> Vec<SweepPoint> {
     let selectors: Vec<(&str, RouteSelector)> = vec![
         ("gibbs", RouteSelector::Gibbs(GibbsConfig::paper_default())),
-        (
-            "gibbs-parallel",
-            RouteSelector::Gibbs(GibbsConfig {
-                parallel_isolated: true,
-                ..GibbsConfig::paper_default()
-            }),
-        ),
         (
             "greedy-local",
             RouteSelector::GreedyLocal {
@@ -547,13 +540,7 @@ pub fn ablation_route_selection(scale: Scale) -> Vec<SweepPoint> {
 }
 
 /// Labels of [`ablation_route_selection`] rows, in order.
-pub const ABLATION_SELECTOR_LABELS: [&str; 5] = [
-    "gibbs",
-    "gibbs-parallel",
-    "greedy-local",
-    "first-route",
-    "random",
-];
+pub const ABLATION_SELECTOR_LABELS: [&str; 4] = ["gibbs", "greedy-local", "first-route", "random"];
 
 /// Gibbs temperature ablation: OSCAR with different γ (Eq. 15).
 pub fn ablation_gamma(scale: Scale) -> Vec<SweepPoint> {
@@ -606,7 +593,8 @@ pub fn ablation_allocation(scale: Scale) -> Vec<SweepPoint> {
 }
 
 // ---------------------------------------------------------------------------
-// Extension experiments (beyond the paper's evaluation; DESIGN.md §3)
+// Extension experiments (beyond the paper's evaluation; crates/bench/README.md
+// says why each exists)
 // ---------------------------------------------------------------------------
 
 /// Swap success probabilities swept by [`extension_swap`].

@@ -168,8 +168,7 @@
 //! inserted into the memos after the join, so the outcome is
 //! bit-identical at every pool width; when an item reports
 //! infeasibility the remaining tasks stop early (matching the memo
-//! loop's short-circuit). Multi-chain Gibbs restarts use the same pool —
-//! see [`crate::route_selection::gibbs::sample_restarts`].
+//! loop's short-circuit).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -699,9 +698,6 @@ pub struct ProfileEvaluator<'a> {
     group_key: Vec<u32>,
     /// Pair ids of the dynamic group being solved.
     group_members: Vec<usize>,
-    /// `pair_memo[i][r]`: cached single-pair objective (outer `None` =
-    /// not yet computed; inner `None` = infeasible).
-    pair_memo: Vec<Vec<Option<Option<f64>>>>,
     stats: EvalStats,
 }
 
@@ -830,7 +826,6 @@ impl<'a> ProfileEvaluator<'a> {
         );
         scratch.term_bounds.clear();
         scratch.term_bounds.resize(ctx.network.edge_count(), None);
-        let pair_memo = routes.iter().map(|c| vec![None; c.len()]).collect();
         let stats = EvalStats {
             // Unrefined components count as one dynamic group each.
             dynamic_components: n_comps as u64,
@@ -857,7 +852,6 @@ impl<'a> ProfileEvaluator<'a> {
             dyn_memos: std::iter::repeat_with(Memo::new).take(n_comps).collect(),
             group_key: Vec::new(),
             group_members: Vec::new(),
-            pair_memo,
             stats,
         }
     }
@@ -875,12 +869,6 @@ impl<'a> ProfileEvaluator<'a> {
     /// The evaluator options this engine was built with.
     pub fn options(&self) -> EvalOptions {
         self.options
-    }
-
-    /// Whether pair `i` is alone in its static component (the
-    /// generalization of the Gibbs `parallel_isolated` notion).
-    pub fn pair_is_isolated(&self, i: usize) -> bool {
-        self.comp_pairs[self.comp_of_pair[i]].len() == 1
     }
 
     /// Work counters accumulated since construction.
@@ -1004,38 +992,6 @@ impl<'a> ProfileEvaluator<'a> {
             lower - 1e-9 * (1.0 + lower.abs()),
             upper + 1e-9 * (1.0 + upper.abs()),
         ))
-    }
-
-    /// Objective of pair `i` served alone with candidate `route_idx`
-    /// (memoized). Matches the seed's "local evaluation" used for
-    /// isolated pairs in Gibbs: the single-pair profile evaluated under
-    /// this slot's context, including any slot budget.
-    pub fn evaluate_pair_objective(&mut self, i: usize, route_idx: usize) -> Option<f64> {
-        if let Some(cached) = self.pair_memo[i][route_idx] {
-            return cached;
-        }
-        let route = &self.routes[i][route_idx];
-        let instance = build_instance_for(
-            &mut self.scratch,
-            &self.ctx,
-            self.budget,
-            std::iter::once(route),
-        );
-        let objective = instance.ok().and_then(|inst| {
-            let flat = self.method.allocate(&inst);
-            let result = flat.map(|flat| {
-                let swap_term = if self.lossy_swap {
-                    route.swaps as f64 * self.ln_q
-                } else {
-                    0.0
-                };
-                inst.objective_int(&flat) + self.ctx.v_weight * swap_term
-            });
-            self.scratch.asm.recycle(inst);
-            result
-        });
-        self.pair_memo[i][route_idx] = Some(objective);
-        objective
     }
 
     /// Whether component `comp` is evaluated through the dynamic
@@ -1733,9 +1689,8 @@ mod tests {
             &AllocationMethod::default(),
             EvalOptions::default(),
         );
+        // Two pairs in two components: each is alone in its own.
         assert_eq!(eval.component_count(), 2);
-        assert!(eval.pair_is_isolated(0));
-        assert!(eval.pair_is_isolated(1));
         assert_eq!(eval.options(), EvalOptions::default());
     }
 
@@ -1749,18 +1704,24 @@ mod tests {
             SdPair::new(NodeId(1), NodeId(2)).unwrap(),
             SdPair::new(NodeId(4), NodeId(7)).unwrap(),
         ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let eval = ProfileEvaluator::new(
-            &ctx,
-            &cands,
-            &AllocationMethod::default(),
-            EvalOptions::default(),
-        );
-        assert_eq!(eval.component_count(), 2);
-        assert!(!eval.pair_is_isolated(0));
-        assert!(!eval.pair_is_isolated(1));
-        assert!(eval.pair_is_isolated(2));
+        let components = |subset: &[usize]| {
+            let sub: Vec<SdPair> = subset.iter().map(|&i| pairs[i]).collect();
+            let owned = owned_candidates(&net, &sub);
+            let cands = to_cands(&owned);
+            ProfileEvaluator::new(
+                &ctx,
+                &cands,
+                &AllocationMethod::default(),
+                EvalOptions::default(),
+            )
+            .component_count()
+        };
+        // The partition is {0, 1} | {2}: pairs 0 and 1 share a component,
+        // and pair 2 is alone in its own.
+        assert_eq!(components(&[0, 1, 2]), 2);
+        assert_eq!(components(&[0, 1]), 1);
+        assert_eq!(components(&[0, 2]), 2);
+        assert_eq!(components(&[1, 2]), 2);
     }
 
     #[test]
@@ -2054,31 +2015,6 @@ mod tests {
                     .map(f64::to_bits),
                 eval.evaluate_objective(&indices).map(f64::to_bits),
             );
-        }
-    }
-
-    #[test]
-    fn pair_objective_matches_single_pair_profile() {
-        let net = two_diamonds();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
-        for (i, cand) in cands.iter().enumerate() {
-            for r in 0..cand.routes.len() {
-                let single = [(cand.pair, &cand.routes[r])];
-                let reference = ctx.evaluate(&single, &method).map(|e| e.objective);
-                let got = eval.evaluate_pair_objective(i, r);
-                assert_eq!(reference.map(f64::to_bits), got.map(f64::to_bits));
-                // Second call is served from the memo.
-                assert_eq!(got, eval.evaluate_pair_objective(i, r));
-            }
         }
     }
 

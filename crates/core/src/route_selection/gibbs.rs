@@ -13,25 +13,22 @@
 //! which branch keeps the old selection; as listed, a *better* proposal
 //! would be *less* likely to be accepted. We implement the body text /
 //! standard Glauber dynamics, which is also what makes the γ→0 limit
-//! converge to the greedy optimum — see DESIGN.md.)
+//! converge to the greedy optimum.)
 //!
-//! All evaluations run through the incremental
-//! [`ProfileEvaluator`]: a single-pair proposal
-//! re-solves only the coupling component that pair belongs to, and
-//! profiles revisited by the chain are served from the memo. The paper's
-//! remark 2 observes that spatially disjoint pairs can evolve
-//! simultaneously; [`GibbsConfig::parallel_isolated`] enables exactly
-//! that — isolated pairs (singleton components) are updated every
-//! iteration via memoized local evaluations, while the coupled pairs
-//! take turns through the joint evaluation.
-//!
-//! [`sample_restarts`] runs several independent chains (different seeds)
-//! on the shared work-stealing pool and keeps the best profile.
+//! The chain is one chain with one update rule: each iteration proposes
+//! a new route for a single pair. All evaluations run through the
+//! incremental [`ProfileEvaluator`], and profiles revisited by the chain
+//! are served from its memo. The paper's remark 2 observes that
+//! spatially disjoint pairs can evolve independently. That disjointness
+//! pays off inside the evaluator: pairs whose candidate routes share no
+//! node fall into different coupling components, so a single-pair
+//! proposal re-solves only its own component, and every other
+//! component's contribution is a memo hit.
 //!
 //! # Early rejection
 //!
 //! Most proposals are rejected, and evaluating one can mean a dual
-//! solve. The coupled single-pair update therefore screens each proposal
+//! solve. The single-pair update therefore screens each proposal
 //! first with [`ProfileEvaluator::objective_bounds`], which brackets the
 //! exact objective `f` as `lower ≤ f ≤ upper` in one pass over the
 //! profile's route edges, solving nothing (early rejection in the sense
@@ -52,12 +49,11 @@
 //!   monotonicity.
 //! * **Everything else** takes the reference path unchanged: no bounds
 //!   (an infeasible profile, `V ≤ 0` or `κ < 0`), a probability that is
-//!   not certified inside `(0, 1)` (including every γ = 0 step), the
-//!   `parallel_isolated` local updates, and the initialisation.
-//!   Infeasible profiles are never screened, because `objective_bounds`
-//!   returns `None` exactly when the evaluation would: a screened
-//!   proposal always has an objective, and an infeasible one consumes no
-//!   uniform on either path.
+//!   not certified inside `(0, 1)` (including every γ = 0 step), and the
+//!   initialisation. Infeasible profiles are never screened, because
+//!   `objective_bounds` returns `None` exactly when the evaluation would:
+//!   a screened proposal always has an objective, and an infeasible one
+//!   consumes no uniform on either path.
 //! * **Memos.** The evaluator's memos are exact caches, so a skipped
 //!   evaluation changes which entries exist but no value any later
 //!   evaluation returns.
@@ -74,8 +70,11 @@ use crate::problem::PerSlotContext;
 use crate::profile_eval::{EvalOptions, ProfileEvaluator, SelectorSession};
 use crate::route_selection::{Candidates, Selection};
 
-/// Parameters of the Gibbs sampler.
+/// Parameters of the Gibbs sampler. Unknown keys are rejected, so a
+/// config that still carries a deleted field fails loudly (see
+/// MIGRATION.md).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GibbsConfig {
     /// Number of iterations (the paper loops "until stable"; a fixed
     /// budget with best-profile tracking is the standard finite-time
@@ -87,15 +86,10 @@ pub struct GibbsConfig {
     /// values < 1 anneal toward greedy, improving convergence as the
     /// paper's remark 1 suggests).
     pub gamma_decay: f64,
-    /// Evolve provably independent pairs in parallel (paper remark 2).
-    pub parallel_isolated: bool,
-    /// Random restarts when the initial profile is infeasible.
+    /// How many random initial profiles the chain draws, each tried in
+    /// turn until one is feasible, before it falls back to the
+    /// all-shortest profile.
     pub max_init_attempts: usize,
-    /// Independent chains to run (1 = a single chain). With more than
-    /// one, [`run`] derives one seed per chain from the caller's RNG and
-    /// keeps the best profile across chains via [`sample_restarts`]
-    /// (chains run on the shared work-stealing pool).
-    pub restarts: usize,
     /// Iteration budget used instead of `iterations` when the chain was
     /// initialised from a *warm seed profile* (the previous slot's
     /// selection, via [`EvalOptions::warm_profile_seed`] and a
@@ -109,8 +103,8 @@ pub struct GibbsConfig {
     /// pairs only, or an infeasible seed. **Required since PR 5** — see
     /// MIGRATION.md.
     pub warm_iterations: usize,
-    /// Profile-evaluator options (coupling-partition mode and warm
-    /// profile seeding). **Required since PR 4/5** — see MIGRATION.md.
+    /// Profile-evaluator options (warm profile seeding). **Required** —
+    /// see MIGRATION.md.
     pub evaluator: EvalOptions,
 }
 
@@ -144,18 +138,16 @@ impl GibbsConfig {
         (gamma * self.gamma_decay).max(Self::GAMMA_FLOOR.min(self.gamma))
     }
 
-    /// The paper's configuration: γ = 500, single-pair updates, one
-    /// chain. Warm-seeded slots (opt-in via
-    /// [`EvalOptions::warm_profile_seed`]) get a quarter of the budget —
-    /// local repair from last slot's optimum instead of a full mix.
+    /// The paper's configuration: γ = 500 and 48 iterations. Warm-seeded
+    /// slots (opt-in via [`EvalOptions::warm_profile_seed`]) get a
+    /// quarter of the budget — local repair from last slot's optimum
+    /// instead of a full mix.
     pub fn paper_default() -> Self {
         GibbsConfig {
             iterations: 48,
             gamma: 500.0,
             gamma_decay: 1.0,
-            parallel_isolated: false,
             max_init_attempts: 8,
-            restarts: 1,
             warm_iterations: 12,
             evaluator: EvalOptions::default(),
         }
@@ -185,34 +177,15 @@ pub fn acceptance_probability(f_new: f64, f_old: f64, gamma: f64) -> f64 {
     }
 }
 
-/// Runs the configured Gibbs selection: a single chain via [`sample`]
-/// when `config.restarts <= 1`, otherwise `config.restarts` independent
-/// chains via [`sample_restarts`] with per-chain seeds drawn from `rng`.
+/// Runs the configured Gibbs selection backed by a [`SelectorSession`]:
+/// the evaluator recycles the session's arena, and — when
+/// [`EvalOptions::warm_profile_seed`] is set and the session remembers a
+/// previous slot's selection — the chain starts from that profile
+/// instead of a random draw (new pairs start on their shortest
+/// candidate). With warm seeding off this is bit-identical to [`sample`].
 ///
 /// This is the policy-layer entry point (`RouteSelector` dispatches
-/// here), so configs can enable multi-chain Gibbs with a single field.
-///
-/// Returns `None` when no feasible profile could be found at all.
-pub fn run(
-    ctx: &PerSlotContext<'_>,
-    candidates: &[Candidates<'_>],
-    method: &AllocationMethod,
-    config: &GibbsConfig,
-    rng: &mut dyn rand::Rng,
-) -> Option<Selection> {
-    if config.restarts <= 1 {
-        return sample(ctx, candidates, method, config, rng);
-    }
-    let seeds: Vec<u64> = (0..config.restarts).map(|_| rng.random()).collect();
-    sample_restarts(ctx, candidates, method, config, &seeds)
-}
-
-/// [`run`] backed by a [`SelectorSession`]: the evaluator recycles the
-/// session's arena, and — when
-/// [`EvalOptions::warm_profile_seed`] is set and the session remembers a
-/// previous slot's selection — every chain starts from that profile
-/// instead of a random draw (new pairs start on their shortest
-/// candidate). With warm seeding off this is bit-identical to [`run`].
+/// here). Returns `None` when no feasible profile could be found at all.
 pub fn run_in(
     session: &mut SelectorSession,
     ctx: &PerSlotContext<'_>,
@@ -226,34 +199,11 @@ pub fn run_in(
         .warm_profile_seed
         .then(|| session.seed_indices(candidates))
         .flatten();
-    if config.restarts <= 1 {
-        let mut evaluator =
-            ProfileEvaluator::new_in(session, ctx, candidates, method, config.evaluator);
-        let selection = sample_seeded(&mut evaluator, candidates, config, rng, seed.as_deref());
-        evaluator.retire(session);
-        return selection;
-    }
-    let chain_seeds: Vec<u64> = (0..config.restarts).map(|_| rng.random()).collect();
-    // Chains run on the shared pool with per-chain evaluators (the
-    // session buffers cannot be shared mutably across threads), so the
-    // session contributes only the starting profile here.
-    sample_restarts_seeded(
-        ctx,
-        candidates,
-        method,
-        config,
-        &chain_seeds,
-        seed.as_deref(),
-    )
-}
-
-/// Keeps the better of two chain outcomes (ties keep the earlier one).
-fn best_selection(best: Selection, cand: Selection) -> Selection {
-    if cand.evaluation.objective > best.evaluation.objective {
-        cand
-    } else {
-        best
-    }
+    let mut evaluator =
+        ProfileEvaluator::new_in(session, ctx, candidates, method, config.evaluator);
+    let selection = sample_seeded(&mut evaluator, candidates, config, rng, seed.as_deref());
+    evaluator.retire(session);
+    selection
 }
 
 /// Runs Algorithm 3 and returns the best profile visited.
@@ -268,22 +218,11 @@ pub fn sample(
     rng: &mut dyn rand::Rng,
 ) -> Option<Selection> {
     let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
-    sample_with(&mut evaluator, candidates, config, rng)
+    sample_seeded(&mut evaluator, candidates, config, rng, None)
 }
 
-/// [`sample`] over a caller-provided evaluator, so several chains (or a
-/// surrounding search) can share one memo.
-pub fn sample_with(
-    evaluator: &mut ProfileEvaluator<'_>,
-    candidates: &[Candidates<'_>],
-    config: &GibbsConfig,
-    rng: &mut dyn rand::Rng,
-) -> Option<Selection> {
-    sample_seeded(evaluator, candidates, config, rng, None)
-}
-
-/// [`sample_with`] with an optional warm starting profile (the previous
-/// slot's selection, resolved by
+/// [`sample`] over a caller-provided evaluator, with an optional warm
+/// starting profile (the previous slot's selection, resolved by
 /// [`SelectorSession::seed_indices`]): when given and feasible, the
 /// chain starts there instead of drawing random initial profiles. An
 /// infeasible seed falls back to the standard initialisation.
@@ -335,14 +274,6 @@ pub fn sample_seeded(
     let mut best_indices = indices.clone();
     let mut best_f = f_cur;
 
-    // --- Isolated-pair detection for the parallel variant.
-    let isolated = if config.parallel_isolated {
-        isolated_pairs(candidates)
-    } else {
-        vec![false; k]
-    };
-    let coupled: Vec<usize> = (0..k).filter(|&i| !isolated[i]).collect();
-
     let mut gamma = config.gamma;
     // A chain that starts at the previous slot's optimum only repairs
     // locally; a randomly-initialised chain gets the full mixing budget.
@@ -352,52 +283,13 @@ pub fn sample_seeded(
         config.iterations
     };
     for _ in 0..budget {
-        if config.parallel_isolated {
-            // Isolated pairs evolve simultaneously with exact local
-            // deltas: their allocation sub-problem is independent of every
-            // other pair, so a single-pair evaluation is the true
-            // objective contribution. These are memoized per (pair, route)
-            // — after one sweep of the chain they are all free.
-            for i in 0..k {
-                if !isolated[i] {
-                    continue;
-                }
-                if candidates[i].routes.len() < 2 {
-                    continue;
-                }
-                let proposal = propose_different(rng, indices[i], candidates[i].routes.len());
-                let (Some(f_old_local), Some(f_new_local)) = (
-                    evaluator.evaluate_pair_objective(i, indices[i]),
-                    evaluator.evaluate_pair_objective(i, proposal),
-                ) else {
-                    continue;
-                };
-                if rng.random_bool(acceptance_probability(f_new_local, f_old_local, gamma)) {
-                    f_cur += f_new_local - f_old_local;
-                    indices[i] = proposal;
-                }
-            }
-        }
-
-        // One coupled pair evolves via the joint evaluation (all pairs, if
-        // the parallel variant is off).
-        let chosen = if config.parallel_isolated {
-            if coupled.is_empty() {
-                None // everything isolated: parallel loop above did the work
-            } else {
-                Some(coupled[rng.random_range(0..coupled.len())])
-            }
-        } else {
-            Some(rng.random_range(0..k))
-        };
-        if let Some(i) = chosen {
-            if candidates[i].routes.len() >= 2 {
-                let old = indices[i];
-                indices[i] = propose_different(rng, old, candidates[i].routes.len());
-                match accept_proposal(evaluator, &indices, f_cur, gamma, rng) {
-                    Some(objective) => f_cur = objective,
-                    None => indices[i] = old,
-                }
+        let i = rng.random_range(0..k);
+        if candidates[i].routes.len() >= 2 {
+            let old = indices[i];
+            indices[i] = propose_different(rng, old, candidates[i].routes.len());
+            match accept_proposal(evaluator, &indices, f_cur, gamma, rng) {
+                Some(objective) => f_cur = objective,
+                None => indices[i] = old,
             }
         }
 
@@ -416,74 +308,6 @@ pub fn sample_seeded(
         indices: best_indices,
         evaluation,
     })
-}
-
-/// Runs one independent chain per seed and returns the best selection
-/// (ties keep the earliest seed). The chains run on the shared
-/// work-stealing pool ([`threadpool::current`]); results are
-/// **bit-identical** to [`sample_restarts_serial`] at every pool width,
-/// because each chain is deterministic in its seed and chain outcomes
-/// are gathered in chain-index order before the fixed left-to-right
-/// [`best_selection`] reduction.
-///
-/// Returns `None` when every chain fails to find a feasible profile.
-pub fn sample_restarts(
-    ctx: &PerSlotContext<'_>,
-    candidates: &[Candidates<'_>],
-    method: &AllocationMethod,
-    config: &GibbsConfig,
-    seeds: &[u64],
-) -> Option<Selection> {
-    sample_restarts_seeded(ctx, candidates, method, config, seeds, None)
-}
-
-/// [`sample_restarts`] with an optional shared warm starting profile
-/// (every chain starts from it; their RNG streams still differ).
-pub fn sample_restarts_seeded(
-    ctx: &PerSlotContext<'_>,
-    candidates: &[Candidates<'_>],
-    method: &AllocationMethod,
-    config: &GibbsConfig,
-    seeds: &[u64],
-    profile_seed: Option<&[usize]>,
-) -> Option<Selection> {
-    use rand::SeedableRng;
-    // One pool task per chain, each with a fresh per-chain evaluator
-    // (memo sharing needs `&mut`; fresh memos change hit rates, not
-    // results — a memo is an exact cache). `map_indexed` returns the
-    // chain outcomes in chain-index order regardless of execution
-    // interleaving, so the reduction below sees the serial order.
-    let chains: Vec<Option<Selection>> = threadpool::current().map_indexed(seeds.len(), |i| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seeds[i]);
-        let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
-        sample_seeded(&mut evaluator, candidates, config, &mut rng, profile_seed)
-    });
-    chains.into_iter().flatten().reduce(best_selection)
-}
-
-/// The serial multi-chain path: chains run in seed order sharing one
-/// evaluator (every profile any chain has visited is a memo hit for the
-/// others). This is the reference trajectory the pooled path must
-/// reproduce bit-for-bit; the equivalence proptest and the
-/// `parallel_gibbs_restarts/serial` bench row call it directly.
-#[doc(hidden)]
-pub fn sample_restarts_serial(
-    ctx: &PerSlotContext<'_>,
-    candidates: &[Candidates<'_>],
-    method: &AllocationMethod,
-    config: &GibbsConfig,
-    seeds: &[u64],
-    profile_seed: Option<&[usize]>,
-) -> Option<Selection> {
-    use rand::SeedableRng;
-    let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
-    seeds
-        .iter()
-        .filter_map(|&seed| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            sample_seeded(&mut evaluator, candidates, config, &mut rng, profile_seed)
-        })
-        .reduce(best_selection)
 }
 
 /// Margin on acceptance probabilities for the early-rejection screen: it
@@ -530,36 +354,6 @@ fn propose_different(rng: &mut dyn rand::Rng, current: usize, len: usize) -> usi
         idx += 1;
     }
     idx
-}
-
-/// Marks pairs whose candidate routes share no node with any other pair's
-/// candidate routes (edge disjointness follows from node disjointness).
-///
-/// Such pairs' allocation sub-problems decouple exactly, so their Gibbs
-/// updates can run concurrently with local evaluations — the paper's
-/// remark 2. (The [`ProfileEvaluator`] generalizes the same test into a
-/// full partition: a pair is isolated iff its component is a singleton —
-/// but this standalone check is kept because it deliberately ignores the
-/// slot budget, matching the sampler's historical semantics.)
-fn isolated_pairs(candidates: &[Candidates<'_>]) -> Vec<bool> {
-    use std::collections::HashSet;
-    let unions: Vec<HashSet<qdn_graph::NodeId>> = candidates
-        .iter()
-        .map(|c| {
-            c.routes
-                .iter()
-                .flat_map(|r| r.nodes().iter().copied())
-                .collect()
-        })
-        .collect();
-    (0..candidates.len())
-        .map(|i| {
-            unions
-                .iter()
-                .enumerate()
-                .all(|(j, other)| j == i || unions[i].is_disjoint(other))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -658,9 +452,7 @@ mod tests {
             iterations: 5_000,
             gamma: 500.0,
             gamma_decay: 0.5, // γ hits the floor within ~40 iterations
-            parallel_isolated: false,
             max_init_attempts: 8,
-            restarts: 1,
             warm_iterations: 12,
             evaluator: EvalOptions::default(),
         };
@@ -728,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_pairs_detected() {
-        let net = two_diamonds();
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        assert_eq!(isolated_pairs(&cands), vec![true, true]);
-
-        // Same diamond: overlapping -> not isolated.
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(1), NodeId(2)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        assert_eq!(isolated_pairs(&cands), vec![false, false]);
-    }
-
-    #[test]
     fn gibbs_matches_exhaustive_on_small_instance() {
         let net = two_diamonds();
         let snap = CapacitySnapshot::full(&net);
@@ -767,9 +538,7 @@ mod tests {
             iterations: 80,
             gamma: 100.0,
             gamma_decay: 0.95,
-            parallel_isolated: false,
             max_init_attempts: 8,
-            restarts: 1,
             warm_iterations: 12,
             evaluator: EvalOptions::default(),
         };
@@ -777,40 +546,6 @@ mod tests {
         assert!(
             gibbs.evaluation.objective >= exact.evaluation.objective - 1e-6,
             "gibbs {} vs exhaustive {}",
-            gibbs.evaluation.objective,
-            exact.evaluation.objective
-        );
-    }
-
-    #[test]
-    fn parallel_variant_matches_serial_quality() {
-        let net = two_diamonds();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let exact = exhaustive::search(&ctx, &cands, &method, EvalOptions::default()).unwrap();
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let config = GibbsConfig {
-            iterations: 40,
-            gamma: 100.0,
-            gamma_decay: 0.9,
-            parallel_isolated: true,
-            max_init_attempts: 8,
-            restarts: 1,
-            warm_iterations: 12,
-            evaluator: EvalOptions::default(),
-        };
-        let gibbs = sample(&ctx, &cands, &method, &config, &mut rng).unwrap();
-        assert!(
-            gibbs.evaluation.objective >= exact.evaluation.objective - 1e-6,
-            "parallel gibbs {} vs exhaustive {}",
             gibbs.evaluation.objective,
             exact.evaluation.objective
         );
@@ -866,94 +601,40 @@ mod tests {
     }
 
     #[test]
-    fn restarts_return_best_chain() {
-        let net = two_diamonds();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let config = GibbsConfig {
-            iterations: 30,
-            gamma: 100.0,
-            gamma_decay: 0.9,
-            parallel_isolated: false,
-            max_init_attempts: 8,
-            restarts: 1,
-            warm_iterations: 12,
-            evaluator: EvalOptions::default(),
-        };
-        let multi = sample_restarts(&ctx, &cands, &method, &config, &[1, 2, 3, 4]).unwrap();
-        // Each individual chain is dominated by the multi-chain best.
-        for seed in [1u64, 2, 3, 4] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            if let Some(single) = sample(&ctx, &cands, &method, &config, &mut rng) {
-                assert!(multi.evaluation.objective >= single.evaluation.objective - 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn gibbs_config_serde_round_trip() {
         let cfg = GibbsConfig {
             iterations: 12,
             gamma: 77.5,
             gamma_decay: 0.9,
-            parallel_isolated: true,
             max_init_attempts: 3,
-            restarts: 4,
             warm_iterations: 12,
             evaluator: EvalOptions::warm_seeded(),
         };
         let json = serde_json::to_string(&cfg).unwrap();
-        assert!(json.contains("\"restarts\":4"), "{json}");
+        assert!(json.contains("\"max_init_attempts\":3"), "{json}");
         assert!(json.contains("\"warm_iterations\":12"), "{json}");
         let back: GibbsConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
-        // The paper default stays a single chain.
-        assert_eq!(GibbsConfig::paper_default().restarts, 1);
         // Loud compat break (PR 5): `warm_iterations` is required.
         let missing = json.replace("\"warm_iterations\":12,", "");
         assert!(serde_json::from_str::<GibbsConfig>(&missing).is_err());
     }
 
+    /// The deleted multi-chain and isolated-pair fields are rejected by
+    /// name rather than silently ignored, so a stale config cannot run
+    /// with semantics it did not ask for.
     #[test]
-    fn run_dispatches_to_multi_chain() {
-        let net = two_diamonds();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(3)).unwrap(),
-            SdPair::new(NodeId(4), NodeId(7)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let config = GibbsConfig {
-            iterations: 30,
-            gamma: 100.0,
-            gamma_decay: 0.9,
-            parallel_isolated: false,
-            max_init_attempts: 8,
-            restarts: 3,
-            warm_iterations: 12,
-            evaluator: EvalOptions::default(),
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let multi = run(&ctx, &cands, &method, &config, &mut rng).unwrap();
-        // Multi-chain keeps the best chain: it must dominate a single
-        // chain run with each of the seeds the same RNG stream yields.
-        let mut seed_rng = rand::rngs::StdRng::seed_from_u64(21);
-        for _ in 0..config.restarts {
-            let seed: u64 = seed_rng.random();
-            let mut chain_rng = rand::rngs::StdRng::seed_from_u64(seed);
-            if let Some(single) = sample(&ctx, &cands, &method, &config, &mut chain_rng) {
-                assert!(multi.evaluation.objective >= single.evaluation.objective - 1e-12);
-            }
+    fn removed_fields_fail_with_unknown_field_error() {
+        let json = serde_json::to_string(&GibbsConfig::paper_default()).unwrap();
+        for (removed, value) in [("restarts", "1"), ("parallel_isolated", "false")] {
+            let stale = json.replacen('{', &format!("{{\"{removed}\":{value},"), 1);
+            let err = serde_json::from_str::<GibbsConfig>(&stale)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("unknown field `{removed}`")),
+                "{removed}: {err}"
+            );
         }
     }
 
@@ -1037,23 +718,5 @@ mod tests {
             .is_none());
         assert_eq!(session.remembered_pairs(), 0);
         assert!(session.seed_indices(&cands).is_none());
-    }
-
-    #[test]
-    fn restarts_handle_infeasible() {
-        let net = two_diamonds();
-        let snap = CapacitySnapshot::clamped(&net, vec![10; 8], vec![0; 8]);
-        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 1.0);
-        let pairs = [SdPair::new(NodeId(0), NodeId(3)).unwrap()];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        assert!(sample_restarts(
-            &ctx,
-            &cands,
-            &AllocationMethod::default(),
-            &GibbsConfig::default(),
-            &[1, 2]
-        )
-        .is_none());
     }
 }

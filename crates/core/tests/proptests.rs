@@ -660,13 +660,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pool widths 1, 2, and 4, for both the
-    /// multi-chain Gibbs sampler (per-chain
-    /// seeded RNG streams, chain-index-order reduction, compared
-    /// against the always-serial shared-evaluator reference) and the
-    /// greedy-local selector (whose evaluator pre-pass fans component
-    /// solves onto the pool; compared across widths and, via the
-    /// full-rebuild check, against the serial evaluation path).
+    /// Pool widths 1, 2, and 4 for the greedy-local selector, whose
+    /// evaluator pre-pass fans component solves onto the pool: compared
+    /// across widths and, via the full-rebuild check, against the
+    /// serial evaluation path.
     #[test]
     fn parallel_matches_serial_bit_identical(
         net in arb_ring_network(),
@@ -676,7 +673,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig, RouteSelector};
+        use qdn_core::route_selection::{Candidates, RouteSelector};
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
         use rand::RngExt;
 
@@ -695,47 +692,13 @@ proptest! {
             .collect();
         let snap = CapacitySnapshot::full(&net);
         let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-        let chain_seeds: Vec<u64> = (0..4).map(|_| rng.random()).collect();
 
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
         let evaluator = EvalOptions::default();
 
-        // Gibbs restarts: the serial shared-evaluator reference
-        // trajectory, then the pool at each width.
-        let config = GibbsConfig {
-            iterations: 6,
-            restarts: chain_seeds.len(),
-            evaluator,
-            ..GibbsConfig::paper_default()
-        };
-        let reference = gibbs::sample_restarts_serial(
-            &ctx, &cands, &method, &config, &chain_seeds, None,
-        );
         let mut greedy_reference = None;
         for width in [1usize, 2, 4] {
             let pool = threadpool::ThreadPool::new(width);
-            let got = pool.install(|| {
-                gibbs::sample_restarts(&ctx, &cands, &method, &config, &chain_seeds)
-            });
-            match (&reference, &got) {
-                (None, None) => {}
-                (Some(r), Some(g)) => {
-                    prop_assert_eq!(
-                        r.evaluation.objective.to_bits(),
-                        g.evaluation.objective.to_bits(),
-                        "gibbs objective diverged at width {} ",
-                        width
-                    );
-                    prop_assert_eq!(&r.indices, &g.indices);
-                    prop_assert_eq!(&r.evaluation.allocations, &g.evaluation.allocations);
-                }
-                _ => prop_assert!(
-                    false,
-                    "gibbs feasibility diverged at width {} ",
-                    width
-                ),
-            }
-
             // Greedy-local selector: same selection at every
             // width (twin RNG streams), and the evaluator's
             // pooled pre-pass stays bit-identical to the serial
@@ -942,12 +905,6 @@ mod reference_gibbs {
         let (mut indices, mut f_cur) = current?;
         let mut best_indices = indices.clone();
         let mut best_f = f_cur;
-        let isolated = if config.parallel_isolated {
-            isolated_pairs(candidates)
-        } else {
-            vec![false; k]
-        };
-        let coupled: Vec<usize> = (0..k).filter(|&i| !isolated[i]).collect();
         let mut gamma = config.gamma;
         let budget = if seeded {
             config.warm_iterations
@@ -955,48 +912,20 @@ mod reference_gibbs {
             config.iterations
         };
         for _ in 0..budget {
-            if config.parallel_isolated {
-                for i in 0..k {
-                    if !isolated[i] || candidates[i].routes.len() < 2 {
-                        continue;
-                    }
-                    let proposal = propose_different(rng, indices[i], candidates[i].routes.len());
-                    let (Some(f_old_local), Some(f_new_local)) = (
-                        evaluator.evaluate_pair_objective(i, indices[i]),
-                        evaluator.evaluate_pair_objective(i, proposal),
-                    ) else {
-                        continue;
-                    };
-                    if rng.random_bool(acceptance_probability(f_new_local, f_old_local, gamma)) {
-                        f_cur += f_new_local - f_old_local;
-                        indices[i] = proposal;
-                    }
-                }
-            }
-            let chosen = if config.parallel_isolated {
-                if coupled.is_empty() {
-                    None
-                } else {
-                    Some(coupled[rng.random_range(0..coupled.len())])
-                }
-            } else {
-                Some(rng.random_range(0..k))
-            };
-            if let Some(i) = chosen {
-                if candidates[i].routes.len() >= 2 {
-                    let old = indices[i];
-                    let proposal = propose_different(rng, old, candidates[i].routes.len());
-                    indices[i] = proposal;
-                    match evaluator.evaluate_objective(&indices) {
-                        Some(objective) => {
-                            if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
-                                f_cur = objective;
-                            } else {
-                                indices[i] = old;
-                            }
+            let i = rng.random_range(0..k);
+            if candidates[i].routes.len() >= 2 {
+                let old = indices[i];
+                let proposal = propose_different(rng, old, candidates[i].routes.len());
+                indices[i] = proposal;
+                match evaluator.evaluate_objective(&indices) {
+                    Some(objective) => {
+                        if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
+                            f_cur = objective;
+                        } else {
+                            indices[i] = old;
                         }
-                        None => indices[i] = old,
                     }
+                    None => indices[i] = old,
                 }
             }
             if f_cur > best_f {
@@ -1018,27 +947,6 @@ mod reference_gibbs {
             idx += 1;
         }
         idx
-    }
-
-    fn isolated_pairs(candidates: &[Candidates<'_>]) -> Vec<bool> {
-        use std::collections::BTreeSet;
-        let unions: Vec<BTreeSet<qdn_graph::NodeId>> = candidates
-            .iter()
-            .map(|c| {
-                c.routes
-                    .iter()
-                    .flat_map(|r| r.nodes().iter().copied())
-                    .collect()
-            })
-            .collect();
-        (0..candidates.len())
-            .map(|i| {
-                unions
-                    .iter()
-                    .enumerate()
-                    .all(|(j, other)| j == i || unions[i].is_disjoint(other))
-            })
-            .collect()
     }
 }
 
@@ -1100,7 +1008,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Early rejection changes no decision: `gibbs::sample_with` with
+    /// Early rejection changes no decision: `gibbs::sample_seeded` with
     /// its bound screen matches the plain evaluate-then-`random_bool`
     /// chain in [`reference_gibbs`] — the same selected indices, the
     /// same objective bits, and the same next RNG word — for every
@@ -1138,7 +1046,6 @@ proptest! {
                                 iterations: 24,
                                 gamma,
                                 gamma_decay,
-                                parallel_isolated: draw.random_bool(0.25),
                                 warm_iterations: 12,
                                 ..GibbsConfig::paper_default()
                             };

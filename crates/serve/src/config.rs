@@ -27,7 +27,7 @@ pub struct ServeConfig {
     pub dynamics: DynamicsConfig,
     /// Worker threads of the shared solve pool
     /// (`crates/compat/threadpool`) that shard threads use for
-    /// intra-shard parallel stages (component solves, Gibbs restarts):
+    /// intra-shard parallel stages (the evaluator's component solves):
     /// `0` = one per available CPU.
     ///
     /// **Required** in the wire form (PR 10, deliberately a loud serde

@@ -156,8 +156,8 @@ impl ShardWorker {
 /// and joins every thread.
 ///
 /// Shard threads are long-lived *owners* of warm state, not a
-/// parallelism mechanism — intra-shard parallel stages (component
-/// solves, Gibbs restarts) run on the shared work-stealing solve pool,
+/// parallelism mechanism — intra-shard parallel stages (the evaluator's
+/// component solves) run on the shared work-stealing solve pool,
 /// which every shard thread installs around its message loop so
 /// `threadpool::current()` inside the engine resolves to the pool the
 /// daemon configured.

@@ -24,8 +24,6 @@
 #                                                    Unix socket: 256-slot
 #                                                    load-gen replay, wire
 #                                                    protocol + shard fan-out)
-#   * parallel_gibbs_restarts/*                     (PR 10: 4-chain restarts,
-#                                                    serial vs pool width 4)
 #   * parallel_trial_fanout/*                       (PR 10: sim trial fan-out,
 #                                                    pool width 1 vs 4)
 #   * csr_pass_ns_per_row/*                         (PR 10: SIMD-shaped CSR
@@ -137,7 +135,6 @@ GATED=(
     'dynamic_vs_static_partition/cold_move_dynamic/*'
     'session_vs_fresh/*'
     'serve_throughput/*'
-    'parallel_gibbs_restarts/*'
     'parallel_trial_fanout/*'
     'csr_pass_ns_per_row/*'
     'dual_solver_paper20/cold_solve/*'

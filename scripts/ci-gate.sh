@@ -65,6 +65,19 @@ if [[ "$full" -eq 1 ]]; then
     echo "==> cargo test -q"
     cargo test -q
 
+    # The paper reproduction: every figure, ablation, extension and DES
+    # experiment at --quick scale. run_all exits non-zero when any of
+    # its figure shape checks fails; its tables go to a file and only
+    # the verdicts are echoed.
+    echo "==> run_all --quick (paper reproduction shape checks)"
+    run_all_out=target/run-all-quick.txt
+    if ! cargo run -q --release -p qdn_bench --bin run_all -- --quick >"$run_all_out"; then
+        grep "shape check" "$run_all_out" || true
+        echo "ci-gate: run_all --quick failed (full output in $run_all_out)" >&2
+        exit 1
+    fi
+    grep "shape check" "$run_all_out"
+
     # Every crate's suite, not just the root package's: serve daemon,
     # solve, core (including parallel_matches_serial_bit_identical at
     # pool widths 1/2/4), sim, net, lint and the vendored shims.

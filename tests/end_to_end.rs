@@ -2,7 +2,7 @@
 //! simulator with budget and dominance assertions.
 //!
 //! These run in debug mode under `cargo test`, so horizons are kept small;
-//! the full paper-scale reproduction lives in `qdn-bench` (release).
+//! the full paper-scale reproduction lives in `qdn_bench` (release).
 
 use qdn::core::baselines::{BudgetSplit, MyopicConfig};
 use qdn::core::oscar::OscarConfig;

@@ -182,9 +182,7 @@ fn gibbs_matches_exhaustive_on_real_topology() {
             iterations: 100,
             gamma: 50.0,
             gamma_decay: 0.93,
-            parallel_isolated: false,
             max_init_attempts: 8,
-            restarts: 1,
             warm_iterations: 100,
             evaluator: EvalOptions::default(),
         })
