@@ -399,7 +399,7 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
 /// * `oscar200_cold/*` — the session is reset every slot, so no slot
 ///   is seeded from the last and every chain runs its full cold
 ///   `iterations` budget;
-/// * `oscar200_session/*` — one session spans the run with
+/// * `oscar200_session/*` — one session spans the run with the default
 ///   `warm_profile_seed` on: chains start from the previous slot's
 ///   selection and run the shorter `warm_iterations` budget, and the
 ///   evaluator arena is recycled. Memos never carry over in either
@@ -419,11 +419,11 @@ fn bench_session_vs_fresh(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
 
-    let cold_selector = GibbsConfig::paper_default();
-    let session_selector = GibbsConfig {
-        evaluator: EvalOptions::warm_seeded(),
+    let cold_selector = GibbsConfig {
+        evaluator: EvalOptions::default(),
         ..GibbsConfig::paper_default()
     };
+    let session_selector = GibbsConfig::paper_default();
     let alloc = AllocationMethod::default();
 
     let mut group = c.benchmark_group("session_vs_fresh");

@@ -297,18 +297,9 @@ mod tests {
 
     #[test]
     fn reset_fully_clears_session_state() {
-        use crate::profile_eval::EvalOptions;
-        use crate::route_selection::GibbsConfig;
-
-        // A config where cross-slot state actually accumulates: profile
-        // seeding on.
-        let cfg = OscarConfig {
-            selector: RouteSelector::Gibbs(GibbsConfig {
-                evaluator: EvalOptions::warm_seeded(),
-                ..GibbsConfig::paper_default()
-            }),
-            ..OscarConfig::paper_default()
-        };
+        // Cross-slot state accumulates under the default config: profile
+        // seeding is on.
+        let cfg = OscarConfig::paper_default();
         let (net, mut rng) = setup();
         let mut wl = UniformWorkload::paper_default();
         let slots: Vec<_> = (0..3)

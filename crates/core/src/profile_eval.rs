@@ -152,12 +152,14 @@
 //!
 //! * **the recycled buffers** (arena, husks, dense scratch) — pure
 //!   allocation reuse, no semantic state;
-//! * **the previous selected profile** (opt-in via
-//!   [`EvalOptions::warm_profile_seed`]) — seeds the next slot's chain
-//!   start, changing the search trajectory but never a profile's value.
+//! * **the previous selected profile** (used when
+//!   [`EvalOptions::warm_profile_seed`] is on, as in every default
+//!   selector config) — seeds the next slot's chain start, changing the
+//!   search trajectory but never a profile's value.
 //!
-//! With the opt-in off, a session-built evaluator is bit-identical to a
-//! fresh one every slot (`session_matches_fresh_per_slot` proptest).
+//! With seeding off ([`EvalOptions::default`]), a session-built
+//! evaluator is bit-identical to a fresh one every slot
+//! (`session_matches_fresh_per_slot` proptest).
 //!
 //! # Parallelism
 //!
@@ -188,6 +190,10 @@ use crate::route_selection::Candidates;
 /// Selector-facing evaluator options, carried by every route-selection
 /// config that drives a [`ProfileEvaluator`].
 ///
+/// `GibbsConfig::paper_default()`, and so every default selector, carries
+/// [`EvalOptions::warm_seeded`]. [`EvalOptions::default`] is the cold
+/// configuration with seeding off.
+///
 /// `warm_profile_seed` is a required field, and unknown keys (such as
 /// the removed `partition`) are rejected, so stale JSON configs fail
 /// loudly. See MIGRATION.md for the one-line edits.
@@ -205,7 +211,8 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// The default options with cross-slot profile seeding enabled.
+    /// Cross-slot profile seeding enabled: the options of every default
+    /// Gibbs config.
     pub fn warm_seeded() -> Self {
         EvalOptions {
             warm_profile_seed: true,
@@ -214,8 +221,9 @@ impl EvalOptions {
 }
 
 impl Default for EvalOptions {
-    /// No cross-slot profile seeding — the fresh-per-slot-identical
-    /// configuration.
+    /// No cross-slot profile seeding — the fresh-per-slot-identical cold
+    /// configuration. Default selector configs use
+    /// [`EvalOptions::warm_seeded`] instead.
     fn default() -> Self {
         EvalOptions {
             warm_profile_seed: false,
@@ -421,7 +429,8 @@ type Memo = HashMap<Box<[u32]>, Option<Box<[u32]>>>;
 ///   staging) — steady-state slots allocate no evaluator storage;
 /// * the previous slot's selected route per [`SdPair`], which seeds the
 ///   next slot's Gibbs chain / greedy start for pairs present in
-///   consecutive slots when [`EvalOptions::warm_profile_seed`] is set.
+///   consecutive slots when [`EvalOptions::warm_profile_seed`] is set
+///   (the default Gibbs configuration sets it).
 ///
 /// Evaluation memos are *not* carried: they belong to one slot's
 /// evaluator. OSCAR's queue price `q_t` enters every sub-instance and

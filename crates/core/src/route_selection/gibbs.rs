@@ -1,6 +1,7 @@
 //! Gibbs-sampling route selection — the paper's Algorithm 3.
 //!
-//! Starting from a random route profile, each iteration virtually
+//! The paper's Algorithm 3 starts each slot from a random route profile.
+//! Each iteration then virtually
 //! modifies one randomly chosen SD pair's route, evaluates the per-slot
 //! objective via the allocation oracle, and accepts the modification with
 //! the logit probability of Eq. 15:
@@ -14,6 +15,24 @@
 //! would be *less* likely to be accepted. We implement the body text /
 //! standard Glauber dynamics, which is also what makes the γ→0 limit
 //! converge to the greedy optimum.)
+//!
+//! # Warm starts
+//!
+//! By default ([`EvalOptions::warm_seeded`]) the chain starts from the
+//! previous slot's selection: a pair served in the previous slot starts
+//! on last slot's route, a new pair on its shortest candidate (see
+//! [`SelectorSession::seed_indices`]). On sticky workloads the
+//! previous optimum is nearly this slot's optimum, so a seeded chain
+//! only has to repair it for the drifted queue price and runs
+//! [`GibbsConfig::warm_iterations`] instead of `iterations`. Seeding
+//! changes only where the chain starts: every step still proposes a
+//! single-pair move and accepts it with Eq. 15's rule on the same
+//! objective. Slots where no strict majority of pairs is remembered,
+//! and seeds that turn out infeasible, take the paper's random start and
+//! the full budget. `EvalOptions::default()` turns seeding off and
+//! restores the random start on every slot.
+//!
+//! # One chain
 //!
 //! The chain is one chain with one update rule: each iteration proposes
 //! a new route for a single pair. All evaluations run through the
@@ -92,19 +111,19 @@ pub struct GibbsConfig {
     pub max_init_attempts: usize,
     /// Iteration budget used instead of `iterations` when the chain was
     /// initialised from a *warm seed profile* (the previous slot's
-    /// selection, via [`EvalOptions::warm_profile_seed`] and a
-    /// [`SelectorSession`]): a chain that starts at last slot's optimum
-    /// only has to repair locally for the drifted price, not mix from a
-    /// random profile, so it earns a smaller budget — the adaptive
-    /// reconfiguration idea (cf. QuARC) that makes cross-slot seeding a
-    /// throughput win and not just a quality hedge. Set equal to
-    /// `iterations` to keep the full budget on seeded slots. Ignored
-    /// (full `iterations`) whenever no seed engaged — slot 0, fresh
-    /// pairs only, or an infeasible seed. **Required since PR 5** — see
-    /// MIGRATION.md.
-    pub warm_iterations: usize,
-    /// Profile-evaluator options (warm profile seeding). **Required** —
+    /// selection, via [`EvalOptions::warm_profile_seed`], on by default,
+    /// and a [`SelectorSession`]): a chain that starts at last slot's
+    /// optimum only has to repair locally for the drifted price, not mix
+    /// from a random profile, so it earns a smaller budget — the
+    /// adaptive reconfiguration idea (cf. QuARC) that makes cross-slot
+    /// seeding a throughput win and not just a quality hedge. Set equal
+    /// to `iterations` to keep the full budget on seeded slots. Ignored
+    /// (full `iterations`) whenever no seed engaged — slot 0, a slot
+    /// where most pairs are new, or an infeasible seed. **Required** —
     /// see MIGRATION.md.
+    pub warm_iterations: usize,
+    /// Profile-evaluator options (warm profile seeding, on by default).
+    /// **Required** — see MIGRATION.md.
     pub evaluator: EvalOptions,
 }
 
@@ -138,10 +157,10 @@ impl GibbsConfig {
         (gamma * self.gamma_decay).max(Self::GAMMA_FLOOR.min(self.gamma))
     }
 
-    /// The paper's configuration: γ = 500 and 48 iterations. Warm-seeded
-    /// slots (opt-in via [`EvalOptions::warm_profile_seed`]) get a
-    /// quarter of the budget — local repair from last slot's optimum
-    /// instead of a full mix.
+    /// The paper's configuration: γ = 500 and 48 iterations, with
+    /// chains warm-seeded from the previous slot's routes. Seeded slots
+    /// get a quarter of the budget — local repair from last slot's
+    /// optimum instead of a full mix.
     pub fn paper_default() -> Self {
         GibbsConfig {
             iterations: 48,
@@ -149,7 +168,7 @@ impl GibbsConfig {
             gamma_decay: 1.0,
             max_init_attempts: 8,
             warm_iterations: 12,
-            evaluator: EvalOptions::default(),
+            evaluator: EvalOptions::warm_seeded(),
         }
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`exhaustive`] — Eq. 13: enumerate the product space (exact, only for
 //!   small `F`/`R`),
-//! * [`gibbs`] — Algorithm 3: Gibbs sampling with the Eq. 15 acceptance
-//!   probability, including the disjoint-pair parallel evolution from the
-//!   paper's remark,
+//! * [`gibbs`] — Algorithm 3: one Gibbs chain of single-pair moves with
+//!   the Eq. 15 acceptance probability, started by default from the
+//!   previous slot's routes,
 //! * [`greedy`] — γ→0 limit: coordinate-wise best-response local search
 //!   (an ablation; the paper's remark warns it can stick in local optima).
 
@@ -130,9 +130,9 @@ impl RouteSelector {
 
     /// [`RouteSelector::select`] threaded through a slot-spanning
     /// [`SelectorSession`]: the profile evaluator recycles the session's
-    /// arena, and the session records this slot's selected
-    /// routes as the next slot's seed. With `warm_profile_seed` off,
-    /// results are
+    /// arena, and the session records this slot's selected routes as the
+    /// next slot's seed (used when `warm_profile_seed` is on, as in
+    /// every default config). With `warm_profile_seed` off, results are
     /// bit-identical to a fresh [`RouteSelector::select`] per slot (the
     /// `session_matches_fresh_per_slot` proptest enforces it); see
     /// [`crate::profile_eval`]'s "Selection sessions" docs

@@ -223,28 +223,19 @@ mod tests {
 
     #[test]
     fn warm_session_on_persistent_workload_is_deterministic() {
-        use qdn_core::profile_eval::EvalOptions;
-        use qdn_core::route_selection::{GibbsConfig, RouteSelector};
         use qdn_net::workload::PersistentWorkload;
 
-        // The temporally-correlated scenario with the full cross-slot
-        // machinery on (profile seeding): repeated runs
-        // on the same seeds must agree exactly, and the reset path must
-        // restore a replayable policy.
-        let warm_cfg = OscarConfig {
-            selector: RouteSelector::Gibbs(GibbsConfig {
-                evaluator: EvalOptions::warm_seeded(),
-                ..GibbsConfig::paper_default()
-            }),
-            ..OscarConfig::paper_default()
-        };
+        // The temporally-correlated scenario with the default config,
+        // whose profile seeding carries state across slots: repeated
+        // runs on the same seeds must agree exactly, and the reset path
+        // must restore a replayable policy.
         let run_once = || {
             let mut env_rng = rand::rngs::StdRng::seed_from_u64(31);
             let mut policy_rng = rand::rngs::StdRng::seed_from_u64(32);
             let net = NetworkConfig::paper_default().build(&mut env_rng).unwrap();
             let mut wl = PersistentWorkload::paper_scale();
             let mut dyn_ = StaticDynamics;
-            let mut policy = OscarPolicy::new(warm_cfg.clone());
+            let mut policy = OscarPolicy::new(OscarConfig::paper_default());
             run(
                 &net,
                 &mut wl,

@@ -16,6 +16,13 @@
 //! allocation, a served/unserved split, or the queue trajectory they
 //! feed — changes the hash.
 //!
+//! Each trace is replayed twice: with the default configuration, whose
+//! Gibbs chains start from the previous slot's routes
+//! (`EvalOptions::warm_seeded()`), and with seeding off
+//! (`EvalOptions::default()`), the cold chain that draws a random start
+//! every slot. Seeding rarely engages on the uniform trace, so its two
+//! goldens coincide.
+//!
 //! These are the seeded regression corpus. A deliberate behaviour change
 //! must update the goldens and say why.
 
@@ -23,16 +30,26 @@ use qdn::core::engine::{decide, EngineState, SlotDecisionRequest};
 use qdn::core::lyapunov::VirtualQueue;
 use qdn::core::oscar::OscarConfig;
 use qdn::core::problem::PerSlotContext;
+use qdn::core::profile_eval::EvalOptions;
+use qdn::core::route_selection::{GibbsConfig, RouteSelector};
 use qdn::net::dynamics::DynamicsConfig;
 use qdn::net::workload::WorkloadConfig;
 use qdn::net::NetworkConfig;
 use rand::SeedableRng;
 
-/// FNV-1a hash of the churn trace's 200 slot decisions at seed [`SEED`].
-const CHURN_GOLDEN: u64 = 0xdc63_3495_8e14_2e57;
+/// FNV-1a hash of the churn trace's 200 slot decisions at seed [`SEED`],
+/// default (warm-seeded) configuration.
+const CHURN_GOLDEN: u64 = 0x5881_2457_498a_1c6d;
 
-/// FNV-1a hash of the uniform trace's 200 slot decisions at seed [`SEED`].
+/// FNV-1a hash of the uniform trace's 200 slot decisions at seed [`SEED`],
+/// default (warm-seeded) configuration.
 const UNIFORM_GOLDEN: u64 = 0x5191_6a6a_1d3f_ca00;
+
+/// [`CHURN_GOLDEN`] with warm seeding off.
+const CHURN_COLD_GOLDEN: u64 = 0xdc63_3495_8e14_2e57;
+
+/// [`UNIFORM_GOLDEN`] with warm seeding off.
+const UNIFORM_COLD_GOLDEN: u64 = 0x5191_6a6a_1d3f_ca00;
 
 const SEED: u64 = 20_240_118;
 const SLOTS: u64 = 200;
@@ -58,9 +75,27 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+fn churn() -> (DynamicsConfig, WorkloadConfig) {
+    (
+        DynamicsConfig::Churn {
+            failure_rate: 0.5,
+            mttr: 5.0,
+            seed: SEED,
+            base: Box::new(DynamicsConfig::Static),
+        },
+        WorkloadConfig::Persistent {
+            pairs_per_slot: 10,
+            keep_probability: 0.8,
+        },
+    )
+}
+
+fn uniform() -> (DynamicsConfig, WorkloadConfig) {
+    (DynamicsConfig::Static, WorkloadConfig::paper_default())
+}
+
 /// Replays a trace on the current thread pool and returns the hash.
-fn replay(dynamics: DynamicsConfig, workload: WorkloadConfig) -> u64 {
-    let oscar = OscarConfig::paper_default();
+fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadConfig)) -> u64 {
     let network = NetworkConfig::paper_default()
         .build(&mut rng(0, NETWORK_STREAM))
         .expect("paper network builds");
@@ -93,10 +128,15 @@ fn replay(dynamics: DynamicsConfig, workload: WorkloadConfig) -> u64 {
     hash
 }
 
-/// Asserts that `trace` hashes to `golden` at pool widths 1 and 2.
-fn assert_golden(golden: u64, trace: impl Fn() -> u64) {
+/// Asserts that `trace` replayed under `oscar` hashes to `golden` at
+/// pool widths 1 and 2.
+fn assert_golden(
+    golden: u64,
+    oscar: &OscarConfig,
+    trace: impl Fn() -> (DynamicsConfig, WorkloadConfig),
+) {
     for width in [1usize, 2] {
-        let hash = threadpool::ThreadPool::new(width).install(&trace);
+        let hash = threadpool::ThreadPool::new(width).install(|| replay(oscar, trace()));
         assert_eq!(
             hash, golden,
             "decision fingerprint changed at pool width {width}: got {hash:#018x}"
@@ -106,25 +146,23 @@ fn assert_golden(golden: u64, trace: impl Fn() -> u64) {
 
 #[test]
 fn churn_trace_matches_golden_at_pool_widths_1_and_2() {
-    assert_golden(CHURN_GOLDEN, || {
-        replay(
-            DynamicsConfig::Churn {
-                failure_rate: 0.5,
-                mttr: 5.0,
-                seed: SEED,
-                base: Box::new(DynamicsConfig::Static),
-            },
-            WorkloadConfig::Persistent {
-                pairs_per_slot: 10,
-                keep_probability: 0.8,
-            },
-        )
-    });
+    assert_golden(CHURN_GOLDEN, &OscarConfig::paper_default(), churn);
 }
 
 #[test]
 fn uniform_trace_matches_golden_at_pool_widths_1_and_2() {
-    assert_golden(UNIFORM_GOLDEN, || {
-        replay(DynamicsConfig::Static, WorkloadConfig::paper_default())
-    });
+    assert_golden(UNIFORM_GOLDEN, &OscarConfig::paper_default(), uniform);
+}
+
+#[test]
+fn cold_traces_match_goldens_at_pool_widths_1_and_2() {
+    let cold = OscarConfig {
+        selector: RouteSelector::Gibbs(GibbsConfig {
+            evaluator: EvalOptions::default(),
+            ..GibbsConfig::paper_default()
+        }),
+        ..OscarConfig::paper_default()
+    };
+    assert_golden(CHURN_COLD_GOLDEN, &cold, churn);
+    assert_golden(UNIFORM_COLD_GOLDEN, &cold, uniform);
 }
