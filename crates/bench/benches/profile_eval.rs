@@ -28,6 +28,12 @@
 //! The `dual_solver_paper20` group measures the raw cold `solve_relaxed`
 //! on the joint paper-scale instance.
 //!
+//! The `gibbs_select` group times whole selections. The
+//! `paper20_uniform_slot*` rows cycle through the same 32 pre-drawn
+//! `serve-uniform`-shaped slots: the paper-default chain at queue price
+//! 60 (typical) and 250 (`_q250`, the tail regime where capacity binds),
+//! and greedy local search at price 60 (`_greedy_local`).
+//!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
 //! profile-local dynamic partition on cold single-pair moves — see
 //! [`bench_dynamic_vs_static`] for the two scenarios. The
@@ -45,7 +51,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_core::allocation::AllocationMethod;
 use qdn_core::problem::PerSlotContext;
 use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig};
+use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig, RouteSelector};
 use qdn_graph::Path;
 use qdn_net::routes::{CandidateRoutes, RouteLimits};
 use qdn_net::workload::random_sd_pair;
@@ -182,6 +188,34 @@ fn bench_gibbs_end_to_end(c: &mut Criterion) {
             let cands = &slot_cands[slot % slot_cands.len()];
             slot += 1;
             black_box(gibbs::sample(&slot_ctx, cands, &method, &config, &mut rng))
+        });
+    });
+    // The same slots at a tail queue price: the slowest uniform slots
+    // have queues of 236–363, where capacity binds and coupled solves
+    // run long.
+    let tail_ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 250.0);
+    group.bench_function("paper20_uniform_slot_q250", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut slot = 0;
+        b.iter(|| {
+            let cands = &slot_cands[slot % slot_cands.len()];
+            slot += 1;
+            black_box(gibbs::sample(&tail_ctx, cands, &method, &config, &mut rng))
+        });
+    });
+    // The same slots under the route-selection ablation's greedy local
+    // search: the cost side of its quality row in the ablation ledger.
+    let greedy_local = RouteSelector::GreedyLocal {
+        max_rounds: 4,
+        evaluator: EvalOptions::default(),
+    };
+    group.bench_function("paper20_uniform_slot_greedy_local", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut slot = 0;
+        b.iter(|| {
+            let cands = &slot_cands[slot % slot_cands.len()];
+            slot += 1;
+            black_box(greedy_local.select(&slot_ctx, cands, &method, &mut rng))
         });
     });
     group.bench_function("full_rebuild_replica/10_pairs_48_iters", |b| {

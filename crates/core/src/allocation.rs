@@ -12,7 +12,7 @@
 //! budget makes greedy the natural choice.
 
 use qdn_solve::greedy::greedy_allocate;
-use qdn_solve::relaxed::{solve_relaxed, RelaxedOptions};
+use qdn_solve::relaxed::{solve_relaxed_until, RelaxedOptions};
 use qdn_solve::rounding::round_down_and_fill;
 use qdn_solve::AllocationInstance;
 use serde::{Deserialize, Serialize};
@@ -41,14 +41,31 @@ impl AllocationMethod {
     /// `None` if the instance itself could not be solved (never happens
     /// for instances validated by [`AllocationInstance::new`]).
     pub fn allocate(&self, instance: &AllocationInstance) -> Option<Vec<u32>> {
-        match self {
+        self.allocate_unless(instance, |_| false).unwrap_or(None)
+    }
+
+    /// [`AllocationMethod::allocate`] that gives up once `reject` fires:
+    /// a relax-and-round solve calls `reject(drop)` after every decrease
+    /// of its certified dual bound (see
+    /// [`qdn_solve::relaxed::solve_relaxed_until`] for what `drop`
+    /// certifies) and returns `Err(Abandoned)`, unrounded, when it
+    /// returns `true`. `Greedy` and `Minimal` never call it.
+    pub fn allocate_unless(
+        &self,
+        instance: &AllocationInstance,
+        reject: impl FnMut(f64) -> bool,
+    ) -> Result<Option<Vec<u32>>, Abandoned> {
+        Ok(match self {
             AllocationMethod::RelaxAndRound(options) => {
-                let relaxed = solve_relaxed(instance, options).ok()?;
-                round_down_and_fill(instance, &relaxed.x).ok()
+                match solve_relaxed_until(instance, options, reject) {
+                    Ok(Some(relaxed)) => round_down_and_fill(instance, &relaxed.x).ok(),
+                    Ok(None) => return Err(Abandoned),
+                    Err(_) => None,
+                }
             }
             AllocationMethod::Greedy => greedy_allocate(instance).ok(),
             AllocationMethod::Minimal => Some(instance.lower_bound_point()),
-        }
+        })
     }
 
     /// Short label for experiment outputs.
@@ -60,6 +77,12 @@ impl AllocationMethod {
         }
     }
 }
+
+/// A solve stopped by its rejection test before it finished: nothing
+/// was rounded, and nothing about the instance is known beyond the
+/// bound that rejected it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Abandoned;
 
 impl Default for AllocationMethod {
     fn default() -> Self {

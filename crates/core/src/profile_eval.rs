@@ -137,6 +137,21 @@
 //! `AllocationInstance::finalize`, over the whole profile. The
 //! `objective_bounds_bracket_the_objective` proptest checks both claims.
 //!
+//! **In-solve bounds.** [`ProfileEvaluator::evaluate_objective_unless`]
+//! tightens `upper` while the evaluation's dual solves run. Each solve's
+//! running dual bound is an anytime certificate (see
+//! [`qdn_solve::relaxed::solve_relaxed_until`]): the work item's
+//! objective is at most `D(0) − drop`. Its variables' ranges `[1, ub]`
+//! lie inside the `[1, cap]` that `upper` maximises over, so `D(0)` is
+//! at most the item's share of `upper`, and every other item contributes
+//! at most its own share. So `f ≤ upper − drop`, and the evaluator hands
+//! `upper − drop` plus a margin of `1e-9·(1 + |bound|)` to the caller's
+//! rejection test after every decrease of the bound. Each item is
+//! screened on its own drop only, which keeps the verdict independent of
+//! the pool width. A solve the test stops is neither rounded nor
+//! memoized ([`EvalStats::abandoned`] counts it), so the memos stay
+//! exact.
+//!
 //! # Selection sessions
 //!
 //! A [`ProfileEvaluator`] — with both memo levels and the single-pair
@@ -183,7 +198,7 @@ use qdn_solve::scalar::{argmax_edge_utility, edge_utility};
 use qdn_solve::{ln_success, AllocationInstance, RouteAssembler};
 use serde::{Deserialize, Serialize};
 
-use crate::allocation::AllocationMethod;
+use crate::allocation::{Abandoned, AllocationMethod};
 use crate::problem::{assemble_instance, PerSlotContext, ProfileEvaluation};
 use crate::route_selection::Candidates;
 
@@ -666,6 +681,32 @@ pub struct EvalStats {
     /// freshly solved by the most recent evaluation; 0 when it was
     /// served entirely from the memos.
     pub pairs_resolved_last_move: u64,
+    /// Dual solves abandoned by the rejection test of
+    /// [`ProfileEvaluator::evaluate_objective_unless`]: not rounded, not
+    /// memoized, and not counted in [`EvalStats::components_solved`].
+    pub abandoned: u64,
+}
+
+/// The rejection test of one screened evaluation: `reject` applied to
+/// certified upper bounds on the profile's objective (see "Objective
+/// bounds" in the module docs).
+#[derive(Clone, Copy)]
+struct Screen<'r> {
+    /// The profile's `λ = 0` bound, from
+    /// [`ProfileEvaluator::objective_bounds`].
+    upper: f64,
+    reject: &'r (dyn Fn(f64) -> bool + Sync),
+}
+
+impl Screen<'_> {
+    /// Whether one work item's dual bound, `drop` below its `λ = 0`
+    /// value, rejects the profile: the objective is at most
+    /// `upper − drop`, plus a margin of `1e-9·(1 + |bound|)` for the
+    /// different summation orders.
+    fn rejects(&self, drop: f64) -> bool {
+        let bound = self.upper - drop;
+        (self.reject)(bound + 1e-9 * (1.0 + bound.abs()))
+    }
 }
 
 /// The incremental profile-evaluation engine. See the module docs.
@@ -893,13 +934,45 @@ impl<'a> ProfileEvaluator<'a> {
     /// Bit-identical to
     /// [`PerSlotContext::evaluate_objective`] on the equivalent profile.
     pub fn evaluate_objective(&mut self, indices: &[usize]) -> Option<f64> {
+        self.screened_objective(indices, None).unwrap_or(None)
+    }
+
+    /// [`ProfileEvaluator::evaluate_objective`] that gives up as soon as
+    /// the objective is certified low enough for `reject`. `upper` must
+    /// be the upper bound [`ProfileEvaluator::objective_bounds`] returns
+    /// for `indices`. Each dual solve the evaluation runs calls `reject`
+    /// after every decrease of its own dual bound, with a certified
+    /// upper bound on the objective; when `reject` returns `true` the
+    /// solve stops and the evaluation returns `Err(Abandoned)`. An
+    /// abandoned solve is neither rounded nor memoized, so the memos
+    /// stay exact; solves that finished before it are memoized as usual.
+    /// See "Objective bounds" in the module docs.
+    pub fn evaluate_objective_unless(
+        &mut self,
+        indices: &[usize],
+        upper: f64,
+        reject: &(dyn Fn(f64) -> bool + Sync),
+    ) -> Result<Option<f64>, Abandoned> {
+        debug_assert!(self
+            .objective_bounds(indices)
+            .is_some_and(|(_, u)| u.to_bits() == upper.to_bits()));
+        self.screened_objective(indices, Some(Screen { upper, reject }))
+    }
+
+    fn screened_objective(
+        &mut self,
+        indices: &[usize],
+        screen: Option<Screen<'_>>,
+    ) -> Result<Option<f64>, Abandoned> {
         self.stats.evaluations += 1;
         self.stats.pairs_resolved_last_move = 0;
         if self.pairs.is_empty() {
-            return Some(0.0);
+            return Ok(Some(0.0));
         }
-        self.ensure_components(indices)?;
-        Some(self.accumulate_objective(indices, None))
+        if !self.ensure_components(indices, screen)? {
+            return Ok(None);
+        }
+        Ok(Some(self.accumulate_objective(indices, None)))
     }
 
     /// Fully evaluates the profile `indices`, returning per-route
@@ -916,7 +989,9 @@ impl<'a> ProfileEvaluator<'a> {
                 objective: 0.0,
             });
         }
-        self.ensure_components(indices)?;
+        if self.ensure_components(indices, None) != Ok(true) {
+            return None;
+        }
         let mut allocations: Vec<Vec<u32>> = Vec::with_capacity(self.pairs.len());
         let objective = self.accumulate_objective(indices, Some(&mut allocations));
         Some(ProfileEvaluation {
@@ -1101,7 +1176,12 @@ impl<'a> ProfileEvaluator<'a> {
     /// — the memoized re-evaluation path is exactly the single-level
     /// engine's. On a miss the component's sub-partition is refreshed
     /// and only the dynamic groups with unseen sub-keys are solved.
-    fn ensure_components(&mut self, indices: &[usize]) -> Option<()> {
+    /// Returns feasibility, or `Err` when `screen` abandoned a solve.
+    fn ensure_components(
+        &mut self,
+        indices: &[usize],
+        screen: Option<Screen<'_>>,
+    ) -> Result<bool, Abandoned> {
         debug_assert_eq!(indices.len(), self.pairs.len());
         // Resolve every component's key once, up front.
         self.scratch.joint_key.clear();
@@ -1113,9 +1193,9 @@ impl<'a> ProfileEvaluator<'a> {
 
         // Components the pooled pre-pass solved this call (ascending);
         // they must not count as memo hits below.
-        let (fresh, parallel_infeasible) = self.solve_missing_parallel(indices);
+        let (fresh, parallel_infeasible) = self.solve_missing_parallel(indices, screen)?;
         if parallel_infeasible {
-            return None;
+            return Ok(false);
         }
 
         for comp in 0..self.comp_pairs.len() {
@@ -1124,32 +1204,38 @@ impl<'a> ProfileEvaluator<'a> {
                 if fresh.binary_search(&comp).is_err() {
                     self.stats.memo_hits += 1;
                 }
-                entry.as_ref()?;
+                if entry.is_none() {
+                    return Ok(false);
+                }
                 continue;
             }
             let feasible = if self.use_dynamic(comp) {
                 self.refresh_partition(comp);
                 if self.dyn_group_count[comp] > 1 {
-                    self.solve_groups(comp, indices)
+                    self.solve_groups(comp, indices, screen)?
                 } else {
-                    self.solve_whole(comp, indices)
+                    self.solve_whole(comp, indices, screen)?
                 }
             } else {
-                self.solve_whole(comp, indices)
+                self.solve_whole(comp, indices, screen)?
             };
             if !feasible {
-                return None;
+                return Ok(false);
             }
         }
-        Some(())
+        Ok(true)
     }
 
     /// Solves static component `comp` as one sub-instance and memoizes
-    /// the result at level 1. Returns feasibility.
-    fn solve_whole(&mut self, comp: usize, indices: &[usize]) -> bool {
-        self.stats.components_solved += 1;
-        self.stats.pairs_resolved_last_move += self.comp_pairs[comp].len() as u64;
-        let (alloc, closed) = solve_component(
+    /// the result at level 1. Returns feasibility, or `Err` (nothing
+    /// memoized) when `screen` abandoned the solve.
+    fn solve_whole(
+        &mut self,
+        comp: usize,
+        indices: &[usize],
+        screen: Option<Screen<'_>>,
+    ) -> Result<bool, Abandoned> {
+        let solved = solve_component(
             &mut self.scratch,
             &self.ctx,
             self.budget,
@@ -1157,20 +1243,46 @@ impl<'a> ProfileEvaluator<'a> {
             &self.routes,
             &self.comp_pairs[comp],
             indices,
+            screen,
         );
-        self.stats.closed_form += u64::from(closed);
+        let (alloc, _) = self.count_solve(solved, self.comp_pairs[comp].len())?;
         let feasible = alloc.is_some();
         let key = self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]]
             .to_vec()
             .into_boxed_slice();
         self.memos[comp].insert(key, alloc);
-        feasible
+        Ok(feasible)
+    }
+
+    /// Counts one work item's solve of `n_pairs` pairs in the stats and
+    /// passes its result through.
+    fn count_solve(
+        &mut self,
+        solved: Result<GroupSolve, Abandoned>,
+        n_pairs: usize,
+    ) -> Result<GroupSolve, Abandoned> {
+        match &solved {
+            Ok((_, closed)) => {
+                self.stats.components_solved += 1;
+                self.stats.closed_form += u64::from(*closed);
+                self.stats.pairs_resolved_last_move += n_pairs as u64;
+            }
+            Err(Abandoned) => self.stats.abandoned += 1,
+        }
+        solved
     }
 
     /// Solves the unseen dynamic groups of component `comp` (level-2
     /// memo), then gathers the group allocations into the component's
-    /// level-1 entry. Returns feasibility.
-    fn solve_groups(&mut self, comp: usize, indices: &[usize]) -> bool {
+    /// level-1 entry. Returns feasibility, or `Err` when `screen`
+    /// abandoned a group's solve (that group and the component stay
+    /// unmemoized).
+    fn solve_groups(
+        &mut self,
+        comp: usize,
+        indices: &[usize],
+        screen: Option<Screen<'_>>,
+    ) -> Result<bool, Abandoned> {
         let off = self.comp_key_off[comp];
         let end = self.comp_key_off[comp + 1];
         let mut feasible = true;
@@ -1191,9 +1303,7 @@ impl<'a> ProfileEvaluator<'a> {
                 }
                 continue;
             }
-            self.stats.components_solved += 1;
-            self.stats.pairs_resolved_last_move += self.group_members.len() as u64;
-            let (alloc, closed) = solve_component(
+            let solved = solve_component(
                 &mut self.scratch,
                 &self.ctx,
                 self.budget,
@@ -1201,8 +1311,9 @@ impl<'a> ProfileEvaluator<'a> {
                 &self.routes,
                 &self.group_members,
                 indices,
+                screen,
             );
-            self.stats.closed_form += u64::from(closed);
+            let (alloc, _) = self.count_solve(solved, self.group_members.len())?;
             let ok = alloc.is_some();
             self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
             if !ok {
@@ -1213,10 +1324,10 @@ impl<'a> ProfileEvaluator<'a> {
         if !feasible {
             let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
             self.memos[comp].insert(key, None);
-            return false;
+            return Ok(false);
         }
         self.gather_groups(comp);
-        true
+        Ok(true)
     }
 
     /// Assembles component `comp`'s level-1 allocation by scattering its
@@ -1270,15 +1381,22 @@ impl<'a> ProfileEvaluator<'a> {
     /// or whole components where the partition does not refine — on the
     /// shared work-stealing pool ([`threadpool::current`]), and returns
     /// the component ids it fully memoized at level 1 (ascending) plus
-    /// whether any item turned out infeasible. Bit-identical to the
+    /// whether any item turned out infeasible, or `Err` when `screen`
+    /// abandoned an item. Bit-identical to the
     /// serial path at every pool width: each item's solve is independent
     /// and results are gathered and merged in item order. Each worker thread keeps one
     /// recycled solver scratch across items *and across calls*
     /// (thread-local), so the steady state allocates nothing
-    /// network-sized. An infeasibility observed by any task stops the
-    /// remaining solves early (ROADMAP item g): skipped items are simply
-    /// not memoized, matching the serial path's short-circuit.
-    fn solve_missing_parallel(&mut self, indices: &[usize]) -> (Vec<usize>, bool) {
+    /// network-sized. An infeasibility or abandonment observed by any
+    /// task stops the remaining solves early: skipped and abandoned
+    /// items are simply not memoized, matching the serial path's
+    /// short-circuit. Each item is screened on its own dual bound only,
+    /// so whether an item is abandoned does not depend on the pool width.
+    fn solve_missing_parallel(
+        &mut self,
+        indices: &[usize],
+        screen: Option<Screen<'_>>,
+    ) -> Result<(Vec<usize>, bool), Abandoned> {
         use std::cell::RefCell;
         use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1319,7 +1437,7 @@ impl<'a> ProfileEvaluator<'a> {
             items.push((comp, WHOLE));
         }
         if items.len() < 2 {
-            return (Vec::new(), false);
+            return Ok((Vec::new(), false));
         }
         let ctx = self.ctx;
         let budget = self.budget;
@@ -1328,14 +1446,15 @@ impl<'a> ProfileEvaluator<'a> {
         let comp_pairs = &self.comp_pairs;
         let comp_key_off = &self.comp_key_off;
         let dyn_group_of = &self.dyn_group_of;
-        let infeasible = AtomicBool::new(false);
-        type ItemSolve = (usize, u32, usize, GroupSolve);
+        let halt = AtomicBool::new(false);
+        type ItemSolve = (usize, u32, usize, Result<GroupSolve, Abandoned>);
         // One pool task per item, gathered in item order by
-        // `map_indexed`; a task that observes the infeasibility flag
-        // returns `None` (its item stays unmemoized).
+        // `map_indexed`; a task that observes the halt flag (set by an
+        // infeasible or abandoned item) returns `None` (its item stays
+        // unmemoized).
         let results: Vec<Option<ItemSolve>> =
             threadpool::current().map_indexed(items.len(), |item_idx| {
-                if infeasible.load(Ordering::Relaxed) {
+                if halt.load(Ordering::Relaxed) {
                     return None;
                 }
                 let (comp, g) = items[item_idx];
@@ -1363,21 +1482,24 @@ impl<'a> ProfileEvaluator<'a> {
                         routes,
                         members,
                         indices,
+                        screen,
                     );
-                    if solved.0.is_none() {
-                        infeasible.store(true, Ordering::Relaxed);
+                    if !matches!(solved, Ok((Some(_), _))) {
+                        halt.store(true, Ordering::Relaxed);
                     }
                     let n_pairs = members.len();
                     *slot = Some(scratch);
                     Some((comp, g, n_pairs, solved))
                 })
             });
-        let any_infeasible = infeasible.into_inner();
+        let (mut any_infeasible, mut any_abandoned) = (false, false);
         let mut fresh = Vec::new();
-        for (comp, g, n_pairs, (alloc, closed)) in results.into_iter().flatten() {
-            self.stats.components_solved += 1;
-            self.stats.closed_form += u64::from(closed);
-            self.stats.pairs_resolved_last_move += n_pairs as u64;
+        for (comp, g, n_pairs, solved) in results.into_iter().flatten() {
+            let Ok((alloc, _)) = self.count_solve(solved, n_pairs) else {
+                any_abandoned = true;
+                continue;
+            };
+            any_infeasible |= alloc.is_none();
             let off = self.comp_key_off[comp];
             let end = self.comp_key_off[comp + 1];
             if g == WHOLE {
@@ -1397,8 +1519,11 @@ impl<'a> ProfileEvaluator<'a> {
                 // (all level-2 hits by then) into the level-1 entry.
             }
         }
+        if any_abandoned {
+            return Err(Abandoned);
+        }
         fresh.sort_unstable();
-        (fresh, any_infeasible)
+        Ok((fresh, any_infeasible))
     }
 
     /// Gathers the memoized component allocations in joint variable order
@@ -1556,7 +1681,9 @@ type GroupSolve = (Option<Box<[u32]>>, bool);
 /// Allocates one sub-instance (a whole static component or a single
 /// dynamic group, `members` = its pair ids ascending): by the slack
 /// closed form when it applies, otherwise by building and solving the
-/// instance, recycling its storage afterwards.
+/// instance, recycling its storage afterwards. `Err` when `screen`
+/// abandoned the solve.
+#[allow(clippy::too_many_arguments)]
 fn solve_component(
     scratch: &mut Scratch,
     ctx: &PerSlotContext<'_>,
@@ -1565,17 +1692,18 @@ fn solve_component(
     routes: &[Vec<RouteData>],
     members: &[usize],
     indices: &[usize],
-) -> GroupSolve {
+    screen: Option<Screen<'_>>,
+) -> Result<GroupSolve, Abandoned> {
     if let Some(flat) = closed_form(&mut scratch.sums, ctx, routes, members, indices) {
-        return (Some(flat), true);
+        return Ok((Some(flat), true));
     }
     let route_iter = members.iter().map(|&i| &routes[i][indices[i]]);
     let Ok(instance) = build_instance_for(scratch, ctx, budget, route_iter) else {
-        return (None, false);
+        return Ok((None, false));
     };
-    let flat = method.allocate(&instance);
+    let flat = method.allocate_unless(&instance, |drop| screen.is_some_and(|s| s.rejects(drop)));
     scratch.asm.recycle(instance);
-    (flat.map(Vec::into_boxed_slice), false)
+    Ok((flat?.map(Vec::into_boxed_slice), false))
 }
 
 /// The group's allocation by the slack closed form (invariant 4), or
@@ -2072,6 +2200,31 @@ mod tests {
         let solved = eval.stats().components_solved;
         assert!(eval.evaluate_objective(&[0, 0, 0]).is_none());
         assert_eq!(eval.stats().components_solved, solved);
+    }
+
+    /// The bound a screen hands to its rejection test errs upward: it is
+    /// never below `upper − drop`, whatever order the evaluator summed
+    /// the terms in.
+    #[test]
+    fn screen_bound_errs_upward() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let record = |bound: f64| {
+            seen.lock().unwrap().push(bound);
+            false
+        };
+        for (upper, drop) in [(0.0, 0.0), (-1.0, 0.5), (-5e3, 120.0), (-7.25e4, 0.0)] {
+            let screen = Screen {
+                upper,
+                reject: &record,
+            };
+            assert!(!screen.rejects(drop));
+            let bound = seen.lock().unwrap().pop().unwrap();
+            let raw = upper - drop;
+            assert!(
+                bound - raw >= 0.5e-9 * (1.0 + raw.abs()),
+                "{bound} vs {raw}"
+            );
+        }
     }
 
     #[test]

@@ -47,13 +47,15 @@
 //! # Early rejection
 //!
 //! Most proposals are rejected, and evaluating one can mean a dual
-//! solve. The single-pair update therefore screens each proposal
-//! first with [`ProfileEvaluator::objective_bounds`], which brackets the
-//! exact objective `f` as `lower ≤ f ≤ upper` in one pass over the
-//! profile's route edges, solving nothing (early rejection in the sense
-//! of Solonen et al., 2012). The chain's decisions and RNG stream stay
-//! bit-identical to evaluating every proposal and then calling
-//! `random_bool(P(accept))`:
+//! solve. The single-pair update therefore screens each proposal in two
+//! stages (early rejection in the sense of Solonen et al., 2012). The
+//! chain's decisions and RNG stream stay bit-identical to evaluating
+//! every proposal and then calling `random_bool(P(accept))`.
+//!
+//! **Stage 1: the `λ = 0` pre-screen.**
+//! [`ProfileEvaluator::objective_bounds`] brackets the exact objective
+//! `f` as `lower ≤ f ≤ upper` in one pass over the profile's route
+//! edges, solving nothing.
 //!
 //! * **Draw order.** `random_bool(p)` draws one uniform `u` exactly when
 //!   `0 < p < 1` and accepts iff `u < p`; at `p ≤ 0` or `p ≥ 1` it draws
@@ -63,23 +65,54 @@
 //!   up front with `rng.random::<f64>()`, the same single word.
 //! * **Rejection.** If `u ≥ P(upper) + 1e-12`, then `u ≥ P(f)` and the
 //!   reference rejects too, so the proposal is rejected unevaluated.
-//!   Otherwise it is evaluated and accepted iff `u < P(f)`. The `1e-12`
-//!   margin covers the few ulps by which the rounded sigmoid can break
-//!   monotonicity.
-//! * **Everything else** takes the reference path unchanged: no bounds
-//!   (an infeasible profile, `V ≤ 0` or `κ < 0`), a probability that is
-//!   not certified inside `(0, 1)` (including every γ = 0 step), and the
-//!   initialisation. Infeasible profiles are never screened, because
-//!   `objective_bounds` returns `None` exactly when the evaluation would:
-//!   a screened proposal always has an objective, and an infeasible one
-//!   consumes no uniform on either path.
-//! * **Memos.** The evaluator's memos are exact caches, so a skipped
-//!   evaluation changes which entries exist but no value any later
-//!   evaluation returns.
+//!   The `1e-12` margin covers the few ulps by which the rounded sigmoid
+//!   can break monotonicity.
+//!
+//! **Stage 2: the in-solve screen.** A proposal that survives stage 1 is
+//! evaluated with [`ProfileEvaluator::evaluate_objective_unless`], which
+//! hands the same test, `P(B) + 1e-12 ≤ u`, to every dual solve the
+//! evaluation runs. `B` tightens as the solve runs, by weak duality:
+//!
+//! * every iterate the FISTA loop accepts is a projected `λ ≥ 0`, so its
+//!   running best `D(λ)` bounds the group's relaxed optimum from above;
+//! * the relaxed optimum bounds the objective of the integer allocation
+//!   that `round_down_and_fill` returns, which is feasible for the
+//!   relaxation;
+//! * the group's `λ = 0` value `D(0)` is at most its share of `upper`
+//!   (its variables' ranges are no wider than the edge capacities
+//!   `upper` maximises over), and every other group contributes at most
+//!   its share;
+//! * so `f ≤ B = upper − (D(0) − best D(λ))`. The evaluator adds a
+//!   margin of `1e-9·(1 + |B|)` for the different summation orders and
+//!   calls the test after each decrease of the solve's bound;
+//! * with `f ≤ B`, `P(B) + 1e-12 ≤ u` gives `u ≥ P(f)` as in stage 1, so
+//!   the reference rejects too.
+//!
+//! Each solve is screened on its own improvement only, so whether it is
+//! abandoned does not depend on the pool width or on the other solves of
+//! the evaluation. When the test fires the solve stops, the proposal is
+//! rejected, and the RNG has drawn exactly the reference's one uniform.
+//! A solve the test never stops returns the bits it always did: the test
+//! reads the dual bound and never steers the iteration.
+//!
+//! **Everything else** takes the reference path unchanged: no bounds (an
+//! infeasible profile, `V ≤ 0` or `κ < 0`), a probability that is not
+//! certified inside `(0, 1)` (including every γ = 0 step), and the
+//! initialisation. Infeasible profiles are never screened, because
+//! `objective_bounds` returns `None` exactly when the evaluation would:
+//! a screened proposal always has an objective, and an infeasible one
+//! consumes no uniform on either path.
+//!
+//! **Memos.** The evaluator's memos are exact caches. A skipped
+//! evaluation changes which entries exist but no value any later
+//! evaluation returns. An abandoned solve writes no level-1 or level-2
+//! entry, so a later evaluation of the same group solves it afresh and
+//! gets the exact allocation.
 //!
 //! The `early_rejection_matches_reference_chain` proptest checks all of
 //! this against the plain evaluate-then-`random_bool` chain kept in the
-//! test file.
+//! test file; `in_solve_screen_engages_and_matches_unscreened_chain`
+//! checks it on a capacity-bound instance where stage 2 abandons solves.
 
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -252,6 +285,23 @@ pub fn sample_seeded(
     rng: &mut dyn rand::Rng,
     seed: Option<&[usize]>,
 ) -> Option<Selection> {
+    chain(evaluator, candidates, config, rng, seed, accept_proposal)
+}
+
+/// One accept/reject step: [`accept_proposal`], or in tests the
+/// unscreened step it must match.
+type AcceptStep =
+    fn(&mut ProfileEvaluator<'_>, &[usize], f64, f64, &mut dyn rand::Rng) -> Option<f64>;
+
+/// [`sample_seeded`]'s chain with its accept/reject step as a parameter.
+fn chain(
+    evaluator: &mut ProfileEvaluator<'_>,
+    candidates: &[Candidates<'_>],
+    config: &GibbsConfig,
+    rng: &mut dyn rand::Rng,
+    seed: Option<&[usize]>,
+    accept: AcceptStep,
+) -> Option<Selection> {
     let k = candidates.len();
     if k == 0 {
         return evaluator.evaluate(&[]).map(|evaluation| Selection {
@@ -306,7 +356,7 @@ pub fn sample_seeded(
         if candidates[i].routes.len() >= 2 {
             let old = indices[i];
             indices[i] = propose_different(rng, old, candidates[i].routes.len());
-            match accept_proposal(evaluator, &indices, f_cur, gamma, rng) {
+            match accept(evaluator, &indices, f_cur, gamma, rng) {
                 Some(objective) => f_cur = objective,
                 None => indices[i] = old,
             }
@@ -355,8 +405,15 @@ fn accept_proposal(
             if u >= p_upper + SCREEN_MARGIN {
                 return None;
             }
-            // Bounds exist only for feasible profiles, so this evaluates.
-            let objective = evaluator.evaluate_objective(indices)?;
+            // The same test on the tighter bounds of the solves in flight.
+            let reject =
+                |bound: f64| acceptance_probability(bound, f_cur, gamma) + SCREEN_MARGIN <= u;
+            // Bounds exist only for feasible profiles, so this evaluates
+            // unless the in-solve screen abandons it.
+            let objective = evaluator
+                .evaluate_objective_unless(indices, upper, &reject)
+                .ok()
+                .flatten()?;
             return (u < acceptance_probability(objective, f_cur, gamma)).then_some(objective);
         }
     }
@@ -487,6 +544,64 @@ mod tests {
         assert!(sel.evaluation.objective.is_finite());
     }
 
+    /// The step the screened one must match: evaluate every proposal,
+    /// then `random_bool`.
+    fn accept_unscreened(
+        evaluator: &mut ProfileEvaluator<'_>,
+        indices: &[usize],
+        f_cur: f64,
+        gamma: f64,
+        rng: &mut dyn rand::Rng,
+    ) -> Option<f64> {
+        let objective = evaluator.evaluate_objective(indices)?;
+        rng.random_bool(acceptance_probability(objective, f_cur, gamma))
+            .then_some(objective)
+    }
+
+    /// Two pairs whose routes cross one bottleneck, at a tail queue price:
+    /// the coupled solves bind, the in-solve screen abandons some of them,
+    /// and the chain still makes the unscreened chain's decisions.
+    #[test]
+    fn in_solve_screen_engages_and_matches_unscreened_chain() {
+        let net = shared_bottleneck();
+        let snap = CapacitySnapshot::full(&net);
+        let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 250.0);
+        let pairs = [
+            SdPair::new(NodeId(0), NodeId(4)).unwrap(),
+            SdPair::new(NodeId(1), NodeId(5)).unwrap(),
+        ];
+        let owned = owned_candidates(&net, &pairs);
+        let cands = to_cands(&owned);
+        let method = AllocationMethod::default();
+        let config = GibbsConfig {
+            iterations: 200,
+            evaluator: EvalOptions::default(),
+            ..GibbsConfig::paper_default()
+        };
+        let mut abandoned = 0;
+        for seed in 0..8 {
+            let run = |accept: AcceptStep| {
+                let mut evaluator = ProfileEvaluator::new(&ctx, &cands, &method, config.evaluator);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let selection = chain(&mut evaluator, &cands, &config, &mut rng, None, accept)
+                    .expect("feasible");
+                let next = rand::Rng::next_u64(&mut rng);
+                (selection, next, evaluator.stats())
+            };
+            let (screened, screened_next, stats) = run(accept_proposal);
+            let (reference, reference_next, _) = run(accept_unscreened);
+            assert_eq!(screened.indices, reference.indices, "seed {seed}");
+            assert_eq!(
+                screened.evaluation.objective.to_bits(),
+                reference.evaluation.objective.to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(screened_next, reference_next, "seed {seed}");
+            abandoned += stats.abandoned;
+        }
+        assert!(abandoned > 0, "the in-solve screen never engaged");
+    }
+
     #[test]
     fn propose_different_never_repeats() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -517,6 +632,33 @@ mod tests {
         b.add_edge(n[5], n[7], 5, good).unwrap();
         b.add_edge(n[4], n[6], 5, bad).unwrap();
         b.add_edge(n[6], n[7], 5, bad).unwrap();
+        b.build()
+    }
+
+    /// Pairs 0→4 and 1→5, each with a route over the bottleneck 2–3 and
+    /// longer, lossier detours; the bottleneck carries few channels.
+    fn shared_bottleneck() -> QdnNetwork {
+        let mut b = QdnNetworkBuilder::new();
+        let n: Vec<_> = (0..10).map(|_| b.add_node(6)).collect();
+        let good = LinkModel::new(0.6).unwrap();
+        let fair = LinkModel::new(0.5).unwrap();
+        for (u, v, channels, link) in [
+            (0, 2, 6, good),
+            (1, 2, 6, good),
+            (2, 3, 4, good),
+            (3, 4, 6, good),
+            (3, 5, 6, good),
+            (0, 6, 6, fair),
+            (6, 4, 6, fair),
+            (1, 7, 6, fair),
+            (7, 5, 6, fair),
+            (6, 8, 6, fair),
+            (8, 3, 6, fair),
+            (7, 9, 6, fair),
+            (9, 2, 6, fair),
+        ] {
+            b.add_edge(n[u], n[v], channels, link).unwrap();
+        }
         b.build()
     }
 

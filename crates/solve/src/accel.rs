@@ -47,7 +47,9 @@
 //! The momentum point `y` may leave the nonnegative orthant; `D(y)` is
 //! still well defined (a negative price just pins `x* = ub`), and only
 //! the *projected* iterates — which are dual feasible — contribute to
-//! the certified `dual_bound`. Primal recovery: the repaired current
+//! the certified `dual_bound`. That bound is valid at every iteration
+//! (an anytime certificate), and the loop hands each decrease of it to
+//! its stop hook ([`crate::relaxed::solve_relaxed_until`]). Primal recovery: the repaired current
 //! argmax and the repaired running average are both candidate
 //! incumbents each iteration, and as `λ_k → λ*` the unique argmax
 //! converges to the primal optimum, driving the certified gap to zero.
@@ -75,11 +77,18 @@ const L_MAX: f64 = 1e18;
 /// One accelerated dual run: FISTA from λ = 0, stopping when the
 /// certified relative gap falls below `accept_gap` or after `max_iters`
 /// iterations.
+///
+/// After every decrease of the certified bound `best_dual` the run calls
+/// `stop(D(0) − best_dual)`, the drop of that bound below its λ = 0
+/// value, and returns `None` (abandoned) as soon as `stop` returns
+/// `true`. The hook only reads: a run it never stops returns the same
+/// bits as one without it.
 pub(crate) fn accelerated_iterate(
     instance: &AllocationInstance,
     accept_gap: f64,
     max_iters: usize,
-) -> RelaxedSolution {
+    mut stop: impl FnMut(f64) -> bool,
+) -> Option<RelaxedSolution> {
     let n = instance.num_vars();
     let m = instance.num_constraints();
     let cache = VarCache::new(instance);
@@ -154,7 +163,13 @@ pub(crate) fn accelerated_iterate(
             }
             l_est *= L_UP;
         }
+        // `λ⁺` is projected, hence dual feasible: `D(λ⁺)` is a certified
+        // bound. The momentum point `y` may not be, so `d_y` never is.
+        let improved = d_new < best_dual;
         best_dual = best_dual.min(d_new);
+        if improved && stop(d0 - best_dual) {
+            return None;
+        }
 
         // Primal recovery: running average of accepted argmaxes plus the
         // current argmax, both repaired.
@@ -201,14 +216,14 @@ pub(crate) fn accelerated_iterate(
         std::mem::swap(&mut lambda, &mut lambda_new);
     }
 
-    RelaxedSolution {
+    Some(RelaxedSolution {
         x: best_x,
         primal_value: best_primal,
         dual_bound: best_dual,
         iterations,
         lambda,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]

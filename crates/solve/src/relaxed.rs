@@ -154,17 +154,43 @@ pub fn solve_relaxed(
     instance: &AllocationInstance,
     options: &RelaxedOptions,
 ) -> Result<RelaxedSolution, SolveError> {
+    solve_relaxed_until(instance, options, |_| false)
+        .map(|solution| solution.expect("a stop hook that never fires never abandons"))
+}
+
+/// [`solve_relaxed`] with a stop hook: the solve is abandoned, returning
+/// `Ok(None)`, as soon as `stop(drop)` returns `true`.
+///
+/// `drop ≥ 0` is a certified drop of the dual bound below its `λ = 0`
+/// value `D(0)`: the relaxed optimum is at most `D(0) − drop`, and so is
+/// the objective of any feasible integer point, the
+/// [`crate::rounding::round_down_and_fill`] result included (weak
+/// duality; every bound comes from a projected, dual-feasible iterate).
+/// The hook is called after every decrease of the bound, so `drop` never
+/// decreases from one call to the next; over several coupling components
+/// it is the sum of the finished components' final drops and the
+/// current one's. A hook that never fires gives [`solve_relaxed`]'s
+/// bits: it reads the solve, never steers it.
+///
+/// # Errors
+///
+/// As [`solve_relaxed`].
+pub fn solve_relaxed_until(
+    instance: &AllocationInstance,
+    options: &RelaxedOptions,
+    mut stop: impl FnMut(f64) -> bool,
+) -> Result<Option<RelaxedSolution>, SolveError> {
     let n = instance.num_vars();
     let m = instance.num_constraints();
     if n == 0 {
-        return Ok(RelaxedSolution {
+        return Ok(Some(RelaxedSolution {
             x: Vec::new(),
             primal_value: 0.0,
             dual_bound: 0.0,
             iterations: 0,
             lambda: vec![0.0; m],
             converged: true,
-        });
+        }));
     }
 
     // Decompose by constraint coupling: the dual iterations below use
@@ -190,6 +216,8 @@ pub fn solve_relaxed(
         // component.
         let mut husk: Option<AllocationInstance> = None;
         let mut local_index: Vec<usize> = Vec::new();
+        // Final drops of the finished components.
+        let mut dropped = 0.0;
         for (comp_vars, comp_cons) in partition.vars.iter().zip(&partition.constraints) {
             let sub = instance.sub_instance_into(
                 comp_vars,
@@ -197,7 +225,19 @@ pub fn solve_relaxed(
                 &mut local_index,
                 husk.take().unwrap_or_else(AllocationInstance::husk),
             )?;
-            let sol = accelerated_iterate(&sub, options.gap_tolerance, options.max_iterations);
+            let mut last = 0.0;
+            let Some(sol) = accelerated_iterate(
+                &sub,
+                options.gap_tolerance,
+                options.max_iterations,
+                |drop| {
+                    last = drop;
+                    stop(dropped + drop)
+                },
+            ) else {
+                return Ok(None);
+            };
+            dropped += last;
             for (local, &j) in comp_vars.iter().enumerate() {
                 x[j] = sol.x[local];
             }
@@ -210,20 +250,21 @@ pub fn solve_relaxed(
             converged &= sol.converged;
             husk = Some(sub.into_husk());
         }
-        return Ok(RelaxedSolution {
+        return Ok(Some(RelaxedSolution {
             x,
             primal_value,
             dual_bound,
             iterations,
             lambda,
             converged,
-        });
+        }));
     }
 
     Ok(accelerated_iterate(
         instance,
         options.gap_tolerance,
         options.max_iterations,
+        stop,
     ))
 }
 

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use qdn_solve::brute::brute_force_best;
 use qdn_solve::greedy::greedy_allocate;
 use qdn_solve::relaxed::{
-    repair_feasibility, slack_fits, slack_point, solve_relaxed, RelaxedOptions, SlackPoint,
+    bench_hooks, repair_feasibility, slack_fits, slack_point, solve_relaxed, solve_relaxed_until,
+    RelaxedOptions, SlackPoint,
 };
 use qdn_solve::rounding::{round_down_and_fill, satisfies_rounding_relation};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
@@ -61,6 +62,40 @@ fn arb_tiny_instance() -> impl Strategy<Value = AllocationInstance> {
             for extra in shared {
                 constraints.push(PackingConstraint::new(nv as u32 + extra, (0..nv).collect()));
             }
+            AllocationInstance::new(
+                ps.into_iter().map(Variable::new).collect(),
+                constraints,
+                v,
+                price,
+            )
+            .expect("constructed feasible at all-ones")
+        })
+    })
+}
+
+/// Strategy: a 2–8-variable instance that is one coupling component: a
+/// shared row over every variable with little room above the member
+/// count, plus 0–3 random rows, at prices up to the tail queue values of
+/// the uniform workload, so the dual loop runs many iterations.
+fn arb_coupled_instance() -> impl Strategy<Value = AllocationInstance> {
+    (2usize..=8).prop_flat_map(|nv| {
+        let vars = proptest::collection::vec(0.05f64..0.95, nv);
+        let shared = 0u32..(2 * nv as u32);
+        let rows = proptest::collection::vec(
+            (proptest::collection::btree_set(0..nv, 1..=nv), 0u32..6),
+            0..=3,
+        );
+        let v_weight = 100.0f64..5000.0;
+        let price = 0.0f64..400.0;
+        (vars, shared, rows, v_weight, price).prop_map(move |(ps, shared, rows, v, price)| {
+            let mut constraints = vec![PackingConstraint::new(
+                nv as u32 + shared,
+                (0..nv).collect(),
+            )];
+            constraints.extend(rows.into_iter().map(|(members, extra)| {
+                let members: Vec<usize> = members.into_iter().collect();
+                PackingConstraint::new(members.len() as u32 + extra, members)
+            }));
             AllocationInstance::new(
                 ps.into_iter().map(Variable::new).collect(),
                 constraints,
@@ -305,5 +340,72 @@ proptest! {
         let n = round_down_and_fill(&inst, &s.x).unwrap();
         let want_n: Vec<u32> = points.iter().map(|sp| sp.n).collect();
         prop_assert_eq!(n, want_n);
+    }
+}
+
+proptest! {
+    /// The running dual bound is an anytime certificate. On coupled
+    /// instances every bound `D(0) − drop` handed to the stop hook is at
+    /// least the objective of the rounded full solve and the relaxed
+    /// incumbent (weak duality, up to the screen's `1e-9` margin), the
+    /// bounds never increase, and the
+    /// last one is the solve's `dual_bound`. A hook that never fires
+    /// leaves `solve_relaxed`'s bits unchanged, and a hook that fires
+    /// abandons the solve at that call.
+    #[test]
+    fn stop_hook_sees_certified_non_increasing_bounds(inst in arb_coupled_instance()) {
+        let opts = RelaxedOptions::default();
+        let full = solve_relaxed(&inst, &opts).unwrap();
+        let rounded = inst.objective_int(&round_down_and_fill(&inst, &full.x).unwrap());
+        let (n, m) = (inst.num_vars(), inst.num_constraints());
+        let d0 = bench_hooks::dual_value_at(
+            &inst,
+            &bench_hooks::cache(&inst),
+            &vec![0.0; m],
+            &mut vec![0.0; n],
+            &mut vec![0.0; n],
+        );
+
+        let mut drops = Vec::new();
+        let watched = solve_relaxed_until(&inst, &opts, |drop| {
+            drops.push(drop);
+            false
+        })
+        .unwrap();
+        // `Debug` prints each f64 exactly, so equal strings are equal bits.
+        prop_assert_eq!(format!("{:?}", Some(&full)), format!("{:?}", watched.as_ref()));
+        for pair in drops.windows(2) {
+            prop_assert!(pair[0] <= pair[1], "bound rose: drops {:?}", pair);
+        }
+        for &drop in &drops {
+            prop_assert!(drop >= 0.0);
+            let bound = d0 - drop;
+            prop_assert!(
+                bound + 1e-9 * (1.0 + bound.abs()) >= rounded,
+                "bound {bound} below the rounded objective {rounded}"
+            );
+            // Sharper: the relaxed incumbent, a feasible point of the
+            // relaxation, is within the solve's certified gap of its
+            // optimum, so a bound from an infeasible λ shows up here.
+            prop_assert!(
+                bound + 1e-9 * (1.0 + bound.abs()) >= full.primal_value,
+                "bound {bound} below the relaxed incumbent {}",
+                full.primal_value
+            );
+        }
+        if let Some(&last) = drops.last() {
+            let bound = d0 - last;
+            prop_assert!((bound - full.dual_bound).abs() <= 1e-9 * (1.0 + bound.abs()));
+
+            let fire_at = drops.len() / 2;
+            let mut calls = 0;
+            let stopped = solve_relaxed_until(&inst, &opts, |_| {
+                calls += 1;
+                calls > fire_at
+            })
+            .unwrap();
+            prop_assert!(stopped.is_none());
+            prop_assert_eq!(calls, fire_at + 1);
+        }
     }
 }
