@@ -49,10 +49,15 @@
 //! the *projected* iterates — which are dual feasible — contribute to
 //! the certified `dual_bound`. That bound is valid at every iteration
 //! (an anytime certificate), and the loop hands each decrease of it to
-//! its stop hook ([`crate::relaxed::solve_relaxed_until`]). Primal recovery: the repaired current
-//! argmax and the repaired running average are both candidate
-//! incumbents each iteration, and as `λ_k → λ*` the unique argmax
-//! converges to the primal optimum, driving the certified gap to zero.
+//! its stop hook ([`crate::relaxed::solve_relaxed_until`]).
+//!
+//! Primal recovery: each iteration repairs the argmax at the accepted
+//! `λ⁺` and offers it as the one candidate incumbent. The argmax is
+//! unique and continuous in the prices, so as `λ_k → λ*` it converges to
+//! the primal optimum `x*(λ*)` by itself, driving the certified gap to
+//! zero. The running (ergodic) average of the argmaxes is the recovery a
+//! subgradient method needs, where the argmax itself need not converge;
+//! it is not a candidate here.
 //!
 //! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
 //! ([`crate::relaxed::dual_value_at`], [`crate::relaxed::residual_pass`],
@@ -101,7 +106,6 @@ pub(crate) fn accelerated_iterate(
     let mut price = vec![0.0f64; n];
     let mut x = vec![1.0f64; n]; // argmax at the gradient point y
     let mut x_new = vec![1.0f64; n]; // argmax at the candidate λ⁺
-    let mut x_avg = vec![0.0f64; n];
     let mut repaired = vec![0.0f64; n];
     let mut theta_c = vec![1.0f64; m];
     let mut g = vec![0.0f64; m]; // residual usage − cap = −∇D
@@ -171,23 +175,17 @@ pub(crate) fn accelerated_iterate(
             return None;
         }
 
-        // Primal recovery: running average of accepted argmaxes plus the
-        // current argmax, both repaired.
-        let w = 1.0 / k as f64;
-        for j in 0..n {
-            x_avg[j] += (x_new[j] - x_avg[j]) * w;
-        }
-        for candidate in [&x_new, &x_avg] {
-            consider_primal(
-                instance,
-                &cache,
-                candidate,
-                &mut theta_c,
-                &mut repaired,
-                &mut best_primal,
-                &mut best_x,
-            );
-        }
+        // Primal recovery: the repaired argmax at λ⁺, the one candidate
+        // (see the module docs for why the argmax alone suffices).
+        consider_primal(
+            instance,
+            &cache,
+            &x_new,
+            &mut theta_c,
+            &mut repaired,
+            &mut best_primal,
+            &mut best_x,
+        );
 
         // Certified-gap stop (`RelaxedSolution::relative_gap`).
         if best_dual.is_finite() && best_primal.is_finite() {

@@ -524,8 +524,8 @@ pub fn repair_feasibility(instance: &AllocationInstance, x: &[f64]) -> Vec<f64> 
     out
 }
 
-/// [`repair_feasibility`] into caller-provided buffers (the dual loops
-/// repair two candidates per iteration and must not allocate).
+/// [`repair_feasibility`] into caller-provided buffers (the dual loop
+/// repairs one candidate per iteration and must not allocate).
 pub(crate) fn repair_into(
     instance: &AllocationInstance,
     x: &[f64],
