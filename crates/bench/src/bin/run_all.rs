@@ -1,20 +1,27 @@
-//! Runs every figure and ablation in sequence — the one-shot
-//! reproduction of the paper's whole evaluation section.
+//! Runs every figure, ablation, extension, event-driven experiment and
+//! the Theorem 1–2 check in sequence — the one-shot reproduction of the
+//! paper's evaluation section. Exits 1 if any shape check fails and 2
+//! on an unknown argument.
 //!
-//! Usage: `cargo run -p qdn_bench --release --bin run_all [--quick]`
+//! Usage: `cargo run -p qdn_bench --release --bin run_all [--quick | --paper]`
 
 use qdn_bench::des::{
-    budget_violation, budget_violation_shape_holds, des_validation, des_validation_shape_holds,
-    online_rate_shape_holds, online_rate_sweep,
+    budget_violation, budget_violation_shape_holds, des_memory_shape_holds, des_memory_sweep,
+    des_validation, des_validation_shape_holds, online_rate_shape_holds, online_rate_sweep,
 };
 use qdn_bench::figures::{
     ablation_allocation, ablation_gamma, ablation_route_selection, extension_dynamics,
     extension_dynamics_shape_holds, extension_fidelity, extension_fidelity_shape_holds,
     extension_multi_ec, extension_multi_ec_shape_holds, extension_swap, extension_swap_shape_holds,
     extension_topologies, extension_topologies_shape_holds, fig3, fig4, fig5, fig5_shape_holds,
-    fig6, fig6_shape_holds, fig7, fig7_shape_holds, fig8, fig8_shape_holds,
+    fig6, fig6_shape_holds, fig7, fig7_shape_holds, fig8, fig8_shape_holds, EXT_DYNAMICS_LABELS,
+    EXT_TOPOLOGY_LABELS,
 };
-use qdn_bench::report::{fig3_csv, fig3_summary, fig4_csv, fig4_summary, sweep_csv, sweep_table};
+use qdn_bench::report::{
+    budget_violation_table, des_validation_table, fig3_csv, fig3_summary, fig4_csv, fig4_summary,
+    memory_sweep_table, online_rate_table, sweep_csv, sweep_table, theory_table,
+};
+use qdn_bench::theory::{theory_bounds, theory_shape_holds};
 use qdn_bench::Scale;
 
 fn main() {
@@ -77,12 +84,14 @@ fn main() {
     println!("{}", sweep_table("swap_success", &swap));
     check("ext_swap", extension_swap_shape_holds(&swap));
     let dynamics = extension_dynamics(scale);
+    println!("# rows: {EXT_DYNAMICS_LABELS:?}");
     println!("{}", sweep_table("dynamics", &dynamics));
     check("ext_dynamics", extension_dynamics_shape_holds(&dynamics));
     let multi = extension_multi_ec(scale);
     println!("{}", sweep_table("max_requests_per_pair", &multi));
     check("ext_multi_ec", extension_multi_ec_shape_holds(&multi));
     let topo = extension_topologies(scale);
+    println!("# rows: {EXT_TOPOLOGY_LABELS:?}");
     println!("{}", sweep_table("topology", &topo));
     check("ext_topologies", extension_topologies_shape_holds(&topo));
     let fidelity = extension_fidelity(scale);
@@ -91,32 +100,28 @@ fn main() {
 
     eprintln!("event-driven experiments…");
     let des_rows = des_validation(scale);
-    for r in &des_rows {
-        println!(
-            "{:<18} analytic {:.4} realized {:.4} gap {:.4}",
-            r.policy, r.analytic, r.realized, r.gap
-        );
-    }
+    println!("{}", des_validation_table(&des_rows));
     check("des_validation", des_validation_shape_holds(&des_rows));
     let online = online_rate_sweep(scale);
-    for r in &online {
-        println!(
-            "rate {:>5.2}/s success {:.4} spend {:>6} thruput {:.3}/s",
-            r.rate, r.success, r.spend, r.throughput
-        );
-    }
+    println!("{}", online_rate_table(&online));
     check(
         "online_rate",
         online_rate_shape_holds(&online, scale.scaled_budget(5000.0)),
     );
+    let memory = des_memory_sweep(scale);
+    println!("# memory sweep, attempt window 0.66s");
+    println!("{}", memory_sweep_table(&memory));
+    check("des_memory", des_memory_shape_holds(&memory));
     let violation = budget_violation(scale);
-    for r in &violation {
-        println!(
-            "{:<18} spend {:>8.1} ({:.2}x C) success {:.4}",
-            r.policy, r.spend, r.spend_over_budget, r.success
-        );
-    }
+    println!("{}", budget_violation_table(&violation));
     check("budget_violation", budget_violation_shape_holds(&violation));
+
+    eprintln!("theorems 1–2…");
+    let theory = theory_bounds(scale);
+    println!("{}", theory_table(&theory));
+    for (name, result) in theory_shape_holds(&theory) {
+        check(name, result);
+    }
 
     if failures > 0 {
         eprintln!("{failures} shape check(s) failed");

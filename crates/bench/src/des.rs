@@ -1,5 +1,6 @@
 //! Event-driven experiment builders: attempt-level model validation,
-//! the online-arrival rate sweep, and the budget-violation comparison.
+//! the memory (decoherence) sweep, the online-arrival rate sweep, and
+//! the budget-violation comparison.
 //!
 //! These extend the paper's evaluation with the questions its slotted
 //! abstraction leaves open: *do the analytic success rates survive
@@ -507,9 +508,8 @@ pub fn budget_violation_shape_holds(rows: &[BudgetViolationRow]) -> Result<(), S
 mod tests {
     use super::*;
 
-    // The builders are exercised end-to-end (and shape-checked) at Quick
-    // scale by the `fig_des` binary and the `des_validation` bench; here
-    // we only pin the cheap invariants of the row constructors.
+    // The builders are run and shape-checked at both scales by `run_all`;
+    // here each runs once at Quick scale and must pass its check.
 
     #[test]
     fn validation_rows_cover_all_policies() {
@@ -517,6 +517,14 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
         assert_eq!(names, vec!["OSCAR", "MF", "MA"]);
         assert!(des_validation_shape_holds(&rows).is_ok());
+    }
+
+    #[test]
+    fn memory_sweep_rows_and_shape() {
+        let rows = des_memory_sweep(Scale::Quick);
+        let memories: Vec<f64> = rows.iter().map(|r| r.memory_secs).collect();
+        assert_eq!(memories, vec![0.3, 0.5, 0.66, 1.0, 1.46]);
+        assert!(des_memory_shape_holds(&rows).is_ok(), "shape: {rows:?}");
     }
 
     #[test]

@@ -364,23 +364,6 @@ pub fn fig6(scale: Scale) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// One extra Fig. 6 sweep point at [`Scale::Large`]'s shape — a 50-node
-/// Waxman network under a 25-pair workload — extending the paper's
-/// network-size sweep past its 30-node top end. `scale` controls the
-/// trial shape (trials × horizon) as everywhere else; the network and
-/// workload always come from `Scale::Large`, so the point is comparable
-/// across quick and paper runs.
-pub fn fig6_large_point(scale: Scale) -> SweepPoint {
-    use qdn_net::workload::WorkloadConfig;
-    let mut e = base_experiment("fig6_large", scale, paper_policies(scale));
-    e.network = Scale::Large.network_config();
-    e.workload = WorkloadConfig::Uniform {
-        min_pairs: 1,
-        max_pairs: Scale::Large.max_pairs(),
-    };
-    run_sweep_point("fig6_large", scale, Scale::Large.nodes() as f64, e)
-}
-
 /// Fig. 6 qualitative checks: success degrades with size; OSCAR
 /// dominates at every size.
 pub fn fig6_shape_holds(points: &[SweepPoint]) -> Result<(), String> {

@@ -1,36 +1,37 @@
 //! Benchmark harness reproducing the paper's evaluation (§V).
 //!
-//! Every figure of the paper has a builder in [`figures`] that runs the
-//! corresponding experiment and returns a structured output which both
-//! the `fig*` binaries (full paper scale) and the Criterion benches
-//! (quick scale + timing) print as CSV series. [`scale`] holds the two
-//! problem sizes; [`report`] the printing helpers.
+//! Every experiment has a builder that runs it and returns a structured
+//! output, and most have a shape check on that output. The `run_all`
+//! binary runs them all, prints them through [`report`], and exits
+//! non-zero if any check fails. [`scale`] holds the problem sizes.
 //!
-//! | Paper artifact | Builder | Binary | Bench |
-//! |---|---|---|---|
-//! | Fig. 3 (a,b,c) time-evolving | [`figures::fig3`] | `fig3` | `fig3_time_evolving` |
-//! | Fig. 4 fairness distribution | [`figures::fig4`] | `fig4` | `fig4_fairness` |
-//! | Fig. 5 budget sweep | [`figures::fig5`] | `fig5` | `fig5_budget` |
-//! | Fig. 6 network-size sweep | [`figures::fig6`] | `fig6` | `fig6_network_size` |
-//! | Fig. 7 V sweep | [`figures::fig7`] | `fig7` | `fig7_v_param` |
-//! | Fig. 8 q0 sweep | [`figures::fig8`] | `fig8` | `fig8_q0` |
-//! | Route-selection ablation | [`figures::ablation_route_selection`] | `fig_ablation` | `ablation_route_selection` |
-//! | Gibbs γ ablation | [`figures::ablation_gamma`] | `fig_ablation` | `ablation_gamma` |
-//! | Allocation ablation | [`figures::ablation_allocation`] | `fig_ablation` | `ablation_allocation` |
-//! | Imperfect-swap extension | [`figures::extension_swap`] | `fig_extensions` | `extensions` |
-//! | Resource-dynamics extension | [`figures::extension_dynamics`] | `fig_extensions` | `extensions` |
-//! | Multi-EC extension | [`figures::extension_multi_ec`] | `fig_extensions` | `extensions` |
-//! | Topology-family extension | [`figures::extension_topologies`] | `fig_extensions` | `extensions` |
-//! | Fidelity-constraint extension | [`figures::extension_fidelity`] | `fig_extensions` | `extensions` |
-//! | Attempt-level (DES) validation | [`des::des_validation`] | `fig_des` | `des_validation` |
-//! | Memory (decoherence) sweep | [`des::des_memory_sweep`] | `fig_des` | `des_validation` |
-//! | Online-arrival rate sweep (paced vs unpaced) | [`des::online_rate_sweep`] | `fig_des` | `des_validation` |
-//! | Budget-violation comparison | [`des::budget_violation`] | `fig_des` | `des_validation` |
+//! | Paper artifact | Builder |
+//! |---|---|
+//! | Fig. 3 (a,b,c) time-evolving | [`figures::fig3`] |
+//! | Fig. 4 fairness distribution | [`figures::fig4`] |
+//! | Fig. 5 budget sweep | [`figures::fig5`] |
+//! | Fig. 6 network-size sweep | [`figures::fig6`] |
+//! | Fig. 7 V sweep | [`figures::fig7`] |
+//! | Fig. 8 q0 sweep | [`figures::fig8`] |
+//! | Route-selection ablation | [`figures::ablation_route_selection`] |
+//! | Gibbs γ ablation | [`figures::ablation_gamma`] |
+//! | Allocation ablation | [`figures::ablation_allocation`] |
+//! | Imperfect-swap extension | [`figures::extension_swap`] |
+//! | Resource-dynamics extension | [`figures::extension_dynamics`] |
+//! | Multi-EC extension | [`figures::extension_multi_ec`] |
+//! | Topology-family extension | [`figures::extension_topologies`] |
+//! | Fidelity-constraint extension | [`figures::extension_fidelity`] |
+//! | Attempt-level (DES) validation | [`des::des_validation`] |
+//! | Memory (decoherence) sweep | [`des::des_memory_sweep`] |
+//! | Online-arrival rate sweep (paced vs unpaced) | [`des::online_rate_sweep`] |
+//! | Budget-violation comparison | [`des::budget_violation`] |
+//! | Theorems 1–2 bounds vs measured runs | [`theory::theory_bounds`] |
 
 #![forbid(unsafe_code)]
 pub mod des;
 pub mod figures;
 pub mod report;
 pub mod scale;
+pub mod theory;
 
 pub use scale::Scale;

@@ -1,9 +1,10 @@
-//! Printing helpers shared by the `fig*` binaries and the Criterion
-//! benches.
+//! Table and CSV renderers for the `run_all` reproduction report.
 
 use qdn_sim::output::{fmt_f, to_csv, to_table};
 
-use crate::figures::{DistributionRow, Fig3, Fig4, SweepPoint};
+use crate::des::{BudgetViolationRow, DesValidationRow, MemorySweepRow, OnlineRateRow};
+use crate::figures::{DistributionRow, Fig3, Fig4, SweepOutcome, SweepPoint};
+use crate::theory::TheoryBounds;
 
 /// Renders the Fig. 3 series as CSV (`t, <policy>_utility,
 /// <policy>_success, <policy>_usage, …`).
@@ -32,28 +33,19 @@ pub fn fig3_csv(fig: &Fig3) -> String {
 
 /// Renders the Fig. 3 endpoint summary as an aligned table.
 pub fn fig3_summary(fig: &Fig3) -> String {
-    let rows: Vec<Vec<String>> = fig
-        .series
-        .iter()
-        .map(|s| {
-            vec![
-                s.policy.clone(),
-                fmt_f(*s.avg_utility.last().unwrap_or(&0.0)),
-                fmt_f(*s.avg_success.last().unwrap_or(&0.0)),
-                fmt_f(*s.cumulative_cost.last().unwrap_or(&0.0)),
-                fmt_f(fig.budget),
-            ]
-        })
-        .collect();
-    to_table(
-        &[
-            "policy",
-            "final_avg_utility",
-            "final_avg_success",
-            "total_usage",
-            "budget",
-        ],
-        &rows,
+    let last = |v: &[f64]| v.last().copied().unwrap_or(0.0);
+    table(
+        "policy final_avg_utility final_avg_success total_usage budget",
+        &fig.series,
+        |s| {
+            let values = [
+                last(&s.avg_utility),
+                last(&s.avg_success),
+                last(&s.cumulative_cost),
+                fig.budget,
+            ];
+            labelled(&s.policy, &values)
+        },
     )
 }
 
@@ -81,11 +73,9 @@ pub fn fig4_csv(fig: &Fig4) -> String {
 
 /// Renders the Fig. 4 fairness summary as an aligned table.
 pub fn fig4_summary(rows: &[DistributionRow]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.policy.clone(), fmt_f(r.mean), fmt_f(r.jain)])
-        .collect();
-    to_table(&["policy", "mean_success", "jain_fairness"], &body)
+    table("policy mean_success jain_fairness", rows, |r| {
+        labelled(&r.policy, &[r.mean, r.jain])
+    })
 }
 
 /// Renders a sweep (Figs. 5–8, ablations) as CSV with one row per sweep
@@ -117,38 +107,129 @@ pub fn sweep_csv(x_name: &str, points: &[SweepPoint]) -> String {
 
 /// Renders a sweep as an aligned table (one row per point × policy).
 pub fn sweep_table(x_name: &str, points: &[SweepPoint]) -> String {
-    let rows: Vec<Vec<String>> = points.iter().flat_map(|p| points_row(p, x_name)).collect();
-    to_table(
-        &[
-            x_name,
-            "policy",
-            "avg_success",
-            "avg_utility",
-            "total_usage",
-        ],
-        &rows,
+    let rows: Vec<(f64, &SweepOutcome)> = points
+        .iter()
+        .flat_map(|p| p.outcomes.iter().map(move |o| (p.x, o)))
+        .collect();
+    let header = format!("{x_name} policy avg_success avg_utility total_usage");
+    table(&header, &rows, |&(x, o)| {
+        let mut row = vec![fmt_f(x)];
+        row.extend(labelled(
+            &o.policy,
+            &[o.avg_success, o.avg_utility, o.total_usage],
+        ));
+        row
+    })
+}
+
+/// Renders `rows` as an aligned table under the space-separated `header`.
+fn table<T>(header: &str, rows: &[T], cells: impl Fn(&T) -> Vec<String>) -> String {
+    let header: Vec<&str> = header.split_whitespace().collect();
+    let body: Vec<Vec<String>> = rows.iter().map(cells).collect();
+    to_table(&header, &body)
+}
+
+/// One table row: `label`, then each value through [`fmt_f`].
+fn labelled(label: impl ToString, values: &[f64]) -> Vec<String> {
+    std::iter::once(label.to_string())
+        .chain(values.iter().map(|&v| fmt_f(v)))
+        .collect()
+}
+
+/// Renders the attempt-level validation: analytic against realized
+/// success, delivery latency percentiles and attempts per delivered EC.
+pub fn des_validation_table(rows: &[DesValidationRow]) -> String {
+    table(
+        "policy analytic realized gap p50_lat_s p99_lat_s attempts/EC",
+        rows,
+        |r| {
+            let values = [
+                r.analytic,
+                r.realized,
+                r.gap,
+                r.p50_latency,
+                r.p99_latency,
+                r.attempts_per_delivery,
+            ];
+            labelled(&r.policy, &values)
+        },
     )
 }
 
-fn points_row(p: &SweepPoint, _x_name: &str) -> Vec<Vec<String>> {
-    p.outcomes
-        .iter()
-        .map(|o| {
+/// Renders the online-arrival load sweep, paced spend next to what the
+/// same arrivals cost unpaced.
+pub fn online_rate_table(rows: &[OnlineRateRow]) -> String {
+    table(
+        "rate_per_s requests success spend unpaced_spend thruput_per_s mean_lat_s",
+        rows,
+        |r| {
             vec![
-                fmt_f(p.x),
-                o.policy.clone(),
-                fmt_f(o.avg_success),
-                fmt_f(o.avg_utility),
-                fmt_f(o.total_usage),
+                fmt_f(r.rate),
+                r.requests.to_string(),
+                fmt_f(r.success),
+                r.spend.to_string(),
+                r.unpaced_spend.to_string(),
+                fmt_f(r.throughput),
+                fmt_f(r.mean_latency),
             ]
+        },
+    )
+}
+
+/// Renders the memory (decoherence) sweep: how far Eq. 2 over-promises
+/// once memory is shorter than the attempt window.
+pub fn memory_sweep_table(rows: &[MemorySweepRow]) -> String {
+    table(
+        "memory_s analytic realized over_promise decohered_frac",
+        rows,
+        |r| {
+            let over_promise = r.analytic - r.realized;
+            let values = [r.analytic, r.realized, over_promise, r.decohered_frac];
+            labelled(fmt_f(r.memory_secs), &values)
+        },
+    )
+}
+
+/// Renders the budget-violation comparison.
+pub fn budget_violation_table(rows: &[BudgetViolationRow]) -> String {
+    table("policy spend spend/C avg_success", rows, |r| {
+        labelled(&r.policy, &[r.spend, r.spend_over_budget, r.success])
+    })
+}
+
+/// Renders the Theorem 1–2 check: one row per seed plus a `mean` row
+/// holding the means and the bounds they are checked against.
+pub fn theory_table(t: &TheoryBounds) -> String {
+    let mut body: Vec<Vec<String>> = t
+        .rows
+        .iter()
+        .map(|r| {
+            let values = [
+                r.violation,
+                r.bound1,
+                r.gap,
+                r.bound2,
+                r.delta,
+                r.p_min,
+                r.allowance,
+            ];
+            labelled(r.seed, &values)
         })
-        .collect()
+        .collect();
+    let mut mean = labelled("mean", &[t.mean_violation, t.bound1, t.mean_gap, t.bound2]);
+    mean.resize(8, "-".into());
+    body.push(mean);
+    table(
+        "seed violation/slot thm1_bound oracle_gap thm2_gap delta p_min C/T",
+        &body,
+        Vec::clone,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{PolicySeries, SweepOutcome};
+    use crate::figures::PolicySeries;
 
     fn fig3_fixture() -> Fig3 {
         Fig3 {

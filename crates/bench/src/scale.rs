@@ -17,7 +17,7 @@ pub enum Scale {
     /// The stress scale past the paper's setup: a 50-node Waxman network
     /// with up to 25 concurrent SD pairs (2 trials × 60 slots, like
     /// `Quick`, so sweeps stay benchable). Exercised by the
-    /// `profile_eval_wax50` bench rows and the Fig. 6 large point.
+    /// `profile_eval_wax50` bench rows.
     Large,
 }
 
@@ -81,16 +81,27 @@ impl Scale {
         paper_budget * self.horizon() as f64 / 200.0
     }
 
-    /// Parses `--paper` / `--quick` / `--large` style CLI arguments
-    /// (defaults to `Paper` for binaries).
+    /// Reads `--quick` / `--paper` from the process arguments, the last
+    /// one winning; no argument means `Paper`. Any other argument prints
+    /// a usage line and exits with status 2.
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if std::env::args().any(|a| a == "--large") {
-            Scale::Large
-        } else {
-            Scale::Paper
+        Scale::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: run_all [--quick | --paper]");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Scale::from_args`] without the exit.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut scale = Scale::Paper;
+        for arg in args {
+            scale = match arg.as_str() {
+                "--quick" => Scale::Quick,
+                "--paper" => Scale::Paper,
+                _ => return Err(format!("unknown argument {arg:?}")),
+            };
         }
+        Ok(scale)
     }
 }
 
@@ -123,5 +134,15 @@ mod tests {
         // Bench-friendly trial shape, like Quick.
         assert_eq!(Scale::Large.trials(), Scale::Quick.trials());
         assert_eq!(Scale::Large.horizon(), Scale::Quick.horizon());
+    }
+
+    #[test]
+    fn parse_accepts_only_quick_and_paper() {
+        let parse = |args: &[&str]| Scale::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(Scale::Paper));
+        assert_eq!(parse(&["--quick"]), Ok(Scale::Quick));
+        assert_eq!(parse(&["--quick", "--paper"]), Ok(Scale::Paper));
+        assert!(parse(&["--quik"]).is_err());
+        assert!(parse(&["--large"]).is_err());
     }
 }

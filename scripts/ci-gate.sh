@@ -66,9 +66,9 @@ if [[ "$full" -eq 1 ]]; then
     cargo test -q
 
     # The paper reproduction: every figure, ablation, extension and DES
-    # experiment at --quick scale. run_all exits non-zero when any of
-    # its figure shape checks fails; its tables go to a file and only
-    # the verdicts are echoed.
+    # experiment and the Theorem 1-2 check at --quick scale. run_all
+    # exits non-zero when any of its 17 shape checks fails; its tables
+    # go to a file (archived by CI) and only the verdicts are echoed.
     echo "==> run_all --quick (paper reproduction shape checks)"
     run_all_out=target/run-all-quick.txt
     if ! cargo run -q --release -p qdn_bench --bin run_all -- --quick >"$run_all_out"; then
