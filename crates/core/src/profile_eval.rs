@@ -147,10 +147,10 @@
 //! at most its own share. So `f ≤ upper − drop`, and the evaluator hands
 //! `upper − drop` plus a margin of `1e-9·(1 + |bound|)` to the caller's
 //! rejection test after every decrease of the bound. Each item is
-//! screened on its own drop only, which keeps the verdict independent of
-//! the pool width. A solve the test stops is neither rounded nor
-//! memoized ([`EvalStats::abandoned`] counts it), so the memos stay
-//! exact.
+//! screened on its own drop only, so whether it is abandoned depends on
+//! the item alone, not on which items were solved before it. A solve
+//! the test stops is neither rounded nor memoized
+//! ([`EvalStats::abandoned`] counts it), so the memos stay exact.
 //!
 //! # Selection sessions
 //!
@@ -175,17 +175,6 @@
 //! With seeding off ([`EvalOptions::default`]), a session-built
 //! evaluator is bit-identical to a fresh one every slot
 //! (`session_matches_fresh_per_slot` proptest).
-//!
-//! # Parallelism
-//!
-//! Unsolved work items of one evaluation — dynamic groups, or whole
-//! components where the partition does not refine — are solved as tasks
-//! on the shared work-stealing pool ([`threadpool::current`]; a width-1
-//! pool runs them inline). Results are gathered in item order and
-//! inserted into the memos after the join, so the outcome is
-//! bit-identical at every pool width; when an item reports
-//! infeasibility the remaining tasks stop early (matching the memo
-//! loop's short-circuit).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -269,7 +258,7 @@ struct EdgeVar {
     slack: Option<SlackPoint>,
 }
 
-/// Scratch for the dynamic sub-partition refresh (main thread only).
+/// Scratch for the dynamic sub-partition refresh.
 #[derive(Debug)]
 struct PartitionScratch {
     /// Node → member position of the route that last touched it,
@@ -1191,19 +1180,10 @@ impl<'a> ProfileEvaluator<'a> {
                 .extend(comp_pairs.iter().map(|&i| indices[i] as u32));
         }
 
-        // Components the pooled pre-pass solved this call (ascending);
-        // they must not count as memo hits below.
-        let (fresh, parallel_infeasible) = self.solve_missing_parallel(indices, screen)?;
-        if parallel_infeasible {
-            return Ok(false);
-        }
-
         for comp in 0..self.comp_pairs.len() {
             let key = &self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]];
             if let Some(entry) = self.memos[comp].get(key) {
-                if fresh.binary_search(&comp).is_err() {
-                    self.stats.memo_hits += 1;
-                }
+                self.stats.memo_hits += 1;
                 if entry.is_none() {
                     return Ok(false);
                 }
@@ -1375,155 +1355,6 @@ impl<'a> ProfileEvaluator<'a> {
         }
         let key: Box<[u32]> = joint_key[off..end].into();
         self.memos[comp].insert(key, Some(gathered.as_slice().into()));
-    }
-
-    /// Pre-solves all missing work items of `indices` — dynamic groups,
-    /// or whole components where the partition does not refine — on the
-    /// shared work-stealing pool ([`threadpool::current`]), and returns
-    /// the component ids it fully memoized at level 1 (ascending) plus
-    /// whether any item turned out infeasible, or `Err` when `screen`
-    /// abandoned an item. Bit-identical to the
-    /// serial path at every pool width: each item's solve is independent
-    /// and results are gathered and merged in item order. Each worker thread keeps one
-    /// recycled solver scratch across items *and across calls*
-    /// (thread-local), so the steady state allocates nothing
-    /// network-sized. An infeasibility or abandonment observed by any
-    /// task stops the remaining solves early: skipped and abandoned
-    /// items are simply not memoized, matching the serial path's
-    /// short-circuit. Each item is screened on its own dual bound only,
-    /// so whether an item is abandoned does not depend on the pool width.
-    fn solve_missing_parallel(
-        &mut self,
-        indices: &[usize],
-        screen: Option<Screen<'_>>,
-    ) -> Result<(Vec<usize>, bool), Abandoned> {
-        use std::cell::RefCell;
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Sentinel group id for "solve the whole component".
-        const WHOLE: u32 = u32::MAX;
-
-        std::thread_local! {
-            /// Per-worker (scratch, members) recycled across pool tasks.
-            static WORKER_SCRATCH: RefCell<(Option<Scratch>, Vec<usize>)> =
-                const { RefCell::new((None, Vec::new())) };
-        }
-
-        let mut items: Vec<(usize, u32)> = Vec::new();
-        for comp in 0..self.comp_pairs.len() {
-            let off = self.comp_key_off[comp];
-            let end = self.comp_key_off[comp + 1];
-            if self.memos[comp].contains_key(&self.scratch.joint_key[off..end]) {
-                continue;
-            }
-            if self.use_dynamic(comp) {
-                self.refresh_partition(comp);
-                if self.dyn_group_count[comp] > 1 {
-                    for g in 0..self.dyn_group_count[comp] {
-                        self.group_key.clear();
-                        for pos in 0..(end - off) {
-                            if self.dyn_group_of[off + pos] == g {
-                                self.group_key.push(pos as u32);
-                                self.group_key.push(self.scratch.joint_key[off + pos]);
-                            }
-                        }
-                        if !self.dyn_memos[comp].contains_key(self.group_key.as_slice()) {
-                            items.push((comp, g));
-                        }
-                    }
-                    continue;
-                }
-            }
-            items.push((comp, WHOLE));
-        }
-        if items.len() < 2 {
-            return Ok((Vec::new(), false));
-        }
-        let ctx = self.ctx;
-        let budget = self.budget;
-        let method = self.method;
-        let routes = &self.routes;
-        let comp_pairs = &self.comp_pairs;
-        let comp_key_off = &self.comp_key_off;
-        let dyn_group_of = &self.dyn_group_of;
-        let halt = AtomicBool::new(false);
-        type ItemSolve = (usize, u32, usize, Result<GroupSolve, Abandoned>);
-        // One pool task per item, gathered in item order by
-        // `map_indexed`; a task that observes the halt flag (set by an
-        // infeasible or abandoned item) returns `None` (its item stays
-        // unmemoized).
-        let results: Vec<Option<ItemSolve>> =
-            threadpool::current().map_indexed(items.len(), |item_idx| {
-                if halt.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let (comp, g) = items[item_idx];
-                WORKER_SCRATCH.with(|cell| {
-                    let mut state = cell.borrow_mut();
-                    let (slot, members) = &mut *state;
-                    let mut scratch = Scratch::recycled(
-                        slot.take(),
-                        ctx.network.node_count(),
-                        ctx.network.edge_count(),
-                        0,
-                    );
-                    let off = comp_key_off[comp];
-                    members.clear();
-                    for (pos, &pair) in comp_pairs[comp].iter().enumerate() {
-                        if g == WHOLE || dyn_group_of[off + pos] == g {
-                            members.push(pair);
-                        }
-                    }
-                    let solved = solve_component(
-                        &mut scratch,
-                        &ctx,
-                        budget,
-                        &method,
-                        routes,
-                        members,
-                        indices,
-                        screen,
-                    );
-                    if !matches!(solved, Ok((Some(_), _))) {
-                        halt.store(true, Ordering::Relaxed);
-                    }
-                    let n_pairs = members.len();
-                    *slot = Some(scratch);
-                    Some((comp, g, n_pairs, solved))
-                })
-            });
-        let (mut any_infeasible, mut any_abandoned) = (false, false);
-        let mut fresh = Vec::new();
-        for (comp, g, n_pairs, solved) in results.into_iter().flatten() {
-            let Ok((alloc, _)) = self.count_solve(solved, n_pairs) else {
-                any_abandoned = true;
-                continue;
-            };
-            any_infeasible |= alloc.is_none();
-            let off = self.comp_key_off[comp];
-            let end = self.comp_key_off[comp + 1];
-            if g == WHOLE {
-                let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
-                self.memos[comp].insert(key, alloc);
-                fresh.push(comp);
-            } else {
-                self.group_key.clear();
-                for pos in 0..(end - off) {
-                    if self.dyn_group_of[off + pos] == g {
-                        self.group_key.push(pos as u32);
-                        self.group_key.push(self.scratch.joint_key[off + pos]);
-                    }
-                }
-                self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
-                // The serial loop's level-1 miss path gathers the groups
-                // (all level-2 hits by then) into the level-1 entry.
-            }
-        }
-        if any_abandoned {
-            return Err(Abandoned);
-        }
-        fresh.sort_unstable();
-        Ok((fresh, any_infeasible))
     }
 
     /// Gathers the memoized component allocations in joint variable order

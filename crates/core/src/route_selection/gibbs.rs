@@ -89,9 +89,9 @@
 //!   the reference rejects too.
 //!
 //! Each solve is screened on its own improvement only, so whether it is
-//! abandoned does not depend on the pool width or on the other solves of
-//! the evaluation. When the test fires the solve stops, the proposal is
-//! rejected, and the RNG has drawn exactly the reference's one uniform.
+//! abandoned does not depend on the other solves of the evaluation.
+//! When the test fires the solve stops, the proposal is rejected, and
+//! the RNG has drawn exactly the reference's one uniform.
 //! A solve the test never stops returns the bits it always did: the test
 //! reads the dual bound and never steers the iteration.
 //!

@@ -654,18 +654,17 @@ proptest! {
     }
 }
 
-// Every pooled stage reduces in fixed index order, so running on the
-// work-stealing pool is **bit-identical** to the serial reference at
-// every pool width — not "statistically the same", the same bits.
+// The incremental evaluator must give the bits of a full rebuild, both
+// for a selector's final profile and along an arbitrary walk of profiles
+// that reuses and extends one evaluator's memos.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pool widths 1, 2, and 4 for the greedy-local selector, whose
-    /// evaluator pre-pass fans component solves onto the pool: compared
-    /// across widths and, via the full-rebuild check, against the
-    /// serial evaluation path.
+    /// The greedy-local selector's chosen profile, and every profile of a
+    /// short random walk through one evaluator, compared bit-for-bit
+    /// against the full-rebuild evaluation of the same profile.
     #[test]
-    fn parallel_matches_serial_bit_identical(
+    fn greedy_and_walk_match_full_rebuild(
         net in arb_ring_network(),
         n_pairs in 2usize..5,
         v in 100.0f64..2000.0,
@@ -696,69 +695,48 @@ proptest! {
         let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
         let evaluator = EvalOptions::default();
 
-        let mut greedy_reference = None;
-        for width in [1usize, 2, 4] {
-            let pool = threadpool::ThreadPool::new(width);
-            // Greedy-local selector: same selection at every
-            // width (twin RNG streams), and the evaluator's
-            // pooled pre-pass stays bit-identical to the serial
-            // full-rebuild evaluation of the chosen profile.
-            let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
-            let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
-            let greedy = pool.install(|| {
-                selector.select(&ctx, &cands, &method, &mut sel_rng)
-            });
-            if let Some(g) = &greedy {
-                let profile: Vec<(SdPair, &Path)> = cands
-                    .iter()
-                    .zip(&g.indices)
-                    .map(|(c, &i)| (c.pair, &c.routes[i]))
-                    .collect();
-                let rebuilt = ctx
-                    .evaluate(&profile, &method)
-                    .expect("selected profile is feasible");
-                prop_assert_eq!(
-                    rebuilt.objective.to_bits(),
-                    g.evaluation.objective.to_bits(),
-                    "greedy evaluation diverged from full rebuild at width {}",
-                    width
-                );
-            }
-            let first = greedy_reference.get_or_insert_with(|| greedy.clone());
+        // Greedy-local selector: its evaluation of the chosen profile
+        // equals the full rebuild.
+        let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
+        let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
+        if let Some(g) = selector.select(&ctx, &cands, &method, &mut sel_rng) {
+            let profile: Vec<(SdPair, &Path)> = cands
+                .iter()
+                .zip(&g.indices)
+                .map(|(c, &i)| (c.pair, &c.routes[i]))
+                .collect();
+            let rebuilt = ctx
+                .evaluate(&profile, &method)
+                .expect("selected profile is feasible");
             prop_assert_eq!(
-                &*first, &greedy,
-                "greedy selection diverged at width {} ",
-                width
+                rebuilt.objective.to_bits(),
+                g.evaluation.objective.to_bits(),
+                "greedy evaluation diverged from full rebuild"
             );
+        }
 
-            // The evaluator pre-pass directly: a short random
-            // walk, every profile compared bit-for-bit against
-            // the serial full rebuild.
-            let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
-            pool.install(|| -> proptest::TestCaseResult {
-                let mut eval =
-                    ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
-                let mut indices: Vec<usize> = cands
-                    .iter()
-                    .map(|c| walk_rng.random_range(0..c.routes.len()))
-                    .collect();
-                for _ in 0..6 {
-                    let profile: Vec<(SdPair, &Path)> = cands
-                        .iter()
-                        .zip(&indices)
-                        .map(|(c, &i)| (c.pair, &c.routes[i]))
-                        .collect();
-                    prop_assert_eq!(
-                        ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                        eval.evaluate_objective(&indices).map(f64::to_bits),
-                        "pre-pass diverged at width {} ",
-                        width
-                    );
-                    let i = walk_rng.random_range(0..indices.len());
-                    indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                }
-                Ok(())
-            })?;
+        // The evaluator directly: a short random walk, every profile
+        // compared bit-for-bit against the full rebuild.
+        let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
+        let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
+        let mut indices: Vec<usize> = cands
+            .iter()
+            .map(|c| walk_rng.random_range(0..c.routes.len()))
+            .collect();
+        for step in 0..6 {
+            let profile: Vec<(SdPair, &Path)> = cands
+                .iter()
+                .zip(&indices)
+                .map(|(c, &i)| (c.pair, &c.routes[i]))
+                .collect();
+            prop_assert_eq!(
+                ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
+                eval.evaluate_objective(&indices).map(f64::to_bits),
+                "walk diverged from full rebuild at step {}",
+                step
+            );
+            let i = walk_rng.random_range(0..indices.len());
+            indices[i] = walk_rng.random_range(0..cands[i].routes.len());
         }
     }
 }

@@ -9,8 +9,8 @@
 //!   --tcp ADDR:PORT   listen on TCP instead
 //!   --seed N          master seed (default 7)
 //!   --shards N        session shards / worker threads (default 4)
-//!   --threads N       shared solve-pool width for intra-shard
-//!                     parallel stages (default 0 = one per CPU)
+//!   --threads N       accepted and ignored (the daemon has no solve
+//!                     pool; kept so existing command lines still start)
 //!   --config FILE     full ServeConfig as JSON (overrides the flags
 //!                     above except --socket/--tcp)
 //!   --churn RATE:MTTR layer Poisson link failures (RATE per slot,

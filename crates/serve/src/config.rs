@@ -25,17 +25,11 @@ pub struct ServeConfig {
     pub network: NetworkConfig,
     /// Exogenous per-slot capacity process.
     pub dynamics: DynamicsConfig,
-    /// Worker threads of the shared solve pool
-    /// (`crates/compat/threadpool`) that shard threads use for
-    /// intra-shard parallel stages (the evaluator's component solves):
-    /// `0` = one per available CPU.
-    ///
-    /// **Required** in the wire form (PR 10, deliberately a loud serde
-    /// break — see MIGRATION.md §PR 10): a daemon config owns its
-    /// execution engine, so the same config file reproduces the same
-    /// run shape everywhere. Decisions are bit-identical at every
-    /// width — this knob trades wall-clock for cores, never
-    /// determinism.
+    /// Affects nothing: the daemon has no solve pool, and every shard
+    /// decides on its own thread. Still **required** in the wire form (a
+    /// deliberate loud serde break, see MIGRATION.md) and accepted at
+    /// any value, so existing configs and struct literals keep working.
+    /// Due for deletion together with `shards`.
     pub threads: usize,
     /// OSCAR parameters (`V`, `q0`, budget, horizon, selector,
     /// allocation, fidelity target). The budget is split evenly across

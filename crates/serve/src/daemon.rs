@@ -76,7 +76,6 @@ impl Daemon {
         let pool = ShardPool::new(
             config.seed,
             config.shards,
-            config.threads,
             Arc::clone(&network),
             Arc::new(config.oscar.clone()),
         )?;
@@ -298,7 +297,6 @@ impl Daemon {
             Ok(s) => s,
             Err(error) => return self.shard_failure(error),
         };
-        let pool_stats = self.pool.solve_pool_stats();
         Response::StatsOk {
             stats: ServeStats {
                 slot: self.slot,
@@ -307,9 +305,6 @@ impl Daemon {
                 unserved: self.unserved,
                 spent: self.spent,
                 queue_values: shards.iter().map(|s| s.queue.value()).collect(),
-                pool_threads: pool_stats.threads as u32,
-                pool_tasks_executed: pool_stats.executed,
-                pool_tasks_stolen: pool_stats.stolen,
             },
         }
     }
@@ -372,7 +367,6 @@ impl Daemon {
             self.pool = ShardPool::new(
                 self.config.seed,
                 self.config.shards,
-                self.config.threads,
                 Arc::clone(&self.network),
                 Arc::new(self.config.oscar.clone()),
             )?;

@@ -24,7 +24,11 @@ use serde::{Deserialize, Serialize};
 /// v3 (PR 10): solve-pool utilization counters in [`ServeStats`].
 ///
 /// v4: `AdviseOk` drops `prewarmed_pairs`.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// v5: [`ServeStats`] drops the solve-pool counters (`pool_threads`,
+/// `pool_tasks_executed`, `pool_tasks_stolen`); the daemon has no solve
+/// pool.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Version tag of [`ServeSnapshot`]; bump on layout changes.
 ///
@@ -189,15 +193,6 @@ pub struct ServeStats {
     pub spent: u64,
     /// Per-shard virtual-queue lengths `q_t`.
     pub queue_values: Vec<f64>,
-    /// Worker count of the shared solve pool shard threads submit
-    /// parallel stages to (PR 10).
-    pub pool_threads: u32,
-    /// Tasks the solve pool has executed since daemon start.
-    pub pool_tasks_executed: u64,
-    /// Tasks that ran on a different worker than the one that spawned
-    /// them (work stealing) — a utilization signal, not a determinism
-    /// one: results reduce in fixed index order regardless.
-    pub pool_tasks_stolen: u64,
 }
 
 /// Complete serializable image of a running daemon's decision state:
@@ -296,9 +291,6 @@ mod tests {
                     unserved: 2,
                     spent: 812,
                     queue_values: vec![0.5, 12.25],
-                    pool_threads: 4,
-                    pool_tasks_executed: 1024,
-                    pool_tasks_stolen: 96,
                 },
             },
         ];

@@ -156,36 +156,27 @@ impl ShardWorker {
 /// and joins every thread.
 ///
 /// Shard threads are long-lived *owners* of warm state, not a
-/// parallelism mechanism — intra-shard parallel stages (the evaluator's
-/// component solves) run on the shared work-stealing solve pool,
-/// which every shard thread installs around its message loop so
-/// `threadpool::current()` inside the engine resolves to the pool the
-/// daemon configured.
+/// parallelism mechanism: each decides its slice of a slot on its own
+/// thread, and nothing inside the engine fans work out further.
 pub struct ShardPool {
     senders: Vec<mpsc::Sender<ShardMsg>>,
     joins: Vec<thread::JoinHandle<()>>,
-    solve_pool: threadpool::ThreadPool,
 }
 
 impl ShardPool {
-    /// Spawns `shards` worker threads over a shared network, each with
-    /// the `threads`-wide shared solve pool installed (`0` = one worker
-    /// per available CPU). Fails if the OS refuses a thread;
-    /// already-spawned workers are stopped and joined by the partial
-    /// pool's `Drop`.
+    /// Spawns `shards` worker threads over a shared network. Fails if
+    /// the OS refuses a thread; already-spawned workers are stopped and
+    /// joined by the partial pool's `Drop`.
     pub fn new(
         seed: u64,
         shards: u32,
-        threads: usize,
         network: Arc<QdnNetwork>,
         oscar: Arc<OscarConfig>,
     ) -> Result<ShardPool, String> {
         let shards = shards.max(1);
-        let solve_pool = threadpool::global_with(threads);
         let mut pool = ShardPool {
             senders: Vec::with_capacity(shards as usize),
             joins: Vec::with_capacity(shards as usize),
-            solve_pool,
         };
         for index in 0..shards as usize {
             let (tx, rx) = mpsc::channel();
@@ -198,22 +189,15 @@ impl ShardPool {
                 queue: ShardWorker::fresh_queue(&oscar, shards),
                 spent: 0,
             };
-            let solve_pool = pool.solve_pool.clone();
-            // qdn-lint: allow(raw-spawn, reason="shard threads are long-lived warm-state owners keyed by shard index, not decision-path parallelism; parallel solve stages go through the installed compat pool")
+            // qdn-lint: allow(raw-spawn, reason="shard threads are long-lived warm-state owners keyed by shard index, not decision-path parallelism; each decides its slice serially")
             let join = thread::Builder::new()
                 .name(format!("qdn-shard-{index}"))
-                .spawn(move || solve_pool.install(|| worker.run(rx, shards)))
+                .spawn(move || worker.run(rx, shards))
                 .map_err(|e| format!("spawn shard thread {index}: {e}"))?;
             pool.joins.push(join);
             pool.senders.push(tx);
         }
         Ok(pool)
-    }
-
-    /// Counters of the shared solve pool (width, tasks executed, tasks
-    /// stolen) — surfaced through `ServeStats`.
-    pub fn solve_pool_stats(&self) -> threadpool::PoolStats {
-        self.solve_pool.stats()
     }
 
     /// Number of shards.

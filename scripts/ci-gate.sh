@@ -79,8 +79,9 @@ if [[ "$full" -eq 1 ]]; then
     grep "shape check" "$run_all_out"
 
     # Every crate's suite, not just the root package's: serve daemon,
-    # solve, core (including parallel_matches_serial_bit_identical at
-    # pool widths 1/2/4), sim, net, lint and the vendored shims.
+    # solve, core (including greedy_and_walk_match_full_rebuild), sim
+    # (including parallel_trials_byte_identical_to_serial), net, lint
+    # and the vendored shims.
     echo "==> cargo test -q --workspace"
     cargo test -q --workspace
 
