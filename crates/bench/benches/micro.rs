@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot kernels: Yen's KSP, the dual solver, the
-//! greedy allocator, one Gibbs iteration worth of work, and the
-//! attempt-level Monte Carlo.
+//! greedy allocator, relax-and-round's two paths on a one-binding
+//! instance, and the attempt-level Monte Carlo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_graph::dijkstra::SearchFilter;
@@ -14,7 +14,7 @@ use qdn_physics::monte_carlo::simulate_route;
 use qdn_physics::swap::SwapModel;
 use qdn_solve::greedy::greedy_allocate;
 use qdn_solve::relaxed::{solve_relaxed, RelaxedOptions};
-use qdn_solve::rounding::round_down_and_fill;
+use qdn_solve::rounding::{relax_and_round_until, round_down_and_fill};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -28,6 +28,18 @@ fn instance(nv: usize) -> AllocationInstance {
     for j in 0..nv.saturating_sub(1) {
         constraints.push(PackingConstraint::new(12, vec![j, j + 1]));
     }
+    AllocationInstance::new(vars, constraints, 2500.0, 15.0).unwrap()
+}
+
+/// `nv` variables as in [`instance`], but coupled only by one shared
+/// row of `4·nv` channels. Each variable wants about 6.1 channels, which
+/// its own 7 hold, so the shared row is the one constraint that binds.
+fn one_binding_instance(nv: usize) -> AllocationInstance {
+    let vars: Vec<Variable> = (0..nv).map(|_| Variable::new(0.5507)).collect();
+    let mut constraints: Vec<PackingConstraint> = (0..nv)
+        .map(|j| PackingConstraint::new(7, vec![j]))
+        .collect();
+    constraints.push(PackingConstraint::new(4 * nv as u32, (0..nv).collect()));
     AllocationInstance::new(vars, constraints, 2500.0, 15.0).unwrap()
 }
 
@@ -85,6 +97,25 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("greedy_allocate_12vars", |b| {
         b.iter(|| black_box(greedy_allocate(&inst).unwrap()));
+    });
+
+    // Relax-and-round's one-binding rule against the FISTA solve and
+    // rounding it replaces, on the same instance.
+    let one = one_binding_instance(12);
+    let rule = |inst: &AllocationInstance| {
+        relax_and_round_until(inst, &RelaxedOptions::default(), |_| false)
+            .unwrap()
+            .unwrap()
+    };
+    assert_eq!(rule(&one).one_binding, 1, "the instance must take the rule");
+    group.bench_function("allocate_one_binding_12vars", |b| {
+        b.iter(|| black_box(rule(&one)));
+    });
+    group.bench_function("allocate_one_binding_12vars_fista_round", |b| {
+        b.iter(|| {
+            let relaxed = solve_relaxed(&one, &RelaxedOptions::default()).unwrap();
+            black_box(round_down_and_fill(&one, &relaxed.x).unwrap())
+        });
     });
 
     let link = LinkModel::paper_default();

@@ -1,10 +1,16 @@
 //! Qubit allocation — the paper's Algorithm 2 and ablations.
 //!
-//! The primary method, [`AllocationMethod::RelaxAndRound`], is exactly
-//! Algorithm 2: solve the continuous relaxation of P2 (convex, Prop. 1)
-//! with the Lagrangian dual solver, then down-round and fill surplus
-//! capacity. Prop. 2 bounds its sub-optimality by
-//! `Δ = V·F·L·log(2 − p_min)`.
+//! The primary method, [`AllocationMethod::RelaxAndRound`], is
+//! Algorithm 2 per coupling component: solve the continuous relaxation
+//! of P2 (convex, Prop. 1) with the Lagrangian dual solver, then
+//! down-round and fill surplus capacity. Prop. 2 bounds its
+//! sub-optimality by `Δ = V·F·L·log(2 − p_min)`. One declared rule
+//! applies: a component in which exactly one capacity can bind is
+//! allocated greedily, which is its exact integer optimum, instead of by
+//! FISTA plus rounding
+//! ([`qdn_solve::rounding::relax_and_round_until`]). The rule lives only
+//! there, so the full-rebuild path ([`crate::problem::PerSlotContext`])
+//! and the incremental evaluator's groups apply it identically.
 //!
 //! [`AllocationMethod::Greedy`] (pure marginal-gain increments) and
 //! [`AllocationMethod::Minimal`] (one channel per edge) serve as
@@ -12,18 +18,19 @@
 //! budget makes greedy the natural choice.
 
 use qdn_solve::greedy::greedy_allocate;
-use qdn_solve::relaxed::{solve_relaxed_until, RelaxedOptions};
-use qdn_solve::rounding::round_down_and_fill;
+use qdn_solve::relaxed::RelaxedOptions;
+use qdn_solve::rounding::{relax_and_round_until, IntegerAllocation};
 use qdn_solve::AllocationInstance;
 use serde::{Deserialize, Serialize};
 
 /// How the per-slot allocation sub-problem is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AllocationMethod {
-    /// Algorithm 2: continuous relaxation + down-round + surplus fill.
-    /// The relaxation is solved from λ = 0 by accelerated FISTA, which
-    /// certifies the strict gap tolerance and stops early (see
-    /// `qdn_solve::accel`).
+    /// Algorithm 2: continuous relaxation + down-round + surplus fill,
+    /// per coupling component, with one-binding components allocated
+    /// greedily (see the module docs). The relaxation is solved from
+    /// λ = 0 by accelerated FISTA, which certifies the strict gap
+    /// tolerance and stops early (see `qdn_solve::accel`).
     RelaxAndRound(RelaxedOptions),
     /// Greedy marginal-gain increments from the all-ones point.
     Greedy,
@@ -41,30 +48,36 @@ impl AllocationMethod {
     /// `None` if the instance itself could not be solved (never happens
     /// for instances validated by [`AllocationInstance::new`]).
     pub fn allocate(&self, instance: &AllocationInstance) -> Option<Vec<u32>> {
-        self.allocate_unless(instance, |_| false).unwrap_or(None)
+        self.allocate_unless(instance, |_| false)
+            .unwrap_or(None)
+            .map(|allocation| allocation.n)
     }
 
-    /// [`AllocationMethod::allocate`] that gives up once `reject` fires:
-    /// a relax-and-round solve calls `reject(drop)` after every decrease
-    /// of its certified dual bound (see
-    /// [`qdn_solve::relaxed::solve_relaxed_until`] for what `drop`
+    /// [`AllocationMethod::allocate`] that gives up once `reject` fires,
+    /// and reports which path ran: the result's `one_binding` counts the
+    /// coupling components relax-and-round allocated greedily (always 0
+    /// for `Greedy` and `Minimal`). A relax-and-round solve calls
+    /// `reject(drop)` after every decrease of its certified dual bound
+    /// (see [`qdn_solve::relaxed::solve_relaxed_until`] for what `drop`
     /// certifies) and returns `Err(Abandoned)`, unrounded, when it
-    /// returns `true`. `Greedy` and `Minimal` never call it.
+    /// returns `true`. One-binding components run no dual iterations and
+    /// never call it, nor do `Greedy` and `Minimal`.
     pub fn allocate_unless(
         &self,
         instance: &AllocationInstance,
         reject: impl FnMut(f64) -> bool,
-    ) -> Result<Option<Vec<u32>>, Abandoned> {
+    ) -> Result<Option<IntegerAllocation>, Abandoned> {
+        let plain = |n| IntegerAllocation { n, one_binding: 0 };
         Ok(match self {
             AllocationMethod::RelaxAndRound(options) => {
-                match solve_relaxed_until(instance, options, reject) {
-                    Ok(Some(relaxed)) => round_down_and_fill(instance, &relaxed.x).ok(),
+                match relax_and_round_until(instance, options, reject) {
+                    Ok(Some(allocation)) => Some(allocation),
                     Ok(None) => return Err(Abandoned),
                     Err(_) => None,
                 }
             }
-            AllocationMethod::Greedy => greedy_allocate(instance).ok(),
-            AllocationMethod::Minimal => Some(instance.lower_bound_point()),
+            AllocationMethod::Greedy => greedy_allocate(instance).ok().map(plain),
+            AllocationMethod::Minimal => Some(plain(instance.lower_bound_point())),
         })
     }
 

@@ -72,13 +72,21 @@
 //!    constraints in first-touch order), so the sub-instance of a
 //!    static component — or of a dynamic group — equals the joint
 //!    instance restricted to it;
-//! 2. `qdn_solve::solve_relaxed` itself decomposes by constraint
-//!    coupling, and the dynamic groups *are* the constraint-coupled
-//!    components of the profile's instance, so solving a group
-//!    stand-alone, inside its static component, or inside the joint
-//!    instance follows the same floating-point trajectory (the greedy
-//!    allocator is interleaving-invariant across components by
-//!    construction, and `Minimal` trivially so);
+//! 2. relax-and-round ([`qdn_solve::rounding::relax_and_round_until`])
+//!    allocates each constraint-coupled component on its own, and the
+//!    dynamic groups *are* the constraint-coupled components of the
+//!    profile's instance, so solving a group stand-alone, inside its
+//!    static component, or inside the joint instance follows the same
+//!    floating-point trajectory (the greedy allocator is
+//!    interleaving-invariant across components by construction, and
+//!    `Minimal` trivially so). That holds for both of its paths: a
+//!    component in which exactly one constraint fails
+//!    [`qdn_solve::relaxed::slack_fits`] at its members' slack points is
+//!    allocated by `greedy_allocate` (its exact integer optimum), every
+//!    other by FISTA plus `round_down_and_fill`. The rule is decided
+//!    inside `qdn_solve` from the component alone, so the evaluator's
+//!    groups and [`PerSlotContext::evaluate`] apply it identically;
+//!    [`EvalStats::one_binding`] counts the groups it allocated;
 //! 3. the final objective is re-accumulated over the gathered joint
 //!    allocation in variable order with the same
 //!    [`qdn_solve::ln_success`] terms [`AllocationInstance::objective_int`]
@@ -88,7 +96,14 @@
 //!    allocation is the per-edge slack closed form
 //!    ([`qdn_solve::relaxed::slack_point`], computed once per distinct
 //!    candidate edge per slot), which equals what relax-and-round would
-//!    return. The closed form is on only for
+//!    return. A group this check sends on to relax-and-round is assembled
+//!    and handed to invariant 2's entry point, which runs its own check
+//!    on the instance: it takes the greedy path when exactly one
+//!    constraint fails, and FISTA otherwise. If this check passes where
+//!    the entry point's would find exactly one failing constraint (the
+//!    two sum in different orders), both give the slack points: with
+//!    every `Σn ≤ cap`, greedy stops each variable at its own first
+//!    non-positive gain. The closed form is on only for
 //!    [`AllocationMethod::RelaxAndRound`] with at least one dual
 //!    iteration, at a positive price `κ = q_t`, with no slot budget. A
 //!    group takes it only if every node and edge it touches passes
@@ -150,7 +165,9 @@
 //! screened on its own drop only, so whether it is abandoned depends on
 //! the item alone, not on which items were solved before it. A solve
 //! the test stops is neither rounded nor memoized
-//! ([`EvalStats::abandoned`] counts it), so the memos stay exact.
+//! ([`EvalStats::abandoned`] counts it), so the memos stay exact. Items
+//! the slack closed form or the one-binding rule (invariants 4 and 2)
+//! allocate run no dual solve, so the test is never called for them.
 //!
 //! # Selection sessions
 //!
@@ -652,6 +669,12 @@ pub struct EvalStats {
     /// closed form (invariant 4 in the module docs): nothing assembled,
     /// nothing solved.
     pub closed_form: u64,
+    /// Of [`EvalStats::components_solved`], those relax-and-round
+    /// allocated by its one-binding rule (invariant 2 in the module
+    /// docs): assembled, then allocated greedily with no dual iteration.
+    /// A work item is one coupling component of the profile's instance,
+    /// so this counts work items.
+    pub one_binding: u64,
     /// Gauge: dynamic components across the whole profile, as of the
     /// last partition refresh. Static components whose sub-partition has
     /// not been computed yet (or never is: singletons and budgeted
@@ -1225,7 +1248,7 @@ impl<'a> ProfileEvaluator<'a> {
             indices,
             screen,
         );
-        let (alloc, _) = self.count_solve(solved, self.comp_pairs[comp].len())?;
+        let (alloc, ..) = self.count_solve(solved, self.comp_pairs[comp].len())?;
         let feasible = alloc.is_some();
         let key = self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]]
             .to_vec()
@@ -1242,9 +1265,10 @@ impl<'a> ProfileEvaluator<'a> {
         n_pairs: usize,
     ) -> Result<GroupSolve, Abandoned> {
         match &solved {
-            Ok((_, closed)) => {
+            Ok((_, closed, one_binding)) => {
                 self.stats.components_solved += 1;
                 self.stats.closed_form += u64::from(*closed);
+                self.stats.one_binding += *one_binding as u64;
                 self.stats.pairs_resolved_last_move += n_pairs as u64;
             }
             Err(Abandoned) => self.stats.abandoned += 1,
@@ -1293,7 +1317,7 @@ impl<'a> ProfileEvaluator<'a> {
                 indices,
                 screen,
             );
-            let (alloc, _) = self.count_solve(solved, self.group_members.len())?;
+            let (alloc, ..) = self.count_solve(solved, self.group_members.len())?;
             let ok = alloc.is_some();
             self.dyn_memos[comp].insert(self.group_key.as_slice().into(), alloc);
             if !ok {
@@ -1506,8 +1530,9 @@ fn build_instance_for<'r>(
 }
 
 /// One sub-instance's allocation (`None` = the route combination is
-/// infeasible) and whether the slack closed form produced it.
-type GroupSolve = (Option<Box<[u32]>>, bool);
+/// infeasible), whether the slack closed form produced it, and how many
+/// of its coupling components the one-binding rule allocated.
+type GroupSolve = (Option<Box<[u32]>>, bool, usize);
 
 /// Allocates one sub-instance (a whole static component or a single
 /// dynamic group, `members` = its pair ids ascending): by the slack
@@ -1526,15 +1551,19 @@ fn solve_component(
     screen: Option<Screen<'_>>,
 ) -> Result<GroupSolve, Abandoned> {
     if let Some(flat) = closed_form(&mut scratch.sums, ctx, routes, members, indices) {
-        return Ok((Some(flat), true));
+        return Ok((Some(flat), true, 0));
     }
     let route_iter = members.iter().map(|&i| &routes[i][indices[i]]);
     let Ok(instance) = build_instance_for(scratch, ctx, budget, route_iter) else {
-        return Ok((None, false));
+        return Ok((None, false, 0));
     };
-    let flat = method.allocate_unless(&instance, |drop| screen.is_some_and(|s| s.rejects(drop)));
+    let allocated =
+        method.allocate_unless(&instance, |drop| screen.is_some_and(|s| s.rejects(drop)));
     scratch.asm.recycle(instance);
-    Ok((flat?.map(Vec::into_boxed_slice), false))
+    Ok(match allocated? {
+        Some(a) => (Some(a.n.into_boxed_slice()), false, a.one_binding),
+        None => (None, false, 0),
+    })
 }
 
 /// The group's allocation by the slack closed form (invariant 4), or
@@ -1808,6 +1837,27 @@ mod tests {
     }
 
     #[test]
+    fn one_binding_groups_take_greedy() {
+        // Nodes 1 and 5, the middles of the good routes, hold 3 qubits.
+        // At price 25 a good link's x* ≈ 2.2 fits every capacity alone,
+        // but a good route's two edges need about 4.4 at its middle node:
+        // exactly that one constraint binds, so relax-and-round allocates
+        // the group greedily. Groups with a bad link (x* ≈ 8 > 5
+        // channels) have no slack point and are solved.
+        let net = two_diamonds();
+        let snap = CapacitySnapshot::clamped(&net, vec![10, 3, 10, 10, 10, 3, 10, 10], vec![5; 8]);
+        let ctx = PerSlotContext::oscar(&net, &snap, 800.0, 25.0);
+        let owned = owned_candidates(&net, &diamond_pairs());
+        let cands = to_cands(&owned);
+        let stats = assert_matches_rebuild(&ctx, &cands, &AllocationMethod::default());
+        assert!(stats.one_binding > 0, "{stats:?}");
+        assert!(
+            stats.one_binding + stats.closed_form < stats.components_solved,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
     fn integer_overflow_falls_back_to_the_solver() {
         // Two requests for one pair share a single 5-channel edge. Each
         // variable's x* ≈ 2.49 (the reals fit: 4.97 ≤ 5), but each
@@ -1860,20 +1910,27 @@ mod tests {
         };
         let priced = PerSlotContext::oscar(&net, &snap, 800.0, 25.0);
         let myopic = PerSlotContext::myopic(&net, &snap, 20);
+        // The last field: whether the one-binding rule must stay off too.
+        // It needs relax-and-round and a slack point, so a positive price;
+        // the budget row and a zero iteration budget do not stop it.
         let cases = [
             // κ = 0: the λ = 0 argmax is the upper bound, not x*.
-            (PerSlotContext::oscar(&net, &snap, 800.0, 0.0), rr),
-            (myopic, rr),
-            (myopic, AllocationMethod::Greedy),
-            (budgeted, rr),
+            (PerSlotContext::oscar(&net, &snap, 800.0, 0.0), rr, true),
+            (myopic, rr, true),
+            (myopic, AllocationMethod::Greedy, true),
+            (budgeted, rr, false),
             // No dual iteration: the solver returns the all-ones point.
-            (priced, no_iterations),
-            (priced, AllocationMethod::Greedy),
+            (priced, no_iterations, false),
+            (priced, AllocationMethod::Greedy, true),
+            (priced, AllocationMethod::Minimal, true),
         ];
-        for (ctx, method) in cases {
+        for (ctx, method, one_binding_off) in cases {
             let stats = assert_matches_rebuild(&ctx, &cands, &method);
             assert!(stats.components_solved > 0);
             assert_eq!(stats.closed_form, 0, "{method:?} {:?}", ctx.slot_budget);
+            if one_binding_off {
+                assert_eq!(stats.one_binding, 0, "{method:?} {:?}", ctx.unit_price);
+            }
         }
     }
 

@@ -162,9 +162,11 @@ impl AllocationInstance {
     /// ends in. `local_index` is caller-owned scratch (resized to the
     /// parent's variable count).
     ///
-    /// This is the arena path the multi-component recursion in
-    /// [`crate::relaxed::solve_relaxed`] cycles through — one husk,
-    /// recycled from component to component (ROADMAP item i).
+    /// This is the arena path the multi-component walks of
+    /// [`crate::relaxed::solve_relaxed`] and
+    /// [`crate::rounding::relax_and_round_until`] cycle through
+    /// ([`AllocationInstance::for_each_component`]) — one husk, recycled
+    /// from component to component.
     ///
     /// # Errors
     ///
@@ -199,6 +201,32 @@ impl AllocationInstance {
             husk.con_off.push(husk.con_idx.len() as u32);
         }
         husk.finalize()
+    }
+
+    /// Calls `solve(sub, vars, constraints)` on the stand-alone instance
+    /// of each component of `partition` in order, with the component's
+    /// variable and constraint indices, until `solve` returns `false`. The sub-instances cycle
+    /// through one recycled husk, so the walk allocates once, not per
+    /// component. Returns whether every component was visited.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `solve`'s errors and [`AllocationInstance::sub_instance`]'s.
+    pub(crate) fn for_each_component(
+        &self,
+        partition: &ComponentPartition,
+        mut solve: impl FnMut(&AllocationInstance, &[usize], &[usize]) -> Result<bool, SolveError>,
+    ) -> Result<bool, SolveError> {
+        let mut husk = AllocationInstance::husk();
+        let mut local_index = Vec::new();
+        for (vars, constraints) in partition.vars.iter().zip(&partition.constraints) {
+            let sub = self.sub_instance_into(vars, constraints, &mut local_index, husk)?;
+            if !solve(&sub, vars, constraints)? {
+                return Ok(false);
+            }
+            husk = sub.into_husk();
+        }
+        Ok(true)
     }
 }
 

@@ -4,27 +4,39 @@
 //! variable with the largest positive marginal gain
 //! `V·(ln P(n+1) − ln P(n)) − κ` that still fits its constraints. Because
 //! each variable's marginal is decreasing (concavity) and capacity slack
-//! only shrinks, a lazy max-heap gives an `O(K log n)` implementation.
+//! only shrinks, a max-heap with one entry per variable gives an
+//! `O(K log n)` implementation. Each entry carries its upper term
+//! `ln P(n+1)`, which is the next gain's lower term, so a push costs one
+//! `exp_m1`/`ln` pair rather than [`crate::instance::marginal_gain`]'s
+//! two, with the same bits.
 //!
 //! Uses:
 //! * the MF/MA baselines' per-slot problem (`κ = 0`, per-slot budget as an
 //!   extra packing constraint): greedy is the natural myopic allocator,
 //! * the surplus phase of the paper's down-rounding (Algorithm 2 step 4),
+//! * relax-and-round's one-binding rule
+//!   ([`crate::rounding::relax_and_round_until`]): a coupling component
+//!   in which exactly one constraint can bind is a separable concave
+//!   objective under one capacity, for which greedy from the lower
+//!   bounds is the exact integer optimum, so it replaces FISTA plus
+//!   rounding there,
 //! * an ablation against relax-and-round for OSCAR itself.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::instance::AllocationInstance;
+use crate::instance::{gain_from, ln_success, ln_success_from, AllocationInstance};
 use crate::SolveError;
 
-/// Max-heap entry ordered by marginal gain.
+/// Max-heap entry ordered by marginal gain. The heap holds at most one
+/// entry per variable, pushed at its current allocation `n`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapEntry {
     gain: f64,
     var: usize,
-    /// Allocation of `var` when this entry was pushed (stale detection).
-    at: u32,
+    /// `ln P(n + 1)`: the upper term of this gain and the lower term of
+    /// the variable's next one.
+    ln_next: f64,
 }
 
 impl Eq for HeapEntry {}
@@ -43,16 +55,16 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Runs greedy increments starting from `start` (defaults to all-ones via
-/// [`greedy_allocate`]).
+/// Runs greedy increments from the feasible point `start`
+/// ([`greedy_allocate`] starts from all ones).
 ///
-/// Increments stop when no variable has a positive marginal gain with
-/// remaining capacity. If `require_positive_gain` is false, increments
-/// continue while gains are non-negative... — instead of a boolean flag
-/// the threshold is explicit: increments are applied while
-/// `gain > gain_threshold` (use `0.0` for strict improvement, `−∞` to
-/// exhaust capacity as the throughput-greedy baselines do when `κ = 0`
-/// and every marginal is positive anyway).
+/// Each step adds one channel to the variable with the largest marginal
+/// gain that still fits all its constraints, ties going to the lower
+/// index. A variable that no longer fits drops out for good, since
+/// capacity only shrinks. The fill stops when the largest remaining
+/// gain is at most `gain_threshold`: `0.0` takes only strict
+/// improvements, and `f64::NEG_INFINITY` fills until every variable is
+/// blocked by a constraint.
 ///
 /// # Errors
 ///
@@ -76,38 +88,37 @@ pub fn greedy_fill(
         "greedy_fill requires a feasible starting point"
     );
 
-    let mut heap = BinaryHeap::with_capacity(instance.num_vars());
-    for (j, &nj) in n.iter().enumerate() {
-        heap.push(HeapEntry {
-            gain: instance.marginal_gain(j, nj),
+    let (v, kappa) = (instance.v_weight(), instance.unit_price());
+    let ln_beta: Vec<f64> = instance
+        .vars()
+        .iter()
+        .map(|var| f64::ln_1p(-var.p))
+        .collect();
+    // The entry for raising `j` from `nj`, given `ln P(nj)`: the terms
+    // `marginal_gain` evaluates, one new transcendental pair per push.
+    let entry = |j: usize, nj: u32, ln_at: f64| {
+        let ln_next = ln_success_from(ln_beta[j], (nj + 1) as f64);
+        HeapEntry {
+            gain: gain_from(v, kappa, ln_at, ln_next),
             var: j,
-            at: nj,
-        });
+            ln_next,
+        }
+    };
+    let mut heap = BinaryHeap::with_capacity(instance.num_vars());
+    for (j, (var, &nj)) in instance.vars().iter().zip(&n).enumerate() {
+        heap.push(entry(j, nj, ln_success(var.p, nj as f64)));
     }
 
-    while let Some(entry) = heap.pop() {
-        if entry.at != n[entry.var] {
-            // Stale: re-push with the current marginal.
-            heap.push(HeapEntry {
-                gain: instance.marginal_gain(entry.var, n[entry.var]),
-                var: entry.var,
-                at: n[entry.var],
-            });
-            continue;
-        }
-        if entry.gain <= gain_threshold {
+    while let Some(top) = heap.pop() {
+        if top.gain <= gain_threshold {
             break; // heap max is non-improving -> done
         }
-        if !instance.can_increment(entry.var, &n) {
+        if !instance.can_increment(top.var, &n) {
             // Capacity only shrinks; this variable is done for good.
             continue;
         }
-        n[entry.var] += 1;
-        heap.push(HeapEntry {
-            gain: instance.marginal_gain(entry.var, n[entry.var]),
-            var: entry.var,
-            at: n[entry.var],
-        });
+        n[top.var] += 1;
+        heap.push(entry(top.var, n[top.var], top.ln_next));
     }
     Ok(n)
 }

@@ -25,21 +25,39 @@ pub fn ln_success(p: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return f64::NEG_INFINITY;
     }
-    let ln_fail = x * f64::ln_1p(-p);
-    (-f64::exp_m1(ln_fail)).ln()
+    ln_success_from(f64::ln_1p(-p), x)
+}
+
+/// [`ln_success`] at `x > 0` from a cached `ln β = ln_1p(−p)`: the same
+/// expression, so the same bits.
+#[inline]
+pub(crate) fn ln_success_from(ln_beta: f64, x: f64) -> f64 {
+    (-f64::exp_m1(x * ln_beta)).ln()
 }
 
 /// Marginal objective gain `V·(ln P(n+1) − ln P(n)) − κ` of raising a
 /// variable with channel success `p` from `nj` to `nj + 1` channels.
 ///
-/// The single definition of the gain: the greedy fill
-/// ([`AllocationInstance::marginal_gain`]) and the slack closed form
-/// ([`crate::relaxed::slack_point`]) both call it, so their stopping
-/// decisions agree bit for bit.
+/// The reference definition of the gain. The greedy fill
+/// ([`crate::greedy::greedy_fill`]) and the slack closed form
+/// ([`crate::relaxed::slack_point`]) evaluate the same terms through
+/// [`gain_from`] and [`ln_success_from`], carrying each `ln P(n + 1)` to
+/// the next step, so their stopping decisions agree with it and with
+/// each other bit for bit.
 #[inline]
 pub fn marginal_gain(p: f64, v_weight: f64, unit_price: f64, nj: u32) -> f64 {
-    let gain = ln_success(p, (nj + 1) as f64) - ln_success(p, nj as f64);
-    v_weight * gain - unit_price
+    gain_from(
+        v_weight,
+        unit_price,
+        ln_success(p, nj as f64),
+        ln_success(p, (nj + 1) as f64),
+    )
+}
+
+/// [`marginal_gain`] from its two terms `ln P(n)` and `ln P(n + 1)`.
+#[inline]
+pub(crate) fn gain_from(v_weight: f64, unit_price: f64, ln_at: f64, ln_next: f64) -> f64 {
+    v_weight * (ln_next - ln_at) - unit_price
 }
 
 /// One decision variable: the channel allocation of one edge of one

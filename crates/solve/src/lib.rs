@@ -22,9 +22,12 @@
 //!   the dual iteration is the accelerated FISTA method in [`accel`],
 //! * [`rounding`] — "down-round and allocate surplus", preserving
 //!   feasibility and the Eq. 8 relation, giving the Δ-optimality of
-//!   Prop. 2,
+//!   Prop. 2; [`rounding::relax_and_round_until`] runs relaxation and
+//!   rounding per coupling component, allocating a component with
+//!   exactly one bindable constraint greedily instead,
 //! * [`greedy`] — a marginal-gain integer allocator used by the MF/MA
-//!   baselines (budget-capped) and as an ablation against relax-and-round,
+//!   baselines (budget-capped), by relax-and-round's one-binding rule,
+//!   and as an ablation against relax-and-round,
 //! * [`brute`] — exact enumeration for small instances (tests, gap
 //!   measurements).
 //!

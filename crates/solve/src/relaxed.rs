@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use wide::f64x4;
 
 use crate::accel::accelerated_iterate;
-use crate::instance::{ln_success, AllocationInstance};
+use crate::instance::{gain_from, ln_success, ln_success_from, AllocationInstance};
 use crate::SolveError;
 
 /// `Σ x[idx]` over one CSR row, 4-wide chunked: a vector accumulator
@@ -202,70 +202,74 @@ pub fn solve_relaxed_until(
     // sub-instance — the invariant the incremental profile evaluator in
     // `qdn-core` relies on.
     let partition = instance.components();
-    if partition.len() > 1 {
-        let mut x = vec![0.0f64; n];
-        let mut lambda = vec![0.0f64; m];
-        let mut primal_value = 0.0;
-        let mut dual_bound = 0.0;
-        let mut iterations = 0;
-        let mut converged = true;
-        // Sub-instances cycle through one recycled husk + index scratch
-        // (ROADMAP item i): the per-component build reuses the previous
-        // component's storage instead of the generic allocating
-        // constructor, so the recursion allocates once, not per
-        // component.
-        let mut husk: Option<AllocationInstance> = None;
-        let mut local_index: Vec<usize> = Vec::new();
-        // Final drops of the finished components.
-        let mut dropped = 0.0;
-        for (comp_vars, comp_cons) in partition.vars.iter().zip(&partition.constraints) {
-            let sub = instance.sub_instance_into(
-                comp_vars,
-                comp_cons,
-                &mut local_index,
-                husk.take().unwrap_or_else(AllocationInstance::husk),
-            )?;
-            let mut last = 0.0;
-            let Some(sol) = accelerated_iterate(
-                &sub,
-                options.gap_tolerance,
-                options.max_iterations,
-                |drop| {
-                    last = drop;
-                    stop(dropped + drop)
-                },
-            ) else {
-                return Ok(None);
-            };
-            dropped += last;
-            for (local, &j) in comp_vars.iter().enumerate() {
-                x[j] = sol.x[local];
-            }
-            for (local, &ci) in comp_cons.iter().enumerate() {
-                lambda[ci] = sol.lambda[local];
-            }
-            primal_value += sol.primal_value;
-            dual_bound += sol.dual_bound;
-            iterations = iterations.max(sol.iterations);
-            converged &= sol.converged;
-            husk = Some(sub.into_husk());
-        }
-        return Ok(Some(RelaxedSolution {
-            x,
-            primal_value,
-            dual_bound,
-            iterations,
-            lambda,
-            converged,
-        }));
+    // Final drops of the finished components.
+    let mut dropped = 0.0;
+    if partition.len() <= 1 {
+        return Ok(solve_component_until(
+            instance,
+            options,
+            &mut dropped,
+            &mut stop,
+        ));
     }
+    let mut x = vec![0.0f64; n];
+    let mut lambda = vec![0.0f64; m];
+    let mut primal_value = 0.0;
+    let mut dual_bound = 0.0;
+    let mut iterations = 0;
+    let mut converged = true;
+    let finished = instance.for_each_component(&partition, |sub, comp_vars, comp_cons| {
+        let Some(sol) = solve_component_until(sub, options, &mut dropped, &mut stop) else {
+            return Ok(false);
+        };
+        for (local, &j) in comp_vars.iter().enumerate() {
+            x[j] = sol.x[local];
+        }
+        for (local, &ci) in comp_cons.iter().enumerate() {
+            lambda[ci] = sol.lambda[local];
+        }
+        primal_value += sol.primal_value;
+        dual_bound += sol.dual_bound;
+        iterations = iterations.max(sol.iterations);
+        converged &= sol.converged;
+        Ok(true)
+    })?;
+    if !finished {
+        return Ok(None);
+    }
+    Ok(Some(RelaxedSolution {
+        x,
+        primal_value,
+        dual_bound,
+        iterations,
+        lambda,
+        converged,
+    }))
+}
 
-    Ok(accelerated_iterate(
-        instance,
+/// One coupling component's dual solve within a walk over an
+/// instance's components: `stop` sees `dropped` (the finished
+/// components' final drops) plus this solve's running drop, and the
+/// solve's final drop is added to `dropped` once it finishes. `None`
+/// when `stop` abandoned it.
+pub(crate) fn solve_component_until(
+    component: &AllocationInstance,
+    options: &RelaxedOptions,
+    dropped: &mut f64,
+    stop: &mut impl FnMut(f64) -> bool,
+) -> Option<RelaxedSolution> {
+    let mut last = 0.0;
+    let solution = accelerated_iterate(
+        component,
         options.gap_tolerance,
         options.max_iterations,
-        stop,
-    ))
+        |drop| {
+            last = drop;
+            stop(*dropped + drop)
+        },
+    )?;
+    *dropped += last;
+    Some(solution)
 }
 
 /// One variable's relax-and-round result when no constraint binds: the
@@ -319,6 +323,21 @@ pub struct SlackPoint {
 /// assert_eq!(round_down_and_fill(&inst, &relaxed.x).unwrap(), vec![sp.n]);
 /// ```
 pub fn slack_point(p: f64, v_weight: f64, kappa: f64, cap: u32) -> Option<SlackPoint> {
+    let real = slack_real(p, v_weight, kappa, cap)?;
+    let n = slack_integer(real, v_weight, kappa, cap)?;
+    Some(SlackPoint { x: real.x, n })
+}
+
+/// The real part of a [`slack_point`], with the `ln β = ln_1p(−p)` its
+/// integer part reuses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlackReal {
+    pub x: f64,
+    pub ln_beta: f64,
+}
+
+/// [`slack_point`]'s real part; `None` where that makes it `None`.
+pub(crate) fn slack_real(p: f64, v_weight: f64, kappa: f64, cap: u32) -> Option<SlackReal> {
     if !(p > 0.0 && p < 1.0 && kappa > 0.0) {
         return None;
     }
@@ -326,18 +345,31 @@ pub fn slack_point(p: f64, v_weight: f64, kappa: f64, cap: u32) -> Option<SlackP
     let rho = kappa / (-v_weight * ln_beta);
     let x_star = crate::scalar::stationary_point(rho, ln_beta);
     let x = if x_star <= 1.0 { 1.0 } else { x_star };
-    // Keeps the cast below in range.
+    // Keeps the cast in `slack_integer` in range.
     if x.is_nan() || x > f64::from(cap) {
         return None;
     }
-    let mut n = x.floor().max(1.0) as u32;
-    while crate::instance::marginal_gain(p, v_weight, kappa, n) > 0.0 {
-        if n >= cap {
-            return None;
+    Some(SlackReal { x, ln_beta })
+}
+
+/// [`slack_point`]'s integer part from its real part: `⌊x⌋.max(1)`,
+/// raised while [`crate::instance::marginal_gain`] is `> 0`, evaluated
+/// from the same terms with each `ln P(n + 1)` carried to the next step.
+pub(crate) fn slack_integer(real: SlackReal, v_weight: f64, kappa: f64, cap: u32) -> Option<u32> {
+    let mut n = real.x.floor().max(1.0) as u32;
+    let mut ln_at = ln_success_from(real.ln_beta, n as f64);
+    loop {
+        let ln_next = ln_success_from(real.ln_beta, (n + 1) as f64);
+        if gain_from(v_weight, kappa, ln_at, ln_next) > 0.0 {
+            if n >= cap {
+                return None;
+            }
+            n += 1;
+            ln_at = ln_next;
+        } else {
+            return Some(n);
         }
-        n += 1;
     }
-    Some(SlackPoint { x, n })
 }
 
 /// Whether a constraint of capacity `cap` whose members sit at their
@@ -354,8 +386,14 @@ pub fn slack_point(p: f64, v_weight: f64, kappa: f64, cap: u32) -> Option<SlackP
 /// solver's 4-wide `gather_sum`.
 #[inline]
 pub fn slack_fits(sum_x: f64, sum_n: u64, cap: u32) -> bool {
+    slack_fits_real(sum_x, cap) && sum_n <= u64::from(cap)
+}
+
+/// The real half of [`slack_fits`]: `Σx ≤ cap − 1e-9·(1 + cap)`.
+#[inline]
+pub(crate) fn slack_fits_real(sum_x: f64, cap: u32) -> bool {
     let cap_f = f64::from(cap);
-    sum_x <= cap_f - 1e-9 * (1.0 + cap_f) && sum_n <= u64::from(cap)
+    sum_x <= cap_f - 1e-9 * (1.0 + cap_f)
 }
 
 /// Per-variable constants cached once per solve. `ln_p1`/`ln_p_ub` use

@@ -1,4 +1,5 @@
-//! Down-rounding with surplus allocation (paper Algorithm 2, step 4).
+//! Down-rounding with surplus allocation (paper Algorithm 2, step 4),
+//! and relax-and-round as one call.
 //!
 //! Given the relaxed optimum `x̃*`, take `n_j = ⌊x̃*_j⌋` (never below 1 —
 //! the relaxed problem enforces `x̃ ≥ 1`), which is feasible because the
@@ -6,10 +7,195 @@
 //! capacity to variables with positive marginal gain. The result satisfies
 //! the paper's Eq. 8: `n*_j ≥ 1` and `x̃*_j − n*_j ≤ 1`, which is what the
 //! Δ-optimality proof of Prop. 2 needs.
+//!
+//! [`relax_and_round_until`] is Algorithm 2 per coupling component, with
+//! one declared rule: a component in which exactly one constraint can
+//! bind is allocated by [`greedy_allocate`], its exact integer optimum,
+//! instead of FISTA plus rounding (see its docs and the crate README).
 
-use crate::greedy::greedy_fill;
+use crate::greedy::{greedy_allocate, greedy_fill};
 use crate::instance::AllocationInstance;
+use crate::relaxed::{
+    slack_fits, slack_fits_real, slack_integer, slack_real, solve_component_until, RelaxedOptions,
+};
 use crate::SolveError;
+
+/// An integer allocation and the path that produced it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IntegerAllocation {
+    /// Channels per variable.
+    pub n: Vec<u32>,
+    /// Coupling components allocated by the one-binding rule of
+    /// [`relax_and_round_until`] rather than by FISTA plus rounding.
+    pub one_binding: usize,
+}
+
+/// Relax-and-round (paper Algorithm 2) with the one-binding rule, run
+/// per coupling component with a stop hook.
+///
+/// Each component of [`AllocationInstance::components`] is allocated on
+/// its own:
+///
+/// * **One binding constraint.** When exactly one of the component's
+///   constraints fails [`slack_fits`] at its members' [`slack_point`](crate::relaxed::slack_point)s,
+///   the component gets [`greedy_allocate`]. A variable's `cap` for its
+///   slack point is the smallest capacity among its constraints. Greedy
+///   raises a variable only while its gain is positive, so never past
+///   its slack point's `n`, and the other constraints, which fit at
+///   those points, never block it. What is left is a separable concave
+///   objective under one unit-coefficient capacity with box bounds, for
+///   which best-first greedy from the lower bounds is the exact integer
+///   optimum (Federgruen & Groenevelt, *Oper. Res.* 1986). No dual
+///   iteration runs, so `stop` is never called for it.
+/// * **Any other component** (no failing constraint, two or more, or a
+///   variable without a slack point, e.g. at `κ ≤ 0`) gets
+///   [`crate::relaxed::solve_relaxed_until`]'s FISTA solve and
+///   [`round_down_and_fill`], bit for bit.
+///
+/// This is a decision rule, not a replay of FISTA plus rounding: on
+/// one-bindable components the two can disagree when rounding misses
+/// the integer optimum, and then greedy scores higher. Prop. 2's Δ bound
+/// holds for both paths.
+///
+/// `stop` sees what [`crate::relaxed::solve_relaxed_until`]'s hook sees
+/// over the FISTA components: the finished ones' final drops plus the
+/// running one's. Returns `Ok(None)` as soon as it fires.
+///
+/// # Errors
+///
+/// As [`crate::relaxed::solve_relaxed`].
+///
+/// # Example
+///
+/// ```
+/// use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
+/// use qdn_solve::greedy::greedy_allocate;
+/// use qdn_solve::rounding::relax_and_round_until;
+///
+/// // Unconstrained, the two variables want about 7.7 and 4.0 channels:
+/// // their own capacities of 12 stay slack, and the shared 10 binds.
+/// let inst = AllocationInstance::new(
+///     vec![Variable::new(0.4), Variable::new(0.7)],
+///     vec![
+///         PackingConstraint::new(12, vec![0]),
+///         PackingConstraint::new(12, vec![1]),
+///         PackingConstraint::new(10, vec![0, 1]),
+///     ],
+///     1000.0,
+///     10.0,
+/// ).unwrap();
+/// let got = relax_and_round_until(&inst, &Default::default(), |_| false)
+///     .unwrap()
+///     .unwrap();
+/// assert_eq!(got.one_binding, 1);
+/// assert_eq!(got.n, greedy_allocate(&inst).unwrap());
+/// ```
+pub fn relax_and_round_until(
+    instance: &AllocationInstance,
+    options: &RelaxedOptions,
+    mut stop: impl FnMut(f64) -> bool,
+) -> Result<Option<IntegerAllocation>, SolveError> {
+    // Final drops of the finished FISTA components.
+    let mut dropped = 0.0;
+    let partition = instance.components();
+    if partition.len() <= 1 {
+        // The instance itself, as `solve_relaxed_until` solves it.
+        return Ok(
+            allocate_component(instance, options, &mut dropped, &mut stop)?.map(|(n, greedy)| {
+                IntegerAllocation {
+                    n,
+                    one_binding: usize::from(greedy),
+                }
+            }),
+        );
+    }
+    let mut n = vec![0u32; instance.num_vars()];
+    let mut one_binding = 0;
+    let finished = instance.for_each_component(&partition, |sub, vars, _| {
+        let Some((sub_n, greedy)) = allocate_component(sub, options, &mut dropped, &mut stop)?
+        else {
+            return Ok(false);
+        };
+        one_binding += usize::from(greedy);
+        for (&j, nj) in vars.iter().zip(sub_n) {
+            n[j] = nj;
+        }
+        Ok(true)
+    })?;
+    Ok(finished.then_some(IntegerAllocation { n, one_binding }))
+}
+
+/// One component's allocation and whether the one-binding rule gave it;
+/// `None` when `stop` abandoned its dual solve.
+fn allocate_component(
+    component: &AllocationInstance,
+    options: &RelaxedOptions,
+    dropped: &mut f64,
+    stop: &mut impl FnMut(f64) -> bool,
+) -> Result<Option<(Vec<u32>, bool)>, SolveError> {
+    if component.num_vars() == 0 {
+        return Ok(Some((Vec::new(), false)));
+    }
+    if one_binding(component) {
+        return greedy_allocate(component).map(|n| Some((n, true)));
+    }
+    let Some(relaxed) = solve_component_until(component, options, dropped, stop) else {
+        return Ok(None);
+    };
+    round_down_and_fill(component, &relaxed.x).map(|n| Some((n, false)))
+}
+
+/// Whether exactly one constraint with members fails [`slack_fits`] at
+/// its members' [`slack_point`](crate::relaxed::slack_point)s, each variable's `cap` being the
+/// smallest capacity among its constraints; `false` when some variable
+/// has no slack point.
+fn one_binding(instance: &AllocationInstance) -> bool {
+    let (v, kappa) = (instance.v_weight(), instance.unit_price());
+    let mut reals = Vec::with_capacity(instance.num_vars());
+    let mut caps = Vec::with_capacity(instance.num_vars());
+    for (j, var) in instance.vars().iter().enumerate() {
+        let cap = instance
+            .membership(j)
+            .iter()
+            .map(|&c| instance.capacity(c as usize))
+            .min()
+            .unwrap_or(u32::MAX);
+        let Some(real) = slack_real(var.p, v, kappa, cap) else {
+            return false;
+        };
+        reals.push(real);
+        caps.push(cap);
+    }
+    let rows = || (0..instance.num_constraints()).filter(|&c| !instance.members(c).is_empty());
+    let sum_x = |c: usize| -> f64 {
+        instance
+            .members(c)
+            .iter()
+            .map(|&j| reals[j as usize].x)
+            .sum()
+    };
+    // A constraint whose reals already fail fails whatever the integers
+    // say, so two of them settle it before the integer parts are built.
+    if rows()
+        .filter(|&c| !slack_fits_real(sum_x(c), instance.capacity(c)))
+        .nth(1)
+        .is_some()
+    {
+        return false;
+    }
+    let mut ns = Vec::with_capacity(instance.num_vars());
+    for (&real, &cap) in reals.iter().zip(&caps) {
+        let Some(n) = slack_integer(real, v, kappa, cap) else {
+            return false;
+        };
+        ns.push(u64::from(n));
+    }
+    let failing = rows().filter(|&c| {
+        let sum_n: u64 = instance.members(c).iter().map(|&j| ns[j as usize]).sum();
+        !slack_fits(sum_x(c), sum_n, instance.capacity(c))
+    });
+    failing.count() == 1
+}
 
 /// Rounds a feasible relaxed solution down and fills surplus capacity.
 ///

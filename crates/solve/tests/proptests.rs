@@ -7,7 +7,9 @@ use qdn_solve::relaxed::{
     bench_hooks, repair_feasibility, slack_fits, slack_point, solve_relaxed, solve_relaxed_until,
     RelaxedOptions, SlackPoint,
 };
-use qdn_solve::rounding::{round_down_and_fill, satisfies_rounding_relation};
+use qdn_solve::rounding::{
+    relax_and_round_until, round_down_and_fill, satisfies_rounding_relation, IntegerAllocation,
+};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
 
 /// Strategy: a feasible random instance with 1..5 variables and 1..4
@@ -168,6 +170,202 @@ fn arb_slack_instance() -> impl Strategy<Value = (AllocationInstance, Vec<SlackP
     })
 }
 
+/// Success probabilities the one-bindable strategy draws from in its
+/// tied cases: variables that share a `p` have equal marginal gains.
+const TIED_P: [f64; 4] = [0.3, 0.45, 0.55, 0.7];
+
+/// Strategy: a 1–4-variable instance shaped for the one-binding rule of
+/// [`relax_and_round_until`]. In half the cases every `p` comes from
+/// [`TIED_P`], to force near-ties. Each variable has its own capacity,
+/// 0–2 above the larger of its slack point's `⌈x⌉` and `n`; one shared
+/// constraint over every variable has a capacity between the member
+/// count and `Σ n + 1`. Prices run from 2% to 30% of `V`, which keeps
+/// every slack point small enough for [`brute_force_best`].
+fn arb_one_bindable_instance() -> impl Strategy<Value = AllocationInstance> {
+    (1usize..=4).prop_flat_map(|nv| {
+        let tied = proptest::bool::ANY;
+        let ps = proptest::collection::vec((0usize..TIED_P.len(), 0.2f64..0.9), nv);
+        let own = proptest::collection::vec(0u32..3, nv);
+        let v_weight = 100.0f64..3000.0;
+        let ratio = 0.02f64..0.3;
+        let shared = 0.0f64..1.0;
+        (tied, ps, own, v_weight, ratio, shared).prop_map(
+            move |(tied, ps, own, v, ratio, shared)| {
+                let ps: Vec<f64> = ps
+                    .into_iter()
+                    .map(|(k, p)| if tied { TIED_P[k] } else { p })
+                    .collect();
+                let kappa = ratio * v;
+                let points: Vec<SlackPoint> = ps
+                    .iter()
+                    .map(|&p| slack_point(p, v, kappa, SLACK_CAP).expect("κ > 0, p ∈ (0, 1)"))
+                    .collect();
+                let mut constraints: Vec<PackingConstraint> = points
+                    .iter()
+                    .zip(&own)
+                    .enumerate()
+                    .map(|(j, (sp, &extra))| {
+                        PackingConstraint::new((sp.x.ceil() as u32).max(sp.n) + extra, vec![j])
+                    })
+                    .collect();
+                let sum_n: u32 = points.iter().map(|sp| sp.n).sum();
+                let lo = nv as u32;
+                let cap = lo + ((f64::from(sum_n + 2 - lo)) * shared) as u32;
+                constraints.push(PackingConstraint::new(cap, (0..nv).collect()));
+                AllocationInstance::new(
+                    ps.into_iter().map(Variable::new).collect(),
+                    constraints,
+                    v,
+                    kappa,
+                )
+                .expect("capacities at least the member count")
+            },
+        )
+    })
+}
+
+/// Strategy: 2–5 variables under 2–4 constraints of random members at
+/// most 2 above their member count — small enough that two or more of
+/// them usually bind. Returns the success probabilities and the
+/// constraints, so a test can price the group like another instance.
+fn arb_tight_group() -> impl Strategy<Value = (Vec<f64>, Vec<PackingConstraint>)> {
+    (2usize..=5).prop_flat_map(|nv| {
+        let ps = proptest::collection::vec(0.2f64..0.9, nv);
+        let rows = proptest::collection::vec(
+            (proptest::collection::btree_set(0..nv, 1..=nv), 0u32..3),
+            2..=4,
+        );
+        (ps, rows).prop_map(|(ps, rows)| {
+            let constraints = rows
+                .into_iter()
+                .map(|(members, extra)| {
+                    let members: Vec<usize> = members.into_iter().collect();
+                    PackingConstraint::new(members.len() as u32 + extra, members)
+                })
+                .collect();
+            (ps, constraints)
+        })
+    })
+}
+
+/// Every constraint of `inst`, as a [`PackingConstraint`] whose members
+/// are shifted by `offset`.
+fn shifted_constraints(inst: &AllocationInstance, offset: usize) -> Vec<PackingConstraint> {
+    (0..inst.num_constraints())
+        .map(|c| {
+            let members = inst.members(c).iter().map(|&j| j as usize + offset);
+            PackingConstraint::new(inst.capacity(c), members.collect())
+        })
+        .collect()
+}
+
+/// Per coupling component of `inst`: how many of its constraints fail
+/// [`slack_fits`] at their members' slack points, each variable's `cap`
+/// being the smallest capacity among its constraints; `None` when some
+/// variable has no slack point.
+fn failing_per_component(inst: &AllocationInstance) -> Vec<Option<usize>> {
+    let partition = inst.components();
+    let (v, kappa) = (inst.v_weight(), inst.unit_price());
+    partition
+        .vars
+        .iter()
+        .zip(&partition.constraints)
+        .map(|(vars, constraints)| {
+            let mut points = vec![SlackPoint { x: 0.0, n: 0 }; inst.num_vars()];
+            for &j in vars {
+                let cap = inst
+                    .membership(j)
+                    .iter()
+                    .map(|&c| inst.capacity(c as usize))
+                    .min()
+                    .unwrap_or(u32::MAX);
+                points[j] = slack_point(inst.vars()[j].p, v, kappa, cap)?;
+            }
+            let fails = |&c: &usize| {
+                let members = inst.members(c);
+                let sum_x: f64 = members.iter().map(|&j| points[j as usize].x).sum();
+                let sum_n: u64 = members
+                    .iter()
+                    .map(|&j| u64::from(points[j as usize].n))
+                    .sum();
+                !slack_fits(sum_x, sum_n, inst.capacity(c))
+            };
+            Some(constraints.iter().filter(|c| fails(c)).count())
+        })
+        .collect()
+}
+
+/// [`relax_and_round_until`] with a hook that never fires.
+fn relax_and_round(inst: &AllocationInstance) -> IntegerAllocation {
+    relax_and_round_until(inst, &RelaxedOptions::default(), |_| false)
+        .unwrap()
+        .expect("a stop hook that never fires never abandons")
+}
+
+/// FISTA plus rounding on the whole instance, with no one-binding rule.
+fn fista_and_round(inst: &AllocationInstance) -> Vec<u32> {
+    let relaxed = solve_relaxed(inst, &RelaxedOptions::default()).unwrap();
+    round_down_and_fill(inst, &relaxed.x).unwrap()
+}
+
+/// Checks [`relax_and_round_until`] component by component against its
+/// two paths: [`greedy_allocate`] on each component with exactly one
+/// failing constraint, FISTA plus rounding's bits on every other one.
+fn assert_paths_per_component(inst: &AllocationInstance) -> Result<(), TestCaseError> {
+    let got = relax_and_round(inst);
+    let reference = fista_and_round(inst);
+    let partition = inst.components();
+    let failing = failing_per_component(inst);
+    let mut one_binding = 0;
+    for ((vars, constraints), fails) in partition
+        .vars
+        .iter()
+        .zip(&partition.constraints)
+        .zip(failing)
+    {
+        let n: Vec<u32> = vars.iter().map(|&j| got.n[j]).collect();
+        if fails == Some(1) {
+            one_binding += 1;
+            let sub = inst.sub_instance(vars, constraints).unwrap();
+            prop_assert_eq!(n, greedy_allocate(&sub).unwrap());
+        } else {
+            let want: Vec<u32> = vars.iter().map(|&j| reference[j]).collect();
+            prop_assert_eq!(n, want, "{:?} failing constraints", fails);
+        }
+    }
+    prop_assert_eq!(got.one_binding, one_binding);
+    Ok(())
+}
+
+/// Greedy from all ones, step by step: raise the variable with the
+/// largest [`AllocationInstance::marginal_gain`] (lowest index on ties)
+/// while that gain is positive, dropping a variable for good once
+/// [`AllocationInstance::can_increment`] refuses it. The reference
+/// `greedy_allocate`'s heap must reproduce.
+fn reference_greedy(inst: &AllocationInstance) -> Vec<u32> {
+    let mut n = inst.lower_bound_point();
+    let mut dropped = vec![false; n.len()];
+    loop {
+        let mut best: Option<(f64, usize)> = None;
+        for j in (0..n.len()).filter(|&j| !dropped[j]) {
+            let gain = inst.marginal_gain(j, n[j]);
+            if best.is_none_or(|(top, _)| gain > top) {
+                best = Some((gain, j));
+            }
+        }
+        match best {
+            Some((gain, j)) if gain > 0.0 => {
+                if inst.can_increment(j, &n) {
+                    n[j] += 1;
+                } else {
+                    dropped[j] = true;
+                }
+            }
+            _ => return n,
+        }
+    }
+}
+
 /// Largest feasible value of variable `j` when every other variable sits
 /// at `x[k]`.
 fn max_feasible(inst: &AllocationInstance, x: &[f64], j: usize) -> f64 {
@@ -259,6 +457,14 @@ proptest! {
         let greedy = greedy_allocate(&inst).unwrap();
         prop_assert!(opt - inst.objective_int(&greedy) <= delta + 1e-6,
             "greedy gap {} > delta {delta}", opt - inst.objective_int(&greedy));
+    }
+
+    /// The heap-based greedy makes the reference loop's choices, bit for
+    /// bit, on random and on tightly coupled instances.
+    #[test]
+    fn greedy_matches_reference_loop(inst in arb_instance(), coupled in arb_coupled_instance()) {
+        prop_assert_eq!(greedy_allocate(&inst).unwrap(), reference_greedy(&inst));
+        prop_assert_eq!(greedy_allocate(&coupled).unwrap(), reference_greedy(&coupled));
     }
 
     /// Feasibility repair maps arbitrary points above the lower bound into
@@ -407,5 +613,87 @@ proptest! {
             prop_assert!(stopped.is_none());
             prop_assert_eq!(calls, fire_at + 1);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On a one-bindable instance the one-binding rule reaches the exact
+    /// integer optimum, so it scores at least what FISTA plus rounding
+    /// scores.
+    #[test]
+    fn one_binding_rule_is_exact(inst in arb_one_bindable_instance()) {
+        prop_assume!(failing_per_component(&inst) == [Some(1)]);
+        let got = relax_and_round(&inst);
+        prop_assert_eq!(got.one_binding, 1);
+        prop_assert!(inst.is_feasible_int(&got.n));
+        let value = inst.objective_int(&got.n);
+        let (best, opt) = brute_force_best(&inst, u32::MAX);
+        let tol = 1e-9 * (1.0 + opt.abs());
+        prop_assert!(
+            (value - opt).abs() <= tol,
+            "rule {value} ({:?}) against the optimum {opt} ({best:?})", got.n
+        );
+        let rounded = inst.objective_int(&fista_and_round(&inst));
+        prop_assert!(
+            value >= rounded - 1e-9 * (1.0 + rounded.abs()),
+            "rule {value} below FISTA plus rounding {rounded}"
+        );
+    }
+
+    /// A one-bindable group and an unrelated group in which two or more
+    /// constraints bind, solved as one instance, get bit for bit the
+    /// allocations each gets alone.
+    #[test]
+    fn joint_instance_matches_groups_solved_alone(
+        one in arb_one_bindable_instance(),
+        (ps, constraints) in arb_tight_group(),
+    ) {
+        let (v, kappa) = (one.v_weight(), one.unit_price());
+        let tight = AllocationInstance::new(
+            ps.iter().copied().map(Variable::new).collect(),
+            constraints,
+            v,
+            kappa,
+        )
+        .unwrap();
+        prop_assume!(failing_per_component(&one) == [Some(1)]);
+        prop_assume!(failing_per_component(&tight).iter().all(|f| f.is_none_or(|k| k >= 2)));
+        let offset = one.num_vars();
+        let joint = AllocationInstance::new(
+            one.vars().iter().chain(tight.vars()).copied().collect(),
+            shifted_constraints(&one, 0)
+                .into_iter()
+                .chain(shifted_constraints(&tight, offset))
+                .collect(),
+            v,
+            kappa,
+        )
+        .unwrap();
+        let (alone_one, alone_tight) = (relax_and_round(&one), relax_and_round(&tight));
+        let got = relax_and_round(&joint);
+        prop_assert_eq!(&got.n[..offset], &alone_one.n[..]);
+        prop_assert_eq!(&got.n[offset..], &alone_tight.n[..]);
+        prop_assert_eq!(got.one_binding, 1);
+        prop_assert_eq!(alone_tight.one_binding, 0);
+    }
+}
+
+proptest! {
+    // Components land on every side of the rule: slack, one failing
+    // constraint, several.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Component by component, the rule's entry point is greedy where
+    /// exactly one constraint fails the slack check and FISTA plus
+    /// rounding, bit for bit, everywhere else.
+    #[test]
+    fn other_components_keep_fista_and_round_bits(
+        (slack, _) in arb_slack_instance(),
+        random in arb_instance(),
+    ) {
+        assert_paths_per_component(&slack)?;
+        assert_paths_per_component(&random)?;
     }
 }
