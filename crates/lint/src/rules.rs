@@ -77,7 +77,7 @@ fn hint_for(rule: &str) -> String {
         }
         "nondet-time" => "derive every draw from the seeded RNG / slot counter",
         "raw-spawn" => {
-            "run the stage on the shared pool (threadpool::current().map_indexed/scope) \
+            "run the stage on the shared pool (threadpool::global_with(w).map_indexed) \
              so width and reduction order stay configured in one place"
         }
         "serde-default" => "make the field required and document the break in MIGRATION.md",

@@ -5,7 +5,7 @@ use std::thread;
 // A comment mentioning thread::spawn or thread::Builder is not a finding.
 
 fn on_the_pool(n: usize) -> Vec<u64> {
-    threadpool::current().map_indexed(n, |i| i as u64 * 2)
+    threadpool::global_with(2).map_indexed(n, |i| i as u64 * 2)
 }
 
 fn join(handle: thread::JoinHandle<u64>) -> u64 {

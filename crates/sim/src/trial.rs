@@ -2,7 +2,7 @@
 //!
 //! The paper averages 5 trials per data point (§V-A-2). Trials are
 //! embarrassingly parallel; this module fans them out on the shared
-//! work-stealing pool (`crates/compat/threadpool`), sized by
+//! index-claiming pool (`crates/compat/threadpool`), sized by
 //! [`TrialConfig::threads`], while keeping results in deterministic
 //! trial order — each trial is a pure function of its seed and results
 //! are gathered in trial-index order, so a run's `RunMetrics` are
@@ -45,9 +45,9 @@ pub struct TrialConfig {
     /// Base seed; trial `i` uses `base_seed + i` for the environment and
     /// a derived stream for the policy.
     pub base_seed: u64,
-    /// Worker threads for the trial fan-out: `0` = one per available
-    /// CPU. Results are byte-identical at every width — this knob trades
-    /// wall-clock for cores, never determinism.
+    /// Threads running trials at once, the calling thread included:
+    /// `0` = one per available CPU. Results are byte-identical at every
+    /// width — this knob trades wall-clock for cores, never determinism.
     pub threads: usize,
     /// Per-trial simulation parameters.
     pub sim: SimConfig,
@@ -89,11 +89,10 @@ where
     F: Fn(u64) -> TrialSetup + Sync,
 {
     let sim = config.sim;
-    // `global_with` keeps one long-lived pool per width for the process
-    // lifetime, so repeated experiment sweeps reuse warm workers instead
-    // of respawning threads per call. `map_indexed` gathers in
-    // trial-index order; each trial is a pure function of its seed, so
-    // the result vector is byte-identical at every pool width.
+    // `global_with` shares one task counter per width, so benchmark
+    // readers of the pool's stats see these trials. `map_indexed`
+    // gathers in trial-index order; each trial is a pure function of its
+    // seed, so the result vector is byte-identical at every pool width.
     threadpool::global_with(config.threads).map_indexed(config.trials, |i| {
         let seed = trial_seed(config.base_seed, i);
         let mut ts = setup(seed);
@@ -191,18 +190,23 @@ mod tests {
 
     #[test]
     fn parallel_trials_byte_identical_to_serial() {
-        let mut serial_cfg = small_config(4);
-        serial_cfg.threads = 1;
-        let mut parallel_cfg = small_config(4);
-        parallel_cfg.threads = 4;
-        let serial = run_trials(&serial_cfg, oscar_setup);
-        let parallel = run_trials(&parallel_cfg, oscar_setup);
-        // Compare the serialized wire form: byte-identical, not merely
-        // structurally equal.
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&parallel).unwrap()
-        );
+        // (trials, width): 4 trials at widths 2, 3 and 4, and 2 trials
+        // at width 4, where claimers outnumber trials.
+        for (trials, threads) in [(4, 2), (4, 3), (4, 4), (2, 4)] {
+            let mut serial_cfg = small_config(trials);
+            serial_cfg.threads = 1;
+            let mut parallel_cfg = small_config(trials);
+            parallel_cfg.threads = threads;
+            let serial = run_trials(&serial_cfg, oscar_setup);
+            let parallel = run_trials(&parallel_cfg, oscar_setup);
+            // Compare the serialized wire form: byte-identical, not
+            // merely structurally equal.
+            assert_eq!(
+                serde_json::to_string(&serial).unwrap(),
+                serde_json::to_string(&parallel).unwrap(),
+                "{trials} trials at width {threads}"
+            );
+        }
     }
 
     #[test]

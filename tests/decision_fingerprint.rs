@@ -1,6 +1,6 @@
 //! Decision-fingerprint regression tests: fixed seeded traces replayed
 //! through `engine::decide` must reproduce a golden hash of their
-//! decisions, at every pool width.
+//! decisions.
 //!
 //! Both traces run the paper network for 200 slots with OSCAR's paper
 //! defaults and one virtual queue:
@@ -22,6 +22,10 @@
 //! (`EvalOptions::default()`), the cold chain that draws a random start
 //! every slot. Seeding rarely engages on the uniform trace, so its two
 //! goldens coincide.
+//!
+//! A slot decides serially on its caller's thread, so each golden is
+//! replayed once; trial fan-out across pool widths is checked by
+//! `qdn_sim`'s `parallel_trials_byte_identical_to_serial`.
 //!
 //! These are the seeded regression corpus. A deliberate behaviour change
 //! must update the goldens and say why.
@@ -94,7 +98,7 @@ fn uniform() -> (DynamicsConfig, WorkloadConfig) {
     (DynamicsConfig::Static, WorkloadConfig::paper_default())
 }
 
-/// Replays a trace on the current thread pool and returns the hash.
+/// Replays a trace and returns the hash.
 fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadConfig)) -> u64 {
     let network = NetworkConfig::paper_default()
         .build(&mut rng(0, NETWORK_STREAM))
@@ -128,34 +132,27 @@ fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadCo
     hash
 }
 
-/// Asserts that `trace` replayed under `oscar` hashes to `golden` at
-/// pool widths 1 and 2.
-fn assert_golden(
-    golden: u64,
-    oscar: &OscarConfig,
-    trace: impl Fn() -> (DynamicsConfig, WorkloadConfig),
-) {
-    for width in [1usize, 2] {
-        let hash = threadpool::ThreadPool::new(width).install(|| replay(oscar, trace()));
-        assert_eq!(
-            hash, golden,
-            "decision fingerprint changed at pool width {width}: got {hash:#018x}"
-        );
-    }
+/// Asserts that `trace` replayed under `oscar` hashes to `golden`.
+fn assert_golden(golden: u64, oscar: &OscarConfig, trace: (DynamicsConfig, WorkloadConfig)) {
+    let hash = replay(oscar, trace);
+    assert_eq!(
+        hash, golden,
+        "decision fingerprint changed: got {hash:#018x}"
+    );
 }
 
 #[test]
-fn churn_trace_matches_golden_at_pool_widths_1_and_2() {
-    assert_golden(CHURN_GOLDEN, &OscarConfig::paper_default(), churn);
+fn churn_trace_matches_golden() {
+    assert_golden(CHURN_GOLDEN, &OscarConfig::paper_default(), churn());
 }
 
 #[test]
-fn uniform_trace_matches_golden_at_pool_widths_1_and_2() {
-    assert_golden(UNIFORM_GOLDEN, &OscarConfig::paper_default(), uniform);
+fn uniform_trace_matches_golden() {
+    assert_golden(UNIFORM_GOLDEN, &OscarConfig::paper_default(), uniform());
 }
 
 #[test]
-fn cold_traces_match_goldens_at_pool_widths_1_and_2() {
+fn cold_traces_match_goldens() {
     let cold = OscarConfig {
         selector: RouteSelector::Gibbs(GibbsConfig {
             evaluator: EvalOptions::default(),
@@ -163,6 +160,6 @@ fn cold_traces_match_goldens_at_pool_widths_1_and_2() {
         }),
         ..OscarConfig::paper_default()
     };
-    assert_golden(CHURN_COLD_GOLDEN, &cold, churn);
-    assert_golden(UNIFORM_COLD_GOLDEN, &cold, uniform);
+    assert_golden(CHURN_COLD_GOLDEN, &cold, churn());
+    assert_golden(UNIFORM_COLD_GOLDEN, &cold, uniform());
 }
