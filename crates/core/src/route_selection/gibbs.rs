@@ -93,8 +93,7 @@
 //! A group in which exactly one capacity can bind runs no dual
 //! iterations at all: relax-and-round allocates it greedily (see
 //! [`crate::allocation`]). The screen therefore never abandons such a
-//! group, which is evaluated in full, and `EvalStats::abandoned` counts
-//! fall by the abandons those groups used to produce.
+//! group, which is evaluated in full.
 //! When the test fires the solve stops, the proposal is rejected, and
 //! the RNG has drawn exactly the reference's one uniform.
 //! A solve the test never stops returns the bits it always did: the test

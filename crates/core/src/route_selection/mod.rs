@@ -135,8 +135,7 @@ impl RouteSelector {
     /// every default config). With `warm_profile_seed` off, results are
     /// bit-identical to a fresh [`RouteSelector::select`] per slot (the
     /// `session_matches_fresh_per_slot` proptest enforces it); see
-    /// [`crate::profile_eval`]'s "Selection sessions" docs
-    /// for the invariants.
+    /// [`SelectorSession`]'s docs for the invariants.
     pub fn select_in(
         &self,
         session: &mut SelectorSession,

@@ -7,7 +7,7 @@
 //!
 //! [`shortest_path_filtered`], [`distances_from`] and every search of
 //! Yen's algorithm run through one Dijkstra body on a reusable
-//! [`Workspace`]: its distance, predecessor and settled arrays, heap and
+//! `Workspace`: its distance, predecessor and settled arrays, heap and
 //! ban flags are reset in place, so Yen's many spur searches allocate
 //! nothing per search. Bans are dense flags indexed by id, not hash sets.
 //! None of this changes a result: nodes still pop in `(distance, node id)`

@@ -5,7 +5,7 @@
 //! (§III-C). Yen's algorithm produces exactly that: the `k` simple paths of
 //! smallest total weight, in non-decreasing order.
 //!
-//! All searches of one call share a single [`Workspace`]: the base filter
+//! All searches of one call share a single `Workspace`: the base filter
 //! is fitted to the graph once, each spur's bans are that copy plus the
 //! root's nodes and the shared-root edges, and root + spur is stitched
 //! into two reused buffers, so a `Path` is allocated only for a new

@@ -60,8 +60,7 @@
 //! it is not a candidate here.
 //!
 //! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
-//! ([`crate::relaxed::dual_value_at`], [`crate::relaxed::residual_pass`],
-//! [`crate::relaxed::consider_primal`]): one price-gather + fused
+//! (`dual_value_at`, `residual_pass`, `consider_primal`): one price-gather + fused
 //! argmax/dual pass per gradient or function evaluation, a fixed set of
 //! buffers allocated up front, and nothing allocated inside the loop.
 

@@ -156,7 +156,7 @@ impl AllocationInstance {
 
     /// [`AllocationInstance::sub_instance`] into recycled storage: the
     /// component's CSR arrays are written directly into `husk`'s buffers
-    /// (no intermediate [`PackingConstraint`] member `Vec`s, no
+    /// (no intermediate `PackingConstraint` member `Vec`s, no
     /// allocations once `husk` and `local_index` have grown to size) and
     /// validated by the same shared `finalize` pass every constructor
     /// ends in. `local_index` is caller-owned scratch (resized to the
@@ -165,7 +165,7 @@ impl AllocationInstance {
     /// This is the arena path the multi-component walks of
     /// [`crate::relaxed::solve_relaxed`] and
     /// [`crate::rounding::relax_and_round_until`] cycle through
-    /// ([`AllocationInstance::for_each_component`]) — one husk, recycled
+    /// (`AllocationInstance::for_each_component`) — one husk, recycled
     /// from component to component.
     ///
     /// # Errors

@@ -41,7 +41,7 @@ pub(crate) fn ln_success_from(ln_beta: f64, x: f64) -> f64 {
 /// The reference definition of the gain. The greedy fill
 /// ([`crate::greedy::greedy_fill`]) and the slack closed form
 /// ([`crate::relaxed::slack_point`]) evaluate the same terms through
-/// [`gain_from`] and [`ln_success_from`], carrying each `ln P(n + 1)` to
+/// `gain_from` and `ln_success_from`, carrying each `ln P(n + 1)` to
 /// the next step, so their stopping decisions agree with it and with
 /// each other bit for bit.
 #[inline]

@@ -27,8 +27,8 @@
 //! condition as `−ln(1+ρ)` — no `exp`/`ln` pair per variable per
 //! iteration), and the repair/objective passes reuse per-solve buffers.
 //! A solve allocates a fixed number of vectors up front and nothing
-//! inside the loop. The passes live here ([`VarCache`],
-//! [`dual_value_at`], [`residual_pass`], [`consider_primal`]); the loop
+//! inside the loop. The passes live here (`VarCache`, `dual_value_at`,
+//! `residual_pass`, `consider_primal`); the loop
 //! itself is `accel::accelerated_iterate`.
 
 use serde::{Deserialize, Serialize};
@@ -610,7 +610,7 @@ pub mod bench_hooks {
     use super::{AllocationInstance, VarCache};
 
     /// Opaque per-solve constant cache (wraps the crate-private
-    /// [`VarCache`]).
+    /// `VarCache`).
     pub struct Cache(VarCache);
 
     pub fn cache(instance: &AllocationInstance) -> Cache {

@@ -5,7 +5,8 @@
 # Run before pushing any change (especially perf refactors, which tend to
 # accumulate lint debt):
 #
-#     ./scripts/ci-gate.sh                  # lint + fmt only (fast)
+#     ./scripts/ci-gate.sh                  # fmt, clippy, qdn-lint and
+#                                           # rustdoc only (fast)
 #     ./scripts/ci-gate.sh --full           # also build + tier-1,
 #                                           # workspace and perfbench
 #                                           # tests
@@ -23,8 +24,9 @@
 # The gate is intentionally strict: clippy warnings are errors across all
 # targets (lib, tests, benches, examples, bins), formatting must match
 # rustfmt exactly, and the workspace invariant checker (qdn-lint — see
-# crates/lint/README.md) must report zero errors. The lint JSON report
-# lands in target/lint-report.json for CI to archive.
+# crates/lint/README.md) must report zero errors, and so must rustdoc.
+# The lint JSON report lands in target/lint-report.json for CI to
+# archive.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +59,15 @@ cargo clippy --workspace \
 
 echo "==> qdn-lint --report target/lint-report.json"
 cargo run -q -p qdn_lint --bin qdn-lint -- --report target/lint-report.json
+
+# Rustdoc with warnings as errors, over the same crates as clippy: a
+# broken intra-doc link, or a public doc linking to a private item,
+# fails the gate.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude serde --exclude serde_derive --exclude serde_json \
+    --exclude rand --exclude proptest --exclude criterion \
+    --exclude wide
 
 if [[ "$full" -eq 1 ]]; then
     # --workspace: the serve smoke below runs qdn_serve's binaries, which
