@@ -129,20 +129,28 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---------------------------------------------------------------- parsing
 
+/// Deepest array/object nesting [`parse_value`] accepts, as upstream
+/// `serde_json`'s recursion limit: the parser recurses once per level,
+/// so an unbounded depth would let a small document overflow the stack.
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses a complete JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or trailing garbage.
+/// Returns [`Error`] on malformed JSON, trailing garbage, or nesting
+/// deeper than [`RECURSION_LIMIT`].
 pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -198,10 +206,25 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::msg(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -451,6 +474,18 @@ mod tests {
         assert!(parse_value("01x").is_err());
         assert!(parse_value("\"abc").is_err());
         assert!(parse_value("{} extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(RECURSION_LIMIT)).is_ok());
+        let err = parse_value(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(129), "}".repeat(129));
+        assert!(parse_value(&objects).is_err());
+        // A million levels fail on the limit, not on the stack.
+        assert!(parse_value(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -180,8 +180,9 @@ impl EngineState {
     /// [`EngineState::snapshot`]. Candidate lists are recomputed on first
     /// use under the snapshot's dead set, so decisions made by the
     /// restored state are bit-identical to the uninterrupted run's
-    /// (pinned by the `restored_session_matches_uninterrupted`
-    /// proptest).
+    /// (pinned by the repository's differential harness,
+    /// `tests/differential.rs`, which restores mid-trace through the JSON
+    /// wire form).
     pub fn restore(snapshot: &EngineSnapshot) -> Result<Self, String> {
         if snapshot.version != ENGINE_SNAPSHOT_VERSION {
             return Err(format!(

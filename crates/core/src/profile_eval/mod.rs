@@ -82,9 +82,11 @@
 //!    relax-and-round would return. `slack.rs` states when it applies
 //!    and why it agrees with invariant 2's entry point.
 //!
-//! The property test `incremental_matches_full_rebuild` in
-//! `crates/core/tests/proptests.rs` enforces this equivalence on random
-//! topologies, profiles, and move sequences for every allocation
+//! The repository's differential harness (`tests/differential.rs`)
+//! enforces this equivalence: its reference decision evaluates every
+//! profile by full rebuild, and every production path, which evaluates
+//! through this evaluator, must make the same decisions bit for bit on
+//! random topologies, churn and request traces for every allocation
 //! method.
 //!
 //! [`AllocationInstance`]: qdn_solve::AllocationInstance

@@ -60,8 +60,9 @@ use crate::route_selection::Candidates;
 /// * With `warm_profile_seed` off, a session-built evaluator is
 ///   **bit-identical** to a fresh
 ///   [`ProfileEvaluator::new`](super::ProfileEvaluator::new) per slot
-///   (enforced by the `session_matches_fresh_per_slot` proptest, which
-///   also runs link cuts and repairs and a change of network).
+///   (enforced by the repository's differential harness,
+///   `tests/differential.rs`, which also runs link cuts and repairs and a
+///   reset onto a network of another size).
 #[derive(Debug, Default)]
 pub struct SelectorSession {
     scratch: Option<Scratch>,
@@ -199,8 +200,8 @@ impl SelectorSession {
     /// [`SelectorSession::snapshot`]. The restored session is
     /// behaviorally indistinguishable from the original: every decision
     /// it participates in is bit-identical to what the uninterrupted
-    /// session would have produced (pinned by the
-    /// `restored_session_matches_uninterrupted` proptest).
+    /// session would have produced (pinned by the repository's
+    /// differential harness, `tests/differential.rs`).
     pub fn restore(snapshot: &SessionSnapshot) -> Result<Self, String> {
         if snapshot.version != SESSION_SNAPSHOT_VERSION {
             return Err(format!(

@@ -113,10 +113,12 @@
 //! entry, so a later evaluation of the same group solves it afresh and
 //! gets the exact allocation.
 //!
-//! The `early_rejection_matches_reference_chain` proptest checks all of
-//! this against the plain evaluate-then-`random_bool` chain kept in the
-//! test file; `in_solve_screen_engages_and_matches_unscreened_chain`
-//! checks it on a capacity-bound instance where stage 2 abandons solves.
+//! The reference is the chain in the repository's `tests/reference/gibbs.rs`,
+//! which evaluates every proposal in full and then calls `random_bool`.
+//! `crates/core/tests/proptests.rs` checks this chain against it:
+//! `early_rejection_matches_reference_chain` on random instances, and
+//! `in_solve_screen_engages_and_matches_reference_chain` on a
+//! capacity-bound instance where stage 2 abandons solves.
 
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -289,23 +291,6 @@ pub fn sample_seeded(
     rng: &mut dyn rand::Rng,
     seed: Option<&[usize]>,
 ) -> Option<Selection> {
-    chain(evaluator, candidates, config, rng, seed, accept_proposal)
-}
-
-/// One accept/reject step: [`accept_proposal`], or in tests the
-/// unscreened step it must match.
-type AcceptStep =
-    fn(&mut ProfileEvaluator<'_>, &[usize], f64, f64, &mut dyn rand::Rng) -> Option<f64>;
-
-/// [`sample_seeded`]'s chain with its accept/reject step as a parameter.
-fn chain(
-    evaluator: &mut ProfileEvaluator<'_>,
-    candidates: &[Candidates<'_>],
-    config: &GibbsConfig,
-    rng: &mut dyn rand::Rng,
-    seed: Option<&[usize]>,
-    accept: AcceptStep,
-) -> Option<Selection> {
     let k = candidates.len();
     if k == 0 {
         return evaluator.evaluate(&[]).map(|evaluation| Selection {
@@ -360,7 +345,7 @@ fn chain(
         if candidates[i].routes.len() >= 2 {
             let old = indices[i];
             indices[i] = propose_different(rng, old, candidates[i].routes.len());
-            match accept(evaluator, &indices, f_cur, gamma, rng) {
+            match accept_proposal(evaluator, &indices, f_cur, gamma, rng) {
                 Some(objective) => f_cur = objective,
                 None => indices[i] = old,
             }
@@ -548,64 +533,6 @@ mod tests {
         assert!(sel.evaluation.objective.is_finite());
     }
 
-    /// The step the screened one must match: evaluate every proposal,
-    /// then `random_bool`.
-    fn accept_unscreened(
-        evaluator: &mut ProfileEvaluator<'_>,
-        indices: &[usize],
-        f_cur: f64,
-        gamma: f64,
-        rng: &mut dyn rand::Rng,
-    ) -> Option<f64> {
-        let objective = evaluator.evaluate_objective(indices)?;
-        rng.random_bool(acceptance_probability(objective, f_cur, gamma))
-            .then_some(objective)
-    }
-
-    /// Two pairs whose routes cross one bottleneck, at a tail queue price:
-    /// the coupled solves bind, the in-solve screen abandons some of them,
-    /// and the chain still makes the unscreened chain's decisions.
-    #[test]
-    fn in_solve_screen_engages_and_matches_unscreened_chain() {
-        let net = shared_bottleneck();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 250.0);
-        let pairs = [
-            SdPair::new(NodeId(0), NodeId(4)).unwrap(),
-            SdPair::new(NodeId(1), NodeId(5)).unwrap(),
-        ];
-        let owned = owned_candidates(&net, &pairs);
-        let cands = to_cands(&owned);
-        let method = AllocationMethod::default();
-        let config = GibbsConfig {
-            iterations: 200,
-            evaluator: EvalOptions::default(),
-            ..GibbsConfig::paper_default()
-        };
-        let mut abandoned = 0;
-        for seed in 0..8 {
-            let run = |accept: AcceptStep| {
-                let mut evaluator = ProfileEvaluator::new(&ctx, &cands, &method, config.evaluator);
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let selection = chain(&mut evaluator, &cands, &config, &mut rng, None, accept)
-                    .expect("feasible");
-                let next = rand::Rng::next_u64(&mut rng);
-                (selection, next, evaluator.stats())
-            };
-            let (screened, screened_next, stats) = run(accept_proposal);
-            let (reference, reference_next, _) = run(accept_unscreened);
-            assert_eq!(screened.indices, reference.indices, "seed {seed}");
-            assert_eq!(
-                screened.evaluation.objective.to_bits(),
-                reference.evaluation.objective.to_bits(),
-                "seed {seed}"
-            );
-            assert_eq!(screened_next, reference_next, "seed {seed}");
-            abandoned += stats.abandoned;
-        }
-        assert!(abandoned > 0, "the in-solve screen never engaged");
-    }
-
     #[test]
     fn propose_different_never_repeats() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -636,33 +563,6 @@ mod tests {
         b.add_edge(n[5], n[7], 5, good).unwrap();
         b.add_edge(n[4], n[6], 5, bad).unwrap();
         b.add_edge(n[6], n[7], 5, bad).unwrap();
-        b.build()
-    }
-
-    /// Pairs 0→4 and 1→5, each with a route over the bottleneck 2–3 and
-    /// longer, lossier detours; the bottleneck carries few channels.
-    fn shared_bottleneck() -> QdnNetwork {
-        let mut b = QdnNetworkBuilder::new();
-        let n: Vec<_> = (0..10).map(|_| b.add_node(6)).collect();
-        let good = LinkModel::new(0.6).unwrap();
-        let fair = LinkModel::new(0.5).unwrap();
-        for (u, v, channels, link) in [
-            (0, 2, 6, good),
-            (1, 2, 6, good),
-            (2, 3, 4, good),
-            (3, 4, 6, good),
-            (3, 5, 6, good),
-            (0, 6, 6, fair),
-            (6, 4, 6, fair),
-            (1, 7, 6, fair),
-            (7, 5, 6, fair),
-            (6, 8, 6, fair),
-            (8, 3, 6, fair),
-            (7, 9, 6, fair),
-            (9, 2, 6, fair),
-        ] {
-            b.add_edge(n[u], n[v], channels, link).unwrap();
-        }
         b.build()
     }
 

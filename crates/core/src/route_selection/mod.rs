@@ -133,8 +133,9 @@ impl RouteSelector {
     /// arena, and the session records this slot's selected routes as the
     /// next slot's seed (used when `warm_profile_seed` is on, as in
     /// every default config). With `warm_profile_seed` off, results are
-    /// bit-identical to a fresh [`RouteSelector::select`] per slot (the
-    /// `session_matches_fresh_per_slot` proptest enforces it); see
+    /// bit-identical to a fresh [`RouteSelector::select`] per slot; the
+    /// repository's differential harness (`tests/differential.rs`) checks
+    /// both settings against a from-scratch reference decision. See
     /// [`SelectorSession`]'s docs for the invariants.
     pub fn select_in(
         &self,

@@ -6,13 +6,16 @@ use qdn_core::baselines::{BudgetSplit, MyopicConfig, MyopicPolicy};
 use qdn_core::oscar::{OscarConfig, OscarPolicy};
 use qdn_core::policy::RoutingPolicy;
 use qdn_core::problem::PerSlotContext;
+use qdn_core::profile_eval::{EvalOptions, EvalStats, ProfileEvaluator};
+use qdn_core::route_selection::{gibbs, profile_of, Candidates, GibbsConfig};
 use qdn_core::types::SlotState;
 use qdn_graph::generators::ring;
 use qdn_graph::{NodeId, Path};
 use qdn_net::network::{QdnNetwork, QdnNetworkBuilder};
+use qdn_net::routes::{CandidateRoutes, RouteLimits};
 use qdn_net::{CapacitySnapshot, SdPair};
 use qdn_physics::link::LinkModel;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A ring QDN with randomized capacities and link probabilities.
 fn arb_ring_network() -> impl Strategy<Value = QdnNetwork> {
@@ -234,515 +237,6 @@ proptest! {
         let d2 = policy.decide(&net, &slot, &mut rng2);
         prop_assert_eq!(d1, d2);
     }
-
-    /// The incremental, component-decomposed `ProfileEvaluator` is
-    /// bit-identical to the full-rebuild `PerSlotContext::evaluate` path:
-    /// same feasibility verdicts, same objectives (compared via
-    /// `to_bits`), same allocations — across random topologies, random
-    /// 2–4-pair sets, every allocation method, and a random walk that
-    /// mixes single-pair moves (the Gibbs/greedy access pattern, which
-    /// exercises both memo levels on hits and misses and churns the
-    /// dynamic groups through merges and splits) with an arbitrary
-    /// profile jump every third step.
-    #[test]
-    fn incremental_matches_full_rebuild(
-        net in arb_ring_network(),
-        n_pairs in 2usize..5,
-        v in 10.0f64..3000.0,
-        price in 0.0f64..40.0,
-        seed in 0u64..1000,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::Candidates;
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-        use rand::RngExt;
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-            .map(|_| {
-                let pair = qdn_net::workload::random_sd_pair(&mut rng, &net);
-                (pair, cr.routes(&net, pair).to_vec())
-            })
-            .collect();
-        prop_assume!(owned.iter().all(|(_, routes)| !routes.is_empty()));
-        let cands: Vec<Candidates> = owned
-            .iter()
-            .map(|(pair, routes)| Candidates { pair: *pair, routes })
-            .collect();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-
-        for method in [
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default()),
-            AllocationMethod::Greedy,
-            AllocationMethod::Minimal,
-        ] {
-            let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
-            let mut indices: Vec<usize> = cands
-                .iter()
-                .map(|c| rng.random_range(0..c.routes.len()))
-                .collect();
-            // Random walk of single-pair moves, revisiting profiles.
-            for step in 0..20 {
-                let profile: Vec<(SdPair, &Path)> = cands
-                    .iter()
-                    .zip(&indices)
-                    .map(|(c, &i)| (c.pair, &c.routes[i]))
-                    .collect();
-                let reference = ctx.evaluate(&profile, &method);
-                let incremental = eval.evaluate(&indices);
-                match (&reference, &incremental) {
-                    (None, None) => {}
-                    (Some(r), Some(x)) => {
-                        prop_assert_eq!(
-                            r.objective.to_bits(),
-                            x.objective.to_bits(),
-                            "objective diverged at step {} ({}): {} vs {}",
-                            step,
-                            method.label(),
-                            r.objective,
-                            x.objective
-                        );
-                        prop_assert_eq!(&r.allocations, &x.allocations);
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "feasibility diverged at step {} ({})",
-                        step,
-                        method.label()
-                    ),
-                }
-                // The objective-only entry points agree bit-for-bit too.
-                prop_assert_eq!(
-                    ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                    eval.evaluate_objective(&indices).map(f64::to_bits)
-                );
-                if step % 3 == 2 {
-                    for (idx, c) in indices.iter_mut().zip(&cands) {
-                        *idx = rng.random_range(0..c.routes.len());
-                    }
-                } else {
-                    let i = rng.random_range(0..indices.len());
-                    indices[i] = rng.random_range(0..cands[i].routes.len());
-                }
-            }
-        }
-    }
-
-    /// A session differs from fresh only through the seed: a run that
-    /// threads one `SelectorSession` (and one incrementally repaired
-    /// `CandidateRoutes` cache) through every slot is bit-identical to
-    /// building the evaluator fresh per slot over the same candidates,
-    /// as long as warm seeding is off (`warm_profile_seed: false`). One
-    /// trace mixes drifting prices `q_t`, budgeted myopic slots,
-    /// changing request sets, and a link cut and its repair, for the
-    /// Gibbs and greedy-local selectors. The pinned pairs sit out one
-    /// slot in four, during which the price moves and then holds: state
-    /// kept from before the absence must not answer for the new price.
-    /// Slot 5 runs on a second ring of another size, so the session's
-    /// recycled buffers are rebuilt on the way there and back.
-    #[test]
-    fn session_matches_fresh_per_slot(
-        net in arb_ring_network(),
-        other in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        prop_assume!(other.node_count() != net.node_count());
-        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
-        use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        let evaluator = EvalOptions::default();
-        let cut_edge = seed as usize % net.edge_count();
-        for selector in [
-            RouteSelector::Gibbs(GibbsConfig {
-                iterations: 8,
-                evaluator,
-                ..GibbsConfig::paper_default()
-            }),
-            RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
-        ] {
-            let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-            let pinned: Vec<SdPair> = (0..2)
-                .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
-                .collect();
-            let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut other_cr = CandidateRoutes::new(RouteLimits::paper_default());
-            let mut session = SelectorSession::new();
-            // Identical policy RNG streams for the two paths.
-            let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-            let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-            let mut price = 1.0 + (seed % 7) as f64;
-            for slot in 0..8u64 {
-                let phase = slot % 4;
-                let (net, cr) = if slot == 5 { (&other, &mut other_cr) } else { (&net, &mut cr) };
-                // One link is cut at slot 3 and repaired at slot 7.
-                let cut = (3..7).contains(&slot);
-                let channels: Vec<u32> = net
-                    .graph()
-                    .edge_ids()
-                    .map(|e| if cut && e.index() == cut_edge { 0 } else { net.channel_capacity(e) })
-                    .collect();
-                let qubits: Vec<u32> = net
-                    .graph()
-                    .node_ids()
-                    .map(|v| net.qubit_capacity(v))
-                    .collect();
-                let snap = CapacitySnapshot::clamped(net, qubits, channels);
-                cr.sync_dead_edges(net, &snap);
-                // The pinned pairs sit out phase 1 (and the other network);
-                // a fresh pair joins every slot but the budgeted one.
-                let mut requests = if phase == 1 { Vec::new() } else { pinned.clone() };
-                if phase != 3 {
-                    requests.push(qdn_net::workload::random_sd_pair(&mut env, net));
-                }
-                // q_t moves into phases 1 and 3, and holds into phase 2.
-                if phase == 1 || phase == 3 {
-                    price += 3.0 + slot as f64;
-                }
-                let ctx = if phase == 3 {
-                    PerSlotContext::myopic(net, &snap, 40 + slot)
-                } else {
-                    PerSlotContext::oscar(net, &snap, v, price)
-                };
-                // A ring with one link cut is a path, so every pair
-                // keeps at least one candidate route.
-                let owned: Vec<(SdPair, Vec<Path>)> = requests
-                    .iter()
-                    .map(|&p| (p, cr.routes(net, p).to_vec()))
-                    .collect();
-                prop_assert!(owned.iter().all(|(_, routes)| !routes.is_empty()));
-                let cands: Vec<Candidates> = owned
-                    .iter()
-                    .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                    .collect();
-                let with_session =
-                    selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-                let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-                prop_assert_eq!(
-                    &with_session, &fresh,
-                    "slot {} diverged ({})",
-                    slot, selector.label()
-                );
-            }
-        }
-    }
-
-    /// Snapshot/restore is invisible to the decision stream: running N
-    /// slots through the engine facade, snapshotting mid-run through
-    /// the JSON wire form, restoring into a fresh `EngineState`, and
-    /// continuing both the original and the restored state with twin
-    /// RNGs yields bit-identical decisions. The restored state must also
-    /// re-snapshot to
-    /// the exact same bytes (canonical ordering), which is what lets
-    /// the serve daemon restart warm without drifting.
-    #[test]
-    fn restored_session_matches_uninterrupted(
-        net in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        use qdn_core::profile_eval::EvalOptions;
-        use qdn_core::route_selection::{GibbsConfig, RouteSelector};
-        use qdn_core::{decide, EngineSnapshot, EngineState, SlotDecisionRequest};
-        use qdn_net::routes::RouteLimits;
-
-        let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-        // One request trace shared by the warm run and the restored
-        // continuation: restore replays state, not arrivals.
-        let trace: Vec<Vec<SdPair>> = (0..6)
-            .map(|slot| {
-                (0..1 + (slot + seed as usize) % 2)
-                    .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
-                    .collect()
-            })
-            .collect();
-        let snap = CapacitySnapshot::full(&net);
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        let evaluator = EvalOptions::default();
-        let selector = RouteSelector::Gibbs(GibbsConfig {
-            iterations: 8,
-            evaluator,
-            ..GibbsConfig::paper_default()
-        });
-        let mut state = EngineState::new(RouteLimits::paper_default());
-        let mut price = 1.0 + (seed % 5) as f64;
-        for (slot, reqs) in trace.iter().enumerate().take(3) {
-            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-            let _ = decide(&mut state, SlotDecisionRequest {
-                network: &net,
-                requests: reqs,
-                ctx: &ctx,
-                selector: &selector,
-                allocation: &method,
-                fidelity_target: None,
-                rng: &mut rng,
-            });
-            price += 3.0 + slot as f64;
-        }
-        let wire = serde_json::to_string(&state.snapshot()).unwrap();
-        let decoded: EngineSnapshot = serde_json::from_str(&wire).unwrap();
-        let mut restored = EngineState::restore(&decoded).unwrap();
-        prop_assert_eq!(
-            serde_json::to_string(&restored.snapshot()).unwrap(),
-            wire,
-            "re-snapshot not byte-identical"
-        );
-        for (slot, reqs) in trace.iter().enumerate().skip(3) {
-            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-            let cont = decide(&mut state, SlotDecisionRequest {
-                network: &net,
-                requests: reqs,
-                ctx: &ctx,
-                selector: &selector,
-                allocation: &method,
-                fidelity_target: None,
-                rng: &mut rng_a,
-            });
-            let rest = decide(&mut restored, SlotDecisionRequest {
-                network: &net,
-                requests: reqs,
-                ctx: &ctx,
-                selector: &selector,
-                allocation: &method,
-                fidelity_target: None,
-                rng: &mut rng_b,
-            });
-            prop_assert_eq!(
-                &cont, &rest,
-                "slot {} diverged after restore",
-                slot
-            );
-            price += 3.0 + slot as f64;
-        }
-    }
-
-    /// Cutting a node is exactly cutting its incident edge set: the
-    /// node-cut snapshot additionally zeroes the dark node's qubits,
-    /// but no surviving candidate can cross a node whose links are all
-    /// dead, so that capacity never enters an allocation instance and
-    /// the slot decisions are bit-identical. Both are also compared with
-    /// a cold rebuild every slot.
-    #[test]
-    fn node_churn_matches_edge_set_churn(
-        net in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
-        use qdn_core::route_selection::{Candidates, GibbsConfig, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-
-        let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-        let pairs: Vec<SdPair> = (0..2)
-            .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
-            .collect();
-        let n = net.node_count();
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        let evaluator = EvalOptions::default();
-        let selector = RouteSelector::Gibbs(GibbsConfig {
-            iterations: 8,
-            evaluator,
-            ..GibbsConfig::paper_default()
-        });
-        // Two sessions over one churn trace — node cuts, and the same
-        // cuts expressed as pure edge-set cuts — plus a cold rebuild of
-        // the node-cut slot.
-        let mut cr_node = CandidateRoutes::new(RouteLimits::paper_default());
-        let mut cr_edge = CandidateRoutes::new(RouteLimits::paper_default());
-        let mut s_node = SelectorSession::new();
-        let mut s_edge = SelectorSession::new();
-        let mut rng_node = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut rng_edge = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut rng_cold = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut down = vec![false; n];
-        let mut price = 1.0 + (seed % 5) as f64;
-        let mut decided = 0u32;
-        let mut cut: Vec<usize> = Vec::new();
-        for slot in 0..6u64 {
-            // Cut a region on even slots (all incident links die
-            // together), restore it on the next slot — the
-            // surviving ring keeps routing while every slot still
-            // crosses a transition. Every other cut darkens two
-            // ring-adjacent nodes at once (a correlated regional
-            // outage), the rest a single node.
-            if slot % 2 == 0 {
-                let base = ((seed as usize).wrapping_add(slot as usize * 3)) % n;
-                cut = if slot % 4 == 2 {
-                    vec![base, (base + 1) % n]
-                } else {
-                    vec![base]
-                };
-                for &v in &cut {
-                    down[v] = true;
-                }
-            } else {
-                for &v in &cut {
-                    down[v] = false;
-                }
-                cut.clear();
-            }
-            let channels: Vec<u32> = net
-                .graph()
-                .edges()
-                .map(|(e, u, w)| {
-                    if down[u.index()] || down[w.index()] {
-                        0
-                    } else {
-                        net.channel_capacity(e)
-                    }
-                })
-                .collect();
-            let full_qubits: Vec<u32> = net
-                .graph()
-                .node_ids()
-                .map(|u| net.qubit_capacity(u))
-                .collect();
-            let dark_qubits: Vec<u32> = net
-                .graph()
-                .node_ids()
-                .map(|u| if down[u.index()] { 0 } else { net.qubit_capacity(u) })
-                .collect();
-            let snap_node = CapacitySnapshot::clamped(&net, dark_qubits, channels.clone());
-            let snap_edge = CapacitySnapshot::clamped(&net, full_qubits, channels);
-            cr_node.sync_dead_edges(&net, &snap_node);
-            cr_edge.sync_dead_edges(&net, &snap_edge);
-            let owned: Vec<(SdPair, Vec<Path>)> = pairs
-                .iter()
-                .map(|&p| (p, cr_node.routes(&net, p).to_vec()))
-                .filter(|(_, routes)| !routes.is_empty())
-                .collect();
-            // Both caches saw the same dead-edge set, so the
-            // candidates must agree before any selection runs.
-            for (pair, routes) in &owned {
-                prop_assert_eq!(routes, cr_edge.routes(&net, *pair));
-            }
-            if owned.is_empty() {
-                price += 2.0;
-                continue;
-            }
-            let cands: Vec<Candidates> = owned
-                .iter()
-                .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                .collect();
-            let ctx_node = PerSlotContext::oscar(&net, &snap_node, v, price);
-            let ctx_edge = PerSlotContext::oscar(&net, &snap_edge, v, price);
-            let d_node =
-                selector.select_in(&mut s_node, &ctx_node, &cands, &method, &mut rng_node);
-            let d_edge =
-                selector.select_in(&mut s_edge, &ctx_edge, &cands, &method, &mut rng_edge);
-            let d_cold = selector.select(&ctx_node, &cands, &method, &mut rng_cold);
-            decided += 1;
-            prop_assert_eq!(
-                &d_node, &d_edge,
-                "node cut vs incident-edge cut diverged at slot {}",
-                slot
-            );
-            prop_assert_eq!(
-                &d_node, &d_cold,
-                "session vs cold rebuild diverged at slot {}",
-                slot
-            );
-            price += 3.0 + slot as f64;
-        }
-        // On a ring, cutting one node leaves a path graph, so the
-        // trace must actually decide slots — the equivalence above
-        // is vacuous otherwise.
-        prop_assert!(decided > 0, "every slot idled");
-    }
-}
-
-// The incremental evaluator must give the bits of a full rebuild, both
-// for a selector's final profile and along an arbitrary walk of profiles
-// that reuses and extends one evaluator's memos.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The greedy-local selector's chosen profile, and every profile of a
-    /// short random walk through one evaluator, compared bit-for-bit
-    /// against the full-rebuild evaluation of the same profile.
-    #[test]
-    fn greedy_and_walk_match_full_rebuild(
-        net in arb_ring_network(),
-        n_pairs in 2usize..5,
-        v in 100.0f64..2000.0,
-        price in 0.0f64..20.0,
-        seed in 0u64..1000,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::{Candidates, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-        use rand::RngExt;
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-            .map(|_| {
-                let pair = qdn_net::workload::random_sd_pair(&mut rng, &net);
-                (pair, cr.routes(&net, pair).to_vec())
-            })
-            .collect();
-        prop_assume!(owned.iter().all(|(_, routes)| !routes.is_empty()));
-        let cands: Vec<Candidates> = owned
-            .iter()
-            .map(|(pair, routes)| Candidates { pair: *pair, routes })
-            .collect();
-        let snap = CapacitySnapshot::full(&net);
-        let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
-        let evaluator = EvalOptions::default();
-
-        // Greedy-local selector: its evaluation of the chosen profile
-        // equals the full rebuild.
-        let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
-        let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
-        if let Some(g) = selector.select(&ctx, &cands, &method, &mut sel_rng) {
-            let profile: Vec<(SdPair, &Path)> = cands
-                .iter()
-                .zip(&g.indices)
-                .map(|(c, &i)| (c.pair, &c.routes[i]))
-                .collect();
-            let rebuilt = ctx
-                .evaluate(&profile, &method)
-                .expect("selected profile is feasible");
-            prop_assert_eq!(
-                rebuilt.objective.to_bits(),
-                g.evaluation.objective.to_bits(),
-                "greedy evaluation diverged from full rebuild"
-            );
-        }
-
-        // The evaluator directly: a short random walk, every profile
-        // compared bit-for-bit against the full rebuild.
-        let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
-        let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
-        let mut indices: Vec<usize> = cands
-            .iter()
-            .map(|c| walk_rng.random_range(0..c.routes.len()))
-            .collect();
-        for step in 0..6 {
-            let profile: Vec<(SdPair, &Path)> = cands
-                .iter()
-                .zip(&indices)
-                .map(|(c, &i)| (c.pair, &c.routes[i]))
-                .collect();
-            prop_assert_eq!(
-                ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                eval.evaluate_objective(&indices).map(f64::to_bits),
-                "walk diverged from full rebuild at step {}",
-                step
-            );
-            let i = walk_rng.random_range(0..indices.len());
-            indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-        }
-    }
 }
 
 /// One instance for the early-rejection tests: a ring with one chord
@@ -775,7 +269,6 @@ impl ScreenInstance {
 
     /// Each pair with its candidate routes on the installed network.
     fn candidates(&self) -> Vec<(SdPair, Vec<Path>)> {
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
         self.pairs
             .iter()
@@ -841,95 +334,45 @@ fn arb_screen_instance() -> impl Strategy<Value = ScreenInstance> {
         })
 }
 
-/// The Gibbs chain as it was before early rejection, kept verbatim as
-/// the reference: every proposal is evaluated, then accepted through
-/// `random_bool`.
-mod reference_gibbs {
-    use qdn_core::profile_eval::ProfileEvaluator;
-    use qdn_core::route_selection::gibbs::acceptance_probability;
-    use qdn_core::route_selection::{Candidates, GibbsConfig, Selection};
-    use rand::RngExt;
+#[path = "../../../tests/reference/gibbs.rs"]
+mod reference_chain;
 
-    pub fn sample_seeded(
-        evaluator: &mut ProfileEvaluator<'_>,
-        candidates: &[Candidates<'_>],
-        config: &GibbsConfig,
-        rng: &mut dyn rand::Rng,
-        seed: Option<&[usize]>,
-    ) -> Option<Selection> {
-        let k = candidates.len();
-        let mut current: Option<(Vec<usize>, f64)> = None;
-        let mut seeded = false;
-        if let Some(seed) = seed {
-            if let Some(objective) = evaluator.evaluate_objective(seed) {
-                current = Some((seed.to_vec(), objective));
-                seeded = true;
-            }
-        }
-        if current.is_none() {
-            for _ in 0..config.max_init_attempts.max(1) {
-                let indices: Vec<usize> = candidates
-                    .iter()
-                    .map(|c| rng.random_range(0..c.routes.len()))
-                    .collect();
-                if let Some(objective) = evaluator.evaluate_objective(&indices) {
-                    current = Some((indices, objective));
-                    break;
-                }
-            }
-        }
-        if current.is_none() {
-            let shortest = vec![0usize; k];
-            if let Some(objective) = evaluator.evaluate_objective(&shortest) {
-                current = Some((shortest, objective));
-            }
-        }
-        let (mut indices, mut f_cur) = current?;
-        let mut best_indices = indices.clone();
-        let mut best_f = f_cur;
-        let mut gamma = config.gamma;
-        let budget = if seeded {
-            config.warm_iterations
-        } else {
-            config.iterations
-        };
-        for _ in 0..budget {
-            let i = rng.random_range(0..k);
-            if candidates[i].routes.len() >= 2 {
-                let old = indices[i];
-                let proposal = propose_different(rng, old, candidates[i].routes.len());
-                indices[i] = proposal;
-                match evaluator.evaluate_objective(&indices) {
-                    Some(objective) => {
-                        if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
-                            f_cur = objective;
-                        } else {
-                            indices[i] = old;
-                        }
-                    }
-                    None => indices[i] = old,
-                }
-            }
-            if f_cur > best_f {
-                best_f = f_cur;
-                best_indices = indices.clone();
-            }
-            gamma = config.decayed_gamma(gamma);
-        }
-        let evaluation = evaluator.evaluate(&best_indices)?;
-        Some(Selection {
-            indices: best_indices,
-            evaluation,
-        })
+/// Runs `gibbs::sample_seeded` and the reference chain from one RNG
+/// seed and checks they select the same indices with the same objective
+/// bits and leave their RNGs at the same word. Returns the production
+/// evaluator's counters and the reference's evaluation count.
+fn screened_matches_reference(
+    ctx: &PerSlotContext<'_>,
+    cands: &[Candidates<'_>],
+    method: &AllocationMethod,
+    config: &GibbsConfig,
+    warm: Option<&[usize]>,
+    chain_seed: u64,
+) -> Result<(EvalStats, u64), String> {
+    let mut evaluator = ProfileEvaluator::new(ctx, cands, method, config.evaluator);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
+    let got = gibbs::sample_seeded(&mut evaluator, cands, config, &mut rng, warm)
+        .map(|s| (s.indices, s.evaluation.objective.to_bits()));
+    // One evaluation per proposal, plus the returned profile's.
+    let mut reference_evals = 1;
+    let mut objective = |indices: &[usize]| {
+        reference_evals += 1;
+        ctx.evaluate_objective(&profile_of(cands, indices), method)
+    };
+    let lens: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
+    let mut reference_rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
+    let expected = reference_chain::sample(&lens, config, warm, &mut reference_rng, &mut objective)
+        .map(|indices| {
+            let f = ctx.evaluate_objective(&profile_of(cands, &indices), method);
+            (indices, f.expect("the best profile is feasible").to_bits())
+        });
+    if got != expected {
+        return Err(format!("selection diverged: {got:?} against {expected:?}"));
     }
-
-    fn propose_different(rng: &mut dyn rand::Rng, current: usize, len: usize) -> usize {
-        let mut idx = rng.random_range(0..len - 1);
-        if idx >= current {
-            idx += 1;
-        }
-        idx
+    if rng.next_u64() != reference_rng.next_u64() {
+        return Err("RNG position diverged".into());
     }
+    Ok((evaluator.stats(), reference_evals))
 }
 
 proptest! {
@@ -942,8 +385,6 @@ proptest! {
     /// myopic budget row, lossy swapping).
     #[test]
     fn objective_bounds_bracket_the_objective(inst in arb_screen_instance()) {
-        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::Candidates;
         use rand::RngExt;
 
         let owned = inst.candidates();
@@ -991,19 +432,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Early rejection changes no decision: `gibbs::sample_seeded` with
-    /// its bound screen matches the plain evaluate-then-`random_bool`
-    /// chain in [`reference_gibbs`] — the same selected indices, the
-    /// same objective bits, and the same next RNG word — for every
-    /// context, allocation method, temperature schedule and warm seed.
-    /// The screen must also actually skip evaluations across the case's
-    /// corpus, so the match is not vacuous.
+    /// its bound screen matches the reference chain, which evaluates every
+    /// proposal in full and then calls `random_bool`, for every context,
+    /// allocation method, temperature schedule and warm seed. The screen
+    /// must also actually skip evaluations across the case's corpus, so
+    /// the match is not vacuous.
     #[test]
     fn early_rejection_matches_reference_chain(
         corpus in proptest::collection::vec(arb_screen_instance(), 3),
     ) {
-        use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
-        use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig};
-        use rand::{Rng, RngExt};
+        use rand::RngExt;
 
         let (mut screened_evals, mut reference_evals) = (0u64, 0u64);
         for inst in &corpus {
@@ -1029,6 +467,7 @@ proptest! {
                                 gamma,
                                 gamma_decay,
                                 warm_iterations: 12,
+                                evaluator: EvalOptions::default(),
                                 ..GibbsConfig::paper_default()
                             };
                             let warm: Option<Vec<usize>> = draw.random_bool(0.5).then(|| {
@@ -1037,43 +476,18 @@ proptest! {
                                     .map(|c| draw.random_range(0..c.routes.len()))
                                     .collect()
                             });
-                            let chain_seed: u64 = draw.random();
-                            let options = EvalOptions::default();
-
-                            let mut reference_eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                            let mut reference_rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
-                            let expected = reference_gibbs::sample_seeded(
-                                &mut reference_eval,
-                                &cands,
-                                &config,
-                                &mut reference_rng,
-                                warm.as_deref(),
+                            let checked = screened_matches_reference(
+                                &ctx, &cands, &method, &config, warm.as_deref(), draw.random(),
                             );
-                            let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(chain_seed);
-                            let got = gibbs::sample_seeded(
-                                &mut eval,
-                                &cands,
-                                &config,
-                                &mut rng,
-                                warm.as_deref(),
+                            prop_assert!(
+                                checked.is_ok(),
+                                "{:?} ({} γ={} decay={})",
+                                checked, method.label(), gamma, gamma_decay
                             );
-                            let label = format!("{} γ={gamma} decay={gamma_decay}", method.label());
-                            prop_assert_eq!(
-                                expected.as_ref().map(|s| (&s.indices, s.evaluation.objective.to_bits())),
-                                got.as_ref().map(|s| (&s.indices, s.evaluation.objective.to_bits())),
-                                "selection diverged ({})",
-                                label
-                            );
-                            prop_assert_eq!(
-                                reference_rng.next_u64(),
-                                rng.next_u64(),
-                                "RNG position diverged ({})",
-                                label
-                            );
-                            prop_assert!(eval.stats().evaluations <= reference_eval.stats().evaluations);
-                            screened_evals += eval.stats().evaluations;
-                            reference_evals += reference_eval.stats().evaluations;
+                            let (stats, reference) = checked.unwrap();
+                            prop_assert!(stats.evaluations <= reference);
+                            screened_evals += stats.evaluations;
+                            reference_evals += reference;
                         }
                     }
                 }
@@ -1086,4 +500,64 @@ proptest! {
             reference_evals
         );
     }
+}
+
+/// Two pairs whose routes cross one bottleneck, at a tail queue price:
+/// the coupled solves bind, the in-solve screen abandons some of them,
+/// and the chain still makes the reference chain's decisions.
+#[test]
+fn in_solve_screen_engages_and_matches_reference_chain() {
+    let mut b = QdnNetworkBuilder::new();
+    let n: Vec<_> = (0..10).map(|_| b.add_node(6)).collect();
+    let good = LinkModel::new(0.6).unwrap();
+    let fair = LinkModel::new(0.5).unwrap();
+    // Pairs 0→4 and 1→5 each have a route over the bottleneck 2–3 and
+    // longer, lossier detours.
+    for (u, v, channels, link) in [
+        (0, 2, 6, good),
+        (1, 2, 6, good),
+        (2, 3, 4, good),
+        (3, 4, 6, good),
+        (3, 5, 6, good),
+        (0, 6, 6, fair),
+        (6, 4, 6, fair),
+        (1, 7, 6, fair),
+        (7, 5, 6, fair),
+        (6, 8, 6, fair),
+        (8, 3, 6, fair),
+        (7, 9, 6, fair),
+        (9, 2, 6, fair),
+    ] {
+        b.add_edge(n[u], n[v], channels, link).unwrap();
+    }
+    let net = b.build();
+    let snap = CapacitySnapshot::full(&net);
+    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 250.0);
+    let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+    let owned: Vec<(SdPair, Vec<Path>)> = [(0, 4), (1, 5)]
+        .map(|(s, d)| SdPair::new(NodeId(s), NodeId(d)).unwrap())
+        .map(|pair| (pair, cr.routes(&net, pair).to_vec()))
+        .to_vec();
+    let cands: Vec<Candidates> = owned
+        .iter()
+        .map(|(pair, routes)| Candidates {
+            pair: *pair,
+            routes,
+        })
+        .collect();
+    let config = GibbsConfig {
+        iterations: 200,
+        evaluator: EvalOptions::default(),
+        ..GibbsConfig::paper_default()
+    };
+    let method = AllocationMethod::default();
+    let abandoned: u64 = (0..8)
+        .map(|seed| {
+            screened_matches_reference(&ctx, &cands, &method, &config, None, seed)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+                .0
+                .abandoned
+        })
+        .sum();
+    assert!(abandoned > 0, "the in-solve screen never engaged");
 }

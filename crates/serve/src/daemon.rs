@@ -40,8 +40,9 @@ use crate::shard::{shard_of, slot_rng, ShardPool};
 
 /// RNG stream id for the dynamics process — outside the shard index
 /// range (shard counts are `u32`), so the capacity draw never collides
-/// with a shard's decision stream.
-const DYNAMICS_STREAM: u64 = 1 << 40;
+/// with a shard's decision stream. Slot `t`'s capacities are drawn with
+/// `slot_rng(seed, t, DYNAMICS_STREAM)`.
+pub const DYNAMICS_STREAM: u64 = 1 << 40;
 
 /// The transport-free daemon core.
 pub struct Daemon {

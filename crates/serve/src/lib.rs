@@ -30,9 +30,10 @@
 //! slot and are never part of it);
 //! `Restore` installs it and fast-forwards the dynamics process by
 //! replay. A daemon restarted this way produces decisions bit-identical
-//! to the uninterrupted run — pinned by the
-//! `restored_session_matches_uninterrupted` proptest and the
-//! integration tests in `tests/daemon.rs`.
+//! to the uninterrupted run — pinned by the integration tests in
+//! `tests/daemon.rs` and by the repository's differential harness
+//! (`tests/differential.rs`), which restores a `shards: 1` daemon
+//! mid-trace and checks every slot against the reference decision.
 
 #![forbid(unsafe_code)]
 pub mod client;

@@ -1,14 +1,18 @@
 //! Daemon integration: wire-level round-trips over a real Unix socket,
-//! malformed-input behavior, and warm-restart bit-identity.
+//! malformed-input behavior, a decoder fuzz, and warm-restart
+//! bit-identity.
 
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use qdn_net::dynamics::DynamicsConfig;
 use qdn_net::workload::{Workload, WorkloadConfig};
-use qdn_serve::daemon::{serve, Daemon, Listener};
-use qdn_serve::frame::{read_frame, write_frame};
+use qdn_serve::daemon::{serve, serve_connection, Daemon, Listener};
+use qdn_serve::frame::{read_frame, write_frame, FrameError};
 use qdn_serve::proto::{Advisory, Request, Response, PROTOCOL_VERSION};
 use qdn_serve::{Client, ServeConfig, SubmitOutcome};
 
@@ -344,4 +348,138 @@ fn restore_rejects_mismatched_snapshots() {
     // The failed restore reset the daemon rather than leaving a mixed
     // state.
     assert_eq!(daemon.slot(), 0);
+}
+
+/// A 1 MiB request of nested `[`: before the parser's recursion limit,
+/// one such frame overflowed the stack of the thread serving it.
+fn deep_payload() -> Vec<u8> {
+    vec![b'['; 1 << 20]
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, payload).unwrap();
+    bytes
+}
+
+/// A frame as the daemon decodes it: `read_frame`, UTF-8, `Request`.
+fn decode(mut bytes: &[u8]) -> Result<Request, String> {
+    let payload = read_frame(&mut bytes).map_err(|e| e.to_string())?;
+    let text = String::from_utf8(payload).map_err(|e| e.to_string())?;
+    serde_json::from_str(&text).map_err(|e| e.to_string())
+}
+
+/// Every `Request` variant, `Restore` carrying a warm two-slot snapshot.
+fn requests() -> &'static [Request] {
+    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
+    REQUESTS.get_or_init(|| {
+        let mut daemon = Daemon::new(ServeConfig {
+            shards: 1,
+            ..ServeConfig::paper_default()
+        })
+        .unwrap();
+        for _ in 0..2 {
+            daemon.handle(Request::Submit {
+                pairs: vec![(0, 3), (5, 1)],
+            });
+            daemon.handle(Request::Tick);
+        }
+        vec![
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            Request::Submit {
+                pairs: vec![(0, 3), (7, 2)],
+            },
+            Request::Tick,
+            Request::Stats,
+            Request::Snapshot,
+            Request::Restore {
+                snapshot: daemon.snapshot().unwrap(),
+            },
+            Request::Reset,
+            Request::Advise {
+                advisory: Advisory {
+                    start: 3,
+                    end: 9,
+                    nodes: vec![4, 2],
+                    planned: false,
+                },
+            },
+            Request::Shutdown,
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The frame decoder and the `Request` parser answer arbitrary
+    /// bytes, truncations and bit flips of every variant's encoding, and
+    /// the 1 MiB nesting bomb with a typed error or a value, never a
+    /// panic or a stack overflow.
+    #[test]
+    fn decoder_answers_every_input(
+        noise in proptest::collection::vec(0u16..256, 0usize..96),
+        which in 0usize..10,
+        cut in 0.0f64..1.0,
+        bit in 0u64..u64::MAX,
+    ) {
+        let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        let _ = decode(&noise);
+        let _ = decode(&framed(&noise));
+        let valid = match requests().get(which) {
+            Some(request) => {
+                let valid = framed(serde_json::to_string(request).unwrap().as_bytes());
+                prop_assert_eq!(&decode(&valid), &Ok(request.clone()));
+                valid
+            }
+            None => {
+                let deep = framed(&deep_payload());
+                prop_assert!(decode(&deep).unwrap_err().contains("recursion limit"));
+                deep
+            }
+        };
+        let _ = decode(&valid[..(cut * valid.len() as f64) as usize]);
+        let mut flipped = valid;
+        let at = bit as usize % (flipped.len() * 8);
+        flipped[at / 8] ^= 1 << (at % 8);
+        let _ = decode(&flipped);
+    }
+}
+
+/// The nesting bomb as a connection's first frame is answered with an
+/// error or a close, and the daemon goes on answering connections.
+#[test]
+fn deep_frame_leaves_the_daemon_serving() {
+    let mut daemon = Daemon::new(ServeConfig {
+        shards: 1,
+        ..ServeConfig::paper_default()
+    })
+    .unwrap();
+    let mut connect = |client: &mut dyn FnMut(UnixStream)| {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_connection(&mut daemon, theirs));
+            client(ours.try_clone().unwrap());
+            ours.shutdown(std::net::Shutdown::Both).unwrap();
+        });
+    };
+    connect(&mut |mut stream| {
+        write_frame(&mut stream, &deep_payload()).unwrap();
+        match read_frame(&mut stream) {
+            Ok(payload) => {
+                let text = String::from_utf8(payload).unwrap();
+                let response: Response = serde_json::from_str(&text).unwrap();
+                assert!(matches!(response, Response::Error { .. }), "{response:?}");
+            }
+            Err(FrameError::Closed) => {}
+            Err(e) => panic!("neither an error nor a clean close: {e}"),
+        }
+    });
+    connect(&mut |stream| {
+        let mut client = Client::new(stream);
+        client.hello().unwrap();
+        assert_eq!(client.stats().unwrap().slot, 0);
+    });
 }

@@ -90,12 +90,15 @@ if [[ "$full" -eq 1 ]]; then
     fi
     grep "shape check" "$run_all_out"
 
-    # Every crate's suite, not just the root package's: serve daemon,
-    # solve, core (including greedy_and_walk_match_full_rebuild), sim
-    # (including parallel_trials_byte_identical_to_serial), net, lint
-    # and the vendored shims.
-    echo "==> cargo test -q --workspace"
-    cargo test -q --workspace
+    # Every other crate's suite: serve daemon (including the decoder
+    # fuzz), solve, core (including early_rejection_matches_reference_chain),
+    # sim (including parallel_trials_byte_identical_to_serial), net, lint
+    # and the vendored shims. The root package `qdn` is a workspace
+    # member, and `cargo test -q` above already ran its suite (the
+    # goldens and tests/differential.rs), so it is excluded here and
+    # every test runs once per gate.
+    echo "==> cargo test -q --workspace --exclude qdn"
+    cargo test -q --workspace --exclude qdn
 
     # The end-to-end benchmark harness is a package of its own (empty
     # `[workspace]`), so the workspace build above does not compile it.

@@ -27,8 +27,14 @@
 //! replayed once; trial fan-out across pool widths is checked by
 //! `qdn_sim`'s `parallel_trials_byte_identical_to_serial`.
 //!
+//! Every trace is also replayed through `decide_reference`
+//! (`tests/reference/`), which builds each slot from scratch with none of
+//! production's caches, and must reproduce the same golden.
+//!
 //! These are the seeded regression corpus. A deliberate behaviour change
 //! must update the goldens and say why.
+
+mod reference;
 
 use qdn::core::engine::{decide, EngineState, SlotDecisionRequest};
 use qdn::core::lyapunov::VirtualQueue;
@@ -36,10 +42,12 @@ use qdn::core::oscar::OscarConfig;
 use qdn::core::problem::PerSlotContext;
 use qdn::core::profile_eval::EvalOptions;
 use qdn::core::route_selection::{GibbsConfig, RouteSelector};
+use qdn::core::Decision;
 use qdn::net::dynamics::DynamicsConfig;
 use qdn::net::workload::WorkloadConfig;
-use qdn::net::NetworkConfig;
+use qdn::net::{NetworkConfig, SdPair};
 use rand::SeedableRng;
+use reference::{decide_reference, Tally};
 
 /// FNV-1a hash of the churn trace's 200 slot decisions at seed [`SEED`],
 /// default (warm-seeded) configuration.
@@ -98,14 +106,21 @@ fn uniform() -> (DynamicsConfig, WorkloadConfig) {
     (DynamicsConfig::Static, WorkloadConfig::paper_default())
 }
 
-/// Replays a trace and returns the hash.
-fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadConfig)) -> u64 {
+/// One slot's decision from its requests, context and policy RNG.
+type Decide<'a> = dyn FnMut(&[SdPair], &PerSlotContext<'_>, &mut dyn rand::Rng) -> Decision + 'a;
+
+/// Replays a trace, deciding each slot with `decide`, and returns the
+/// hash.
+fn replay(
+    oscar: &OscarConfig,
+    (dynamics, workload): (DynamicsConfig, WorkloadConfig),
+    decide: &mut Decide<'_>,
+) -> u64 {
     let network = NetworkConfig::paper_default()
         .build(&mut rng(0, NETWORK_STREAM))
         .expect("paper network builds");
     let mut dynamics = dynamics.build();
     let mut workload = workload.build();
-    let mut state = EngineState::new(oscar.route_limits);
     let mut queue = VirtualQueue::new(oscar.q0, oscar.total_budget, oscar.horizon);
 
     let mut hash = 0xcbf2_9ce4_8422_2325;
@@ -113,18 +128,7 @@ fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadCo
         let snapshot = dynamics.snapshot(t, &network, &mut rng(t, DYNAMICS_STREAM));
         let requests = workload.requests(t, &network, &mut rng(t, REQUEST_STREAM));
         let ctx = PerSlotContext::oscar(&network, &snapshot, oscar.v, queue.value());
-        let decision = decide(
-            &mut state,
-            SlotDecisionRequest {
-                network: &network,
-                requests: &requests,
-                ctx: &ctx,
-                selector: &oscar.selector,
-                allocation: &oscar.allocation,
-                fidelity_target: oscar.fidelity_target,
-                rng: &mut rng(t, POLICY_STREAM),
-            },
-        );
+        let decision = decide(&requests, &ctx, &mut rng(t, POLICY_STREAM));
         queue.update(decision.total_cost());
         let json = serde_json::to_string(&decision).expect("decisions serialize");
         hash = fnv1a(hash, json.as_bytes());
@@ -132,13 +136,34 @@ fn replay(oscar: &OscarConfig, (dynamics, workload): (DynamicsConfig, WorkloadCo
     hash
 }
 
-/// Asserts that `trace` replayed under `oscar` hashes to `golden`.
+/// Asserts that `trace` replayed through `engine::decide` under `oscar`,
+/// and through `decide_reference`, both hash to `golden`.
 fn assert_golden(golden: u64, oscar: &OscarConfig, trace: (DynamicsConfig, WorkloadConfig)) {
-    let hash = replay(oscar, trace);
+    let mut state = EngineState::new(oscar.route_limits);
+    let hash = replay(oscar, trace.clone(), &mut |requests, ctx, rng| {
+        decide(
+            &mut state,
+            SlotDecisionRequest {
+                network: ctx.network,
+                requests,
+                ctx,
+                selector: &oscar.selector,
+                allocation: &oscar.allocation,
+                fidelity_target: oscar.fidelity_target,
+                rng,
+            },
+        )
+    });
     assert_eq!(
         hash, golden,
         "decision fingerprint changed: got {hash:#018x}"
     );
+    let mut prev = Decision::empty();
+    let hash = replay(oscar, trace, &mut |requests, ctx, rng| {
+        prev = decide_reference(requests, ctx, oscar, &prev, rng, &mut Tally::default());
+        prev.clone()
+    });
+    assert_eq!(hash, golden, "the reference diverged: got {hash:#018x}");
 }
 
 #[test]

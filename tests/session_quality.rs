@@ -9,9 +9,9 @@
 //! paper's uniform workload, and assert the default (warm) session's
 //! aggregate utility and spend stay within a tight band of the cold path
 //! (`EvalOptions::default()`, seeding off). A last test checks that the
-//! default configuration really seeds. (Bit-identity of the cold session
-//! path with a fresh selection per slot is enforced separately by the
-//! `session_matches_fresh_per_slot` proptest.)
+//! default configuration really seeds. (Bit-identity of the session path,
+//! warm or cold, with the from-scratch reference decision is enforced
+//! separately by `tests/differential.rs`.)
 
 use qdn_core::oscar::{OscarConfig, OscarPolicy};
 use qdn_core::policy::RoutingPolicy;
