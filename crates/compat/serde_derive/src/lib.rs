@@ -328,69 +328,134 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 // ------------------------------------------------------------- generation
 
-/// Emits an object-building expression. With `through_self` the fields
-/// are read as `&self.f`; otherwise `f` is an in-scope match binding that
-/// is already a reference.
+/// A Rust string literal holding `text`.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements appending `{"a":…,"b":…}` for `fields` to `__out`. With
+/// `through_self` the fields are read as `&self.f`; otherwise `f` is an
+/// in-scope match binding that is already a reference.
 fn serialize_fields(fields: &[Field], through_self: bool) -> String {
-    let mut out = String::from("{ let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();");
-    for f in fields {
-        if f.skip {
-            continue;
-        }
+    let mut out = String::new();
+    let mut open = "{";
+    for f in fields.iter().filter(|f| !f.skip) {
         let access = if through_self {
             format!("&self.{}", f.name)
         } else {
             f.name.clone()
         };
         out.push_str(&format!(
-            "__fields.push(({:?}.to_string(), ::serde::Serialize::to_value({})));",
-            f.name, access
+            "__out.push_str({}); ::serde::Serialize::serialize_json({access}, __out)?;",
+            lit(&format!("{open}\"{}\":", f.name))
         ));
+        open = ",";
     }
-    out.push_str("::serde::Value::Object(__fields) }");
+    out.push_str(if open == "{" {
+        "__out.push_str(\"{}\");"
+    } else {
+        "__out.push('}');"
+    });
     out
 }
 
-fn deserialize_fields(ty_path: &str, fields: &[Field], source: &str) -> String {
-    let mut out = format!("{ty_path} {{");
+/// Statements appending `[x0,x1,…]` for the bindings `__x0..__x{n-1}`.
+fn serialize_items(n: usize) -> String {
+    let mut out = String::from("__out.push('[');");
+    for k in 0..n {
+        if k > 0 {
+            out.push_str("__out.push(',');");
+        }
+        out.push_str(&format!(
+            "::serde::Serialize::serialize_json(__x{k}, __out)?;"
+        ));
+    }
+    out.push_str("__out.push(']');");
+    out
+}
+
+/// An expression reading a struct (or struct variant) object into
+/// `ty_path { … }`: one `Option` per field, filled by
+/// `Reader::read_struct`, then resolved in declaration order.
+fn deserialize_fields(ty_path: &str, fields: &[Field], not_object: &str, deny: bool) -> String {
+    let read: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut out = String::from("{");
+    for k in 0..read.len() {
+        out.push_str(&format!("let mut __f{k} = ::core::option::Option::None;"));
+    }
+    let names: Vec<String> = read.iter().map(|f| lit(&f.name)).collect();
+    let mut arms = String::new();
+    for k in 0..read.len() {
+        let pattern = if k + 1 == read.len() {
+            "_".to_string()
+        } else {
+            k.to_string()
+        };
+        arms.push_str(&format!(
+            "{pattern} => __f{k} = ::core::option::Option::Some(\
+             ::serde::Deserialize::deserialize_json(__r)?),"
+        ));
+    }
+    if read.is_empty() {
+        arms.push_str("_ => {}");
+    }
+    out.push_str(&format!(
+        "let mut __deferred = __r.read_struct({}, &[{}], {deny}, |__r, __i| {{ \
+             match __i {{ {arms} }} \
+             ::core::result::Result::Ok(()) \
+         }})?;",
+        lit(not_object),
+        names.join(", ")
+    ));
+    out.push_str(&format!("{ty_path} {{"));
+    let mut k = 0;
     for f in fields {
         if f.skip {
             out.push_str(&format!("{}: ::core::default::Default::default(),", f.name));
         } else {
             out.push_str(&format!(
-                "{name}: match ::serde::Value::get({src}, {name_str:?}) {{ \
-                     Some(__v) => ::serde::Deserialize::from_value(__v)?, \
-                     None => return Err(::serde::Error::msg(concat!(\"missing field `\", {name_str:?}, \"`\"))), \
-                 }},",
-                name = f.name,
-                name_str = f.name,
-                src = source
+                "{}: ::serde::take_field(__f{k}, {k}, &mut __deferred, {})?,",
+                f.name,
+                lit(&format!("missing field `{}`", f.name))
             ));
+            k += 1;
         }
     }
-    out.push('}');
+    out.push_str("} }");
     out
 }
 
-/// Emits the `deny_unknown_fields` check over the object entries bound
-/// to `__pairs`: the first key that names no (non-skipped) field is an
-/// error listing the expected ones, in serde's wording.
-fn deny_unknown_check(fields: &[Field]) -> String {
-    let known: Vec<&str> = fields
-        .iter()
-        .filter(|f| !f.skip)
-        .map(|f| f.name.as_str())
+/// An expression reading an `n`-element array into `ctor(x0, …)`.
+fn deserialize_items(ctor: &str, n: usize, not_array: &str) -> String {
+    let mut out = String::from("{");
+    let mut arms = String::new();
+    for k in 0..n {
+        out.push_str(&format!("let mut __x{k} = ::core::option::Option::None;"));
+        let pattern = if k + 1 == n {
+            "_".to_string()
+        } else {
+            k.to_string()
+        };
+        arms.push_str(&format!(
+            "{pattern} => __x{k} = ::core::option::Option::Some(\
+             ::serde::Deserialize::deserialize_json(__r)?),"
+        ));
+    }
+    if n == 0 {
+        arms.push_str("_ => {}");
+    }
+    out.push_str(&format!(
+        "__r.read_tuple({n}, {}, \"wrong tuple arity\", |__r, __i| {{ \
+             match __i {{ {arms} }} \
+             ::core::result::Result::Ok(()) \
+         }})?;",
+        lit(not_array)
+    ));
+    let items: Vec<String> = (0..n)
+        .map(|k| format!("::serde::take_field(__x{k}, {k}, &mut None, \"wrong tuple arity\")?"))
         .collect();
-    let expected: Vec<String> = known.iter().map(|n| format!("`{n}`")).collect();
-    format!(
-        "for (__key, _) in __pairs {{ \
-             if !{known:?}.contains(&__key.as_str()) {{ \
-                 return Err(::serde::Error::msg(format!( \
-                     \"unknown field `{{}}`, expected one of {}\", __key))); \
-             }} \
-         }}",
-        expected.join(", ")
-    )
+    out.push_str(&format!("{ctor}({}) }}", items.join(", ")));
+    out
 }
 
 /// Renders `impl<G: Bound, ...>` / `Name<G, ...>` header pieces.
@@ -405,6 +470,29 @@ fn generic_header(generics: &[String], bound: &str) -> (String, String) {
     )
 }
 
+fn serialize_impl(header: &str, body: &str) -> String {
+    format!(
+        "{header} {{ \
+             fn serialize_json(&self, __out: &mut ::std::string::String) \
+                 -> ::core::result::Result<(), ::serde::Error> {{ \
+                 {body} \
+                 ::core::result::Result::Ok(()) \
+             }} \
+         }}"
+    )
+}
+
+fn deserialize_impl(header: &str, body: &str) -> String {
+    format!(
+        "{header} {{ \
+             fn deserialize_json(__r: &mut ::serde::Reader<'_>) \
+                 -> ::core::result::Result<Self, ::serde::Error> {{ \
+                 {body} \
+             }} \
+         }}"
+    )
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct {
@@ -414,75 +502,76 @@ fn gen_serialize(item: &Item) -> String {
             ..
         } => {
             let (impl_params, ty_args) = generic_header(generics, "::serde::Serialize");
-            format!(
-                "impl{impl_params} ::serde::Serialize for {name}{ty_args} {{ \
-                     fn to_value(&self) -> ::serde::Value {{ {} }} \
-                 }}",
-                serialize_fields(fields, true)
+            serialize_impl(
+                &format!("impl{impl_params} ::serde::Serialize for {name}{ty_args}"),
+                &serialize_fields(fields, true),
             )
         }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Serialize for {name} {{ \
-                 fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Object(Vec::new()) }} \
-             }}"
+        Item::UnitStruct { name } => serialize_impl(
+            &format!("impl ::serde::Serialize for {name}"),
+            "__out.push_str(\"{}\");",
         ),
-        Item::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Serialize for {name} {{ \
-                 fn to_value(&self) -> ::serde::Value {{ ::serde::Serialize::to_value(&self.0) }} \
-             }}"
+        Item::TupleStruct { name, arity: 1 } => serialize_impl(
+            &format!("impl ::serde::Serialize for {name}"),
+            "::serde::Serialize::serialize_json(&self.0, __out)?;",
         ),
         Item::TupleStruct { name, arity } => {
-            let items: Vec<String> = (0..*arity)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{ \
-                     fn to_value(&self) -> ::serde::Value {{ \
-                         ::serde::Value::Array(vec![{}]) \
-                     }} \
-                 }}",
-                items.join(", ")
+            let binders: Vec<String> = (0..*arity).map(|k| format!("__x{k}")).collect();
+            let refs: Vec<String> = (0..*arity).map(|k| format!("&self.{k}")).collect();
+            serialize_impl(
+                &format!("impl ::serde::Serialize for {name}"),
+                &format!(
+                    "let ({}) = ({}); {}",
+                    binders.join(", "),
+                    refs.join(", "),
+                    serialize_items(*arity)
+                ),
             )
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let tag = lit(&format!("{{\"{vn}\":"));
                 match &v.kind {
                     VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),"
+                        "{name}::{vn} => __out.push_str({}),",
+                        lit(&format!("\"{vn}\""))
                     )),
                     VariantKind::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(__x0) => ::serde::Value::Object(vec![({vn:?}.to_string(), \
-                         ::serde::Serialize::to_value(__x0))]),"
+                        "{name}::{vn}(__x0) => {{ __out.push_str({tag}); \
+                         ::serde::Serialize::serialize_json(__x0, __out)?; __out.push('}}'); }}"
                     )),
                     VariantKind::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|k| format!("__x{k}")).collect();
-                        let items: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
                         arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Object(vec![({vn:?}.to_string(), \
-                             ::serde::Value::Array(vec![{}]))]),",
+                            "{name}::{vn}({}) => {{ __out.push_str({tag}); {} __out.push('}}'); }}",
                             binders.join(", "),
-                            items.join(", ")
+                            serialize_items(*n)
                         ));
                     }
                     VariantKind::Struct(fields) => {
-                        let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let binders: Vec<String> = fields
+                            .iter()
+                            .map(|f| {
+                                if f.skip {
+                                    format!("{}: _", f.name)
+                                } else {
+                                    f.name.clone()
+                                }
+                            })
+                            .collect();
                         arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Object(vec![({vn:?}.to_string(), {})]),",
+                            "{name}::{vn} {{ {} }} => {{ __out.push_str({tag}); {} __out.push('}}'); }}",
                             binders.join(", "),
                             serialize_fields(fields, false)
                         ));
                     }
                 }
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{ \
-                     fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }} \
-                 }}"
+            serialize_impl(
+                &format!("impl ::serde::Serialize for {name}"),
+                &format!("match self {{ {arms} }}"),
             )
         }
     }
@@ -497,110 +586,103 @@ fn gen_deserialize(item: &Item) -> String {
             deny_unknown_fields,
         } => {
             let (impl_params, ty_args) = generic_header(generics, "::serde::Deserialize");
-            let unknown_check = if *deny_unknown_fields {
-                deny_unknown_check(fields)
-            } else {
-                String::new()
-            };
-            format!(
-                "impl{impl_params} ::serde::Deserialize for {name}{ty_args} {{ \
-                     fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ \
-                         let Some(__pairs) = __v.as_object() else {{ \
-                             return Err(::serde::Error::msg(concat!(\"expected object for \", {name:?}))); \
-                         }}; \
-                         {unknown_check} \
-                         Ok({}) \
-                     }} \
-                 }}",
-                deserialize_fields(name, fields, "__v")
+            deserialize_impl(
+                &format!("impl{impl_params} ::serde::Deserialize for {name}{ty_args}"),
+                &format!(
+                    "::core::result::Result::Ok({})",
+                    deserialize_fields(
+                        name,
+                        fields,
+                        &format!("expected object for {name}"),
+                        *deny_unknown_fields
+                    )
+                ),
             )
         }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{ \
-                 fn from_value(_: &::serde::Value) -> Result<Self, ::serde::Error> {{ Ok({name}) }} \
-             }}"
+        Item::UnitStruct { name } => deserialize_impl(
+            &format!("impl ::serde::Deserialize for {name}"),
+            &format!("__r.skip_value()?; ::core::result::Result::Ok({name})"),
         ),
-        Item::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Deserialize for {name} {{ \
-                 fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ \
-                     Ok({name}(::serde::Deserialize::from_value(__v)?)) \
-                 }} \
-             }}"
+        Item::TupleStruct { name, arity: 1 } => deserialize_impl(
+            &format!("impl ::serde::Deserialize for {name}"),
+            &format!(
+                "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize_json(__r)?))"
+            ),
         ),
-        Item::TupleStruct { name, arity } => {
-            let elems: Vec<String> = (0..*arity)
-                .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                     fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ \
-                         let __items = __v.as_array().ok_or_else(|| \
-                             ::serde::Error::msg(concat!(\"expected array for \", {name:?})))?; \
-                         if __items.len() != {arity} {{ \
-                             return Err(::serde::Error::msg(\"wrong tuple arity\")); \
-                         }} \
-                         Ok({name}({})) \
-                     }} \
-                 }}",
-                elems.join(", ")
-            )
-        }
+        Item::TupleStruct { name, arity } => deserialize_impl(
+            &format!("impl ::serde::Deserialize for {name}"),
+            &format!(
+                "::core::result::Result::Ok({})",
+                deserialize_items(name, *arity, &format!("expected array for {name}"))
+            ),
+        ),
         Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
+            let mut units = Vec::new();
+            let mut tagged = Vec::new();
             for v in variants {
                 let vn = &v.name;
                 match &v.kind {
-                    VariantKind::Unit => {
-                        unit_arms.push_str(&format!("{vn:?} => return Ok({name}::{vn}),"));
-                    }
-                    VariantKind::Tuple(1) => tagged_arms.push_str(&format!(
-                        "{vn:?} => return Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),"
+                    VariantKind::Unit => units.push((vn, format!("{name}::{vn}"))),
+                    VariantKind::Tuple(1) => tagged.push((
+                        vn,
+                        format!("{name}::{vn}(::serde::Deserialize::deserialize_json(__r)?)"),
                     )),
-                    VariantKind::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|k| {
-                                format!("::serde::Deserialize::from_value(&__items[{k}])?")
-                            })
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "{vn:?} => {{ \
-                                 let __items = __payload.as_array().ok_or_else(|| \
-                                     ::serde::Error::msg(\"expected array payload\"))?; \
-                                 if __items.len() != {n} {{ \
-                                     return Err(::serde::Error::msg(\"wrong tuple arity\")); \
-                                 }} \
-                                 return Ok({name}::{vn}({})); \
-                             }}",
-                            elems.join(", ")
-                        ));
-                    }
-                    VariantKind::Struct(fields) => tagged_arms.push_str(&format!(
-                        "{vn:?} => {{ \
-                             if __payload.as_object().is_none() {{ \
-                                 return Err(::serde::Error::msg(\"expected object payload\")); \
-                             }} \
-                             return Ok({}); \
-                         }}",
-                        deserialize_fields(&format!("{name}::{vn}"), fields, "__payload")
+                    VariantKind::Tuple(n) => tagged.push((
+                        vn,
+                        deserialize_items(&format!("{name}::{vn}"), *n, "expected array payload"),
+                    )),
+                    VariantKind::Struct(fields) => tagged.push((
+                        vn,
+                        deserialize_fields(
+                            &format!("{name}::{vn}"),
+                            fields,
+                            "expected object payload",
+                            false,
+                        ),
                     )),
                 }
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                     fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ \
-                         if let Some(__s) = __v.as_str() {{ \
-                             match __s {{ {unit_arms} _ => {{}} }} \
-                         }} \
-                         if let Some(__pairs) = __v.as_object() {{ \
-                             if __pairs.len() == 1 {{ \
-                                 let (__tag, __payload) = (&__pairs[0].0, &__pairs[0].1); \
-                                 match __tag.as_str() {{ {tagged_arms} _ => {{}} }} \
-                             }} \
-                         }} \
-                         Err(::serde::Error::msg(concat!(\"unrecognized \", {name:?}, \" value\"))) \
-                     }} \
-                 }}"
+            let arms = |cases: &[(&String, String)]| -> String {
+                if cases.is_empty() {
+                    return "_ => ::core::unreachable!(),".to_string();
+                }
+                cases
+                    .iter()
+                    .enumerate()
+                    .map(|(k, (_, expr))| {
+                        let pattern = if k + 1 == cases.len() {
+                            "_".to_string()
+                        } else {
+                            k.to_string()
+                        };
+                        format!("{pattern} => {expr},")
+                    })
+                    .collect()
+            };
+            let names = |cases: &[(&String, String)]| -> String {
+                cases
+                    .iter()
+                    .map(|(vn, _)| lit(vn))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            let unrecognized = lit(&format!("unrecognized {name} value"));
+            let payload = if tagged.is_empty() {
+                format!("|_, _| ::core::result::Result::Err(::serde::Error::msg({unrecognized}))")
+            } else {
+                format!(
+                    "|__r, __i| ::core::result::Result::Ok(match __i {{ {} }})",
+                    arms(&tagged)
+                )
+            };
+            deserialize_impl(
+                &format!("impl ::serde::Deserialize for {name}"),
+                &format!(
+                    "__r.read_enum(&[{}], &[{}], {unrecognized}, |__i| match __i {{ {} }}, {payload})",
+                    names(&units),
+                    names(&tagged),
+                    arms(&units),
+                ),
             )
         }
     }

@@ -1,31 +1,39 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders the serde shim's [`Value`] tree to JSON text and parses JSON
-//! text back, exposing the `to_string` / `to_string_pretty` / `from_str`
-//! entry points this workspace uses.
+//! Streams values straight to and from JSON text through the serde
+//! shim's [`Serialize`] / [`Deserialize`] traits, exposing the
+//! `to_string` / `to_string_pretty` / `from_str` entry points this
+//! workspace uses, plus [`parse_value`] for callers that want a generic
+//! [`Value`] document.
+//!
+//! [`from_str`] reads its input once when it succeeds. When it fails,
+//! the text is parsed again as a plain document, and a syntax error
+//! found there is reported in place of the typed decoder's error: a
+//! malformed document gets the same message whatever type was asked
+//! for, including the recursion limit and trailing characters.
 
-pub use serde::{Error, Value};
+use serde::{Deserialize, Number, Reader, Serialize};
+pub use serde::{Error, Value, RECURSION_LIMIT};
 
 /// Serializes a value to compact JSON.
 ///
 /// # Errors
 ///
 /// Returns [`Error`] when the value contains a non-finite float.
-pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0)?;
+    value.serialize_json(&mut out)?;
     Ok(out)
 }
 
-/// Serializes a value to pretty-printed JSON (2-space indent).
+/// Serializes a value to pretty-printed JSON (2-space indent): the
+/// compact form with a line per array element and object entry.
 ///
 /// # Errors
 ///
 /// Returns [`Error`] when the value contains a non-finite float.
-pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0)?;
-    Ok(out)
+pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+    to_string(value).map(|compact| indent(&compact))
 }
 
 /// Parses JSON text into any deserializable type.
@@ -33,111 +41,63 @@ pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error>
 /// # Errors
 ///
 /// Returns [`Error`] on malformed JSON or a shape mismatch.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value)
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    let mut reader = Reader::new(s);
+    T::deserialize_json(&mut reader)
+        .and_then(|value| reader.finish().map(|()| value))
+        .map_err(|shape| parse_value(s).err().unwrap_or(shape))
 }
 
-// ---------------------------------------------------------------- writing
-
-fn write_value(
-    v: &Value,
-    out: &mut String,
-    indent: Option<usize>,
-    level: usize,
-) -> Result<(), Error> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(Error::msg("non-finite float in JSON"));
-            }
-            let text = format!("{f}");
-            out.push_str(&text);
-            // Keep floats recognizably floating-point ("1.0", not "1").
-            if !text.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(item, out, indent, level + 1)?;
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, level + 1)?;
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
+/// Re-indents compact JSON (as [`to_string`] writes it: no whitespace
+/// outside strings) with two spaces per level, `": "` after keys and
+/// empty arrays and objects kept on one line.
+fn indent(compact: &str) -> String {
+    let bytes = compact.as_bytes();
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut level = 0usize;
+    let newline = |out: &mut String, level: usize| {
         out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * level));
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        out.extend(std::iter::repeat_n(' ', 2 * level));
+    };
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            b'[' | b'{' if !matches!(bytes.get(i + 1), Some(b']' | b'}')) => {
+                out.push_str(&compact[run..=i]);
+                level += 1;
+                newline(&mut out, level);
+                run = i + 1;
+            }
+            b'[' | b'{' => i += 1,
+            b']' | b'}' => {
+                out.push_str(&compact[run..i]);
+                level -= 1;
+                newline(&mut out, level);
+                run = i;
+            }
+            b',' => {
+                out.push_str(&compact[run..=i]);
+                newline(&mut out, level);
+                run = i + 1;
+            }
+            b':' => {
+                out.push_str(&compact[run..=i]);
+                out.push(' ');
+                run = i + 1;
+            }
+            _ => {}
         }
+        i += 1;
     }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------- parsing
-
-/// Deepest array/object nesting [`parse_value`] accepts, as upstream
-/// `serde_json`'s recursion limit: the parser recurses once per level,
-/// so an unbounded depth would let a small document overflow the stack.
-pub const RECURSION_LIMIT: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+    out.push_str(&compact[run..]);
+    out
 }
 
 /// Parses a complete JSON document into a [`Value`].
@@ -147,273 +107,40 @@ struct Parser<'a> {
 /// Returns [`Error`] on malformed JSON, trailing garbage, or nesting
 /// deeper than [`RECURSION_LIMIT`].
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
+    let mut reader = Reader::new(s);
+    let value = value(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+fn value(r: &mut Reader<'_>) -> Result<Value, Error> {
+    Ok(match r.peek()? {
+        b'n' => r.literal("null").map(|()| Value::Null)?,
+        b't' => r.literal("true").map(|()| Value::Bool(true))?,
+        b'f' => r.literal("false").map(|()| Value::Bool(false))?,
+        b'"' => Value::Str(r.string()?.into_owned()),
+        b'[' => {
+            let mut items = Vec::new();
+            r.seq("", |r| {
+                items.push(value(r)?);
+                Ok(())
+            })?;
+            Value::Array(items)
         }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::msg("unexpected end of JSON"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
+        b'{' => {
+            let mut pairs = Vec::new();
+            r.map("", |r, key| {
+                pairs.push((key.into_owned(), value(r)?));
+                Ok(())
+            })?;
+            Value::Object(pairs)
         }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(Error::msg(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => self.string().map(Value::Str),
-            b'[' => self.nested(Self::array),
-            b'{' => self.nested(Self::object),
-            _ => self.number(),
-        }
-    }
-
-    /// Parses one array or object one level deeper, refusing to go past
-    /// [`RECURSION_LIMIT`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == RECURSION_LIMIT {
-            return Err(Error::msg(format!(
-                "recursion limit exceeded at byte {}",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::msg(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error::msg(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::msg("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::msg("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let code = self.hex_escape()?;
-                            // UTF-16 surrogate pair: a high half must be
-                            // followed by `\uXXXX` with a low half
-                            // (JSON's only encoding for non-BMP chars).
-                            let code = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes.get(self.pos) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return Err(Error::msg("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex_escape()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(Error::msg("invalid low surrogate"));
-                                }
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                code
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(Error::msg("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we consumed.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or_else(|| Error::msg("truncated UTF-8"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| Error::msg("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    /// Reads the four hex digits following an already-consumed `\u`.
-    fn hex_escape(&mut self) -> Result<u32, Error> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-        self.pos += 4;
-        u32::from_str_radix(
-            std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?,
-            16,
-        )
-        .map_err(|_| Error::msg("bad \\u escape"))
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
-        if text.is_empty() || text == "-" {
-            return Err(Error::msg(format!("invalid number at byte {start}")));
-        }
-        if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(u) = stripped.parse::<u64>() {
-                    if u <= i64::MAX as u64 + 1 {
-                        return Ok(Value::Int(
-                            text.parse()
-                                .map_err(|_| Error::msg("integer out of range"))?,
-                        ));
-                    }
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::msg(format!("invalid number `{text}`")))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+        _ => match r.number()? {
+            Number::UInt(u) => Value::UInt(u),
+            Number::Int(i) => Value::Int(i),
+            Number::Float(f) => Value::Float(f),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -454,17 +181,19 @@ mod tests {
 
     #[test]
     fn pretty_printing_is_parseable() {
-        let v = Value::Object(vec![
-            (
-                "x".into(),
-                Value::Array(vec![Value::UInt(1), Value::UInt(2)]),
-            ),
-            ("y".into(), Value::Str("s".into())),
-        ]);
-        let mut out = String::new();
-        write_value(&v, &mut out, Some(2), 0).unwrap();
-        assert!(out.contains('\n'));
-        assert_eq!(parse_value(&out).unwrap(), v);
+        let value = (
+            vec![1u32, 2],
+            (Vec::<u32>::new(), "a,\"[b]\":{".to_string()),
+        );
+        let pretty = to_string_pretty(&value).unwrap();
+        assert_eq!(
+            pretty,
+            "[\n  [\n    1,\n    2\n  ],\n  [\n    [],\n    \"a,\\\"[b]\\\":{\"\n  ]\n]"
+        );
+        assert_eq!(
+            from_str::<(Vec<u32>, (Vec<u32>, String))>(&pretty).unwrap(),
+            value
+        );
     }
 
     #[test]
@@ -477,6 +206,20 @@ mod tests {
     }
 
     #[test]
+    fn syntax_errors_win_over_shape_errors() {
+        let syntax = parse_value("[\"x\", 1,]").unwrap_err();
+        assert_eq!(from_str::<Vec<u32>>("[\"x\", 1,]").unwrap_err(), syntax);
+        assert_eq!(
+            from_str::<Vec<u32>>("[\"x\"]").unwrap_err().to_string(),
+            "expected u32"
+        );
+        assert_eq!(
+            from_str::<u32>("7 8").unwrap_err().to_string(),
+            "trailing characters at byte 2"
+        );
+    }
+
+    #[test]
     fn nesting_is_limited_to_128_levels() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse_value(&nested(RECURSION_LIMIT)).is_ok());
@@ -484,8 +227,12 @@ mod tests {
         assert!(err.to_string().contains("recursion limit"), "{err}");
         let objects = format!("{}1{}", "{\"a\":".repeat(129), "}".repeat(129));
         assert!(parse_value(&objects).is_err());
-        // A million levels fail on the limit, not on the stack.
+        // A million levels fail on the limit, not on the stack, also
+        // where a typed decoder skips the value.
         assert!(parse_value(&"[".repeat(1_000_000)).is_err());
+        let skipped = format!("[1,{}]", "[".repeat(1_000_000));
+        let err = from_str::<(u32, u32)>(&skipped).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::RunMetrics;
-use crate::trial::{run_trials, TrialConfig, TrialSetup};
+use crate::trial::{run_trial, TrialConfig, TrialSetup};
 
 /// A policy selection that can be written to a config file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,32 +149,48 @@ impl Experiment {
     }
 
     /// Runs every policy over the same seeded environments.
+    ///
+    /// All (policy, trial) pairs form one task list for the pool, so no
+    /// claimer idles between policies; results are regrouped per policy
+    /// in specification order. Each trial is a pure function of its
+    /// policy and seed, so the results are byte-identical at every pool
+    /// width and to running each policy through
+    /// [`run_trials`](crate::trial::run_trials).
     pub fn run(&self) -> ExperimentResults {
+        let trials = self.trials.trials;
+        let mut metrics = threadpool::global_with(self.trials.threads)
+            .map_indexed(self.policies.len() * trials, |k| {
+                run_trial(&self.trials, k % trials, |seed| {
+                    self.setup(&self.policies[k / trials], seed)
+                })
+            })
+            .into_iter();
         let runs = self
             .policies
             .iter()
-            .map(|spec| {
-                let trials = run_trials(&self.trials, |seed| {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    TrialSetup {
-                        network: self
-                            .network
-                            .build(&mut rng)
-                            .expect("experiment network config must be valid"),
-                        workload: self.workload.build(),
-                        dynamics: self.dynamics.build(),
-                        policy: spec.build(),
-                    }
-                });
-                PolicyRuns {
-                    policy: spec.name(),
-                    trials,
-                }
+            .map(|spec| PolicyRuns {
+                policy: spec.name(),
+                trials: metrics.by_ref().take(trials).collect(),
             })
             .collect();
         ExperimentResults {
             name: self.name.clone(),
             runs,
+        }
+    }
+
+    /// The environment of one trial of `spec`, drawn from the trial's
+    /// seed.
+    fn setup(&self, spec: &PolicySpec, seed: u64) -> TrialSetup {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        TrialSetup {
+            network: self
+                .network
+                .build(&mut rng)
+                .expect("experiment network config must be valid"),
+            workload: self.workload.build(),
+            dynamics: self.dynamics.build(),
+            policy: spec.build(),
         }
     }
 }

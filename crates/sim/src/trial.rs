@@ -88,30 +88,38 @@ pub fn run_trials<F>(config: &TrialConfig, setup: F) -> Vec<RunMetrics>
 where
     F: Fn(u64) -> TrialSetup + Sync,
 {
-    let sim = config.sim;
     // `global_with` shares one task counter per width, so benchmark
     // readers of the pool's stats see these trials. `map_indexed`
     // gathers in trial-index order; each trial is a pure function of its
     // seed, so the result vector is byte-identical at every pool width.
-    threadpool::global_with(config.threads).map_indexed(config.trials, |i| {
-        let seed = trial_seed(config.base_seed, i);
-        let mut ts = setup(seed);
-        // Environment stream: network build already consumed part of a
-        // seed-derived stream inside `setup`; the run uses a
-        // continuation seeded deterministically from the trial seed so
-        // the sample path is reproducible.
-        let mut env_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x00E0_0E0E_0E0E_0E0E);
-        let mut policy_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7011_C711_57EA_0000);
-        run(
-            &ts.network,
-            ts.workload.as_mut(),
-            ts.dynamics.as_mut(),
-            ts.policy.as_mut(),
-            &sim,
-            &mut env_rng,
-            &mut policy_rng,
-        )
-    })
+    threadpool::global_with(config.threads)
+        .map_indexed(config.trials, |i| run_trial(config, i, &setup))
+}
+
+/// Runs trial `trial` of `config` on the caller's thread: the one unit of
+/// work [`run_trials`] and `Experiment::run` fan out.
+pub fn run_trial(
+    config: &TrialConfig,
+    trial: usize,
+    setup: impl Fn(u64) -> TrialSetup,
+) -> RunMetrics {
+    let seed = trial_seed(config.base_seed, trial);
+    let mut ts = setup(seed);
+    // Environment stream: network build already consumed part of a
+    // seed-derived stream inside `setup`; the run uses a continuation
+    // seeded deterministically from the trial seed so the sample path is
+    // reproducible.
+    let mut env_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x00E0_0E0E_0E0E_0E0E);
+    let mut policy_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7011_C711_57EA_0000);
+    run(
+        &ts.network,
+        ts.workload.as_mut(),
+        ts.dynamics.as_mut(),
+        ts.policy.as_mut(),
+        &config.sim,
+        &mut env_rng,
+        &mut policy_rng,
+    )
 }
 
 #[cfg(test)]
@@ -205,6 +213,39 @@ mod tests {
                 serde_json::to_string(&serial).unwrap(),
                 serde_json::to_string(&parallel).unwrap(),
                 "{trials} trials at width {threads}"
+            );
+        }
+        // The flattened (policy, trial) task list of `Experiment::run`:
+        // width 1 against 2, 3 and 4, and width 1 against one
+        // `run_trials` call per policy.
+        let mut experiment = crate::experiment::Experiment::paper_default("widths");
+        experiment.trials = small_config(2);
+        experiment.trials.threads = 1;
+        let serial = experiment.run();
+        for (spec, runs) in experiment.policies.iter().zip(&serial.runs) {
+            let per_policy = run_trials(&experiment.trials, |seed| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                TrialSetup {
+                    network: NetworkConfig::paper_default().build(&mut rng).unwrap(),
+                    workload: Box::new(UniformWorkload::paper_default()),
+                    dynamics: Box::new(StaticDynamics),
+                    policy: spec.build(),
+                }
+            });
+            assert_eq!(
+                serde_json::to_string(&per_policy).unwrap(),
+                serde_json::to_string(&runs.trials).unwrap(),
+                "{} through run_trials",
+                runs.policy
+            );
+        }
+        let serial = serde_json::to_string(&serial).unwrap();
+        for threads in [2, 3, 4] {
+            experiment.trials.threads = threads;
+            assert_eq!(
+                serde_json::to_string(&experiment.run()).unwrap(),
+                serial,
+                "experiment at width {threads}"
             );
         }
     }

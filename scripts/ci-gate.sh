@@ -48,11 +48,12 @@ cargo fmt --check
 
 # Workspace-wide clippy, minus the vendored compat shims that mirror
 # upstream APIs (pinned by their own behavior tests — same carve-out as
-# lint.toml's skip list). The threadpool shim mirrors no upstream API
-# and is held to clippy and the workspace lints like any other crate.
+# lint.toml's skip list). The threadpool and serde shims follow no
+# upstream internals, and the serde shims parse untrusted frames on the
+# daemon's serving thread, so they are held to clippy and the workspace
+# lints like any other crate.
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace \
-    --exclude serde --exclude serde_derive --exclude serde_json \
     --exclude rand --exclude proptest --exclude criterion \
     --exclude wide \
     --all-targets -- -D warnings
@@ -65,7 +66,6 @@ cargo run -q -p qdn_lint --bin qdn-lint -- --report target/lint-report.json
 # fails the gate.
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude serde --exclude serde_derive --exclude serde_json \
     --exclude rand --exclude proptest --exclude criterion \
     --exclude wide
 
