@@ -11,6 +11,13 @@
 //! is an ``unknown field `…` `` error instead of being ignored).
 //! Unsupported shapes produce a compile error naming the offending item.
 //!
+//! The generated code streams: `serialize_json` pushes each key as a
+//! static literal and each value straight into the output `String`, and
+//! `deserialize_json` reads through `serde::Reader`, filling one
+//! `Option` per field in document order and resolving them in
+//! declaration order (see `Reader::read_struct`). A struct or struct
+//! variant reads at most 64 non-skipped fields.
+//!
 //! The generated representation matches serde's externally-tagged
 //! default:
 //!
@@ -74,10 +81,26 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 /// Derives `serde::Deserialize`.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
+    match parse_item(input).and_then(|item| fits_reader(&item).map(|()| item)) {
         Ok(item) => gen_deserialize(&item).parse().unwrap(),
         Err(e) => compile_error(&e),
     }
+}
+
+/// `Reader::read_struct` tracks seen fields in a `u64`.
+fn fits_reader(item: &Item) -> Result<(), String> {
+    let too_many = |fields: &[Field]| fields.iter().filter(|f| !f.skip).count() > 64;
+    let wide = match item {
+        Item::Struct { fields, .. } => too_many(fields),
+        Item::Enum { variants, .. } => variants
+            .iter()
+            .any(|v| matches!(&v.kind, VariantKind::Struct(fields) if too_many(fields))),
+        _ => false,
+    };
+    if wide {
+        return Err("serde shim derive: more than 64 fields to deserialize".into());
+    }
+    Ok(())
 }
 
 fn compile_error(msg: &str) -> TokenStream {
