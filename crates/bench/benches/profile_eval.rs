@@ -517,8 +517,9 @@ fn bench_session_vs_fresh(c: &mut Criterion) {
 /// End-to-end controller-daemon throughput (PR 7): a real `qdn_serve`
 /// daemon on a Unix domain socket, driven by the in-crate load
 /// generator for 64 slots per iteration — every decision crosses the
-/// wire protocol (length-prefixed JSON frames), the shard fan-out, and
-/// the warm per-shard sessions. Eight shards at paper scale. The
+/// wire protocol (length-prefixed JSON frames) and the warm per-shard
+/// sessions, decided in turn on the serving thread. Eight shards at
+/// paper scale. The
 /// `persistent_10` row is the session showcase (10 sticky pairs, 80%
 /// survival: 2560 request decisions per iteration); `uniform` is the
 /// paper's `U[1,5]` arrival mix. Each iteration resets the daemon and

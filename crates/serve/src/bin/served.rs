@@ -8,7 +8,7 @@
 //!   --socket PATH     listen on a Unix domain socket at PATH
 //!   --tcp ADDR:PORT   listen on TCP instead
 //!   --seed N          master seed (default 7)
-//!   --shards N        session shards / worker threads (default 4)
+//!   --shards N        session shards, decided in turn (default 4)
 //!   --threads N       accepted and ignored (the daemon has no solve
 //!                     pool; kept so existing command lines still start)
 //!   --config FILE     full ServeConfig as JSON (overrides the flags

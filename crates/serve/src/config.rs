@@ -17,16 +17,16 @@ use serde::{Deserialize, Serialize};
 pub struct ServeConfig {
     /// Master seed: topology draw and all per-slot RNG derivation.
     pub seed: u64,
-    /// Number of session shards (worker threads). SD pairs are mapped
-    /// to shards by canonical source node, so a pair's warm state
-    /// always lives on the same shard.
+    /// Number of session shards, decided in turn on the serving thread.
+    /// SD pairs are mapped to shards by canonical source node, so a
+    /// pair's warm state always lives on the same shard.
     pub shards: u32,
     /// Topology + capacity draw.
     pub network: NetworkConfig,
     /// Exogenous per-slot capacity process.
     pub dynamics: DynamicsConfig,
-    /// Affects nothing: the daemon has no solve pool, and every shard
-    /// decides on its own thread. Still **required** in the wire form (a
+    /// Affects nothing: the daemon has no solve pool, and the serving
+    /// thread decides every shard. Still **required** in the wire form (a
     /// deliberate loud serde break, see MIGRATION.md) and accepted at
     /// any value, so existing configs and struct literals keep working.
     /// Due for deletion together with `shards`.

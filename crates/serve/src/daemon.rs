@@ -1,33 +1,31 @@
-//! The controller daemon: slot clock, arrival queue, shard fan-out, and
-//! the blocking socket server.
+//! The controller daemon: slot clock, arrival queue, shard decisions,
+//! and the blocking socket server.
 //!
 //! [`Daemon`] is the transport-free core — one instance per process,
 //! owning the network, the dynamics process, and the [`ShardPool`]. The
 //! socket layer ([`serve`]) is a thin loop: accept a connection, demand
 //! a `Hello`, then alternate read-frame → [`Daemon::handle`] →
 //! write-frame until the peer hangs up or asks for `Shutdown`.
-//! Connections are served one at a time — the daemon is the slot clock,
-//! and a slot tick is a global barrier across shards, so concurrent
-//! connections would only interleave at tick granularity anyway.
+//! Connections are served one at a time on one thread, which also
+//! decides every shard of a slot in turn: the daemon is the slot clock,
+//! and a slot tick is a global barrier across shards.
 //!
 //! ## Capacity semantics across shards
 //!
-//! Shards decide a slot concurrently against the *same* capacity
-//! snapshot: a shard does not observe allocations made by its siblings
-//! in the same slot. Cross-shard contention for one link is therefore
-//! not coordinated — matching the paper's deployment intent, where
-//! regions (here: canonical-source groups) are operated as disjoint
-//! slices of the network. The budget is likewise partitioned: each
-//! shard prices its own virtual queue over `total_budget / shards`.
+//! Every shard decides a slot against the *same* capacity snapshot: a
+//! shard does not observe allocations made by its siblings in the same
+//! slot. Cross-shard contention for one link is therefore not
+//! coordinated — matching the paper's deployment intent, where regions
+//! (here: canonical-source groups) are operated as disjoint slices of
+//! the network. The budget is likewise partitioned: each shard prices
+//! its own virtual queue over `total_budget / shards`.
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
-use std::sync::Arc;
 
-use qdn_core::types::Decision;
 use qdn_net::dynamics::ResourceDynamics;
-use qdn_net::{QdnNetwork, SdPair};
+use qdn_net::{CapacitySnapshot, QdnNetwork, SdPair};
 use rand::SeedableRng;
 
 use crate::config::ServeConfig;
@@ -36,7 +34,7 @@ use crate::proto::{
     Advisory, Request, Response, ServeSnapshot, ServeStats, PROTOCOL_VERSION,
     SERVE_SNAPSHOT_VERSION,
 };
-use crate::shard::{shard_of, slot_rng, ShardPool};
+use crate::shard::{slot_rng, ShardPool};
 
 /// RNG stream id for the dynamics process — outside the shard index
 /// range (shard counts are `u32`), so the capacity draw never collides
@@ -47,7 +45,7 @@ pub const DYNAMICS_STREAM: u64 = 1 << 40;
 /// The transport-free daemon core.
 pub struct Daemon {
     config: ServeConfig,
-    network: Arc<QdnNetwork>,
+    network: QdnNetwork,
     dynamics: Box<dyn ResourceDynamics>,
     pool: ShardPool,
     slot: u64,
@@ -63,23 +61,15 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Builds the network from the configuration and spawns the shard
-    /// pool.
+    /// Builds the network from the configuration and cold shards.
     pub fn new(config: ServeConfig) -> Result<Daemon, String> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let network = Arc::new(
-            config
-                .network
-                .build(&mut rng)
-                .map_err(|e| format!("network build failed: {e:?}"))?,
-        );
+        let network = config
+            .network
+            .build(&mut rng)
+            .map_err(|e| format!("network build failed: {e:?}"))?;
         let dynamics = config.dynamics.build();
-        let pool = ShardPool::new(
-            config.seed,
-            config.shards,
-            Arc::clone(&network),
-            Arc::new(config.oscar.clone()),
-        )?;
+        let pool = ShardPool::new(config.seed, config.shards, &config.oscar);
         Ok(Daemon {
             config,
             network,
@@ -120,18 +110,17 @@ impl Daemon {
             Request::Submit { pairs } => self.submit(&pairs),
             Request::Tick => self.tick(),
             Request::Stats => self.stats(),
-            Request::Snapshot => match self.snapshot() {
-                Ok(snapshot) => Response::SnapshotOk { snapshot },
-                Err(error) => self.shard_failure(error),
+            Request::Snapshot => Response::SnapshotOk {
+                snapshot: self.snapshot(),
             },
             Request::Restore { snapshot } => match self.restore(&snapshot) {
                 Ok(slot) => Response::RestoreOk { slot },
                 Err(message) => Response::Error { message },
             },
-            Request::Reset => match self.reset() {
-                Ok(()) => Response::ResetOk,
-                Err(message) => Response::Error { message },
-            },
+            Request::Reset => {
+                self.reset();
+                Response::ResetOk
+            }
             Request::Advise { advisory } => self.advise(advisory),
             Request::Shutdown => Response::ShutdownOk,
         }
@@ -260,28 +249,32 @@ impl Daemon {
                     }
                 })
                 .collect();
-            snapshot = qdn_net::CapacitySnapshot::clamped(&self.network, qubits, channels);
+            snapshot = CapacitySnapshot::clamped(&self.network, qubits, channels);
         }
         // Windows entirely in the past can never darken a future slot.
         self.advisories.retain(|a| a.end > t);
-        let shards = self.pool.len();
-        let mut per_shard: Vec<Vec<SdPair>> = vec![Vec::new(); shards];
-        for pair in self.pending.drain(..) {
-            per_shard[shard_of(pair, shards as u32)].push(pair);
-        }
-        let decisions = match self.pool.decide_slot(t, per_shard, snapshot) {
-            Ok(d) => d,
-            Err(error) => return self.shard_failure(error),
+        self.close_slot(&snapshot)
+    }
+
+    /// Decides the pending arrivals of the current slot against
+    /// `snapshot` and advances the clock. A panic inside a shard's
+    /// decision is answered with an error, and the daemon restarts from
+    /// cold shards at slot 0 (see `Daemon::rebuild`).
+    pub(crate) fn close_slot(&mut self, snapshot: &CapacitySnapshot) -> Response {
+        let t = self.slot;
+        let decided = self.pool.decide_slot(
+            &self.network,
+            &self.config.oscar,
+            t,
+            &self.pending,
+            snapshot,
+        );
+        let decision = match decided {
+            Ok(decision) => decision,
+            Err(error) => return self.rebuild(error),
         };
-        let mut assignments = Vec::new();
-        let mut unserved = Vec::new();
-        let mut cost = 0u64;
-        for d in decisions {
-            cost += d.total_cost();
-            assignments.extend_from_slice(d.assignments());
-            unserved.extend_from_slice(d.unserved());
-        }
-        let decision = Decision::new(assignments, unserved);
+        self.pending.clear();
+        let cost = decision.total_cost();
         self.served += decision.assignments().len() as u64;
         self.unserved += decision.unserved().len() as u64;
         self.spent += cost;
@@ -293,11 +286,7 @@ impl Daemon {
         }
     }
 
-    fn stats(&mut self) -> Response {
-        let shards = match self.pool.snapshot() {
-            Ok(s) => s,
-            Err(error) => return self.shard_failure(error),
-        };
+    fn stats(&self) -> Response {
         Response::StatsOk {
             stats: ServeStats {
                 slot: self.slot,
@@ -305,21 +294,20 @@ impl Daemon {
                 served: self.served,
                 unserved: self.unserved,
                 spent: self.spent,
-                queue_values: shards.iter().map(|s| s.queue.value()).collect(),
+                queue_values: self.pool.queue_values(),
             },
         }
     }
 
     /// Serializes the full warm state (see [`ServeSnapshot`] for what
-    /// is — and deliberately is not — captured). Fails if a shard
-    /// thread has died.
-    pub fn snapshot(&self) -> Result<ServeSnapshot, String> {
-        Ok(ServeSnapshot {
+    /// is — and deliberately is not — captured).
+    pub fn snapshot(&self) -> ServeSnapshot {
+        ServeSnapshot {
             version: SERVE_SNAPSHOT_VERSION,
             slot: self.slot,
-            shards: self.pool.snapshot()?,
+            shards: self.pool.snapshot(),
             advisories: self.advisories.clone(),
-        })
+        }
     }
 
     /// Installs a snapshot: per-shard warm state, the slot counter, and
@@ -329,8 +317,9 @@ impl Daemon {
     /// arrivals and the served/unserved tallies restart at zero —
     /// they are reporting, not decision state.
     ///
-    /// On error the daemon resets to cold slot 0 (a half-installed
-    /// mixed state must not keep serving).
+    /// A rejected snapshot (wrong version, wrong shard count, or any
+    /// shard's engine state that does not restore) leaves the daemon
+    /// exactly as it was: every check runs before anything is installed.
     pub fn restore(&mut self, snapshot: &ServeSnapshot) -> Result<u64, String> {
         if snapshot.version != SERVE_SNAPSHOT_VERSION {
             return Err(format!(
@@ -338,12 +327,7 @@ impl Daemon {
                 snapshot.version
             ));
         }
-        if let Err(e) = self.pool.restore(snapshot.shards.clone()) {
-            return Err(match self.reset() {
-                Ok(()) => format!("{e}; daemon reset cold"),
-                Err(re) => format!("{e}; cold reset also failed: {re}"),
-            });
-        }
+        self.pool.restore(&snapshot.shards)?;
         self.dynamics.reset();
         for t in 0..snapshot.slot {
             let mut dyn_rng = slot_rng(self.config.seed, t, DYNAMICS_STREAM);
@@ -360,18 +344,9 @@ impl Daemon {
         Ok(self.slot)
     }
 
-    /// Back to cold slot 0, as if freshly started. If a shard thread
-    /// has died, the whole pool is respawned; failure to respawn (the
-    /// OS refusing a thread) is the only error.
-    pub fn reset(&mut self) -> Result<(), String> {
-        if self.pool.reset().is_err() {
-            self.pool = ShardPool::new(
-                self.config.seed,
-                self.config.shards,
-                Arc::clone(&self.network),
-                Arc::new(self.config.oscar.clone()),
-            )?;
-        }
+    /// Back to cold slot 0, as if freshly started.
+    pub fn reset(&mut self) {
+        self.pool.reset();
         self.dynamics.reset();
         self.slot = 0;
         self.pending.clear();
@@ -379,20 +354,18 @@ impl Daemon {
         self.unserved = 0;
         self.spent = 0;
         self.advisories.clear();
-        Ok(())
     }
 
-    /// A shard thread died mid-operation: the pool is unrecoverable,
-    /// so restart cold (respawning the pool) and answer with an error
-    /// that reports both the failure and the recovery outcome. The
-    /// daemon keeps serving either way — a wedged pool must not wedge
-    /// the connection loop.
-    fn shard_failure(&mut self, error: String) -> Response {
-        let message = match self.reset() {
-            Ok(()) => format!("{error}; shard pool restarted cold at slot 0"),
-            Err(re) => format!("{error}; cold restart also failed: {re}"),
-        };
-        Response::Error { message }
+    /// A shard's decision panicked mid-slot, so the shards are torn:
+    /// replace them with cold ones, restart at slot 0, and answer with
+    /// an error. The daemon keeps serving — a panic must not take the
+    /// connection loop down.
+    fn rebuild(&mut self, error: String) -> Response {
+        self.pool = ShardPool::new(self.config.seed, self.config.shards, &self.config.oscar);
+        self.reset();
+        Response::Error {
+            message: format!("{error}; shards rebuilt cold at slot 0"),
+        }
     }
 }
 

@@ -8,9 +8,9 @@
 //!   [`proto::ServeSnapshot`] warm-state image;
 //! * [`config`] — [`config::ServeConfig`]: seed, topology, dynamics,
 //!   OSCAR parameters, shard count;
-//! * [`shard`] — shard-per-core warm sessions: one blocking thread per
-//!   shard, each owning an `EngineState` and its slice of the budget,
-//!   keyed by canonical source node so a pair's warm state never migrates;
+//! * [`shard`] — warm sessions held inline in the daemon, each shard
+//!   an `EngineState` and its slice of the budget, keyed by canonical
+//!   source node so a pair's warm state never migrates;
 //! * [`daemon`] — the transport-free [`daemon::Daemon`] core plus the
 //!   blocking Unix/TCP socket server;
 //! * [`client`] — a blocking client for tests, tools, and the load
@@ -18,9 +18,8 @@
 //! * [`loadgen`] — workload replay with p50/p99 tick latency and
 //!   decisions/sec reporting.
 //!
-//! No async runtime anywhere: the daemon is a slot clock, a slot tick
-//! is a global barrier across shards, and blocking threads rendezvous
-//! over plain channels.
+//! No async runtime and no threads: the daemon is a slot clock, and the
+//! one serving thread decides every shard of a slot in turn.
 //!
 //! ## Warm restarts
 //!

@@ -1,22 +1,19 @@
-//! Shard-per-core warm sessions.
+//! Shard warm sessions, decided in turn on the serving thread.
 //!
-//! The daemon owns one OS thread per shard; each thread owns a
+//! The daemon holds one shard per configured shard index, inline: an
 //! [`EngineState`] (candidate route cache + selection session +
 //! fidelity-filter cache) and a [`VirtualQueue`] over its slice of the
-//! budget, and blocks on a plain mpsc channel for work. SD pairs are
-//! mapped to shards by **canonical source node** ([`shard_of`]), so a
-//! pair's warm state — its candidate routes and previous route — always
-//! lands on the thread that already holds it. There is no async
-//! runtime: one blocking thread per shard, rendezvous by channel.
+//! budget. SD pairs are mapped to shards by **canonical source node**
+//! ([`shard_of`]), so a pair's warm state always lands on the shard that
+//! already holds it. The serving thread decides every shard in shard
+//! order; nothing here spawns a thread or sends a message.
 //!
 //! Every tick touches every shard (even ones with no arrivals): an idle
 //! slot must still drain the shard's virtual queue (Eq. 7 with
-//! `c_t = 0`), and doing it on the shard thread keeps all queue state
-//! single-owner.
+//! `c_t = 0`).
 
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 
 use qdn_core::engine::{self, EngineState, SlotDecisionRequest};
 use qdn_core::lyapunov::VirtualQueue;
@@ -50,282 +47,234 @@ pub fn slot_rng(seed: u64, slot: u64, shard: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(mixed)
 }
 
-enum ShardMsg {
-    Decide {
-        slot: u64,
-        requests: Vec<SdPair>,
-        snapshot: Arc<CapacitySnapshot>,
-        reply: mpsc::Sender<(usize, Decision)>,
-    },
-    Snapshot {
-        reply: mpsc::Sender<(usize, ShardSnapshot)>,
-    },
-    Restore {
-        snapshot: Box<ShardSnapshot>,
-        reply: mpsc::Sender<Result<(), String>>,
-    },
-    Reset {
-        reply: mpsc::Sender<()>,
-    },
-    Stop,
-}
-
-struct ShardWorker {
-    index: usize,
-    seed: u64,
-    network: Arc<QdnNetwork>,
-    oscar: Arc<OscarConfig>,
+/// One shard's warm state.
+struct Shard {
     state: EngineState,
     queue: VirtualQueue,
     spent: u64,
 }
 
-impl ShardWorker {
-    fn fresh_queue(oscar: &OscarConfig, shards: u32) -> VirtualQueue {
-        VirtualQueue::new(
-            oscar.q0,
-            oscar.total_budget / f64::from(shards.max(1)),
-            oscar.horizon,
-        )
-    }
-
-    fn run(mut self, rx: mpsc::Receiver<ShardMsg>, shards: u32) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Decide {
-                    slot,
-                    requests,
-                    snapshot,
-                    reply,
-                } => {
-                    let ctx = PerSlotContext::oscar(
-                        &self.network,
-                        &snapshot,
-                        self.oscar.v,
-                        self.queue.value(),
-                    );
-                    let mut rng = slot_rng(self.seed, slot, self.index as u64);
-                    let decision = engine::decide(
-                        &mut self.state,
-                        SlotDecisionRequest {
-                            network: &self.network,
-                            requests: &requests,
-                            ctx: &ctx,
-                            selector: &self.oscar.selector,
-                            allocation: &self.oscar.allocation,
-                            fidelity_target: self.oscar.fidelity_target,
-                            rng: &mut rng,
-                        },
-                    );
-                    let cost = decision.total_cost();
-                    self.spent += cost;
-                    self.queue.update(cost);
-                    let _ = reply.send((self.index, decision));
-                }
-                ShardMsg::Snapshot { reply } => {
-                    let _ = reply.send((
-                        self.index,
-                        ShardSnapshot {
-                            engine: self.state.snapshot(),
-                            queue: self.queue,
-                            spent: self.spent,
-                        },
-                    ));
-                }
-                ShardMsg::Restore { snapshot, reply } => {
-                    let result = EngineState::restore(&snapshot.engine).map(|state| {
-                        self.state = state;
-                        self.queue = snapshot.queue;
-                        self.spent = snapshot.spent;
-                    });
-                    let _ = reply.send(result);
-                }
-                ShardMsg::Reset { reply } => {
-                    self.state.reset();
-                    self.queue = Self::fresh_queue(&self.oscar, shards);
-                    self.spent = 0;
-                    let _ = reply.send(());
-                }
-                ShardMsg::Stop => break,
-            }
-        }
-    }
-}
-
-/// The daemon's worker threads, one per shard. Dropping the pool stops
-/// and joins every thread.
-///
-/// Shard threads are long-lived *owners* of warm state, not a
-/// parallelism mechanism: each decides its slice of a slot on its own
-/// thread, and nothing inside the engine fans work out further.
+/// The daemon's shards, decided one after another on the caller's
+/// thread.
 pub struct ShardPool {
-    senders: Vec<mpsc::Sender<ShardMsg>>,
-    joins: Vec<thread::JoinHandle<()>>,
+    seed: u64,
+    /// Each shard's queue at slot 0: `total_budget / shards`.
+    cold_queue: VirtualQueue,
+    shards: Vec<Shard>,
 }
 
 impl ShardPool {
-    /// Spawns `shards` worker threads over a shared network. Fails if
-    /// the OS refuses a thread; already-spawned workers are stopped and
-    /// joined by the partial pool's `Drop`.
-    pub fn new(
-        seed: u64,
-        shards: u32,
-        network: Arc<QdnNetwork>,
-        oscar: Arc<OscarConfig>,
-    ) -> Result<ShardPool, String> {
+    /// `shards` cold shards (at least one), each pricing its own virtual
+    /// queue over `total_budget / shards`.
+    pub fn new(seed: u64, shards: u32, oscar: &OscarConfig) -> ShardPool {
         let shards = shards.max(1);
-        let mut pool = ShardPool {
-            senders: Vec::with_capacity(shards as usize),
-            joins: Vec::with_capacity(shards as usize),
-        };
-        for index in 0..shards as usize {
-            let (tx, rx) = mpsc::channel();
-            let worker = ShardWorker {
-                index,
-                seed,
-                network: Arc::clone(&network),
-                oscar: Arc::clone(&oscar),
-                state: EngineState::new(oscar.route_limits),
-                queue: ShardWorker::fresh_queue(&oscar, shards),
-                spent: 0,
-            };
-            // qdn-lint: allow(raw-spawn, reason="shard threads are long-lived warm-state owners keyed by shard index, not decision-path parallelism; each decides its slice serially")
-            let join = thread::Builder::new()
-                .name(format!("qdn-shard-{index}"))
-                .spawn(move || worker.run(rx, shards))
-                .map_err(|e| format!("spawn shard thread {index}: {e}"))?;
-            pool.joins.push(join);
-            pool.senders.push(tx);
+        let cold_queue = VirtualQueue::new(
+            oscar.q0,
+            oscar.total_budget / f64::from(shards),
+            oscar.horizon,
+        );
+        ShardPool {
+            seed,
+            cold_queue,
+            shards: (0..shards)
+                .map(|_| Shard {
+                    state: EngineState::new(oscar.route_limits),
+                    queue: cold_queue,
+                    spent: 0,
+                })
+                .collect(),
         }
-        Ok(pool)
     }
 
     /// Number of shards.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.shards.len()
     }
 
     /// Whether the pool has no shards (never true — `new` clamps to 1).
     pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
+        self.shards.is_empty()
     }
 
-    /// Decides one slot: every shard gets its request slice (empty ones
-    /// included — idle shards still drain their queues) and the shared
-    /// capacity snapshot; returns the per-shard decisions in shard
-    /// order.
+    /// Decides slot `slot`: splits `requests` by [`shard_of`], decides
+    /// every shard in shard order (idle ones included — they still drain
+    /// their queues) against the same capacity snapshot, and merges the
+    /// shard decisions in shard order.
     ///
-    /// Fails if a shard thread has died (panicked engine, killed
-    /// thread); the pool is then unrecoverable and the caller must
-    /// respawn it — see `Daemon::shard_failure`.
+    /// A panic inside a shard's decision is caught and returned as an
+    /// error. The shards decided before it have already advanced, so
+    /// the pool is then torn and the caller must replace it with a cold
+    /// one — see `Daemon::rebuild`.
     pub fn decide_slot(
-        &self,
+        &mut self,
+        network: &QdnNetwork,
+        oscar: &OscarConfig,
         slot: u64,
-        mut per_shard: Vec<Vec<SdPair>>,
-        snapshot: CapacitySnapshot,
-    ) -> Result<Vec<Decision>, String> {
-        assert_eq!(per_shard.len(), self.len(), "one request slice per shard");
-        let shared = Arc::new(snapshot);
-        let (reply, inbox) = mpsc::channel();
-        for (index, (tx, requests)) in self.senders.iter().zip(per_shard.drain(..)).enumerate() {
-            tx.send(ShardMsg::Decide {
-                slot,
-                requests,
-                snapshot: Arc::clone(&shared),
-                reply: reply.clone(),
-            })
-            .map_err(|_| format!("shard thread {index} is gone"))?;
+        requests: &[SdPair],
+        snapshot: &CapacitySnapshot,
+    ) -> Result<Decision, String> {
+        let count = self.shards.len() as u32;
+        let mut per_shard: Vec<Vec<SdPair>> = vec![Vec::new(); self.shards.len()];
+        for &pair in requests {
+            per_shard[shard_of(pair, count)].push(pair);
         }
-        drop(reply);
-        let mut decisions: Vec<(usize, Decision)> = inbox.iter().collect();
-        if decisions.len() != self.len() {
-            return Err(format!(
-                "{} shard thread(s) died mid-slot",
-                self.len() - decisions.len()
-            ));
-        }
-        decisions.sort_unstable_by_key(|(i, _)| *i);
-        Ok(decisions.into_iter().map(|(_, d)| d).collect())
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut assignments = Vec::new();
+            let mut unserved = Vec::new();
+            for (index, (shard, requests)) in self.shards.iter_mut().zip(per_shard).enumerate() {
+                let ctx = PerSlotContext::oscar(network, snapshot, oscar.v, shard.queue.value());
+                let mut rng = slot_rng(self.seed, slot, index as u64);
+                let decision = engine::decide(
+                    &mut shard.state,
+                    SlotDecisionRequest {
+                        network,
+                        requests: &requests,
+                        ctx: &ctx,
+                        selector: &oscar.selector,
+                        allocation: &oscar.allocation,
+                        fidelity_target: oscar.fidelity_target,
+                        rng: &mut rng,
+                    },
+                );
+                let cost = decision.total_cost();
+                shard.spent += cost;
+                shard.queue.update(cost);
+                assignments.extend_from_slice(decision.assignments());
+                unserved.extend_from_slice(decision.unserved());
+            }
+            Decision::new(assignments, unserved)
+        }))
+        .map_err(|payload| {
+            format!(
+                "shard decision panicked at slot {slot}: {}",
+                panic_message(payload.as_ref())
+            )
+        })
     }
 
-    /// Collects every shard's warm state, in shard order. Fails if a
-    /// shard thread has died.
-    pub fn snapshot(&self) -> Result<Vec<ShardSnapshot>, String> {
-        let (reply, inbox) = mpsc::channel();
-        for (index, tx) in self.senders.iter().enumerate() {
-            tx.send(ShardMsg::Snapshot {
-                reply: reply.clone(),
-            })
-            .map_err(|_| format!("shard thread {index} is gone"))?;
-        }
-        drop(reply);
-        let mut shots: Vec<(usize, ShardSnapshot)> = inbox.iter().collect();
-        if shots.len() != self.len() {
-            return Err(format!(
-                "{} shard thread(s) died mid-snapshot",
-                self.len() - shots.len()
-            ));
-        }
-        shots.sort_unstable_by_key(|(i, _)| *i);
-        Ok(shots.into_iter().map(|(_, s)| s).collect())
+    /// Every shard's virtual-queue value, in shard order.
+    pub fn queue_values(&self) -> Vec<f64> {
+        self.shards.iter().map(|s| s.queue.value()).collect()
     }
 
-    /// Installs per-shard warm state (must be one snapshot per shard,
-    /// in shard order). On any per-shard failure the error is returned
-    /// and the pool is left in a mixed state — callers reset on error.
-    pub fn restore(&self, shards: Vec<ShardSnapshot>) -> Result<(), String> {
-        if shards.len() != self.len() {
+    /// Every shard's warm state, in shard order.
+    pub fn snapshot(&self) -> Vec<ShardSnapshot> {
+        self.shards
+            .iter()
+            .map(|s| ShardSnapshot {
+                engine: s.state.snapshot(),
+                queue: s.queue,
+                spent: s.spent,
+            })
+            .collect()
+    }
+
+    /// Installs per-shard warm state (one snapshot per shard, in shard
+    /// order). All or nothing: every shard's engine is restored before
+    /// any is installed, so on error the pool is exactly as it was.
+    pub fn restore(&mut self, snapshots: &[ShardSnapshot]) -> Result<(), String> {
+        if snapshots.len() != self.shards.len() {
             return Err(format!(
                 "snapshot has {} shards, daemon has {}",
-                shards.len(),
-                self.len()
+                snapshots.len(),
+                self.shards.len()
             ));
         }
-        let (reply, inbox) = mpsc::channel();
-        for (index, (tx, snapshot)) in self.senders.iter().zip(shards).enumerate() {
-            tx.send(ShardMsg::Restore {
-                snapshot: Box::new(snapshot),
-                reply: reply.clone(),
+        self.shards = snapshots
+            .iter()
+            .enumerate()
+            .map(|(index, s)| {
+                Ok(Shard {
+                    state: EngineState::restore(&s.engine)
+                        .map_err(|e| format!("shard {index}: {e}"))?,
+                    queue: s.queue,
+                    spent: s.spent,
+                })
             })
-            .map_err(|_| format!("shard thread {index} is gone"))?;
-        }
-        drop(reply);
-        let results: Vec<Result<(), String>> = inbox.iter().collect();
-        if results.len() != self.len() {
-            return Err("a shard thread died mid-restore".into());
-        }
-        results.into_iter().collect()
+            .collect::<Result<_, String>>()?;
+        Ok(())
     }
 
     /// Resets every shard to cold state (fresh engine, fresh queue).
-    /// Fails if a shard thread has died.
-    pub fn reset(&self) -> Result<(), String> {
-        let (reply, inbox) = mpsc::channel();
-        for (index, tx) in self.senders.iter().enumerate() {
-            tx.send(ShardMsg::Reset {
-                reply: reply.clone(),
-            })
-            .map_err(|_| format!("shard thread {index} is gone"))?;
+    pub fn reset(&mut self) {
+        for shard in &mut self.shards {
+            shard.state.reset();
+            shard.queue = self.cold_queue;
+            shard.spent = 0;
         }
-        drop(reply);
-        let acks = inbox.iter().count();
-        if acks != self.len() {
-            return Err(format!(
-                "{} shard thread(s) died mid-reset",
-                self.len() - acks
-            ));
-        }
-        Ok(())
     }
 }
 
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Stop);
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        message
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message
+    } else {
+        "non-string panic payload"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{Request, Response};
+    use crate::{Daemon, ServeConfig};
+    use qdn_net::network::QdnNetworkBuilder;
+
+    #[test]
+    fn a_panicking_decision_is_a_typed_error_and_a_cold_rebuild() {
+        let config = ServeConfig::paper_default();
+        let pairs = vec![(0, 5), (3, 9), (1, 7)];
+        // A snapshot of an empty network has no capacity entries, so
+        // the first capacity read of any decision is out of bounds.
+        let foreign = CapacitySnapshot::full(&QdnNetworkBuilder::new().build());
+
+        let mut daemon = Daemon::new(config.clone()).unwrap();
+        let requests: Vec<SdPair> = pairs
+            .iter()
+            .map(|&(s, d)| SdPair::new(qdn_graph::NodeId(s), qdn_graph::NodeId(d)).unwrap())
+            .collect();
+        let mut pool = ShardPool::new(config.seed, config.shards, &config.oscar);
+        let err = pool
+            .decide_slot(daemon.network(), &config.oscar, 0, &requests, &foreign)
+            .unwrap_err();
+        assert!(
+            err.contains("panicked at slot 0"),
+            "unexpected error: {err}"
+        );
+
+        // The daemon answers the same panic with an error and keeps
+        // serving from cold shards at slot 0.
+        for _ in 0..3 {
+            let _ = daemon.handle(Request::Submit {
+                pairs: pairs.clone(),
+            });
+            assert!(matches!(
+                daemon.handle(Request::Tick),
+                Response::TickOk { .. }
+            ));
         }
-        for join in self.joins.drain(..) {
-            let _ = join.join();
+        let _ = daemon.handle(Request::Submit {
+            pairs: pairs.clone(),
+        });
+        match daemon.close_slot(&foreign) {
+            Response::Error { message } => {
+                assert!(message.contains("panicked"), "unexpected error: {message}");
+            }
+            other => panic!("expected Error, got {other:?}"),
         }
+        assert_eq!(daemon.slot(), 0);
+
+        let mut twin = Daemon::new(config).unwrap();
+        for d in [&mut daemon, &mut twin] {
+            let _ = d.handle(Request::Submit {
+                pairs: pairs.clone(),
+            });
+        }
+        let cold = twin.handle(Request::Tick);
+        assert!(matches!(cold, Response::TickOk { slot: 0, .. }));
+        assert_eq!(daemon.handle(Request::Tick), cold);
     }
 }

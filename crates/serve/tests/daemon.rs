@@ -222,7 +222,7 @@ fn restart_warm_is_bit_identical() {
         });
         let _ = original.handle(Request::Tick);
     }
-    let snapshot = original.snapshot().unwrap();
+    let snapshot = original.snapshot();
     let wire = serde_json::to_string(&snapshot).unwrap();
 
     // Continue the original for 6 more slots.
@@ -249,8 +249,8 @@ fn restart_warm_is_bit_identical() {
     assert_eq!(continued, resumed, "post-restore decisions diverged");
     // And the end states themselves re-snapshot identically.
     assert_eq!(
-        serde_json::to_string(&original.snapshot().unwrap()).unwrap(),
-        serde_json::to_string(&restored.snapshot().unwrap()).unwrap()
+        serde_json::to_string(&original.snapshot()).unwrap(),
+        serde_json::to_string(&restored.snapshot()).unwrap()
     );
 }
 
@@ -337,17 +337,62 @@ fn regional_blackout_then_recovery() {
 #[test]
 fn restore_rejects_mismatched_snapshots() {
     let mut daemon = Daemon::new(ServeConfig::paper_default()).unwrap();
-    let mut snapshot = daemon.snapshot().unwrap();
+    let mut snapshot = daemon.snapshot();
     snapshot.version += 1;
     assert!(daemon.restore(&snapshot).is_err());
 
-    let mut snapshot = daemon.snapshot().unwrap();
+    let mut snapshot = daemon.snapshot();
     snapshot.shards.pop();
     let err = daemon.restore(&snapshot).unwrap_err();
     assert!(err.contains("shards"), "unexpected error: {err}");
-    // The failed restore reset the daemon rather than leaving a mixed
-    // state.
     assert_eq!(daemon.slot(), 0);
+}
+
+#[test]
+fn rejected_restore_leaves_the_daemon_untouched() {
+    let config = ServeConfig::paper_default();
+    let mut daemon = Daemon::new(config.clone()).unwrap();
+    let mut twin = Daemon::new(config).unwrap();
+    let batches: [&[(u32, u32)]; 6] = [
+        &[(0, 5), (3, 9)],
+        &[(0, 5), (2, 11), (6, 1)],
+        &[(3, 9), (7, 4)],
+        &[(0, 5), (2, 11)],
+        &[(6, 1), (3, 9), (8, 2)],
+        &[(0, 5), (7, 4)],
+    ];
+    let mut early = None;
+    for (t, pairs) in batches[..5].iter().enumerate() {
+        if t == 2 {
+            early = Some(daemon.snapshot());
+        }
+        for d in [&mut daemon, &mut twin] {
+            let _ = d.handle(Request::Submit {
+                pairs: pairs.to_vec(),
+            });
+            let _ = d.handle(Request::Tick);
+        }
+    }
+
+    // An earlier snapshot whose last shard no longer restores: the
+    // shards before it would restore, and must not be installed.
+    let mut corrupted = early.unwrap();
+    let last = corrupted.shards.len() - 1;
+    corrupted.shards[last].engine.version += 1;
+    let err = daemon.restore(&corrupted).unwrap_err();
+    assert!(err.contains("shard 3"), "unexpected error: {err}");
+    assert_eq!(daemon.slot(), 5);
+    assert_eq!(daemon.snapshot(), twin.snapshot());
+    assert_eq!(daemon.handle(Request::Stats), twin.handle(Request::Stats));
+
+    for d in [&mut daemon, &mut twin] {
+        let _ = d.handle(Request::Submit {
+            pairs: batches[5].to_vec(),
+        });
+    }
+    let next = twin.handle(Request::Tick);
+    assert!(matches!(next, Response::TickOk { slot: 5, .. }));
+    assert_eq!(daemon.handle(Request::Tick), next);
 }
 
 /// A 1 MiB request of nested `[`: before the parser's recursion limit,
@@ -395,7 +440,7 @@ fn requests() -> &'static [Request] {
             Request::Stats,
             Request::Snapshot,
             Request::Restore {
-                snapshot: daemon.snapshot().unwrap(),
+                snapshot: daemon.snapshot(),
             },
             Request::Reset,
             Request::Advise {

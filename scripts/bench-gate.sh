@@ -23,7 +23,7 @@
 #   * serve_throughput/*                            (controller daemon over a
 #                                                    Unix socket: 256-slot
 #                                                    load-gen replay, wire
-#                                                    protocol + shard fan-out)
+#                                                    protocol + every shard)
 #   * parallel_trial_fanout/*                       (PR 10: sim trial fan-out,
 #                                                    pool width 1 vs 4)
 #   * csr_pass_ns_per_row/*                         (PR 10: SIMD-shaped CSR

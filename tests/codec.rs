@@ -122,7 +122,7 @@ fn fixture() -> &'static Fixture {
             },
         });
         assert_eq!(advised, Response::AdviseOk { advisories: 1 });
-        let snapshot = daemon.snapshot().unwrap();
+        let snapshot = daemon.snapshot();
         assert_eq!(snapshot.advisories.len(), 1);
         Fixture {
             snapshot,
