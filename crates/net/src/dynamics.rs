@@ -3,21 +3,29 @@
 //! The paper models qubit and channel availability as time-varying:
 //! "the available qubits `Q_v^t` can change over time … as some qubits may
 //! be occupied by other users. This occupancy is considered as an
-//! exogenous process" (§III-A). The evaluation itself draws capacities
-//! once and keeps them fixed, which corresponds to [`StaticDynamics`]; the
-//! other implementations exercise the genuinely time-varying code path and
-//! are used in robustness tests and ablations.
+//! exogenous process" (§III-A). [`DynamicsConfig`] builds one of four
+//! processes:
+//!
+//! - [`StaticDynamics`]: capacities drawn once and kept fixed, the
+//!   paper's evaluation setup;
+//! - [`UniformOccupancy`] and [`MarkovOccupancy`]: i.i.d. and bursty
+//!   co-tenant occupancy, the occupancy ablation;
+//! - [`ChurnDynamics`]: Poisson link failures with geometric repair
+//!   over any of the above, the churn workloads.
+//!
+//! [`TraceDynamics`] replays recorded snapshots. Node outages have no
+//! process here: the daemon declares them as advisory windows.
 
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use qdn_graph::{EdgeId, NodeId};
+use qdn_graph::EdgeId;
 
 use crate::network::QdnNetwork;
 use crate::snapshot::CapacitySnapshot;
 
-/// One link failure or repair, as emitted by churn-style dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One link failure or repair, as recorded by [`ChurnDynamics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Slot in which the event took effect.
     pub t: u64,
@@ -25,32 +33,15 @@ pub struct ChurnEvent {
     pub edge: EdgeId,
     /// Failure or repair.
     pub kind: ChurnEventKind,
-    /// What kind of outage produced the event.
-    pub class: OutageClass,
 }
 
 /// The direction of a [`ChurnEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEventKind {
     /// The link went down (zero channels until repaired).
     Fail,
     /// The link came back at full pre-failure capacity.
     Repair,
-}
-
-/// The outage process behind a [`ChurnEvent`], ordered by blast radius
-/// (`Link < Node < Regional < Planned`) so a slot with several classes
-/// of cuts can be classified by its `max()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum OutageClass {
-    /// A single link failed on its own ([`ChurnDynamics`]).
-    Link,
-    /// A node cut took every incident link down ([`NodeChurnDynamics`]).
-    Node,
-    /// A correlated regional blackout ([`RegionalOutageDynamics`]).
-    Regional,
-    /// A declared maintenance window ([`MaintenanceDynamics`]).
-    Planned,
 }
 
 /// A source of per-slot capacity snapshots.
@@ -69,12 +60,6 @@ pub trait ResourceDynamics: std::fmt::Debug + Send {
 
     /// Resets internal state so a new trial can replay the process.
     fn reset(&mut self) {}
-
-    /// The full failure/repair trace so far, for dynamics that model
-    /// topology churn. Occupancy-only processes return an empty slice.
-    fn churn_events(&self) -> &[ChurnEvent] {
-        &[]
-    }
 }
 
 /// No exogenous occupancy: the full installed capacity every slot.
@@ -273,7 +258,7 @@ impl ResourceDynamics for TraceDynamics {
 /// The failure trace is driven by a private RNG seeded from `seed`, so it
 /// is reproducible independently of the environment stream consumed by
 /// the base process, and is recorded verbatim — see
-/// [`ResourceDynamics::churn_events`].
+/// [`ChurnDynamics::churn_events`].
 #[derive(Debug)]
 pub struct ChurnDynamics {
     failure_rate: f64,
@@ -317,6 +302,11 @@ impl ChurnDynamics {
         // feed them into decision paths), so pin it explicitly.
         down.sort_unstable();
         down
+    }
+
+    /// The full failure/repair trace so far, in slot order.
+    pub fn churn_events(&self) -> &[ChurnEvent] {
+        &self.events
     }
 
     fn sample_failures(&mut self, cap: usize) -> usize {
@@ -370,7 +360,6 @@ impl ResourceDynamics for ChurnDynamics {
                     t,
                     edge: EdgeId(i as u32),
                     kind: ChurnEventKind::Repair,
-                    class: OutageClass::Link,
                 });
             }
         }
@@ -394,7 +383,6 @@ impl ResourceDynamics for ChurnDynamics {
                 t,
                 edge: EdgeId(victim as u32),
                 kind: ChurnEventKind::Fail,
-                class: OutageClass::Link,
             });
         }
         let snap = self.base.snapshot(t, network, rng);
@@ -415,390 +403,6 @@ impl ResourceDynamics for ChurnDynamics {
         self.churn_rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         self.down_until.clear();
         self.events.clear();
-    }
-
-    fn churn_events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
-}
-
-/// Shared machinery for outage processes that darken whole *node sets*
-/// (node cuts, regional blackouts, maintenance windows): derive this
-/// slot's dead edge set (every link incident to a dark node), emit
-/// Fail/Repair transition events against the previous slot's dead set —
-/// repairs first, then failures, each in ascending edge order — and
-/// zero the darkened capacities over the base snapshot.
-fn apply_dark_nodes(
-    t: u64,
-    network: &QdnNetwork,
-    dark: &[bool],
-    edge_dead: &mut Vec<bool>,
-    events: &mut Vec<ChurnEvent>,
-    class: OutageClass,
-    snap: CapacitySnapshot,
-) -> CapacitySnapshot {
-    let graph = network.graph();
-    let mut now_dead = vec![false; network.edge_count()];
-    for e in graph.edge_ids() {
-        let (u, v) = graph.endpoints(e);
-        now_dead[e.index()] = dark[u.index()] || dark[v.index()];
-    }
-    edge_dead.resize(network.edge_count(), false);
-    for kind in [ChurnEventKind::Repair, ChurnEventKind::Fail] {
-        let to = kind == ChurnEventKind::Fail;
-        for (i, (&now, &was)) in now_dead.iter().zip(edge_dead.iter()).enumerate() {
-            if now != was && now == to {
-                events.push(ChurnEvent {
-                    t,
-                    edge: EdgeId(i as u32),
-                    kind,
-                    class,
-                });
-            }
-        }
-    }
-    *edge_dead = now_dead;
-    if dark.iter().all(|&d| !d) {
-        return snap;
-    }
-    let mut qubits = snap.qubit_vec().to_vec();
-    let mut channels = snap.channel_vec().to_vec();
-    for (i, &d) in dark.iter().enumerate() {
-        if d {
-            qubits[i] = 0;
-        }
-    }
-    for (i, &d) in edge_dead.iter().enumerate() {
-        if d {
-            channels[i] = 0;
-        }
-    }
-    CapacitySnapshot::clamped(network, qubits, channels)
-}
-
-/// Poisson *node* failures with MTTR-distributed repair on top of a base
-/// occupancy process: a node cut kills all incident links atomically.
-///
-/// Each slot, outages whose repair time has elapsed end first, then
-/// `Pois(failure_rate)` fresh cuts strike uniformly random currently-up
-/// nodes; each outage lasts `Geom(1/mttr)` slots. A down node reports
-/// zero qubits and every incident link reports zero channels. Edges
-/// shared by two overlapping cuts stay dead until *both* nodes are back
-/// (the dead set is recomputed from the dark-node mask each slot, so
-/// per-edge Fail/Repair events pair up correctly).
-///
-/// Like [`ChurnDynamics`], the trace is driven by a private RNG seeded
-/// from `seed`, independent of the environment stream.
-#[derive(Debug)]
-pub struct NodeChurnDynamics {
-    failure_rate: f64,
-    mttr: f64,
-    seed: u64,
-    base: Box<dyn ResourceDynamics>,
-    churn_rng: rand::rngs::StdRng,
-    /// Per node: the slot at which it comes back up; 0 = currently up.
-    node_down_until: Vec<u64>,
-    edge_dead: Vec<bool>,
-    events: Vec<ChurnEvent>,
-}
-
-impl NodeChurnDynamics {
-    /// Creates the process; `failure_rate` is clamped to `≥ 0` and
-    /// `mttr` to `≥ 1`.
-    pub fn new(failure_rate: f64, mttr: f64, seed: u64, base: Box<dyn ResourceDynamics>) -> Self {
-        NodeChurnDynamics {
-            failure_rate: failure_rate.max(0.0),
-            mttr: mttr.max(1.0),
-            seed,
-            base,
-            churn_rng: rand::rngs::StdRng::seed_from_u64(seed),
-            node_down_until: Vec::new(),
-            edge_dead: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Nodes currently down, ascending.
-    pub fn down_nodes(&self) -> Vec<NodeId> {
-        let mut down: Vec<NodeId> = self
-            .node_down_until
-            .iter()
-            .enumerate()
-            .filter(|(_, &du)| du != 0)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        down.sort_unstable();
-        down
-    }
-
-    /// Edges currently dead (incident to a down node), ascending.
-    pub fn down_edges(&self) -> Vec<EdgeId> {
-        let mut down: Vec<EdgeId> = self
-            .edge_dead
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| EdgeId(i as u32))
-            .collect();
-        down.sort_unstable();
-        down
-    }
-}
-
-impl ResourceDynamics for NodeChurnDynamics {
-    fn snapshot(
-        &mut self,
-        t: u64,
-        network: &QdnNetwork,
-        rng: &mut dyn rand::Rng,
-    ) -> CapacitySnapshot {
-        self.node_down_until.resize(network.node_count(), 0);
-        // Repairs first: a node repaired this slot may be cut again.
-        for du in &mut self.node_down_until {
-            if *du != 0 && *du <= t {
-                *du = 0;
-            }
-        }
-        let alive = self.node_down_until.iter().filter(|&&du| du == 0).count();
-        let cuts = poisson_capped(&mut self.churn_rng, self.failure_rate, alive);
-        for _ in 0..cuts {
-            let up: Vec<usize> = self
-                .node_down_until
-                .iter()
-                .enumerate()
-                .filter(|(_, &du)| du == 0)
-                .map(|(i, _)| i)
-                .collect();
-            if up.is_empty() {
-                break;
-            }
-            let victim = up[self.churn_rng.random_range(0..up.len())];
-            let outage = geometric_dwell(&mut self.churn_rng, self.mttr);
-            self.node_down_until[victim] = t + outage;
-        }
-        let dark: Vec<bool> = self.node_down_until.iter().map(|&du| du != 0).collect();
-        let snap = self.base.snapshot(t, network, rng);
-        apply_dark_nodes(
-            t,
-            network,
-            &dark,
-            &mut self.edge_dead,
-            &mut self.events,
-            OutageClass::Node,
-            snap,
-        )
-    }
-
-    fn reset(&mut self) {
-        self.base.reset();
-        self.churn_rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        self.node_down_until.clear();
-        self.edge_dead.clear();
-        self.events.clear();
-    }
-
-    fn churn_events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
-}
-
-/// Correlated cluster-going-dark: each declared region independently
-/// blacks out with probability `outage_rate` per slot and stays dark for
-/// `Geom(1/mttr)` slots (mean `mttr`), taking every member node — and
-/// every link incident to one — down together.
-///
-/// Regions are declared node sets; they may overlap, and nodes outside
-/// any region never black out under this process. The trace is driven by
-/// a private RNG seeded from `seed`.
-#[derive(Debug)]
-pub struct RegionalOutageDynamics {
-    regions: Vec<Vec<NodeId>>,
-    outage_rate: f64,
-    mttr: f64,
-    seed: u64,
-    base: Box<dyn ResourceDynamics>,
-    churn_rng: rand::rngs::StdRng,
-    /// Per region: the slot at which it relights; 0 = currently lit.
-    region_down_until: Vec<u64>,
-    edge_dead: Vec<bool>,
-    events: Vec<ChurnEvent>,
-}
-
-impl RegionalOutageDynamics {
-    /// Creates the process; `outage_rate` is clamped into `[0, 1]` and
-    /// `mttr` to `≥ 1`.
-    pub fn new(
-        regions: Vec<Vec<NodeId>>,
-        outage_rate: f64,
-        mttr: f64,
-        seed: u64,
-        base: Box<dyn ResourceDynamics>,
-    ) -> Self {
-        let down = vec![0; regions.len()];
-        RegionalOutageDynamics {
-            regions,
-            outage_rate: outage_rate.clamp(0.0, 1.0),
-            mttr: mttr.max(1.0),
-            seed,
-            base,
-            churn_rng: rand::rngs::StdRng::seed_from_u64(seed),
-            region_down_until: down,
-            edge_dead: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Indices of regions currently dark, ascending.
-    pub fn dark_regions(&self) -> Vec<usize> {
-        self.region_down_until
-            .iter()
-            .enumerate()
-            .filter(|(_, &du)| du != 0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-impl ResourceDynamics for RegionalOutageDynamics {
-    fn snapshot(
-        &mut self,
-        t: u64,
-        network: &QdnNetwork,
-        rng: &mut dyn rand::Rng,
-    ) -> CapacitySnapshot {
-        // Relights first, then fresh blackouts, in region order.
-        for du in &mut self.region_down_until {
-            if *du != 0 && *du <= t {
-                *du = 0;
-            }
-        }
-        for i in 0..self.region_down_until.len() {
-            if self.region_down_until[i] == 0 && self.churn_rng.random_bool(self.outage_rate) {
-                self.region_down_until[i] = t + geometric_dwell(&mut self.churn_rng, self.mttr);
-            }
-        }
-        let mut dark = vec![false; network.node_count()];
-        for (i, region) in self.regions.iter().enumerate() {
-            if self.region_down_until[i] == 0 {
-                continue;
-            }
-            for &v in region {
-                if v.index() < dark.len() {
-                    dark[v.index()] = true;
-                }
-            }
-        }
-        let snap = self.base.snapshot(t, network, rng);
-        apply_dark_nodes(
-            t,
-            network,
-            &dark,
-            &mut self.edge_dead,
-            &mut self.events,
-            OutageClass::Regional,
-            snap,
-        )
-    }
-
-    fn reset(&mut self) {
-        self.base.reset();
-        self.churn_rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        self.region_down_until = vec![0; self.regions.len()];
-        self.edge_dead.clear();
-        self.events.clear();
-    }
-
-    fn churn_events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
-}
-
-/// One declared maintenance window: the listed nodes are dark for every
-/// slot in `[start, end)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MaintenanceWindow {
-    /// First dark slot.
-    pub start: u64,
-    /// First slot back up (exclusive end).
-    pub end: u64,
-    /// The nodes taken down for the window.
-    pub nodes: Vec<NodeId>,
-}
-
-impl MaintenanceWindow {
-    /// Whether slot `t` falls inside the window.
-    pub fn covers(&self, t: u64) -> bool {
-        self.start <= t && t < self.end
-    }
-}
-
-/// Deterministic planned maintenance: declared windows take their node
-/// sets dark for `[start, end)`, layered over a base occupancy process.
-/// No randomness — the schedule *is* the trace, so replays are exact by
-/// construction.
-#[derive(Debug)]
-pub struct MaintenanceDynamics {
-    windows: Vec<MaintenanceWindow>,
-    base: Box<dyn ResourceDynamics>,
-    edge_dead: Vec<bool>,
-    events: Vec<ChurnEvent>,
-}
-
-impl MaintenanceDynamics {
-    /// Creates the schedule player.
-    pub fn new(windows: Vec<MaintenanceWindow>, base: Box<dyn ResourceDynamics>) -> Self {
-        MaintenanceDynamics {
-            windows,
-            base,
-            edge_dead: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// The declared windows.
-    pub fn windows(&self) -> &[MaintenanceWindow] {
-        &self.windows
-    }
-}
-
-impl ResourceDynamics for MaintenanceDynamics {
-    fn snapshot(
-        &mut self,
-        t: u64,
-        network: &QdnNetwork,
-        rng: &mut dyn rand::Rng,
-    ) -> CapacitySnapshot {
-        let mut dark = vec![false; network.node_count()];
-        for w in &self.windows {
-            if !w.covers(t) {
-                continue;
-            }
-            for &v in &w.nodes {
-                if v.index() < dark.len() {
-                    dark[v.index()] = true;
-                }
-            }
-        }
-        let snap = self.base.snapshot(t, network, rng);
-        apply_dark_nodes(
-            t,
-            network,
-            &dark,
-            &mut self.edge_dead,
-            &mut self.events,
-            OutageClass::Planned,
-            snap,
-        )
-    }
-
-    fn reset(&mut self) {
-        self.base.reset();
-        self.edge_dead.clear();
-        self.events.clear();
-    }
-
-    fn churn_events(&self) -> &[ChurnEvent] {
-        &self.events
     }
 }
 
@@ -835,40 +439,6 @@ pub enum DynamicsConfig {
         /// The occupancy process the failures are layered over.
         base: Box<DynamicsConfig>,
     },
-    /// [`NodeChurnDynamics`]: whole-node cuts layered over a base
-    /// process. All four fields are required.
-    NodeChurn {
-        /// Mean node cuts per slot (Poisson).
-        failure_rate: f64,
-        /// Mean outage length in slots (geometric, minimum 1).
-        mttr: f64,
-        /// Seed for the private failure-trace RNG.
-        seed: u64,
-        /// The occupancy process the cuts are layered over.
-        base: Box<DynamicsConfig>,
-    },
-    /// [`RegionalOutageDynamics`]: correlated regional blackouts over
-    /// declared node sets. All five fields are required.
-    RegionalOutage {
-        /// The declared regions (node sets; may overlap).
-        regions: Vec<Vec<NodeId>>,
-        /// Per-region per-slot blackout probability, in `[0, 1]`.
-        outage_rate: f64,
-        /// Mean blackout length in slots (geometric, minimum 1).
-        mttr: f64,
-        /// Seed for the private blackout-trace RNG.
-        seed: u64,
-        /// The occupancy process the blackouts are layered over.
-        base: Box<DynamicsConfig>,
-    },
-    /// [`MaintenanceDynamics`]: deterministic declared windows. Both
-    /// fields are required.
-    Maintenance {
-        /// The declared maintenance windows.
-        windows: Vec<MaintenanceWindow>,
-        /// The occupancy process the windows are layered over.
-        base: Box<DynamicsConfig>,
-    },
 }
 
 impl DynamicsConfig {
@@ -895,33 +465,6 @@ impl DynamicsConfig {
                 *seed,
                 base.build(),
             )),
-            DynamicsConfig::NodeChurn {
-                failure_rate,
-                mttr,
-                seed,
-                base,
-            } => Box::new(NodeChurnDynamics::new(
-                *failure_rate,
-                *mttr,
-                *seed,
-                base.build(),
-            )),
-            DynamicsConfig::RegionalOutage {
-                regions,
-                outage_rate,
-                mttr,
-                seed,
-                base,
-            } => Box::new(RegionalOutageDynamics::new(
-                regions.clone(),
-                *outage_rate,
-                *mttr,
-                *seed,
-                base.build(),
-            )),
-            DynamicsConfig::Maintenance { windows, base } => {
-                Box::new(MaintenanceDynamics::new(windows.clone(), base.build()))
-            }
         }
     }
 }
@@ -1039,14 +582,47 @@ mod tests {
                 failure_rate: 0.5,
                 mttr: 2.0,
                 seed: 7,
-                base: Box::new(DynamicsConfig::Static),
+                base: Box::new(DynamicsConfig::Markov {
+                    p_busy: 0.2,
+                    p_free: 0.5,
+                    busy_fraction: 0.5,
+                }),
             },
         ] {
+            let json = serde_json::to_string(&cfg).unwrap();
+            let back: DynamicsConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, cfg, "round trip of {json}");
             let mut d = cfg.build();
             let s = d.snapshot(0, &n, &mut r);
             assert!(s.total_qubits() <= n.total_qubits());
         }
         assert_eq!(DynamicsConfig::default(), DynamicsConfig::Static);
+    }
+
+    #[test]
+    fn deleted_outage_variants_fail_to_deserialize() {
+        for (variant, body) in [
+            (
+                "NodeChurn",
+                r#"{"failure_rate":0.5,"mttr":2.0,"seed":7,"base":"Static"}"#,
+            ),
+            (
+                "RegionalOutage",
+                r#"{"regions":[[0,1]],"outage_rate":0.5,"mttr":2.0,"seed":7,"base":"Static"}"#,
+            ),
+            (
+                "Maintenance",
+                r#"{"windows":[{"start":0,"end":2,"nodes":[0]}],"base":"Static"}"#,
+            ),
+        ] {
+            let text = format!("{{\"{variant}\":{body}}}");
+            let err = serde_json::from_str::<DynamicsConfig>(&text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "unrecognized DynamicsConfig value",
+                "{variant}"
+            );
+        }
     }
 
     /// A line of several edges, so failures have room to spread.
@@ -1140,239 +716,6 @@ mod tests {
             saw_multi |= down.len() >= 2;
         }
         assert!(saw_multi, "rate 2.0 never had two links down at once");
-    }
-
-    #[test]
-    fn node_churn_cuts_all_incident_links_atomically() {
-        let n = line_net(5);
-        let mut d = NodeChurnDynamics::new(1.0, 2.0, 13, Box::new(StaticDynamics));
-        let mut r = rng();
-        let mut saw_cut = false;
-        for t in 0..25 {
-            let s = d.snapshot(t, &n, &mut r);
-            let down_nodes = d.down_nodes();
-            let down_edges = d.down_edges();
-            assert!(down_edges.windows(2).all(|w| w[0] < w[1]));
-            for v in n.graph().node_ids() {
-                if down_nodes.contains(&v) {
-                    saw_cut = true;
-                    assert_eq!(s.qubits(v), 0, "down node {v} has qubits");
-                    for (_, e) in n.graph().neighbors(v) {
-                        assert_eq!(s.channels(e), 0, "link {e} of down node {v} alive");
-                        assert!(down_edges.contains(&e));
-                    }
-                }
-            }
-            // Every dead edge traces back to a down endpoint.
-            for &e in &down_edges {
-                let (u, v) = n.graph().endpoints(e);
-                assert!(down_nodes.contains(&u) || down_nodes.contains(&v));
-            }
-        }
-        assert!(saw_cut, "rate 1.0 never cut a node");
-        assert!(d
-            .churn_events()
-            .iter()
-            .all(|e| e.class == OutageClass::Node));
-        // Per edge, fails and repairs alternate (the dark mask is
-        // recomputed each slot, so overlapping cuts cannot double-fail).
-        for e in n.graph().edge_ids() {
-            let mut dead = false;
-            for ev in d.churn_events().iter().filter(|ev| ev.edge == e) {
-                match ev.kind {
-                    ChurnEventKind::Fail => {
-                        assert!(!dead, "double fail on {e}");
-                        dead = true;
-                    }
-                    ChurnEventKind::Repair => {
-                        assert!(dead, "repair of live {e}");
-                        dead = false;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_churn_reset_replays_the_same_trace() {
-        let n = line_net(4);
-        let mut d = NodeChurnDynamics::new(0.6, 3.0, 21, Box::new(StaticDynamics));
-        let mut r = rng();
-        for t in 0..15 {
-            let _ = d.snapshot(t, &n, &mut r);
-        }
-        let first = d.churn_events().to_vec();
-        assert!(!first.is_empty());
-        d.reset();
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(777);
-        for t in 0..15 {
-            let _ = d.snapshot(t, &n, &mut r2);
-        }
-        assert_eq!(d.churn_events(), first.as_slice());
-    }
-
-    #[test]
-    fn regional_outage_darkens_whole_region_together() {
-        let n = line_net(5); // nodes 0..=5
-        let region: Vec<NodeId> = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let mut d = RegionalOutageDynamics::new(
-            vec![region.clone()],
-            1.0, // certain blackout
-            3.0,
-            5,
-            Box::new(StaticDynamics),
-        );
-        let mut r = rng();
-        let s = d.snapshot(0, &n, &mut r);
-        assert_eq!(d.dark_regions(), vec![0]);
-        for &v in &region {
-            assert_eq!(s.qubits(v), 0);
-        }
-        // Nodes outside the region keep their qubits; only links touching
-        // the region die (edges 0-1, 1-2, 2-3 on the line).
-        assert_eq!(s.qubits(NodeId(4)), 10);
-        assert_eq!(s.channels(EdgeId(0)), 0);
-        assert_eq!(s.channels(EdgeId(2)), 0); // 2-3: one endpoint dark
-        assert_eq!(s.channels(EdgeId(4)), 6);
-        assert!(d
-            .churn_events()
-            .iter()
-            .all(|e| e.class == OutageClass::Regional));
-        // Correlated: the whole region's incident links failed in slot 0.
-        let fails = d
-            .churn_events()
-            .iter()
-            .filter(|e| e.kind == ChurnEventKind::Fail && e.t == 0)
-            .count();
-        assert_eq!(fails, 3);
-    }
-
-    #[test]
-    fn regional_outage_zero_rate_is_transparent() {
-        let n = line_net(3);
-        let mut d = RegionalOutageDynamics::new(
-            vec![vec![NodeId(0), NodeId(1)]],
-            0.0,
-            5.0,
-            1,
-            Box::new(StaticDynamics),
-        );
-        let mut r = rng();
-        for t in 0..10 {
-            assert_eq!(d.snapshot(t, &n, &mut r), CapacitySnapshot::full(&n));
-        }
-        assert!(d.churn_events().is_empty());
-    }
-
-    #[test]
-    fn maintenance_windows_are_deterministic_and_planned() {
-        let n = line_net(4);
-        let windows = vec![MaintenanceWindow {
-            start: 2,
-            end: 5,
-            nodes: vec![NodeId(1)],
-        }];
-        let mut d = MaintenanceDynamics::new(windows, Box::new(StaticDynamics));
-        let mut r = rng();
-        for t in 0..8 {
-            let s = d.snapshot(t, &n, &mut r);
-            let dark = (2..5).contains(&t);
-            assert_eq!(s.qubits(NodeId(1)) == 0, dark, "slot {t}");
-            assert_eq!(s.channels(EdgeId(0)) == 0, dark, "slot {t}");
-            assert_eq!(s.channels(EdgeId(1)) == 0, dark, "slot {t}");
-            assert_eq!(s.channels(EdgeId(3)), 6, "slot {t}"); // far link
-        }
-        let events = d.churn_events().to_vec();
-        assert!(events.iter().all(|e| e.class == OutageClass::Planned));
-        let fails = events
-            .iter()
-            .filter(|e| e.kind == ChurnEventKind::Fail)
-            .count();
-        let repairs = events.len() - fails;
-        assert_eq!(fails, 2); // both incident links, once
-        assert_eq!(repairs, 2);
-        // Deterministic by construction: replay gives the same trace.
-        d.reset();
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(4242);
-        for t in 0..8 {
-            let _ = d.snapshot(t, &n, &mut r2);
-        }
-        assert_eq!(d.churn_events(), events.as_slice());
-    }
-
-    #[test]
-    fn overlapping_windows_keep_shared_links_dead() {
-        // Windows over nodes 1 and 2 overlap in time: the shared link
-        // 1-2 must stay dead until both are back.
-        let n = line_net(4);
-        let windows = vec![
-            MaintenanceWindow {
-                start: 0,
-                end: 4,
-                nodes: vec![NodeId(1)],
-            },
-            MaintenanceWindow {
-                start: 2,
-                end: 6,
-                nodes: vec![NodeId(2)],
-            },
-        ];
-        let mut d = MaintenanceDynamics::new(windows, Box::new(StaticDynamics));
-        let mut r = rng();
-        for t in 0..8 {
-            let s = d.snapshot(t, &n, &mut r);
-            let shared_dead = t < 6; // EdgeId(1) = link 1-2
-            assert_eq!(s.channels(EdgeId(1)) == 0, shared_dead, "slot {t}");
-        }
-        // The shared link failed once and repaired once.
-        let shared: Vec<_> = d
-            .churn_events()
-            .iter()
-            .filter(|e| e.edge == EdgeId(1))
-            .collect();
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared[0].kind, ChurnEventKind::Fail);
-        assert_eq!(shared[0].t, 0);
-        assert_eq!(shared[1].kind, ChurnEventKind::Repair);
-        assert_eq!(shared[1].t, 6);
-    }
-
-    #[test]
-    fn new_configs_build_and_respect_capacity() {
-        let n = line_net(3);
-        let mut r = rng();
-        for cfg in [
-            DynamicsConfig::NodeChurn {
-                failure_rate: 0.5,
-                mttr: 2.0,
-                seed: 7,
-                base: Box::new(DynamicsConfig::Static),
-            },
-            DynamicsConfig::RegionalOutage {
-                regions: vec![vec![NodeId(0), NodeId(1)]],
-                outage_rate: 0.5,
-                mttr: 2.0,
-                seed: 7,
-                base: Box::new(DynamicsConfig::Static),
-            },
-            DynamicsConfig::Maintenance {
-                windows: vec![MaintenanceWindow {
-                    start: 0,
-                    end: 2,
-                    nodes: vec![NodeId(0)],
-                }],
-                base: Box::new(DynamicsConfig::Static),
-            },
-        ] {
-            let json = serde_json::to_string(&cfg).unwrap();
-            let back: DynamicsConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cfg);
-            let mut d = cfg.build();
-            for t in 0..5 {
-                let s = d.snapshot(t, &n, &mut r);
-                assert!(s.total_qubits() <= n.total_qubits());
-            }
-        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!
 //! Fault injection (each may be repeated; windows are advised before
 //! driving and the report counts degraded requests):
-//!   --kill-node N            unplanned node cut over the middle third
-//!                            of the run ([slots/3, 2*slots/3))
+//!   --kill-node N            node cut over the middle third of the
+//!                            run ([slots/3, 2*slots/3))
 //!   --blackout-region N0,N1,...
-//!                            unplanned regional outage, same window
+//!                            regional outage, same window
 //!   --maintenance START:END:N0,N1,...
-//!                            planned window [START, END) over the
+//!                            explicit window [START, END) over the
 //!                            listed nodes
 //! ```
 //!
@@ -50,18 +50,13 @@ fn parse_nodes(spec: &str) -> Option<Vec<u32>> {
     nodes.filter(|n| !n.is_empty())
 }
 
-/// `START:END:N0,N1,...` → a planned window.
+/// `START:END:N0,N1,...` → an explicit window.
 fn parse_maintenance(spec: &str) -> Option<Advisory> {
     let mut parts = spec.splitn(3, ':');
     let start = parts.next()?.parse().ok()?;
     let end = parts.next()?.parse().ok()?;
     let nodes = parse_nodes(parts.next()?)?;
-    (start < end).then_some(Advisory {
-        start,
-        end,
-        nodes,
-        planned: true,
-    })
+    (start < end).then_some(Advisory { start, end, nodes })
 }
 
 fn parse_workload(spec: &str) -> Option<WorkloadConfig> {
@@ -91,9 +86,9 @@ fn main() -> ExitCode {
     let mut reset = false;
     let mut shutdown = false;
     let mut load = LoadConfig::paper_default();
-    // Unplanned cuts default to the middle third of the run; resolved
+    // Node and region cuts take the middle third of the run; resolved
     // after flag parsing so --slots order doesn't matter.
-    let mut unplanned: Vec<Vec<u32>> = Vec::new();
+    let mut cuts: Vec<Vec<u32>> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let take = |i: &mut usize| -> Option<String> {
@@ -128,11 +123,11 @@ fn main() -> ExitCode {
                 }
             },
             "--kill-node" => match take(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => unplanned.push(vec![n]),
+                Some(n) => cuts.push(vec![n]),
                 None => return fail("--kill-node needs a node index"),
             },
             "--blackout-region" => match take(&mut i).as_deref().and_then(parse_nodes) {
-                Some(nodes) => unplanned.push(nodes),
+                Some(nodes) => cuts.push(nodes),
                 None => return fail("--blackout-region needs N0,N1,..."),
             },
             "--maintenance" => match take(&mut i).as_deref().and_then(parse_maintenance) {
@@ -145,12 +140,11 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    for nodes in unplanned {
+    for nodes in cuts {
         load.faults.push(Advisory {
             start: load.slots / 3,
             end: (2 * load.slots / 3).max(load.slots / 3 + 1),
             nodes,
-            planned: false,
         });
     }
 

@@ -28,22 +28,27 @@ use serde::{Deserialize, Serialize};
 /// v5: [`ServeStats`] drops the solve-pool counters (`pool_threads`,
 /// `pool_tasks_executed`, `pool_tasks_stolen`); the daemon has no solve
 /// pool.
-pub const PROTOCOL_VERSION: u32 = 5;
+///
+/// v6: [`Advisory`] drops `planned` and rejects unknown keys.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Version tag of [`ServeSnapshot`]; bump on layout changes.
 ///
 /// v2 (PR 9): declared outage advisories travel with the snapshot.
-pub const SERVE_SNAPSHOT_VERSION: u32 = 2;
+///
+/// v3: the snapshot's advisories drop `planned`.
+pub const SERVE_SNAPSHOT_VERSION: u32 = 3;
 
 /// A declared outage window: the listed nodes are dark (all incident
 /// links dead, qubits unusable) for every slot in `[start, end)`.
 ///
 /// Advisories overlay the configured dynamics process — the daemon
 /// zeroes the affected capacities on top of whatever the dynamics drew,
-/// so a declared window composes with stochastic churn. `planned`
-/// distinguishes maintenance (announced ahead of time, eligible for
-/// candidate pre-warming) from reactive reports of unplanned failures.
+/// so a declared window composes with stochastic churn. They are the
+/// one node-outage mechanism: a maintenance window and a reactive
+/// failure report are the same window.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Advisory {
     /// First dark slot.
     pub start: u64,
@@ -51,9 +56,6 @@ pub struct Advisory {
     pub end: u64,
     /// Node indices going dark together.
     pub nodes: Vec<u32>,
-    /// Announced maintenance (`true`) vs reactive outage report
-    /// (`false`).
-    pub planned: bool,
 }
 
 impl Advisory {
@@ -252,7 +254,6 @@ mod tests {
                     start: 10,
                     end: 14,
                     nodes: vec![3, 4],
-                    planned: true,
                 },
             },
             Request::Shutdown,
@@ -307,7 +308,6 @@ mod tests {
             start: 5,
             end: 8,
             nodes: vec![1],
-            planned: false,
         };
         assert!(!a.covers(4));
         assert!(a.covers(5));

@@ -287,7 +287,6 @@ fn regional_blackout_then_recovery() {
             start: 3,
             end: 6,
             nodes: vec![1, 2],
-            planned: false,
         })
         .unwrap();
     assert_eq!(advisories, 1);
@@ -448,7 +447,6 @@ fn requests() -> &'static [Request] {
                     start: 3,
                     end: 9,
                     nodes: vec![4, 2],
-                    planned: false,
                 },
             },
             Request::Shutdown,

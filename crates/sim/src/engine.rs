@@ -2,7 +2,7 @@
 
 use qdn_core::policy::RoutingPolicy;
 use qdn_core::types::SlotState;
-use qdn_net::dynamics::{ChurnEventKind, ResourceDynamics};
+use qdn_net::dynamics::ResourceDynamics;
 use qdn_net::workload::Workload;
 use qdn_net::QdnNetwork;
 use rand::RngExt;
@@ -79,15 +79,6 @@ pub fn run(
     for t in 0..config.horizon {
         let requests = workload.requests(t, network, env_rng);
         let snapshot = dynamics.snapshot(t, network, env_rng);
-        // Classify this slot's cut (if any) by the most severe outage
-        // class in the dynamics' failure events, so recovery-time
-        // metrics can be reported per class.
-        let outage_class = dynamics
-            .churn_events()
-            .iter()
-            .filter(|e| e.t == t && e.kind == ChurnEventKind::Fail)
-            .map(|e| e.class)
-            .max();
         let slot = SlotState::new(t, requests.clone(), snapshot.clone());
         let decision = policy.decide(network, &slot, policy_rng);
 
@@ -125,7 +116,6 @@ pub fn run(
             realized_successes,
             virtual_queue: diagnostics.virtual_queue,
             churn: diagnostics.churn,
-            outage_class,
         });
     }
     metrics

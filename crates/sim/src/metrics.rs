@@ -1,17 +1,15 @@
 //! Per-slot records and derived series.
 
 use qdn_core::policy::ChurnDiagnostics;
-use qdn_net::dynamics::OutageClass;
 use serde::{Deserialize, Serialize};
 
 /// Everything recorded about one simulated slot.
 ///
 /// **Loud compat break (PR 6):** the `churn` field is required when
-/// deserializing recorded runs — see MIGRATION.md.
-///
-/// **Loud compat break (PR 9):** the `outage_class` field is required
-/// when deserializing recorded runs — see MIGRATION.md.
+/// deserializing recorded runs, and unknown keys are rejected, so a
+/// record with a deleted field fails loudly. See MIGRATION.md.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SlotRecord {
     /// Slot index.
     pub t: u64,
@@ -31,23 +29,16 @@ pub struct SlotRecord {
     pub virtual_queue: Option<f64>,
     /// Topology-churn handling this slot, for session policies.
     pub churn: Option<ChurnDiagnostics>,
-    /// Most severe outage class behind this slot's failure events, from
-    /// the dynamics' churn trace (`None`: no classed failure this slot).
-    pub outage_class: Option<OutageClass>,
 }
 
 /// One failure event and how the policy recovered from it, derived from
 /// the per-slot [`ChurnDiagnostics`] by
 /// [`RunMetrics::recovery_records`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RecoveryRecord {
     /// Slot at which the cut landed.
     pub cut_slot: u64,
-    /// What kind of outage the cut was. Slots whose diagnostics report
-    /// failed links without a classed dynamics event (e.g. occupancy
-    /// starving a link to zero channels) classify as
-    /// [`OutageClass::Link`].
-    pub class: OutageClass,
     /// Links that failed in that slot.
     pub failed_edges: u32,
     /// Pairs whose candidate sets the cut touched.
@@ -226,7 +217,6 @@ impl RunMetrics {
                 .map(|d| d as u64);
             out.push(RecoveryRecord {
                 cut_slot: s.t,
-                class: s.outage_class.unwrap_or(OutageClass::Link),
                 failed_edges: churn.failed_edges,
                 affected_pairs: churn.affected_pairs,
                 pre_cut_utility: pre,
@@ -240,43 +230,16 @@ impl RunMetrics {
     /// [`RunMetrics::recovery_records`] that did recover; `None` when no
     /// event recovered (or none occurred).
     pub fn mean_recovery_slots(&self, window: usize, tolerance: f64) -> Option<f64> {
-        mean_recovered(self.recovery_records(window, tolerance).iter())
-    }
-
-    /// [`RunMetrics::recovery_records`] restricted to one outage class,
-    /// so recovery-time claims can be made per class (a planned
-    /// maintenance window recovers differently than a surprise regional
-    /// blackout).
-    pub fn recovery_records_for(
-        &self,
-        class: OutageClass,
-        window: usize,
-        tolerance: f64,
-    ) -> Vec<RecoveryRecord> {
-        self.recovery_records(window, tolerance)
-            .into_iter()
-            .filter(|r| r.class == class)
-            .collect()
-    }
-
-    /// Mean recovery time over the events of one outage class; `None`
-    /// when no event of that class recovered (or none occurred).
-    pub fn mean_recovery_slots_for(
-        &self,
-        class: OutageClass,
-        window: usize,
-        tolerance: f64,
-    ) -> Option<f64> {
-        mean_recovered(self.recovery_records_for(class, window, tolerance).iter())
-    }
-}
-
-fn mean_recovered<'a, I: Iterator<Item = &'a RecoveryRecord>>(records: I) -> Option<f64> {
-    let recovered: Vec<u64> = records.filter_map(|r| r.recovery_slots).collect();
-    if recovered.is_empty() {
-        None
-    } else {
-        Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
+        let recovered: Vec<u64> = self
+            .recovery_records(window, tolerance)
+            .iter()
+            .filter_map(|r| r.recovery_slots)
+            .collect();
+        if recovered.is_empty() {
+            None
+        } else {
+            Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
+        }
     }
 }
 
@@ -319,7 +282,6 @@ mod tests {
             realized_successes: None,
             virtual_queue: Some(t as f64),
             churn: None,
-            outage_class: None,
         }
     }
 
@@ -331,13 +293,6 @@ mod tests {
                 ..ChurnDiagnostics::default()
             }),
             ..record(t, utility, 0, vec![])
-        }
-    }
-
-    fn classed_cut(t: u64, utility: f64, class: OutageClass) -> SlotRecord {
-        SlotRecord {
-            outage_class: Some(class),
-            ..cut_record(t, utility, 2)
         }
     }
 
@@ -448,40 +403,28 @@ mod tests {
     }
 
     #[test]
-    fn recovery_records_are_classed_per_outage() {
-        let mut m = RunMetrics::new("classes");
+    fn deleted_record_keys_are_rejected() {
+        let slot = serde_json::to_string(&cut_record(3, -6.0, 1)).unwrap();
+        assert_eq!(
+            serde_json::from_str::<SlotRecord>(&slot).unwrap(),
+            cut_record(3, -6.0, 1)
+        );
+        let stale = format!("{},\"outage_class\":null}}", &slot[..slot.len() - 1]);
+        let err = serde_json::from_str::<SlotRecord>(&stale).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown field `outage_class`"),
+            "{err}"
+        );
+
+        let mut m = RunMetrics::new("r");
         m.push(record(0, -2.0, 0, vec![]));
-        m.push(record(1, -2.0, 0, vec![]));
-        // An unclassed cut (occupancy starvation) counts as Link.
-        m.push(cut_record(2, -4.0, 1));
-        m.push(record(3, -2.0, 0, vec![]));
-        // A node cut recovering in 2 slots and a planned window
-        // recovering instantly.
-        m.push(classed_cut(4, -8.0, OutageClass::Node));
-        m.push(record(5, -5.0, 0, vec![]));
-        m.push(record(6, -2.0, 0, vec![]));
-        m.push(classed_cut(7, -2.0, OutageClass::Planned));
-
-        let recs = m.recovery_records(2, 0.05);
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0].class, OutageClass::Link);
-        assert_eq!(recs[1].class, OutageClass::Node);
-        assert_eq!(recs[2].class, OutageClass::Planned);
-
-        let node = m.recovery_records_for(OutageClass::Node, 2, 0.05);
-        assert_eq!(node.len(), 1);
-        assert_eq!(node[0].recovery_slots, Some(2));
-        assert_eq!(
-            m.mean_recovery_slots_for(OutageClass::Node, 2, 0.05),
-            Some(2.0)
-        );
-        assert_eq!(
-            m.mean_recovery_slots_for(OutageClass::Planned, 2, 0.05),
-            Some(0.0)
-        );
-        assert_eq!(
-            m.mean_recovery_slots_for(OutageClass::Regional, 2, 0.05),
-            None
+        m.push(cut_record(1, -4.0, 1));
+        let rec = serde_json::to_string(&m.recovery_records(2, 0.05)[0]).unwrap();
+        let stale = format!("{},\"class\":\"Link\"}}", &rec[..rec.len() - 1]);
+        let err = serde_json::from_str::<RecoveryRecord>(&stale).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown field `class`"),
+            "{err}"
         );
     }
 

@@ -108,8 +108,9 @@ if [[ "$full" -eq 1 ]]; then
     cargo test -q --locked --manifest-path perfbench/Cargo.toml
 
     # Serve smoke: boot the controller daemon on a Unix socket, replay
-    # 64 slots through the load generator, require a clean shutdown and
-    # a nonzero decision count in the report.
+    # 64 slots through the load generator, require a clean shutdown, a
+    # nonzero decision count, the one advisory on file, some degraded
+    # requests, and every submitted request accounted for.
     echo "==> serve smoke (qdn-served + qdn-serve-load, 64 slots, --kill-node 3)"
     smoke_sock="$(mktemp -u /tmp/qdn-ci-smoke-XXXXXX.sock)"
     ./target/release/qdn-served --socket "$smoke_sock" --seed 7 --shards 4 &
@@ -120,9 +121,9 @@ if [[ "$full" -eq 1 ]]; then
         sleep 0.1
     done
     [[ -S "$smoke_sock" ]] || { echo "ci-gate: daemon never bound $smoke_sock" >&2; exit 1; }
-    # --kill-node injects an unplanned node outage over the middle
-    # third of the run, exercising the advisory/degraded path end to
-    # end on every full gate.
+    # --kill-node advises a node outage over the middle third of the
+    # run, exercising the advisory/degraded path end to end on every
+    # full gate.
     smoke_report="$(./target/release/qdn-serve-load \
         --socket "$smoke_sock" --slots 64 --workload uniform \
         --kill-node 3 --shutdown)"
@@ -130,10 +131,30 @@ if [[ "$full" -eq 1 ]]; then
     trap - EXIT
     rm -f "$smoke_sock"
     echo "$smoke_report"
-    decided="$(echo "$smoke_report" \
-        | sed -n 's/.*"served": \([0-9]*\).*/\1/p' | head -n1)"
+    report_field() {
+        echo "$smoke_report" | sed -n "s/.*\"$1\": \([0-9]*\).*/\1/p" | head -n1
+    }
+    submitted="$(report_field submitted)"
+    decided="$(report_field served)"
+    unserved="$(report_field unserved)"
+    degraded="$(report_field degraded)"
+    advisories="$(report_field advisories)"
     if [[ -z "$decided" || "$decided" -eq 0 ]]; then
         echo "ci-gate: serve smoke decided nothing" >&2
+        exit 1
+    fi
+    if [[ "$advisories" != 1 ]]; then
+        echo "ci-gate: serve smoke advisories ${advisories:-missing}, expected 1" >&2
+        exit 1
+    fi
+    if [[ -z "$degraded" || "$degraded" -eq 0 ]]; then
+        echo "ci-gate: serve smoke degraded no request under --kill-node" >&2
+        exit 1
+    fi
+    if [[ -z "$submitted" || -z "$unserved" ]] \
+        || (( submitted != decided + unserved + degraded )); then
+        echo "ci-gate: serve smoke submitted ${submitted:-?} != served $decided" \
+            "+ unserved ${unserved:-?} + degraded $degraded" >&2
         exit 1
     fi
 fi

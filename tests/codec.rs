@@ -37,20 +37,20 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Every `Request` variant's encoding, newline-separated.
-const REQUESTS_GOLDEN: u64 = 0x0e78_5468_4339_9906;
+const REQUESTS_GOLDEN: u64 = 0x01ee_87cf_52dc_e517;
 /// Every `Response` variant's encoding, newline-separated.
-const RESPONSES_GOLDEN: u64 = 0xad1d_e26f_57ce_4a91;
+const RESPONSES_GOLDEN: u64 = 0xa0ee_fd9d_cc49_f271;
 /// The warm churn snapshot.
-const SNAPSHOT_GOLDEN: u64 = 0x9b7e_8093_10d1_ca6b;
+const SNAPSHOT_GOLDEN: u64 = 0xb881_3ded_40a3_f0e0;
 /// The `--quick`-scale results, compact.
-const RESULTS_GOLDEN: u64 = 0x46ef_2dab_7136_14f9;
+const RESULTS_GOLDEN: u64 = 0xc2df_2148_439d_9bc9;
 /// The `--quick`-scale results, `to_string_pretty`.
-const RESULTS_PRETTY_GOLDEN: u64 = 0xc81b_aa99_f13a_1e57;
+const RESULTS_PRETTY_GOLDEN: u64 = 0xb1e9_956b_0f26_fef7;
 /// Paper-default `OscarConfig`, `GibbsConfig` and `RelaxedOptions`,
 /// newline-separated.
 const CONFIGS_GOLDEN: u64 = 0x63a8_ba92_0493_e1ac;
 /// Every decoder answer of `decoder_agrees_with_parse_value`.
-const ANSWERS_GOLDEN: u64 = 0xed60_ed86_a797_54bd;
+const ANSWERS_GOLDEN: u64 = 0xfde8_6d67_2053_72a7;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -73,7 +73,7 @@ fn json<T: Serialize>(value: &T) -> String {
 }
 
 /// A two-shard daemon warmed by eight churn slots of ten sticky pairs,
-/// with one planned advisory on file; and the responses it gave.
+/// with one advisory on file; and the responses it gave.
 struct Fixture {
     snapshot: ServeSnapshot,
     tick: Response,
@@ -118,7 +118,6 @@ fn fixture() -> &'static Fixture {
                 start: 20,
                 end: 30,
                 nodes: vec![4, 13],
-                planned: true,
             },
         });
         assert_eq!(advised, Response::AdviseOk { advisories: 1 });
@@ -134,7 +133,7 @@ fn fixture() -> &'static Fixture {
 
 fn requests() -> Vec<Request> {
     vec![
-        Request::Hello { version: 5 },
+        Request::Hello { version: 6 },
         Request::Submit {
             pairs: vec![(0, 3), (7, 2)],
         },
@@ -150,7 +149,6 @@ fn requests() -> Vec<Request> {
                 start: 3,
                 end: 9,
                 nodes: vec![4, 2],
-                planned: false,
             },
         },
         Request::Shutdown,
@@ -163,7 +161,7 @@ fn responses() -> Vec<Response> {
     assert!(matches!(fixture.stats, Response::StatsOk { .. }));
     vec![
         Response::HelloOk {
-            version: 5,
+            version: 6,
             shards: 2,
             slot: 8,
         },
@@ -571,12 +569,16 @@ fn shape_errors_keep_their_messages() {
         unknown.unwrap_err().to_string(),
         "unknown field `method`, expected one of `max_iterations`, `gap_tolerance`"
     );
-    let missing = serde_json::from_str::<Advisory>(r#"{"start":1,"end":2,"planned":true}"#);
+    let missing = serde_json::from_str::<Advisory>(r#"{"start":1,"end":2}"#);
     assert_eq!(missing.unwrap_err().to_string(), "missing field `nodes`");
-    // The first of two equal keys wins; the second is not decoded.
-    let first = serde_json::from_str::<Advisory>(
-        r#"{"start":1,"start":"x","end":2,"nodes":[],"planned":true}"#,
+    let deleted =
+        serde_json::from_str::<Advisory>(r#"{"start":1,"end":2,"nodes":[],"planned":true}"#);
+    assert_eq!(
+        deleted.unwrap_err().to_string(),
+        "unknown field `planned`, expected one of `start`, `end`, `nodes`"
     );
+    // The first of two equal keys wins; the second is not decoded.
+    let first = serde_json::from_str::<Advisory>(r#"{"start":1,"start":"x","end":2,"nodes":[]}"#);
     assert_eq!(first.unwrap().start, 1);
     // A syntax error anywhere wins over a shape error before it.
     let syntax = serde_json::from_str::<Advisory>(r#"{"start":"x","end":2,"nodes":[1,,]}"#);

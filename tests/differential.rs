@@ -138,7 +138,6 @@ fn scenario(seed: u64, kind: usize) -> Scenario {
         start,
         end: start + rng.random_range(1..4u64),
         nodes: vec![rng.random_range(0..nodes as u32)],
-        planned: true,
     }];
     let mut segment = |network: QdnNetwork, slots: u64, advisories: &[Advisory], myopic: bool| {
         let pinned = [(); 3].map(|_| random_sd_pair(&mut rng, &network));

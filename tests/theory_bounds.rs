@@ -9,9 +9,9 @@ use qdn::core::problem::PerSlotContext;
 use qdn::core::profile_eval::EvalOptions;
 use qdn::core::route_selection::{exhaustive, Candidates, GibbsConfig, RouteSelector};
 use qdn::core::theory::{delta_bound, theorem1_violation_bound, BoundParams};
-use qdn::net::dynamics::StaticDynamics;
+use qdn::net::dynamics::{ChurnDynamics, ChurnEventKind, ResourceDynamics, StaticDynamics};
 use qdn::net::routes::{CandidateRoutes, RouteLimits};
-use qdn::net::workload::{random_sd_pair, UniformWorkload};
+use qdn::net::workload::{random_sd_pair, PersistentWorkload, UniformWorkload, Workload};
 use qdn::net::{CapacitySnapshot, NetworkConfig};
 use qdn::sim::engine::{run, SimConfig};
 use qdn_solve::brute::brute_force_best;
@@ -56,54 +56,83 @@ fn prop2_delta_optimality_on_real_slots() {
     }
 }
 
-/// Theorem 1 on a full OSCAR run: the time-averaged budget violation is
-/// below the analytic bound.
-#[test]
-fn theorem1_violation_bound_holds_empirically() {
+/// Runs OSCAR for 50 slots on the paper network (built from `seed`) and
+/// asserts that the time-averaged budget violation is below Theorem 1's
+/// bound, with `f` the most SD pairs `workload` puts in one slot.
+fn assert_theorem1_bound(
+    seed: u64,
+    f: usize,
+    workload: &mut dyn Workload,
+    dynamics: &mut dyn ResourceDynamics,
+) {
     let horizon = 50u64;
     let budget = 1250.0;
-    for seed in [1u64, 2, 3] {
-        let mut env_rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut policy_rng = rand::rngs::StdRng::seed_from_u64(seed + 1000);
-        let net = NetworkConfig::paper_default().build(&mut env_rng).unwrap();
-        let cfg = OscarConfig {
-            total_budget: budget,
+    let mut env_rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut policy_rng = rand::rngs::StdRng::seed_from_u64(seed + 1000);
+    let net = NetworkConfig::paper_default().build(&mut env_rng).unwrap();
+    let cfg = OscarConfig {
+        total_budget: budget,
+        horizon,
+        ..OscarConfig::paper_default()
+    };
+    let mut policy = OscarPolicy::new(cfg.clone());
+    let metrics = run(
+        &net,
+        workload,
+        dynamics,
+        &mut policy,
+        &SimConfig {
             horizon,
-            ..OscarConfig::paper_default()
-        };
-        let mut policy = OscarPolicy::new(cfg.clone());
-        let metrics = run(
-            &net,
+            realize_outcomes: false,
+        },
+        &mut env_rng,
+        &mut policy_rng,
+    );
+    let avg_violation = (metrics.total_cost() as f64 - budget) / horizon as f64;
+    let max_w = net
+        .graph()
+        .edge_ids()
+        .map(|e| net.channel_capacity(e))
+        .max()
+        .unwrap() as f64;
+    let bound = theorem1_violation_bound(&BoundParams {
+        v: cfg.v,
+        f,
+        l: 8,
+        p_min: net.p_min(),
+        budget,
+        horizon,
+        q0: cfg.q0,
+        c_max: (f * 8) as f64 * max_w,
+    });
+    assert!(
+        avg_violation <= bound,
+        "seed {seed}: violation {avg_violation:.2} exceeds Theorem 1 bound {bound:.2}"
+    );
+}
+
+/// Theorem 1 on a full OSCAR run: the time-averaged budget violation is
+/// below the analytic bound, on static capacities with the paper's
+/// `U[1,5]` pairs and on the churn benchmark's shape (10 sticky pairs
+/// under Poisson link failures at rate 0.5, MTTR 5, over static
+/// capacities).
+#[test]
+fn theorem1_violation_bound_holds_empirically() {
+    for seed in [1u64, 2, 3] {
+        assert_theorem1_bound(
+            seed,
+            5,
             &mut UniformWorkload::paper_default(),
             &mut StaticDynamics,
-            &mut policy,
-            &SimConfig {
-                horizon,
-                realize_outcomes: false,
-            },
-            &mut env_rng,
-            &mut policy_rng,
         );
-        let avg_violation = (metrics.total_cost() as f64 - budget) / horizon as f64;
-        let max_w = net
-            .graph()
-            .edge_ids()
-            .map(|e| net.channel_capacity(e))
-            .max()
-            .unwrap() as f64;
-        let bound = theorem1_violation_bound(&BoundParams {
-            v: cfg.v,
-            f: 5,
-            l: 8,
-            p_min: net.p_min(),
-            budget,
-            horizon,
-            q0: cfg.q0,
-            c_max: 5.0 * 8.0 * max_w,
-        });
+        let mut churn = ChurnDynamics::new(0.5, 5.0, seed, Box::new(StaticDynamics));
+        assert_theorem1_bound(seed, 10, &mut PersistentWorkload::new(10, 0.8), &mut churn);
         assert!(
-            avg_violation <= bound,
-            "seed {seed}: violation {avg_violation:.2} exceeds Theorem 1 bound {bound:.2}"
+            churn
+                .churn_events()
+                .iter()
+                .any(|e| e.kind == ChurnEventKind::Fail),
+            "seed {seed}: no link failed"
         );
     }
 }
