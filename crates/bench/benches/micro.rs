@@ -5,10 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_graph::dijkstra::SearchFilter;
 use qdn_graph::ksp::{yen_k_shortest, yen_k_shortest_filtered};
-use qdn_graph::paths::hop_weight;
 use qdn_graph::EdgeId;
 use qdn_net::workload::random_sd_pair;
-use qdn_net::NetworkConfig;
+use qdn_net::{NetworkConfig, QdnNetwork};
 use qdn_physics::link::LinkModel;
 use qdn_physics::monte_carlo::simulate_route;
 use qdn_physics::swap::SwapModel;
@@ -57,7 +56,6 @@ fn bench(c: &mut Criterion) {
                 pair.source(),
                 pair.destination(),
                 4,
-                &hop_weight,
             ))
         });
     });
@@ -65,25 +63,39 @@ fn bench(c: &mut Criterion) {
     // The churn shape: every search also skips a fixed set of three dead
     // edges, spread over the edge list. Pairs come from their own stream
     // so the row sees the same pairs whatever the rows above consumed.
-    let mut dead = SearchFilter::new();
-    let m = net.edge_count() as u32;
-    for e in [0, m / 3, 2 * m / 3] {
-        dead.ban_edge(EdgeId(e));
-    }
-    let mut pair_rng = rand::rngs::StdRng::seed_from_u64(4);
-    group.bench_function("yen_k4_paper_dead3", |b| {
-        b.iter(|| {
-            let pair = random_sd_pair(&mut pair_rng, &net);
-            black_box(yen_k_shortest_filtered(
-                net.graph(),
-                pair.source(),
-                pair.destination(),
-                4,
-                &hop_weight,
-                &dead,
-            ))
+    let dead3 = |net: &QdnNetwork| {
+        let mut dead = SearchFilter::new();
+        let m = net.edge_count() as u32;
+        for e in [0, m / 3, 2 * m / 3] {
+            dead.ban_edge(EdgeId(e));
+        }
+        dead
+    };
+    // The same shape on the paper's network model at 100 nodes, where
+    // spur searches cover the most ground.
+    let wax100 = NetworkConfig::paper_default()
+        .with_nodes(100)
+        .build(&mut rand::rngs::StdRng::seed_from_u64(3))
+        .unwrap();
+    for (name, net) in [
+        ("yen_k4_paper_dead3", &net),
+        ("yen_k4_wax100_dead3", &wax100),
+    ] {
+        let dead = dead3(net);
+        let mut pair_rng = rand::rngs::StdRng::seed_from_u64(4);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let pair = random_sd_pair(&mut pair_rng, net);
+                black_box(yen_k_shortest_filtered(
+                    net.graph(),
+                    pair.source(),
+                    pair.destination(),
+                    4,
+                    &dead,
+                ))
+            });
         });
-    });
+    }
 
     let inst = instance(12);
     group.bench_function("dual_solve_12vars", |b| {

@@ -620,12 +620,14 @@ impl<'a> Reader<'a> {
     /// Reads an externally tagged enum value: a string naming one of
     /// `unit` (returned through `unit_value`), or a one-key object whose
     /// key names one of `tagged` (decoded by `payload`, positioned at the
-    /// value). Anything else is `unrecognized`.
+    /// value). A name that is no variant at all is an ``unknown variant
+    /// `…` `` error listing the variants, unit ones first; anything else
+    /// is `unrecognized`.
     ///
     /// # Errors
     ///
-    /// Returns `unrecognized`, an error of `payload`, or an error of the
-    /// text.
+    /// Returns an unknown-variant error, `unrecognized`, an error of
+    /// `payload`, or an error of the text.
     pub fn read_enum<T>(
         &mut self,
         unit: &[&str],
@@ -639,7 +641,8 @@ impl<'a> Reader<'a> {
                 let name = self.string()?;
                 match unit.iter().position(|u| *u == name) {
                     Some(index) => Ok(unit_value(index)),
-                    None => Err(Error::msg(unrecognized)),
+                    None if tagged.iter().any(|t| *t == name) => Err(Error::msg(unrecognized)),
+                    None => Err(unknown_variant(&name, unit, tagged)),
                 }
             }
             b'{' => {
@@ -650,7 +653,10 @@ impl<'a> Reader<'a> {
                 let tag = self.string()?;
                 self.expect(b':')?;
                 let Some(index) = tagged.iter().position(|t| *t == tag) else {
-                    return Err(Error::msg(unrecognized));
+                    if unit.iter().any(|u| *u == tag) {
+                        return Err(Error::msg(unrecognized));
+                    }
+                    return Err(unknown_variant(&tag, unit, tagged));
                 };
                 let start = *self;
                 let value = payload(self, index);
@@ -674,6 +680,20 @@ impl<'a> Reader<'a> {
             _ => Err(Error::msg(unrecognized)),
         }
     }
+}
+
+/// The error for an enum tag `name` that names none of the variants
+/// `unit` and `tagged`, worded like the unknown-field error.
+fn unknown_variant(name: &str, unit: &[&str], tagged: &[&str]) -> Error {
+    let expected: Vec<String> = unit
+        .iter()
+        .chain(tagged)
+        .map(|v| format!("`{v}`"))
+        .collect();
+    Error::msg(format!(
+        "unknown variant `{name}`, expected one of {}",
+        expected.join(", ")
+    ))
 }
 
 /// Reads the four hex digits at `*pos`, just after a `\u`.

@@ -138,7 +138,6 @@ mod tests {
     use super::*;
     use crate::connectivity::is_connected;
     use crate::ksp::yen_k_shortest;
-    use crate::paths::hop_weight;
 
     #[test]
     fn ring_structure() {
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn ring_has_two_routes_between_any_pair() {
         let g = ring(8);
-        let routes = yen_k_shortest(&g, NodeId(0), NodeId(3), 5, &hop_weight);
+        let routes = yen_k_shortest(&g, NodeId(0), NodeId(3), 5);
         assert_eq!(routes.len(), 2);
         assert_eq!(routes[0].hops(), 3); // clockwise
         assert_eq!(routes[1].hops(), 5); // counter-clockwise
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn star_routes_go_through_hub() {
         let g = star(4);
-        let routes = yen_k_shortest(&g, NodeId(1), NodeId(2), 3, &hop_weight);
+        let routes = yen_k_shortest(&g, NodeId(1), NodeId(2), 3);
         assert_eq!(routes.len(), 1);
         assert_eq!(routes[0].hops(), 2);
         assert!(routes[0].contains_node(NodeId(0)));
@@ -225,7 +224,7 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(NodeId(0)), 1);
         assert_eq!(g.degree(NodeId(1)), 2);
-        let routes = yen_k_shortest(&g, NodeId(0), NodeId(3), 3, &hop_weight);
+        let routes = yen_k_shortest(&g, NodeId(0), NodeId(3), 3);
         assert_eq!(routes.len(), 1); // repeater chain: unique route
         assert_eq!(routes[0].hops(), 3);
     }

@@ -1,32 +1,35 @@
-//! Yen's k-shortest loopless paths.
+//! Yen's k-shortest loopless paths by hop count.
 //!
 //! The paper bounds the candidate route set `R(φ)` by `R` routes per SD
 //! pair, pre-computed "by choosing routes with shorter lengths/hops"
-//! (§III-C). Yen's algorithm produces exactly that: the `k` simple paths of
-//! smallest total weight, in non-decreasing order.
+//! (§III-C). Yen's algorithm produces exactly that: the `k` simple paths
+//! with the fewest hops, in non-decreasing hop order.
 //!
-//! All searches of one call share a single `Workspace`: the base filter
-//! is fitted to the graph once, each spur's bans are that copy plus the
-//! root's nodes and the shared-root edges, and root + spur is stitched
-//! into two reused buffers, so a `Path` is allocated only for a new
-//! candidate. The result is the one the allocating version returned: each
-//! spur search pops, relaxes and stops exactly as before (see
-//! [`crate::dijkstra`]), spurs are taken in the same order, duplicates are
-//! rejected by the same node-and-edge equality, the candidate pool keeps
-//! its insertion order, and the next path is still the minimum by
-//! (weight, pool index) removed with `swap_remove`.
+//! All searches share a single `Workspace`: the base filter is fitted to
+//! the graph once, each spur's bans are that copy plus the root's nodes
+//! and the shared-root edges, and root + spur is stitched into two
+//! reused buffers, so a `Path` is allocated only for a new candidate.
+//! [`KShortest`] keeps the workspace and the fitted filter between calls
+//! for callers that run Yen for many pairs under one filter. Every search, the first and each spur, is the breadth-first
+//! search of [`crate::dijkstra`] with its exact tie rule. Spurs are taken
+//! from the source end of the previous path, a stitched path equal in
+//! nodes and edges to an accepted path or a pooled candidate is dropped,
+//! the pool keeps insertion order, and the next path is the pooled
+//! candidate with the fewest hops, the earliest pool index among equals,
+//! removed with `swap_remove`.
 
 use crate::dijkstra::{SearchFilter, Workspace};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::Path;
 
-/// Computes up to `k` loopless shortest paths from `src` to `dst` under
-/// `weight`, ordered by non-decreasing total weight.
+/// Computes up to `k` loopless paths from `src` to `dst` with the fewest
+/// hops, ordered by non-decreasing hop count.
 ///
 /// Fewer than `k` paths are returned when the graph does not contain `k`
-/// distinct simple paths. Ties are broken deterministically (by the order
-/// candidates are generated), so results are reproducible for a fixed
-/// graph.
+/// distinct simple paths. Ties are broken by one exact rule: the next
+/// path is the pooled candidate with the fewest hops and, among those,
+/// the earliest pool index (see the module docs for how the pool is
+/// filled and reordered), so results are reproducible for a fixed graph.
 ///
 /// This is Yen's algorithm: each new path is found by "spurring" off every
 /// prefix of the previously accepted path with the conflicting edges
@@ -35,7 +38,7 @@ use crate::paths::Path;
 /// # Example
 ///
 /// ```
-/// use qdn_graph::{Graph, ksp::yen_k_shortest, paths::hop_weight};
+/// use qdn_graph::{Graph, ksp::yen_k_shortest};
 ///
 /// # fn main() -> Result<(), qdn_graph::GraphError> {
 /// let mut g = Graph::new();
@@ -46,7 +49,7 @@ use crate::paths::Path;
 /// g.add_edge(n[2], n[3])?;
 /// g.add_edge(n[0], n[3])?;
 ///
-/// let paths = yen_k_shortest(&g, n[0], n[3], 5, &hop_weight);
+/// let paths = yen_k_shortest(&g, n[0], n[3], 5);
 /// assert_eq!(paths.len(), 3);
 /// assert_eq!(paths[0].hops(), 1);
 /// assert_eq!(paths[1].hops(), 2);
@@ -54,11 +57,8 @@ use crate::paths::Path;
 /// # Ok(())
 /// # }
 /// ```
-pub fn yen_k_shortest<F>(graph: &Graph, src: NodeId, dst: NodeId, k: usize, weight: &F) -> Vec<Path>
-where
-    F: Fn(EdgeId) -> f64,
-{
-    yen_k_shortest_filtered(graph, src, dst, k, weight, &SearchFilter::new())
+pub fn yen_k_shortest(graph: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    yen_k_shortest_filtered(graph, src, dst, k, &SearchFilter::new())
 }
 
 /// [`yen_k_shortest`] on the subgraph that survives `base`: every search
@@ -69,101 +69,122 @@ where
 /// of dead edges is carried as the base filter instead of mutating the
 /// graph, keeping edge/node ids stable across failures and repairs, and
 /// the result is a pure function of (graph, endpoints, `k`, filter).
-pub fn yen_k_shortest_filtered<F>(
+pub fn yen_k_shortest_filtered(
     graph: &Graph,
     src: NodeId,
     dst: NodeId,
     k: usize,
-    weight: &F,
     base: &SearchFilter,
-) -> Vec<Path>
-where
-    F: Fn(EdgeId) -> f64,
-{
-    let mut accepted: Vec<Path> = Vec::new();
-    if k == 0 {
-        return accepted;
+) -> Vec<Path> {
+    KShortest::new(graph, base).run(graph, src, dst, k)
+}
+
+/// [`yen_k_shortest_filtered`] for many pairs under one base filter: the
+/// workspace and the base filter fitted to the graph are built once and
+/// kept between calls, so a call allocates only the paths it pools and
+/// returns. Each call's result is exactly the free function's.
+#[derive(Debug, Clone)]
+pub struct KShortest {
+    ws: Workspace,
+    /// The base filter, fitted to the graph.
+    base: SearchFilter,
+}
+
+impl KShortest {
+    /// Searches on `graph` that respect `base`.
+    pub fn new(graph: &Graph, base: &SearchFilter) -> Self {
+        KShortest {
+            ws: Workspace::new(graph),
+            base: base.fitted(graph),
+        }
     }
-    let base = base.fitted(graph);
-    let mut ws = Workspace::new(graph);
-    ws.set_bans(&base);
-    if !ws.shortest_path(graph, src, dst, weight) {
-        return accepted;
+
+    /// `true` when this was built for a graph of `graph`'s node and edge
+    /// counts, so [`KShortest::run`] may search `graph`.
+    pub fn fits(&self, graph: &Graph) -> bool {
+        self.base.fits(graph)
     }
-    accepted.push(ws.path(graph));
 
-    // Candidate pool of (total weight, path). Kept sorted lazily; duplicates
-    // filtered on insertion.
-    let mut candidates: Vec<(f64, Path)> = Vec::new();
-    // Root + spur of the current spur, stitched in place.
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut edges: Vec<EdgeId> = Vec::new();
+    /// [`yen_k_shortest_filtered`] under the base filter given to
+    /// [`KShortest::new`]. `graph` must fit ([`KShortest::fits`]).
+    pub fn run(&mut self, graph: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        let mut accepted: Vec<Path> = Vec::new();
+        if k == 0 {
+            return accepted;
+        }
+        let KShortest { ws, base } = self;
+        ws.set_bans(base);
+        if !ws.shortest_path(graph, src, dst) {
+            return accepted;
+        }
+        accepted.push(ws.path(graph));
 
-    while accepted.len() < k {
-        let prev = accepted.last().expect("at least one accepted path");
-        // Spur from every node of the previous path except the destination.
-        for i in 0..prev.hops() {
-            let spur_node = prev.nodes()[i];
-            let root_nodes = &prev.nodes()[..=i];
-            let root_edges = &prev.edges()[..i];
+        // Candidate pool in insertion order; duplicates filtered on insertion.
+        let mut candidates: Vec<Path> = Vec::new();
+        // Root + spur of the current spur, stitched in place.
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut edges: Vec<EdgeId> = Vec::new();
 
-            ws.set_bans(&base);
-            // Remove edges that would recreate an already-accepted path
-            // sharing this root.
-            for p in &accepted {
-                if p.hops() > i && p.nodes()[..=i] == *root_nodes {
-                    ws.bans.ban_edge(p.edges()[i]);
+        while accepted.len() < k {
+            let prev = accepted.last().expect("at least one accepted path");
+            // Spur from every node of the previous path except the destination.
+            for i in 0..prev.hops() {
+                let spur_node = prev.nodes()[i];
+                let root_nodes = &prev.nodes()[..=i];
+                let root_edges = &prev.edges()[..i];
+
+                ws.set_bans(base);
+                // Remove edges that would recreate an already-accepted path
+                // sharing this root.
+                for p in &accepted {
+                    if p.hops() > i && p.nodes()[..=i] == *root_nodes {
+                        ws.bans.ban_edge(p.edges()[i]);
+                    }
                 }
-            }
-            // Remove root nodes (except the spur node) to keep paths simple.
-            for &n in &root_nodes[..i] {
-                ws.bans.ban_node(n);
+                // Remove root nodes (except the spur node) to keep paths simple.
+                for &n in &root_nodes[..i] {
+                    ws.bans.ban_node(n);
+                }
+
+                if !ws.shortest_path(graph, spur_node, dst) {
+                    continue;
+                }
+
+                // Stitch root + spur. The spur avoids every root node, so the
+                // result is a simple path.
+                nodes.clear();
+                nodes.extend_from_slice(&root_nodes[..i]);
+                nodes.extend(ws.rev_nodes().iter().rev());
+                edges.clear();
+                edges.extend_from_slice(root_edges);
+                edges.extend(ws.rev_edges().iter().rev());
+
+                let stitched =
+                    |p: &Path| p.nodes() == nodes.as_slice() && p.edges() == edges.as_slice();
+                if accepted.iter().any(stitched) || candidates.iter().any(stitched) {
+                    continue;
+                }
+                candidates.push(Path::from_valid_parts(graph, nodes.clone(), edges.clone()));
             }
 
-            if !ws.shortest_path(graph, spur_node, dst, weight) {
-                continue;
+            if candidates.is_empty() {
+                break;
             }
-
-            // Stitch root + spur. The spur avoids every root node, so the
-            // result is a simple path.
-            nodes.clear();
-            nodes.extend_from_slice(&root_nodes[..i]);
-            nodes.extend(ws.rev_nodes().iter().rev());
-            edges.clear();
-            edges.extend_from_slice(root_edges);
-            edges.extend(ws.rev_edges().iter().rev());
-
-            let stitched =
-                |p: &Path| p.nodes() == nodes.as_slice() && p.edges() == edges.as_slice();
-            if accepted.iter().any(stitched) || candidates.iter().any(|(_, p)| stitched(p)) {
-                continue;
-            }
-            let total = Path::from_valid_parts(graph, nodes.clone(), edges.clone());
-            let w = total.weight(weight);
-            candidates.push((w, total));
+            // The fewest-hop candidate; `min_by_key` keeps the first of equals.
+            let best = (0..candidates.len())
+                .min_by_key(|&i| candidates[i].hops())
+                .expect("candidates non-empty");
+            accepted.push(candidates.swap_remove(best));
         }
 
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the minimum-weight candidate (stable for ties: first found).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(ia, (wa, _)), (ib, (wb, _))| wa.total_cmp(wb).then(ia.cmp(ib)))
-            .map(|(i, _)| i)
-            .expect("candidates non-empty");
-        let (_, path) = candidates.swap_remove(best);
-        accepted.push(path);
+        accepted
     }
-
-    accepted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{all_simple_paths, hop_weight};
+    use crate::paths::all_simple_paths;
     use rand::{RngExt, SeedableRng};
 
     fn grid3x3() -> (Graph, Vec<NodeId>) {
@@ -186,30 +207,30 @@ mod tests {
     #[test]
     fn k_zero_returns_empty() {
         let (g, n) = grid3x3();
-        assert!(yen_k_shortest(&g, n[0], n[8], 0, &hop_weight).is_empty());
+        assert!(yen_k_shortest(&g, n[0], n[8], 0).is_empty());
     }
 
     #[test]
     fn first_path_is_shortest() {
         let (g, n) = grid3x3();
-        let paths = yen_k_shortest(&g, n[0], n[8], 4, &hop_weight);
+        let paths = yen_k_shortest(&g, n[0], n[8], 4);
         assert_eq!(paths[0].hops(), 4);
     }
 
     #[test]
-    fn weights_non_decreasing() {
+    fn hops_non_decreasing() {
         let (g, n) = grid3x3();
-        let paths = yen_k_shortest(&g, n[0], n[8], 8, &hop_weight);
-        let w: Vec<f64> = paths.iter().map(|p| p.weight(hop_weight)).collect();
-        for pair in w.windows(2) {
-            assert!(pair[0] <= pair[1], "weights must be sorted: {w:?}");
+        let paths = yen_k_shortest(&g, n[0], n[8], 8);
+        let hops: Vec<usize> = paths.iter().map(Path::hops).collect();
+        for pair in hops.windows(2) {
+            assert!(pair[0] <= pair[1], "hops must be sorted: {hops:?}");
         }
     }
 
     #[test]
     fn paths_are_distinct_and_valid() {
         let (g, n) = grid3x3();
-        let paths = yen_k_shortest(&g, n[0], n[8], 8, &hop_weight);
+        let paths = yen_k_shortest(&g, n[0], n[8], 8);
         for (i, p) in paths.iter().enumerate() {
             assert_eq!(p.source(), n[0]);
             assert_eq!(p.destination(), n[8]);
@@ -229,7 +250,7 @@ mod tests {
             .filter(|p| p.hops() == 4)
             .collect();
         assert_eq!(shortest.len(), 6);
-        let yen = yen_k_shortest(&g, n[0], n[8], 6, &hop_weight);
+        let yen = yen_k_shortest(&g, n[0], n[8], 6);
         assert_eq!(yen.len(), 6);
         for p in &yen {
             assert_eq!(p.hops(), 4);
@@ -242,7 +263,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node();
         let b = g.add_node();
-        assert!(yen_k_shortest(&g, a, b, 3, &hop_weight).is_empty());
+        assert!(yen_k_shortest(&g, a, b, 3).is_empty());
     }
 
     #[test]
@@ -257,24 +278,8 @@ mod tests {
         g.add_edge(b, d).unwrap();
         g.add_edge(a, c).unwrap();
         g.add_edge(c, d).unwrap();
-        let paths = yen_k_shortest(&g, a, d, 10, &hop_weight);
+        let paths = yen_k_shortest(&g, a, d, 10);
         assert_eq!(paths.len(), 2);
-    }
-
-    #[test]
-    fn respects_weights_not_hops() {
-        let mut g = Graph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
-        let ab = g.add_edge(a, b).unwrap(); // heavy direct edge
-        let ac = g.add_edge(a, c).unwrap();
-        let cb = g.add_edge(c, b).unwrap();
-        let w = move |e: EdgeId| if e == ab { 10.0 } else { 1.0 };
-        let paths = yen_k_shortest(&g, a, b, 2, &w);
-        assert_eq!(paths[0].nodes(), &[a, c, b]);
-        assert_eq!(paths[1].nodes(), &[a, b]);
-        let _ = (ac, cb);
     }
 
     #[test]
@@ -284,7 +289,7 @@ mod tests {
         // Kill both edges out of the corner's row neighbour.
         let dead = g.edge_between(n[0], n[1]).unwrap();
         base.ban_edge(dead);
-        let paths = yen_k_shortest_filtered(&g, n[0], n[8], 8, &hop_weight, &base);
+        let paths = yen_k_shortest_filtered(&g, n[0], n[8], 8, &base);
         assert!(!paths.is_empty());
         for p in &paths {
             assert!(!p.edges().contains(&dead), "dead edge used: {p:?}");
@@ -293,9 +298,30 @@ mod tests {
         }
         // An empty base filter is exactly the unfiltered algorithm.
         assert_eq!(
-            yen_k_shortest_filtered(&g, n[0], n[8], 8, &hop_weight, &SearchFilter::new()),
-            yen_k_shortest(&g, n[0], n[8], 8, &hop_weight)
+            yen_k_shortest_filtered(&g, n[0], n[8], 8, &SearchFilter::new()),
+            yen_k_shortest(&g, n[0], n[8], 8)
         );
+    }
+
+    #[test]
+    fn kept_state_matches_fresh_calls() {
+        let (g, n) = grid3x3();
+        let mut base = SearchFilter::new();
+        base.ban_edge(g.edge_between(n[4], n[5]).unwrap());
+        let mut kept = KShortest::new(&g, &base);
+        assert!(kept.fits(&g));
+        for &s in &n {
+            for &t in &n {
+                for k in [0, 1, 3, 6] {
+                    assert_eq!(
+                        kept.run(&g, s, t, k),
+                        yen_k_shortest_filtered(&g, s, t, k, &base),
+                        "{s}->{t} k={k}"
+                    );
+                }
+            }
+        }
+        assert!(!kept.fits(&Graph::new()));
     }
 
     /// Cross-check Yen against brute-force enumeration on random graphs.
@@ -316,7 +342,7 @@ mod tests {
             let src = nodes[0];
             let dst = nodes[n - 1];
             let k = 4;
-            let yen = yen_k_shortest(&g, src, dst, k, &hop_weight);
+            let yen = yen_k_shortest(&g, src, dst, k);
             let mut brute = all_simple_paths(&g, src, dst, n - 1);
             brute.sort_by_key(|p| p.hops());
             assert_eq!(

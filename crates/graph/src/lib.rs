@@ -9,7 +9,7 @@
 //! * [`waxman`] — the Waxman random-graph generator used by the paper's
 //!   evaluation (§V-A), including average-degree calibration and
 //!   connectivity augmentation,
-//! * [`dijkstra`] — weighted shortest paths with node/edge filtering,
+//! * [`dijkstra`] — hop-count shortest paths with node/edge filtering,
 //! * [`ksp`] — Yen's k-shortest (loopless) paths, used to pre-compute the
 //!   candidate route sets `R(φ)`,
 //! * [`paths`] — validated [`Path`] values and hop-bounded simple-path
@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use qdn_graph::{Graph, ksp::yen_k_shortest, paths::hop_weight};
+//! use qdn_graph::{Graph, ksp::yen_k_shortest};
 //!
 //! # fn main() -> Result<(), qdn_graph::GraphError> {
 //! let mut g = Graph::new();
@@ -30,7 +30,7 @@
 //! g.add_edge(b, c)?;
 //! g.add_edge(a, c)?;
 //!
-//! let routes = yen_k_shortest(&g, a, c, 2, &hop_weight);
+//! let routes = yen_k_shortest(&g, a, c, 2);
 //! assert_eq!(routes.len(), 2);
 //! assert_eq!(routes[0].hops(), 1); // direct edge a-c
 //! assert_eq!(routes[1].hops(), 2); // a-b-c

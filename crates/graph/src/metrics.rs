@@ -6,7 +6,6 @@
 
 use crate::dijkstra::distances_from;
 use crate::graph::Graph;
-use crate::paths::hop_weight;
 
 /// Hop-count metrics of a graph, computed over all connected ordered
 /// pairs.
@@ -23,7 +22,7 @@ pub struct PathMetrics {
     pub disconnected_pairs: usize,
 }
 
-/// Computes hop-count path metrics via one Dijkstra per node.
+/// Computes hop-count path metrics via one breadth-first search per node.
 ///
 /// Runs in `O(V · (E + V log V))`; fine for the network sizes of the
 /// paper's evaluation (≤ 40 nodes).
@@ -44,16 +43,15 @@ pub fn path_metrics(graph: &Graph) -> PathMetrics {
     let mut connected = 0usize;
     let mut disconnected = 0usize;
     for src in graph.node_ids() {
-        let dist = distances_from(graph, src, &hop_weight);
+        let dist = distances_from(graph, src);
         for dst in graph.node_ids() {
             if src == dst {
                 continue;
             }
-            let d = dist[dst.index()];
-            if d.is_finite() {
+            if let Some(d) = dist[dst.index()] {
                 connected += 1;
-                total += d;
-                diameter = diameter.max(d as usize);
+                total += d as f64;
+                diameter = diameter.max(d);
             } else {
                 disconnected += 1;
             }

@@ -248,14 +248,6 @@ impl Path {
             edges: self.edges.iter().rev().copied().collect(),
         }
     }
-
-    /// Total weight of the path under `weight`.
-    pub fn weight<F>(&self, weight: F) -> f64
-    where
-        F: Fn(EdgeId) -> f64,
-    {
-        self.edges.iter().map(|&e| weight(e)).sum()
-    }
 }
 
 impl std::fmt::Display for Path {
@@ -270,15 +262,6 @@ impl std::fmt::Display for Path {
         }
         Ok(())
     }
-}
-
-/// Unit edge weight: every edge costs 1 hop.
-///
-/// Pass to the path-finding functions to search by hop count, which is how
-/// the paper pre-computes candidate routes ("choosing routes with shorter
-/// lengths/hops", §III-C).
-pub fn hop_weight(_: EdgeId) -> f64 {
-    1.0
 }
 
 /// Enumerates all simple paths from `src` to `dst` with at most `max_hops`
@@ -468,18 +451,6 @@ mod tests {
         assert_eq!(r.reversed(), p);
         let t = Path::trivial(&g, a).unwrap();
         assert_eq!(t.reversed(), t);
-    }
-
-    #[test]
-    fn weight_sums_edges() {
-        let (g, [a, b, _c, d]) = diamond();
-        let p = Path::from_nodes(&g, vec![a, b, d]).unwrap();
-        assert_eq!(p.weight(hop_weight), 2.0);
-        assert_eq!(p.weight(|e| (e.index() + 1) as f64), {
-            let e0 = p.edges()[0].index() as f64 + 1.0;
-            let e1 = p.edges()[1].index() as f64 + 1.0;
-            e0 + e1
-        });
     }
 
     #[test]

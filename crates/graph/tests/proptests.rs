@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use qdn_graph::connectivity::{connected_components, is_connected};
 use qdn_graph::dijkstra::{shortest_path, shortest_path_filtered, SearchFilter};
 use qdn_graph::ksp::yen_k_shortest;
-use qdn_graph::paths::{all_simple_paths, hop_weight};
+use qdn_graph::paths::all_simple_paths;
 use qdn_graph::waxman::{augment_to_connected, GeometricGraph, WaxmanConfig};
 use qdn_graph::{Graph, NodeId};
 use rand::SeedableRng;
@@ -56,7 +56,7 @@ proptest! {
     fn dijkstra_is_minimal(g in arb_graph()) {
         let src = NodeId(0);
         let dst = NodeId((g.node_count() - 1) as u32);
-        let sp = shortest_path(&g, src, dst, &hop_weight);
+        let sp = shortest_path(&g, src, dst);
         let brute = all_simple_paths(&g, src, dst, g.node_count());
         match sp {
             None => prop_assert!(brute.is_empty()),
@@ -74,7 +74,7 @@ proptest! {
     fn yen_sorted_distinct_consistent(g in arb_graph(), k in 1usize..6) {
         let src = NodeId(0);
         let dst = NodeId((g.node_count() - 1) as u32);
-        let yen = yen_k_shortest(&g, src, dst, k, &hop_weight);
+        let yen = yen_k_shortest(&g, src, dst, k);
         let mut brute = all_simple_paths(&g, src, dst, g.node_count());
         brute.sort_by_key(|p| p.hops());
         prop_assert_eq!(yen.len(), brute.len().min(k));
@@ -97,13 +97,13 @@ proptest! {
     fn banning_shortest_path_changes_route(g in arb_graph()) {
         let src = NodeId(0);
         let dst = NodeId((g.node_count() - 1) as u32);
-        if let Some(p) = shortest_path(&g, src, dst, &hop_weight) {
+        if let Some(p) = shortest_path(&g, src, dst) {
             if p.hops() > 0 {
                 let mut f = SearchFilter::new();
                 for &e in p.edges() {
                     f.ban_edge(e);
                 }
-                if let Some(q) = shortest_path_filtered(&g, src, dst, &hop_weight, &f) {
+                if let Some(q) = shortest_path_filtered(&g, src, dst, &f) {
                     prop_assert!(q.edges().iter().all(|e| !p.edges().contains(e)));
                     prop_assert!(q.hops() >= p.hops());
                 }

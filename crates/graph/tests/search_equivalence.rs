@@ -1,21 +1,37 @@
-//! Equivalence of the crate's path searches with the allocating
-//! implementations they replaced.
+//! Equivalence of the crate's hop-count path searches with the weighted
+//! allocating implementations they replaced.
 //!
-//! `reference` holds the `HashSet`-backed `SearchFilter`, Dijkstra and
-//! Yen exactly as they were before the searches moved onto a reusable
-//! workspace with dense ban flags. The property below asserts that every
-//! search returns the same paths — same nodes, same edges, same order —
-//! and the same distances, on random graphs whose small integer weights
-//! make ties common, under random bans that may hit the endpoints or ids
-//! outside the graph.
+//! `reference` holds the `HashSet`-backed `SearchFilter`, the
+//! `BinaryHeap` Dijkstra over `f64` weights and Yen exactly as they were
+//! before the searches became one layered breadth-first search on a
+//! reusable workspace with dense ban flags. Called with [`hop_weight`],
+//! the reference pops `(distance, node id)` in ascending order and
+//! relabels only on a strict improvement, so each node's predecessor is
+//! the smallest-id node of the previous layer that reaches it: the
+//! breadth-first search's tie rule. The tests below assert that every
+//! search returns the same paths (same nodes, same edges, same order)
+//! and the same hop counts:
+//!
+//! * on random graphs of up to 40 nodes, whose layers hold many tied
+//!   ids, under random bans that may hit the endpoints or ids outside
+//!   the graph;
+//! * for Yen on the paper's Waxman networks at 20 and 100 nodes under
+//!   random dead-edge sets, the shape of candidate routes under churn.
 
 use proptest::prelude::*;
 use qdn_graph::dijkstra::{distances_from, shortest_path_filtered, SearchFilter};
 use qdn_graph::ksp::yen_k_shortest_filtered;
-use qdn_graph::paths::hop_weight;
+use qdn_graph::waxman::{calibrate_beta, GeometricGraph, WaxmanConfig};
 use qdn_graph::{EdgeId, Graph, NodeId};
+use rand::{RngExt, SeedableRng};
 
-/// The searches as they were, kept only as the oracle for this test.
+/// Unit edge weight: the reference searches by hop count under it.
+fn hop_weight(_: EdgeId) -> f64 {
+    1.0
+}
+
+/// The weighted `HashSet` searches as they were, kept only as the oracle
+/// for this test.
 mod reference {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -273,7 +289,7 @@ mod reference {
                 if accepted.contains(&total) || candidates.iter().any(|(_, p)| *p == total) {
                     continue;
                 }
-                let w = total.weight(weight);
+                let w = total.edges().iter().map(|&e| weight(e)).sum();
                 candidates.push((w, total));
             }
 
@@ -295,14 +311,12 @@ mod reference {
     }
 }
 
-/// One random instance: a graph, per-edge integer weights, a base filter
-/// (node and edge ids, possibly past the graph) and two endpoints
-/// (possibly equal, possibly out of bounds).
+/// One random instance: a graph, a base filter (node and edge ids,
+/// possibly past the graph) and two endpoints (possibly equal, possibly
+/// out of bounds).
 #[derive(Debug, Clone)]
 struct Case {
     graph: Graph,
-    weights: Vec<u32>,
-    hop: bool,
     banned_nodes: Vec<u32>,
     banned_edges: Vec<u32>,
     src: NodeId,
@@ -310,38 +324,32 @@ struct Case {
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    (2usize..=14, 10u32..90).prop_flat_map(|(n, density)| {
+    (2usize..=40, 5u32..60).prop_flat_map(|(n, density)| {
         let pairs: Vec<(u32, u32)> = (0..n as u32)
             .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
             .collect();
         let m = pairs.len() as u32;
         (
             collection::vec(0u32..100, pairs.len()),
-            collection::vec(1u32..4, pairs.len()),
-            bool::ANY,
             collection::vec(0u32..n as u32 + 2, 0usize..4),
             collection::vec(0u32..m + 2, 0usize..6),
             0u32..n as u32 + 1,
             0u32..n as u32 + 1,
         )
-            .prop_map(
-                move |(draws, weights, hop, banned_nodes, banned_edges, src, dst)| {
-                    let edges = pairs
-                        .iter()
-                        .zip(&draws)
-                        .filter(|(_, &d)| d < density)
-                        .map(|(&(i, j), _)| (NodeId(i), NodeId(j)));
-                    Case {
-                        graph: Graph::from_edges(n, edges).expect("generated edges are valid"),
-                        weights,
-                        hop,
-                        banned_nodes,
-                        banned_edges,
-                        src: NodeId(src),
-                        dst: NodeId(dst),
-                    }
-                },
-            )
+            .prop_map(move |(draws, banned_nodes, banned_edges, src, dst)| {
+                let edges = pairs
+                    .iter()
+                    .zip(&draws)
+                    .filter(|(_, &d)| d < density)
+                    .map(|(&(i, j), _)| (NodeId(i), NodeId(j)));
+                Case {
+                    graph: Graph::from_edges(n, edges).expect("generated edges are valid"),
+                    banned_nodes,
+                    banned_edges,
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                }
+            })
     })
 }
 
@@ -349,12 +357,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
     /// Yen (k = 0..=6), the filtered shortest path and single-source
-    /// distances all match the reference bit for bit.
+    /// hop counts all match the reference bit for bit.
     #[test]
     fn searches_match_the_reference(case in arb_case()) {
-        let Case { graph, weights, hop, banned_nodes, banned_edges, src, dst } = case;
-        let integer = |e: EdgeId| f64::from(weights[e.index()]);
-        let weight: &dyn Fn(EdgeId) -> f64 = if hop { &hop_weight } else { &integer };
+        let Case { graph, banned_nodes, banned_edges, src, dst } = case;
 
         let mut filter = SearchFilter::new();
         let mut old_filter = reference::SearchFilter::new();
@@ -368,17 +374,66 @@ proptest! {
         }
 
         for k in 0..=6 {
-            let got = yen_k_shortest_filtered(&graph, src, dst, k, &weight, &filter);
-            let want = reference::yen_k_shortest_filtered(&graph, src, dst, k, &weight, &old_filter);
+            let got = yen_k_shortest_filtered(&graph, src, dst, k, &filter);
+            let want = reference::yen_k_shortest_filtered(&graph, src, dst, k, &hop_weight, &old_filter);
             prop_assert_eq!(got, want, "yen k={} {}->{} on {:?}", k, src, dst, graph);
         }
         prop_assert_eq!(
-            shortest_path_filtered(&graph, src, dst, &weight, &filter),
-            reference::shortest_path_filtered(&graph, src, dst, &weight, &old_filter)
+            shortest_path_filtered(&graph, src, dst, &filter),
+            reference::shortest_path_filtered(&graph, src, dst, &hop_weight, &old_filter)
         );
-        prop_assert_eq!(
-            distances_from(&graph, src, &weight),
-            reference::distances_from(&graph, src, &weight)
-        );
+        let want: Vec<Option<usize>> = reference::distances_from(&graph, src, &hop_weight)
+            .into_iter()
+            .map(|d| d.is_finite().then_some(d as usize))
+            .collect();
+        prop_assert_eq!(distances_from(&graph, src), want);
+    }
+}
+
+/// The topology `NetworkConfig::paper_default().with_nodes(nodes)` draws
+/// from `rng` (qdn_net's `TopologyConfig::paper_default`): the paper's
+/// Waxman model, its β calibrated to average degree 4.
+fn paper_topology(nodes: usize, rng: &mut rand::rngs::StdRng) -> GeometricGraph {
+    let mut waxman = WaxmanConfig::paper_default().with_nodes(nodes);
+    waxman.beta = calibrate_beta(&waxman, 4.0, rng);
+    waxman.generate(rng)
+}
+
+/// Yen with the paper's `R = 4` on paper networks at 20 and 100 nodes:
+/// per network, random dead-edge sets (each edge dead with probability
+/// 8%) and random pairs, each result equal to the reference's.
+#[test]
+fn yen_matches_the_reference_on_paper_networks() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+    for (nodes, networks, dead_sets, pairs) in [(20, 12, 8, 8), (100, 3, 4, 6)] {
+        for _ in 0..networks {
+            let graph = paper_topology(nodes, &mut rng).graph;
+            for _ in 0..dead_sets {
+                let mut filter = SearchFilter::new();
+                let mut old_filter = reference::SearchFilter::new();
+                for e in graph.edge_ids() {
+                    if rng.random_bool(0.08) {
+                        filter.ban_edge(e);
+                        old_filter.ban_edge(e);
+                    }
+                }
+                for _ in 0..pairs {
+                    let src = NodeId(rng.random_range(0..nodes as u32));
+                    let dst = NodeId(rng.random_range(0..nodes as u32));
+                    assert_eq!(
+                        yen_k_shortest_filtered(&graph, src, dst, 4, &filter),
+                        reference::yen_k_shortest_filtered(
+                            &graph,
+                            src,
+                            dst,
+                            4,
+                            &hop_weight,
+                            &old_filter
+                        ),
+                        "{nodes} nodes, {src}->{dst}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -619,8 +619,10 @@ mod tests {
             let err = serde_json::from_str::<DynamicsConfig>(&text).unwrap_err();
             assert_eq!(
                 err.to_string(),
-                "unrecognized DynamicsConfig value",
-                "{variant}"
+                format!(
+                    "unknown variant `{variant}`, expected one of \
+                     `Static`, `Uniform`, `Markov`, `Churn`"
+                ),
             );
         }
     }

@@ -15,12 +15,13 @@
 //! therefore serve identical routes — same nodes, same edges, same order
 //! — whatever their history, and a snapshot needs only the dead set and
 //! the names of the pairs whose lists are current.
+//!
+//! [`yen_k_shortest_filtered`]: qdn_graph::ksp::yen_k_shortest_filtered
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use qdn_graph::dijkstra::SearchFilter;
-use qdn_graph::ksp::yen_k_shortest_filtered;
-use qdn_graph::paths::hop_weight;
+use qdn_graph::ksp::KShortest;
 use qdn_graph::{EdgeId, Path};
 use serde::{Deserialize, Serialize};
 
@@ -93,6 +94,9 @@ pub struct CandidateRoutes {
     /// whether a recompute changed the pair's list.
     stale: BTreeMap<SdPair, Vec<Path>>,
     last_churn: RouteChurn,
+    /// Yen's search state under `dead`, built on the first recompute
+    /// after a dead-set change.
+    search: Option<KShortest>,
 }
 
 /// One canonical pair's hop-filtered candidate list, both orientations.
@@ -138,6 +142,7 @@ impl CandidateRoutes {
             current: BTreeMap::new(),
             stale: BTreeMap::new(),
             last_churn: RouteChurn::default(),
+            search: None,
         }
     }
 
@@ -175,6 +180,7 @@ impl CandidateRoutes {
             }
         }
         if !churn.is_noop() {
+            self.search = None;
             for (pair, routes) in std::mem::take(&mut self.current) {
                 if let Some(routes) = routes {
                     self.stale.insert(pair, routes.forward);
@@ -201,10 +207,14 @@ impl CandidateRoutes {
     ///
     /// Routes are returned oriented from `pair.source()` to
     /// `pair.destination()`; the cache key is the canonical pair, so the
-    /// reverse orientation shares the computation. The result is sorted by
-    /// hop count (Yen's order) and every route has at most
+    /// reverse orientation shares the computation. The result is in the
+    /// order Yen's algorithm accepts paths: non-decreasing hop count,
+    /// equal counts in the tie order of [`yen_k_shortest_filtered`]
+    /// (not lexicographic). Every route has at most
     /// [`RouteLimits::max_hops`] hops. An empty slice means the pair is
     /// disconnected or all short routes exceed the hop bound.
+    ///
+    /// [`yen_k_shortest_filtered`]: qdn_graph::ksp::yen_k_shortest_filtered
     pub fn routes(&mut self, network: &QdnNetwork, pair: SdPair) -> &[Path] {
         let canonical = pair.canonical();
         let lists = self
@@ -212,17 +222,22 @@ impl CandidateRoutes {
             .entry(canonical)
             .or_insert(None)
             .get_or_insert_with(|| {
-                let mut filter = SearchFilter::new();
-                for &e in &self.dead {
-                    filter.ban_edge(e);
-                }
-                let mut forward = yen_k_shortest_filtered(
-                    network.graph(),
+                let graph = network.graph();
+                let search = match &mut self.search {
+                    Some(search) if search.fits(graph) => search,
+                    slot => {
+                        let mut dead = SearchFilter::new();
+                        for &e in &self.dead {
+                            dead.ban_edge(e);
+                        }
+                        slot.insert(KShortest::new(graph, &dead))
+                    }
+                };
+                let mut forward = search.run(
+                    graph,
                     canonical.source(),
                     canonical.destination(),
                     self.limits.max_routes,
-                    &hop_weight,
-                    &filter,
                 );
                 forward.retain(|p| (1..=self.limits.max_hops).contains(&p.hops()));
                 self.last_churn.yen_runs += 1;
@@ -281,6 +296,7 @@ impl CandidateRoutes {
         self.current.clear();
         self.stale.clear();
         self.last_churn = RouteChurn::default();
+        self.search = None;
     }
 
     /// Serializes the cache into a [`RoutesSnapshot`]: the dead-edge set
@@ -319,6 +335,7 @@ impl CandidateRoutes {
             current: snapshot.pairs.iter().map(|&p| (p, None)).collect(),
             stale: BTreeMap::new(),
             last_churn: RouteChurn::default(),
+            search: None,
         })
     }
 }

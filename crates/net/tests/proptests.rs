@@ -159,7 +159,6 @@ proptest! {
     ) {
         use qdn_graph::dijkstra::SearchFilter;
         use qdn_graph::ksp::yen_k_shortest_filtered;
-        use qdn_graph::paths::hop_weight;
         use qdn_graph::{NodeId, Path};
         use qdn_net::routes::RoutesSnapshot;
         use qdn_net::{CapacitySnapshot, SdPair};
@@ -185,7 +184,6 @@ proptest! {
                 canonical.source(),
                 canonical.destination(),
                 limits.max_routes,
-                &hop_weight,
                 &filter,
             )
             .into_iter()
