@@ -555,6 +555,26 @@ mod tests {
     }
 
     #[test]
+    fn kept_search_follows_a_network_of_another_size() {
+        // The Yen state kept for one network is not reused on a network
+        // of another size: the lists match a cold cache's.
+        let small = net();
+        let mut b = QdnNetworkBuilder::new();
+        let n: Vec<_> = (0..7).map(|_| b.add_node(10)).collect();
+        for w in n.windows(2) {
+            b.add_edge(w[0], w[1], 5, LinkModel::paper_default())
+                .unwrap();
+        }
+        let line = b.build();
+        let pair = SdPair::new(NodeId(0), NodeId(6)).unwrap();
+        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+        let _ = cr.routes(&small, SdPair::new(NodeId(0), NodeId(3)).unwrap());
+        let mut cold = CandidateRoutes::new(RouteLimits::paper_default());
+        assert_eq!(cr.routes(&line, pair), cold.routes(&line, pair));
+        assert_eq!(cr.routes(&line, pair).len(), 1);
+    }
+
+    #[test]
     fn snapshot_roundtrip_after_churn() {
         let net = net();
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
