@@ -1,13 +1,18 @@
 //! Micro-benchmarks of the hot kernels: Yen's KSP, the dual solver, the
 //! greedy allocator, relax-and-round's two paths on a one-binding
-//! instance, and the attempt-level Monte Carlo.
+//! instance, both allocators on instances priced from the paper network,
+//! and the attempt-level Monte Carlo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qdn_core::baselines::{BudgetSplit, MyopicConfig};
+use qdn_core::oscar::OscarConfig;
+use qdn_core::problem::PerSlotContext;
 use qdn_graph::dijkstra::SearchFilter;
 use qdn_graph::ksp::{yen_k_shortest, yen_k_shortest_filtered};
 use qdn_graph::EdgeId;
+use qdn_net::routes::{CandidateRoutes, RouteLimits};
 use qdn_net::workload::random_sd_pair;
-use qdn_net::{NetworkConfig, QdnNetwork};
+use qdn_net::{CapacitySnapshot, NetworkConfig, QdnNetwork};
 use qdn_physics::link::LinkModel;
 use qdn_physics::monte_carlo::simulate_route;
 use qdn_physics::swap::SwapModel;
@@ -40,6 +45,27 @@ fn one_binding_instance(nv: usize) -> AllocationInstance {
         .collect();
     constraints.push(PackingConstraint::new(4 * nv as u32, (0..nv).collect()));
     AllocationInstance::new(vars, constraints, 2500.0, 15.0).unwrap()
+}
+
+/// The instance `ctx` prices for the first candidate route of each of
+/// `pairs` random pairs, the pairs drawn from `seed`; `None` when the
+/// profile cannot hold one channel per edge.
+fn paper_instance(
+    net: &QdnNetwork,
+    ctx: &PerSlotContext<'_>,
+    pairs: usize,
+    seed: u64,
+) -> Option<AllocationInstance> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut routes = CandidateRoutes::new(RouteLimits::paper_default());
+    let profile: Vec<_> = (0..pairs)
+        .map(|_| {
+            let pair = random_sd_pair(&mut rng, net);
+            (pair, routes.routes(net, pair)[0].clone())
+        })
+        .collect();
+    let refs: Vec<_> = profile.iter().map(|(pair, route)| (*pair, route)).collect();
+    ctx.build_instance(&refs).ok()
 }
 
 fn bench(c: &mut Criterion) {
@@ -128,6 +154,28 @@ fn bench(c: &mut Criterion) {
             let relaxed = solve_relaxed(&one, &RelaxedOptions::default()).unwrap();
             black_box(round_down_and_fill(&one, &relaxed.x).unwrap())
         });
+    });
+
+    // Both allocators on instances priced from the paper network, where
+    // every success logarithm repeats across calls. OSCAR's shape: paper
+    // `V` at queue price 10, five pairs, the first seed whose instance is
+    // one coupling component that FISTA plus rounding allocates (no
+    // one-binding rule). MF's shape: `κ = 0` under the per-slot budget
+    // of `C / T`, three pairs.
+    let snap = CapacitySnapshot::full(&net);
+    let oscar = PerSlotContext::oscar(&net, &snap, OscarConfig::paper_default().v, 10.0);
+    let component = (0..)
+        .filter_map(|seed| paper_instance(&net, &oscar, 5, seed))
+        .find(|inst| inst.components().len() == 1 && rule(inst).one_binding == 0)
+        .expect("some seed gives one FISTA component");
+    group.bench_function("relax_and_round/paper_component", |b| {
+        b.iter(|| black_box(rule(&component)));
+    });
+    let mf = MyopicConfig::paper_default(BudgetSplit::Fixed);
+    let budget = PerSlotContext::myopic(&net, &snap, (mf.total_budget / mf.horizon as f64) as u64);
+    let mf_instance = paper_instance(&net, &budget, 3, 5).expect("three routes fit the budget");
+    group.bench_function("greedy_allocate/mf_budget", |b| {
+        b.iter(|| black_box(greedy_allocate(&mf_instance).unwrap()));
     });
 
     let link = LinkModel::paper_default();

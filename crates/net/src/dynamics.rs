@@ -257,8 +257,8 @@ impl ResourceDynamics for TraceDynamics {
 ///
 /// The failure trace is driven by a private RNG seeded from `seed`, so it
 /// is reproducible independently of the environment stream consumed by
-/// the base process, and is recorded verbatim — see
-/// [`ChurnDynamics::churn_events`].
+/// the base process. Each slot's failures and repairs are kept until the
+/// next snapshot — see [`ChurnDynamics::churn_events`].
 #[derive(Debug)]
 pub struct ChurnDynamics {
     failure_rate: f64,
@@ -270,6 +270,7 @@ pub struct ChurnDynamics {
     /// (an outage starting at slot t lasts ≥ 1 slot, so it always ends
     /// at t + d ≥ 1 and 0 is unambiguous).
     down_until: Vec<u64>,
+    /// The last snapshot's events (at most one per edge).
     events: Vec<ChurnEvent>,
 }
 
@@ -304,7 +305,12 @@ impl ChurnDynamics {
         down
     }
 
-    /// The full failure/repair trace so far, in slot order.
+    /// The failures and repairs of the most recent snapshot: its repairs
+    /// in edge order, then its failures in the order they struck. Empty
+    /// before the first snapshot and after [`ResourceDynamics::reset`]. A
+    /// caller that wants the whole trace collects it after every
+    /// snapshot; the process keeps only one slot's events, so a
+    /// long-lived run holds at most one event per edge.
     pub fn churn_events(&self) -> &[ChurnEvent] {
         &self.events
     }
@@ -352,6 +358,7 @@ impl ResourceDynamics for ChurnDynamics {
         rng: &mut dyn rand::Rng,
     ) -> CapacitySnapshot {
         self.down_until.resize(network.edge_count(), 0);
+        self.events.clear();
         // Repairs first: a link repaired this slot may fail again below.
         for (i, du) in self.down_until.iter_mut().enumerate() {
             if *du != 0 && *du <= t {
@@ -646,8 +653,10 @@ mod tests {
         let mut d = ChurnDynamics::new(1.0, 1.0, 42, Box::new(StaticDynamics));
         let mut r = rng();
         let mut saw_zero = false;
+        let mut trace = Vec::new();
         for t in 0..20 {
             let s = d.snapshot(t, &n, &mut r);
+            trace.extend_from_slice(d.churn_events());
             let down = d.down_edges();
             for e in n.graph().edge_ids() {
                 if down.contains(&e) {
@@ -659,12 +668,11 @@ mod tests {
             }
         }
         assert!(saw_zero, "failure rate 1.0 never downed a link");
-        let fails = d
-            .churn_events()
+        let fails = trace
             .iter()
             .filter(|e| e.kind == ChurnEventKind::Fail)
             .count();
-        let repairs = d.churn_events().len() - fails;
+        let repairs = trace.len() - fails;
         assert!(fails > 0);
         // Every outage lasts exactly 1 slot here, so each fail at t < 19
         // has its repair inside the horizon.
@@ -676,19 +684,22 @@ mod tests {
         let n = line_net(4);
         let mut d = ChurnDynamics::new(0.7, 3.0, 11, Box::new(StaticDynamics));
         let mut r = rng();
+        let mut first = Vec::new();
         for t in 0..15 {
             let _ = d.snapshot(t, &n, &mut r);
+            first.extend_from_slice(d.churn_events());
         }
-        let first = d.churn_events().to_vec();
         assert!(!first.is_empty());
         d.reset();
         assert!(d.churn_events().is_empty());
         // The env stream differs; the private churn stream must not care.
         let mut r2 = rand::rngs::StdRng::seed_from_u64(999);
+        let mut second = Vec::new();
         for t in 0..15 {
             let _ = d.snapshot(t, &n, &mut r2);
+            second.extend_from_slice(d.churn_events());
         }
-        assert_eq!(d.churn_events(), first.as_slice());
+        assert_eq!(second, first);
     }
 
     #[test]
@@ -698,8 +709,8 @@ mod tests {
         let mut r = rng();
         for t in 0..10 {
             assert_eq!(d.snapshot(t, &n, &mut r), CapacitySnapshot::full(&n));
+            assert!(d.churn_events().is_empty());
         }
-        assert!(d.churn_events().is_empty());
     }
 
     #[test]
@@ -725,8 +736,10 @@ mod tests {
         let n = line_net(3);
         let mut d = ChurnDynamics::new(10.0, 4.0, 3, Box::new(UniformOccupancy::new(0.5)));
         let mut r = rng();
+        let mut events = 0;
         for t in 0..10 {
             let s = d.snapshot(t, &n, &mut r);
+            events += d.churn_events().len();
             for e in n.graph().edge_ids() {
                 if d.down_edges().contains(&e) {
                     assert_eq!(s.channels(e), 0);
@@ -737,6 +750,23 @@ mod tests {
             }
         }
         // Rate 10 over 3 links: everything should be down at some point.
-        assert!(d.churn_events().len() >= 3);
+        assert!(events >= 3);
+    }
+
+    #[test]
+    fn churn_events_hold_only_the_last_snapshot() {
+        let n = line_net(6);
+        let mut d = ChurnDynamics::new(2.0, 2.0, 5, Box::new(StaticDynamics));
+        let mut r = rng();
+        let mut total = 0;
+        for t in 0..200 {
+            let _ = d.snapshot(t, &n, &mut r);
+            let events = d.churn_events();
+            assert!(events.iter().all(|e| e.t == t), "t={t}: {events:?}");
+            // Each edge repairs and fails at most once in a slot.
+            assert!(events.len() <= 2 * n.edge_count(), "t={t}: {events:?}");
+            total += events.len();
+        }
+        assert!(total > 2 * n.edge_count(), "only {total} events");
     }
 }

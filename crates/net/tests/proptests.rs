@@ -281,8 +281,10 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let net = NetworkConfig::paper_default().with_nodes(10).build(&mut rng).unwrap();
         let mut d = ChurnDynamics::new(rate, mttr, seed ^ 0xdead, Box::new(StaticDynamics));
+        let mut trace = Vec::new();
         for t in 0..12 {
             let snap = d.snapshot(t, &net, &mut rng);
+            trace.extend_from_slice(d.churn_events());
             let down = d.down_edges();
             for v in net.graph().node_ids() {
                 prop_assert!(snap.qubits(v) <= net.qubit_capacity(v));
@@ -297,7 +299,7 @@ proptest! {
         // Event sanity: fails and repairs alternate per edge.
         for e in net.graph().edge_ids() {
             let mut down = false;
-            for ev in d.churn_events().iter().filter(|ev| ev.edge == e) {
+            for ev in trace.iter().filter(|ev| ev.edge == e) {
                 match ev.kind {
                     ChurnEventKind::Fail => {
                         prop_assert!(!down, "edge {} failed while down", e);
@@ -366,10 +368,12 @@ proptest! {
         let run = |env_seed: u64| {
             let mut d = ChurnDynamics::new(0.8, 3.0, seed, Box::new(UniformOccupancy::new(0.4)));
             let mut env = rand::rngs::StdRng::seed_from_u64(env_seed);
+            let mut trace = Vec::new();
             for t in 0..15 {
                 let _ = d.snapshot(t, &net, &mut env);
+                trace.extend_from_slice(d.churn_events());
             }
-            d.churn_events().to_vec()
+            trace
         };
         let trace_a = run(env_a);
         let trace_b = run(env_b);

@@ -60,12 +60,23 @@
 //! it is not a candidate here.
 //!
 //! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
-//! (`dual_value_at`, `residual_pass`, `consider_primal`): one price-gather + fused
-//! argmax/dual pass per gradient or function evaluation, a fixed set of
-//! buffers allocated up front, and nothing allocated inside the loop.
+//! (`dual_value_at`, `residual_pass`, `primal_value`): one price-gather +
+//! fused argmax/dual pass per gradient or function evaluation, a fixed
+//! set of buffers allocated up front, and nothing allocated inside the
+//! loop.
+//!
+//! The passes share one per-variable memo for the whole run
+//! (`relaxed::PassMemo`): a variable whose price, or whose repaired
+//! value, equals its previous one reuses that evaluation instead of
+//! calling `ln`/`ln_1p`/`exp_m1` again, with the same bits. The
+//! iteration after a restart needs nothing of its own: its momentum
+//! point `y` is the last accepted `λ⁺`, so every price of its gradient
+//! evaluation hits the memo.
 
 use crate::instance::AllocationInstance;
-use crate::relaxed::{consider_primal, dual_value_at, residual_pass, RelaxedSolution, VarCache};
+use crate::relaxed::{
+    dual_value_at, primal_value, residual_pass, PassMemo, RelaxedSolution, VarCache,
+};
 
 /// Growth factor when the smoothness bound fails (standard FISTA
 /// backtracking).
@@ -96,6 +107,7 @@ pub(crate) fn accelerated_iterate(
     let n = instance.num_vars();
     let m = instance.num_constraints();
     let cache = VarCache::new(instance);
+    let mut memo = PassMemo::new(n);
 
     // λ: last accepted (projected, dual-feasible) iterate.
     let mut lambda = vec![0.0f64; m];
@@ -114,7 +126,7 @@ pub(crate) fn accelerated_iterate(
 
     // The starting point is dual feasible: a valid bound and the restart
     // reference.
-    let d0 = dual_value_at(instance, &cache, &lambda, &mut price, &mut x);
+    let d0 = dual_value_at(instance, &cache, &mut memo, &lambda, &mut price, &mut x);
     best_dual = best_dual.min(d0);
     let mut d_cur = d0;
 
@@ -134,7 +146,7 @@ pub(crate) fn accelerated_iterate(
         let d_y = if k == 1 {
             d0
         } else {
-            dual_value_at(instance, &cache, &y, &mut price, &mut x)
+            dual_value_at(instance, &cache, &mut memo, &y, &mut price, &mut x)
         };
         residual_pass(instance, &x, &mut g);
 
@@ -144,7 +156,14 @@ pub(crate) fn accelerated_iterate(
             for c in 0..m {
                 lambda_new[c] = (y[c] + g[c] / l_est).max(0.0);
             }
-            d_new = dual_value_at(instance, &cache, &lambda_new, &mut price, &mut x_new);
+            d_new = dual_value_at(
+                instance,
+                &cache,
+                &mut memo,
+                &lambda_new,
+                &mut price,
+                &mut x_new,
+            );
             let mut lin = 0.0;
             let mut dist2 = 0.0;
             for c in 0..m {
@@ -176,15 +195,18 @@ pub(crate) fn accelerated_iterate(
 
         // Primal recovery: the repaired argmax at λ⁺, the one candidate
         // (see the module docs for why the argmax alone suffices).
-        consider_primal(
+        let value = primal_value(
             instance,
             &cache,
+            &mut memo,
             &x_new,
             &mut theta_c,
             &mut repaired,
-            &mut best_primal,
-            &mut best_x,
         );
+        if value > best_primal {
+            best_primal = value;
+            best_x.copy_from_slice(&repaired);
+        }
 
         // Certified-gap stop (`RelaxedSolution::relative_gap`).
         if best_dual.is_finite() && best_primal.is_finite() {

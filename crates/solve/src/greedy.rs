@@ -6,9 +6,13 @@
 //! each variable's marginal is decreasing (concavity) and capacity slack
 //! only shrinks, a max-heap with one entry per variable gives an
 //! `O(K log n)` implementation. Each entry carries its upper term
-//! `ln P(n+1)`, which is the next gain's lower term, so a push costs one
-//! `exp_m1`/`ln` pair rather than [`crate::instance::marginal_gain`]'s
-//! two, with the same bits.
+//! `ln P(n+1)`, which is the next gain's lower term, so a push needs one
+//! new success logarithm rather than [`crate::instance::marginal_gain`]'s
+//! two, with the same bits. That logarithm comes from the per-thread
+//! table behind [`crate::instance::ln_success`]: a network has few
+//! distinct channel probabilities and a fill climbs through small counts,
+//! so most pushes are a table hit and a miss costs one `exp_m1`/`ln`
+//! pair.
 //!
 //! Uses:
 //! * the MF/MA baselines' per-slot problem (`κ = 0`, per-slot budget as an

@@ -10,6 +10,8 @@
 //! the validating constructor; the hot construction path is the
 //! arena-backed [`crate::assemble::RouteAssembler`].
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::SolveError;
@@ -21,18 +23,106 @@ use crate::SolveError;
 /// incremental profile evaluator in `qdn-core` can reproduce
 /// [`AllocationInstance::objective_int`] term-for-term (bit-identical
 /// floating-point) without materializing an instance.
+///
+/// # Memo
+///
+/// Every call at `x > 0` goes through a small per-thread table, shared
+/// with the crate's `ln_success_from`. Allocation keeps asking for the
+/// same few `(p, n)` pairs: the channel probabilities of one network
+/// times small channel counts, over and over across Gibbs proposals and
+/// slots. The table is direct-mapped (1,024 slots of 32 bytes, 32 KB
+/// per thread), and each slot holds the function's tag, the exact bits
+/// of both arguments and the result. A call whose tag and argument bits
+/// all match the slot returns the stored result. Any other call
+/// evaluates the expression below and overwrites the slot.
+///
+/// The table cannot change a result. A stored value is the expression's
+/// own result for exactly those argument bits, and the expression is a
+/// pure function of its argument bits (no rounding-mode or global
+/// state), so a hit returns the bits a fresh evaluation would. Which
+/// keys happen to be resident only decides the speed. This is why the
+/// table may be per thread and never cleared, and why callers need no
+/// table argument.
 pub fn ln_success(p: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return f64::NEG_INFINITY;
     }
-    ln_success_from(f64::ln_1p(-p), x)
+    memoized(LnTag::FromP, p, x, || ln_success_expr(f64::ln_1p(-p), x))
 }
 
 /// [`ln_success`] at `x > 0` from a cached `ln β = ln_1p(−p)`: the same
-/// expression, so the same bits.
+/// expression, so the same bits, and the same table under its own tag.
 #[inline]
 pub(crate) fn ln_success_from(ln_beta: f64, x: f64) -> f64 {
+    memoized(LnTag::FromLnBeta, ln_beta, x, || {
+        ln_success_expr(ln_beta, x)
+    })
+}
+
+/// The expression both memoized functions evaluate on a miss.
+#[inline]
+fn ln_success_expr(ln_beta: f64, x: f64) -> f64 {
     (-f64::exp_m1(x * ln_beta)).ln()
+}
+
+/// Which function a table slot answers for. `Empty` marks a slot that
+/// holds nothing yet, so the all-zero initial slot matches no call.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
+enum LnTag {
+    Empty = 0,
+    FromP = 1,
+    FromLnBeta = 2,
+}
+
+/// One table slot: the function, its argument bits and its result.
+#[derive(Clone, Copy)]
+struct LnSlot {
+    tag: LnTag,
+    a: u64,
+    b: u64,
+    value: f64,
+}
+
+/// `log2` of the slot count.
+const LN_TABLE_BITS: u32 = 10;
+const LN_TABLE_SLOTS: usize = 1 << LN_TABLE_BITS;
+// 32 bytes a slot keeps the table at 32 KB per thread.
+const _: () = assert!(std::mem::size_of::<LnSlot>() * LN_TABLE_SLOTS == 32 * 1024);
+
+thread_local! {
+    static LN_TABLE: [Cell<LnSlot>; LN_TABLE_SLOTS] = const {
+        [const {
+            Cell::new(LnSlot {
+                tag: LnTag::Empty,
+                a: 0,
+                b: 0,
+                value: 0.0,
+            })
+        }; LN_TABLE_SLOTS]
+    };
+}
+
+/// Looks `(tag, a, b)` up in the table, evaluating `eval` on a miss and
+/// storing its result in the key's slot.
+#[inline]
+fn memoized(tag: LnTag, a: f64, b: f64, eval: impl FnOnce() -> f64) -> f64 {
+    let (a, b) = (a.to_bits(), b.to_bits());
+    // Multiplicative hashing: the top bits of the product depend on
+    // every bit of both keys.
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let h = (a.wrapping_mul(K) ^ b ^ tag as u64).wrapping_mul(K);
+    let slot = (h >> (64 - LN_TABLE_BITS)) as usize;
+    LN_TABLE.with(|table| {
+        let cell = &table[slot];
+        let held = cell.get();
+        if held.tag == tag && held.a == a && held.b == b {
+            return held.value;
+        }
+        let value = eval();
+        cell.set(LnSlot { tag, a, b, value });
+        value
+    })
 }
 
 /// Marginal objective gain `V·(ln P(n+1) − ln P(n)) − κ` of raising a
@@ -561,6 +651,74 @@ mod tests {
     fn cost_helper() {
         let inst = simple();
         assert_eq!(inst.total_allocation_int(&[2, 3]), 5);
+    }
+
+    /// The expression [`ln_success`] memoizes, written out.
+    fn ln_success_direct(p: f64, x: f64) -> f64 {
+        if x <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            (-f64::exp_m1(x * f64::ln_1p(-p))).ln()
+        }
+    }
+
+    #[test]
+    fn memo_returns_the_expression_bits() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+        let edge_ps = [
+            1e-300,
+            1e-12,
+            0.3,
+            0.5507,
+            0.73,
+            1.0 - 1e-12,
+            1.0 - f64::EPSILON,
+        ];
+        let edge_xs = [-3.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.5, 30.0, 1e6];
+        // Sixteen times as many distinct keys as the table has slots, so
+        // slots are overwritten; the second round revisits every key
+        // after its slot has moved on.
+        let mut keys: Vec<(f64, f64)> = (0..16 * LN_TABLE_SLOTS)
+            .map(|k| {
+                let p = if k % 5 == 0 {
+                    edge_ps[k % edge_ps.len()]
+                } else {
+                    rng.random_range(0.0..1.0)
+                };
+                let x = match k % 4 {
+                    0 => edge_xs[k % edge_xs.len()],
+                    1 => rng.random_range(0.0..40.0),
+                    _ => f64::from(rng.random_range(1u32..40)),
+                };
+                (p, x)
+            })
+            .collect();
+        keys.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+        keys.dedup();
+        assert!(keys.len() >= 10 * LN_TABLE_SLOTS, "{} keys", keys.len());
+        for round in 0..2 {
+            for &(p, x) in &keys {
+                let want = ln_success_direct(p, x);
+                // Twice in a row: a miss, then a hit on the same slot.
+                for _ in 0..2 {
+                    assert_eq!(
+                        ln_success(p, x).to_bits(),
+                        want.to_bits(),
+                        "round {round}: ln_success({p:e}, {x:e})"
+                    );
+                }
+                if x > 0.0 {
+                    // The same argument bits under the other tag answer
+                    // for the other function, then `ln β` itself.
+                    let as_ln_beta = (-f64::exp_m1(x * p)).ln();
+                    assert_eq!(ln_success_from(p, x).to_bits(), as_ln_beta.to_bits());
+                    let ln_beta = f64::ln_1p(-p);
+                    assert_eq!(ln_success_from(ln_beta, x).to_bits(), want.to_bits());
+                    assert_eq!(ln_success(p, x).to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,17 @@
 //! condition as `−ln(1+ρ)` — no `exp`/`ln` pair per variable per
 //! iteration), and the repair/objective passes reuse per-solve buffers.
 //! A solve allocates a fixed number of vectors up front and nothing
-//! inside the loop. The passes live here (`VarCache`, `dual_value_at`,
-//! `residual_pass`, `consider_primal`); the loop
-//! itself is `accel::accelerated_iterate`.
+//! inside the loop.
+//!
+//! Each solve also keeps a per-variable `PassMemo`: the last price each
+//! variable's dual term was evaluated at, with the argmax and term it
+//! gave, and the last repaired value its primal term was evaluated at,
+//! with that log term. Prices repeat bit for bit (variables whose
+//! constraints sit at `λ = 0`, backtracking steps, the iteration after a
+//! restart), and an equal key reuses the stored values, which are the
+//! bits the expressions would give again. The passes live here
+//! (`VarCache`, `PassMemo`, `dual_value_at`, `residual_pass`,
+//! `primal_value`); the loop itself is `accel::accelerated_iterate`.
 
 use serde::{Deserialize, Serialize};
 use wide::f64x4;
@@ -429,6 +437,49 @@ impl VarCache {
     }
 }
 
+/// Per-variable memo of one solve's passes: the last price each
+/// variable's dual term was evaluated at, and the last repaired value
+/// its primal term was evaluated at, each with what it produced.
+///
+/// Prices repeat bit for bit: a variable whose constraints all sit at
+/// `λ = 0` sees `κ` at every evaluation, a backtracking step that leaves
+/// a variable's constraints alone leaves its price alone, and after a
+/// restart the momentum point is the last accepted `λ⁺`, so its whole
+/// evaluation repeats the previous one. An equal key hands back the
+/// stored argmax and term, which are what the same expressions gave for
+/// the same bits, so a pass returns the same bits with or without a
+/// memo, and with any earlier history in it.
+///
+/// The initial keys are never looked up: the dual pass consults the
+/// memo only at `pr > 0` (its initial key is `+0.0`), and the primal
+/// pass only at `x ≠ 1` (its initial key is `1.0`).
+pub(crate) struct PassMemo {
+    price: Vec<u64>,
+    x: Vec<f64>,
+    term: Vec<f64>,
+    repaired: Vec<u64>,
+    ln: Vec<f64>,
+}
+
+impl PassMemo {
+    pub(crate) fn new(n: usize) -> Self {
+        PassMemo {
+            price: vec![0.0f64.to_bits(); n],
+            x: vec![0.0; n],
+            term: vec![0.0; n],
+            repaired: vec![1.0f64.to_bits(); n],
+            ln: vec![0.0; n],
+        }
+    }
+
+    /// Forgets every entry, as [`PassMemo::new`] would, keeping the
+    /// buffers.
+    fn reset(&mut self) {
+        self.price.fill(0.0f64.to_bits());
+        self.repaired.fill(1.0f64.to_bits());
+    }
+}
+
 /// The fused dual evaluation of the dual loop: fills `price`
 /// (pass 1, a flat gather over the variable→constraint CSR slice) and
 /// the per-variable argmax `x` (pass 2, closed form via
@@ -436,10 +487,12 @@ impl VarCache {
 /// `D(λ) = Σ_j [V ln P_j(x_j) − price_j x_j] + Σ_c λ_c cap_c`. At the
 /// interior stationary point `t* = ρ/(1+ρ)` the log term is
 /// `−ln(1+ρ)` ([`crate::scalar::interior_log_term`]) — no extra
-/// transcendental.
+/// transcendental. A positive price equal to the variable's last one in
+/// `memo` reuses that evaluation's argmax and term.
 pub(crate) fn dual_value_at(
     instance: &AllocationInstance,
     cache: &VarCache,
+    memo: &mut PassMemo,
     lambda: &[f64],
     price: &mut [f64],
     x: &mut [f64],
@@ -462,18 +515,28 @@ pub(crate) fn dual_value_at(
             dual += v * cache.ln_p_ub[j] - pr * cache.ub_f[j];
             continue;
         }
+        if pr.to_bits() == memo.price[j] {
+            x[j] = memo.x[j];
+            dual += memo.term[j];
+            continue;
+        }
         let rho = pr / (-v * cache.ln_beta[j]);
         let x_star = crate::scalar::stationary_point(rho, cache.ln_beta[j]);
-        if x_star <= 1.0 {
-            x[j] = 1.0;
-            dual += v * cache.ln_p1[j] - pr;
+        let (xj, term) = if x_star <= 1.0 {
+            (1.0, v * cache.ln_p1[j] - pr)
         } else if x_star >= cache.ub_f[j] {
-            x[j] = cache.ub_f[j];
-            dual += v * cache.ln_p_ub[j] - pr * cache.ub_f[j];
+            (cache.ub_f[j], v * cache.ln_p_ub[j] - pr * cache.ub_f[j])
         } else {
-            x[j] = x_star;
-            dual += v * crate::scalar::interior_log_term(rho) - pr * x_star;
-        }
+            (
+                x_star,
+                v * crate::scalar::interior_log_term(rho) - pr * x_star,
+            )
+        };
+        memo.price[j] = pr.to_bits();
+        memo.x[j] = xj;
+        memo.term[j] = term;
+        x[j] = xj;
+        dual += term;
     }
     // Caps term `Σ_c λ_c cap_c`: 4-wide chunked dot with the same fixed
     // lane-reduction order as the gather pass, tail left to right.
@@ -517,16 +580,16 @@ pub(crate) fn residual_pass(instance: &AllocationInstance, x: &[f64], g: &mut [f
 }
 
 /// Repairs `candidate` into the feasible region ([`repair_into`]) and
-/// promotes it to the incumbent primal if it improves on `best_primal`.
-pub(crate) fn consider_primal(
+/// returns the objective there. A repaired value equal to the
+/// variable's last one in `memo` reuses that value's log term.
+pub(crate) fn primal_value(
     instance: &AllocationInstance,
     cache: &VarCache,
+    memo: &mut PassMemo,
     candidate: &[f64],
     theta_c: &mut [f64],
     repaired: &mut [f64],
-    best_primal: &mut f64,
-    best_x: &mut [f64],
-) {
+) -> f64 {
     repair_into(instance, candidate, theta_c, repaired);
     let v = instance.v_weight();
     let kappa = instance.unit_price();
@@ -535,15 +598,17 @@ pub(crate) fn consider_primal(
         // qdn-lint: allow(float-eq, reason="exact sentinel: repair_into clamps to exactly 1.0, where the cached ln(1-beta) value replaces an exp_m1 evaluation at the removable singularity")
         let ls = if xj == 1.0 {
             cache.ln_p1[j]
+        } else if xj.to_bits() == memo.repaired[j] {
+            memo.ln[j]
         } else {
-            (-f64::exp_m1(xj * cache.ln_beta[j])).ln()
+            let ls = (-f64::exp_m1(xj * cache.ln_beta[j])).ln();
+            memo.repaired[j] = xj.to_bits();
+            memo.ln[j] = ls;
+            ls
         };
         value += v * ls - kappa * xj;
     }
-    if value > *best_primal {
-        *best_primal = value;
-        best_x.copy_from_slice(repaired);
-    }
+    value
 }
 
 /// Projects a (possibly infeasible) point onto the feasible region by
@@ -602,21 +667,29 @@ pub(crate) fn repair_into(
     }
 }
 
-/// Microbenchmark entry points for the `csr_pass_ns_per_row` rows in
-/// `qdn_bench`. Not public API — the pass functions stay `pub(crate)`;
-/// this shim only exists so the bench crate can time them in isolation.
+/// Microbenchmark and test entry points for the dual loop's passes: the
+/// `csr_pass_ns_per_row` rows in `qdn_bench` time them in isolation, and
+/// the `qdn_solve` proptests check the pass memo against fresh passes.
+/// Not public API — the pass functions stay `pub(crate)`.
 #[doc(hidden)]
 pub mod bench_hooks {
-    use super::{AllocationInstance, VarCache};
+    use std::cell::RefCell;
+
+    use super::{AllocationInstance, PassMemo, VarCache};
 
     /// Opaque per-solve constant cache (wraps the crate-private
-    /// `VarCache`).
-    pub struct Cache(VarCache);
+    /// `VarCache`), with the memo [`dual_value_at`] empties per call.
+    pub struct Cache(VarCache, RefCell<PassMemo>);
 
     pub fn cache(instance: &AllocationInstance) -> Cache {
-        Cache(VarCache::new(instance))
+        Cache(
+            VarCache::new(instance),
+            RefCell::new(PassMemo::new(instance.num_vars())),
+        )
     }
 
+    /// The dual pass with an empty memo, so every call evaluates every
+    /// variable: the uncached pass.
     pub fn dual_value_at(
         instance: &AllocationInstance,
         cache: &Cache,
@@ -624,11 +697,53 @@ pub mod bench_hooks {
         price: &mut [f64],
         x: &mut [f64],
     ) -> f64 {
-        super::dual_value_at(instance, &cache.0, lambda, price, x)
+        let mut memo = cache.1.borrow_mut();
+        memo.reset();
+        super::dual_value_at(instance, &cache.0, &mut memo, lambda, price, x)
     }
 
     pub fn residual_pass(instance: &AllocationInstance, x: &[f64], g: &mut [f64]) -> f64 {
         super::residual_pass(instance, x, g)
+    }
+
+    /// A pass memo, carried across calls by the caller (wraps the
+    /// crate-private `PassMemo`).
+    pub struct Memo(PassMemo);
+
+    pub fn memo(instance: &AllocationInstance) -> Memo {
+        Memo(PassMemo::new(instance.num_vars()))
+    }
+
+    /// The dual pass with the caller's memo.
+    pub fn dual_value_with(
+        instance: &AllocationInstance,
+        cache: &Cache,
+        memo: &mut Memo,
+        lambda: &[f64],
+        price: &mut [f64],
+        x: &mut [f64],
+    ) -> f64 {
+        super::dual_value_at(instance, &cache.0, &mut memo.0, lambda, price, x)
+    }
+
+    /// The primal pass with the caller's memo: repairs `candidate` into
+    /// `repaired` and returns the objective there.
+    pub fn primal_value_with(
+        instance: &AllocationInstance,
+        cache: &Cache,
+        memo: &mut Memo,
+        candidate: &[f64],
+        repaired: &mut [f64],
+    ) -> f64 {
+        let mut theta_c = vec![1.0; instance.num_constraints()];
+        super::primal_value(
+            instance,
+            &cache.0,
+            &mut memo.0,
+            candidate,
+            &mut theta_c,
+            repaired,
+        )
     }
 }
 

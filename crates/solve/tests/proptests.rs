@@ -697,3 +697,68 @@ proptest! {
         assert_paths_per_component(&random)?;
     }
 }
+
+/// Strategy: a coupled instance and a walk of 2–12 dual points over its
+/// constraints. Each entry of a step is drawn fresh (negative too, as the
+/// momentum point may be), set to 0, or copied bit for bit from the
+/// previous step, so variable prices repeat as they do inside a solve.
+fn arb_lambda_walk() -> impl Strategy<Value = (AllocationInstance, Vec<Vec<f64>>)> {
+    arb_coupled_instance().prop_flat_map(|inst| {
+        let m = inst.num_constraints();
+        let steps = proptest::collection::vec(
+            proptest::collection::vec((0u8..4, -5.0f64..60.0), m),
+            2..=12,
+        );
+        (Just(inst), steps).prop_map(|(inst, steps)| {
+            let mut walk: Vec<Vec<f64>> = Vec::with_capacity(steps.len());
+            for step in steps {
+                let lambda = step
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &(kind, fresh))| match (kind, walk.last()) {
+                        (0, Some(prev)) => prev[c],
+                        (1, _) => 0.0,
+                        _ => fresh,
+                    })
+                    .collect();
+                walk.push(lambda);
+            }
+            (inst, walk)
+        })
+    })
+}
+
+proptest! {
+    /// The dual and primal passes return the same bits with a memo
+    /// carried along a walk of dual points as with a fresh memo at every
+    /// point: the argmax `x`, `D(λ)`, the repaired point and its
+    /// objective.
+    #[test]
+    fn pass_memo_keeps_every_bit((inst, walk) in arb_lambda_walk()) {
+        let n = inst.num_vars();
+        let cache = bench_hooks::cache(&inst);
+        let mut carried = bench_hooks::memo(&inst);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, lambda) in walk.iter().enumerate() {
+            let (mut x_c, mut x_f, mut price) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let d_c = bench_hooks::dual_value_with(
+                &inst, &cache, &mut carried, lambda, &mut price, &mut x_c,
+            );
+            let d_f = bench_hooks::dual_value_with(
+                &inst, &cache, &mut bench_hooks::memo(&inst), lambda, &mut price, &mut x_f,
+            );
+            let d_b = bench_hooks::dual_value_at(&inst, &cache, lambda, &mut price, &mut x_f);
+            prop_assert_eq!(d_c.to_bits(), d_f.to_bits(), "D(λ) at step {}", k);
+            prop_assert_eq!(d_c.to_bits(), d_b.to_bits(), "D(λ) at step {}", k);
+            prop_assert_eq!(bits(&x_c), bits(&x_f), "argmax at step {}", k);
+
+            let (mut rep_c, mut rep_f) = (vec![0.0; n], vec![0.0; n]);
+            let p_c = bench_hooks::primal_value_with(&inst, &cache, &mut carried, &x_c, &mut rep_c);
+            let p_f = bench_hooks::primal_value_with(
+                &inst, &cache, &mut bench_hooks::memo(&inst), &x_f, &mut rep_f,
+            );
+            prop_assert_eq!(p_c.to_bits(), p_f.to_bits(), "primal value at step {}", k);
+            prop_assert_eq!(bits(&rep_c), bits(&rep_f), "repaired point at step {}", k);
+        }
+    }
+}

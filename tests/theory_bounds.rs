@@ -12,7 +12,7 @@ use qdn::core::theory::{delta_bound, theorem1_violation_bound, BoundParams};
 use qdn::net::dynamics::{ChurnDynamics, ChurnEventKind, ResourceDynamics, StaticDynamics};
 use qdn::net::routes::{CandidateRoutes, RouteLimits};
 use qdn::net::workload::{random_sd_pair, PersistentWorkload, UniformWorkload, Workload};
-use qdn::net::{CapacitySnapshot, NetworkConfig};
+use qdn::net::{CapacitySnapshot, NetworkConfig, QdnNetwork};
 use qdn::sim::engine::{run, SimConfig};
 use qdn_solve::brute::brute_force_best;
 use rand::SeedableRng;
@@ -111,6 +111,36 @@ fn assert_theorem1_bound(
     );
 }
 
+/// [`ChurnDynamics`] that counts the link failures of every slot it
+/// serves ([`ChurnDynamics::churn_events`] holds one slot's events).
+#[derive(Debug)]
+struct FailureCount {
+    churn: ChurnDynamics,
+    failures: usize,
+}
+
+impl ResourceDynamics for FailureCount {
+    fn snapshot(
+        &mut self,
+        t: u64,
+        network: &QdnNetwork,
+        rng: &mut dyn rand::Rng,
+    ) -> CapacitySnapshot {
+        let snap = self.churn.snapshot(t, network, rng);
+        self.failures += self
+            .churn
+            .churn_events()
+            .iter()
+            .filter(|e| e.kind == ChurnEventKind::Fail)
+            .count();
+        snap
+    }
+
+    fn reset(&mut self) {
+        self.churn.reset();
+    }
+}
+
 /// Theorem 1 on a full OSCAR run: the time-averaged budget violation is
 /// below the analytic bound, on static capacities with the paper's
 /// `U[1,5]` pairs and on the churn benchmark's shape (10 sticky pairs
@@ -125,15 +155,12 @@ fn theorem1_violation_bound_holds_empirically() {
             &mut UniformWorkload::paper_default(),
             &mut StaticDynamics,
         );
-        let mut churn = ChurnDynamics::new(0.5, 5.0, seed, Box::new(StaticDynamics));
+        let mut churn = FailureCount {
+            churn: ChurnDynamics::new(0.5, 5.0, seed, Box::new(StaticDynamics)),
+            failures: 0,
+        };
         assert_theorem1_bound(seed, 10, &mut PersistentWorkload::new(10, 0.8), &mut churn);
-        assert!(
-            churn
-                .churn_events()
-                .iter()
-                .any(|e| e.kind == ChurnEventKind::Fail),
-            "seed {seed}: no link failed"
-        );
+        assert!(churn.failures > 0, "seed {seed}: no link failed");
     }
 }
 
