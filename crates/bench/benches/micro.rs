@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the hot kernels: Yen's KSP, the dual solver, the
-//! greedy allocator, relax-and-round's two paths on a one-binding
-//! instance, both allocators on instances priced from the paper network,
-//! and the attempt-level Monte Carlo.
+//! Micro-benchmarks of the hot kernels: Yen's KSP, candidate sync under
+//! link churn, the dual solver, the greedy allocator, relax-and-round's
+//! two paths on a one-binding instance, both allocators on instances
+//! priced from the paper network, and the attempt-level Monte Carlo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_core::baselines::{BudgetSplit, MyopicConfig};
@@ -10,6 +10,7 @@ use qdn_core::problem::PerSlotContext;
 use qdn_graph::dijkstra::SearchFilter;
 use qdn_graph::ksp::{yen_k_shortest, yen_k_shortest_filtered};
 use qdn_graph::EdgeId;
+use qdn_net::dynamics::{ChurnDynamics, ResourceDynamics, StaticDynamics};
 use qdn_net::routes::{CandidateRoutes, RouteLimits};
 use qdn_net::workload::random_sd_pair;
 use qdn_net::{CapacitySnapshot, NetworkConfig, QdnNetwork};
@@ -122,6 +123,32 @@ fn bench(c: &mut Criterion) {
             });
         });
     }
+
+    // Candidate sync under link churn, the shape of the churn trace: 10
+    // sticky pairs on the paper network over 64 slots of link churn
+    // (rate 0.5, MTTR 5). One iteration replays the trace from a cold
+    // cache: per slot, the dead-set sync and every pair's routes.
+    let mut churn = ChurnDynamics::new(0.5, 5.0, 1, Box::new(StaticDynamics));
+    let mut env_rng = rand::rngs::StdRng::seed_from_u64(5);
+    let trace: Vec<CapacitySnapshot> = (0..64)
+        .map(|t| churn.snapshot(t, &net, &mut env_rng))
+        .collect();
+    let sticky: Vec<_> = (0..10)
+        .map(|_| random_sd_pair(&mut env_rng, &net))
+        .collect();
+    group.bench_function("candidate_sync/paper_churn", |b| {
+        b.iter(|| {
+            let mut routes = CandidateRoutes::new(RouteLimits::paper_default());
+            let mut held = 0;
+            for snapshot in &trace {
+                routes.sync_dead_edges(&net, snapshot);
+                for &pair in &sticky {
+                    held += routes.routes(&net, pair).len();
+                }
+            }
+            held
+        });
+    });
 
     let inst = instance(12);
     group.bench_function("dual_solve_12vars", |b| {

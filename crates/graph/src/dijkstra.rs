@@ -6,21 +6,31 @@
 //! search of Yen's algorithm in [`crate::ksp`].
 //!
 //! [`shortest_path_filtered`], [`distances_from`] and every search of
-//! Yen's algorithm run through one layered breadth-first search on a
-//! reusable `Workspace`: its hop, predecessor and layer arrays and its
-//! ban flags are reset in place, so Yen's many spur searches allocate
-//! nothing per search. Bans are dense flags indexed by id.
+//! Yen's algorithm run through one layered breadth-first search over
+//! adjacency bitmasks held in a reusable `Workspace`. Node sets are
+//! bitmasks of `words = ⌈n/64⌉` 64-bit words, bit `v` for node `v`. The
+//! workspace holds one such row per node, with bit `u` of row `v` set
+//! when an edge `u`–`v` survives the filter, and an allowed-node mask of
+//! the nodes the filter does not ban. A layer is a mask too: layer
+//! `d + 1` is the OR of the rows of layer `d`'s nodes, masked by the
+//! allowed nodes and the nodes no earlier layer holds. Yen's spur bans
+//! are edits to the two masks, cleared before a spur search and set
+//! again after it, so a search allocates nothing once the workspace has
+//! grown. The masks take `n · words` words, which is quadratic in `n`:
+//! fine for the tens to hundreds of nodes of a quantum network.
 //!
-//! Ties follow one exact rule. Layer `d + 1` holds the unlabelled,
-//! unbanned nodes that a node of layer `d` reaches over an unbanned
-//! edge. A layer is expanded in ascending node id, each node's
-//! neighbours in adjacency order, and a node is labelled once, by the
-//! first edge that reaches it. So a node's predecessor is the
-//! smallest-id node of the previous layer that reaches it over an
-//! unbanned edge, and the search stops as soon as the destination is
-//! labelled. That is the path Dijkstra returns under unit weights when
-//! it pops `(distance, node id)` in ascending order and relabels a node
-//! only on a strict improvement.
+//! Ties follow one exact rule: a node's predecessor is the smallest-id
+//! node of the previous layer that reaches it over an unbanned edge, the
+//! lowest set bit of `layer(d − 1) & row(v)`, and the search stops at
+//! the first layer that holds the destination. That is the path
+//! Dijkstra returns under unit weights when it pops `(distance, node
+//! id)` in ascending order and relabels a node only on a strict
+//! improvement.
+//!
+//! A mask names the endpoints of an edge, not the edge. That is enough
+//! because a [`Graph`] is simple ([`Graph::add_edge`] rejects self-loops
+//! and duplicate edges): the edge between two adjacent nodes is the one
+//! [`Graph::edge_between`] returns.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::Path;
@@ -43,13 +53,6 @@ fn raise(flags: &mut Vec<bool>, i: usize) {
         flags.resize(i + 1, false);
     }
     flags[i] = true;
-}
-
-/// `flags` truncated or padded with `false` to exactly `len` entries.
-fn fit(flags: &[bool], len: usize) -> Vec<bool> {
-    let mut out = flags.to_vec();
-    out.resize(len, false);
-    out
 }
 
 impl SearchFilter {
@@ -85,149 +88,182 @@ impl SearchFilter {
             .copied()
             .unwrap_or(false)
     }
-
-    /// `true` when the filter holds exactly one flag per node and edge
-    /// of `graph`, as [`SearchFilter::fitted`] leaves it.
-    pub(crate) fn fits(&self, graph: &Graph) -> bool {
-        self.banned_nodes.len() == graph.node_count()
-            && self.banned_edges.len() == graph.edge_count()
-    }
-
-    /// The same bans with exactly one flag per node and edge of `graph`,
-    /// so a search can index them directly. Bans on ids outside `graph`
-    /// are dropped: no search can reach those ids.
-    pub(crate) fn fitted(&self, graph: &Graph) -> SearchFilter {
-        SearchFilter {
-            banned_nodes: fit(&self.banned_nodes, graph.node_count()),
-            banned_edges: fit(&self.banned_edges, graph.edge_count()),
-        }
-    }
 }
 
-/// Hop count of a node the current search has not labelled.
-const UNLABELLED: u32 = u32::MAX;
+/// Word and bit of node `v` in a mask.
+#[inline]
+fn bit(v: NodeId) -> (usize, u64) {
+    (v.index() / 64, 1 << (v.index() % 64))
+}
 
-/// Reusable state for breadth-first searches on one graph: every array
-/// is sized to the graph once and reset in place per search.
+/// Reusable state for breadth-first searches on one graph under one
+/// filter: the masks are built once, and the layer buffer is reused.
 #[derive(Debug, Clone)]
 pub(crate) struct Workspace {
-    /// Hops from the source to each labelled node, else [`UNLABELLED`].
-    hops: Vec<u32>,
-    /// Predecessor node and edge of each labelled node but the source.
-    prev: Vec<(NodeId, EdgeId)>,
-    /// The labelled nodes, layer by layer, each layer in ascending id.
-    order: Vec<NodeId>,
-    /// Ban overlay the next search respects, fitted to the graph
-    /// ([`SearchFilter::fitted`]).
-    pub(crate) bans: SearchFilter,
-    /// The last path found, destination first.
-    rev_nodes: Vec<NodeId>,
-    rev_edges: Vec<EdgeId>,
+    /// Words per mask, `⌈n/64⌉`.
+    words: usize,
+    /// Row `v` is `rows[v * words..(v + 1) * words]`: the neighbours of
+    /// `v` over edges the filter (and any current cut) leaves.
+    rows: Vec<u64>,
+    /// The nodes the filter (and any current ban) leaves.
+    allowed: Vec<u64>,
+    /// The layers of the last search, `words` words each: layer `d`
+    /// holds the nodes `d` hops from the source.
+    layers: Vec<u64>,
+    /// The nodes some layer of the current search holds.
+    seen: Vec<u64>,
 }
 
 impl Workspace {
-    /// A workspace for `graph` with nothing banned.
-    pub(crate) fn new(graph: &Graph) -> Self {
+    /// A workspace for searches on `graph` that respect `filter`. Bans on
+    /// ids outside `graph` are dropped: no search can reach those ids.
+    pub(crate) fn new(graph: &Graph, filter: &SearchFilter) -> Self {
         let n = graph.node_count();
-        Workspace {
-            hops: vec![UNLABELLED; n],
-            prev: vec![(NodeId(u32::MAX), EdgeId(u32::MAX)); n],
-            order: Vec::with_capacity(n),
-            bans: SearchFilter::new().fitted(graph),
-            rev_nodes: Vec::new(),
-            rev_edges: Vec::new(),
+        let words = n.div_ceil(64);
+        let mut ws = Workspace {
+            words,
+            rows: vec![0; n * words],
+            allowed: vec![0; words],
+            layers: Vec::with_capacity((n + 1) * words),
+            seen: vec![0; words],
+        };
+        for (e, u, v) in graph.edges() {
+            if !filter.edge_banned(e) {
+                ws.set_edge(u, v, true);
+            }
+        }
+        for v in graph.node_ids() {
+            if !filter.node_banned(v) {
+                ws.set_node(v, true);
+            }
+        }
+        ws
+    }
+
+    /// `true` when `v` is in the graph and allowed.
+    fn allows(&self, v: NodeId) -> bool {
+        let (w, b) = bit(v);
+        self.allowed.get(w).is_some_and(|&m| m & b != 0)
+    }
+
+    /// Bans (`on == false`) or allows again (`on == true`) node `v`.
+    pub(crate) fn set_node(&mut self, v: NodeId, on: bool) {
+        let (w, b) = bit(v);
+        if on {
+            self.allowed[w] |= b;
+        } else {
+            self.allowed[w] &= !b;
         }
     }
 
-    /// Replaces the overlay with `bans`, which must be fitted to this
-    /// workspace's graph ([`SearchFilter::fitted`]).
-    pub(crate) fn set_bans(&mut self, bans: &SearchFilter) {
-        self.bans.banned_nodes.copy_from_slice(&bans.banned_nodes);
-        self.bans.banned_edges.copy_from_slice(&bans.banned_edges);
+    /// Cuts (`on == false`) or restores (`on == true`) the edge between
+    /// `u` and `v`, in both rows.
+    pub(crate) fn set_edge(&mut self, u: NodeId, v: NodeId, on: bool) {
+        let ((uw, ub), (vw, vb)) = (bit(u), bit(v));
+        let (iu, iv) = (u.index() * self.words + vw, v.index() * self.words + uw);
+        if on {
+            self.rows[iu] |= vb;
+            self.rows[iv] |= ub;
+        } else {
+            self.rows[iu] &= !vb;
+            self.rows[iv] &= !ub;
+        }
     }
 
-    /// The nodes of the last path found, destination first.
-    pub(crate) fn rev_nodes(&self) -> &[NodeId] {
-        &self.rev_nodes
-    }
-
-    /// The edges of the last path found, destination first.
-    pub(crate) fn rev_edges(&self) -> &[EdgeId] {
-        &self.rev_edges
-    }
-
-    /// The last path found, as a [`Path`] from source to destination.
-    pub(crate) fn path(&self, graph: &Graph) -> Path {
-        Path::from_valid_parts(
-            graph,
-            self.rev_nodes.iter().rev().copied().collect(),
-            self.rev_edges.iter().rev().copied().collect(),
-        )
-    }
-
-    /// Finds the fewest-hop `src`→`dst` path under the overlay, ties
-    /// broken by the module's rule, and leaves it in the reverse
-    /// buffers. Returns `false`, and leaves the buffers unspecified,
-    /// when either endpoint is out of bounds or banned or `dst` is
-    /// unreachable.
-    pub(crate) fn shortest_path(&mut self, graph: &Graph, src: NodeId, dst: NodeId) -> bool {
-        if graph.check_node(src).is_err() || graph.check_node(dst).is_err() {
-            return false;
+    /// Finds the fewest-hop `src`→`dst` path under the masks, ties broken
+    /// by the module's rule, appends its nodes to `nodes` and its edges to
+    /// `edges`, source first, and returns its hop count. Returns `None`,
+    /// appending nothing, when either endpoint is out of bounds or banned
+    /// or `dst` is unreachable.
+    pub(crate) fn shortest_path(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        nodes: &mut Vec<NodeId>,
+        edges: &mut Vec<EdgeId>,
+    ) -> Option<usize> {
+        if !self.allows(src) || !self.allows(dst) {
+            return None;
         }
-        if self.bans.node_banned(src) || self.bans.node_banned(dst) {
-            return false;
-        }
-        self.rev_nodes.clear();
-        self.rev_edges.clear();
-        self.rev_nodes.push(dst);
-        if src == dst {
-            return true;
-        }
-        self.search(graph, src, Some(dst));
-        if self.hops[dst.index()] == UNLABELLED {
-            return false;
-        }
+        let hops = self.search(src, Some(dst))?;
+        let (node0, edge0) = (nodes.len(), edges.len());
+        nodes.resize(node0 + hops + 1, dst);
+        edges.resize(edge0 + hops, EdgeId(u32::MAX));
+        let w = self.words;
         let mut cur = dst;
-        while cur != src {
-            let (p, e) = self.prev[cur.index()];
-            self.rev_nodes.push(p);
-            self.rev_edges.push(e);
-            cur = p;
+        for d in (0..hops).rev() {
+            let row = &self.rows[cur.index() * w..][..w];
+            let layer = &self.layers[d * w..][..w];
+            let (j, m) = layer
+                .iter()
+                .zip(row)
+                .map(|(l, r)| l & r)
+                .enumerate()
+                .find(|&(_, m)| m != 0)
+                .expect("a labelled node has a predecessor in the previous layer");
+            let prev = NodeId((j * 64) as u32 + m.trailing_zeros());
+            edges[edge0 + d] = graph
+                .edge_between(prev, cur)
+                .expect("a set row bit is an edge");
+            nodes[node0 + d] = prev;
+            cur = prev;
         }
-        true
+        Some(hops)
     }
 
-    /// The crate's one search body: labels nodes from `src` layer by
-    /// layer under the overlay until `dst` is labelled (or every
-    /// reachable node is, when `dst` is `None`). `src` must be in bounds.
-    fn search(&mut self, graph: &Graph, src: NodeId, dst: Option<NodeId>) {
-        self.hops.fill(UNLABELLED);
-        self.order.clear();
-        self.hops[src.index()] = 0;
-        self.order.push(src);
-        let mut layer = 0..1;
+    /// The crate's one search body: fills the layers from `src`, which
+    /// must be in bounds, until one holds `dst` (returning its depth) or
+    /// none is left (returning `None`; with `dst = None`, the layers
+    /// then hold every node `src` reaches).
+    fn search(&mut self, src: NodeId, dst: Option<NodeId>) -> Option<usize> {
+        let w = self.words;
+        let (sw, sb) = bit(src);
+        self.layers.clear();
+        self.layers.resize(w, 0);
+        self.layers[sw] = sb;
+        self.seen.copy_from_slice(&self.layers);
+        if dst == Some(src) {
+            return Some(0);
+        }
         let mut depth = 0;
-        while !layer.is_empty() {
+        loop {
+            let start = self.layers.len();
+            self.layers.resize(start + w, 0);
+            let (done, next) = self.layers.split_at_mut(start);
+            for_each_one(&done[start - w..], |v| {
+                for (n, r) in next.iter_mut().zip(&self.rows[v * w..(v + 1) * w]) {
+                    *n |= r;
+                }
+            });
+            let mut any = 0;
+            for ((n, s), a) in next.iter_mut().zip(&mut self.seen).zip(&self.allowed) {
+                *n &= a & !*s;
+                *s |= *n;
+                any |= *n;
+            }
+            if any == 0 {
+                self.layers.truncate(start);
+                return None;
+            }
             depth += 1;
-            for i in layer.clone() {
-                let node = self.order[i];
-                for (next, edge) in graph.neighbors(node) {
-                    if self.hops[next.index()] != UNLABELLED
-                        || self.bans.banned_nodes[next.index()]
-                        || self.bans.banned_edges[edge.index()]
-                    {
-                        continue;
-                    }
-                    self.hops[next.index()] = depth;
-                    self.prev[next.index()] = (node, edge);
-                    if Some(next) == dst {
-                        return;
-                    }
-                    self.order.push(next);
+            if let Some((tw, tb)) = dst.map(bit) {
+                if next[tw] & tb != 0 {
+                    return Some(depth);
                 }
             }
-            layer = layer.end..self.order.len();
-            self.order[layer.clone()].sort_unstable();
+        }
+    }
+}
+
+/// Calls `f` with each set bit of `mask`, ascending.
+#[inline]
+fn for_each_one(mask: &[u64], mut f: impl FnMut(usize)) {
+    for (j, &word) in mask.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(j * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
     }
 }
@@ -270,9 +306,9 @@ pub fn shortest_path_filtered(
     dst: NodeId,
     filter: &SearchFilter,
 ) -> Option<Path> {
-    let mut ws = Workspace::new(graph);
-    ws.bans = filter.fitted(graph);
-    ws.shortest_path(graph, src, dst).then(|| ws.path(graph))
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    Workspace::new(graph, filter).shortest_path(graph, src, dst, &mut nodes, &mut edges)?;
+    Some(Path::from_valid_parts(graph, nodes, edges))
 }
 
 /// Convenience wrapper: unfiltered shortest path.
@@ -288,12 +324,13 @@ pub fn distances_from(graph: &Graph, src: NodeId) -> Vec<Option<usize>> {
     if graph.check_node(src).is_err() {
         return Vec::new();
     }
-    let mut ws = Workspace::new(graph);
-    ws.search(graph, src, None);
-    ws.hops
-        .iter()
-        .map(|&h| (h != UNLABELLED).then_some(h as usize))
-        .collect()
+    let mut ws = Workspace::new(graph, &SearchFilter::new());
+    ws.search(src, None);
+    let mut hops = vec![None; graph.node_count()];
+    for (d, layer) in ws.layers.chunks_exact(ws.words).enumerate() {
+        for_each_one(layer, |v| hops[v] = Some(d));
+    }
+    hops
 }
 
 #[cfg(test)]

@@ -5,18 +5,26 @@
 //! (§III-C). Yen's algorithm produces exactly that: the `k` simple paths
 //! with the fewest hops, in non-decreasing hop order.
 //!
-//! All searches share a single `Workspace`: the base filter is fitted to
-//! the graph once, each spur's bans are that copy plus the root's nodes
-//! and the shared-root edges, and root + spur is stitched into two
-//! reused buffers, so a `Path` is allocated only for a new candidate.
-//! [`KShortest`] keeps the workspace and the fitted filter between calls
-//! for callers that run Yen for many pairs under one filter. Every search, the first and each spur, is the breadth-first
-//! search of [`crate::dijkstra`] with its exact tie rule. Spurs are taken
-//! from the source end of the previous path, a stitched path equal in
-//! nodes and edges to an accepted path or a pooled candidate is dropped,
-//! the pool keeps insertion order, and the next path is the pooled
-//! candidate with the fewest hops, the earliest pool index among equals,
-//! removed with `swap_remove`.
+//! Every search, the first and each spur, is the breadth-first search of
+//! [`crate::dijkstra`] over one workspace's adjacency bitmasks, built
+//! with the base filter's bans already applied, with its exact tie rule:
+//! a node's predecessor is the lowest set bit of the previous layer
+//! masked by the node's row. A spur's bans are edits to those masks:
+//! the root's nodes leave the allowed-node mask and the shared-root
+//! edges leave the rows, and both come back once the spur is searched.
+//! Accepted and pooled paths are ranges, a start and a hop count, in one
+//! node buffer and one edge buffer; a spur's path is stitched at the end
+//! of them and dropped again if it repeats an accepted or pooled path,
+//! so only the returned `Path`s are allocated. [`KShortest`] keeps the
+//! masks and buffers between calls for callers that run Yen for many
+//! pairs under one filter. The masks name edges by their endpoints,
+//! which the simple [`Graph`] allows (see [`crate::dijkstra`]).
+//!
+//! Spurs are taken from the source end of the previous path, a stitched
+//! path equal in hops, nodes and edges to an accepted path or a pooled
+//! candidate is dropped, the pool keeps insertion order, and the next
+//! path is the pooled candidate with the fewest hops, the earliest pool
+//! index among equals, removed with `swap_remove`.
 
 use crate::dijkstra::{SearchFilter, Workspace};
 use crate::graph::{EdgeId, Graph, NodeId};
@@ -80,104 +88,172 @@ pub fn yen_k_shortest_filtered(
 }
 
 /// [`yen_k_shortest_filtered`] for many pairs under one base filter: the
-/// workspace and the base filter fitted to the graph are built once and
-/// kept between calls, so a call allocates only the paths it pools and
-/// returns. Each call's result is exactly the free function's.
+/// masks of the graph under the base filter and the path buffers are
+/// built once and kept between calls, so a call allocates only the paths
+/// it returns. Each call's result is exactly the free function's.
 #[derive(Debug, Clone)]
 pub struct KShortest {
     ws: Workspace,
-    /// The base filter, fitted to the graph.
-    base: SearchFilter,
+    /// Node and edge counts of the graph the masks were built for.
+    counts: (usize, usize),
+    /// Node and edge buffers holding the accepted and pooled paths.
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+    /// Accepted paths, in acceptance order.
+    accepted: Vec<Span>,
+    /// Candidate pool in insertion order.
+    pool: Vec<Span>,
+    /// Neighbours of the current spur node whose edge the spur cuts.
+    cut: Vec<NodeId>,
+}
+
+/// A path in [`KShortest`]'s buffers: `hops + 1` nodes from `nodes`,
+/// `hops` edges from `edges`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    nodes: usize,
+    edges: usize,
+    hops: usize,
+}
+
+impl Span {
+    fn nodes(self, buf: &[NodeId]) -> &[NodeId] {
+        &buf[self.nodes..=self.nodes + self.hops]
+    }
+
+    fn edges(self, buf: &[EdgeId]) -> &[EdgeId] {
+        &buf[self.edges..self.edges + self.hops]
+    }
 }
 
 impl KShortest {
     /// Searches on `graph` that respect `base`.
     pub fn new(graph: &Graph, base: &SearchFilter) -> Self {
+        // Room for eight paths through every node, so that a call with
+        // the paper's k = 4 rarely grows a buffer.
         KShortest {
-            ws: Workspace::new(graph),
-            base: base.fitted(graph),
+            ws: Workspace::new(graph, base),
+            counts: (graph.node_count(), graph.edge_count()),
+            nodes: Vec::with_capacity(8 * graph.node_count()),
+            edges: Vec::with_capacity(8 * graph.node_count()),
+            accepted: Vec::with_capacity(8),
+            pool: Vec::with_capacity(8),
+            cut: Vec::with_capacity(8),
         }
     }
 
     /// `true` when this was built for a graph of `graph`'s node and edge
     /// counts, so [`KShortest::run`] may search `graph`.
     pub fn fits(&self, graph: &Graph) -> bool {
-        self.base.fits(graph)
+        self.counts == (graph.node_count(), graph.edge_count())
     }
 
     /// [`yen_k_shortest_filtered`] under the base filter given to
-    /// [`KShortest::new`]. `graph` must fit ([`KShortest::fits`]).
+    /// [`KShortest::new`]. `graph` must be the graph given there (one
+    /// that merely [`fits`](KShortest::fits) is searched as that graph).
     pub fn run(&mut self, graph: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let mut accepted: Vec<Path> = Vec::new();
+        debug_assert!(self.fits(graph), "run on a graph of another size");
+        let KShortest {
+            ws,
+            nodes,
+            edges,
+            accepted,
+            pool,
+            cut,
+            ..
+        } = self;
+        nodes.clear();
+        edges.clear();
+        accepted.clear();
+        pool.clear();
         if k == 0 {
-            return accepted;
+            return Vec::new();
         }
-        let KShortest { ws, base } = self;
-        ws.set_bans(base);
-        if !ws.shortest_path(graph, src, dst) {
-            return accepted;
-        }
-        accepted.push(ws.path(graph));
-
-        // Candidate pool in insertion order; duplicates filtered on insertion.
-        let mut candidates: Vec<Path> = Vec::new();
-        // Root + spur of the current spur, stitched in place.
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut edges: Vec<EdgeId> = Vec::new();
+        let Some(hops) = ws.shortest_path(graph, src, dst, nodes, edges) else {
+            return Vec::new();
+        };
+        accepted.push(Span {
+            nodes: 0,
+            edges: 0,
+            hops,
+        });
 
         while accepted.len() < k {
-            let prev = accepted.last().expect("at least one accepted path");
-            // Spur from every node of the previous path except the destination.
-            for i in 0..prev.hops() {
-                let spur_node = prev.nodes()[i];
-                let root_nodes = &prev.nodes()[..=i];
-                let root_edges = &prev.edges()[..i];
-
-                ws.set_bans(base);
-                // Remove edges that would recreate an already-accepted path
-                // sharing this root.
-                for p in &accepted {
-                    if p.hops() > i && p.nodes()[..=i] == *root_nodes {
-                        ws.bans.ban_edge(p.edges()[i]);
+            let prev = *accepted.last().expect("at least one accepted path");
+            // Spur from every node of the previous path except the
+            // destination. Spur `i` bans the root nodes before it: the
+            // ban of node `i - 1` is added here and all are lifted after
+            // the loop, as every root node was allowed in the masks.
+            for i in 0..prev.hops {
+                if i > 0 {
+                    ws.set_node(nodes[prev.nodes + i - 1], false);
+                }
+                let spur_node = nodes[prev.nodes + i];
+                // Cut the edges that would recreate an already-accepted
+                // path sharing this root; each was in the masks.
+                let root = prev.nodes..=prev.nodes + i;
+                for p in accepted.iter() {
+                    if p.hops > i && p.nodes(nodes)[..=i] == nodes[root.clone()] {
+                        cut.push(nodes[p.nodes + i + 1]);
                     }
                 }
-                // Remove root nodes (except the spur node) to keep paths simple.
-                for &n in &root_nodes[..i] {
-                    ws.bans.ban_node(n);
+                for &next in cut.iter() {
+                    ws.set_edge(spur_node, next, false);
                 }
 
-                if !ws.shortest_path(graph, spur_node, dst) {
-                    continue;
+                // Stitch root + spur at the end of the buffers. The spur
+                // avoids every root node, so the result is a simple path.
+                let cand = Span {
+                    nodes: nodes.len(),
+                    edges: edges.len(),
+                    hops: i,
+                };
+                nodes.extend_from_within(prev.nodes..prev.nodes + i);
+                edges.extend_from_within(prev.edges..prev.edges + i);
+                let spur = ws.shortest_path(graph, spur_node, dst, nodes, edges);
+                for next in cut.drain(..) {
+                    ws.set_edge(spur_node, next, true);
                 }
-
-                // Stitch root + spur. The spur avoids every root node, so the
-                // result is a simple path.
-                nodes.clear();
-                nodes.extend_from_slice(&root_nodes[..i]);
-                nodes.extend(ws.rev_nodes().iter().rev());
-                edges.clear();
-                edges.extend_from_slice(root_edges);
-                edges.extend(ws.rev_edges().iter().rev());
-
-                let stitched =
-                    |p: &Path| p.nodes() == nodes.as_slice() && p.edges() == edges.as_slice();
-                if accepted.iter().any(stitched) || candidates.iter().any(stitched) {
-                    continue;
+                let new = spur
+                    .map(|spur_hops| Span {
+                        hops: i + spur_hops,
+                        ..cand
+                    })
+                    .filter(|c| {
+                        !accepted.iter().chain(pool.iter()).any(|p| {
+                            p.hops == c.hops
+                                && p.nodes(nodes) == c.nodes(nodes)
+                                && p.edges(edges) == c.edges(edges)
+                        })
+                    });
+                match new {
+                    Some(c) => pool.push(c),
+                    None => {
+                        nodes.truncate(cand.nodes);
+                        edges.truncate(cand.edges);
+                    }
                 }
-                candidates.push(Path::from_valid_parts(graph, nodes.clone(), edges.clone()));
+            }
+            for &n in &nodes[prev.nodes..prev.nodes + prev.hops.saturating_sub(1)] {
+                ws.set_node(n, true);
             }
 
-            if candidates.is_empty() {
+            if pool.is_empty() {
                 break;
             }
             // The fewest-hop candidate; `min_by_key` keeps the first of equals.
-            let best = (0..candidates.len())
-                .min_by_key(|&i| candidates[i].hops())
-                .expect("candidates non-empty");
-            accepted.push(candidates.swap_remove(best));
+            let best = (0..pool.len())
+                .min_by_key(|&i| pool[i].hops)
+                .expect("pool non-empty");
+            accepted.push(pool.swap_remove(best));
         }
 
         accepted
+            .iter()
+            .map(|p| {
+                Path::from_valid_parts(graph, p.nodes(nodes).to_vec(), p.edges(edges).to_vec())
+            })
+            .collect()
     }
 }
 

@@ -3,12 +3,12 @@
 //!
 //! `reference` holds the `HashSet`-backed `SearchFilter`, the
 //! `BinaryHeap` Dijkstra over `f64` weights and Yen exactly as they were
-//! before the searches became one layered breadth-first search on a
-//! reusable workspace with dense ban flags. Called with [`hop_weight`],
-//! the reference pops `(distance, node id)` in ascending order and
-//! relabels only on a strict improvement, so each node's predecessor is
-//! the smallest-id node of the previous layer that reaches it: the
-//! breadth-first search's tie rule. The tests below assert that every
+//! before the searches became one layered breadth-first search over
+//! adjacency bitmasks. Called with [`hop_weight`], the reference pops
+//! `(distance, node id)` in ascending order and relabels only on a
+//! strict improvement, so each node's predecessor is the smallest-id
+//! node of the previous layer that reaches it: the breadth-first
+//! search's tie rule. The tests below assert that every
 //! search returns the same paths (same nodes, same edges, same order)
 //! and the same hop counts:
 //!
@@ -16,7 +16,9 @@
 //!   ids, under random bans that may hit the endpoints or ids outside
 //!   the graph;
 //! * for Yen on the paper's Waxman networks at 20 and 100 nodes under
-//!   random dead-edge sets, the shape of candidate routes under churn.
+//!   random dead-edge sets, the shape of candidate routes under churn;
+//! * on graphs of 63 to 129 nodes, whose masks span two or three words,
+//!   with endpoints and bans on both sides of each word boundary.
 
 use proptest::prelude::*;
 use qdn_graph::dijkstra::{distances_from, shortest_path_filtered, SearchFilter};
@@ -434,6 +436,94 @@ fn yen_matches_the_reference_on_paper_networks() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Graphs past one mask word: at 63, 64, 65, 127, 128 and 129 nodes, a
+/// ring with random chords, so paths cross the bit 63/64 and 127/128
+/// boundaries. Endpoints sit on both sides of them, and the filters cut
+/// the ring edges across them and ban nodes next to them. Every search
+/// must equal the reference's.
+#[test]
+fn multi_word_masks_match_the_reference() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+    for n in [63u32, 64, 65, 127, 128, 129] {
+        let ring = (0..n).map(|i| (NodeId(i), NodeId((i + 1) % n)));
+        let chords: Vec<_> = (0..2 * n)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|&(u, v)| u + 1 < v && !(u == 0 && v == n - 1))
+            .collect();
+        let mut graph = Graph::from_edges(n as usize, ring).unwrap();
+        for (u, v) in chords {
+            let _ = graph.add_edge(NodeId(u), NodeId(v));
+        }
+        let near: Vec<NodeId> = [0, 1, 62, 63, 64, 65, 126, 127, 128, n - 1]
+            .into_iter()
+            .filter(|&v| v < n)
+            .map(NodeId)
+            .collect();
+        // The ring edges leaving 62, 63, 64, 126 and 127.
+        let boundary_edges: Vec<EdgeId> = [62, 63, 64, 126, 127]
+            .into_iter()
+            .filter(|&u| u < n)
+            .map(|u| graph.edge_between(NodeId(u), NodeId((u + 1) % n)).unwrap())
+            .collect();
+        let random_edges: Vec<EdgeId> = (0..4)
+            .map(|_| EdgeId(rng.random_range(0..graph.edge_count() as u32)))
+            .collect();
+        let filters: [(&[u32], Vec<EdgeId>); 3] = [
+            (&[], Vec::new()),
+            (&[], [&boundary_edges[..], &random_edges].concat()),
+            (&[64, 127, 2], boundary_edges[..1].to_vec()),
+        ];
+        for (banned_nodes, banned_edges) in &filters {
+            let mut filter = SearchFilter::new();
+            let mut old_filter = reference::SearchFilter::new();
+            for &v in *banned_nodes {
+                filter.ban_node(NodeId(v));
+                old_filter.ban_node(NodeId(v));
+            }
+            for &e in banned_edges {
+                filter.ban_edge(e);
+                old_filter.ban_edge(e);
+            }
+            for &src in &near {
+                for &dst in &near {
+                    for k in [1, 5] {
+                        assert_eq!(
+                            yen_k_shortest_filtered(&graph, src, dst, k, &filter),
+                            reference::yen_k_shortest_filtered(
+                                &graph,
+                                src,
+                                dst,
+                                k,
+                                &hop_weight,
+                                &old_filter
+                            ),
+                            "yen k={k} {n} nodes, {src}->{dst}, bans {banned_nodes:?}"
+                        );
+                    }
+                    assert_eq!(
+                        shortest_path_filtered(&graph, src, dst, &filter),
+                        reference::shortest_path_filtered(
+                            &graph,
+                            src,
+                            dst,
+                            &hop_weight,
+                            &old_filter
+                        ),
+                        "{n} nodes, {src}->{dst}, bans {banned_nodes:?}"
+                    );
+                }
+            }
+        }
+        for &src in &near {
+            let want: Vec<Option<usize>> = reference::distances_from(&graph, src, &hop_weight)
+                .into_iter()
+                .map(|d| d.is_finite().then_some(d as usize))
+                .collect();
+            assert_eq!(distances_from(&graph, src), want, "{n} nodes from {src}");
         }
     }
 }

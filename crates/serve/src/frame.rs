@@ -56,7 +56,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (length header + payload) and flushes.
+/// Writes one frame (length header + payload) with one `write_all` call
+/// and flushes. One write per frame matters on a socket: a header
+/// written alone wakes the reader, which then blocks again on the
+/// payload.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(
@@ -70,8 +73,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             format!("frame payload {len} exceeds maximum {MAX_FRAME_LEN}"),
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -124,6 +129,29 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), b"world!");
         assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        /// Records the bytes of every `write` call.
+        #[derive(Default)]
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+                self.0.push(b.to_vec());
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut rec = Recorder::default();
+        write_frame(&mut rec, b"hello").unwrap();
+        write_frame(&mut rec, b"").unwrap();
+        assert_eq!(
+            rec.0,
+            vec![b"\0\0\0\x05hello".to_vec(), b"\0\0\0\0".to_vec()]
+        );
     }
 
     #[test]

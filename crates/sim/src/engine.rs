@@ -42,9 +42,9 @@ impl Default for SimConfig {
 ///
 /// Per slot: sample `Φ_t` from the workload and `(Q^t, W^t)` from the
 /// dynamics, let the policy decide, audit the decision against the
-/// capacity constraints (panicking in debug builds on violation — a
-/// policy bug), optionally realize Bernoulli outcomes, and record
-/// metrics.
+/// capacity constraints (debug builds only, panicking on a violation — a
+/// policy bug; release builds skip the audit), optionally realize
+/// Bernoulli outcomes, and record metrics.
 ///
 /// Randomness is split into two independent streams so experiments can
 /// compare policies on *identical* sample paths: `env_rng` drives the
@@ -82,12 +82,14 @@ pub fn run(
         let slot = SlotState::new(t, requests.clone(), snapshot.clone());
         let decision = policy.decide(network, &slot, policy_rng);
 
-        let violations = audit_decision(network, &snapshot, &decision);
-        debug_assert!(
-            violations.is_empty(),
-            "policy {} violated constraints at slot {t}: {violations:?}",
-            policy.name()
-        );
+        if cfg!(debug_assertions) {
+            let violations = audit_decision(network, &snapshot, &decision);
+            assert!(
+                violations.is_empty(),
+                "policy {} violated constraints at slot {t}: {violations:?}",
+                policy.name()
+            );
+        }
 
         let success_probs = decision.success_probabilities(network);
         let realized_successes = if config.realize_outcomes {
@@ -149,6 +151,48 @@ mod tests {
             &mut env_rng,
             &mut policy_rng,
         )
+    }
+
+    /// Serves every request on its shortest path with 1,000 channels
+    /// per edge, far past any capacity.
+    #[derive(Debug)]
+    struct Overallocating;
+
+    impl RoutingPolicy for Overallocating {
+        fn name(&self) -> String {
+            "over".into()
+        }
+
+        fn decide(
+            &mut self,
+            network: &QdnNetwork,
+            slot: &SlotState,
+            _rng: &mut dyn rand::Rng,
+        ) -> qdn_core::types::Decision {
+            let assignments = slot
+                .requests()
+                .iter()
+                .filter_map(|&pair| {
+                    let route = qdn_graph::dijkstra::shortest_path(
+                        network.graph(),
+                        pair.source(),
+                        pair.destination(),
+                    )?;
+                    let alloc = vec![1_000; route.hops()];
+                    Some(qdn_core::types::RouteAssignment::new(pair, route, alloc))
+                })
+                .collect();
+            qdn_core::types::Decision::new(assignments, Vec::new())
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "violated constraints")]
+    fn debug_builds_panic_on_a_violating_decision() {
+        quick_sim(&mut Overallocating, 5, 3);
     }
 
     #[test]
